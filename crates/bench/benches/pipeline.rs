@@ -111,8 +111,15 @@ fn bench_search_kernels() {
     let lf = felix_cost::log_transform(&raw);
     g.bench("mlp_predict", || black_box(model.predict(&lf)));
     g.bench("mlp_input_gradient", || black_box(model.input_gradient(&lf)));
-    let batch: Vec<Vec<f64>> = (0..8).map(|_| lf.clone()).collect();
-    g.bench("mlp_input_gradient_batch8", || black_box(model.input_gradient_batch(&batch)));
+    // Feature-major batch of 8 (`feats_t[k * 8 + s]`), as descent feeds it.
+    let feats_t: Vec<f64> = lf.iter().flat_map(|&v| [v; 8]).collect();
+    let packed = model.pack();
+    let mut scratch = felix_cost::MlpScratch::default();
+    let (mut scores, mut grads_t) = (Vec::new(), Vec::new());
+    g.bench("mlp_input_gradient_batch8", || {
+        packed.input_gradient_batch_cols(&feats_t, 8, &mut scratch, &mut scores, &mut grads_t);
+        black_box(grads_t.len())
+    });
     let sim = Simulator::new(DeviceConfig::a5000());
     g.bench("simulator_measure", || black_box(sim.latency_ms(&program, &fs, &vals)));
     let base = felix_cost::random_schedule(&program, &mut rng, 64);

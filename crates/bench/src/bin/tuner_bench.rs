@@ -20,6 +20,7 @@ use felix::{EvalScratch, FelixOptions, GradientProposer, SketchObjective, Superv
 use felix_ansor::{Proposer, SearchTask, TunerStats};
 use felix_bench::{cached_model, write_result, Scale};
 use felix_cost::MlpScratch;
+use felix_features::FEATURE_COUNT;
 use felix_graph::{Op, Subgraph, Task};
 use felix_sim::clock::ClockCosts;
 use felix_sim::{DeviceConfig, Simulator, TuningClock};
@@ -38,7 +39,7 @@ use std::time::Instant;
 /// mode the tape must additionally beat the pool by >= 6x per point at the
 /// production batch of 16 (best-of-N, pool/tape trials interleaved so
 /// machine drift hits both alike).
-fn tape_bench(model: &felix_cost::Mlp, smoke: bool) {
+fn tape_bench(model: &felix_cost::Mlp, mlp_us: [f64; 4], smoke: bool) {
     use felix_tir::sketch::{multi_level_tiling_sketch, HardwareParams};
     let sg = Subgraph { ops: vec![Op::Dense { m: 512, k: 512, n: 512 }] };
     let p0 = felix_graph::lower::lower_subgraph(&sg);
@@ -165,13 +166,24 @@ fn tape_bench(model: &felix_cost::Mlp, smoke: bool) {
         pool_pp * 1e6,
         tape_pp * 1e6
     );
+    // A whole descent step is the tape sweeps plus the cost model's input
+    // gradient at the same batch; `tape_steps_per_sec` alone leaves the
+    // larger half out.
+    let mlp_fields: String = MLP_WIDTHS
+        .iter()
+        .zip(&mlp_us)
+        .map(|(n, us)| format!("  \"mlp_input_grad_us_per_seed_n{n}\": {us:.2},\n"))
+        .collect();
+    let [.., mlp_us_at_batch] = mlp_us;
+    let step_s = tape_pp + mlp_us_at_batch * 1e-6;
     write_result(
         "BENCH_tape.json",
         &format!(
-            "{{\n  \"pool_nodes\": {pool_nodes},\n  \"tape_nodes\": {tape_nodes},\n  \"batch\": {batch},\n  \"tape_compile_ms\": {:.3},\n  \"pool_steps_per_sec\": {:.1},\n  \"tape_steps_per_sec\": {:.1},\n  \"speedup\": {:.3},\n  \"smoke\": {smoke}\n}}\n",
+            "{{\n  \"pool_nodes\": {pool_nodes},\n  \"tape_nodes\": {tape_nodes},\n  \"batch\": {batch},\n  \"tape_compile_ms\": {:.3},\n  \"pool_steps_per_sec\": {:.1},\n  \"tape_steps_per_sec\": {:.1},\n{mlp_fields}  \"descent_steps_per_sec_with_mlp\": {:.1},\n  \"speedup\": {:.3},\n  \"smoke\": {smoke}\n}}\n",
             obj.tape_compile_s * 1e3,
             1.0 / pool_pp,
             1.0 / tape_pp,
+            1.0 / step_s,
             speedup
         ),
     );
@@ -248,53 +260,79 @@ fn supervision_bench(search: &SearchTask, model: &felix_cost::Mlp, smoke: bool) 
     );
 }
 
-fn mlp_micro(model: &felix_cost::Mlp) {
-    // Batched inference vs one-at-a-time dispatch on identical inputs.
+/// Chunk widths the MLP microbenchmark times: 2 and 8 are what production
+/// descents hand the cost model (`cold_ops`, `tune_resnet50` on two
+/// workers), 1 and 16 bracket them.
+const MLP_WIDTHS: [usize; 4] = [1, 2, 8, 16];
+
+/// Per-seed cost of the cost model's input gradient, scalar reference vs
+/// the packed batched kernel at each of [`MLP_WIDTHS`] (pack built once
+/// outside the timed loop, as `propose` does). Returns the batched
+/// microseconds per seed, in `MLP_WIDTHS` order. Timed mode asserts
+/// in-process ratios only, never absolute times.
+fn mlp_micro(model: &felix_cost::Mlp, smoke: bool) -> [f64; 4] {
     let mut rng = StdRng::seed_from_u64(9);
-    let rows: Vec<Vec<f64>> = (0..64)
-        .map(|_| {
-            (0..felix_features::FEATURE_COUNT)
-                .map(|_| rand::Rng::gen_range(&mut rng, 0.0..8.0))
-                .collect()
-        })
+    let rows: Vec<Vec<f64>> = (0..16)
+        .map(|_| (0..FEATURE_COUNT).map(|_| rng.gen_range(0.0..8.0)).collect())
         .collect();
-    let time = |f: &dyn Fn()| {
-        let reps = 50;
+    let (trials, reps) = if smoke { (1, 2) } else { (15, 40) };
+    let time = |f: &mut dyn FnMut()| {
         let start = Instant::now();
         for _ in 0..reps {
             f();
         }
-        start.elapsed().as_secs_f64() / reps as f64
+        start.elapsed().as_secs_f64() * 1e6 / reps as f64
     };
-    let scalar_fwd = time(&|| {
-        for r in &rows {
-            std::hint::black_box(model.predict(r));
+    let feats_t = MLP_WIDTHS.map(|n| {
+        let mut feats_t = vec![0.0; FEATURE_COUNT * n];
+        for (s, r) in rows[..n].iter().enumerate() {
+            for (k, &v) in r.iter().enumerate() {
+                feats_t[k * n + s] = v;
+            }
         }
+        feats_t
     });
-    let batch_fwd = time(&|| {
-        std::hint::black_box(model.predict_batch(&rows));
-    });
-    let scalar_grad = time(&|| {
-        for r in &rows {
-            std::hint::black_box(model.input_gradient(r));
+    let packed = model.pack();
+    let mut scratch = MlpScratch::default();
+    let (mut scores, mut grads_t) = (Vec::new(), Vec::new());
+    // Best-of-N per configuration, with the configurations interleaved
+    // inside every trial so machine drift hits all of them alike before
+    // the ratio asserts.
+    let mut scalar_us = f64::INFINITY;
+    let mut batched_us = [f64::INFINITY; 4];
+    for _ in 0..trials {
+        let us = time(&mut || {
+            for r in &rows {
+                std::hint::black_box(model.input_gradient(r));
+            }
+        });
+        scalar_us = scalar_us.min(us / rows.len() as f64);
+        for ((&n, feats_t), best) in MLP_WIDTHS.iter().zip(&feats_t).zip(&mut batched_us) {
+            let us = time(&mut || {
+                packed.input_gradient_batch_cols(feats_t, n, &mut scratch, &mut scores, &mut grads_t);
+                std::hint::black_box(&grads_t);
+            });
+            *best = best.min(us / n as f64);
         }
-    });
-    let batch_grad = time(&|| {
-        std::hint::black_box(model.input_gradient_batch(&rows));
-    });
-    println!("cost-model, 64 rows (bit-identical outputs):");
-    println!(
-        "  forward:          scalar {:>9.1} µs   batched {:>9.1} µs   ({:.2}x)",
-        scalar_fwd * 1e6,
-        batch_fwd * 1e6,
-        scalar_fwd / batch_fwd
-    );
-    println!(
-        "  forward+backward: scalar {:>9.1} µs   batched {:>9.1} µs   ({:.2}x)",
-        scalar_grad * 1e6,
-        batch_grad * 1e6,
-        scalar_grad / batch_grad
-    );
+    }
+    println!("\ncost-model input gradient, µs per seed (bit-identical outputs):");
+    println!("  scalar reference {scalar_us:>7.1}");
+    for (n, us) in MLP_WIDTHS.iter().zip(&batched_us) {
+        println!("  batched n={n:<2}     {us:>7.1}   ({:.1}x)", scalar_us / us);
+    }
+    if !smoke {
+        let [_, n2, n8, n16] = batched_us;
+        assert!(
+            scalar_us / n8 >= 4.0,
+            "batched n=8 must beat the scalar reference by >= 4x per seed, got {:.2}x",
+            scalar_us / n8
+        );
+        assert!(
+            n2 <= 1.5 * n16,
+            "narrow chunks must stay fast: n=2 {n2:.1} µs/seed vs n=16 {n16:.1} µs/seed"
+        );
+    }
+    batched_us
 }
 
 fn main() {
@@ -303,7 +341,8 @@ fn main() {
     let scale = Scale::from_env();
     let dev = DeviceConfig::a5000();
     let model = cached_model(&dev, scale);
-    tape_bench(&model, smoke);
+    let mlp_us = mlp_micro(&model, smoke);
+    tape_bench(&model, mlp_us, smoke);
     let sim = Simulator::new(dev);
     let task = Task {
         subgraph: Subgraph {
@@ -317,7 +356,6 @@ fn main() {
         println!("smoke mode: equivalence asserts passed; skipping timed sections");
         return;
     }
-    mlp_micro(&model);
     let (n_seeds, n_steps, rounds) = if scale == Scale::Fast { (8, 60, 2) } else { (16, 200, 3) };
     // Always exercise the 2-thread path (even on a single-core host, where
     // it shows parity rather than speedup); add the auto setting when it

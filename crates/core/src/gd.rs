@@ -15,16 +15,17 @@
 //! one structure-of-arrays pass over all lanes, with per-worker scratch
 //! buffers reused across steps so the steady-state loop is allocation-free.
 //! The cost model is evaluated in matrix-shaped batches: each Adam step
-//! makes one [`Mlp::input_gradient_batch`] call over all the seeds a worker
-//! owns instead of `nSeeds` scalar calls, and candidate ranking batches its
-//! predictions the same way. Independent seeds (and independent sketch
-//! objectives) run on a scoped-thread pool ([`crate::parallel`]) whose
-//! workers self-schedule from a shared queue. Every batched MLP row is
-//! bit-identical to the scalar path and all randomness is drawn from the
-//! master RNG in a fixed serial order (per-seed work uses derived `StdRng`
-//! streams), so the search result is **bit-identical at every thread
-//! count** — `threads: 1` is the proof path, `threads: 0` (one worker per
-//! core) the fast path.
+//! makes one [`PackedMlp::input_gradient_batch_cols`] call over all the
+//! seeds a worker owns instead of `nSeeds` scalar calls, and candidate
+//! ranking batches its predictions the same way, all against one packed
+//! view of the weights built per `propose`. Independent seeds (and
+//! independent sketch objectives) run on a scoped-thread pool
+//! ([`crate::parallel`]) whose workers self-schedule from a shared queue.
+//! Every batched MLP row is bit-identical to the scalar path and all
+//! randomness is drawn from the master RNG in a fixed serial order
+//! (per-seed work uses derived `StdRng` streams), so the search result is
+//! **bit-identical at every thread count** — `threads: 1` is the proof
+//! path, `threads: 0` (one worker per core) the fast path.
 
 use crate::health::{restart_salt, restart_stream, ChunkHealth, SeedHealth, SupervisorOptions};
 use crate::objective::{EvalScratch, PipelineOptions, SketchObjective};
@@ -36,6 +37,7 @@ use felix_ansor::{
 };
 use felix_cost::{
     log_transform, total_cmp_desc_nan_last, total_cmp_nan_last, AdamOpt, Mlp, MlpScratch,
+    PackedMlp,
 };
 use felix_features::FEATURE_COUNT;
 use felix_sim::clock::ClockCosts;
@@ -209,7 +211,7 @@ impl GradientProposer {
 /// thread count.
 fn score_candidates(
     task: &SearchTask,
-    model: &Mlp,
+    model: &PackedMlp,
     threads: usize,
     cands: &[(usize, Vec<f64>)],
 ) -> Vec<f64> {
@@ -296,7 +298,7 @@ fn restart_seed(
 fn descend_chunk(
     objectives: &[Arc<SketchObjective>],
     task: &SearchTask,
-    model: &Mlp,
+    model: &PackedMlp,
     opts: &FelixOptions,
     modes: &[SketchMode],
     salt: u64,
@@ -321,8 +323,8 @@ fn descend_chunk(
     let mut scratches: Vec<EvalScratch> = vec![EvalScratch::default(); groups.len()];
     // Feature matrix, feature-major (`feats_t[k * n_seeds + i]` is seed
     // `i`'s feature `k`): the transposed extraction pass writes contiguous
-    // root rows into it, and the batched MLP kernels — whose internal
-    // activations use the same layout — consume it without reshaping.
+    // root rows into it, and the batched MLP call reads it as is (its
+    // layer-0 normalize is the only pass that turns it sample-major).
     let mut feats_t: Vec<f64> = vec![0.0; FEATURE_COUNT * seeds.len()];
     let mut grad: Vec<f64> = Vec::new();
     let mut pen: Vec<f64> = vec![0.0; seeds.len()];
@@ -332,7 +334,7 @@ fn descend_chunk(
     // over the tape values and blows the supervision overhead budget.
     let mut feat_ok: Vec<bool> = vec![true; seeds.len()];
     let mut pen_ok: Vec<bool> = vec![true; seeds.len()];
-    // MLP arena: the flat batched kernels reuse these across all steps, so
+    // MLP arena: the batched kernels reuse these across all steps, so
     // the per-step cost-model call allocates nothing in steady state.
     let mut mlp_scratch = MlpScratch::default();
     let mut mlp_scores: Vec<f64> = Vec::new();
@@ -516,6 +518,11 @@ impl Proposer for GradientProposer {
             threads,
             &mut stats,
         );
+        // One packed (transposed-weights) view of the model serves every
+        // batched cost-model call of this round — seed-init scoring, the
+        // descent workers, candidate ranking — and is dropped on return, so
+        // no second weight copy outlives the round.
+        let packed = model.pack();
 
         // --- Supervision state ---------------------------------------------
         // The task's per-sketch modes (degradation ladder position) gate
@@ -623,7 +630,7 @@ impl Proposer for GradientProposer {
                 .iter()
                 .map(|x| log_transform(&st.eval_features(x, &mut scratch)))
                 .collect();
-            let scores = model.predict_batch(&feats);
+            let scores = packed.predict_batch(&feats);
             let best = scores
                 .iter()
                 .enumerate()
@@ -672,7 +679,7 @@ impl Proposer for GradientProposer {
             descend_chunk(
                 objectives,
                 task,
-                model,
+                &packed,
                 &opts,
                 &modes,
                 salt,
@@ -766,7 +773,7 @@ impl Proposer for GradientProposer {
         // --- Rank by predicted performance on the exact features (line 21),
         // via the compiled feature tapes, in parallel batches.
         let cands: Vec<(usize, Vec<f64>)> = unique.into_values().collect();
-        let cand_scores = score_candidates(task, model, threads, &cands);
+        let cand_scores = score_candidates(task, &packed, threads, &cands);
         clock.charge_batched_predictions(cands.len(), costs);
         let mut ranked: Vec<(f64, usize, Vec<f64>)> = cand_scores
             .into_iter()
@@ -799,7 +806,7 @@ impl Proposer for GradientProposer {
                 neighbors.push((sk, nb));
             }
         }
-        let nb_scores = score_candidates(task, model, threads, &neighbors);
+        let nb_scores = score_candidates(task, &packed, threads, &neighbors);
         clock.charge_batched_predictions(neighbors.len(), costs);
         ranked.extend(
             nb_scores

@@ -404,9 +404,8 @@ impl SketchObjective {
     /// lands in `dst_t[k * n_total + cols[l]]`. Feature roots run outer and
     /// lanes inner, so the tape-value reads are contiguous rows — and when
     /// `cols` is a contiguous ascending run, each root row is one straight
-    /// block copy. The layout matches the batched MLP kernels' internal
-    /// feature-major activations, so the cost-model call consumes `dst_t`
-    /// with no reshaping (see `Mlp::input_gradient_batch_cols`).
+    /// block copy. This is the layout the batched cost-model call takes
+    /// its inputs in (see `PackedMlp::input_gradient_batch_cols`).
     /// `finite(lane, ok)` reports each lane's feature finiteness verdict.
     /// Writes the same values — and returns the same verdicts — as calling
     /// `write_feats` per lane.
@@ -530,7 +529,7 @@ impl SketchObjective {
 
     /// [`SketchObjective::seed_feats_all`] from a feature-major gradient
     /// buffer (`src_t[k * n_total + cols[lane]]`, the layout
-    /// [`felix_cost::Mlp::input_gradient_batch_cols`] emits): feature roots
+    /// [`felix_cost::PackedMlp::input_gradient_batch_cols`] emits): feature roots
     /// outer, lanes inner, so when `cols` is a contiguous run both the
     /// source reads and the seed writes are pure row sweeps — no strided
     /// access on either side. Writes the same values as `seed_feats_lane`

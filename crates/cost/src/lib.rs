@@ -102,21 +102,51 @@ fn layer_dims() -> Vec<(usize, usize)> {
     LAYER_SIZES.windows(2).map(|w| (w[1], w[0])).collect()
 }
 
-/// Reusable flat buffers for the batched MLP kernels, so the descent hot
-/// loop runs one `input_gradient` batch per step without allocating.
+/// Per-layer weight and bias gradients, `(gw, gb)`, shaped like the
+/// parameters.
+pub type ParamGrads = (Vec<Vec<f32>>, Vec<Vec<f32>>);
+
+/// Output neurons per forward panel: the packed weights store each layer as
+/// `out_dim / PANEL` input-major panels, and the forward kernel keeps one
+/// panel's accumulators in registers for a whole block of samples.
+const PANEL: usize = 32;
+
+/// Samples per forward register block (a remainder runs as a block of 2,
+/// then one sample alone).
+const SAMPLE_BLOCK: usize = 4;
+
+/// Reusable buffers for the batched MLP kernels, so the descent hot loop
+/// runs one `input_gradient` batch per step without allocating.
 ///
-/// All buffers are feature-major ("transposed"): `acts_t[layer][i * n + s]`
-/// for batch size `n`. Create once, pass to
-/// [`Mlp::input_gradient_batch_flat`] every step; buffers grow to the
-/// high-water mark and stay there.
+/// All buffers are sample-major: `acts[layer][s * dim + i]` for batch size
+/// `n`. Create once, pass to [`PackedMlp::input_gradient_batch_cols`] every
+/// step; buffers grow to the high-water mark and stay there.
 #[derive(Clone, Debug, Default)]
 pub struct MlpScratch {
     /// Post-activation values per layer (layer 0 = normalized inputs).
-    acts_t: Vec<Vec<f32>>,
-    /// Current backward gradient, `[out_dim * n]` for the layer in flight.
-    grad_t: Vec<f32>,
-    /// Next layer's input gradient being accumulated, `[in_dim * n]`.
-    gin_t: Vec<f32>,
+    acts: Vec<Vec<f32>>,
+    /// Current backward gradient, `[n * out_dim]` for the layer in flight.
+    grad: Vec<f32>,
+    /// Next layer's input gradient being accumulated, `[n * in_dim]`.
+    gin: Vec<f32>,
+    /// One sample's live `(output row, gated gradient)` pairs.
+    live: Vec<(u32, f32)>,
+}
+
+/// An immutable inference view of an [`Mlp`]: the model plus an input-major
+/// (transposed) copy of its weights, which is what lets the batched forward
+/// kernel run SIMD lanes across *neurons*. Build one with [`Mlp::pack`] per
+/// batch of calls against fixed weights (the tuner builds one per
+/// `propose`) and drop it before the model trains again — the borrow makes a
+/// stale pack a compile error.
+#[derive(Debug)]
+pub struct PackedMlp<'m> {
+    mlp: &'m Mlp,
+    /// Per layer, its full `PANEL`-neuron output panels, input-major:
+    /// `panels[li][(p * in_dim + i) * PANEL + l]` is
+    /// `w[li][(p * PANEL + l) * in_dim + i]`. Neurons past the last full
+    /// panel (the single output unit) are read from the row-major weights.
+    panels: Vec<Vec<f32>>,
 }
 
 impl Mlp {
@@ -197,197 +227,35 @@ impl Mlp {
         self.forward_cached(&x).1
     }
 
-    /// Batched forward pass over flat, feature-major ("transposed")
-    /// activation buffers: `scratch.acts_t[layer][i * n + s]`. One weight
-    /// traversal per layer for the whole batch, with output rows register-
-    /// blocked four at a time so each input column load feeds four
-    /// accumulator rows and the weight tile stays L1/L2-resident across
-    /// the seed batch.
-    ///
-    /// Each sample's accumulation runs in exactly the order of
-    /// [`Mlp::forward_cached`] — bias first, then ascending input index,
-    /// one sequential chain per `(row, sample)` — so every result is
-    /// bit-identical to the scalar path. Row blocking never reassociates a
-    /// sum (the four rows have independent accumulators); batching buys
-    /// locality, never a different answer. The tuner's serial/parallel
-    /// equivalence guarantee rests on this.
-    ///
-    /// Fills `scratch.acts_t` (layer 0 = normalized inputs) and returns
-    /// the per-sample scores in `scores`.
-    fn forward_batch_t(
-        &self,
-        logfeats: &[Vec<f64>],
-        scratch: &mut MlpScratch,
-        scores: &mut Vec<f64>,
-    ) {
-        let n = logfeats.len();
-        let n_layers = self.w.len();
-        scratch.acts_t.resize_with(n_layers + 1, Vec::new);
-        let x0 = &mut scratch.acts_t[0];
-        x0.clear();
-        x0.resize(FEATURE_COUNT * n, 0.0);
-        for (s, f) in logfeats.iter().enumerate() {
-            assert_eq!(f.len(), FEATURE_COUNT, "feature vector length");
-            for (i, &x) in f.iter().enumerate() {
-                x0[i * n + s] = (x as f32 - self.input_mean[i]) / self.input_std[i];
-            }
-        }
-        self.forward_layers(n, scratch, scores);
+    /// Builds the packed inference view of the current weights (one
+    /// transpose of every weight matrix, panel by panel).
+    pub fn pack(&self) -> PackedMlp<'_> {
+        let panels = self
+            .w
+            .iter()
+            .zip(&self.b)
+            .map(|(w, b)| {
+                let in_dim = w.len() / b.len();
+                let mut layer = Vec::with_capacity(w.len());
+                for rows in w.chunks_exact(in_dim * PANEL) {
+                    for i in 0..in_dim {
+                        // Input `i`'s weight in each of the panel's rows.
+                        layer.extend((0..PANEL).map(|l| rows[l * in_dim + i]));
+                    }
+                }
+                layer
+            })
+            .collect();
+        PackedMlp { mlp: self, panels }
     }
 
-    /// [`Mlp::forward_batch_t`] over one flat feature-major buffer
-    /// (`feats_t[k * n + s]`, as produced by the descent loop's transposed
-    /// feature-extraction pass) — identical math, but the layout already
-    /// matches the internal activations, so the layer-0 fill is one
-    /// contiguous normalize pass with no transposition at all.
-    fn forward_batch_cols(
-        &self,
-        feats_t: &[f64],
-        n: usize,
-        scratch: &mut MlpScratch,
-        scores: &mut Vec<f64>,
-    ) {
-        assert_eq!(feats_t.len(), FEATURE_COUNT * n, "feature buffer length");
-        let n_layers = self.w.len();
-        scratch.acts_t.resize_with(n_layers + 1, Vec::new);
-        let x0 = &mut scratch.acts_t[0];
-        x0.clear();
-        x0.resize(FEATURE_COUNT * n, 0.0);
-        for (i, (row, dst)) in
-            feats_t.chunks_exact(n).zip(x0.chunks_exact_mut(n)).enumerate()
-        {
-            let (m, sd) = (self.input_mean[i], self.input_std[i]);
-            for (d, &x) in dst.iter_mut().zip(row) {
-                *d = (x as f32 - m) / sd;
-            }
-        }
-        self.forward_layers(n, scratch, scores);
-    }
-
-    /// The layer sweeps shared by both batched forward entry points;
-    /// assumes `scratch.acts_t[0]` holds the normalized inputs.
-    fn forward_layers(&self, n: usize, scratch: &mut MlpScratch, scores: &mut Vec<f64>) {
-        let n_layers = self.w.len();
-        for (li, (w, b)) in self.w.iter().zip(&self.b).enumerate() {
-            let out_dim = b.len();
-            let in_dim = w.len() / out_dim;
-            let relu = li + 1 < n_layers;
-            let (head, tail) = scratch.acts_t.split_at_mut(li + 1);
-            let inp = &head[li];
-            let out = &mut tail[0];
-            debug_assert_eq!(inp.len(), in_dim * n);
-            out.clear();
-            out.resize(out_dim * n, 0.0);
-            let mut o = 0;
-            // Four-row register block: one input column load feeds four
-            // independent accumulator rows.
-            while o + 4 <= out_dim {
-                let block = &mut out[o * n..(o + 4) * n];
-                let (y0, rest) = block.split_at_mut(n);
-                let (y1, rest) = rest.split_at_mut(n);
-                let (y2, y3) = rest.split_at_mut(n);
-                y0.fill(b[o]);
-                y1.fill(b[o + 1]);
-                y2.fill(b[o + 2]);
-                y3.fill(b[o + 3]);
-                for i in 0..in_dim {
-                    let col = &inp[i * n..(i + 1) * n];
-                    let c0 = w[o * in_dim + i];
-                    let c1 = w[(o + 1) * in_dim + i];
-                    let c2 = w[(o + 2) * in_dim + i];
-                    let c3 = w[(o + 3) * in_dim + i];
-                    for (s, &x) in col.iter().enumerate() {
-                        y0[s] += c0 * x;
-                        y1[s] += c1 * x;
-                        y2[s] += c2 * x;
-                        y3[s] += c3 * x;
-                    }
-                }
-                if relu {
-                    for y in block.iter_mut() {
-                        *y = y.max(0.0);
-                    }
-                }
-                o += 4;
-            }
-            while o < out_dim {
-                let y = &mut out[o * n..(o + 1) * n];
-                y.fill(b[o]);
-                for i in 0..in_dim {
-                    let col = &inp[i * n..(i + 1) * n];
-                    let c = w[o * in_dim + i];
-                    for (s, &x) in col.iter().enumerate() {
-                        y[s] += c * x;
-                    }
-                }
-                if relu {
-                    for v in y.iter_mut() {
-                        *v = v.max(0.0);
-                    }
-                }
-                o += 1;
-            }
-        }
-        let last = scratch.acts_t.last().expect("output layer");
-        scores.clear();
-        scores.extend(last[..n].iter().map(|&v| v as f64));
-    }
-
-    /// Batch prediction via one weight traversal per layer; row `i` is
+    /// Pack-then-call form of [`PackedMlp::predict_batch`]; row `i` is
     /// bit-identical to `predict(&logfeats[i])`.
     pub fn predict_batch(&self, logfeats: &[Vec<f64>]) -> Vec<f64> {
-        let mut scratch = MlpScratch::default();
-        let mut scores = Vec::new();
-        self.forward_batch_t(logfeats, &mut scratch, &mut scores);
-        scores
+        self.pack().predict_batch(logfeats)
     }
 
-    /// Batched [`Mlp::input_gradient`] over reusable flat buffers: one
-    /// weight traversal per layer in each direction, four-row register
-    /// blocks in both sweeps. Fills `scores` (per sample) and `grads`
-    /// (sample-major, `FEATURE_COUNT` per sample). Sample `i` is
-    /// bit-identical to `input_gradient(&logfeats[i])`: the backward
-    /// accumulation per `(input, sample)` runs over ascending output rows
-    /// as one sequential chain, and a zero-gated contribution adds `±0.0`,
-    /// which cannot flip any accumulator bit (accumulators start at `+0.0`
-    /// and finite additions never yield `-0.0`), so the reference's ReLU
-    /// skip is unnecessary and the inner loops stay pure sweeps across
-    /// samples.
-    pub fn input_gradient_batch_flat(
-        &self,
-        logfeats: &[Vec<f64>],
-        scratch: &mut MlpScratch,
-        scores: &mut Vec<f64>,
-        grads: &mut Vec<f64>,
-    ) {
-        let n = logfeats.len();
-        scores.clear();
-        grads.clear();
-        if n == 0 {
-            return;
-        }
-        self.forward_batch_t(logfeats, scratch, scores);
-        self.backward_input_gradients(n, scratch);
-        let gfinal = &scratch.grad_t;
-        debug_assert_eq!(gfinal.len(), FEATURE_COUNT * n);
-        grads.resize(FEATURE_COUNT * n, 0.0);
-        for s in 0..n {
-            for k in 0..FEATURE_COUNT {
-                // Undo normalization in f32 (as the scalar path does),
-                // then widen.
-                grads[s * FEATURE_COUNT + k] =
-                    (gfinal[k * n + s] / self.input_std[k]) as f64;
-            }
-        }
-    }
-
-    /// [`Mlp::input_gradient_batch_flat`] over one flat feature-major
-    /// buffer (`feats_t[k * n + s]`); sample `s` is bit-identical to
-    /// `input_gradient` on the same sample's feature column. Output
-    /// `grads_t` is feature-major too (`grads_t[k * n + s]`), matching the
-    /// backward sweep's internal layout so extraction is a pure contiguous
-    /// rescale — consumers that seed gradient tapes row-by-root read it
-    /// without a transpose.
+    /// Pack-then-call form of [`PackedMlp::input_gradient_batch_cols`].
     pub fn input_gradient_batch_cols(
         &self,
         feats_t: &[f64],
@@ -396,111 +264,7 @@ impl Mlp {
         scores: &mut Vec<f64>,
         grads_t: &mut Vec<f64>,
     ) {
-        scores.clear();
-        grads_t.clear();
-        if n == 0 {
-            return;
-        }
-        self.forward_batch_cols(feats_t, n, scratch, scores);
-        self.backward_input_gradients(n, scratch);
-        let gfinal = &scratch.grad_t;
-        debug_assert_eq!(gfinal.len(), FEATURE_COUNT * n);
-        grads_t.resize(FEATURE_COUNT * n, 0.0);
-        for (k, (row, src)) in grads_t.chunks_exact_mut(n).zip(gfinal.chunks_exact(n)).enumerate() {
-            let sd = self.input_std[k];
-            for (d, &gv) in row.iter_mut().zip(src) {
-                // Undo normalization in f32 (as the scalar path does), then
-                // widen — same per-element math as the sample-major form.
-                *d = (gv / sd) as f64;
-            }
-        }
-    }
-
-    /// The reverse sweeps shared by both batched gradient entry points;
-    /// assumes a forward pass has filled `scratch.acts_t`. Leaves the raw
-    /// feature-major input gradients (pre-normalization-unscale, `f32`) in
-    /// `scratch.grad_t`; each entry point extracts into its own layout.
-    fn backward_input_gradients(&self, n: usize, scratch: &mut MlpScratch) {
-        let n_layers = self.w.len();
-        // d(score)/d(out) = 1 for the single output unit.
-        let g = &mut scratch.grad_t;
-        g.clear();
-        g.resize(n, 1.0);
-        for li in (0..n_layers).rev() {
-            let out_t = &scratch.acts_t[li + 1];
-            let w = &self.w[li];
-            let out_dim = self.b[li].len();
-            let in_dim = w.len() / out_dim;
-            // ReLU gate in place: hidden activations are stored post-ReLU,
-            // so `act > 0` is the derivative gate (a NaN activation gates
-            // to zero too, via the explicit `is_nan` arm). The final layer
-            // is linear and passes through.
-            let g = &mut scratch.grad_t;
-            debug_assert_eq!(g.len(), out_dim * n);
-            if li + 1 < n_layers {
-                for (gv, &a) in g.iter_mut().zip(out_t.iter()) {
-                    if a <= 0.0 || a.is_nan() {
-                        *gv = 0.0;
-                    }
-                }
-            }
-            let gin = &mut scratch.gin_t;
-            gin.clear();
-            gin.resize(in_dim * n, 0.0);
-            let mut o = 0;
-            while o + 4 <= out_dim {
-                let g0 = &g[o * n..(o + 1) * n];
-                let g1 = &g[(o + 1) * n..(o + 2) * n];
-                let g2 = &g[(o + 2) * n..(o + 3) * n];
-                let g3 = &g[(o + 3) * n..(o + 4) * n];
-                for i in 0..in_dim {
-                    let c0 = w[o * in_dim + i];
-                    let c1 = w[(o + 1) * in_dim + i];
-                    let c2 = w[(o + 2) * in_dim + i];
-                    let c3 = w[(o + 3) * in_dim + i];
-                    let dst = &mut gin[i * n..(i + 1) * n];
-                    for (s, d) in dst.iter_mut().enumerate() {
-                        // Four sequential adds, ascending `o` — the same
-                        // order as four separate output-row passes.
-                        let mut acc = *d;
-                        acc += g0[s] * c0;
-                        acc += g1[s] * c1;
-                        acc += g2[s] * c2;
-                        acc += g3[s] * c3;
-                        *d = acc;
-                    }
-                }
-                o += 4;
-            }
-            while o < out_dim {
-                let gr = &g[o * n..(o + 1) * n];
-                for i in 0..in_dim {
-                    let c = w[o * in_dim + i];
-                    let dst = &mut gin[i * n..(i + 1) * n];
-                    for (s, d) in dst.iter_mut().enumerate() {
-                        *d += gr[s] * c;
-                    }
-                }
-                o += 1;
-            }
-            std::mem::swap(&mut scratch.grad_t, &mut scratch.gin_t);
-        }
-    }
-
-    /// Allocating wrapper around [`Mlp::input_gradient_batch_flat`]; row
-    /// `i` is bit-identical to `input_gradient(&logfeats[i])`.
-    pub fn input_gradient_batch(&self, logfeats: &[Vec<f64>]) -> Vec<(f64, Vec<f64>)> {
-        let mut scratch = MlpScratch::default();
-        let mut scores = Vec::new();
-        let mut grads = Vec::new();
-        self.input_gradient_batch_flat(logfeats, &mut scratch, &mut scores, &mut grads);
-        scores
-            .into_iter()
-            .enumerate()
-            .map(|(s, score)| {
-                (score, grads[s * FEATURE_COUNT..(s + 1) * FEATURE_COUNT].to_vec())
-            })
-            .collect()
+        self.pack().input_gradient_batch_cols(feats_t, n, scratch, scores, grads_t);
     }
 
     /// Predicted score and its gradient with respect to the (log) features.
@@ -549,93 +313,58 @@ impl Mlp {
         (score, g)
     }
 
+    /// One packed batched forward over the minibatch; returns the scores
+    /// and the scratch holding every layer's activations for
+    /// [`Mlp::backprop_with_seeds`].
+    fn forward_minibatch(&self, inputs: &[Vec<f64>]) -> (Vec<f64>, MlpScratch) {
+        let mut scratch = MlpScratch::default();
+        let mut scores = Vec::new();
+        self.pack().forward_rows(inputs, &mut scratch, &mut scores);
+        (scores, scratch)
+    }
+
     /// One training forward+backward on a minibatch with MSE loss; returns
-    /// the loss and accumulates parameter gradients into `gw`/`gb`.
-    pub fn loss_and_param_grads(
-        &self,
-        inputs: &[Vec<f64>],
-        targets: &[f64],
-        gw: &mut [Vec<f32>],
-        gb: &mut [Vec<f32>],
-    ) -> f64 {
-        // Forward once to get scores, derive MSE seeds, backprop.
-        let scores: Vec<f64> = inputs.iter().map(|x| self.predict(x)).collect();
-        let bs = inputs.len() as f64;
-        let mut loss = 0.0;
-        let seeds: Vec<f32> = scores
-            .iter()
-            .zip(targets)
-            .map(|(s, t)| {
-                let err = s - t;
-                loss += err * err;
-                (2.0 * err / bs) as f32
-            })
-            .collect();
-        self.backprop_with_seeds(inputs, &seeds, gw, gb);
-        loss / bs
+    /// the loss and the parameter gradients `(gw, gb)`.
+    pub fn loss_and_param_grads(&self, inputs: &[Vec<f64>], targets: &[f64]) -> (f64, ParamGrads) {
+        let (scores, scratch) = self.forward_minibatch(inputs);
+        let (loss, seeds) = mse_seeds(&scores, targets);
+        (loss, self.backprop_with_seeds(&scratch.acts, &seeds))
     }
 
     /// Pairwise logistic ranking loss over the minibatch (TenSet's ranking
     /// objective): for every pair where `target_i > target_j`, penalize
-    /// `log(1 + exp(−(score_i − score_j)))`. Returns the mean pair loss.
+    /// `log(1 + exp(−(score_i − score_j)))`. Returns the mean pair loss and
+    /// the parameter gradients (all zero when no pair is strictly ordered).
     pub fn rank_loss_and_param_grads(
         &self,
         inputs: &[Vec<f64>],
         targets: &[f64],
-        gw: &mut [Vec<f32>],
-        gb: &mut [Vec<f32>],
-    ) -> f64 {
-        let n = inputs.len();
-        if n < 2 {
-            return 0.0;
+    ) -> (f64, ParamGrads) {
+        let (scores, scratch) = self.forward_minibatch(inputs);
+        match rank_seeds(&scores, targets) {
+            Some((loss, seeds)) => (loss, self.backprop_with_seeds(&scratch.acts, &seeds)),
+            None => (0.0, self.zero_grads()),
         }
-        let scores: Vec<f64> = inputs.iter().map(|x| self.predict(x)).collect();
-        let mut seeds = vec![0.0f64; n];
-        let mut loss = 0.0;
-        let mut pairs = 0usize;
-        for i in 0..n {
-            for j in 0..n {
-                if targets[i] <= targets[j] {
-                    continue;
-                }
-                let d = scores[i] - scores[j];
-                loss += (1.0 + (-d).exp()).ln();
-                // dL/dd = -sigmoid(-d).
-                let g = -1.0 / (1.0 + d.exp());
-                seeds[i] += g;
-                seeds[j] -= g;
-                pairs += 1;
-            }
-        }
-        if pairs == 0 {
-            return 0.0;
-        }
-        let seeds: Vec<f32> = seeds.iter().map(|s| (*s / pairs as f64) as f32).collect();
-        self.backprop_with_seeds(inputs, &seeds, gw, gb);
-        loss / pairs as f64
     }
 
-    /// Backpropagates per-sample output seeds into parameter gradients.
-    fn backprop_with_seeds(
-        &self,
-        inputs: &[Vec<f64>],
-        seeds: &[f32],
-        gw: &mut [Vec<f32>],
-        gb: &mut [Vec<f32>],
-    ) {
+    /// Backpropagates per-sample output seeds into parameter gradients,
+    /// from the sample-major activations (`acts[layer][s * dim + i]`) a
+    /// forward pass kept.
+    fn backprop_with_seeds(&self, acts: &[Vec<f32>], seeds: &[f32]) -> ParamGrads {
+        // Allocated only now, after the forward pass dropped its packed
+        // weights: the two weight-sized buffers are never live together.
+        let (mut gw, mut gb) = self.zero_grads();
         let n_layers = self.w.len();
-        for (xraw, &seed) in inputs.iter().zip(seeds) {
+        for (s, &seed) in seeds.iter().enumerate() {
             if seed == 0.0 {
                 continue;
             }
-            let x = self.normalize(xraw);
-            let (acts, _score) = self.forward_cached(&x);
             let mut grad = vec![seed];
             for li in (0..n_layers).rev() {
-                let inp = &acts[li];
-                let out = &acts[li + 1];
-                let in_dim = inp.len();
-                let out_dim = out.len();
+                let out_dim = self.b[li].len();
+                let in_dim = self.w[li].len() / out_dim;
+                let inp = &acts[li][s * in_dim..(s + 1) * in_dim];
+                let out = &acts[li + 1][s * out_dim..(s + 1) * out_dim];
                 let gated: Vec<f32> = if li + 1 < n_layers {
                     (0..out_dim)
                         .map(|o| if out[o] > 0.0 { grad[o] } else { 0.0 })
@@ -667,10 +396,11 @@ impl Mlp {
                 grad = gin;
             }
         }
+        (gw, gb)
     }
 
     /// Zero-shaped gradient buffers matching the parameters.
-    pub fn zero_grads(&self) -> (Vec<Vec<f32>>, Vec<Vec<f32>>) {
+    pub fn zero_grads(&self) -> ParamGrads {
         (
             self.w.iter().map(|w| vec![0.0; w.len()]).collect(),
             self.b.iter().map(|b| vec![0.0; b.len()]).collect(),
@@ -707,6 +437,218 @@ impl Mlp {
             for (p, &g) in self.b[li].iter_mut().zip(&gb[li]) {
                 update(p, g, adam);
             }
+        }
+    }
+}
+
+/// One layer's forward sweep for `S` consecutive samples (`x` holds their
+/// `S * in_dim` inputs, `out` their `S * out_dim` outputs). Lanes run
+/// across the `PANEL` neurons of a panel; every `(neuron, sample)`
+/// accumulator is one sequential chain in [`Mlp::forward_cached`]'s order —
+/// bias first, then ascending input index, a multiply then an add — so each
+/// output is bit-identical to the scalar path.
+fn forward_block<const S: usize>(
+    w: &[f32],
+    b: &[f32],
+    panels: &[f32],
+    relu: bool,
+    x: &[f32],
+    out: &mut [f32],
+) {
+    let out_dim = b.len();
+    let in_dim = w.len() / out_dim;
+    let act = |v: f32| if relu { v.max(0.0) } else { v };
+    for (p, panel) in panels.chunks_exact(in_dim * PANEL).enumerate() {
+        let mut acc = [[0.0f32; PANEL]; S];
+        for a in &mut acc {
+            a.copy_from_slice(&b[p * PANEL..(p + 1) * PANEL]);
+        }
+        for (i, wt) in panel.chunks_exact(PANEL).enumerate() {
+            for (s, a) in acc.iter_mut().enumerate() {
+                let xv = x[s * in_dim + i];
+                for (av, &wv) in a.iter_mut().zip(wt) {
+                    *av += wv * xv;
+                }
+            }
+        }
+        for (s, a) in acc.iter().enumerate() {
+            let dst = &mut out[s * out_dim + p * PANEL..][..PANEL];
+            for (d, &av) in dst.iter_mut().zip(a) {
+                *d = act(av);
+            }
+        }
+    }
+    // Neurons past the last full panel: the same chains, one neuron at a
+    // time over the row-major weights.
+    for o in out_dim / PANEL * PANEL..out_dim {
+        let mut acc = [b[o]; S];
+        for (i, &wv) in w[o * in_dim..(o + 1) * in_dim].iter().enumerate() {
+            for (s, a) in acc.iter_mut().enumerate() {
+                *a += wv * x[s * in_dim + i];
+            }
+        }
+        for (s, &a) in acc.iter().enumerate() {
+            out[s * out_dim + o] = act(a);
+        }
+    }
+}
+
+impl PackedMlp<'_> {
+    /// The layer sweeps shared by every batched entry point; assumes
+    /// `scratch.acts[0]` holds the `n` normalized input rows. Fills the
+    /// remaining activations and returns the per-sample scores.
+    fn forward_layers(&self, n: usize, scratch: &mut MlpScratch, scores: &mut Vec<f64>) {
+        let n_layers = self.mlp.w.len();
+        for (li, (w, b)) in self.mlp.w.iter().zip(&self.mlp.b).enumerate() {
+            let out_dim = b.len();
+            let in_dim = w.len() / out_dim;
+            let relu = li + 1 < n_layers;
+            let (head, tail) = scratch.acts.split_at_mut(li + 1);
+            let inp = &head[li];
+            let out = &mut tail[0];
+            debug_assert_eq!(inp.len(), in_dim * n);
+            out.clear();
+            out.resize(out_dim * n, 0.0);
+            let panels = &self.panels[li];
+            let mut s = 0;
+            while s + SAMPLE_BLOCK <= n {
+                let (x, y) = (&inp[s * in_dim..], &mut out[s * out_dim..]);
+                forward_block::<SAMPLE_BLOCK>(w, b, panels, relu, x, y);
+                s += SAMPLE_BLOCK;
+            }
+            if s + 2 <= n {
+                forward_block::<2>(w, b, panels, relu, &inp[s * in_dim..], &mut out[s * out_dim..]);
+                s += 2;
+            }
+            if s < n {
+                forward_block::<1>(w, b, panels, relu, &inp[s * in_dim..], &mut out[s * out_dim..]);
+            }
+        }
+        scores.clear();
+        scores.extend(scratch.acts[n_layers].iter().map(|&v| v as f64));
+    }
+
+    /// Sizes `scratch.acts` and returns the layer-0 buffer for `n` rows.
+    fn input_rows<'s>(&self, n: usize, scratch: &'s mut MlpScratch) -> &'s mut Vec<f32> {
+        scratch.acts.resize_with(self.mlp.w.len() + 1, Vec::new);
+        let x0 = &mut scratch.acts[0];
+        x0.clear();
+        x0.resize(FEATURE_COUNT * n, 0.0);
+        x0
+    }
+
+    /// Batched forward over sample-major rows, keeping every layer's
+    /// activations in `scratch` (training backpropagates from them).
+    fn forward_rows(&self, logfeats: &[Vec<f64>], scratch: &mut MlpScratch, scores: &mut Vec<f64>) {
+        let m = self.mlp;
+        let x0 = self.input_rows(logfeats.len(), scratch);
+        for (dst, f) in x0.chunks_exact_mut(FEATURE_COUNT).zip(logfeats) {
+            assert_eq!(f.len(), FEATURE_COUNT, "feature vector length");
+            for (i, (d, &x)) in dst.iter_mut().zip(f).enumerate() {
+                *d = (x as f32 - m.input_mean[i]) / m.input_std[i];
+            }
+        }
+        self.forward_layers(logfeats.len(), scratch, scores);
+    }
+
+    /// Batch prediction; row `i` is bit-identical to
+    /// `predict(&logfeats[i])`.
+    pub fn predict_batch(&self, logfeats: &[Vec<f64>]) -> Vec<f64> {
+        let mut scratch = MlpScratch::default();
+        let mut scores = Vec::new();
+        self.forward_rows(logfeats, &mut scratch, &mut scores);
+        scores
+    }
+
+    /// Batched [`Mlp::input_gradient`] over one flat feature-major buffer
+    /// (`feats_t[k * n + s]`, as the descent loop's transposed
+    /// feature-extraction pass produces). Fills `scores` (per sample) and
+    /// `grads_t` (feature-major too, `grads_t[k * n + s]`, so consumers that
+    /// seed gradient tapes row-by-root read it without a transpose). Sample
+    /// `s` is bit-identical to `input_gradient` on its feature column.
+    /// Internally everything is sample-major; only the layer-0 normalize
+    /// and the final un-normalize touch the feature-major buffers.
+    pub fn input_gradient_batch_cols(
+        &self,
+        feats_t: &[f64],
+        n: usize,
+        scratch: &mut MlpScratch,
+        scores: &mut Vec<f64>,
+        grads_t: &mut Vec<f64>,
+    ) {
+        scores.clear();
+        grads_t.clear();
+        if n == 0 {
+            return;
+        }
+        assert_eq!(feats_t.len(), FEATURE_COUNT * n, "feature buffer length");
+        let m = self.mlp;
+        let x0 = self.input_rows(n, scratch);
+        for (i, col) in feats_t.chunks_exact(n).enumerate() {
+            let (mean, sd) = (m.input_mean[i], m.input_std[i]);
+            for (s, &x) in col.iter().enumerate() {
+                x0[s * FEATURE_COUNT + i] = (x as f32 - mean) / sd;
+            }
+        }
+        self.forward_layers(n, scratch, scores);
+        self.backward_input_gradients(n, scratch);
+        grads_t.resize(FEATURE_COUNT * n, 0.0);
+        for (k, col) in grads_t.chunks_exact_mut(n).enumerate() {
+            let sd = m.input_std[k];
+            for (s, d) in col.iter_mut().enumerate() {
+                // Undo normalization in f32 (as the scalar path does), then
+                // widen.
+                *d = (scratch.grad[s * FEATURE_COUNT + k] / sd) as f64;
+            }
+        }
+    }
+
+    /// The reverse sweeps; assumes a forward pass has filled
+    /// `scratch.acts`. Leaves the raw sample-major input gradients
+    /// (pre-normalization-unscale, `f32`) in `scratch.grad`.
+    ///
+    /// Per sample, the live output rows — ReLU gate open (`act > 0`, so a
+    /// NaN activation gates shut) and gradient nonzero, exactly the rows
+    /// [`Mlp::input_gradient`] does not skip — are compacted first, then
+    /// each adds `g · w[o][..]` into the sample's input-gradient row with
+    /// lanes across the inputs. Every `(input, sample)` accumulator is one
+    /// sequential chain over ascending live `o`, and a dead row is never
+    /// multiplied, so a non-finite weight behind a shut gate stays as
+    /// invisible as it is to the scalar path.
+    fn backward_input_gradients(&self, n: usize, scratch: &mut MlpScratch) {
+        let n_layers = self.mlp.w.len();
+        // d(score)/d(out) = 1 for the single output unit.
+        scratch.grad.clear();
+        scratch.grad.resize(n, 1.0);
+        for li in (0..n_layers).rev() {
+            let w = &self.mlp.w[li];
+            let out_dim = self.mlp.b[li].len();
+            let in_dim = w.len() / out_dim;
+            let relu = li + 1 < n_layers;
+            let MlpScratch { acts, grad, gin, live } = scratch;
+            debug_assert_eq!(grad.len(), out_dim * n);
+            gin.clear();
+            gin.resize(in_dim * n, 0.0);
+            live.resize(out_dim, (0, 0.0));
+            for (s, dst) in gin.chunks_exact_mut(in_dim).enumerate() {
+                let g = &grad[s * out_dim..(s + 1) * out_dim];
+                let a = &acts[li + 1][s * out_dim..(s + 1) * out_dim];
+                // Branch-free compaction: the gate pattern is data, not a
+                // predictable branch.
+                let mut n_live = 0;
+                for (o, (&gv, &av)) in g.iter().zip(a).enumerate() {
+                    let gated = if !relu || av > 0.0 { gv } else { 0.0 };
+                    live[n_live] = (o as u32, gated);
+                    n_live += usize::from(gated != 0.0);
+                }
+                for &(o, gv) in &live[..n_live] {
+                    let row = &w[o as usize * in_dim..][..in_dim];
+                    for (d, &wv) in dst.iter_mut().zip(row) {
+                        *d += gv * wv;
+                    }
+                }
+            }
+            std::mem::swap(&mut scratch.grad, &mut scratch.gin);
         }
     }
 }
@@ -783,6 +725,50 @@ impl Mlp {
         }
         Ok(Mlp { w, b, input_mean, input_std })
     }
+}
+
+/// MSE loss over a minibatch and its per-sample output seeds.
+fn mse_seeds(scores: &[f64], targets: &[f64]) -> (f64, Vec<f32>) {
+    let bs = scores.len() as f64;
+    let mut loss = 0.0;
+    let seeds = scores
+        .iter()
+        .zip(targets)
+        .map(|(s, t)| {
+            let err = s - t;
+            loss += err * err;
+            (2.0 * err / bs) as f32
+        })
+        .collect();
+    (loss / bs, seeds)
+}
+
+/// Mean pairwise logistic ranking loss and its per-sample output seeds;
+/// `None` when no pair is strictly ordered.
+fn rank_seeds(scores: &[f64], targets: &[f64]) -> Option<(f64, Vec<f32>)> {
+    let n = scores.len();
+    let mut seeds = vec![0.0f64; n];
+    let mut loss = 0.0;
+    let mut pairs = 0usize;
+    for i in 0..n {
+        for j in 0..n {
+            if targets[i] <= targets[j] {
+                continue;
+            }
+            let d = scores[i] - scores[j];
+            loss += (1.0 + (-d).exp()).ln();
+            // dL/dd = -sigmoid(-d).
+            let g = -1.0 / (1.0 + d.exp());
+            seeds[i] += g;
+            seeds[j] -= g;
+            pairs += 1;
+        }
+    }
+    if pairs == 0 {
+        return None;
+    }
+    let seeds = seeds.iter().map(|s| (*s / pairs as f64) as f32).collect();
+    Some((loss / pairs as f64, seeds))
 }
 
 /// Adam optimizer state over a flat parameter vector.
@@ -904,124 +890,110 @@ mod tests {
         }
         mlp.fit_normalization(&inputs);
         let mut adam = AdamState::for_model(&mlp);
-        let (mut gw, mut gb) = mlp.zero_grads();
-        let first_loss = mlp.loss_and_param_grads(&inputs, &targets, &mut gw, &mut gb);
+        let (first_loss, _) = mlp.loss_and_param_grads(&inputs, &targets);
         for _ in 0..40 {
-            let (mut gw, mut gb) = mlp.zero_grads();
-            mlp.loss_and_param_grads(&inputs, &targets, &mut gw, &mut gb);
+            let (_, (gw, gb)) = mlp.loss_and_param_grads(&inputs, &targets);
             mlp.apply_adam(&gw, &gb, &mut adam, 1e-3);
         }
-        let (mut gw2, mut gb2) = mlp.zero_grads();
-        let final_loss = mlp.loss_and_param_grads(&inputs, &targets, &mut gw2, &mut gb2);
+        let (final_loss, _) = mlp.loss_and_param_grads(&inputs, &targets);
         assert!(
             final_loss < first_loss * 0.5,
             "loss {first_loss} -> {final_loss}"
         );
     }
 
+    /// Asserts that the batched kernels over `rows` equal the scalar
+    /// reference bitwise, scores and gradients.
+    fn assert_batched_matches_scalar(mlp: &Mlp, rows: &[Vec<f64>], scratch: &mut MlpScratch) {
+        let n = rows.len();
+        let mut feats_t = vec![0.0; FEATURE_COUNT * n];
+        for (s, x) in rows.iter().enumerate() {
+            for (k, &v) in x.iter().enumerate() {
+                feats_t[k * n + s] = v;
+            }
+        }
+        let packed = mlp.pack();
+        let scores = packed.predict_batch(rows);
+        let (mut gscores, mut grads_t) = (Vec::new(), Vec::new());
+        packed.input_gradient_batch_cols(&feats_t, n, scratch, &mut gscores, &mut grads_t);
+        assert_eq!((scores.len(), gscores.len(), grads_t.len()), (n, n, FEATURE_COUNT * n));
+        for (s, x) in rows.iter().enumerate() {
+            let (rs, rg) = mlp.input_gradient(x);
+            assert_eq!(scores[s].to_bits(), mlp.predict(x).to_bits(), "n={n} row {s} score");
+            assert_eq!(gscores[s].to_bits(), rs.to_bits(), "n={n} row {s} grad score");
+            for (k, b) in rg.iter().enumerate() {
+                assert_eq!(grads_t[k * n + s].to_bits(), b.to_bits(), "n={n} row {s} grad[{k}]");
+            }
+        }
+    }
+
+    /// `mlp` with hidden weight `w[1][o][i]` byte-patched to `-inf` through
+    /// the serialized form, the way a diverged fine-tune would leave it.
+    fn with_neg_inf_hidden_weight(mlp: &Mlp, o: usize, i: usize) -> Mlp {
+        let mut bytes = Vec::new();
+        mlp.save(&mut bytes).expect("save");
+        let layer0 = 8 + 4 * mlp.w[0].len() + 8 + 4 * mlp.b[0].len();
+        let off = 16 + layer0 + 8 + 4 * (o * LAYER_SIZES[1] + i);
+        bytes[off..off + 4].copy_from_slice(&f32::NEG_INFINITY.to_le_bytes());
+        Mlp::load(bytes.as_slice()).expect("load")
+    }
+
     #[test]
-    fn batched_paths_are_bit_identical_to_scalar() {
+    fn batched_kernels_are_bit_identical_to_scalar() {
         // The tuner's serial/parallel determinism guarantee requires every
-        // batch row to match the scalar path exactly, not approximately.
+        // batch row to match the scalar path exactly, not approximately —
+        // at every batch width (sample-block remainders included), on real
+        // dead-ReLU patterns, and with one scratch reused across shrinking
+        // and growing batches (poisoned seeds drop out, warm-start rounds
+        // grow): stale high-water-mark data must never leak.
         let mut rng = StdRng::seed_from_u64(4);
-        let mlp = Mlp::new(&mut rng);
-        let batch: Vec<Vec<f64>> = (0..17)
+        let he_init = Mlp::new(&mut rng);
+        let ds = generate_dataset(&felix_sim::DeviceConfig::a5000(), 4, 8, 11);
+        let mut trained = he_init.clone();
+        let cfg = TrainConfig { epochs: 2, batch_size: 64, lr: 1e-3, seed: 2, ..Default::default() };
+        pretrain(&mut trained, &ds.samples, &cfg);
+        fine_tune(&mut trained, &ds.samples[..16], 4, 3e-4);
+        let non_finite = with_neg_inf_hidden_weight(&trained, 3, 5);
+        let synthetic: Vec<Vec<f64>> = (0..64)
             .map(|s| {
                 (0..FEATURE_COUNT)
                     .map(|i| ((s * 31 + i) as f64 * 0.17).sin() * 3.0)
                     .collect()
             })
             .collect();
-        let scores = mlp.predict_batch(&batch);
-        let grads = mlp.input_gradient_batch(&batch);
-        assert_eq!(scores.len(), batch.len());
-        assert_eq!(grads.len(), batch.len());
-        for (i, x) in batch.iter().enumerate() {
-            let s = mlp.predict(x);
-            assert_eq!(scores[i].to_bits(), s.to_bits(), "row {i} score");
-            let (gs, gg) = mlp.input_gradient(x);
-            assert_eq!(grads[i].0.to_bits(), gs.to_bits(), "row {i} grad score");
-            assert_eq!(grads[i].1.len(), gg.len());
-            for (k, (a, b)) in grads[i].1.iter().zip(&gg).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "row {i} grad[{k}]");
+        let real: Vec<Vec<f64>> = ds.samples.iter().take(64).map(|s| s.logfeats.clone()).collect();
+        assert_eq!(real.len(), 64);
+        let mut scratch = MlpScratch::default();
+        for (mlp, rows) in [(&he_init, &synthetic), (&trained, &real), (&non_finite, &real)] {
+            for n in [5, 3, 64, 33].into_iter().chain(1..=17) {
+                assert_batched_matches_scalar(mlp, &rows[..n], &mut scratch);
             }
         }
+
+        // Pack freshness: a pack built after training sees the updated
+        // weights (guards any future caching of the packed copy).
+        let before = trained.pack().predict_batch(&real[..4]);
+        fine_tune(&mut trained, &ds.samples[16..48], 2, 3e-3);
+        let after = trained.pack().predict_batch(&real[..4]);
+        assert_ne!(before, after, "fine-tune moved the weights");
+        assert_batched_matches_scalar(&trained, &real[..4], &mut scratch);
     }
 
     #[test]
-    fn mlp_scratch_reuse_across_batch_sizes_is_bit_identical() {
-        // The descent loop reuses one `MlpScratch` across steps whose
-        // batch size can shrink (poisoned seeds drop out) or grow
-        // (warm-start rounds). Stale high-water-mark data must never leak
-        // into a later, smaller batch.
-        let mut rng = StdRng::seed_from_u64(11);
-        let mlp = Mlp::new(&mut rng);
-        let mut scratch = MlpScratch::default();
-        let mut scores = Vec::new();
-        let mut grads = Vec::new();
-        for &n in &[5usize, 3, 8, 1] {
-            let batch: Vec<Vec<f64>> = (0..n)
-                .map(|s| {
-                    (0..FEATURE_COUNT)
-                        .map(|i| ((s * 7 + i) as f64 * 0.23).sin() * 2.0)
-                        .collect()
-                })
-                .collect();
-            mlp.input_gradient_batch_flat(&batch, &mut scratch, &mut scores, &mut grads);
-            assert_eq!(scores.len(), n);
-            assert_eq!(grads.len(), n * FEATURE_COUNT);
-            for (s, x) in batch.iter().enumerate() {
-                let (rs, rg) = mlp.input_gradient(x);
-                assert_eq!(scores[s].to_bits(), rs.to_bits(), "n={n} row {s} score");
-                for (k, (a, b)) in grads[s * FEATURE_COUNT..(s + 1) * FEATURE_COUNT]
-                    .iter()
-                    .zip(&rg)
-                    .enumerate()
-                {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} row {s} grad[{k}]");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn feature_major_cols_path_is_bit_identical_to_scalar() {
-        // The descent hot loop feeds the MLP a feature-major buffer and
-        // seeds the gradient tape straight from the feature-major output;
-        // both directions must match the scalar path bit-for-bit.
-        let mut rng = StdRng::seed_from_u64(13);
-        let mlp = Mlp::new(&mut rng);
-        let mut scratch = MlpScratch::default();
-        let (mut scores, mut grads_t) = (Vec::new(), Vec::new());
-        for &n in &[1usize, 7, 16, 17] {
-            let batch: Vec<Vec<f64>> = (0..n)
-                .map(|s| {
-                    (0..FEATURE_COUNT)
-                        .map(|i| ((s * 13 + i) as f64 * 0.29).sin() * 2.5)
-                        .collect()
-                })
-                .collect();
-            let mut feats_t = vec![0.0; FEATURE_COUNT * n];
-            for (s, x) in batch.iter().enumerate() {
-                for (k, &v) in x.iter().enumerate() {
-                    feats_t[k * n + s] = v;
-                }
-            }
-            mlp.input_gradient_batch_cols(&feats_t, n, &mut scratch, &mut scores, &mut grads_t);
-            assert_eq!(scores.len(), n);
-            assert_eq!(grads_t.len(), FEATURE_COUNT * n);
-            for (s, x) in batch.iter().enumerate() {
-                let (rs, rg) = mlp.input_gradient(x);
-                assert_eq!(scores[s].to_bits(), rs.to_bits(), "n={n} col {s} score");
-                for (k, b) in rg.iter().enumerate() {
-                    assert_eq!(
-                        grads_t[k * n + s].to_bits(),
-                        b.to_bits(),
-                        "n={n} col {s} grad[{k}]"
-                    );
-                }
-            }
-        }
+    fn zero_gated_row_with_non_finite_weight_matches_scalar() {
+        // The scalar reference skips a zero-gated row; a batched kernel
+        // that multiplies it instead turns `0 * inf` into NaN gradients.
+        let mut rng = StdRng::seed_from_u64(12);
+        let base = Mlp::new(&mut rng);
+        let x: Vec<f64> = (0..FEATURE_COUNT).map(|i| (i as f64 * 0.41).cos() * 2.0).collect();
+        let (acts, _) = base.forward_cached(&base.normalize(&x));
+        let i = acts[1].iter().position(|&a| a > 0.0).expect("a live layer-0 unit");
+        let mlp = with_neg_inf_hidden_weight(&base, 7, i);
+        // `-inf * positive` drives unit 7's pre-activation to `-inf`: dead.
+        assert_eq!(mlp.forward_cached(&mlp.normalize(&x)).0[2][7], 0.0);
+        let (_, grad) = mlp.input_gradient(&x);
+        assert!(grad.iter().all(|g| g.is_finite()), "scalar reference stays finite");
+        assert_batched_matches_scalar(&mlp, &[x.clone(), x], &mut MlpScratch::default());
     }
 
     #[test]
@@ -1029,12 +1001,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mlp = Mlp::new(&mut rng);
         assert!(mlp.predict_batch(&[]).is_empty());
-        assert!(mlp.input_gradient_batch(&[]).is_empty());
+        let mut scratch = MlpScratch::default();
+        let (mut scores, mut grads_t) = (vec![1.0], vec![1.0]);
+        mlp.input_gradient_batch_cols(&[], 0, &mut scratch, &mut scores, &mut grads_t);
+        assert!(scores.is_empty() && grads_t.is_empty());
         let x: Vec<f64> = (0..FEATURE_COUNT).map(|i| (i as f64 * 0.3).cos()).collect();
-        let one = mlp.input_gradient_batch(std::slice::from_ref(&x));
+        mlp.input_gradient_batch_cols(&x, 1, &mut scratch, &mut scores, &mut grads_t);
         let (s, g) = mlp.input_gradient(&x);
-        assert_eq!(one[0].0.to_bits(), s.to_bits());
-        assert_eq!(one[0].1, g);
+        assert_eq!(scores[0].to_bits(), s.to_bits());
+        assert_eq!(grads_t, g);
     }
 
     #[test]

@@ -121,12 +121,9 @@ fn run_epochs(
             let inputs: Vec<Vec<f64>> =
                 chunk.iter().map(|&i| samples[i].logfeats.clone()).collect();
             let targets: Vec<f64> = chunk.iter().map(|&i| samples[i].score).collect();
-            let (mut gw, mut gb) = mlp.zero_grads();
-            let loss = match cfg.loss {
-                LossKind::Mse => mlp.loss_and_param_grads(&inputs, &targets, &mut gw, &mut gb),
-                LossKind::PairwiseRank => {
-                    mlp.rank_loss_and_param_grads(&inputs, &targets, &mut gw, &mut gb)
-                }
+            let (loss, (gw, gb)) = match cfg.loss {
+                LossKind::Mse => mlp.loss_and_param_grads(&inputs, &targets),
+                LossKind::PairwiseRank => mlp.rank_loss_and_param_grads(&inputs, &targets),
             };
             mlp.apply_adam(&gw, &gb, adam, cfg.lr);
             total += loss;
@@ -308,6 +305,80 @@ mod tests {
         base.save(&mut b0).expect("save");
         m.save(&mut b1).expect("save");
         assert_eq!(b0, b1, "model untouched");
+    }
+
+    /// `run_epochs` as it ran before the batched forward, on a fresh Adam
+    /// state: scores from one scalar `predict` per sample, backprop from
+    /// the activations of a second scalar forward per sample. All samples
+    /// must be finite.
+    fn scalar_run_epochs(mlp: &mut Mlp, samples: &[Sample], cfg: &TrainConfig) -> Vec<f64> {
+        let mut adam = AdamState::for_model(mlp);
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let mut order: Vec<usize> = (0..samples.len()).collect();
+        let mut epoch_losses = Vec::new();
+        for _ in 0..cfg.epochs {
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+            let mut total = 0.0;
+            let batches = order.chunks(cfg.batch_size).len();
+            for chunk in order.chunks(cfg.batch_size) {
+                let scores: Vec<f64> =
+                    chunk.iter().map(|&i| mlp.predict(&samples[i].logfeats)).collect();
+                let targets: Vec<f64> = chunk.iter().map(|&i| samples[i].score).collect();
+                let (loss, seeds) = match cfg.loss {
+                    LossKind::Mse => crate::mse_seeds(&scores, &targets),
+                    LossKind::PairwiseRank => {
+                        crate::rank_seeds(&scores, &targets).unwrap_or((0.0, Vec::new()))
+                    }
+                };
+                // Sample-major activations, one scalar forward per sample.
+                let mut acts = vec![Vec::new(); crate::LAYER_SIZES.len()];
+                for &i in chunk {
+                    let (a, _) = mlp.forward_cached(&mlp.normalize(&samples[i].logfeats));
+                    for (dst, layer) in acts.iter_mut().zip(&a) {
+                        dst.extend_from_slice(layer);
+                    }
+                }
+                let (gw, gb) = mlp.backprop_with_seeds(&acts, &seeds);
+                mlp.apply_adam(&gw, &gb, &mut adam, cfg.lr);
+                total += loss;
+            }
+            epoch_losses.push(total / batches.max(1) as f64);
+        }
+        epoch_losses
+    }
+
+    #[test]
+    fn batched_training_forward_is_byte_identical_to_scalar_path() {
+        // Training runs one packed batched forward per minibatch and
+        // backpropagates from its activations; the weights `pretrain` +
+        // `fine_tune` produce must be the bytes the scalar
+        // two-forwards-per-sample path produces, through both losses and a
+        // ragged last minibatch.
+        let (train, _) = shared_dataset().split(4);
+        assert_eq!(nonfinite_sample_count(&train), 0);
+        let cfg = TrainConfig { epochs: 2, batch_size: 48, lr: 1e-3, seed: 6, ..Default::default() };
+        let mut batched = Mlp::new(&mut StdRng::seed_from_u64(10));
+        let mut scalar = batched.clone();
+
+        let losses = pretrain(&mut batched, &train, &cfg);
+        let last = fine_tune(&mut batched, &train[..20], 5, 3e-4);
+
+        let inputs: Vec<Vec<f64>> = train.iter().map(|s| s.logfeats.clone()).collect();
+        scalar.fit_normalization(&inputs);
+        let ref_losses = scalar_run_epochs(&mut scalar, &train, &cfg);
+        let ft = TrainConfig { epochs: 5, batch_size: 20, lr: 3e-4, seed: 1, loss: LossKind::PairwiseRank };
+        let ref_last = *scalar_run_epochs(&mut scalar, &train[..20], &ft).last().expect("epochs");
+
+        assert_eq!(losses, ref_losses, "pretrain epoch losses");
+        assert_eq!(last.to_bits(), ref_last.to_bits(), "fine-tune loss");
+        let save = |m: &Mlp| {
+            let mut bytes = Vec::new();
+            m.save(&mut bytes).expect("save");
+            bytes
+        };
+        assert!(save(&batched) == save(&scalar), "saved weights differ");
     }
 
     #[test]

@@ -113,3 +113,10 @@ cargo test -q -p felix-serve --test lifecycle poison_jobs_are_quarantined_while_
 cargo test -q -p felix-serve --test lifecycle admission_control_rejects_without_touching_the_wal
 cargo test -q -p felix-serve --test lifecycle sigterm_drains_gracefully_and_loses_no_accepted_job
 cargo test -q -p felix-serve --test lifecycle compaction_shrinks_the_wal_to_canonical_form_and_keeps_results_served
+
+# Ledger smoke: every benchmark workload, untraced then traced, CI-sized.
+# Gates on the ledger's output checks only (`correct: true`, no failed
+# operation: `threads_1_equals_threads_0`, `driver_equals_optimize_all`,
+# `resume_then_rounds_equals_uninterrupted`, WAL replay, ...); timings are
+# printed, never compared here.
+bash benchmark/run.sh --smoke
