@@ -285,7 +285,7 @@ impl Optimizer {
         std::fs::create_dir_all(dir)?;
         let mut model_bytes = Vec::new();
         self.model.save(&mut model_bytes)?;
-        persist::write_bytes_atomic(dir.join(persist::MODEL_FILE), &model_bytes)?;
+        felix_records::write_atomic(dir.join(persist::MODEL_FILE), &model_bytes)?;
         let state = CheckpointState {
             device_name: self.sim.device.name.to_string(),
             clock_s: self.clock.now_s(),

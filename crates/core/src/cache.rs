@@ -26,7 +26,7 @@
 //! monotonically and concurrent histories merge cleanly.
 
 use felix_ansor::SearchTask;
-use felix_records::{task_key, ScheduleStore, StoredSchedule};
+use felix_records::{fnv1a, task_key, ScheduleStore, StoredSchedule, FNV_OFFSET};
 use felix_tir::sketch::{generator_hash, round_to_valid};
 use std::path::Path;
 
@@ -41,18 +41,11 @@ const NS_SEP: char = '\u{1f}';
 /// collision is the warm-start transfer opportunity). FNV-1a, like
 /// [`felix_records::task_key`].
 pub fn structure_hash(task: &SearchTask) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    mix(&(task.sketches.len() as u64).to_le_bytes());
+    let mut h = fnv1a(FNV_OFFSET, &(task.sketches.len() as u64).to_le_bytes());
     for st in &task.sketches {
-        mix(st.name.as_bytes());
-        mix(b"\x00");
-        mix(&(st.program.vars.len() as u64).to_le_bytes());
+        h = fnv1a(h, st.name.as_bytes());
+        h = fnv1a(h, b"\x00");
+        h = fnv1a(h, &(st.program.vars.len() as u64).to_le_bytes());
     }
     h
 }
@@ -184,10 +177,10 @@ impl ScheduleCache {
             }
         }
         let hash = structure_hash(task);
-        // The donor scan mirrors `ScheduleStore::best_for_structure`
-        // (lowest latency, ties toward the smaller task key) but filters by
-        // namespace and generator fingerprint — tuning semantics the dumb
-        // store layer deliberately doesn't know about.
+        // The donor scan: lowest latency, ties toward the smaller task key
+        // (the store iterates in key order), filtered by namespace and
+        // generator fingerprint — tuning semantics the dumb store layer
+        // deliberately doesn't know about.
         let mut donor: Option<&StoredSchedule> = None;
         for entry in self.store.entries() {
             if entry.structure_hash != hash

@@ -329,9 +329,9 @@ fn descend_chunk(
     let mut grad: Vec<f64> = Vec::new();
     let mut pen: Vec<f64> = vec![0.0; seeds.len()];
     // Tape-level finiteness verdicts, derived for free inside
-    // `write_feats`/`seed_lane` (which already read every root) — a
-    // standalone root scan per lane per step costs a cache-hostile pass
-    // over the tape values and blows the supervision overhead budget.
+    // `write_feats_cols`/`seed_penalties_all` (which already read every
+    // root) — a standalone root scan per lane per step costs a
+    // cache-hostile pass over the tape values.
     let mut feat_ok: Vec<bool> = vec![true; seeds.len()];
     let mut pen_ok: Vec<bool> = vec![true; seeds.len()];
     // MLP arena: the batched kernels reuse these across all steps, so
@@ -358,8 +358,8 @@ fn descend_chunk(
                 }
                 obj.forward_batch(scratch);
                 // Feature extraction transposed over all lanes (roots
-                // outer, lanes inner) — same values and finiteness
-                // verdicts as `write_feats` per lane.
+                // outer, lanes inner) — per lane the values
+                // `eval_feats_pool` computes.
                 obj.write_feats_cols(scratch, lanes, seeds_ro.len(), &mut feats_t, |lane, ok| {
                     feat_ok[lanes[lane]] = ok;
                 });
@@ -397,11 +397,10 @@ fn descend_chunk(
                 }
                 // Feature seeding straight from the feature-major MLP
                 // gradient buffer (roots outer, lanes inner; contiguous
-                // lane runs are pure row sweeps) — same values as
-                // `seed_feats_lane` per lane.
+                // lane runs are pure row sweeps), then penalty seeding
+                // batched the same way — per lane the seeds
+                // `grad_from_dscore_pool` builds, in its root order.
                 obj.seed_feats_cols(scratch, lanes, seeds.len(), &mlp_grads);
-                // Penalty seeding batched over all lanes (roots outer,
-                // lanes inner) — bit-identical per lane to `seed_lane`.
                 obj.seed_penalties_all(scratch, opts.lambda, |lane, p, ok| {
                     let i = lanes[lane];
                     pen[i] = p;

@@ -31,6 +31,8 @@
 //! chunk; the proposer merges the chunks and publishes a
 //! [`felix_ansor::HealthReport`] through the round report and record log.
 
+use felix_records::{fnv1a, FNV_OFFSET};
+
 /// Knobs of the descent supervisor. The defaults are chosen so a healthy
 /// run never trips any of them: supervision is then observation-only and
 /// the search stays bit-identical to an unsupervised run.
@@ -138,15 +140,6 @@ impl SeedHealth {
         self.rise_start_obj = f64::INFINITY;
         true
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 /// Round-scoped salt for restart substreams: a pure FNV-1a hash of the task
@@ -290,6 +283,7 @@ mod tests {
     fn restart_streams_are_pure_and_distinct() {
         let salt = restart_salt("dense-512", 3);
         assert_eq!(salt, restart_salt("dense-512", 3), "salt is pure");
+        assert_eq!(restart_salt("dense", 3), 0x1d40_01b4_1228_6db3, "substreams moved");
         assert_ne!(salt, restart_salt("dense-512", 4));
         assert_ne!(salt, restart_salt("dense-256", 3));
         let s = restart_stream(salt, 5, 1);

@@ -340,10 +340,12 @@ impl SketchObjective {
     // Batched tape evaluation. The descent loop sweeps every live seed of
     // a sketch through the tape in one structure-of-arrays pass, mirroring
     // the batched MLP: per step it runs `begin_batch`/`set_lane`/
-    // `forward_batch`, one matrix-shaped MLP call over the features, then
-    // `seed_lane`/`backward_batch`/`grad_lane`. Batch width only changes
-    // memory layout, never accumulation order, so every lane is
-    // bit-identical to a batch-of-one evaluation.
+    // `forward_batch`/`write_feats_cols`, one matrix-shaped MLP call over
+    // the features, then `seed_feats_cols`/`seed_penalties_all`/
+    // `backward_batch`/`grad_lane`. Batch width only changes memory
+    // layout, never accumulation order, so every lane is bit-identical to
+    // a batch-of-one evaluation — which is how `cost_and_grad` runs, and
+    // what the pool-walking `*_pool` reference is compared against.
     // ------------------------------------------------------------------
 
     /// Starts a batched evaluation of `batch` seeds, sizing `scratch`'s
@@ -381,34 +383,17 @@ impl SketchObjective {
         self.log_feat_roots.len()
     }
 
-    /// Extracts `lane`'s log-feature vector (the MLP input) into `out`.
-    ///
-    /// Returns `true` when every extracted feature is finite. The check
-    /// rides the extraction loop (the values are already in hand), so the
-    /// supervisor's per-step feature-root NaN/Inf detection costs no extra
-    /// pass over the tape.
-    pub fn write_feats(&self, scratch: &EvalScratch, lane: usize, out: &mut Vec<f64>) -> bool {
-        let b = scratch.batch;
-        out.clear();
-        // The exact-size `Map<Range>` extend skips per-push capacity checks,
-        // and checking finiteness as a second pass over the (contiguous,
-        // 50-element) output row vectorizes where the fused check could not.
-        out.extend(
-            (0..self.log_feat_roots.len()).map(|k| self.tape.root_value(&scratch.vals, b, k, lane)),
-        );
-        out.iter().all(|v| v.is_finite())
-    }
-
-    /// Transposed form of [`SketchObjective::write_feats`] over every lane
-    /// at once, into a feature-major destination: lane `l`'s feature `k`
-    /// lands in `dst_t[k * n_total + cols[l]]`. Feature roots run outer and
-    /// lanes inner, so the tape-value reads are contiguous rows — and when
+    /// Extracts every lane's log-feature vector (the MLP input) at once,
+    /// into a feature-major destination: lane `l`'s feature `k` lands in
+    /// `dst_t[k * n_total + cols[l]]`. Feature roots run outer and lanes
+    /// inner, so the tape-value reads are contiguous rows — and when
     /// `cols` is a contiguous ascending run, each root row is one straight
     /// block copy. This is the layout the batched cost-model call takes
     /// its inputs in (see `PackedMlp::input_gradient_batch_cols`).
-    /// `finite(lane, ok)` reports each lane's feature finiteness verdict.
-    /// Writes the same values — and returns the same verdicts — as calling
-    /// `write_feats` per lane.
+    /// `finite(lane, ok)` reports whether every feature of the lane is
+    /// finite; the check rides the extraction loop (the values are already
+    /// in hand), so the supervisor's per-step feature-root NaN/Inf
+    /// detection costs no extra pass over the tape.
     pub fn write_feats_cols(
         &self,
         scratch: &mut EvalScratch,
@@ -452,88 +437,14 @@ impl SketchObjective {
         }
     }
 
-    /// Seeds `lane`'s adjoints from the MLP's input gradient plus the
-    /// penalty derivatives, returning the lane's penalty value
-    /// `λ Σ max(g_r, 0)²` and whether every raw penalty root was finite.
-    /// Must run after [`SketchObjective::forward_batch`].
-    ///
-    /// The finiteness flag is checked on the *raw* root value, before the
-    /// clamp: `f64::min(NaN, c)` returns `c`, so a NaN penalty root would
-    /// otherwise be laundered into [`PENALTY_CLAMP`] and become invisible
-    /// to both the penalty sum and the gradient. Riding the seeding loop
-    /// keeps the supervisor's check free of any extra tape pass.
-    pub fn seed_lane(
-        &self,
-        scratch: &mut EvalScratch,
-        lane: usize,
-        dscore: &[f64],
-        lambda: f64,
-    ) -> (f64, bool) {
-        self.seed_feats_lane(scratch, lane, dscore);
-        let b = scratch.batch;
-        let n_feats = self.log_feat_roots.len();
-        let mut penalty = 0.0;
-        let mut finite = true;
-        let EvalScratch { vals, seeds, .. } = scratch;
-        let pen_col = seeds[n_feats * b + lane..].iter_mut().step_by(b);
-        for (j, s) in pen_col.take(self.penalty_roots.len()).enumerate() {
-            let raw = self.tape.root_value(vals, b, n_feats + j, lane);
-            finite &= raw.is_finite();
-            // Clamped identically to the pool oracle so the two paths stay
-            // bitwise equal; see [`PENALTY_CLAMP`].
-            let gv = raw.min(PENALTY_CLAMP);
-            if gv > 0.0 {
-                penalty += lambda * gv * gv;
-                *s = lambda * 2.0 * gv;
-            } else {
-                *s = 0.0;
-            }
-        }
-        (penalty, finite)
-    }
-
-    /// The feature half of [`SketchObjective::seed_lane`]: writes `lane`'s
-    /// MLP input gradient (negated — the objective maximizes score) into
-    /// the feature-root seed block. The strided writes walk the lane column
-    /// as a `step_by` iterator, which elides per-write bounds checks.
-    pub fn seed_feats_lane(&self, scratch: &mut EvalScratch, lane: usize, dscore: &[f64]) {
-        let b = scratch.batch;
-        for (s, &d) in scratch.seeds[lane..].iter_mut().step_by(b).zip(dscore) {
-            *s = -d;
-        }
-    }
-
-    /// Transposed form of [`SketchObjective::seed_feats_lane`] over every
-    /// lane at once: feature roots outer, lanes inner, so the seed writes
-    /// are contiguous rows instead of per-lane strided columns. `row_of`
-    /// returns each lane's MLP input gradient (`n_feats` long). Writes the
-    /// same values as calling `seed_feats_lane` per lane.
-    pub fn seed_feats_all<'a>(
-        &self,
-        scratch: &mut EvalScratch,
-        row_of: impl Fn(usize) -> &'a [f64],
-    ) {
-        let b = scratch.batch;
-        let nf = self.log_feat_roots.len();
-        for lane in 0..b {
-            assert_eq!(row_of(lane).len(), nf, "dscore row length mismatch");
-        }
-        for (k, srow) in scratch.seeds[..nf * b].chunks_exact_mut(b).enumerate() {
-            for (lane, s) in srow.iter_mut().enumerate() {
-                // SAFETY: every row's length was checked `== nf` above and
-                // `k < nf` by the chunk count.
-                *s = -unsafe { *row_of(lane).get_unchecked(k) };
-            }
-        }
-    }
-
-    /// [`SketchObjective::seed_feats_all`] from a feature-major gradient
-    /// buffer (`src_t[k * n_total + cols[lane]]`, the layout
-    /// [`felix_cost::PackedMlp::input_gradient_batch_cols`] emits): feature roots
-    /// outer, lanes inner, so when `cols` is a contiguous run both the
-    /// source reads and the seed writes are pure row sweeps — no strided
-    /// access on either side. Writes the same values as `seed_feats_lane`
-    /// per lane.
+    /// Seeds every lane's feature-root adjoints with its MLP input
+    /// gradient, negated (the objective maximizes score), from a
+    /// feature-major gradient buffer (`src_t[k * n_total + cols[lane]]`, the
+    /// layout [`felix_cost::PackedMlp::input_gradient_batch_cols`] emits):
+    /// feature roots outer, lanes inner, so when `cols` is a contiguous run
+    /// both the source reads and the seed writes are pure row sweeps — no
+    /// strided access on either side. Must run after
+    /// [`SketchObjective::forward_batch`].
     pub fn seed_feats_cols(
         &self,
         scratch: &mut EvalScratch,
@@ -562,16 +473,20 @@ impl SketchObjective {
         }
     }
 
-    /// The penalty half of [`SketchObjective::seed_lane`], batched over
-    /// every lane at once: one pass over the penalty roots with roots outer
-    /// and lanes inner, so both the tape-value reads and the seed writes
-    /// are contiguous rows instead of per-lane strided columns. Calls
-    /// `sink(lane, penalty, finite)` for each lane.
+    /// Seeds every lane's penalty-root adjoints: one pass over the penalty
+    /// roots with roots outer and lanes inner, so both the tape-value reads
+    /// and the seed writes are contiguous rows. Calls
+    /// `sink(lane, penalty, finite)` for each lane with its penalty value
+    /// `λ Σ max(g_r, 0)²` and whether every raw penalty root was finite.
+    /// Must run after [`SketchObjective::forward_batch`].
     ///
-    /// Per lane this performs exactly the operations of
-    /// [`SketchObjective::seed_lane`]'s penalty loop in the same root
-    /// order, so penalties, seeds, and finiteness verdicts are
-    /// bit-identical to the per-lane path.
+    /// The finiteness flag is checked on the *raw* root value, before the
+    /// clamp: `f64::min(NaN, c)` returns `c`, so a NaN penalty root would
+    /// otherwise be laundered into [`PENALTY_CLAMP`] and become invisible
+    /// to both the penalty sum and the gradient. Riding the seeding loop
+    /// keeps the supervisor's check free of any extra tape pass. Per lane
+    /// the roots accumulate in the pool reference's order, so the two
+    /// paths stay bitwise equal.
     pub fn seed_penalties_all(
         &self,
         scratch: &mut EvalScratch,
@@ -607,18 +522,6 @@ impl SketchObjective {
         }
     }
 
-    /// True when every tape root (features *and* penalties) of `lane` is
-    /// finite in the current batch — the reference form of the supervisor's
-    /// tape-level NaN/Inf check. The descent hot path derives the same
-    /// verdict for free from [`SketchObjective::write_feats`] and
-    /// [`SketchObjective::seed_lane`] (which already read every root); this
-    /// standalone scan backs the build-time pathology probe and tests.
-    /// Must run after [`SketchObjective::forward_batch`].
-    pub fn lane_is_finite(&self, scratch: &EvalScratch, lane: usize) -> bool {
-        self.tape
-            .lane_roots_finite(&scratch.vals, scratch.batch, lane)
-    }
-
     /// Runs the fused reverse sweep over all lanes at once.
     pub fn backward_batch(&self, scratch: &mut EvalScratch) {
         self.tape
@@ -644,7 +547,8 @@ impl SketchObjective {
     }
 
     /// Evaluates `O(y)` and `∂O/∂y` (Eqn. 4): `O = −C(feat(y)) +
-    /// λ Σ max(g_r(y), 0)²`, via the compiled tape.
+    /// λ Σ max(g_r(y), 0)²`, via the compiled tape — a batch of one through
+    /// the same calls the descent loop makes.
     ///
     /// Returns `(objective, predicted_score, gradient)`.
     pub fn cost_and_grad(
@@ -654,53 +558,19 @@ impl SketchObjective {
         y: &[f64],
     ) -> (f64, f64, Vec<f64>) {
         let mut scratch = EvalScratch::default();
-        self.cost_and_grad_with(model, lambda, y, &mut scratch)
-    }
-
-    /// [`SketchObjective::cost_and_grad`] with caller-owned scratch buffers
-    /// (allocation-free once the buffers have grown to size).
-    pub fn cost_and_grad_with(
-        &self,
-        model: &Mlp,
-        lambda: f64,
-        y: &[f64],
-        scratch: &mut EvalScratch,
-    ) -> (f64, f64, Vec<f64>) {
-        self.begin_batch(scratch, 1);
-        self.set_lane(scratch, 0, y);
-        self.forward_batch(scratch);
-        let mut feats = Vec::with_capacity(self.log_feat_roots.len());
-        self.write_feats(scratch, 0, &mut feats);
-        let (score, dscore) = model.input_gradient(&feats);
-        let (penalty, _) = self.seed_lane(scratch, 0, &dscore, lambda);
-        self.backward_batch(scratch);
-        let mut grad = Vec::with_capacity(self.y_vars.len());
-        self.grad_lane(scratch, 0, &mut grad);
-        (-score + penalty, score, grad)
-    }
-
-    /// Evaluates only the objective value (for testing against numeric
-    /// gradients) — tape forward pass only, no reverse sweep.
-    pub fn cost(&self, model: &Mlp, lambda: f64, y: &[f64]) -> f64 {
-        let mut scratch = EvalScratch::default();
         self.begin_batch(&mut scratch, 1);
         self.set_lane(&mut scratch, 0, y);
-        self.tape.forward_batch(&scratch.vars, 1, &mut scratch.vals);
-        let mut feats = Vec::with_capacity(self.log_feat_roots.len());
-        self.write_feats(&scratch, 0, &mut feats);
-        let score = model.predict(&feats);
-        let n_feats = self.log_feat_roots.len();
+        self.forward_batch(&mut scratch);
+        let mut feats = vec![0.0; self.log_feat_roots.len()];
+        self.write_feats_cols(&mut scratch, &[0], 1, &mut feats, |_, _| {});
+        let (score, dscore) = model.input_gradient(&feats);
+        self.seed_feats_cols(&mut scratch, &[0], 1, &dscore);
         let mut penalty = 0.0;
-        for j in 0..self.penalty_roots.len() {
-            let gv = self
-                .tape
-                .root_value(&scratch.vals, 1, n_feats + j, 0)
-                .min(PENALTY_CLAMP);
-            if gv > 0.0 {
-                penalty += lambda * gv * gv;
-            }
-        }
-        -score + penalty
+        self.seed_penalties_all(&mut scratch, lambda, |_, p, _| penalty = p);
+        self.backward_batch(&mut scratch);
+        let mut grad = Vec::with_capacity(self.y_vars.len());
+        self.grad_lane(&scratch, 0, &mut grad);
+        (-score + penalty, score, grad)
     }
 }
 
@@ -775,9 +645,9 @@ mod tests {
         for i in 0..y.len() {
             let mut yp = y.clone();
             yp[i] += eps;
-            let hi = obj.cost(&model, lambda, &yp);
+            let hi = obj.cost_and_grad(&model, lambda, &yp).0;
             yp[i] -= 2.0 * eps;
-            let lo = obj.cost(&model, lambda, &yp);
+            let lo = obj.cost_and_grad(&model, lambda, &yp).0;
             let num = (hi - lo) / (2.0 * eps);
             assert!(
                 (grad[i] - num).abs() < 0.02 + 0.15 * num.abs(),
@@ -826,21 +696,34 @@ mod tests {
             vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
         ];
         let batch = points.len();
+        // Reversed columns: the non-contiguous branch of the cols route
+        // (batch-of-one and the descent loop take the contiguous one).
+        let cols: Vec<usize> = (0..batch).rev().collect();
         let mut scratch = EvalScratch::default();
         obj.begin_batch(&mut scratch, batch);
         for (lane, y) in points.iter().enumerate() {
             obj.set_lane(&mut scratch, lane, y);
         }
         obj.forward_batch(&mut scratch);
-        let mut feats = Vec::new();
-        let mut penalties = vec![0.0; batch];
+        let nf = obj.n_feats();
+        let mut feats_t = vec![0.0; nf * batch];
+        obj.write_feats_cols(&mut scratch, &cols, batch, &mut feats_t, |_, ok| assert!(ok));
+        let mut grads_t = vec![0.0; nf * batch];
         let mut scores = vec![0.0; batch];
-        for (lane, _) in points.iter().enumerate() {
-            obj.write_feats(&scratch, lane, &mut feats);
+        for (lane, &c) in cols.iter().enumerate() {
+            let feats: Vec<f64> = (0..nf).map(|k| feats_t[k * batch + c]).collect();
             let (score, dscore) = model.input_gradient(&feats);
             scores[lane] = score;
-            penalties[lane] = obj.seed_lane(&mut scratch, lane, &dscore, 1.0).0;
+            for (k, d) in dscore.iter().enumerate() {
+                grads_t[k * batch + c] = *d;
+            }
         }
+        obj.seed_feats_cols(&mut scratch, &cols, batch, &grads_t);
+        let mut penalties = vec![0.0; batch];
+        obj.seed_penalties_all(&mut scratch, 1.0, |lane, p, ok| {
+            assert!(ok);
+            penalties[lane] = p;
+        });
         obj.backward_batch(&mut scratch);
         let mut grad = Vec::new();
         for (lane, y) in points.iter().enumerate() {
@@ -862,8 +745,8 @@ mod tests {
         // Feasible-ish point vs. threads blown to 512x512.
         let ok = vec![0.5, 2.3, 1.1, 0.4, 2.0, 1.3, 1.9, 3.5];
         let bad = vec![0.5, 6.3, 1.1, 0.4, 6.3, 1.3, 1.9, 3.5];
-        let c_ok = obj.cost(&model, 1.0, &ok);
-        let c_bad = obj.cost(&model, 1.0, &bad);
+        let c_ok = obj.cost_and_grad(&model, 1.0, &ok).0;
+        let c_bad = obj.cost_and_grad(&model, 1.0, &bad).0;
         assert!(c_bad > c_ok + 10.0, "penalty must dominate: {c_ok} vs {c_bad}");
     }
 
@@ -885,11 +768,21 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert!(s_tape.is_finite(), "clamped features must keep the score finite");
+        assert_eq!(roots_finite(&obj, &saturated), (true, true), "all roots finite after clamp");
+    }
+
+    /// The descent loop's two tape-level finiteness verdicts for one
+    /// point: (every feature root finite, every penalty root finite).
+    fn roots_finite(obj: &SketchObjective, y: &[f64]) -> (bool, bool) {
         let mut scratch = EvalScratch::default();
         obj.begin_batch(&mut scratch, 1);
-        obj.set_lane(&mut scratch, 0, &saturated);
+        obj.set_lane(&mut scratch, 0, y);
         obj.forward_batch(&mut scratch);
-        assert!(obj.lane_is_finite(&scratch, 0), "all roots finite after clamp");
+        let mut feats = vec![0.0; obj.n_feats()];
+        let (mut feats_ok, mut pens_ok) = (false, false);
+        obj.write_feats_cols(&mut scratch, &[0], 1, &mut feats, |_, ok| feats_ok = ok);
+        obj.seed_penalties_all(&mut scratch, 1.0, |_, _, ok| pens_ok = ok);
+        (feats_ok, pens_ok)
     }
 
     #[test]
@@ -900,11 +793,7 @@ mod tests {
         let (obj, _) = build_dense_objective();
         let mut y = vec![0.5, 2.3, 1.1, 0.4, 2.0, 1.3, 1.9, 3.5];
         y[2] = f64::NAN;
-        let mut scratch = EvalScratch::default();
-        obj.begin_batch(&mut scratch, 1);
-        obj.set_lane(&mut scratch, 0, &y);
-        obj.forward_batch(&mut scratch);
-        assert!(!obj.lane_is_finite(&scratch, 0));
+        assert_ne!(roots_finite(&obj, &y), (true, true));
     }
 
     #[test]

@@ -27,8 +27,7 @@ use felix_records::{
     HEALTH_RECORD_VERSION,
 };
 use felix_sim::FaultKind;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Checkpoint document version, bumped on incompatible format changes.
 /// Version 2.0 added per-sketch supervision modes to task snapshots;
@@ -476,19 +475,6 @@ pub fn checkpoint_from_json(doc: &Json) -> Option<CheckpointState> {
 pub const STATE_FILE: &str = "state.json";
 /// Cost-model filename inside a checkpoint directory.
 pub const MODEL_FILE: &str = "model.bin";
-
-/// Atomically writes raw bytes (tmp file + fsync + rename), the binary
-/// sibling of [`felix_records::write_document`].
-pub fn write_bytes_atomic(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp: PathBuf = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
 
 #[cfg(test)]
 mod tests {

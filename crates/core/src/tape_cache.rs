@@ -36,24 +36,19 @@
 
 use crate::objective::{PipelineOptions, SketchObjective};
 use felix_expr::{ENode, ExprId};
+use felix_records::{fnv1a, FNV_OFFSET};
 use felix_tir::sketch::generator_hash;
 use felix_tir::Program;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a, the repo-wide fingerprint hash (same constants as
+/// A running [`fnv1a`] hash, the repo-wide fingerprint (as in
 /// [`felix_records::task_key`] and [`crate::cache::structure_hash`]).
 struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
     fn mix(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = fnv1a(self.0, bytes);
     }
     fn u64(&mut self, v: u64) {
         self.mix(&v.to_le_bytes());
@@ -66,7 +61,7 @@ impl Fnv {
 /// The extent-free bucket key for one sketch: name + schedule-variable
 /// count, the per-sketch analogue of [`crate::cache::structure_hash`].
 pub fn sketch_bucket(name: &str, n_sched_vars: usize) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv(FNV_OFFSET);
     h.mix(name.as_bytes());
     h.mix(b"\x00");
     h.u64(n_sched_vars as u64);
@@ -83,7 +78,7 @@ pub fn objective_fingerprint(
     features: &[ExprId],
     pipeline: PipelineOptions,
 ) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv(FNV_OFFSET);
     // Pool nodes, in topological (construction) order. Encoded manually:
     // the pool's Debug form includes its hash-cons memo, whose iteration
     // order is nondeterministic.

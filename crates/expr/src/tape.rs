@@ -581,62 +581,6 @@ impl CompiledGradTape {
         self.min_var_values
     }
 
-    /// Number of same-opcode runs in the instruction stream (adjacent
-    /// instructions sharing an opcode dispatch once per run).
-    pub fn dispatch_runs(&self) -> usize {
-        let mut runs = 0usize;
-        let mut prev = u8::MAX;
-        for instr in &self.instrs {
-            let tag = instr.opcode_tag();
-            if tag != prev {
-                runs += 1;
-                prev = tag;
-            }
-        }
-        runs
-    }
-
-    /// Number of same-opcode runs in the (level, opcode)-grouped forward
-    /// schedule — how many opcode dispatches one scheduled forward sweep
-    /// costs (plus the const/var pre-loops).
-    pub fn scheduled_runs(&self) -> usize {
-        self.fwd_runs.len()
-    }
-
-    /// Instruction counts by operation, for observability: how much of a
-    /// tape is cheap vectorizable arithmetic vs scalar libm calls
-    /// (`ln`/`exp`/`powf` stay scalar per lane to preserve bit-identity
-    /// with the pool sweep).
-    pub fn op_histogram(&self) -> std::collections::BTreeMap<&'static str, usize> {
-        let mut h = std::collections::BTreeMap::new();
-        for instr in &self.instrs {
-            let name = match *instr {
-                Instr::Const(_) => "const",
-                Instr::Var(_) => "var",
-                Instr::Un(op, _) => match op {
-                    UnOp::Neg => "neg",
-                    UnOp::Log => "log",
-                    UnOp::Exp => "exp",
-                    UnOp::Sqrt => "sqrt",
-                    UnOp::Abs => "abs",
-                },
-                Instr::Bin(op, _, _) => match op {
-                    BinOp::Add => "add",
-                    BinOp::Sub => "sub",
-                    BinOp::Mul => "mul",
-                    BinOp::Div => "div",
-                    BinOp::Pow => "pow",
-                    BinOp::Min => "min",
-                    BinOp::Max => "max",
-                },
-                Instr::Cmp(..) => "cmp",
-                Instr::Select(..) => "select",
-            };
-            *h.entry(name).or_insert(0) += 1;
-        }
-        h
-    }
-
     /// Forward pass over a batch of `batch` lanes in structure-of-arrays
     /// layout. `vars` holds variable values variable-major
     /// (`vars[v * batch + lane]`); `vals` is resized to

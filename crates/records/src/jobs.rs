@@ -33,26 +33,30 @@
 //! cumulative per-job crash counter so a poison job is parked as
 //! `quarantined` on replay instead of crash-looping the daemon forever.
 //!
+//! ## State is a fold of the log
+//!
+//! [`QueueState::apply`] is the queue's one transition function.
+//! [`QueueState::replay`] folds it over a record sequence, and a live
+//! [`JobQueue`] changes only through [`JobQueue::commit`]: append the
+//! record, *then* apply it. A failed append returns the error and leaves
+//! the state untouched, so memory always equals the replay of the file.
+//!
 //! The wire format follows the crate's house rules: JSONL with one record
-//! per line, flush-per-append durability, torn tails skipped on read, and
-//! every fractional number encoded as a 16-hex-digit bit pattern so replay
-//! is bit-exact. [`JobWal::compact`] rewrites the log to its canonical
-//! minimal form (one submit line plus at most cancel/crash/terminal lines
-//! per job) through the same atomic tmp+fsync+rename codec the schedule
-//! store uses, so terminal jobs stop costing startup time and disk.
+//! per line, an append is in the OS before it returns, torn tails are
+//! skipped on read, and every fractional number is encoded as a
+//! 16-hex-digit bit pattern so replay is bit-exact. Compaction atomically
+//! rewrites the log to its canonical minimal form (one submit line plus at
+//! most cancel/crash/terminal lines per job), so terminal jobs stop
+//! costing startup time and disk.
 
+use crate::log::{self, Log};
 use crate::Json;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Version of the job-record wire format. Bumped whenever a field is
-/// added, removed, or re-encoded; readers skip lines from a newer version
-/// instead of guessing at their meaning. Version 2 added the lifecycle
-/// records (`job-cancel`, `job-crash`, and the non-`done` terminal lines)
-/// and the submit timestamp; version-1 lines still decode (the timestamp
-/// reads as 0).
+/// added, removed, or re-encoded; readers skip lines of any other version
+/// instead of guessing at their meaning.
 pub const JOB_RECORD_VERSION: usize = 2;
 
 /// How a job left the queue — the four terminal states of the lifecycle
@@ -123,9 +127,8 @@ pub enum JobRecord {
         /// Opaque job spec, interpreted by the serving tier.
         spec: Json,
         /// Wall-clock submission time (Unix milliseconds). Anchors the
-        /// job's deadline across restarts; `0` for pre-deadline lines.
-        /// Observability and deadline arithmetic only — it never feeds the
-        /// deterministic tuning state.
+        /// job's deadline across restarts. Observability and deadline
+        /// arithmetic only — it never feeds the deterministic tuning state.
         submitted_at_ms: u64,
     },
     /// A worker shard picked the job up. Observability only: replay
@@ -240,13 +243,13 @@ impl JobRecord {
     }
 
     /// Decodes a job record parsed from one WAL line. Returns `None` for
-    /// non-job lines and for lines written by a newer format version.
+    /// non-job lines and for lines of another format version.
     pub fn from_json(doc: &Json) -> Option<JobRecord> {
         let kind = doc.get("kind")?.as_str()?;
         if !kind.starts_with("job-") {
             return None;
         }
-        if doc.get("v")?.as_usize()? > JOB_RECORD_VERSION {
+        if doc.get("v")?.as_usize()? != JOB_RECORD_VERSION {
             return None;
         }
         let job_id = doc.get("job")?.as_u64_hex()?;
@@ -264,8 +267,7 @@ impl JobRecord {
                 job_id,
                 tenant: doc.get("tenant")?.as_str()?.to_string(),
                 spec: doc.get("spec")?.clone(),
-                // Version-1 lines predate deadlines and carry no stamp.
-                submitted_at_ms: doc.get("at_ms").and_then(Json::as_u64_hex).unwrap_or(0),
+                submitted_at_ms: doc.get("at_ms")?.as_u64_hex()?,
             }),
             "job-claim" => Some(JobRecord::Claimed {
                 job_id,
@@ -281,12 +283,11 @@ impl JobRecord {
     }
 }
 
-/// The append side of the job WAL: flush-per-append, so once `append`
-/// returns the record survives any crash of this process.
+/// The append side of the job WAL: once `append` returns the record
+/// survives any crash of this process.
 #[derive(Debug)]
 pub struct JobWal {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    log: Log,
 }
 
 impl JobWal {
@@ -296,26 +297,21 @@ impl JobWal {
     ///
     /// Returns any I/O error from opening the file.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<JobWal> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(JobWal { path, writer: BufWriter::new(file) })
+        Ok(JobWal { log: Log::open(path.as_ref())? })
     }
 
     /// The WAL's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
-    /// Appends one record and flushes it to the OS.
+    /// Appends one record.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing.
     pub fn append(&mut self, record: &JobRecord) -> std::io::Result<()> {
-        let mut line = record.to_json().write();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()
+        self.log.append(&record.to_json())
     }
 
     /// Reads every intact record currently in the WAL (see
@@ -325,74 +321,37 @@ impl JobWal {
     ///
     /// Returns any I/O error from reading the file.
     pub fn read_records(&self) -> std::io::Result<Vec<JobRecord>> {
-        read_job_records(&self.path)
+        read_job_records(self.log.path())
     }
 
-    /// Rewrites the WAL to the canonical record sequence of `state` (see
-    /// [`QueueState::canonical_records`]) through the atomic
-    /// tmp+fsync+rename codec, mirroring `ScheduleStore::compact`: a
-    /// reader (or a crash) concurrent with the compaction sees either the
-    /// old log or the compacted one, never a torn mix, and both replay to
-    /// the same recovery state. Claim lines are dropped (they carry no
-    /// recovery weight), duplicate and superseded lines collapse to one
-    /// line each. Returns the number of lines written.
+    /// Atomically rewrites the WAL to the canonical record sequence of
+    /// `state` (see [`QueueState::canonical_records`]): a reader (or a
+    /// crash) concurrent with the compaction sees either the old log or
+    /// the compacted one, never a torn mix, and both replay to the same
+    /// recovery state. Claim lines are dropped (they carry no recovery
+    /// weight), duplicate and superseded lines collapse to one line each.
+    /// Returns the number of lines written.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing, syncing, renaming, or reopening
     /// the append handle.
     pub fn compact(&mut self, state: &QueueState) -> std::io::Result<usize> {
-        let records = state.canonical_records();
-        let tmp = self.path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            for record in &records {
-                let mut line = record.to_json().write();
-                line.push('\n');
-                f.write_all(line.as_bytes())?;
-            }
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        // The old append handle still points at the pre-rename inode;
-        // reopen so future appends land in the compacted file.
-        let file = OpenOptions::new().create(true).append(true).open(&self.path)?;
-        self.writer = BufWriter::new(file);
-        Ok(records.len())
+        self.log.rewrite(state.canonical_records().iter().map(JobRecord::to_json))
     }
 }
 
 /// Reads the intact job records of a WAL at `path`, in append order. A
 /// missing file reads as an empty log; torn, corrupt, non-job, or
-/// newer-version lines are skipped with the same rules as
+/// other-version lines are skipped with the same rules as
 /// [`crate::read_all_records`].
 ///
 /// # Errors
 ///
 /// Returns I/O errors other than the file not existing.
 pub fn read_job_records(path: impl AsRef<Path>) -> std::io::Result<Vec<JobRecord>> {
-    let mut bytes = Vec::new();
-    match File::open(path.as_ref()) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
     let mut out = Vec::new();
-    // Only newline-terminated lines count: a line missing its terminator is
-    // by definition the torn tail of an interrupted append.
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some(line) = line.strip_suffix(b"\n") else { break };
-        let Ok(text) = std::str::from_utf8(line) else { continue };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let Ok(doc) = Json::parse(text) else { continue };
-        if let Some(rec) = JobRecord::from_json(&doc) {
-            out.push(rec);
-        }
-    }
+    log::read(path.as_ref(), |doc| out.extend(JobRecord::from_json(doc)))?;
     Ok(out)
 }
 
@@ -405,9 +364,8 @@ pub struct SubmittedJob {
     pub tenant: String,
     /// Opaque job spec as submitted.
     pub spec: Json,
-    /// Wall-clock submission time (Unix milliseconds; `0` for
-    /// pre-deadline WAL lines). Anchors the job's deadline across
-    /// restarts.
+    /// Wall-clock submission time (Unix milliseconds). Anchors the job's
+    /// deadline across restarts.
     pub submitted_at_ms: u64,
 }
 
@@ -428,7 +386,8 @@ pub struct TerminalJob {
 
 /// The queue state a WAL replays to. Deterministic: the same record
 /// sequence always yields the same state, and claims never affect
-/// recovery.
+/// recovery. The fields are readable by anyone; the only writers are
+/// [`QueueState::apply`] and, for a live daemon, [`JobQueue`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueState {
     /// Every submitted job, in WAL (= acknowledgment) order, including
@@ -437,14 +396,11 @@ pub struct QueueState {
     /// Last observed claim per job (observability only; dropped by
     /// compaction).
     pub claims: BTreeMap<u64, usize>,
-    /// Jobs with a standing cancel request and no terminal record yet —
-    /// the worker honors these between ticks (or at adoption after a
-    /// restart). Requests against already-terminal jobs are normalized
-    /// away at the end of replay.
+    /// Live jobs with a standing cancel request — the worker honors these
+    /// between ticks (or at adoption after a restart).
     pub cancel_requested: BTreeSet<u64>,
-    /// Cumulative crash count per non-terminal job (duplicate lines merge
-    /// by maximum). Counts for terminal jobs are normalized away — their
-    /// story ended, one way or another.
+    /// Cumulative crash count per live job (duplicate lines merge by
+    /// maximum).
     pub crash_counts: BTreeMap<u64, u32>,
     /// Finished jobs by id, whatever their terminal state. Duplicate
     /// terminal lines for one id keep the first (re-finalization after a
@@ -453,51 +409,72 @@ pub struct QueueState {
 }
 
 impl QueueState {
-    /// Replays a record sequence (as read by [`read_job_records`]) into
-    /// the queue state.
+    /// The queue's one transition function: folds one record into the
+    /// state. Replay and the live daemon both go through here, which is
+    /// what keeps memory equal to the replay of the file.
     ///
-    /// The result is *normalized*: cancel requests and crash counts that
-    /// target terminal or never-submitted jobs are dropped, so replaying a
-    /// log and replaying its [`QueueState::canonical_records`] compaction
-    /// yield the same state (claims aside, which compaction drops).
-    pub fn replay(records: &[JobRecord]) -> QueueState {
-        let mut state = QueueState::default();
-        for rec in records {
-            match rec {
-                JobRecord::Submitted { job_id, tenant, spec, submitted_at_ms } => {
-                    if !state.submitted.iter().any(|j| j.job_id == *job_id) {
-                        state.submitted.push(SubmittedJob {
-                            job_id: *job_id,
-                            tenant: tenant.clone(),
-                            spec: spec.clone(),
-                            submitted_at_ms: *submitted_at_ms,
-                        });
-                    }
+    /// The state stays *normalized* after every step: only a submitted,
+    /// non-terminal job can take a cancel request, a crash count or a
+    /// terminal record, and a terminal record clears the job's request and
+    /// count — its story ended, one way or another. So replaying a log and
+    /// replaying its [`QueueState::canonical_records`] compaction yield the
+    /// same state (claims aside, which compaction drops).
+    pub fn apply(&mut self, record: &JobRecord) {
+        let id = record.job_id();
+        match record {
+            JobRecord::Submitted { tenant, spec, submitted_at_ms, .. } => {
+                if self.job(id).is_none() {
+                    self.submitted.push(SubmittedJob {
+                        job_id: id,
+                        tenant: tenant.clone(),
+                        spec: spec.clone(),
+                        submitted_at_ms: *submitted_at_ms,
+                    });
                 }
-                JobRecord::Claimed { job_id, shard } => {
-                    state.claims.insert(*job_id, *shard);
-                }
-                JobRecord::CancelRequested { job_id } => {
-                    state.cancel_requested.insert(*job_id);
-                }
-                JobRecord::CrashCounted { job_id, count } => {
-                    let entry = state.crash_counts.entry(*job_id).or_insert(0);
-                    *entry = (*entry).max(*count);
-                }
-                JobRecord::Finished { job_id, outcome, rounds, latency_ms, result } => {
-                    state.terminal.entry(*job_id).or_insert_with(|| TerminalJob {
+            }
+            JobRecord::Claimed { shard, .. } => {
+                self.claims.insert(id, *shard);
+            }
+            // Duplicate terminal lines, and requests against finished or
+            // never-submitted jobs.
+            _ if !self.is_live(id) => {}
+            JobRecord::CancelRequested { .. } => {
+                self.cancel_requested.insert(id);
+            }
+            JobRecord::CrashCounted { count, .. } => {
+                let entry = self.crash_counts.entry(id).or_insert(0);
+                *entry = (*entry).max(*count);
+            }
+            JobRecord::Finished { outcome, rounds, latency_ms, result, .. } => {
+                self.terminal.insert(
+                    id,
+                    TerminalJob {
                         outcome: *outcome,
                         rounds: *rounds,
                         latency_ms: *latency_ms,
                         result: result.clone(),
-                    });
-                }
+                    },
+                );
+                self.cancel_requested.remove(&id);
+                self.crash_counts.remove(&id);
             }
         }
-        let submitted: BTreeSet<u64> = state.submitted.iter().map(|j| j.job_id).collect();
-        let live = |id: &u64| submitted.contains(id) && !state.terminal.contains_key(id);
-        state.cancel_requested.retain(live);
-        state.crash_counts.retain(|id, _| live(id));
+    }
+
+    /// Submitted and not yet terminal. Live jobs sit near the tail of
+    /// `submitted`, hence the backward scan.
+    fn is_live(&self, job_id: u64) -> bool {
+        !self.terminal.contains_key(&job_id)
+            && self.submitted.iter().rev().any(|j| j.job_id == job_id)
+    }
+
+    /// Replays a record sequence (as read by [`read_job_records`]) into
+    /// the queue state: [`QueueState::apply`] folded over it.
+    pub fn replay(records: &[JobRecord]) -> QueueState {
+        let mut state = QueueState::default();
+        for record in records {
+            state.apply(record);
+        }
         state
     }
 
@@ -566,9 +543,7 @@ impl QueueState {
                 out.push(JobRecord::CancelRequested { job_id: job.job_id });
             }
             if let Some(&count) = self.crash_counts.get(&job.job_id) {
-                if count > 0 {
-                    out.push(JobRecord::CrashCounted { job_id: job.job_id, count });
-                }
+                out.push(JobRecord::CrashCounted { job_id: job.job_id, count });
             }
         }
         out
@@ -576,24 +551,84 @@ impl QueueState {
 
     /// Number of lines [`QueueState::canonical_records`] would write —
     /// the lower bound a size-triggered compaction compares the actual
-    /// line count against.
+    /// line count against. A sum, because the state is normalized: requests
+    /// and counts stand on live jobs only, terminals on submitted ones.
     pub fn canonical_len(&self) -> usize {
-        self.canonical_records().len()
+        self.submitted.len()
+            + self.terminal.len()
+            + self.cancel_requested.len()
+            + self.crash_counts.len()
+    }
+}
+
+/// A live durable queue: the WAL and the state it replays to, changed
+/// only through [`JobQueue::commit`] so the two cannot drift apart.
+#[derive(Debug)]
+pub struct JobQueue {
+    wal: JobWal,
+    state: QueueState,
+}
+
+impl JobQueue {
+    /// Opens (creating if needed) the WAL at `path` and replays it.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from reading or opening the file.
+    pub fn open(path: impl AsRef<Path>) -> std::io::Result<JobQueue> {
+        let mut state = QueueState::default();
+        let log = Log::replay(path.as_ref(), |doc| {
+            if let Some(record) = JobRecord::from_json(doc) {
+                state.apply(&record);
+            }
+        })?;
+        Ok(JobQueue { wal: JobWal { log }, state })
+    }
+
+    /// The current queue state (read-only; see [`JobQueue::commit`]).
+    pub fn state(&self) -> &QueueState {
+        &self.state
+    }
+
+    /// Intact lines currently in the WAL file — what a size-triggered
+    /// compaction compares against [`QueueState::canonical_len`].
+    pub fn wal_lines(&self) -> usize {
+        self.wal.log.lines()
+    }
+
+    /// The only way a live queue changes: appends `record` to the WAL,
+    /// then applies it to the state.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from appending. The state is then exactly
+    /// what it was, and still equals the replay of the file.
+    pub fn commit(&mut self, record: &JobRecord) -> std::io::Result<()> {
+        self.wal.append(record)?;
+        self.state.apply(record);
+        Ok(())
+    }
+
+    /// Compacts the WAL to the state's canonical records (see
+    /// [`JobWal::compact`]) and forgets the claims the canonical form
+    /// drops, so the state keeps equalling the replay of the file.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from the rewrite; the state is then unchanged.
+    pub fn compact(&mut self) -> std::io::Result<()> {
+        self.wal.compact(&self.state)?;
+        self.state.claims.clear();
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_path(tag: &str) -> PathBuf {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "felix-jobs-{tag}-{}-{n}.jsonl",
-            std::process::id()
-        ))
-    }
+    use crate::log::tests::{every_truncation_recovers_the_intact_prefix, tmp_path};
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn sample_records() -> Vec<JobRecord> {
         vec![
@@ -680,20 +715,6 @@ mod tests {
     }
 
     #[test]
-    fn records_round_trip_bit_exactly() {
-        let path = tmp_path("roundtrip");
-        let mut wal = JobWal::open(&path).expect("open");
-        for r in lifecycle_records() {
-            wal.append(&r).expect("append");
-        }
-        let back = wal.read_records().expect("read");
-        assert_eq!(back, lifecycle_records());
-        let JobRecord::Finished { latency_ms, .. } = &back[3] else { panic!("done") };
-        assert_eq!(latency_ms.to_bits(), (0.1f64 + 0.2).to_bits());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn replay_ignores_claims_and_orders_pending() {
         let state = QueueState::replay(&sample_records());
         assert_eq!(state.submitted.len(), 2);
@@ -749,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_and_foreign_lines_are_skipped() {
+    fn torn_tail_foreign_and_other_version_lines_are_skipped() {
         let path = tmp_path("torn");
         let mut wal = JobWal::open(&path).expect("open");
         for r in sample_records() {
@@ -757,110 +778,39 @@ mod tests {
         }
         drop(wal);
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
-        // A foreign (non-job) line, a newer-version job line, then a torn
-        // tail with no newline.
+        // A foreign (non-job) line, a newer- and an older-version job line
+        // (the latter without the `at_ms` stamp version 2 requires), then a
+        // torn tail with no newline.
         writeln!(f, "{{\"kind\":\"health\",\"v\":1}}").expect("write");
-        writeln!(
-            f,
-            "{{\"kind\":\"job-claim\",\"v\":{},\"job\":\"0000000000000002\",\"shard\":0}}",
-            JOB_RECORD_VERSION + 1
-        )
-        .expect("write");
-        write!(f, "{{\"kind\":\"job-submit\",\"v\":1,\"job\":\"00").expect("write");
+        for version in [JOB_RECORD_VERSION + 1, JOB_RECORD_VERSION - 1] {
+            writeln!(
+                f,
+                "{{\"kind\":\"job-submit\",\"v\":{version},\"job\":\"0000000000000007\",\
+                 \"tenant\":\"acme\",\"spec\":null}}"
+            )
+            .expect("write");
+        }
+        write!(f, "{{\"kind\":\"job-submit\",\"v\":2,\"job\":\"00").expect("write");
         drop(f);
         assert_eq!(read_job_records(&path).expect("read"), sample_records());
         std::fs::remove_file(&path).ok();
     }
 
+    /// Every record kind and terminal outcome, as the torn tail and as part
+    /// of the surviving prefix; the last cut is the bit-exact round trip.
     #[test]
-    fn version_one_submit_lines_still_decode() {
-        // A v1 line has no `at_ms`; it must decode with timestamp 0, not
-        // be dropped — pre-upgrade WALs stay replayable.
-        let doc = Json::parse(
-            "{\"kind\":\"job-submit\",\"v\":1,\"job\":\"0000000000000007\",\
-             \"tenant\":\"acme\",\"spec\":null}",
-        )
-        .expect("parse");
-        assert_eq!(
-            JobRecord::from_json(&doc),
-            Some(JobRecord::Submitted {
-                job_id: 7,
-                tenant: "acme".to_string(),
-                spec: Json::Null,
-                submitted_at_ms: 0,
-            })
-        );
-    }
-
-    /// Satellite: the torn-tail rule holds for every new lifecycle line —
-    /// truncating the WAL at every byte offset of the final line recovers
-    /// exactly the intact prefix, whichever record kind the final line is.
-    #[test]
-    fn truncation_at_every_byte_offset_of_each_lifecycle_line_recovers_prefix() {
+    fn wal_recovers_the_intact_prefix_at_every_truncation_of_every_line_kind() {
         let records = lifecycle_records();
-        // Keep every record kind in final position at least once by
-        // sweeping the last four lines (cancel, crash, quarantine-finish,
-        // cancel-request) plus the expired/cancelled terminals.
-        for keep in [8, 9, 10, 11, 12, 13, records.len()] {
-            let prefix = &records[..keep];
-            let path = tmp_path("lifecycle-torn");
-            let mut wal = JobWal::open(&path).expect("open");
-            for r in prefix {
-                wal.append(&r.clone()).expect("append");
-            }
-            drop(wal);
-            let full = std::fs::read(&path).expect("read bytes");
-            let last_line_start = full[..full.len() - 1]
-                .iter()
-                .rposition(|&b| b == b'\n')
-                .map_or(0, |p| p + 1);
-            for cut in last_line_start..full.len() {
-                std::fs::write(&path, &full[..cut]).expect("truncate");
-                assert_eq!(
-                    read_job_records(&path).expect("read truncated"),
-                    prefix[..keep - 1],
-                    "keep {keep}, cut at byte {cut}/{}",
-                    full.len()
-                );
-            }
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn compaction_preserves_recovery_state_and_drops_claims() {
-        let path = tmp_path("compact");
-        let mut wal = JobWal::open(&path).expect("open");
-        let mut records = lifecycle_records();
-        // Pile on redundancy: duplicate terminals, claims from three
-        // restarts, superseded crash counts.
-        records.push(JobRecord::Claimed { job_id: 3, shard: 0 });
-        records.push(JobRecord::Claimed { job_id: 3, shard: 0 });
-        records.push(JobRecord::Claimed { job_id: 5, shard: 0 });
-        records.push(records[3].clone());
-        records.push(JobRecord::CancelRequested { job_id: 5 });
-        for r in &records {
-            wal.append(r).expect("append");
-        }
-        let before = QueueState::replay(&wal.read_records().expect("read"));
-        let lines = wal.compact(&before).expect("compact");
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
-        let on_disk = std::fs::read_to_string(&path).expect("read");
-        assert_eq!(on_disk.lines().count(), lines);
-        assert!(lines < records.len(), "compaction must shrink the log");
-        assert_eq!(lines, before.canonical_len());
-        // Replay of the compacted log equals the original recovery state,
-        // claims aside (observability only, deliberately dropped).
-        let mut reference = before.clone();
-        reference.claims.clear();
-        let after = QueueState::replay(&wal.read_records().expect("read"));
-        assert_eq!(after, reference);
-        // The append handle follows the compacted file.
-        let mut wal = wal;
-        wal.append(&JobRecord::CancelRequested { job_id: 3 }).expect("append");
-        let state = QueueState::replay(&read_job_records(&path).expect("read"));
-        assert!(state.cancel_requested.contains(&3));
-        std::fs::remove_file(&path).ok();
+        every_truncation_recovers_the_intact_prefix(
+            |path| {
+                let mut wal = JobWal::open(path).expect("open");
+                for r in &records {
+                    wal.append(r).expect("append");
+                }
+            },
+            |path| read_job_records(path).expect("read"),
+            |intact| records[..intact].to_vec(),
+        );
     }
 
     #[test]
@@ -886,5 +836,107 @@ mod tests {
         assert!(state.pending().is_empty());
         assert_eq!(state.next_job_id(), 0);
         assert_eq!(state.live(), 0);
+    }
+
+    /// Seeded random lifecycle traffic over a handful of job ids, in any
+    /// order — so duplicates, zero counts and requests against finished or
+    /// unknown jobs all occur.
+    fn random_record(next: &mut impl FnMut() -> u64) -> JobRecord {
+        let job_id = next() % 6;
+        let outcomes =
+            [JobOutcome::Done, JobOutcome::Cancelled, JobOutcome::Expired, JobOutcome::Quarantined];
+        match next() % 8 {
+            0 | 1 => JobRecord::Submitted {
+                job_id,
+                tenant: format!("t{}", next() % 3),
+                spec: Json::Num((next() % 4) as f64),
+                submitted_at_ms: 1_700_000_000_000 + next() % 1000,
+            },
+            2 => JobRecord::Claimed { job_id, shard: (next() % 2) as usize },
+            3 => JobRecord::CancelRequested { job_id },
+            4 | 5 => JobRecord::CrashCounted { job_id, count: (next() % 4) as u32 },
+            _ => JobRecord::Finished {
+                job_id,
+                outcome: outcomes[(next() % 4) as usize],
+                rounds: (next() % 5) as usize,
+                latency_ms: 0.1 + 0.2,
+                result: Json::Num((next() % 9) as f64),
+            },
+        }
+    }
+
+    /// The rule the queue exists under: memory is the fold of the file.
+    /// After every commit and every compaction of a live [`JobQueue`],
+    /// replaying the WAL from disk yields exactly the in-memory state —
+    /// which fails if `commit` applies before it appends or applies what
+    /// replay would not, or if compaction keeps what the file dropped.
+    #[test]
+    fn replay_of_the_file_equals_live_state_after_every_commit_and_compact() {
+        let mut rng = 0x5EED_1E55_F01D_AB1Eu64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for case in 0..8 {
+            let path = tmp_path("fold");
+            let mut queue = JobQueue::open(&path).expect("open");
+            for step in 0..60 {
+                queue.commit(&random_record(&mut next)).expect("commit");
+                if next().is_multiple_of(10) {
+                    // Compaction keeps the recovery state, drops the claims
+                    // (observability only), and leaves the canonical log.
+                    let mut kept = queue.state().clone();
+                    kept.claims.clear();
+                    queue.compact().expect("compact");
+                    assert_eq!(queue.state(), &kept);
+                    assert_eq!(queue.wal_lines(), kept.canonical_len());
+                    assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
+                }
+                let records = read_job_records(&path).expect("read");
+                assert_eq!(records.len(), queue.wal_lines(), "case {case} step {step}");
+                assert_eq!(&QueueState::replay(&records), queue.state(), "case {case} step {step}");
+                assert_eq!(queue.state().live(), queue.state().pending().len());
+            }
+            let reopened = JobQueue::open(&path).expect("reopen");
+            assert_eq!(reopened.state(), queue.state());
+            assert_eq!(reopened.wal_lines(), queue.wal_lines());
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// The append-failure half of the rule: a commit whose append fails
+    /// (ENOSPC from `/dev/full`) returns the error and changes nothing,
+    /// whatever the record kind — the job stays exactly where it was.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_commit_leaves_state_untouched_and_equal_to_replay() {
+        let path = tmp_path("full");
+        let mut queue = JobQueue::open(&path).expect("open");
+        for r in lifecycle_records() {
+            queue.commit(&r).expect("commit");
+        }
+        let before = queue.state().clone();
+        queue.wal.log.redirect_appends("/dev/full");
+        let live = before.pending()[0].job_id;
+        for record in [
+            JobRecord::Submitted {
+                job_id: before.next_job_id(),
+                tenant: "acme".to_string(),
+                spec: Json::Null,
+                submitted_at_ms: 1,
+            },
+            JobRecord::Claimed { job_id: live, shard: 0 },
+            JobRecord::CancelRequested { job_id: live },
+            JobRecord::CrashCounted { job_id: live, count: 9 },
+            JobRecord::done(live, 1, 1.0, Json::Null),
+        ] {
+            assert!(queue.commit(&record).is_err(), "ENOSPC must surface: {record:?}");
+            assert_eq!(queue.state(), &before, "state advanced past a failed append");
+        }
+        let replayed = QueueState::replay(&read_job_records(&path).expect("read"));
+        assert_eq!(&replayed, queue.state());
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -6,13 +6,18 @@
 //! same property with two primitives:
 //!
 //! - [`RecordLog`] — an append-only JSONL log of every hardware measurement
-//!   (one [`TuningRecord`] per line). Appends are flushed per record, so a
-//!   crash loses at most the record being written; the reader recovers the
-//!   intact prefix of a truncated log without error.
+//!   (one [`TuningRecord`] per line). A crash loses at most the record
+//!   being written; the reader recovers the intact prefix of a truncated
+//!   log without error.
 //! - [`write_document`] / [`read_document`] — crash-safe whole-document
 //!   persistence for checkpoints: the document is written to a temporary
 //!   file, fsynced, and renamed into place, so a reader never observes a
 //!   torn checkpoint.
+//!
+//! [`RecordLog`], [`ScheduleStore`] and [`JobWal`]/[`JobQueue`] are typed
+//! faces over one private JSONL engine (`log.rs`), which alone knows the
+//! torn-tail rule and the atomic rewrite; each store's state is the fold of
+//! its log through one transition function.
 //!
 //! Everything is dependency-free; JSON comes from the in-crate [`json`]
 //! module, whose number formatting round-trips every finite `f64`
@@ -20,18 +25,19 @@
 
 pub mod jobs;
 pub mod json;
+mod log;
 pub mod store;
 
 pub use jobs::{
-    read_job_records, JobOutcome, JobRecord, JobWal, QueueState, SubmittedJob, TerminalJob,
-    JOB_RECORD_VERSION,
+    read_job_records, JobOutcome, JobQueue, JobRecord, JobWal, QueueState, SubmittedJob,
+    TerminalJob, JOB_RECORD_VERSION,
 };
 pub use json::Json;
+pub use log::write_atomic;
 pub use store::{ScheduleStore, StoredSchedule, SCHEDULE_STORE_VERSION};
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use log::Log;
+use std::path::Path;
 
 /// How a logged measurement ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -124,7 +130,7 @@ impl TuningRecord {
 }
 
 /// Version of the health-record wire format. Bumped whenever a field is
-/// added, removed, or re-encoded; readers skip lines from a newer version
+/// added, removed, or re-encoded; readers skip lines of any other version
 /// instead of guessing at their meaning.
 pub const HEALTH_RECORD_VERSION: usize = 1;
 
@@ -189,14 +195,13 @@ impl HealthRecord {
     }
 
     /// Decodes a health record parsed from one log line. Returns `None`
-    /// for non-health lines and for lines written by a newer format
-    /// version.
+    /// for non-health lines and for lines of another format version.
     pub fn from_json(doc: &Json) -> Option<HealthRecord> {
         if doc.get("kind")?.as_str()? != "health" {
             return None;
         }
         let version = doc.get("v")?.as_usize()?;
-        if version > HEALTH_RECORD_VERSION {
+        if version != HEALTH_RECORD_VERSION {
             return None;
         }
         Some(HealthRecord {
@@ -230,35 +235,38 @@ pub enum Record {
     Health(HealthRecord),
 }
 
+/// The 64-bit FNV-1a offset basis: the `h` a fresh [`fnv1a`] hash starts
+/// from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running 64-bit FNV-1a hash `h` — the one hash
+/// behind every on-disk key, cache fingerprint and RNG substream salt in
+/// the workspace. Chain calls to hash several fields.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 /// Canonical task identity: an FNV-1a hash over the workload key (the
 /// subgraph's stable dedup key) and the device name, so a log can hold
 /// records for many networks and devices and each task replays only its
 /// own.
 pub fn task_key(workload_key: &str, device_name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    mix(workload_key.as_bytes());
-    mix(b"\x00");
-    mix(device_name.as_bytes());
-    h
+    let h = fnv1a(FNV_OFFSET, workload_key.as_bytes());
+    fnv1a(fnv1a(h, b"\x00"), device_name.as_bytes())
 }
 
 /// An append-only JSONL measurement log.
 ///
-/// The writer flushes every record, so an interrupted run loses at most the
-/// line being written when the process died. [`RecordLog::read_records`]
-/// tolerates exactly that failure mode: a record counts only if its line is
-/// newline-terminated and parses, so a truncated tail is skipped silently
-/// and every intact record before it is recovered.
+/// Every append reaches the OS before it returns, so an interrupted run
+/// loses at most the line being written when the process died.
+/// [`RecordLog::read_records`] tolerates exactly that failure mode: a record
+/// counts only if its line is newline-terminated and parses, so a truncated
+/// tail is skipped silently and every intact record before it is recovered.
 #[derive(Debug)]
 pub struct RecordLog {
-    path: PathBuf,
-    writer: BufWriter<File>,
+    log: Log,
 }
 
 impl RecordLog {
@@ -268,41 +276,32 @@ impl RecordLog {
     ///
     /// Returns any I/O error from opening the file.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<RecordLog> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(RecordLog { path, writer: BufWriter::new(file) })
+        Ok(RecordLog { log: Log::open(path.as_ref())? })
     }
 
     /// The log's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
-    /// Appends one record and flushes it to the OS. After `append` returns,
-    /// a crash of this process can no longer lose the record.
+    /// Appends one record. After `append` returns, a crash of this process
+    /// can no longer lose the record.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing.
     pub fn append(&mut self, record: &TuningRecord) -> std::io::Result<()> {
-        self.append_json(&record.to_json())
+        self.log.append(&record.to_json())
     }
 
-    /// Appends one supervisor health report, with the same flush-per-append
-    /// durability as [`RecordLog::append`].
+    /// Appends one supervisor health report, with the same durability as
+    /// [`RecordLog::append`].
     ///
     /// # Errors
     ///
     /// Returns any I/O error from writing.
     pub fn append_health(&mut self, record: &HealthRecord) -> std::io::Result<()> {
-        self.append_json(&record.to_json())
-    }
-
-    fn append_json(&mut self, doc: &Json) -> std::io::Result<()> {
-        let mut line = doc.write();
-        line.push('\n');
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()
+        self.log.append(&record.to_json())
     }
 
     /// Reads every intact record currently in the log (including records
@@ -314,7 +313,7 @@ impl RecordLog {
     ///
     /// Returns any I/O error from reading the file.
     pub fn read_records(&self) -> std::io::Result<Vec<TuningRecord>> {
-        read_records(&self.path)
+        read_records(self.log.path())
     }
 }
 
@@ -343,40 +342,17 @@ pub fn read_records(path: impl AsRef<Path>) -> std::io::Result<Vec<TuningRecord>
 ///
 /// Returns I/O errors other than the file not existing.
 pub fn read_all_records(path: impl AsRef<Path>) -> std::io::Result<Vec<Record>> {
-    let mut bytes = Vec::new();
-    match File::open(path.as_ref()) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    }
     let mut out = Vec::new();
-    // Only newline-terminated lines count: a line missing its terminator is
-    // by definition the torn tail of an interrupted append.
-    for line in bytes.split_inclusive(|&b| b == b'\n') {
-        let Some(line) = line.strip_suffix(b"\n") else { break };
-        let Ok(text) = std::str::from_utf8(line) else { continue };
-        if text.trim().is_empty() {
-            continue;
-        }
-        let Ok(doc) = Json::parse(text) else { continue };
-        // Measurement lines predate record kinds and carry no `kind`
-        // field; any line *with* a kind is dispatched on it, so a future
-        // kind is skipped rather than misparsed as a measurement.
-        match doc.get("kind") {
-            None => {
-                if let Some(rec) = TuningRecord::from_json(&doc) {
-                    out.push(Record::Measurement(rec));
-                }
-            }
-            Some(_) => {
-                if let Some(rec) = HealthRecord::from_json(&doc) {
-                    out.push(Record::Health(rec));
-                }
-            }
-        }
-    }
+    // Measurement lines carry no `kind` field; any line *with* a kind is
+    // dispatched on it, so a future kind is skipped rather than misparsed
+    // as a measurement.
+    log::read(path.as_ref(), |doc| {
+        let rec = match doc.get("kind") {
+            None => TuningRecord::from_json(doc).map(Record::Measurement),
+            Some(_) => HealthRecord::from_json(doc).map(Record::Health),
+        };
+        out.extend(rec);
+    })?;
     Ok(out)
 }
 
@@ -389,15 +365,9 @@ pub fn read_all_records(path: impl AsRef<Path>) -> std::io::Result<Vec<Record>> 
 ///
 /// Returns any I/O error from writing, syncing, or renaming.
 pub fn write_document(path: impl AsRef<Path>, doc: &Json) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(doc.write().as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+    let mut text = doc.write();
+    text.push('\n');
+    write_atomic(path, text.as_bytes())
 }
 
 /// Reads a JSON document written by [`write_document`].
@@ -414,15 +384,9 @@ pub fn read_document(path: impl AsRef<Path>) -> std::io::Result<Json> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_path(tag: &str) -> PathBuf {
-        static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "felix-records-{tag}-{}-{n}.jsonl",
-            std::process::id()
-        ))
-    }
+    use crate::log::tests::{every_truncation_recovers_the_intact_prefix, tmp_path};
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn sample_record(i: usize) -> TuningRecord {
         TuningRecord {
@@ -479,23 +443,6 @@ mod tests {
         assert!(read_records(tmp_path("missing")).expect("read").is_empty());
     }
 
-    #[test]
-    fn truncated_tail_recovers_prefix() {
-        let path = tmp_path("trunc");
-        let mut log = RecordLog::open(&path).expect("open");
-        for i in 0..5 {
-            log.append(&sample_record(i)).expect("append");
-        }
-        drop(log);
-        let full = std::fs::read(&path).expect("read bytes");
-        // Chop half of the final line off.
-        let cut = full.len() - 10;
-        std::fs::write(&path, &full[..cut]).expect("truncate");
-        let recovered = read_records(&path).expect("read");
-        assert_eq!(recovered, (0..4).map(sample_record).collect::<Vec<_>>());
-        std::fs::remove_file(&path).ok();
-    }
-
     fn sample_health(round: usize) -> HealthRecord {
         HealthRecord {
             version: HEALTH_RECORD_VERSION,
@@ -513,20 +460,27 @@ mod tests {
     }
 
     #[test]
-    fn health_record_round_trips_bit_exactly() {
-        let path = tmp_path("health");
-        let mut log = RecordLog::open(&path).expect("open");
-        let rec = sample_health(2);
-        log.append_health(&rec).expect("append");
-        let all = read_all_records(&path).expect("read");
-        assert_eq!(all.len(), 1);
-        let Record::Health(back) = &all[0] else { panic!("health record") };
-        assert_eq!(back, &rec);
-        assert_eq!(
-            back.deadline_overrun_s.to_bits(),
-            rec.deadline_overrun_s.to_bits()
+    fn record_log_recovers_the_intact_prefix_at_every_truncation() {
+        let records: Vec<Record> = (0..8)
+            .map(|i| match i % 3 {
+                2 => Record::Health(sample_health(i)),
+                _ => Record::Measurement(sample_record(i)),
+            })
+            .collect();
+        every_truncation_recovers_the_intact_prefix(
+            |path| {
+                let mut log = RecordLog::open(path).expect("open");
+                for r in &records {
+                    match r {
+                        Record::Measurement(m) => log.append(m),
+                        Record::Health(h) => log.append_health(h),
+                    }
+                    .expect("append");
+                }
+            },
+            |path| read_all_records(path).expect("read"),
+            |intact| records[..intact].to_vec(),
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -571,6 +525,19 @@ mod tests {
             vec![Record::Measurement(sample_record(4))]
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Published FNV-1a test vectors plus one key computed by the
+    /// hand-copied loops this function replaced: every on-disk key, cache
+    /// fingerprint and RNG substream salt in the workspace hangs off these
+    /// constants and this byte order.
+    #[test]
+    fn fnv1a_matches_fixed_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"), fnv1a(FNV_OFFSET, b"foobar"));
+        assert_eq!(task_key("dense[256]", "RTX A5000"), 0x9284_3d3f_1978_b009);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! - `n_shards` **worker threads** each run a [`Shard`]: claim pending
 //!   jobs by `job_id % n_shards`, tick them under the fairness policy,
 //!   honor cancels/deadlines between ticks, and append terminal records;
-//! - all durable state funnels through one mutex-guarded [`State`]:
-//!   the WAL appender and the replayed [`QueueState`] it feeds.
+//! - all durable state funnels through one mutex-guarded [`State`],
+//!   whose [`JobQueue`] is the WAL plus the state it replays to. The only
+//!   way to change that state is to `commit` a record — append first,
+//!   apply second — so memory always equals the replay of the file.
 //!
 //! ## Durability protocol
 //!
@@ -23,6 +25,12 @@
 //! the per-job checkpoints; see [`crate::worker`] for why the replay is
 //! byte-identical.
 //!
+//! A commit whose append fails (full disk) changes nothing: a submit or
+//! cancel answers the client with the error; a claim, terminal or
+//! crash-count record leaves the job pending — the idempotent
+//! re-finalization path picks it up after a restart — and starts a drain,
+//! so a daemon that can no longer log admits and runs nothing more.
+//!
 //! ## Admission control
 //!
 //! Rejected submissions ([`Response::Busy`], [`Response::QuotaExceeded`],
@@ -35,8 +43,8 @@
 use crate::protocol::{read_frame, write_frame, FrameError, JobRow, Request, Response};
 use crate::spec::JobSpec;
 use crate::worker::{Shard, StepOutcome, QUARANTINE_CRASHES, WAL_FILE};
-use felix_records::jobs::{JobOutcome, SubmittedJob, TerminalJob};
-use felix_records::{JobRecord, JobWal, QueueState};
+use felix_records::jobs::{JobOutcome, SubmittedJob};
+use felix_records::{JobQueue, JobRecord, QueueState};
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -90,45 +98,28 @@ impl ServeConfig {
 }
 
 struct State {
-    wal: JobWal,
-    queue: QueueState,
-    /// Lines currently in the WAL file (replayed + appended since), the
-    /// quantity the size-triggered compaction compares to the canonical
-    /// replay size.
-    wal_lines: usize,
+    queue: JobQueue,
     /// Jobs a shard adopted in this process (status display only; a
     /// crash resets this, and the replayed queue makes them pending
     /// again, which is exactly their recovery state).
     running: std::collections::BTreeSet<u64>,
-    /// Drain flag: set by a `shutdown` request or SIGTERM. Submissions
-    /// are answered [`Response::Draining`], workers exit after their
-    /// current step (checkpoints are per-round, so nothing is lost), and
-    /// the accept loop stops.
+    /// Drain flag: set by a `shutdown` request, SIGTERM, or a failed
+    /// worker-side commit. Submissions are answered
+    /// [`Response::Draining`], workers exit after their current step
+    /// (checkpoints are per-round, so nothing is lost), and the accept
+    /// loop stops.
     draining: bool,
 }
 
 impl State {
-    fn append(&mut self, record: &JobRecord) -> std::io::Result<()> {
-        self.wal.append(record)?;
-        self.wal_lines += 1;
-        Ok(())
-    }
-
     /// Compacts the WAL when it exceeds its canonical size by more than
-    /// `slack` lines. Claims are observability-only and dropped by the
-    /// canonical form, so the in-memory ones are cleared to keep
-    /// replay-of-file and in-memory state aligned.
+    /// `slack` lines.
     fn compact_if_oversized(&mut self, slack: usize) {
-        let canonical = self.queue.canonical_len();
-        if self.wal_lines <= canonical + slack {
+        if self.queue.wal_lines() <= self.queue.state().canonical_len() + slack {
             return;
         }
-        match self.wal.compact(&self.queue) {
-            Ok(lines) => {
-                self.wal_lines = lines;
-                self.queue.claims.clear();
-            }
-            Err(e) => eprintln!("[felix-serve] WAL compaction failed: {e}"),
+        if let Err(e) = self.queue.compact() {
+            eprintln!("[felix-serve] WAL compaction failed: {e}");
         }
     }
 }
@@ -186,33 +177,17 @@ impl Server {
     /// Returns any I/O error from the data directory, WAL, or socket.
     pub fn start(config: &ServeConfig) -> std::io::Result<Server> {
         std::fs::create_dir_all(&config.data_dir)?;
-        let mut wal = JobWal::open(config.data_dir.join(WAL_FILE))?;
-        let records = wal.read_records()?;
-        let mut wal_lines = records.len();
-        let queue = QueueState::replay(&records);
+        let queue = JobQueue::open(config.data_dir.join(WAL_FILE))?;
+        let mut state =
+            State { queue, running: std::collections::BTreeSet::new(), draining: false };
         // Startup compaction: replay already paid the cost of the stale
         // lines; rewrite so the next startup doesn't. Atomic, so a crash
         // mid-compaction leaves either log, both replaying identically.
-        let mut queue = queue;
-        if wal_lines > queue.canonical_len() {
-            match wal.compact(&queue) {
-                Ok(lines) => {
-                    wal_lines = lines;
-                    queue.claims.clear();
-                }
-                Err(e) => eprintln!("[felix-serve] startup WAL compaction failed: {e}"),
-            }
-        }
+        state.compact_if_oversized(0);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                wal,
-                queue,
-                wal_lines,
-                running: std::collections::BTreeSet::new(),
-                draining: false,
-            }),
+            state: Mutex::new(state),
             work: Condvar::new(),
             data_dir: config.data_dir.clone(),
             n_shards: config.shards.max(1),
@@ -257,8 +232,13 @@ impl Server {
 
 fn request_shutdown(shared: &Shared) {
     shared.lock().draining = true;
+    wake_all(shared);
+}
+
+/// Gets every thread to look at the drain flag: parked workers off the
+/// condvar, the accept loop out of `accept()` with a throwaway connection.
+fn wake_all(shared: &Shared) {
     shared.work.notify_all();
-    // Wake the accept loop out of `accept()` with a throwaway connection.
     drop(TcpStream::connect(shared.addr));
 }
 
@@ -305,18 +285,17 @@ enum Disposal {
 /// the clock. Quarantine outranks cancel — both are terminal, and the
 /// quarantine path is the only one guaranteed never to touch the job's
 /// crash-prone optimizer.
-fn disposal_for(st: &State, job: &SubmittedJob, now_ms: u64) -> Option<Disposal> {
-    if let Some(&crashes) = st.queue.crash_counts.get(&job.job_id) {
+fn disposal_for(queue: &QueueState, job: &SubmittedJob, now_ms: u64) -> Option<Disposal> {
+    if let Some(&crashes) = queue.crash_counts.get(&job.job_id) {
         if crashes >= QUARANTINE_CRASHES {
             return Some(Disposal::Quarantine(crashes));
         }
     }
-    if st.queue.cancel_requested.contains(&job.job_id) {
+    if queue.cancel_requested.contains(&job.job_id) {
         return Some(Disposal::Cancel);
     }
     let deadline = job_deadline_ms(job)?;
-    // Jobs from pre-deadline WAL lines have no timestamp to anchor to.
-    if job.submitted_at_ms > 0 && now_ms.saturating_sub(job.submitted_at_ms) >= deadline {
+    if now_ms.saturating_sub(job.submitted_at_ms) >= deadline {
         return Some(Disposal::Expire);
     }
     None
@@ -351,13 +330,14 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     sweep: BTreeMap::new(),
                 };
                 let mut watch_deadline = false;
-                for job in st.queue.pending() {
+                let queue = st.queue.state();
+                for job in queue.pending() {
                     if !shard.owns(job.job_id) {
                         continue;
                     }
                     watch_deadline |= job_deadline_ms(job).is_some();
                     if shard.is_active(job.job_id) {
-                        match disposal_for(&st, job, now) {
+                        match disposal_for(queue, job, now) {
                             Some(Disposal::Cancel) => {
                                 plan.sweep.insert(job.job_id, JobOutcome::Cancelled);
                             }
@@ -373,7 +353,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     if st.running.contains(&job.job_id) {
                         continue;
                     }
-                    match disposal_for(&st, job, now) {
+                    match disposal_for(queue, job, now) {
                         Some(d) => plan.dispose.push((job.clone(), d)),
                         None if capacity > 0 => {
                             capacity -= 1;
@@ -387,14 +367,15 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     || !plan.sweep.is_empty()
                     || shard.has_active();
                 if busy {
-                    for job in &plan.adopt {
-                        st.running.insert(job.job_id);
+                    // An unclaimed job is not adopted: it stays pending.
+                    plan.adopt.retain(|job| {
                         let claim = JobRecord::Claimed { job_id: job.job_id, shard: index };
-                        if let Err(e) = st.append(&claim) {
-                            eprintln!("[felix-serve] claim append failed: {e}");
+                        let claimed = commit_or_drain(shared, &mut st, "claim", &claim);
+                        if claimed {
+                            st.running.insert(job.job_id);
                         }
-                        st.queue.claims.insert(job.job_id, index);
-                    }
+                        claimed
+                    });
                     break plan;
                 }
                 // Park. Deadlines expire on the clock, not on a condvar
@@ -439,27 +420,28 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     }
 }
 
-/// Appends a terminal record (the result document is already durable),
-/// folds it into the live queue, and compacts the WAL if it has grown
-/// past its slack.
+/// Commits a worker-side transition (claim, terminal, crash count).
+/// There is no client to hand a failure to, so the append-failure policy
+/// lives here: report it, leave the job where it was, and start a drain —
+/// a daemon that cannot log must not admit or run anything more. Returns
+/// whether the record landed.
+fn commit_or_drain(shared: &Shared, st: &mut State, what: &str, record: &JobRecord) -> bool {
+    let Err(e) = st.queue.commit(record) else { return true };
+    eprintln!(
+        "[felix-serve] {what} append for job {:016x} failed, draining: {e}",
+        record.job_id()
+    );
+    st.draining = true;
+    wake_all(shared);
+    false
+}
+
+/// Commits a terminal record (the result document is already durable) and
+/// compacts the WAL if it has grown past its slack.
 fn complete(shared: &Shared, record: JobRecord) {
-    let JobRecord::Finished { job_id, outcome, rounds, latency_ms, ref result } = record
-    else {
-        unreachable!("complete() only takes terminal records");
-    };
     let mut st = shared.lock();
-    if let Err(e) = st.append(&record) {
-        eprintln!("[felix-serve] terminal append failed: {e}");
-    }
-    st.queue.terminal.entry(job_id).or_insert_with(|| TerminalJob {
-        outcome,
-        rounds,
-        latency_ms,
-        result: result.clone(),
-    });
-    st.queue.cancel_requested.remove(&job_id);
-    st.queue.crash_counts.remove(&job_id);
-    st.running.remove(&job_id);
+    commit_or_drain(shared, &mut st, "terminal", &record);
+    st.running.remove(&record.job_id());
     st.compact_if_oversized(shared.compact_slack);
 }
 
@@ -468,15 +450,14 @@ fn complete(shared: &Shared, record: JobRecord) {
 /// it reaches the quarantine threshold.
 fn record_crash(shared: &Shared, job_id: u64) {
     let mut st = shared.lock();
-    let count = st.queue.crash_counts.get(&job_id).copied().unwrap_or(0) + 1;
-    if let Err(e) = st.append(&JobRecord::CrashCounted { job_id, count }) {
-        eprintln!("[felix-serve] crash-count append failed: {e}");
+    let count = st.queue.state().crash_counts.get(&job_id).copied().unwrap_or(0) + 1;
+    let record = JobRecord::CrashCounted { job_id, count };
+    if commit_or_drain(shared, &mut st, "crash-count", &record) {
+        eprintln!(
+            "[felix-serve] job {job_id:016x} crash {count}/{QUARANTINE_CRASHES} recorded"
+        );
     }
-    st.queue.crash_counts.insert(job_id, count);
     st.running.remove(&job_id);
-    eprintln!(
-        "[felix-serve] job {job_id:016x} crash {count}/{QUARANTINE_CRASHES} recorded"
-    );
 }
 
 fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) {
@@ -536,14 +517,15 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
             if st.draining {
                 return Response::Draining;
             }
-            let live = st.queue.live();
+            let queue = st.queue.state();
+            let live = queue.live();
             if live >= shared.max_queue_depth {
                 return Response::Busy {
                     live: live as u64,
                     limit: shared.max_queue_depth as u64,
                 };
             }
-            let tenant_live = st.queue.tenant_live(&tenant);
+            let tenant_live = queue.tenant_live(&tenant);
             if tenant_live >= shared.tenant_quota {
                 return Response::QuotaExceeded {
                     tenant,
@@ -551,27 +533,20 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
                     limit: shared.tenant_quota as u64,
                 };
             }
-            let job_id = st.queue.next_job_id();
-            let submitted_at_ms = now_ms();
-            let record = JobRecord::Submitted {
-                job_id,
-                tenant: tenant.clone(),
-                spec: spec.clone(),
-                submitted_at_ms,
-            };
-            // Durability before acknowledgment: the flush happens inside
-            // `append`; only then does the client hear `ack`.
-            if let Err(e) = st.append(&record) {
+            let job_id = queue.next_job_id();
+            let record = JobRecord::Submitted { job_id, tenant, spec, submitted_at_ms: now_ms() };
+            // Durability before acknowledgment: the line is in the WAL
+            // when `commit` returns; only then does the client hear `ack`.
+            if let Err(e) = st.queue.commit(&record) {
                 return Response::Error { message: format!("queue append failed: {e}") };
             }
-            st.queue.submitted.push(SubmittedJob { job_id, tenant, spec, submitted_at_ms });
             drop(st);
             shared.work.notify_all();
             Response::Ack { job_id }
         }
         Request::Status { job_id } => {
             let st = shared.lock();
-            let Some(job) = st.queue.job(job_id) else {
+            let Some(job) = st.queue.state().job(job_id) else {
                 return Response::Error { message: format!("unknown job {job_id:016x}") };
             };
             Response::JobStatus {
@@ -582,22 +557,21 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
         }
         Request::Cancel { job_id } => {
             let mut st = shared.lock();
-            let Some(job) = st.queue.job(job_id) else {
+            let queue = st.queue.state();
+            let Some(job) = queue.job(job_id) else {
                 return Response::Error { message: format!("unknown job {job_id:016x}") };
             };
             let tenant = job.tenant.clone();
             // Idempotent: already-terminal and already-cancelling jobs
             // just report their state; only the first request hits the
             // WAL. Durability before acknowledgment, like submit.
-            if !st.queue.terminal.contains_key(&job_id)
-                && !st.queue.cancel_requested.contains(&job_id)
+            if !queue.terminal.contains_key(&job_id) && !queue.cancel_requested.contains(&job_id)
             {
-                if let Err(e) = st.append(&JobRecord::CancelRequested { job_id }) {
+                if let Err(e) = st.queue.commit(&JobRecord::CancelRequested { job_id }) {
                     return Response::Error {
                         message: format!("cancel append failed: {e}"),
                     };
                 }
-                st.queue.cancel_requested.insert(job_id);
             }
             let state = job_state(&st, job_id).to_string();
             drop(st);
@@ -606,10 +580,11 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
         }
         Request::Result { job_id } => {
             let st = shared.lock();
-            if st.queue.job(job_id).is_none() {
+            let queue = st.queue.state();
+            if queue.job(job_id).is_none() {
                 return Response::Error { message: format!("unknown job {job_id:016x}") };
             }
-            match st.queue.terminal.get(&job_id) {
+            match queue.terminal.get(&job_id) {
                 Some(done) => Response::JobResult { job_id, result: done.result.clone() },
                 None => Response::Error { message: format!("job {job_id:016x} not finished") },
             }
@@ -618,6 +593,7 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
             let st = shared.lock();
             let jobs = st
                 .queue
+                .state()
                 .submitted
                 .iter()
                 .map(|j| JobRow {
@@ -632,9 +608,10 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
 }
 
 fn job_state(st: &State, job_id: u64) -> &'static str {
-    if let Some(done) = st.queue.terminal.get(&job_id) {
+    let queue = st.queue.state();
+    if let Some(done) = queue.terminal.get(&job_id) {
         done.outcome.state()
-    } else if st.queue.cancel_requested.contains(&job_id) {
+    } else if queue.cancel_requested.contains(&job_id) {
         "cancelling"
     } else if st.running.contains(&job_id) {
         "running"

@@ -30,7 +30,7 @@ use felix::persist::STATE_FILE;
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::{job_priority, network_latency};
 use felix_records::jobs::{JobOutcome, SubmittedJob};
-use felix_records::{write_document, JobRecord, Json};
+use felix_records::{fnv1a, write_document, JobRecord, Json, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -59,11 +59,7 @@ pub fn result_path(data_dir: &Path, job_id: u64) -> PathBuf {
 /// of the exact tenant string next to a readable sanitized prefix, so
 /// distinct tenants never share a file even when sanitization collides.
 pub fn store_path(data_dir: &Path, tenant: &str) -> PathBuf {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in tenant.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = fnv1a(FNV_OFFSET, tenant.as_bytes());
     let prefix: String = tenant
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' })
@@ -432,4 +428,18 @@ fn result_document(job: &ActiveJob) -> Json {
         ("latency_ms", Json::f64_bits(network_latency(job.opt.tasks()))),
         ("kernels", Json::Arr(kernels)),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The store filename is an on-disk key: it must not move.
+    #[test]
+    fn store_path_is_stable() {
+        assert_eq!(
+            store_path(Path::new("/d"), "ac/me"),
+            PathBuf::from("/d/schedules/ac_me-008bd1380e923dcc.jsonl")
+        );
+    }
 }
