@@ -749,8 +749,7 @@ pub trait MeasurementSink {
     fn record(&mut self, event: &MeasurementEvent<'_>);
 
     /// Called once per round whose health report is non-clean or changed a
-    /// sketch mode (fault-free rounds emit nothing, keeping their logs
-    /// byte-identical to pre-supervisor ones). Default: ignored.
+    /// sketch mode (fault-free rounds emit nothing). Default: ignored.
     fn record_health(&mut self, _event: &HealthEvent<'_>) {}
 }
 
@@ -958,20 +957,32 @@ pub fn tune_task_round_with_sink(
     if opts.update_model && !new_samples.is_empty() {
         let n_new = new_samples.len();
         task.samples.extend(new_samples);
-        // Fine-tune on a replay buffer (new measurements plus a window of
-        // history) so repeated tiny updates don't drift the model, with the
-        // epoch count scaled to the amount of new data so tools with
-        // different measurements-per-round apply the same total update
-        // strength per measurement.
-        let window = 192usize;
-        let start = task.samples.len().saturating_sub(window);
-        let epochs = ((opts.fine_tune_epochs * n_new).div_ceil(64)).max(1);
-        fine_tune(model, &task.samples[start..], epochs, opts.fine_tune_lr);
+        fine_tune_on_new_samples(model, &task.samples, n_new, opts);
         clock.charge_model_update(costs);
     }
     task.rounds += 1;
     proposer.note_measurement(&report);
     report
+}
+
+/// The cost-model update after `n_new` samples joined the end of `samples`
+/// — a live round's measurements, or a record log's replayed ones (the one
+/// rule both apply, so warm-start replay cannot drift from live tuning).
+/// Fine-tunes on a replay buffer (the new samples plus a window of history)
+/// so repeated tiny updates don't drift the model, with the epoch count
+/// scaled to the amount of new data so tools with different
+/// measurements-per-round apply the same total update strength per
+/// measurement.
+pub fn fine_tune_on_new_samples(
+    model: &mut Mlp,
+    samples: &[Sample],
+    n_new: usize,
+    opts: &TuneOptions,
+) {
+    const REPLAY_WINDOW: usize = 192;
+    let start = samples.len().saturating_sub(REPLAY_WINDOW);
+    let epochs = ((opts.fine_tune_epochs * n_new).div_ceil(64)).max(1);
+    fine_tune(model, &samples[start..], epochs, opts.fine_tune_lr);
 }
 
 /// A point on a tuning curve: simulated seconds vs. network latency in ms.

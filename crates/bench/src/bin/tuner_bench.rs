@@ -7,16 +7,17 @@
 //! produced bit-identical candidates** — the determinism guarantee the
 //! parallel tuner is built around (see DESIGN.md). The tape section always
 //! asserts bitwise equality between the batched tape, batch-of-one tape,
-//! and pool objective paths at batch sizes spanning every SIMD lane
-//! remainder; `TUNER_BENCH_SMOKE=1` runs only those asserts (CI mode, no
-//! timing claims), while the default timed mode additionally requires the
-//! tape to beat the pool reference by >= 6x at the production batch of 16
-//! on the dense-512 sketch and writes `BENCH_tape.json` to the results
-//! directory (`results/` by default; `--out-dir` / `FELIX_BENCH_DIR`
-//! override).
+//! and pool objective paths at batch sizes on both sides of the
+//! compile-time lane counts; `TUNER_BENCH_SMOKE=1` runs only those asserts
+//! (CI mode, no timing claims), while the default timed mode additionally
+//! times the tape's forward+reverse per seed at batch widths 1/4/7/8/13/16
+//! (reported, never asserted), requires the tape to beat the pool reference
+//! by >= 6x at the production batch of 16 on the dense-512 sketch, and
+//! writes `BENCH_tape.json` to the results directory (`results/` by
+//! default; `--out-dir` / `FELIX_BENCH_DIR` override).
 
 use felix::parallel::effective_threads;
-use felix::{EvalScratch, FelixOptions, GradientProposer, SketchObjective, SupervisorOptions};
+use felix::{EvalScratch, FelixOptions, GradientProposer, SketchObjective};
 use felix_ansor::{Proposer, SearchTask, TunerStats};
 use felix_bench::{cached_model, write_result, Scale};
 use felix_cost::MlpScratch;
@@ -31,9 +32,9 @@ use std::time::Instant;
 /// Builds the dense-512 objective (the paper's flagship single subgraph) and
 /// compares the compiled tape against the pool-walking reference oracle.
 ///
-/// Always on: a SIMD-parity sweep over batch sizes spanning every lane
-/// remainder (1, 7, 8, 9, 16, 17 around the monomorphized widths 2/4/8/16)
-/// asserting that the batched production path — transposed feature seeding,
+/// Always on: a parity sweep over batch sizes 1, 7, 8, 9, 16, 17 (both the
+/// compile-time lane counts and the run-time ones around them) asserting
+/// that the batched production path — transposed feature seeding,
 /// batched penalty seeding, fused reverse sweep — is bit-identical per lane
 /// to both the batch-of-one tape path and the pool-walking oracle. In timed
 /// mode the tape must additionally beat the pool by >= 6x per point at the
@@ -106,28 +107,32 @@ fn tape_bench(model: &felix_cost::Mlp, mlp_us: [f64; 4], smoke: bool) {
 
     // Timing: expression sweeps only — the MLP call is identical in both
     // paths, so a fixed (score, dscore) isolates the expr-side cost. The
-    // tape side runs the production descent recipe (batch 16, transposed
-    // feature seeding, batched penalty seeding); best-of-N with pool and
-    // tape trials interleaved is robust to preemption on a shared box.
+    // tape side runs the production descent recipe (transposed feature
+    // seeding, batched penalty seeding) at each of `TAPE_WIDTHS`; best-of-N
+    // with the pool and every width interleaved inside each trial is
+    // robust to preemption and drift on a shared box.
     let batch = 16usize;
     let points: Vec<Vec<f64>> = (0..batch)
         .map(|_| (0..obj.n_vars()).map(|_| rng.gen_range(0.3..3.5)).collect())
         .collect();
-    let feat_cols: Vec<usize> = (0..batch).collect();
-    let mut feat_buf = vec![0.0; obj.n_feats() * batch];
     let (score, dscore) = {
         let (_, feats) = obj.eval_feats_pool(&points[0]);
         model.input_gradient(&feats)
     };
-    // Fixed dscore broadcast into the feature-major layout the production
-    // seeding path consumes (`[k * batch + lane]`).
-    let mut dscore_t = vec![0.0; obj.n_feats() * batch];
-    for (k, row) in dscore_t.chunks_exact_mut(batch).enumerate() {
-        row.fill(dscore[k]);
-    }
     let (trials, reps) = if smoke { (2, 2) } else { (40, 50) };
     let mut pool_pp = f64::INFINITY;
-    let mut tape_pp = f64::INFINITY;
+    let mut tape_us = [f64::INFINITY; TAPE_WIDTHS.len()];
+    let cols: Vec<usize> = (0..batch).collect();
+    // Per width: the feature buffer, and the fixed dscore broadcast into
+    // the feature-major layout the production seeding path consumes
+    // (`[k * w + lane]`).
+    let mut bufs = TAPE_WIDTHS.map(|w| {
+        let mut dscore_t = vec![0.0; obj.n_feats() * w];
+        for (k, row) in dscore_t.chunks_exact_mut(w).enumerate() {
+            row.fill(dscore[k]);
+        }
+        (vec![0.0; obj.n_feats() * w], dscore_t)
+    });
     for _ in 0..trials {
         let pool_start = Instant::now();
         for _ in 0..reps {
@@ -137,35 +142,52 @@ fn tape_bench(model: &felix_cost::Mlp, mlp_us: [f64; 4], smoke: bool) {
             }
         }
         pool_pp = pool_pp.min(pool_start.elapsed().as_secs_f64() / (reps * batch) as f64);
-        let tape_start = Instant::now();
-        for _ in 0..reps {
-            obj.begin_batch(&mut scratch, batch);
-            for (lane, y) in points.iter().enumerate() {
-                obj.set_lane(&mut scratch, lane, y);
+        for ((&w, (feat_buf, dscore_t)), best) in
+            TAPE_WIDTHS.iter().zip(&mut bufs).zip(&mut tape_us)
+        {
+            let feat_cols = &cols[..w];
+            let tape_start = Instant::now();
+            for _ in 0..reps {
+                obj.begin_batch(&mut scratch, w);
+                for (lane, y) in points[..w].iter().enumerate() {
+                    obj.set_lane(&mut scratch, lane, y);
+                }
+                obj.forward_batch(&mut scratch);
+                obj.write_feats_cols(&mut scratch, feat_cols, w, feat_buf, |_, ok| {
+                    std::hint::black_box(ok);
+                });
+                std::hint::black_box(&feat_buf);
+                obj.seed_feats_cols(&mut scratch, feat_cols, w, dscore_t);
+                obj.seed_penalties_all(&mut scratch, 1.0, |_, p, _| {
+                    std::hint::black_box(p);
+                });
+                obj.backward_batch(&mut scratch);
+                for lane in 0..w {
+                    obj.grad_lane(&scratch, lane, &mut grad);
+                    std::hint::black_box(&grad);
+                }
             }
-            obj.forward_batch(&mut scratch);
-            obj.write_feats_cols(&mut scratch, &feat_cols, batch, &mut feat_buf, |_, ok| {
-                std::hint::black_box(ok);
-            });
-            std::hint::black_box(&feat_buf);
-            obj.seed_feats_cols(&mut scratch, &feat_cols, batch, &dscore_t);
-            obj.seed_penalties_all(&mut scratch, 1.0, |_, p, _| {
-                std::hint::black_box(p);
-            });
-            obj.backward_batch(&mut scratch);
-            for lane in 0..batch {
-                obj.grad_lane(&scratch, lane, &mut grad);
-                std::hint::black_box(&grad);
-            }
+            let us = tape_start.elapsed().as_secs_f64() * 1e6 / (reps * w) as f64;
+            *best = best.min(us);
         }
-        tape_pp = tape_pp.min(tape_start.elapsed().as_secs_f64() / (reps * batch) as f64);
     }
+    let [.., tape_us_at_batch] = tape_us;
+    let tape_pp = tape_us_at_batch * 1e-6;
     let speedup = pool_pp / tape_pp;
     println!(
         "  forward+reverse: pool {:>9.1} µs/pt   tape {:>9.1} µs/pt   ({speedup:.2}x, {batch} lanes)",
         pool_pp * 1e6,
         tape_pp * 1e6
     );
+    println!("  tape forward+reverse, µs per seed by batch width:");
+    for (w, us) in TAPE_WIDTHS.iter().zip(&tape_us) {
+        println!("    width {w:<2}  {us:>6.2}");
+    }
+    let tape_fields: String = TAPE_WIDTHS
+        .iter()
+        .zip(&tape_us)
+        .map(|(w, us)| format!("  \"tape_fwd_bwd_us_per_seed_n{w}\": {us:.3},\n"))
+        .collect();
     // A whole descent step is the tape sweeps plus the cost model's input
     // gradient at the same batch; `tape_steps_per_sec` alone leaves the
     // larger half out.
@@ -179,7 +201,7 @@ fn tape_bench(model: &felix_cost::Mlp, mlp_us: [f64; 4], smoke: bool) {
     write_result(
         "BENCH_tape.json",
         &format!(
-            "{{\n  \"pool_nodes\": {pool_nodes},\n  \"tape_nodes\": {tape_nodes},\n  \"batch\": {batch},\n  \"tape_compile_ms\": {:.3},\n  \"pool_steps_per_sec\": {:.1},\n  \"tape_steps_per_sec\": {:.1},\n{mlp_fields}  \"descent_steps_per_sec_with_mlp\": {:.1},\n  \"speedup\": {:.3},\n  \"smoke\": {smoke}\n}}\n",
+            "{{\n  \"pool_nodes\": {pool_nodes},\n  \"tape_nodes\": {tape_nodes},\n  \"batch\": {batch},\n  \"tape_compile_ms\": {:.3},\n  \"pool_steps_per_sec\": {:.1},\n  \"tape_steps_per_sec\": {:.1},\n{tape_fields}{mlp_fields}  \"descent_steps_per_sec_with_mlp\": {:.1},\n  \"speedup\": {:.3},\n  \"smoke\": {smoke}\n}}\n",
             obj.tape_compile_s * 1e3,
             1.0 / pool_pp,
             1.0 / tape_pp,
@@ -195,80 +217,10 @@ fn tape_bench(model: &felix_cost::Mlp, mlp_us: [f64; 4], smoke: bool) {
     }
 }
 
-/// Supervised vs unsupervised descent on the healthy path. The candidate
-/// sets must be bit-identical in every mode (supervision observes a healthy
-/// descent, it never perturbs one) — the one assert. Timed mode records
-/// both modes' descent time, min and median of nine with the spread, in
-/// `BENCH_supervision.json`; the difference sits inside run-to-run noise
-/// (it has read from -3% to +3% on one binary), so it is reported, not
-/// asserted.
-fn supervision_bench(search: &SearchTask, model: &felix_cost::Mlp, smoke: bool) {
-    let (n_seeds, n_steps, rounds) = if smoke { (4, 30, 1) } else { (8, 120, 2) };
-    // Times only the Adam descent loop (via `TunerStats`): supervision
-    // lives entirely inside it, and the rest of `propose` (tape compile,
-    // candidate ranking, neighbor scoring) is identical in both modes —
-    // including it would just add noise around the measured quantity.
-    let run = |enabled: bool| -> (Vec<(usize, Vec<f64>)>, f64) {
-        let mut prop = GradientProposer::new(FelixOptions {
-            n_seeds,
-            n_steps,
-            threads: 1,
-            supervisor: SupervisorOptions { enabled, ..Default::default() },
-            ..Default::default()
-        });
-        let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let mut cands = Vec::new();
-        for _ in 0..rounds {
-            cands.extend(prop.propose(search, model, 16, &mut clock, &costs, &mut rng));
-        }
-        let descent_s = prop
-            .take_stats()
-            .iter()
-            .map(|s| s.grad_steps as f64 / s.steps_per_sec)
-            .sum();
-        (cands, descent_s)
-    };
-    let (c_off, _) = run(false);
-    let (c_on, _) = run(true);
-    assert_eq!(c_on, c_off, "supervision must be invisible on a healthy run");
-    println!("\nsupervision: healthy-path candidates bit-identical (on vs off)");
-    if smoke {
-        return;
-    }
-    // Nine runs per mode, interleaved so machine drift (thermal, noisy
-    // neighbors) hits both modes alike.
-    let (mut off, mut on) = (Vec::new(), Vec::new());
-    for _ in 0..9 {
-        off.push(run(false).1);
-        on.push(run(true).1);
-    }
-    off.sort_by(f64::total_cmp);
-    on.sort_by(f64::total_cmp);
-    // Sorted: [0] is the min, [4] the median, [8] the max (the spread).
-    let mode = |t: &[f64]| {
-        format!("{{ \"min\": {:.6}, \"median\": {:.6}, \"max\": {:.6} }}", t[0], t[4], t[8])
-    };
-    let overhead = |i: usize| (on[i] - off[i]) / off[i];
-    println!(
-        "  descent medians of 9: off {:.3} s   on {:.3} s   overhead {:+.2}% (min-to-min {:+.2}%)",
-        off[4],
-        on[4],
-        overhead(4) * 100.0,
-        overhead(0) * 100.0
-    );
-    write_result(
-        "BENCH_supervision.json",
-        &format!(
-            "{{\n  \"trials\": 9,\n  \"unsupervised_s\": {},\n  \"supervised_s\": {},\n  \"overhead_min\": {:.6},\n  \"overhead_median\": {:.6},\n  \"smoke\": {smoke}\n}}\n",
-            mode(&off),
-            mode(&on),
-            overhead(0),
-            overhead(4)
-        ),
-    );
-}
+/// Batch widths the tape timing covers: the compile-time lane counts 4, 8
+/// and 16, and the run-time-count widths 1, 7 and 13 between them. The last
+/// entry is the production batch the pool comparison runs at.
+const TAPE_WIDTHS: [usize; 6] = [1, 4, 7, 8, 13, 16];
 
 /// Chunk widths the MLP microbenchmark times: 2 and 8 are what production
 /// descents hand the cost model (`cold_ops`, `tune_resnet50` on two
@@ -361,7 +313,6 @@ fn main() {
         weight: 1,
     };
     let search = SearchTask::from_task(&task, &sim);
-    supervision_bench(&search, &model, smoke);
     if smoke {
         println!("smoke mode: equivalence asserts passed; skipping timed sections");
         return;

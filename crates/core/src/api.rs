@@ -4,10 +4,10 @@ use crate::cache::ScheduleCache;
 use crate::gd::{FelixOptions, GradientProposer};
 use crate::persist::{self, CheckpointState, RecordLogSink};
 use felix_ansor::{
-    network_latency, tune_network_with_sink, MeasurementSink, NetworkTuneResult, Proposer,
-    SearchTask, TuneOptions, TunerStats,
+    fine_tune_on_new_samples, network_latency, tune_network_with_sink, MeasurementSink,
+    NetworkTuneResult, Proposer, SearchTask, TuneOptions, TunerStats,
 };
-use felix_cost::{fine_tune, generate_dataset, pretrain, Mlp, TrainConfig};
+use felix_cost::{generate_dataset, pretrain, Mlp, TrainConfig};
 use felix_graph::{partition, Graph, Task};
 use felix_ansor::MeasurePolicy;
 use felix_sim::clock::ClockCosts;
@@ -133,16 +133,6 @@ impl Optimizer {
         self
     }
 
-    /// Overrides the descent-supervision options
-    /// ([`crate::health::SupervisorOptions`]): seed health monitoring,
-    /// deterministic restarts, panic isolation, and degradation to the
-    /// evolutionary fallback. Supervision is on by default with thresholds
-    /// a healthy run never trips.
-    pub fn with_supervisor(mut self, supervisor: crate::health::SupervisorOptions) -> Self {
-        self.proposer.options.supervisor = supervisor;
-        self
-    }
-
     /// Attaches a durable tuning-record log at `path`. Existing records
     /// matching this optimizer's tasks (by workload key + device) are
     /// replayed into the search state first — rebuilding each task's
@@ -166,12 +156,12 @@ impl Optimizer {
         for task in &mut self.tasks {
             let n_new = persist::replay_records(task, &records, device);
             if n_new > 0 {
-                // Same replay-window / epoch-scaling / learning-rate rule as
-                // `tune_task_round`'s post-measurement update.
-                let window = 192usize;
-                let start = task.samples.len().saturating_sub(window);
-                let epochs = ((5 * n_new).div_ceil(64)).max(1);
-                fine_tune(&mut self.model, &task.samples[start..], epochs, 4e-4);
+                fine_tune_on_new_samples(
+                    &mut self.model,
+                    &task.samples,
+                    n_new,
+                    &TuneOptions::default(),
+                );
             }
         }
         self.sink = Some(RecordLogSink::open(path, device)?);
@@ -252,15 +242,6 @@ impl Optimizer {
     #[must_use]
     pub fn with_shared_tape_cache(mut self, cache: std::sync::Arc<crate::TapeCache>) -> Self {
         self.proposer = self.proposer.with_shared_tape_cache(cache);
-        self
-    }
-
-    /// Replaces the cost model with one pretrained elsewhere — typically a
-    /// transfer model from [`felix_cost::pretrain_transfer`] over other
-    /// tasks' record logs. Purely a different starting point for the same
-    /// deterministic fine-tuning; no search mechanics change.
-    pub fn with_transfer_model(mut self, model: Mlp) -> Self {
-        self.model = model;
         self
     }
 
@@ -404,10 +385,9 @@ impl Optimizer {
     /// Runs `n_total_rounds` rounds of tuning with `measure_per_round`
     /// hardware measurements each (Fig. 5's `optimize_all`).
     ///
-    /// With checkpointing enabled the rounds run one at a time so every
-    /// checkpoint lands on a round boundary; the per-round loop evolves the
-    /// search state identically to a single n-round call (the scheduler and
-    /// round pipeline carry no cross-call state).
+    /// The rounds run one at a time (the scheduler and round pipeline carry
+    /// no cross-call state), so with checkpointing enabled every publish
+    /// and checkpoint lands on a round boundary.
     pub fn optimize_all(
         &mut self,
         n_total_rounds: usize,
@@ -419,45 +399,38 @@ impl Optimizer {
             measure_policy: self.measure_policy,
             ..Default::default()
         };
-        let res = if self.checkpoint_dir.is_some() {
-            let mut acc = NetworkTuneResult {
-                curve: Vec::new(),
-                task_latencies: self.tasks.iter().map(|t| t.best_latency_ms).collect(),
-                final_latency_ms: network_latency(&self.tasks),
-                round_reports: Vec::new(),
-                unmeasured_tasks: self
-                    .tasks
-                    .iter()
-                    .filter(|t| t.best_latency_ms.is_infinite())
-                    .count(),
-            };
-            for i in 0..n_total_rounds {
-                let chunk = self.run_rounds(&opts, 1);
-                self.history.extend(chunk.curve.iter().copied());
-                acc.curve.extend(chunk.curve);
-                acc.task_latencies = chunk.task_latencies;
-                acc.final_latency_ms = chunk.final_latency_ms;
-                acc.round_reports.extend(chunk.round_reports);
-                acc.unmeasured_tasks = chunk.unmeasured_tasks;
-                self.rounds_done += 1;
-                // Publish on the same boundary as the checkpoint so a
-                // killed run leaves its incumbents in the store.
-                if let Some(cache) = &mut self.schedule_store {
-                    cache.publish(&self.tasks, self.sim.device.name);
-                }
-                if (i + 1) % self.checkpoint_every == 0 || i + 1 == n_total_rounds {
-                    if let Err(e) = self.save_checkpoint() {
-                        eprintln!("[felix] checkpoint write failed: {e}");
-                    }
+        let mut res = NetworkTuneResult {
+            curve: Vec::new(),
+            task_latencies: self.tasks.iter().map(|t| t.best_latency_ms).collect(),
+            final_latency_ms: network_latency(&self.tasks),
+            round_reports: Vec::new(),
+            unmeasured_tasks: self
+                .tasks
+                .iter()
+                .filter(|t| t.best_latency_ms.is_infinite())
+                .count(),
+        };
+        for i in 0..n_total_rounds {
+            let round = self.run_rounds(&opts, 1);
+            self.history.extend(round.curve.iter().copied());
+            res.curve.extend(round.curve);
+            res.task_latencies = round.task_latencies;
+            res.final_latency_ms = round.final_latency_ms;
+            res.round_reports.extend(round.round_reports);
+            res.unmeasured_tasks = round.unmeasured_tasks;
+            self.rounds_done += 1;
+            // Publish on the same boundary as the checkpoint so a killed
+            // run leaves its incumbents in the store.
+            if let (Some(_), Some(cache)) = (&self.checkpoint_dir, &mut self.schedule_store) {
+                cache.publish(&self.tasks, self.sim.device.name);
+            }
+            // (`save_checkpoint` is a no-op without `with_checkpointing`.)
+            if (i + 1) % self.checkpoint_every == 0 || i + 1 == n_total_rounds {
+                if let Err(e) = self.save_checkpoint() {
+                    eprintln!("[felix] checkpoint write failed: {e}");
                 }
             }
-            acc
-        } else {
-            let res = self.run_rounds(&opts, n_total_rounds);
-            self.history.extend(res.curve.iter().copied());
-            self.rounds_done += n_total_rounds;
-            res
-        };
+        }
         self.stats.extend(self.proposer.take_stats());
         if let Some(cache) = &mut self.schedule_store {
             cache.publish(&self.tasks, self.sim.device.name);

@@ -72,10 +72,9 @@ pub struct FelixOptions {
     pub threads: usize,
     /// Which rewriting stages to apply (ablation knob; all on by default).
     pub pipeline: PipelineOptions,
-    /// Descent supervision: per-seed health monitoring, deterministic
-    /// restarts, panic isolation, and graceful degradation. The defaults
-    /// never trip on a healthy run, so enabling supervision leaves
-    /// fault-free searches bit-identical.
+    /// Thresholds of the descent supervisor: per-seed health monitoring,
+    /// deterministic restarts, panic isolation, and graceful degradation.
+    /// The defaults never trip on a healthy run.
     pub supervisor: SupervisorOptions,
 }
 
@@ -231,14 +230,9 @@ fn score_candidates(
     .concat()
 }
 
-/// Runs `f`, catching panics when supervision is `enabled` (returning
-/// `false` on a caught panic). With supervision off, panics propagate
-/// exactly as before the supervisor existed.
-fn run_guarded(enabled: bool, f: impl FnOnce()) -> bool {
-    if !enabled {
-        f();
-        return true;
-    }
+/// Runs `f` inside the per-sketch panic-isolation boundary; `false` means
+/// a panic was caught.
+fn run_guarded(f: impl FnOnce()) -> bool {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_ok()
 }
 
@@ -285,12 +279,12 @@ fn restart_seed(
 /// trajectory snapshots (both in seed order), and the chunk's supervision
 /// counters.
 ///
-/// With supervision enabled, every step of every lane is health-checked
-/// (non-finite objective/gradient/tape roots, monotone divergence,
-/// gradient-norm clip) and each sketch group's tape work runs inside a
-/// panic-isolation boundary: a panicking sketch is poisoned — its lanes
-/// freeze and their feature rows zero-fill so the shared MLP batch keeps
-/// its shape — while every other sketch's descent continues untouched.
+/// Every step of every lane is health-checked (non-finite
+/// objective/gradient/tape roots, monotone divergence, gradient-norm clip)
+/// and each sketch group's tape work runs inside a panic-isolation
+/// boundary: a panicking sketch is poisoned — its lanes freeze and their
+/// feature rows zero-fill so the shared MLP batch keeps its shape — while
+/// every other sketch's descent continues untouched.
 /// `base` is the chunk's first global seed index (chunks are contiguous,
 /// so `base + i` is thread-count invariant), used to derive restart RNG
 /// substreams.
@@ -314,10 +308,8 @@ fn descend_chunk(
             None => groups.push((s.sketch, vec![i])),
         }
     }
-    if sup.enabled {
-        for (sk, lanes) in &groups {
-            health.sketch_mut(*sk).lanes += lanes.len();
-        }
+    for (sk, lanes) in &groups {
+        health.sketch_mut(*sk).lanes += lanes.len();
     }
     let mut poisoned = vec![false; groups.len()];
     let mut scratches: Vec<EvalScratch> = vec![EvalScratch::default(); groups.len()];
@@ -348,7 +340,7 @@ fn descend_chunk(
             }
             let obj = &objectives[*sk];
             let seeds_ro: &[Seed] = seeds;
-            let ok = run_guarded(sup.enabled, || {
+            let ok = run_guarded(|| {
                 if step == 0 && sup.inject_panic_sketch == Some(*sk) {
                     panic!("injected descent panic (sketch {sk})");
                 }
@@ -391,7 +383,7 @@ fn descend_chunk(
                 }
                 continue;
             }
-            let ok = run_guarded(sup.enabled, || {
+            let ok = run_guarded(|| {
                 for &i in lanes.iter() {
                     step_scores[i] = mlp_scores[i];
                 }
@@ -408,55 +400,50 @@ fn descend_chunk(
                 });
                 obj.backward_batch(scratch);
                 for (lane, &i) in lanes.iter().enumerate() {
-                    if sup.enabled && seeds[i].health.exhausted {
+                    if seeds[i].health.exhausted {
                         continue;
                     }
                     obj.grad_lane(scratch, lane, &mut grad);
-                    if sup.enabled {
-                        // Minimized objective: O = -score + λ·penalty. The
-                        // squared gradient norm doubles as the finiteness
-                        // probe (a NaN/Inf component poisons the sum) and
-                        // as the clip test below — one pass over the
-                        // gradient covers both.
-                        let obj_val = -step_scores[i] + pen[i];
-                        let norm_sq = grad.iter().map(|g| g * g).sum::<f64>();
-                        let finite = obj_val.is_finite()
-                            && norm_sq.is_finite()
-                            && feat_ok[i]
-                            && pen_ok[i];
-                        if !finite {
-                            health.nonfinite_events += 1;
-                            health.sketch_mut(*sk).events += 1;
-                            restart_seed(
-                                &mut seeds[i], task, objectives, &sup, opts.lr, salt,
-                                base + i, &mut health,
-                            );
-                            continue;
+                    // Minimized objective: O = -score + λ·penalty. The
+                    // squared gradient norm doubles as the finiteness probe
+                    // (a NaN/Inf component poisons the sum) and as the clip
+                    // test below — one pass over the gradient covers both.
+                    let obj_val = -step_scores[i] + pen[i];
+                    let norm_sq = grad.iter().map(|g| g * g).sum::<f64>();
+                    let finite =
+                        obj_val.is_finite() && norm_sq.is_finite() && feat_ok[i] && pen_ok[i];
+                    if !finite {
+                        health.nonfinite_events += 1;
+                        health.sketch_mut(*sk).events += 1;
+                        restart_seed(
+                            &mut seeds[i], task, objectives, &sup, opts.lr, salt,
+                            base + i, &mut health,
+                        );
+                        continue;
+                    }
+                    if seeds[i].health.note_objective(
+                        obj_val, sup.window, sup.divergence_min_rise,
+                    ) {
+                        health.divergence_events += 1;
+                        health.sketch_mut(*sk).events += 1;
+                        restart_seed(
+                            &mut seeds[i], task, objectives, &sup, opts.lr, salt,
+                            base + i, &mut health,
+                        );
+                        continue;
+                    }
+                    let clip = if modes[*sk] == SketchMode::ClippedGradient {
+                        sup.clipped_grad_clip
+                    } else {
+                        sup.grad_clip
+                    };
+                    if norm_sq > clip * clip {
+                        let scale = clip / norm_sq.sqrt();
+                        for g in &mut grad {
+                            *g *= scale;
                         }
-                        if seeds[i].health.note_objective(
-                            obj_val, sup.window, sup.divergence_min_rise,
-                        ) {
-                            health.divergence_events += 1;
-                            health.sketch_mut(*sk).events += 1;
-                            restart_seed(
-                                &mut seeds[i], task, objectives, &sup, opts.lr, salt,
-                                base + i, &mut health,
-                            );
-                            continue;
-                        }
-                        let clip = if modes[*sk] == SketchMode::ClippedGradient {
-                            sup.clipped_grad_clip
-                        } else {
-                            sup.grad_clip
-                        };
-                        if norm_sq > clip * clip {
-                            let scale = clip / norm_sq.sqrt();
-                            for g in &mut grad {
-                                *g *= scale;
-                            }
-                            health.grad_clips += 1;
-                            health.sketch_mut(*sk).events += 1;
-                        }
+                        health.grad_clips += 1;
+                        health.sketch_mut(*sk).events += 1;
                     }
                     seeds[i].opt.step(&mut seeds[i].y, &grad);
                 }
@@ -475,11 +462,9 @@ fn descend_chunk(
         scores.push(step_scores);
         history.push(seeds.iter().map(|s| (s.sketch, s.y.clone())).collect());
     }
-    if sup.enabled {
-        for (sk, lanes) in &groups {
-            let ex = lanes.iter().filter(|&&i| seeds[i].health.exhausted).count();
-            health.sketch_mut(*sk).exhausted_lanes += ex;
-        }
+    for (sk, lanes) in &groups {
+        let ex = lanes.iter().filter(|&&i| seeds[i].health.exhausted).count();
+        health.sketch_mut(*sk).exhausted_lanes += ex;
     }
     (scores, history, health)
 }
@@ -528,21 +513,15 @@ impl Proposer for GradientProposer {
         // which sketches still descend by gradient. Sketches whose compiled
         // tape is pathological (non-finite at the neutral point) are routed
         // to the evolutionary fallback outright — descending them would only
-        // burn the restart budget. With supervision off the ladder is
-        // ignored and the loop is exactly the pre-supervisor search.
-        let modes: Vec<SketchMode> = if sup.enabled {
-            task.sketch_modes().to_vec()
-        } else {
-            vec![SketchMode::Gradient; task.sketches.len()]
-        };
-        let mut pathological: Vec<usize> = Vec::new();
-        if sup.enabled {
-            for (i, o) in objectives.iter().enumerate() {
-                if o.pathological && modes[i].uses_gradient() && !task.is_quarantined(i) {
-                    pathological.push(i);
-                }
-            }
-        }
+        // burn the restart budget.
+        let modes = task.sketch_modes();
+        let pathological: Vec<usize> = (0..objectives.len())
+            .filter(|&i| {
+                objectives[i].pathological
+                    && modes[i].uses_gradient()
+                    && !task.is_quarantined(i)
+            })
+            .collect();
 
         // --- Seed initialization -------------------------------------------
         // Warm-start half the seeds from the best schedules measured in
@@ -555,8 +534,7 @@ impl Proposer for GradientProposer {
         // degraded sketches (evolutionary mode or pathological tape) are
         // skipped by warm starts and exploration slots. With nothing
         // quarantined or degraded the gradient-eligible list is the identity
-        // permutation, so every RNG draw matches the supervision-unaware
-        // search bit for bit.
+        // permutation.
         let active = task.active_sketches();
         let gd_active: Vec<usize> = active
             .iter()
@@ -680,7 +658,7 @@ impl Proposer for GradientProposer {
                 task,
                 &packed,
                 &opts,
-                &modes,
+                modes,
                 salt,
                 ci * chunk_size,
                 &mut chunk_seeds,
@@ -708,7 +686,7 @@ impl Proposer for GradientProposer {
             merged.merge(h);
         }
         let mut deadline_overrun = 0.0;
-        if sup.enabled && descent_s > sup.deadline_s {
+        if descent_s > sup.deadline_s {
             deadline_overrun = descent_s - sup.deadline_s;
             clock.advance(deadline_overrun);
         }
@@ -828,8 +806,7 @@ impl Proposer for GradientProposer {
         };
         // Degraded sketches get a proportional slice of the measurement
         // budget, filled by the evolutionary fallback below; with nothing
-        // degraded the gradient path keeps the whole budget (n_gd == n) and
-        // the selection is exactly the supervision-unaware one.
+        // degraded the gradient path keeps the whole budget (n_gd == n).
         let n_evo = if evo_active.is_empty() {
             0
         } else {

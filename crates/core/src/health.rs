@@ -18,10 +18,10 @@
 //!   scaled down (a trust region on the step, not a restart).
 //! - **Deterministic restarts** — a restarted seed redraws its starting
 //!   point from a dedicated RNG substream derived by pure hashing
-//!   ([`restart_stream`]), never from the master RNG, so healthy seeds'
-//!   streams — and entire fault-free runs — stay bit-identical to an
-//!   unsupervised search. Each restart shrinks the seed's Adam learning
-//!   rate by [`SupervisorOptions::trust_backoff`] (trust-region backoff).
+//!   ([`restart_stream`]), never from the master RNG, so a restart never
+//!   shifts a healthy seed's stream. Each restart shrinks the seed's Adam
+//!   learning rate by [`SupervisorOptions::trust_backoff`] (trust-region
+//!   backoff).
 //! - **Exhaustion** — a seed that burns through
 //!   [`SupervisorOptions::restart_budget`] restarts is frozen; a sketch
 //!   whose seeds are all frozen escalates one rung down the degradation
@@ -33,14 +33,11 @@
 
 use felix_records::{fnv1a, FNV_OFFSET};
 
-/// Knobs of the descent supervisor. The defaults are chosen so a healthy
-/// run never trips any of them: supervision is then observation-only and
-/// the search stays bit-identical to an unsupervised run.
+/// Thresholds of the descent supervisor. The defaults are chosen so a
+/// healthy run never trips any of them: supervision is then
+/// observation-only.
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorOptions {
-    /// Master switch. `false` restores the exact pre-supervisor loop (no
-    /// health checks, no restarts, no clipping).
-    pub enabled: bool,
     /// Consecutive monotonically-rising objective steps before a seed is
     /// considered diverging.
     pub window: usize,
@@ -70,7 +67,6 @@ pub struct SupervisorOptions {
 impl Default for SupervisorOptions {
     fn default() -> Self {
         SupervisorOptions {
-            enabled: true,
             window: 16,
             divergence_min_rise: 1e4,
             grad_clip: 1e8,

@@ -40,7 +40,7 @@ pub mod tape;
 
 pub use autodiff::{GradError, Gradients};
 pub use compile::CompiledExprs;
-pub use tape::{CompiledGradTape, SIMD_LANES};
+pub use tape::CompiledGradTape;
 pub use display::DisplayExpr;
 pub use factor::{factors, round_to_factor};
 pub use smooth::{is_smooth, smooth_all, smooth_expr};

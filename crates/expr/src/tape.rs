@@ -40,21 +40,23 @@
 use crate::autodiff::GradError;
 use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, UnOp, VarId};
 
-/// Primary SIMD lane width of the batched kernels: the default seed-group
-/// width of the descent loop, and one AVX-512 vector (or two AVX2 ops) of
-/// f64. Batches of exactly this width (and the other widths in
-/// [`WIDE_BATCH_WIDTHS`]) run monomorphized kernels whose rows are
-/// `[f64; W]` arrays — no per-lane bounds checks or index arithmetic, so
-/// the cheap ops lower to packed vector code. Lanes run across *samples*
-/// of the SoA batch, never within one sample's accumulation order, so the
-/// kernel width can never change a result bit: every other batch size
-/// falls back to the scalar-loop reference path, which computes the same
-/// per-lane expressions in the same order.
-pub const SIMD_LANES: usize = 8;
-
-/// Batch widths with a dedicated monomorphized SIMD kernel; all other
-/// widths use the scalar-loop reference kernels (bit-identical per lane).
-pub const WIDE_BATCH_WIDTHS: [usize; 4] = [2, 4, 8, 16];
+/// Lane count of one batched sweep, for a kernel instantiated at `W`. The
+/// widths the descent loop hands the tape most often (2/4/8/16 seeds of one
+/// sketch in a worker chunk) are compile-time constants, so the kernels'
+/// per-row lane loops unroll into packed vector code; `W = 0` reads the
+/// count from `batch` at run time and serves every other width, 1 included,
+/// through the *same* kernel bodies. Lanes run across *samples* of the SoA
+/// batch, never within one sample's accumulation order, so the lane count
+/// can never change a result bit.
+#[inline(always)]
+fn lane_count<const W: usize>(batch: usize) -> usize {
+    if W == 0 {
+        batch
+    } else {
+        debug_assert_eq!(batch, W);
+        W
+    }
+}
 
 /// One tape instruction; operands are tape slot indices.
 #[derive(Clone, Copy, Debug)]
@@ -97,16 +99,32 @@ impl Instr {
         }
     }
 
-    /// Small dense opcode tag (operation identity without operands), used
-    /// for grouping the instruction stream into same-opcode dispatch runs.
+    /// Small dense opcode tag (operation identity without operands): what
+    /// both kernels dispatch on, and what groups the forward stream into
+    /// same-opcode runs.
     fn opcode_tag(&self) -> u8 {
         match *self {
-            Instr::Const(_) => 0,
-            Instr::Var(_) => 1,
+            Instr::Const(_) => T_CONST,
+            Instr::Var(_) => T_VAR,
             Instr::Un(op, _) => 2 + op as u8,
             Instr::Bin(op, _, _) => 8 + op as u8,
-            Instr::Cmp(..) => 16,
-            Instr::Select(..) => 17,
+            Instr::Cmp(..) => T_CMP,
+            Instr::Select(..) => T_SELECT,
+        }
+    }
+
+    /// The instruction at `slot` as a packed `[out, a, b, c]` stream row:
+    /// operand slots in `a`/`b` (`Select`: cond/then/else in `a`/`b`/`c`),
+    /// the variable index in `a` for `Var`, the comparison op in `c` for
+    /// `Cmp`.
+    fn packed(&self, slot: u32) -> [u32; 4] {
+        match *self {
+            Instr::Const(_) => [slot, 0, 0, 0],
+            Instr::Var(v) => [slot, v, 0, 0],
+            Instr::Un(_, a) => [slot, a, 0, 0],
+            Instr::Bin(_, a, b) => [slot, a, b, 0],
+            Instr::Cmp(op, a, b) => [slot, a, b, op as u32],
+            Instr::Select(c, t, e) => [slot, c, t, e],
         }
     }
 
@@ -138,9 +156,8 @@ pub struct CompiledGradTape {
     /// 1 + the highest variable index read by any `Var` instruction.
     min_var_values: usize,
     /// Forward schedule: compute instructions regrouped by (DAG level,
-    /// opcode), packed as `[out, a, b, c]` slot rows (`c` doubles as the
-    /// comparison op for `Cmp`). Per-slot values are independent of
-    /// execution order (each slot is written once from already-final
+    /// opcode), as [`Instr::packed`] rows. Per-slot values are independent
+    /// of execution order (each slot is written once from already-final
     /// operands), so any topological order is bit-identical — grouping by
     /// opcode hoists the interpreter dispatch out of the per-instruction
     /// loop. The *backward* pass keeps original slot order: its adjoint
@@ -152,21 +169,21 @@ pub struct CompiledGradTape {
     fwd_consts: Vec<(u32, f64)>,
     /// Var loads (slot, var index), hoisted out of the scheduled stream.
     fwd_vars: Vec<(u32, u32)>,
-    /// Backward stream: the reverse sweep in original reverse slot order
-    /// (adjoint accumulation order is the bit-identity contract, so no
-    /// regrouping here), with constants filtered out (their backward is a
-    /// no-op) and alias / fast-track classification pre-resolved into the
-    /// tag so the kernel dispatches on a dense `u8` instead of re-deriving
-    /// it per instruction per sweep.
+    /// Backward stream: every instruction's opcode tag in original reverse
+    /// slot order (adjoint accumulation order is the bit-identity contract,
+    /// so no regrouping here). Constants stay in the stream although their
+    /// backward rule is a no-op: their adjoint rows *receive* operand
+    /// accumulations (`x * c` writes into `c`'s row), and the end-of-turn
+    /// re-zero is what returns those rows to zero for the next sweep.
     bwd_tags: Vec<u8>,
-    /// Packed operand rows for `bwd_tags`: `[out, a, b, c]` slot indices
-    /// (`B_VAR` stores the variable index in `a`; `B_SELECT` stores
-    /// cond/then/else in `a`/`b`/`c`).
+    /// [`Instr::packed`] rows for `bwd_tags`.
     bwd_ops: Vec<[u32; 4]>,
 }
 
-// Dense opcode tags (see `Instr::opcode_tag`), named so the scheduled
-// forward kernels can match on them as patterns.
+// Dense opcode tags (see `Instr::opcode_tag`), named so the kernels can
+// match on them as patterns.
+const T_CONST: u8 = 0;
+const T_VAR: u8 = 1;
 const T_NEG: u8 = 2 + UnOp::Neg as u8;
 const T_LOG: u8 = 2 + UnOp::Log as u8;
 const T_EXP: u8 = 2 + UnOp::Exp as u8;
@@ -182,38 +199,6 @@ const T_MAX: u8 = 8 + BinOp::Max as u8;
 const T_CMP: u8 = 16;
 const T_SELECT: u8 = 17;
 
-// Backward stream tags. Tags below `B_NEG` are the scan-free tracks:
-// Var/Add/Sub backward rules only ever `±=` the raw adjoint, and
-// accumulating a `±0.0` adjoint with `+=`/`-=` is a bitwise no-op
-// (accumulators start at `+0.0` and IEEE round-to-nearest sums from there
-// can never produce `-0.0`), so they run unconditionally — bit-identical
-// to the reference's zero-skip with no per-row scan. Every other rule
-// multiplies the adjoint (`0.0 · Inf → NaN` differs from skipping), so
-// tags at or above `B_SCANNED` keep the reference's per-row zero scan.
-const B_VAR: u8 = 0;
-const B_ADD: u8 = 1; // operands distinct
-const B_SUB: u8 = 2; // operands distinct
-const B_ADD_ALIAS: u8 = 3; // x + x
-const B_SUB_ALIAS: u8 = 4; // x - x
-const B_NEG: u8 = 5;
-const B_LOG: u8 = 6;
-const B_EXP: u8 = 7;
-const B_SQRT: u8 = 8;
-const B_ABS: u8 = 9;
-const B_MUL: u8 = 10; // operands distinct
-const B_DIV: u8 = 11; // operands distinct
-const B_MIN: u8 = 12; // operands distinct
-const B_MAX: u8 = 13; // operands distinct
-const B_CMP: u8 = 14;
-const B_SELECT: u8 = 15;
-/// Per-lane catch-all: `Pow`, and aliased `Mul`/`Div`/`Min`/`Max`.
-const B_GEN: u8 = 16;
-/// Constant slot: its backward rule is a no-op, but the slot still
-/// *receives* operand accumulations from the rules above, so it stays in
-/// the stream purely so the shared end-of-turn re-zero restores the
-/// zeroed-buffer invariant `backward_batch` relies on.
-const B_CONST: u8 = 17;
-
 fn cmp_op_from_u32(v: u32) -> CmpOp {
     match v {
         0 => CmpOp::Lt,
@@ -224,112 +209,119 @@ fn cmp_op_from_u32(v: u32) -> CmpOp {
     }
 }
 
+/// Row `slot` of a `[slot][lane]` buffer of `n`-lane rows.
+///
+/// # Safety
+///
+/// `base` must point at a live buffer of at least `(slot + 1) * n` values,
+/// and no `&mut` to any part of the row may be live while the result is.
+#[inline(always)]
+unsafe fn row<'a>(base: *const f64, slot: u32, n: usize) -> &'a [f64] {
+    unsafe { std::slice::from_raw_parts(base.add(slot as usize * n), n) }
+}
+
+/// Mutable [`row`].
+///
+/// # Safety
+///
+/// As [`row`], and no other reference to any part of the row may be live
+/// while the result is.
+#[inline(always)]
+unsafe fn row_mut<'a>(base: *mut f64, slot: u32, n: usize) -> &'a mut [f64] {
+    unsafe { std::slice::from_raw_parts_mut(base.add(slot as usize * n), n) }
+}
+
 /// `(any_zero, all_zero)` over an adjoint row, where "zero" means
 /// `x == 0.0` (so `±0.0` counts and `NaN` does not) — the reference's
-/// per-lane skip predicate. On AVX targets with `W % 4 == 0` this runs
-/// as packed compares + movemask (`_CMP_EQ_OQ` has exactly the `== 0.0`
-/// semantics); the scalar loop is the portable fallback and computes the
-/// identical flags.
+/// per-lane skip predicate. On AVX targets whole quads run as a packed
+/// compare + movemask (`_CMP_EQ_OQ` has exactly the `== 0.0` semantics);
+/// the scalar loop takes the remainder (or the whole row elsewhere) and
+/// computes the identical flags.
 #[inline(always)]
-fn row_zero_flags<const W: usize>(row: &[f64; W]) -> (bool, bool) {
+fn row_zero_flags(row: &[f64]) -> (bool, bool) {
+    let (mut any, mut all) = (false, true);
     #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
-    if W.is_multiple_of(4) {
+    let row = {
         use core::arch::x86_64::{
             _mm256_cmp_pd, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_setzero_pd,
             _CMP_EQ_OQ,
         };
-        let mut any = false;
-        let mut all = true;
-        for ch in row.chunks_exact(4) {
-            // SAFETY: the chunk is 4 f64s and AVX is compiled in (cfg
-            // above); unaligned load.
+        let (quads, rest) = row.as_chunks::<4>();
+        for q in quads {
+            // SAFETY: `q` is 4 f64s and AVX is compiled in (cfg above);
+            // unaligned load.
             let m = unsafe {
-                let v = _mm256_loadu_pd(ch.as_ptr());
+                let v = _mm256_loadu_pd(q.as_ptr());
                 _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(v, _mm256_setzero_pd()))
             };
             any |= m != 0;
             all &= m == 0xF;
         }
-        return (any, all);
-    }
-    let mut any = false;
-    let mut all = true;
+        rest
+    };
     for &x in row {
-        if x == 0.0 {
-            any = true;
-        } else {
-            all = false;
-        }
+        any |= x == 0.0;
+        all &= x == 0.0;
     }
     (any, all)
 }
 
-/// Per-lane reference fallback for binary backward rules: aliased
-/// operands (`ai == bi`), mixed-zero adjoint rows, and `Pow` (whose
-/// derivative needs `ln` and value-dependent branches). Zero lanes are
-/// skipped and each accumulation resolves one `&mut` lane at a time, so
-/// aliased operands stay ordered exactly like the scalar reference.
-///
-/// # Safety
-///
-/// `ai`, `bi` and `i` must be in-bounds row indices for `vrows`/`abase`,
-/// with `ai < i` and `bi < i` (so the operand rows are disjoint from
-/// `a_out`, the row at slot `i`). Callers pass slots validated by
-/// `compile`.
+/// `out[l] = f(a[l])` over one row.
 #[inline(always)]
-unsafe fn bin_lanes_w<const W: usize>(
-    op: BinOp,
-    i: usize,
-    ai: usize,
-    bi: usize,
-    a_out: &[f64; W],
-    vrows: &[[f64; W]],
-    abase: *mut [f64; W],
-) {
-    let va = unsafe { vrows.get_unchecked(ai) };
-    let vb = unsafe { vrows.get_unchecked(bi) };
-    let vo = unsafe { vrows.get_unchecked(i) };
-    let row = |s: usize, l: usize| -> &mut f64 { unsafe { &mut (*abase.add(s))[l] } };
-    for l in 0..W {
-        let a = a_out[l];
-        if a == 0.0 {
-            continue;
+fn map1(out: &mut [f64], a: &[f64], f: impl Fn(f64) -> f64) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+}
+
+/// `out[l] = f(a[l], b[l])` over one row.
+#[inline(always)]
+fn map2(out: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+/// The multiplying chain rule `dst[l] += adj[l] · d(l)` over one row: on
+/// every lane when the adjoint row is `dense` (no zero lane — a branchless
+/// loop that lowers to packed vector ops), otherwise only where the adjoint
+/// is nonzero. Skipping a zero-adjoint lane is what keeps `0 · ∞ → NaN` out
+/// of untouched lanes, and an `adj == 0` lane is the only case where skip
+/// and accumulate can differ — so the dense path is bit-identical to the
+/// reference's per-lane skip exactly when it is taken.
+#[inline(always)]
+fn chain(dst: &mut [f64], adj: &[f64], dense: bool, d: impl Fn(usize) -> f64) {
+    if dense {
+        for (l, (dst, &a)) in dst.iter_mut().zip(adj).enumerate() {
+            *dst += a * d(l);
         }
-        match op {
-            BinOp::Add => {
-                *row(ai, l) += a;
-                *row(bi, l) += a;
-            }
-            BinOp::Sub => {
-                *row(ai, l) += a;
-                *row(bi, l) -= a;
-            }
-            BinOp::Mul => {
-                *row(ai, l) += a * vb[l];
-                *row(bi, l) += a * va[l];
-            }
-            BinOp::Div => {
-                *row(ai, l) += a * (1.0 / vb[l]);
-                *row(bi, l) += a * (-va[l] / (vb[l] * vb[l]));
-            }
-            BinOp::Pow => {
-                // d/da a^b = b a^(b-1); d/db a^b = a^b ln a.
-                let v = vo[l];
-                let da = if va[l] == 0.0 { 0.0 } else { vb[l] * v / va[l] };
-                let db = if va[l] > 0.0 { v * va[l].ln() } else { 0.0 };
-                *row(ai, l) += a * da;
-                *row(bi, l) += a * db;
-            }
-            BinOp::Min | BinOp::Max => {
-                let a_active = match op {
-                    BinOp::Min => va[l] <= vb[l],
-                    _ => va[l] >= vb[l],
-                };
-                let (da, db) = if a_active { (1.0, 0.0) } else { (0.0, 1.0) };
-                *row(ai, l) += a * da;
-                *row(bi, l) += a * db;
+    } else {
+        for (l, (dst, &a)) in dst.iter_mut().zip(adj).enumerate() {
+            if a != 0.0 {
+                *dst += a * d(l);
             }
         }
+    }
+}
+
+/// The non-multiplying rules `dst[l] += adj[l]` (`Var`, `Add`, `Sub`,
+/// `Select`) / `dst[l] -= adj[l]` (`Sub`, `Neg`) over one row. They run
+/// on every lane without a zero scan: accumulating a `±0.0` adjoint with
+/// `+=`/`-=` is a bitwise no-op (accumulators start at `+0.0`, and IEEE
+/// round-to-nearest sums from there can never produce `-0.0`), so this is
+/// bit-identical to the reference's per-lane zero skip.
+#[inline(always)]
+fn add_rows(dst: &mut [f64], adj: &[f64]) {
+    for (dst, &a) in dst.iter_mut().zip(adj) {
+        *dst += a;
+    }
+}
+
+/// See [`add_rows`].
+#[inline(always)]
+fn sub_rows(dst: &mut [f64], adj: &[f64]) {
+    for (dst, &a) in dst.iter_mut().zip(adj) {
+        *dst -= a;
     }
 }
 
@@ -462,14 +454,7 @@ impl CompiledGradTape {
         let mut fwd_runs: Vec<(u8, u32)> = Vec::new();
         for &i in &compute {
             let instr = instrs[i as usize];
-            let row = match instr {
-                Instr::Un(_, a) => [i, a, 0, 0],
-                Instr::Bin(_, a, b) => [i, a, b, 0],
-                Instr::Cmp(op, a, b) => [i, a, b, op as u32],
-                Instr::Select(c, t, e) => [i, c, t, e],
-                Instr::Const(_) | Instr::Var(_) => unreachable!(),
-            };
-            fwd_ops.push(row);
+            fwd_ops.push(instr.packed(i));
             let tag = instr.opcode_tag();
             match fwd_runs.last_mut() {
                 Some((t, end)) if *t == tag => *end = fwd_ops.len() as u32,
@@ -495,53 +480,13 @@ impl CompiledGradTape {
             assert!(ok, "forward schedule not topological at slot {i}");
         }
         // ---- Backward stream ----
-        // Reverse slot order, verbatim: unlike the forward schedule, the
-        // reverse sweep must NOT be regrouped — adjoint accumulation order
-        // is part of the bit-identity contract with the pool reference.
-        // Constants keep a slot in the stream even though their backward
-        // rule is a no-op: their adjoint rows receive operand
-        // accumulations (e.g. `x * c` writes into `c`'s row), and the
-        // end-of-turn re-zero is what returns those rows to zero for the
-        // next sweep. The alias/fast-track classification is resolved
-        // here, once, instead of per instruction per sweep.
-        let mut bwd_tags: Vec<u8> = Vec::with_capacity(n);
-        let mut bwd_ops: Vec<[u32; 4]> = Vec::with_capacity(n);
-        for (i, instr) in instrs.iter().enumerate().rev() {
-            let o = i as u32;
-            let (tag, row) = match *instr {
-                Instr::Const(_) => (B_CONST, [o, 0, 0, 0]),
-                Instr::Var(v) => (B_VAR, [o, v, 0, 0]),
-                Instr::Un(op, a) => (
-                    match op {
-                        UnOp::Neg => B_NEG,
-                        UnOp::Log => B_LOG,
-                        UnOp::Exp => B_EXP,
-                        UnOp::Sqrt => B_SQRT,
-                        UnOp::Abs => B_ABS,
-                    },
-                    [o, a, 0, 0],
-                ),
-                Instr::Bin(op, a, b) => {
-                    let alias = a == b;
-                    let tag = match op {
-                        BinOp::Add if !alias => B_ADD,
-                        BinOp::Sub if !alias => B_SUB,
-                        BinOp::Add => B_ADD_ALIAS,
-                        BinOp::Sub => B_SUB_ALIAS,
-                        BinOp::Mul if !alias => B_MUL,
-                        BinOp::Div if !alias => B_DIV,
-                        BinOp::Min if !alias => B_MIN,
-                        BinOp::Max if !alias => B_MAX,
-                        _ => B_GEN,
-                    };
-                    (tag, [o, a, b, 0])
-                }
-                Instr::Cmp(..) => (B_CMP, [o, 0, 0, 0]),
-                Instr::Select(c, t, e) => (B_SELECT, [o, c, t, e]),
-            };
-            bwd_tags.push(tag);
-            bwd_ops.push(row);
-        }
+        // Reverse slot order, verbatim (see the field docs).
+        let (bwd_tags, bwd_ops) = instrs
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, instr)| (instr.opcode_tag(), instr.packed(i as u32)))
+            .unzip();
         CompiledGradTape {
             instrs,
             roots,
@@ -605,115 +550,41 @@ impl CompiledGradTape {
             vals.clear();
             vals.resize(need, 0.0);
         }
-        // Batches of a supported SIMD width run a kernel monomorphized on
-        // the lane count; everything else takes the scalar-loop reference
-        // kernel. Both compute the same per-lane expressions in the same
-        // order, so the choice never changes a bit (asserted exhaustively
-        // by the remainder tests below).
         match batch {
-            2 => self.forward_w::<2>(vars, vals),
-            4 => self.forward_w::<4>(vars, vals),
-            8 => self.forward_w::<8>(vars, vals),
-            16 => self.forward_w::<16>(vars, vals),
-            _ => self.forward_generic(vars, batch, vals),
+            2 => self.forward_lanes::<2>(batch, vars, vals),
+            4 => self.forward_lanes::<4>(batch, vars, vals),
+            8 => self.forward_lanes::<8>(batch, vars, vals),
+            16 => self.forward_lanes::<16>(batch, vars, vals),
+            _ => self.forward_lanes::<0>(batch, vars, vals),
         }
     }
 
-    /// Scalar-loop reference forward kernel for arbitrary batch widths.
-    /// This is the semantic definition of the forward pass; the `W`-wide
-    /// kernels must match it bit-for-bit.
-    fn forward_generic(&self, vars: &[f64], batch: usize, vals: &mut [f64]) {
-        macro_rules! map1 {
-            ($out:expr, $a:expr, $f:expr) => {
-                for (o, &x) in $out.iter_mut().zip($a) {
-                    *o = $f(x);
-                }
-            };
-        }
-        macro_rules! map2 {
-            ($out:expr, $a:expr, $b:expr, $f:expr) => {
-                for ((o, &x), &y) in $out.iter_mut().zip($a).zip($b) {
-                    *o = $f(x, y);
-                }
-            };
-        }
-        for (i, instr) in self.instrs.iter().enumerate() {
-            // Children always precede parents: slot i only reads slots < i.
-            let (head, tail) = vals.split_at_mut(i * batch);
-            let out = &mut tail[..batch];
-            let arg = |s: u32| &head[s as usize * batch..s as usize * batch + batch];
-            match *instr {
-                Instr::Const(c) => out.fill(c),
-                Instr::Var(v) => {
-                    out.copy_from_slice(&vars[v as usize * batch..][..batch]);
-                }
-                Instr::Un(op, a) => {
-                    let a = arg(a);
-                    match op {
-                        UnOp::Neg => map1!(out, a, |x: f64| -x),
-                        UnOp::Log => map1!(out, a, f64::ln),
-                        UnOp::Exp => map1!(out, a, f64::exp),
-                        UnOp::Sqrt => map1!(out, a, f64::sqrt),
-                        UnOp::Abs => map1!(out, a, f64::abs),
-                    }
-                }
-                Instr::Bin(op, a, b) => {
-                    let (a, b) = (arg(a), arg(b));
-                    match op {
-                        BinOp::Add => map2!(out, a, b, |x, y| x + y),
-                        BinOp::Sub => map2!(out, a, b, |x, y| x - y),
-                        BinOp::Mul => map2!(out, a, b, |x, y| x * y),
-                        BinOp::Div => map2!(out, a, b, |x, y| x / y),
-                        BinOp::Pow => map2!(out, a, b, f64::powf),
-                        BinOp::Min => map2!(out, a, b, f64::min),
-                        BinOp::Max => map2!(out, a, b, f64::max),
-                    }
-                }
-                Instr::Cmp(op, a, b) => {
-                    let (a, b) = (arg(a), arg(b));
-                    for ((o, &a), &b) in out.iter_mut().zip(a).zip(b) {
-                        *o = eval_cmp(op, a, b);
-                    }
-                }
-                Instr::Select(c, t, e) => {
-                    let (c, t, e) = (arg(c), arg(t), arg(e));
-                    for (l, o) in out.iter_mut().enumerate() {
-                        *o = if c[l] != 0.0 { t[l] } else { e[l] };
-                    }
-                }
-            }
-        }
-    }
-
-    /// Monomorphized SIMD forward kernel over the (level, opcode)-grouped
-    /// schedule: every buffer is viewed as rows of `[f64; W]`, so slot
-    /// access is a single array index and the fixed `0..W` loops lower to
-    /// packed vector ops with no bounds checks; the opcode dispatch runs
-    /// once per same-opcode run instead of once per instruction.
-    /// `ln`/`exp`/`powf` have no packed hardware form and stay scalar libm
-    /// calls per lane (vector math approximations would change bits);
+    /// The forward kernel, over the (level, opcode)-grouped schedule: the
+    /// opcode dispatch runs once per same-opcode run instead of once per
+    /// instruction, and every row is a bounds-check-free `n`-lane slice, so
+    /// with a compile-time lane count the cheap ops lower to packed vector
+    /// code. `ln`/`exp`/`powf` have no packed hardware form and stay scalar
+    /// libm calls per lane (vector math approximations would change bits);
     /// `min`/`max` keep Rust's NaN-propagating semantics, not raw
-    /// `minpd`/`maxpd`.
-    #[allow(clippy::needless_range_loop)]
-    fn forward_w<const W: usize>(&self, vars: &[f64], vals: &mut [f64]) {
-        let (rows, rest) = vals.as_chunks_mut::<W>();
-        debug_assert!(rest.is_empty());
-        debug_assert_eq!(rows.len(), self.instrs.len());
-        let (var_rows, _) = vars.as_chunks::<W>();
-        let base = rows.as_mut_ptr();
+    /// `minpd`/`maxpd`. Per-slot values are bit-identical to
+    /// [`ExprPool::eval_all`].
+    fn forward_lanes<const W: usize>(&self, batch: usize, vars: &[f64], vals: &mut [f64]) {
+        let n = lane_count::<W>(batch);
+        debug_assert_eq!(vals.len(), self.instrs.len() * n);
+        let base = vals.as_mut_ptr();
         // SAFETY (whole function): `compile` validates that every operand
         // slot is strictly smaller than its instruction's slot (so the
         // `out` row is disjoint from every operand row), that every Var
         // index fits `min_var_values`, and that the forward schedule is
         // topological; `forward_batch` asserts the buffer sizes. The
-        // unchecked row accesses below therefore cannot alias or overrun.
+        // unchecked rows below therefore cannot alias mutably or overrun.
+        let out = |slot: u32| unsafe { row_mut(base, slot, n) };
+        let arg = |slot: u32| unsafe { row(base, slot, n) };
         for &(slot, c) in &self.fwd_consts {
-            let out: &mut [f64; W] = unsafe { &mut *base.add(slot as usize) };
-            *out = [c; W];
+            out(slot).fill(c);
         }
         for &(slot, v) in &self.fwd_vars {
-            let out: &mut [f64; W] = unsafe { &mut *base.add(slot as usize) };
-            *out = *unsafe { var_rows.get_unchecked(v as usize) };
+            out(slot).copy_from_slice(unsafe { row(vars.as_ptr(), v, n) });
         }
         let mut start = 0usize;
         for &(tag, end) in &self.fwd_runs {
@@ -722,23 +593,14 @@ impl CompiledGradTape {
             macro_rules! un_run {
                 ($f:expr) => {
                     for &[o, a, _, _] in ops {
-                        let out: &mut [f64; W] = unsafe { &mut *base.add(o as usize) };
-                        let a: &[f64; W] = unsafe { &*base.add(a as usize) };
-                        for l in 0..W {
-                            out[l] = $f(a[l]);
-                        }
+                        map1(out(o), arg(a), $f);
                     }
                 };
             }
             macro_rules! bin_run {
                 ($f:expr) => {
                     for &[o, a, b, _] in ops {
-                        let out: &mut [f64; W] = unsafe { &mut *base.add(o as usize) };
-                        let a: &[f64; W] = unsafe { &*base.add(a as usize) };
-                        let b: &[f64; W] = unsafe { &*base.add(b as usize) };
-                        for l in 0..W {
-                            out[l] = $f(a[l], b[l]);
-                        }
+                        map2(out(o), arg(a), arg(b), $f);
                     }
                 };
             }
@@ -757,23 +619,15 @@ impl CompiledGradTape {
                 T_MAX => bin_run!(f64::max),
                 T_CMP => {
                     for &[o, a, b, op] in ops {
-                        let out: &mut [f64; W] = unsafe { &mut *base.add(o as usize) };
-                        let a: &[f64; W] = unsafe { &*base.add(a as usize) };
-                        let b: &[f64; W] = unsafe { &*base.add(b as usize) };
                         let op = cmp_op_from_u32(op);
-                        for l in 0..W {
-                            out[l] = eval_cmp(op, a[l], b[l]);
-                        }
+                        map2(out(o), arg(a), arg(b), |x, y| eval_cmp(op, x, y));
                     }
                 }
                 T_SELECT => {
                     for &[o, c, t, e] in ops {
-                        let out: &mut [f64; W] = unsafe { &mut *base.add(o as usize) };
-                        let c: &[f64; W] = unsafe { &*base.add(c as usize) };
-                        let t: &[f64; W] = unsafe { &*base.add(t as usize) };
-                        let e: &[f64; W] = unsafe { &*base.add(e as usize) };
-                        for l in 0..W {
-                            out[l] = if c[l] != 0.0 { t[l] } else { e[l] };
+                        let (c, t, e) = (arg(c), arg(t), arg(e));
+                        for (l, o) in out(o).iter_mut().enumerate() {
+                            *o = if c[l] != 0.0 { t[l] } else { e[l] };
                         }
                     }
                 }
@@ -868,15 +722,12 @@ impl CompiledGradTape {
         );
         grad.clear();
         grad.resize(n_vars * batch, 0.0);
-        // Same dispatch rule as the forward pass: supported SIMD widths run
-        // the monomorphized kernel, everything else the scalar-loop
-        // reference. Per-lane arithmetic is identical either way.
         let res = match batch {
-            2 => self.backward_w::<2>(seeds, vals, adj, grad, subgradient),
-            4 => self.backward_w::<4>(seeds, vals, adj, grad, subgradient),
-            8 => self.backward_w::<8>(seeds, vals, adj, grad, subgradient),
-            16 => self.backward_w::<16>(seeds, vals, adj, grad, subgradient),
-            _ => self.backward_generic(seeds, batch, vals, adj, grad, subgradient),
+            2 => self.backward_lanes::<2>(batch, seeds, vals, adj, grad, subgradient),
+            4 => self.backward_lanes::<4>(batch, seeds, vals, adj, grad, subgradient),
+            8 => self.backward_lanes::<8>(batch, seeds, vals, adj, grad, subgradient),
+            16 => self.backward_lanes::<16>(batch, seeds, vals, adj, grad, subgradient),
+            _ => self.backward_lanes::<0>(batch, seeds, vals, adj, grad, subgradient),
         };
         if res.is_err() {
             // An error aborts the sweep mid-way, stranding partially
@@ -887,450 +738,127 @@ impl CompiledGradTape {
         res
     }
 
-    /// Scalar-loop reference adjoint kernel for arbitrary batch widths.
-    /// This is the semantic definition of the reverse sweep — zero
-    /// adjoints are skipped per lane exactly like the pool reference — and
-    /// the `W`-wide kernels must match it bit-for-bit.
-    fn backward_generic(
-        &self,
-        seeds: &[f64],
-        batch: usize,
-        vals: &[f64],
-        adj: &mut [f64],
-        grad: &mut [f64],
-        subgradient: bool,
-    ) -> Result<(), GradError> {
-        for (k, &r) in self.roots.iter().enumerate() {
-            let seed = &seeds[k * batch..k * batch + batch];
-            let a = &mut adj[r as usize * batch..r as usize * batch + batch];
-            for (a, &s) in a.iter_mut().zip(seed) {
-                *a += s;
-            }
-        }
-        for (i, instr) in self.instrs.iter().enumerate().rev() {
-            let (head, tail) = adj.split_at_mut(i * batch);
-            let a_out = &tail[..batch];
-            // Skip instructions whose adjoint is zero in every lane (the
-            // common case for the penalty sub-DAG when no constraint is
-            // active); per-lane zeros are skipped inside the loops below.
-            // A skipped row is already zero, and every non-skipped row is
-            // re-zeroed at the bottom of this loop body, so the whole
-            // buffer re-enters the next call zeroed (see `backward_batch`).
-            if a_out.iter().all(|&a| a == 0.0) {
-                continue;
-            }
-            let val = |s: usize, l: usize| vals[s * batch + l];
-            // Per-op lane loops with pre-sliced value rows. Accumulation is
-            // expression-for-expression what the pool sweep computes (e.g.
-            // `-=` for a `+= a·(−1)` term), so results stay bit-identical.
-            match *instr {
-                Instr::Const(_) => {}
-                Instr::Var(v) => {
-                    let g = &mut grad[v as usize * batch..v as usize * batch + batch];
-                    for (g, &a) in g.iter_mut().zip(a_out) {
-                        if a != 0.0 {
-                            *g += a;
-                        }
-                    }
-                }
-                Instr::Un(op, ai) => {
-                    if op == UnOp::Abs && !subgradient {
-                        return Err(GradError { node: instr.as_enode() });
-                    }
-                    let s = ai as usize;
-                    let vc = &vals[s * batch..s * batch + batch];
-                    let vo = &vals[i * batch..i * batch + batch];
-                    let aa = &mut head[s * batch..s * batch + batch];
-                    macro_rules! acc1 {
-                        ($v:expr, $d:expr) => {
-                            for ((aa, &a), &v) in aa.iter_mut().zip(a_out).zip($v) {
-                                if a != 0.0 {
-                                    *aa += a * $d(v);
-                                }
-                            }
-                        };
-                    }
-                    match op {
-                        UnOp::Neg => {
-                            for (aa, &a) in aa.iter_mut().zip(a_out) {
-                                if a != 0.0 {
-                                    *aa -= a;
-                                }
-                            }
-                        }
-                        UnOp::Log => acc1!(vc, |v: f64| 1.0 / v),
-                        UnOp::Exp => acc1!(vo, |v: f64| v),
-                        UnOp::Sqrt => acc1!(vo, |v: f64| 0.5 / v),
-                        UnOp::Abs => {
-                            acc1!(vc, |v: f64| if v >= 0.0 { 1.0 } else { -1.0 })
-                        }
-                    }
-                }
-                Instr::Bin(op, ai, bi) => {
-                    if matches!(op, BinOp::Min | BinOp::Max) && !subgradient {
-                        return Err(GradError { node: instr.as_enode() });
-                    }
-                    let (ai, bi) = (ai as usize, bi as usize);
-                    let va = &vals[ai * batch..ai * batch + batch];
-                    let vb = &vals[bi * batch..bi * batch + batch];
-                    let vo = &vals[i * batch..i * batch + batch];
-                    macro_rules! acc2 {
-                        (|$l:ident, $a:ident| $body:block) => {
-                            for ($l, &$a) in a_out.iter().enumerate() {
-                                if $a == 0.0 {
-                                    continue;
-                                }
-                                $body
-                            }
-                        };
-                    }
-                    match op {
-                        BinOp::Add => acc2!(|l, a| {
-                            head[ai * batch + l] += a;
-                            head[bi * batch + l] += a;
-                        }),
-                        BinOp::Sub => acc2!(|l, a| {
-                            head[ai * batch + l] += a;
-                            head[bi * batch + l] -= a;
-                        }),
-                        BinOp::Mul => acc2!(|l, a| {
-                            head[ai * batch + l] += a * vb[l];
-                            head[bi * batch + l] += a * va[l];
-                        }),
-                        BinOp::Div => acc2!(|l, a| {
-                            head[ai * batch + l] += a * (1.0 / vb[l]);
-                            head[bi * batch + l] += a * (-va[l] / (vb[l] * vb[l]));
-                        }),
-                        BinOp::Pow => acc2!(|l, a| {
-                            // d/da a^b = b a^(b-1); d/db a^b = a^b ln a.
-                            let v = vo[l];
-                            let da =
-                                if va[l] == 0.0 { 0.0 } else { vb[l] * v / va[l] };
-                            let db = if va[l] > 0.0 { v * va[l].ln() } else { 0.0 };
-                            head[ai * batch + l] += a * da;
-                            head[bi * batch + l] += a * db;
-                        }),
-                        BinOp::Min | BinOp::Max => acc2!(|l, a| {
-                            let a_active = match op {
-                                BinOp::Min => va[l] <= vb[l],
-                                _ => va[l] >= vb[l],
-                            };
-                            let (da, db) =
-                                if a_active { (1.0, 0.0) } else { (0.0, 1.0) };
-                            head[ai * batch + l] += a * da;
-                            head[bi * batch + l] += a * db;
-                        }),
-                    }
-                }
-                Instr::Cmp(..) => {
-                    if !subgradient {
-                        return Err(GradError { node: instr.as_enode() });
-                    }
-                    // Piecewise-constant: zero gradient everywhere it exists.
-                }
-                Instr::Select(c, t, e) => {
-                    if !subgradient {
-                        return Err(GradError { node: instr.as_enode() });
-                    }
-                    let (c, t, e) = (c as usize, t as usize, e as usize);
-                    for (l, &a_out) in a_out.iter().enumerate() {
-                        if a_out == 0.0 {
-                            continue;
-                        }
-                        if val(c, l) != 0.0 {
-                            head[t * batch + l] += a_out;
-                        } else {
-                            head[e * batch + l] += a_out;
-                        }
-                    }
-                }
-            }
-            // Row `i` is fully consumed at this turn — return it to zero
-            // for the next sweep.
-            tail[..batch].fill(0.0);
-        }
-        Ok(())
-    }
-
-    /// Monomorphized SIMD adjoint kernel. One scan classifies each
+    /// The adjoint kernel, in reverse slot order. One scan classifies each
     /// instruction's adjoint row: all-zero rows are skipped whole (the
     /// common case for the penalty sub-DAG when no constraint is active),
-    /// rows with **no** zero lane take branchless fixed-width loops that
-    /// lower to packed vector ops, and rows with a mix keep the per-lane
-    /// skip loop. Skipping a zero-adjoint lane is what keeps `0 · ∞ → NaN`
-    /// out of untouched lanes, and an `a == 0` lane is the only case where
-    /// skip and accumulate can differ — so the branchless path is
-    /// bit-identical to the reference exactly when it is taken.
-    #[allow(clippy::needless_range_loop)]
-    fn backward_w<const W: usize>(
+    /// the non-multiplying rules run unconditionally ([`add_rows`]), and
+    /// the multiplying ones go through [`chain`] — branchless when the row
+    /// has no zero lane, per-lane skip otherwise. A binary rule is two row
+    /// passes, first operand then second, so per lane the two accumulations
+    /// land in the reference's order even when both operands are one slot
+    /// (`x * x`).
+    fn backward_lanes<const W: usize>(
         &self,
+        batch: usize,
         seeds: &[f64],
         vals: &[f64],
         adj: &mut [f64],
         grad: &mut [f64],
         subgradient: bool,
     ) -> Result<(), GradError> {
-        let (arows, arest) = adj.as_chunks_mut::<W>();
-        debug_assert!(arest.is_empty());
-        debug_assert_eq!(arows.len(), self.instrs.len());
-        let (grows, _) = grad.as_chunks_mut::<W>();
-        let (vrows, _) = vals.as_chunks::<W>();
-        let (srows, _) = seeds.as_chunks::<W>();
-        // SAFETY: `compile` validates every root slot; `backward_batch`
-        // asserts `seeds.len() >= n_roots * batch`, so both unchecked rows
-        // are in bounds.
+        let n = lane_count::<W>(batch);
         for (k, &r) in self.roots.iter().enumerate() {
-            let s = unsafe { srows.get_unchecked(k) };
-            let a = unsafe { arows.get_unchecked_mut(r as usize) };
-            for l in 0..W {
-                a[l] += s[l];
-            }
+            add_rows(&mut adj[r as usize * n..][..n], &seeds[k * n..][..n]);
         }
+        let (abase, vbase) = (adj.as_mut_ptr(), vals.as_ptr());
         // SAFETY (whole loop): the backward stream is derived in `compile`
         // from validated instructions — operand slots are strictly smaller
-        // than their instruction's slot, Var indices fit `min_var_values`,
-        // and roots are in range; `backward_batch` asserts
-        // `n_vars >= min_var_values` and the buffer sizes. Rows accessed
-        // through `abase` at operand slots (< i) are disjoint from the row
-        // at slot i, so the unchecked row accesses below cannot overrun,
-        // and aliased operands are pre-classified into their own tags (or
-        // `B_GEN`, which touches one `&mut` lane at a time).
-        let abase = arows.as_mut_ptr();
-        for (t, op_row) in self.bwd_tags.iter().zip(&self.bwd_ops) {
-            let &[o, a, b, c] = op_row;
-            let (i, ai, bi) = (o as usize, a as usize, b as usize);
+        // than their instruction's slot and roots are in range;
+        // `backward_batch` asserts the buffer sizes. So the unchecked rows
+        // below cannot overrun, the `&mut` operand rows `acc` hands out
+        // (slots < i, one live at a time) never overlap `a_out` (slot i),
+        // and `val` rows live in a different buffer.
+        let acc = |slot: u32| unsafe { row_mut(abase, slot, n) };
+        let val = |slot: u32| unsafe { row(vbase, slot, n) };
+        for (&tag, &[i, a, b, c]) in self.bwd_tags.iter().zip(&self.bwd_ops) {
             // Row `i` is consumed exactly once, at this turn: scan it, skip
             // it whole when all-zero (bit-identical to the reference's
-            // per-lane skip — an accumulator row can never hold `-0.0`, so
-            // adding a `±0.0` adjoint could not have changed any bit), and
-            // otherwise copy it out and return it to zero in place. Skipped
-            // rows were zero already, so the whole buffer re-enters the
-            // next call zeroed (see `backward_batch`) without a memset.
-            // Shared ref, not a copy: row `i` is never an operand row of
-            // instruction `i` (operands are validated `< i`), so the `&mut`
-            // rows taken below never alias it.
-            let a_out: &[f64; W] = unsafe { &*abase.add(i) };
+            // per-lane skip — see `add_rows`), and otherwise return it to
+            // zero once its rule has run. Skipped rows were zero already,
+            // so the whole buffer re-enters the next call zeroed (see
+            // `backward_batch`) without a memset.
+            let a_out = unsafe { row(abase, i, n) };
             let (any_zero, all_zero) = row_zero_flags(a_out);
             if all_zero {
                 continue;
             }
-            // `fast` (no zero lanes) selects the branchless fixed-width
-            // loops for the multiplying rules (see the tag docs).
-            macro_rules! scan {
-                () => {{
-                    !any_zero
-                }};
+            let dense = !any_zero;
+            let nonsmooth = matches!(tag, T_ABS | T_MIN | T_MAX | T_CMP | T_SELECT);
+            if nonsmooth && !subgradient {
+                return Err(GradError { node: self.instrs[i as usize].as_enode() });
             }
-            // Unary chain rule `adj_child += adj_out * d(value)`, dense
-            // rows vectorized, mixed-zero rows skipped per lane.
-            macro_rules! acc1 {
-                ($src:expr, $fast:expr, $d:expr) => {{
-                    let v = unsafe { vrows.get_unchecked($src) };
-                    let aa = unsafe { &mut *abase.add(ai) };
-                    if $fast {
-                        for l in 0..W {
-                            aa[l] += a_out[l] * $d(v[l]);
-                        }
-                    } else {
-                        for l in 0..W {
-                            if a_out[l] != 0.0 {
-                                aa[l] += a_out[l] * $d(v[l]);
-                            }
-                        }
+            match tag {
+                // No backward rule; the turn exists so the re-zero below
+                // clears the operand accumulations the slot absorbed.
+                T_CONST => {}
+                // `a` is the variable index (validated `< min_var_values`,
+                // and `backward_batch` asserts `n_vars` covers it).
+                T_VAR => add_rows(&mut grad[a as usize * n..][..n], a_out),
+                T_NEG => sub_rows(acc(a), a_out),
+                T_LOG => {
+                    let va = val(a);
+                    chain(acc(a), a_out, dense, |l| 1.0 / va[l]);
+                }
+                T_EXP => {
+                    let vo = val(i);
+                    chain(acc(a), a_out, dense, |l| vo[l]);
+                }
+                T_SQRT => {
+                    let vo = val(i);
+                    chain(acc(a), a_out, dense, |l| 0.5 / vo[l]);
+                }
+                T_ABS => {
+                    let va = val(a);
+                    chain(acc(a), a_out, dense, |l| if va[l] >= 0.0 { 1.0 } else { -1.0 });
+                }
+                T_ADD => {
+                    add_rows(acc(a), a_out);
+                    add_rows(acc(b), a_out);
+                }
+                T_SUB => {
+                    add_rows(acc(a), a_out);
+                    sub_rows(acc(b), a_out);
+                }
+                T_MUL => {
+                    let (va, vb) = (val(a), val(b));
+                    chain(acc(a), a_out, dense, |l| vb[l]);
+                    chain(acc(b), a_out, dense, |l| va[l]);
+                }
+                T_DIV => {
+                    let (va, vb) = (val(a), val(b));
+                    chain(acc(a), a_out, dense, |l| 1.0 / vb[l]);
+                    chain(acc(b), a_out, dense, |l| -va[l] / (vb[l] * vb[l]));
+                }
+                T_POW => {
+                    // d/da a^b = b a^(b-1); d/db a^b = a^b ln a.
+                    let (va, vb, vo) = (val(a), val(b), val(i));
+                    chain(acc(a), a_out, dense, |l| {
+                        if va[l] == 0.0 { 0.0 } else { vb[l] * vo[l] / va[l] }
+                    });
+                    chain(acc(b), a_out, dense, |l| {
+                        if va[l] > 0.0 { vo[l] * va[l].ln() } else { 0.0 }
+                    });
+                }
+                T_MIN | T_MAX => {
+                    let (va, vb) = (val(a), val(b));
+                    let a_active =
+                        |l: usize| if tag == T_MIN { va[l] <= vb[l] } else { va[l] >= vb[l] };
+                    chain(acc(a), a_out, dense, |l| if a_active(l) { 1.0 } else { 0.0 });
+                    chain(acc(b), a_out, dense, |l| if a_active(l) { 0.0 } else { 1.0 });
+                }
+                // Piecewise-constant: zero gradient everywhere it exists.
+                T_CMP => {}
+                T_SELECT => {
+                    // Each lane's adjoint goes to the branch its condition
+                    // picked: a non-multiplying rule, one lane at a time.
+                    for (l, (&x, &cond)) in a_out.iter().zip(val(a)).enumerate() {
+                        let dst = if cond != 0.0 { b } else { c };
+                        acc(dst)[l] += x;
                     }
-                }};
+                }
+                _ => unreachable!("opcode tags are dense in 0..=T_SELECT"),
             }
-            match *t {
-                B_VAR => {
-                    let g = unsafe { grows.get_unchecked_mut(ai) };
-                    for l in 0..W {
-                        g[l] += a_out[l];
-                    }
-                }
-                B_ADD | B_SUB => {
-                    // SAFETY: operands distinct by tag, both < i.
-                    let ra = unsafe { &mut *abase.add(ai) };
-                    let rb = unsafe { &mut *abase.add(bi) };
-                    if *t == B_ADD {
-                        for l in 0..W {
-                            ra[l] += a_out[l];
-                            rb[l] += a_out[l];
-                        }
-                    } else {
-                        for l in 0..W {
-                            ra[l] += a_out[l];
-                            rb[l] -= a_out[l];
-                        }
-                    }
-                }
-                B_ADD_ALIAS | B_SUB_ALIAS => {
-                    // `x + x` / `x - x`: both accumulations hit one row;
-                    // two row passes are per-lane identical to the
-                    // reference's in-lane pair.
-                    let ra = unsafe { &mut *abase.add(ai) };
-                    for l in 0..W {
-                        ra[l] += a_out[l];
-                    }
-                    if *t == B_ADD_ALIAS {
-                        for l in 0..W {
-                            ra[l] += a_out[l];
-                        }
-                    } else {
-                        for l in 0..W {
-                            ra[l] -= a_out[l];
-                        }
-                    }
-                }
-                B_NEG => {
-                    let fast = scan!();
-                    let aa = unsafe { &mut *abase.add(ai) };
-                    if fast {
-                        for l in 0..W {
-                            aa[l] -= a_out[l];
-                        }
-                    } else {
-                        for l in 0..W {
-                            if a_out[l] != 0.0 {
-                                aa[l] -= a_out[l];
-                            }
-                        }
-                    }
-                }
-                B_LOG => {
-                    let fast = scan!();
-                    acc1!(ai, fast, |v: f64| 1.0 / v);
-                }
-                B_EXP => {
-                    let fast = scan!();
-                    acc1!(i, fast, |v: f64| v);
-                }
-                B_SQRT => {
-                    let fast = scan!();
-                    acc1!(i, fast, |v: f64| 0.5 / v);
-                }
-                B_ABS => {
-                    let fast = scan!();
-                    if !subgradient {
-                        return Err(GradError { node: self.instrs[i].as_enode() });
-                    }
-                    acc1!(ai, fast, |v: f64| if v >= 0.0 { 1.0 } else { -1.0 });
-                }
-                B_MUL => {
-                    let fast = scan!();
-                    let va = unsafe { vrows.get_unchecked(ai) };
-                    let vb = unsafe { vrows.get_unchecked(bi) };
-                    if fast {
-                        // SAFETY: operands distinct by tag, both < i.
-                        let ra = unsafe { &mut *abase.add(ai) };
-                        let rb = unsafe { &mut *abase.add(bi) };
-                        for l in 0..W {
-                            ra[l] += a_out[l] * vb[l];
-                            rb[l] += a_out[l] * va[l];
-                        }
-                    } else {
-                        unsafe {
-                            bin_lanes_w::<W>(BinOp::Mul, i, ai, bi, a_out, vrows, abase);
-                        }
-                    }
-                }
-                B_DIV => {
-                    let fast = scan!();
-                    let va = unsafe { vrows.get_unchecked(ai) };
-                    let vb = unsafe { vrows.get_unchecked(bi) };
-                    if fast {
-                        // SAFETY: operands distinct by tag, both < i.
-                        let ra = unsafe { &mut *abase.add(ai) };
-                        let rb = unsafe { &mut *abase.add(bi) };
-                        for l in 0..W {
-                            ra[l] += a_out[l] * (1.0 / vb[l]);
-                            rb[l] += a_out[l] * (-va[l] / (vb[l] * vb[l]));
-                        }
-                    } else {
-                        unsafe {
-                            bin_lanes_w::<W>(BinOp::Div, i, ai, bi, a_out, vrows, abase);
-                        }
-                    }
-                }
-                B_MIN | B_MAX => {
-                    let fast = scan!();
-                    if !subgradient {
-                        return Err(GradError { node: self.instrs[i].as_enode() });
-                    }
-                    let is_min = *t == B_MIN;
-                    if fast {
-                        let va = unsafe { vrows.get_unchecked(ai) };
-                        let vb = unsafe { vrows.get_unchecked(bi) };
-                        // SAFETY: operands distinct by tag, both < i.
-                        let ra = unsafe { &mut *abase.add(ai) };
-                        let rb = unsafe { &mut *abase.add(bi) };
-                        for l in 0..W {
-                            let a_active = if is_min {
-                                va[l] <= vb[l]
-                            } else {
-                                va[l] >= vb[l]
-                            };
-                            let (da, db) = if a_active { (1.0, 0.0) } else { (0.0, 1.0) };
-                            ra[l] += a_out[l] * da;
-                            rb[l] += a_out[l] * db;
-                        }
-                    } else {
-                        let op = if is_min { BinOp::Min } else { BinOp::Max };
-                        unsafe {
-                            bin_lanes_w::<W>(op, i, ai, bi, a_out, vrows, abase);
-                        }
-                    }
-                }
-                B_CMP => {
-                    let _fast = scan!();
-                    if !subgradient {
-                        return Err(GradError { node: self.instrs[i].as_enode() });
-                    }
-                    // Piecewise-constant: zero gradient everywhere it exists.
-                }
-                B_SELECT => {
-                    let _fast = scan!();
-                    if !subgradient {
-                        return Err(GradError { node: self.instrs[i].as_enode() });
-                    }
-                    let (ci, ti, ei) = (ai, bi, c as usize);
-                    // SAFETY: `ci`/`ti`/`ei` < i, in bounds; one &mut at a
-                    // time.
-                    for l in 0..W {
-                        let av = a_out[l];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let dst = if unsafe { vrows.get_unchecked(ci) }[l] != 0.0 {
-                            ti
-                        } else {
-                            ei
-                        };
-                        unsafe { (*abase.add(dst))[l] += av };
-                    }
-                }
-                B_CONST => {
-                    // No backward rule and nothing downstream reads this
-                    // adjoint; the turn exists only so the epilogue below
-                    // re-zeroes the operand accumulations it absorbed.
-                }
-                _ => {
-                    // B_GEN: Pow, or aliased Mul/Div/Min/Max.
-                    let _fast = scan!();
-                    let Instr::Bin(op, ..) = self.instrs[i] else {
-                        unreachable!("B_GEN only tags Bin instructions")
-                    };
-                    if matches!(op, BinOp::Min | BinOp::Max) && !subgradient {
-                        return Err(GradError { node: self.instrs[i].as_enode() });
-                    }
-                    unsafe {
-                        bin_lanes_w::<W>(op, i, ai, bi, a_out, vrows, abase);
-                    }
-                }
-            }
-            // Row `i` is fully consumed — return it to zero for the next
-            // sweep while its lines are still L1-hot. SAFETY: `a_out`'s
-            // last read precedes this store, and in bounds as above.
-            unsafe { *abase.add(i) = [0.0; W] };
+            acc(i).fill(0.0);
         }
         Ok(())
     }
@@ -1485,41 +1013,63 @@ mod tests {
     }
 
     #[test]
-    fn batched_lanes_match_single_bitwise() {
-        let (p, roots, n_vars) = example_pool();
+    fn operands_sharing_a_slot_match_pool_at_every_width() {
+        // `x−x`, `x/x`, `min(x,x)`, `max(x,x)`: the smart constructors fold
+        // these away, so they are interned directly. Both accumulations of
+        // a binary rule then land in one adjoint row, and must do so in the
+        // pool sweep's order, at compile-time and run-time lane counts, on
+        // dense and on partly-zero adjoint rows.
+        let mut vars = VarTable::new();
+        let mut p = ExprPool::new();
+        let x = p.var(vars.fresh("x"));
+        let y = p.var(vars.fresh("y"));
+        let roots: Vec<ExprId> = [BinOp::Sub, BinOp::Div, BinOp::Min, BinOp::Max]
+            .into_iter()
+            .map(|op| {
+                let same = p.intern(ENode::Bin(op, x, x));
+                p.mul(same, y)
+            })
+            .collect();
         let tape = CompiledGradTape::compile(&p, &roots);
-        let points = [[2.0, 3.0], [0.5, 7.0], [9.0, 0.25], [1.0, 1.0]];
-        let batch = points.len();
-        // vars_soa[v * batch + lane]
-        let mut vars_soa = vec![0.0; n_vars * batch];
-        for (lane, pt) in points.iter().enumerate() {
-            for (v, &x) in pt.iter().enumerate() {
-                vars_soa[v * batch + lane] = x;
-            }
-        }
-        let mut vals = Vec::new();
-        tape.forward_batch(&vars_soa, batch, &mut vals);
-        let seeds_one = [0.7, -1.3, 0.25];
-        let mut seeds = vec![0.0; roots.len() * batch];
-        for (k, &s) in seeds_one.iter().enumerate() {
-            for lane in 0..batch {
-                seeds[k * batch + lane] = s;
-            }
-        }
-        let (mut adj, mut grad) = (Vec::new(), Vec::new());
-        tape.backward_batch(&seeds, batch, &vals, n_vars, &mut adj, &mut grad, false)
-            .unwrap();
-        for (lane, pt) in points.iter().enumerate() {
-            let single_vals = tape.eval(pt);
-            let single_grad = tape.grad(&seeds_one, pt, n_vars, false).unwrap();
-            for (k, sv) in single_vals.iter().enumerate() {
-                assert_eq!(
-                    tape.root_value(&vals, batch, k, lane).to_bits(),
-                    sv.to_bits()
-                );
-            }
-            for (v, sg) in single_grad.iter().enumerate() {
-                assert_eq!(grad[v * batch + lane].to_bits(), sg.to_bits());
+        let (mut vals, mut adj, mut grad) = (Vec::new(), Vec::new(), Vec::new());
+        for batch in (1..=17).chain([33]) {
+            for zero_every in [usize::MAX, 3] {
+                let point = |lane: usize| [0.5 + lane as f64, 2.0 - 0.1 * lane as f64];
+                let seed = |k: usize, lane: usize| {
+                    if (lane + k).is_multiple_of(zero_every) { 0.0 } else { 0.3 * (k + 1) as f64 }
+                };
+                let mut vars_soa = vec![0.0; 2 * batch];
+                let mut seeds = vec![0.0; roots.len() * batch];
+                for lane in 0..batch {
+                    for (v, x) in point(lane).into_iter().enumerate() {
+                        vars_soa[v * batch + lane] = x;
+                    }
+                    for k in 0..roots.len() {
+                        seeds[k * batch + lane] = seed(k, lane);
+                    }
+                }
+                tape.forward_batch(&vars_soa, batch, &mut vals);
+                tape.backward_batch(&seeds, batch, &vals, 2, &mut adj, &mut grad, true)
+                    .unwrap();
+                for lane in 0..batch {
+                    let outputs: Vec<(ExprId, f64)> =
+                        roots.iter().enumerate().map(|(k, &r)| (r, seed(k, lane))).collect();
+                    let full = p.eval_all(&point(lane));
+                    for (k, &r) in roots.iter().enumerate() {
+                        let v = tape.root_value(&vals, batch, k, lane);
+                        assert_eq!(v.to_bits(), full[r.index()].to_bits());
+                    }
+                    let reference = p
+                        .grad_multi_with_values(&outputs, full, 2, GradOptions { subgradient: true })
+                        .unwrap();
+                    for (v, r) in reference.wrt_var.iter().enumerate() {
+                        assert_eq!(
+                            grad[v * batch + lane].to_bits(),
+                            r.to_bits(),
+                            "batch {batch} lane {lane} var {v}"
+                        );
+                    }
+                }
             }
         }
     }

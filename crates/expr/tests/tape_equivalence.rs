@@ -1,8 +1,9 @@
 //! Property tests: the compiled gradient tape is bit-identical to the
 //! pool-walking reference (`eval_all` + `grad_multi_with_values`) on seeded
-//! random expression DAGs, the batched structure-of-arrays mode matches the
-//! single-lane mode bitwise, and tape gradients agree with central finite
-//! differences on smooth DAGs.
+//! random expression DAGs at batch 1 and lane by lane at every batch width,
+//! the batched structure-of-arrays mode matches the single-lane mode
+//! bitwise, and tape gradients agree with central finite differences on
+//! smooth DAGs.
 
 use felix_expr::autodiff::GradOptions;
 use felix_expr::{CompiledGradTape, ExprId, ExprPool, VarTable};
@@ -186,91 +187,139 @@ fn batched_soa_matches_single_lane_bitwise() {
     }
 }
 
+/// A hand-built DAG holding every operator whose backward rule has a shape
+/// of its own: both operands one slot (`x+x`, `x·x`), `pow` in both
+/// arguments, and the non-smooth `min`/`max`/`abs`/`cmp`/`select`. (The
+/// smart constructors fold `x−x`, `x/x` and `min(x,x)` away; the tape's
+/// unit tests intern those directly.) Every root depends on both variables.
+fn alias_and_nonsmooth_dag() -> (ExprPool, Vec<ExprId>, usize) {
+    let mut vars = VarTable::new();
+    let mut p = ExprPool::new();
+    let x = p.var(vars.fresh("x"));
+    let y = p.var(vars.fresh("y"));
+    let xx_add = p.add(x, x);
+    let xx_mul = p.mul(x, x);
+    let pw = p.pow(x, y);
+    let lo = p.min(xx_mul, y);
+    let hi = p.max(xx_add, pw);
+    let gt = p.cmp(felix_expr::CmpOp::Gt, x, y);
+    let sel = p.select(gt, lo, hi);
+    let neg = p.neg(sel);
+    let ab = p.abs(neg);
+    let quot = p.div(xx_add, y);
+    let r0 = p.add(ab, quot);
+    let r1 = p.mul(quot, xx_mul);
+    let r2 = p.sub(pw, lo);
+    (p, vec![r0, r1, r2], vars.len())
+}
+
 #[test]
-fn every_lane_remainder_matches_scalar_bitwise() {
-    // The SIMD kernels vectorize across the seed batch and fall back to the
-    // generic kernel for the remainder, so every batch size around the lane
-    // widths (1..=2·SIMD_LANES+1 covers all remainders of 2/4/8/16) must be
-    // bit-identical to the scalar single-lane path — including the
-    // root-access helpers on the last (partial-lane) sample.
+fn every_width_matches_the_pool_oracle_lane_by_lane() {
+    // One kernel body serves every batch width — compile-time lane counts at
+    // 2/4/8/16, a run-time count everywhere else — so the only independent
+    // reference is the pool walker (`eval_all` + `grad_multi_with_values`).
+    // Every width 1..=17 and 33 is checked against it lane by lane, on the
+    // alias/non-smooth DAG and on random DAGs, under two seedings that
+    // share one adjoint scratch (so the second sweep re-enters on what the
+    // first left behind):
+    // - zero-free seeds: adjoint rows are dense (or all-zero where a root
+    //   does not reach), the branchless path;
+    // - "dead" lanes (every root's seed exactly 0, every variable 0, so the
+    //   lane's values are full of 0/0 and 1/0), further exact zeros
+    //   scattered per root, and on odd cases an all-zero root row: rows
+    //   with zeros in some lanes only, where a lane that is not skipped
+    //   turns `0 · ∞` into NaN.
     let mut rng = StdRng::seed_from_u64(0x4EA1);
-    for case in 0..6 {
+    let mut dags = vec![alias_and_nonsmooth_dag()];
+    for _ in 0..5 {
         let n_vars = rng.gen_range(1..5);
         let n_ops = rng.gen_range(8..48);
         let (p, roots) = random_dag(&mut rng, n_vars, n_ops, false);
-        let tape = CompiledGradTape::compile(&p, &roots);
-        for batch in 1..=(2 * felix_expr::SIMD_LANES + 1) {
-            let points: Vec<Vec<f64>> =
-                (0..batch).map(|_| random_point(&mut rng, n_vars)).collect();
-            let mut vars_soa = vec![0.0; n_vars * batch];
-            for (lane, pt) in points.iter().enumerate() {
-                for (v, &x) in pt.iter().enumerate() {
-                    vars_soa[v * batch + lane] = x;
+        dags.push((p, roots, n_vars));
+    }
+    for (case, (p, roots, n_vars)) in dags.iter().enumerate() {
+        let n_vars = *n_vars;
+        let tape = CompiledGradTape::compile(p, roots);
+        let (mut vals, mut adj, mut grad) = (Vec::new(), Vec::new(), Vec::new());
+        for batch in (1..=17).chain([33]) {
+            for with_zeros in [false, true] {
+                let dead = |lane: usize| with_zeros && (lane + batch).is_multiple_of(3);
+                let points: Vec<Vec<f64>> = (0..batch)
+                    .map(|lane| {
+                        let pt = random_point(&mut rng, n_vars);
+                        if dead(lane) { vec![0.0; n_vars] } else { pt }
+                    })
+                    .collect();
+                let mut vars_soa = vec![0.0; n_vars * batch];
+                for (lane, pt) in points.iter().enumerate() {
+                    for (v, &x) in pt.iter().enumerate() {
+                        vars_soa[v * batch + lane] = x;
+                    }
                 }
-            }
-            let mut seeds_soa = vec![0.0; roots.len() * batch];
-            let per_lane_seeds: Vec<Vec<f64>> = (0..batch)
-                .map(|lane| {
-                    (0..roots.len())
-                        .map(|k| {
-                            let s = rng.gen_range(-2.0..2.0);
-                            seeds_soa[k * batch + lane] = s;
-                            s
-                        })
-                        .collect()
-                })
-                .collect();
-            let mut vals = Vec::new();
-            tape.forward_batch(&vars_soa, batch, &mut vals);
-            let (mut adj, mut grad) = (Vec::new(), Vec::new());
-            tape.backward_batch(&seeds_soa, batch, &vals, n_vars, &mut adj, &mut grad, true)
-                .expect("batched grad");
-            for (lane, pt) in points.iter().enumerate() {
-                let single = tape.eval(pt);
-                for (k, sv) in single.iter().enumerate() {
+                let mut seeds_soa = vec![0.0; roots.len() * batch];
+                for k in 0..roots.len() {
+                    for lane in 0..batch {
+                        let s: f64 = rng.gen_range(0.25..2.0);
+                        let zero = with_zeros
+                            && (dead(lane) || (lane + k).is_multiple_of(5) || (k == 0 && case % 2 == 1));
+                        seeds_soa[k * batch + lane] = if zero { 0.0 } else { s };
+                    }
+                }
+                tape.forward_batch(&vars_soa, batch, &mut vals);
+                tape.backward_batch(&seeds_soa, batch, &vals, n_vars, &mut adj, &mut grad, true)
+                    .expect("batched grad");
+                let at = format!("case {case} batch {batch} zeros {with_zeros}");
+                for (lane, pt) in points.iter().enumerate() {
+                    let full = p.eval_all(pt);
+                    for (k, &r) in roots.iter().enumerate() {
+                        assert_eq!(
+                            tape.root_value(&vals, batch, k, lane).to_bits(),
+                            full[r.index()].to_bits(),
+                            "{at}: value of root {k} diverged in lane {lane}"
+                        );
+                    }
+                    let outputs: Vec<(ExprId, f64)> = roots
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &r)| (r, seeds_soa[k * batch + lane]))
+                        .collect();
+                    let reference = p
+                        .grad_multi_with_values(
+                            &outputs,
+                            full,
+                            n_vars,
+                            GradOptions { subgradient: true },
+                        )
+                        .expect("subgradient mode never errors");
+                    for (v, r) in reference.wrt_var.iter().enumerate() {
+                        assert_eq!(
+                            grad[v * batch + lane].to_bits(),
+                            r.to_bits(),
+                            "{at}: gradient wrt var {v} diverged in lane {lane}"
+                        );
+                    }
+                }
+                // Root-access helpers on the last lane: `write_roots` must
+                // agree with the oracle, and `lane_roots_finite` must
+                // report its verdict.
+                let last = batch - 1;
+                let full = p.eval_all(&points[last]);
+                let mut out = Vec::new();
+                tape.write_roots(&vals, batch, last, &mut out);
+                assert_eq!(out.len(), roots.len());
+                for (k, (&w, &r)) in out.iter().zip(roots).enumerate() {
                     assert_eq!(
-                        tape.root_value(&vals, batch, k, lane).to_bits(),
-                        sv.to_bits(),
-                        "case {case} batch {batch}: value diverged in lane {lane}"
+                        w.to_bits(),
+                        full[r.index()].to_bits(),
+                        "{at}: write_roots diverged at root {k}"
                     );
                 }
-                let single_grad = tape
-                    .grad(&per_lane_seeds[lane], pt, n_vars, true)
-                    .expect("single grad");
-                for (v, sg) in single_grad.iter().enumerate() {
-                    assert_eq!(
-                        grad[v * batch + lane].to_bits(),
-                        sg.to_bits(),
-                        "case {case} batch {batch}: gradient diverged in lane {lane}"
-                    );
-                }
-            }
-            // Root-access helpers on the last lane — the partial-lane
-            // remainder whenever `batch` is not a multiple of the SIMD
-            // width. `write_roots` must agree with `root_value`, and
-            // `lane_roots_finite` must report the scalar path's verdict.
-            let last = batch - 1;
-            let mut out = Vec::new();
-            tape.write_roots(&vals, batch, last, &mut out);
-            let single_last = tape.eval(&points[last]);
-            assert_eq!(out.len(), roots.len());
-            for (k, (&w, &s)) in out.iter().zip(&single_last).enumerate() {
                 assert_eq!(
-                    w.to_bits(),
-                    s.to_bits(),
-                    "case {case} batch {batch}: write_roots diverged at root {k}"
-                );
-                assert_eq!(
-                    tape.root_value(&vals, batch, k, last).to_bits(),
-                    w.to_bits(),
-                    "case {case} batch {batch}: root_value disagrees with write_roots"
+                    tape.lane_roots_finite(&vals, batch, last),
+                    roots.iter().all(|r| full[r.index()].is_finite()),
+                    "{at}: lane_roots_finite diverged on last lane"
                 );
             }
-            assert_eq!(
-                tape.lane_roots_finite(&vals, batch, last),
-                single_last.iter().all(|v| v.is_finite()),
-                "case {case} batch {batch}: lane_roots_finite diverged on last lane"
-            );
         }
     }
 }

@@ -9,6 +9,23 @@
 use felix_records::Json;
 use felix_sim::DeviceConfig;
 
+/// Upper bounds on what one spec may ask for. A spec is outside input and
+/// sizes allocations (the descent reserves `n_seeds · n_steps` trajectory
+/// entries, the model parameters size the graph): unbounded, one accepted
+/// submit could abort the daemon on allocation failure — not a panic, so
+/// the quarantine never counts it — and again on every restart. Each is
+/// far above anything the evaluation uses (16 seeds × 200 steps, 16–64
+/// measurements, llama's 11008-wide FFN).
+pub const MAX_ROUNDS: usize = 100_000;
+/// See [`MAX_ROUNDS`].
+pub const MAX_MEASURES: usize = 1_024;
+/// See [`MAX_ROUNDS`].
+pub const MAX_SEEDS: usize = 256;
+/// See [`MAX_ROUNDS`].
+pub const MAX_STEPS: usize = 4_096;
+/// See [`MAX_ROUNDS`]; applies to every entry of [`JobSpec::params`].
+pub const MAX_PARAM: i64 = 65_536;
+
 /// A validated tuning-job specification.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
@@ -152,7 +169,8 @@ impl JobSpec {
     }
 
     /// Checks the spec is runnable: known model, right parameter arity,
-    /// known device, positive budgets, sane search knobs.
+    /// known device, and every budget, search knob and model parameter
+    /// between 1 and its `MAX_*` bound.
     pub fn validate(&self) -> Result<(), String> {
         let arity_ok = match self.model.as_str() {
             "llama" => self.params.len() == 1 || self.params.len() == 6,
@@ -169,15 +187,19 @@ impl JobSpec {
                 self.params.len()
             ));
         }
-        if self.params.iter().any(|&p| p <= 0) {
-            return Err("every model parameter must be positive".to_string());
+        if self.params.iter().any(|p| !(1..=MAX_PARAM).contains(p)) {
+            return Err(format!("every model parameter must be in 1..={MAX_PARAM}"));
         }
         self.resolve_device()?;
-        if self.rounds == 0 || self.measures == 0 {
-            return Err("\"rounds\" and \"measures\" must be at least 1".to_string());
-        }
-        if self.n_seeds == 0 || self.n_steps == 0 {
-            return Err("\"n_seeds\" and \"n_steps\" must be at least 1".to_string());
+        for (name, value, max) in [
+            ("rounds", self.rounds, MAX_ROUNDS),
+            ("measures", self.measures, MAX_MEASURES),
+            ("n_seeds", self.n_seeds, MAX_SEEDS),
+            ("n_steps", self.n_steps, MAX_STEPS),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(format!("\"{name}\" must be in 1..={max}, got {value}"));
+            }
         }
         Ok(())
     }

@@ -151,6 +151,22 @@ impl Shard {
     }
 
     fn try_adopt(&mut self, job: &SubmittedJob) -> Result<Option<JobRecord>, String> {
+        let mut active = self.open_job(job, true)?;
+        *self.served.entry(active.tenant.clone()).or_insert(0) += active.opt.rounds_done();
+        if active.opt.rounds_done() >= active.spec.rounds {
+            return Ok(Some(self.finalize_with(JobOutcome::Done, &mut active)));
+        }
+        self.active.push(active);
+        Ok(None)
+    }
+
+    /// Builds a job's optimizer at its last durable round boundary: the
+    /// checkpoint resumed if one exists, a fresh optimizer otherwise.
+    /// `to_run` says the job is about to tick, so a fresh optimizer gets
+    /// per-round checkpointing and (for `warm_cache` specs) the tenant's
+    /// schedule store; without it the optimizer is only read for its result
+    /// document, which must depend on the checkpoint alone.
+    fn open_job(&self, job: &SubmittedJob, to_run: bool) -> Result<ActiveJob, String> {
         let spec = JobSpec::from_json(&job.spec)?;
         let device = spec.resolve_device()?;
         let graphs = extract_subgraphs(&spec.resolve_graph()?);
@@ -168,24 +184,20 @@ impl Shard {
             std::fs::create_dir_all(&dir).map_err(|e| format!("job dir: {e}"))?;
             let model = pretrained_cost_model(&device, ModelQuality::Fast);
             let mut opt = Optimizer::with_options(graphs, model, device, options);
-            if spec.warm_cache {
-                opt = opt
-                    .with_schedule_store_namespaced(
-                        ensure_store(&self.data_dir, &job.tenant)?,
-                        &job.tenant,
-                    )
-                    .map_err(|e| format!("schedule store: {e}"))?;
+            if to_run {
+                if spec.warm_cache {
+                    opt = opt
+                        .with_schedule_store_namespaced(
+                            ensure_store(&self.data_dir, &job.tenant)?,
+                            &job.tenant,
+                        )
+                        .map_err(|e| format!("schedule store: {e}"))?;
+                }
+                opt = opt.with_checkpointing(&dir, 1);
             }
-            opt.with_checkpointing(&dir, 1)
+            opt
         };
-        let mut active =
-            ActiveJob { job_id: job.job_id, tenant: job.tenant.clone(), spec, opt };
-        *self.served.entry(active.tenant.clone()).or_insert(0) += active.opt.rounds_done();
-        if active.opt.rounds_done() >= active.spec.rounds {
-            return Ok(Some(self.finalize_with(JobOutcome::Done, &mut active)));
-        }
-        self.active.push(active);
-        Ok(None)
+        Ok(ActiveJob { job_id: job.job_id, tenant: job.tenant.clone(), spec, opt })
     }
 
     /// Finalizes a pending (not adopted) job into a non-`Done` terminal
@@ -211,34 +223,10 @@ impl Shard {
             );
             return self.finalize_error_with(JobOutcome::Quarantined, job, &message);
         }
-        match self.partial_state(job) {
+        match self.open_job(job, false) {
             Ok(mut active) => self.finalize_with(outcome, &mut active),
             Err(msg) => self.finalize_error_with(outcome, job, &msg),
         }
-    }
-
-    /// Rebuilds a job's optimizer at its last durable round boundary
-    /// (resuming the checkpoint if one exists) without running any round.
-    fn partial_state(&self, job: &SubmittedJob) -> Result<ActiveJob, String> {
-        let spec = JobSpec::from_json(&job.spec)?;
-        let device = spec.resolve_device()?;
-        let graphs = extract_subgraphs(&spec.resolve_graph()?);
-        let options = FelixOptions {
-            n_seeds: spec.n_seeds,
-            n_steps: spec.n_steps,
-            threads: 1,
-            ..Default::default()
-        };
-        let dir = job_dir(&self.data_dir, job.job_id);
-        let opt = if dir.join(STATE_FILE).exists() {
-            Optimizer::resume_from_checkpoint(graphs, device, options, &dir)
-                .map_err(|e| format!("resume failed: {e}"))?
-        } else {
-            std::fs::create_dir_all(&dir).map_err(|e| format!("job dir: {e}"))?;
-            let model = pretrained_cost_model(&device, ModelQuality::Fast);
-            Optimizer::with_options(graphs, model, device, options)
-        };
-        Ok(ActiveJob { job_id: job.job_id, tenant: job.tenant.clone(), spec, opt })
     }
 
     /// Finalizes any active jobs named in `verdicts` (cancel/expire,

@@ -1,11 +1,13 @@
 //! Wire-protocol properties: every request/response variant round-trips
-//! bit-exactly through the framed codec, and hostile input (malformed,
+//! bit-exactly through the framed codec, hostile input (malformed,
 //! truncated, oversized frames) yields a clean [`FrameError`] — never a
-//! panic, never a hang.
+//! panic, never a hang — and a spec asking for more than the `MAX_*` bounds
+//! is refused at decode, before the daemon writes anything.
 
 use felix_records::Json;
 use felix_serve::{
-    read_frame, write_frame, FrameError, JobRow, Request, Response, MAX_FRAME,
+    read_frame, write_frame, Client, ClientError, FrameError, JobRow, JobSpec, Request,
+    Response, ServeConfig, Server, MAX_FRAME, WAL_FILE,
 };
 use std::io::BufReader;
 
@@ -273,4 +275,57 @@ fn back_to_back_frames_read_in_order() {
         .collect();
     assert_eq!(ops, vec![Request::Ping, Request::List, Request::Shutdown]);
     assert_eq!(read_frame(&mut reader), Err(FrameError::Closed));
+}
+
+#[test]
+fn specs_over_a_limit_are_rejected_at_decode() {
+    use felix_serve::spec::{MAX_MEASURES, MAX_PARAM, MAX_ROUNDS, MAX_SEEDS, MAX_STEPS};
+    let at_limit = JobSpec {
+        params: vec![MAX_PARAM, 1, 1, 1, MAX_PARAM, 1],
+        rounds: MAX_ROUNDS,
+        measures: MAX_MEASURES,
+        n_seeds: MAX_SEEDS,
+        n_steps: MAX_STEPS,
+        ..JobSpec::quick("llama", vec![1], "RTX A5000", 1)
+    };
+    assert_eq!(JobSpec::from_json(&at_limit.to_json()), Ok(at_limit.clone()));
+    let huge = 1usize << 40;
+    let over: [(&str, JobSpec); 10] = [
+        ("rounds", JobSpec { rounds: MAX_ROUNDS + 1, ..at_limit.clone() }),
+        ("measures", JobSpec { measures: MAX_MEASURES + 1, ..at_limit.clone() }),
+        ("n_seeds", JobSpec { n_seeds: MAX_SEEDS + 1, ..at_limit.clone() }),
+        ("n_steps", JobSpec { n_steps: MAX_STEPS + 1, ..at_limit.clone() }),
+        ("rounds", JobSpec { rounds: huge, ..at_limit.clone() }),
+        ("measures", JobSpec { measures: huge, ..at_limit.clone() }),
+        ("n_seeds", JobSpec { n_seeds: huge, ..at_limit.clone() }),
+        ("n_steps", JobSpec { n_steps: huge, ..at_limit.clone() }),
+        ("parameter", JobSpec { params: vec![MAX_PARAM + 1], ..at_limit.clone() }),
+        ("parameter", JobSpec { params: vec![1, 1, 1, 1, 1 << 40, 1], ..at_limit.clone() }),
+    ];
+    for (field, spec) in over {
+        let err = JobSpec::from_json(&spec.to_json()).expect_err("over-limit spec decoded");
+        assert!(err.contains(field), "{field}: rejection {err:?} does not name the field");
+    }
+}
+
+#[test]
+fn an_over_limit_submit_is_refused_before_the_wal() {
+    let dir = std::env::temp_dir().join(format!("felix-serve-overlimit-{}", std::process::id()));
+    let server = Server::start(&ServeConfig::new("127.0.0.1:0", &dir, 1)).expect("start");
+    let wal = dir.join(WAL_FILE);
+    let before = std::fs::read(&wal).expect("wal exists after start");
+    let mut client = Client::connect(server.addr).expect("connect");
+    let spec = JobSpec {
+        n_seeds: 1 << 40,
+        n_steps: 1 << 40,
+        ..JobSpec::quick("llama", vec![1], "RTX A5000", 1)
+    };
+    match client.submit("acme", &spec) {
+        Err(ClientError::Server(message)) => assert!(message.contains("n_seeds"), "{message}"),
+        other => panic!("over-limit submit answered {other:?}"),
+    }
+    assert!(client.list().expect("list").is_empty(), "nothing was queued");
+    assert_eq!(std::fs::read(&wal).expect("wal"), before, "the WAL was touched");
+    server.shutdown_and_wait();
+    std::fs::remove_dir_all(&dir).ok();
 }

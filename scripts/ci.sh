@@ -14,7 +14,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # single crate's suite may exceed 60s of wall-clock, so a regression fails
 # CI rather than silently rotting back to multi-minute runs. Test binaries
 # are built first, so the loop measures execution, not compilation. Every
-# named scenario — chaos tuning, kill-and-resume, supervision parity, tape
+# named scenario — chaos tuning, kill-and-resume, descent supervision, tape
 # and schedule caches, the serve crash/lifecycle harness (Unix-only,
 # FELIX_SKIP_CRASH_TESTS=1 to skip) — runs here, once.
 cargo test -q --workspace --no-run
@@ -33,9 +33,9 @@ for crate in felix-egraph felix-expr felix-tir felix-graph felix-features \
 done
 
 # Bench smokes (asserts only, no timing claims in CI). tuner_bench: batched
-# tape ≡ batch-of-one ≡ pool oracle bitwise at batches 1/7/8/9/16/17 (a
-# partial-lane remainder around every SIMD width) and supervision on/off
-# candidate parity. cache_bench: the hit/warm/cold split end to end.
+# tape ≡ batch-of-one ≡ pool oracle bitwise at batches 1/7/8/9/16/17
+# (compile-time and run-time lane counts of the one kernel body).
+# cache_bench: the hit/warm/cold split end to end.
 TUNER_BENCH_SMOKE=1 FELIX_FAST=1 cargo run -q --release -p felix-bench --bin tuner_bench
 TUNER_BENCH_SMOKE=1 FELIX_FAST=1 cargo run -q --release -p felix-bench --bin cache_bench
 
