@@ -591,13 +591,9 @@ pub struct TunerStats {
     /// sketch-generator version (stale fingerprint). Zero for every
     /// proposer round; reported by the cache layer.
     pub schedule_cache_stale: usize,
-    /// Sketch objectives served from a shared cross-task tape cache this
-    /// round (compiled-tape compiles skipped entirely).
+    /// Sketch objectives served from a shared cross-proposer tape cache
+    /// this round (compiled-tape compiles skipped entirely).
     pub tape_cache_hits: usize,
-    /// Shared tape-cache entries evicted as stale (built under a different
-    /// sketch-generator fingerprint) while building this round's
-    /// objectives.
-    pub tape_cache_stale: usize,
 }
 
 impl TunerStats {
@@ -645,11 +641,8 @@ impl TunerStats {
                 self.schedule_cache_stale,
             ));
         }
-        if self.tape_cache_hits > 0 || self.tape_cache_stale > 0 {
-            line.push_str(&format!(
-                " tape-cache[hit {} stale {}]",
-                self.tape_cache_hits, self.tape_cache_stale,
-            ));
+        if self.tape_cache_hits > 0 {
+            line.push_str(&format!(" tape-cache[hit {}]", self.tape_cache_hits));
         }
         line
     }

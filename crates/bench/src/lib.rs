@@ -9,7 +9,6 @@
 //! `FELIX_FULL=1` for the heaviest (multi-seed band) runs. The default is a
 //! faithful but single-seed configuration.
 
-pub mod harness;
 pub mod plot;
 
 use felix::{FelixOptions, GradientProposer};

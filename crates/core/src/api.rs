@@ -9,9 +9,9 @@ use felix_ansor::{
 };
 use felix_cost::{generate_dataset, pretrain, Mlp, TrainConfig};
 use felix_graph::{partition, Graph, Task};
-use felix_ansor::MeasurePolicy;
 use felix_sim::clock::ClockCosts;
-use felix_sim::{DeviceConfig, FaultPlan, Simulator, TuningClock};
+use felix_sim::{DeviceConfig, Simulator, TuningClock};
+use felix_tir::sketch::{generator_hash, generator_is_current};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
@@ -70,8 +70,6 @@ pub struct Optimizer {
     costs: ClockCosts,
     proposer: GradientProposer,
     rng: StdRng,
-    fault_plan: FaultPlan,
-    measure_policy: MeasurePolicy,
     sink: Option<RecordLogSink>,
     schedule_store: Option<ScheduleCache>,
     checkpoint_dir: Option<PathBuf>,
@@ -107,8 +105,6 @@ impl Optimizer {
             costs: ClockCosts::default(),
             proposer: GradientProposer::new(options),
             rng: StdRng::seed_from_u64(0xF311),
-            fault_plan: FaultPlan::none(),
-            measure_policy: MeasurePolicy::default(),
             sink: None,
             schedule_store: None,
             checkpoint_dir: None,
@@ -117,20 +113,6 @@ impl Optimizer {
             history: Vec::new(),
             stats: Vec::new(),
         }
-    }
-
-    /// Injects measurement faults during tuning (testing / chaos runs). The
-    /// default zero-rate plan leaves every result byte-identical to an
-    /// optimizer without a fault layer.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    /// Overrides the retry/backoff policy applied to failed measurements.
-    pub fn with_measure_policy(mut self, policy: MeasurePolicy) -> Self {
-        self.measure_policy = policy;
-        self
     }
 
     /// Attaches a durable tuning-record log at `path`. Existing records
@@ -228,17 +210,10 @@ impl Optimizer {
         Ok(self)
     }
 
-    /// Attaches a shared cross-task tape cache
-    /// ([`crate::tape_cache::TapeCache`]): sketch-objective builds (the
-    /// smoothing → substitution → simplification → tape-compile pipeline,
-    /// by far the most expensive per-task setup step) first consult the
-    /// cache and share compiled tapes across structurally identical
-    /// sketches — across this optimizer's tasks and across every optimizer
-    /// holding a clone of the same `Arc` (the serving tier's worker
-    /// shards). Builds are deterministic in exactly the fingerprinted
-    /// inputs, so tuning results are bit-identical with or without the
-    /// cache; entries from a different sketch-generator fingerprint are
-    /// evicted as stale and rebuilt, never served.
+    /// Attaches a shared objective cache (see [`crate::tape_cache`]): every
+    /// optimizer holding a clone of the same `Arc` compiles each distinct
+    /// sketch objective once between them. Tuning results are bit-identical
+    /// with or without the cache.
     #[must_use]
     pub fn with_shared_tape_cache(mut self, cache: std::sync::Arc<crate::TapeCache>) -> Self {
         self.proposer = self.proposer.with_shared_tape_cache(cache);
@@ -269,6 +244,7 @@ impl Optimizer {
         felix_records::write_atomic(dir.join(persist::MODEL_FILE), &model_bytes)?;
         let state = CheckpointState {
             device_name: self.sim.device.name.to_string(),
+            generator: generator_hash(),
             clock_s: self.clock.now_s(),
             rng_state: self.rng.state(),
             rounds_done: self.rounds_done,
@@ -297,8 +273,9 @@ impl Optimizer {
     /// Continuing with `optimize_all` reproduces the exact time-vs-latency
     /// curve the uninterrupted run would have produced, byte for byte.
     ///
-    /// `graphs` and `device` must be the ones the checkpointed run used
-    /// (the tasks are rebuilt from them and verified by workload key). A
+    /// `graphs`, `device` and `options` must be the ones the checkpointed
+    /// run used (the tasks are rebuilt and verified by workload key; the
+    /// options carry the search knobs, fault plan and retry policy). A
     /// record log attached to the original run is reattached for appending;
     /// re-run rounds may append duplicate records, which replay skips.
     ///
@@ -320,6 +297,9 @@ impl Optimizer {
             .ok_or_else(|| bad("malformed or incompatible checkpoint document"))?;
         if state.device_name != device.name {
             return Err(bad("checkpoint was written for a different device"));
+        }
+        if !generator_is_current(state.generator) {
+            return Err(bad("checkpoint was written by a different sketch generator"));
         }
         let model = Mlp::load(std::io::BufReader::new(std::fs::File::open(
             dir.join(persist::MODEL_FILE),
@@ -395,8 +375,8 @@ impl Optimizer {
     ) -> NetworkTuneResult {
         let opts = TuneOptions {
             measurements_per_round: measure_per_round,
-            fault_plan: self.fault_plan,
-            measure_policy: self.measure_policy,
+            fault_plan: self.proposer.options.fault_plan,
+            measure_policy: self.proposer.options.measure_policy,
             ..Default::default()
         };
         let mut res = NetworkTuneResult {

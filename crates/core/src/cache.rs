@@ -27,7 +27,7 @@
 
 use felix_ansor::SearchTask;
 use felix_records::{fnv1a, task_key, ScheduleStore, StoredSchedule, FNV_OFFSET};
-use felix_tir::sketch::{generator_hash, round_to_valid};
+use felix_tir::sketch::{generator_hash, generator_is_current, round_to_valid};
 use std::path::Path;
 
 /// Separator between a tenant namespace and the workload key in stored
@@ -152,7 +152,6 @@ impl ScheduleCache {
         if !task.measured.is_empty() || !task.failed.is_empty() {
             return CacheOutcome::Miss;
         }
-        let live_gen = generator_hash();
         let scoped = self.scoped(&task.workload_key);
         let key = task_key(&scoped, device_name);
         // At most one stale increment per task: the counter means "this
@@ -167,7 +166,7 @@ impl ScheduleCache {
                 // An entry from an older (or unknown) sketch generator may
                 // still pass the structural validity check by accident;
                 // refuse it loudly instead of serving a degraded schedule.
-                if entry.generator != live_gen {
+                if !generator_is_current(entry.generator) {
                     saw_stale = true;
                 } else {
                     task.record(entry.sketch, entry.values.clone(), entry.latency_ms);
@@ -191,7 +190,7 @@ impl ScheduleCache {
             {
                 continue;
             }
-            if entry.generator != live_gen {
+            if !generator_is_current(entry.generator) {
                 saw_stale = true;
                 continue;
             }

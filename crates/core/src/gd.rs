@@ -30,10 +30,11 @@
 use crate::health::{restart_salt, restart_stream, ChunkHealth, SeedHealth, SupervisorOptions};
 use crate::objective::{EvalScratch, PipelineOptions, SketchObjective};
 use crate::parallel::{effective_threads, parallel_map};
-use crate::tape_cache::{objective_fingerprint, sketch_bucket, TapeCache, TapeLookup};
+use crate::tape_cache::TapeCache;
 use felix_ansor::evolution::EvolutionConfig;
 use felix_ansor::{
-    EvolutionaryProposer, HealthReport, Proposer, SearchTask, SketchMode, TunerStats,
+    EvolutionaryProposer, HealthReport, MeasurePolicy, Proposer, SearchTask, SketchMode,
+    TunerStats,
 };
 use felix_cost::{
     log_transform, total_cmp_desc_nan_last, total_cmp_nan_last, AdamOpt, Mlp, MlpScratch,
@@ -41,7 +42,7 @@ use felix_cost::{
 };
 use felix_features::FEATURE_COUNT;
 use felix_sim::clock::ClockCosts;
-use felix_sim::TuningClock;
+use felix_sim::{FaultPlan, TuningClock};
 use felix_tir::sketch::round_to_valid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,6 +77,12 @@ pub struct FelixOptions {
     /// deterministic restarts, panic isolation, and graceful degradation.
     /// The defaults never trip on a healthy run.
     pub supervisor: SupervisorOptions,
+    /// Measurement faults injected during tuning (testing / chaos runs).
+    /// The default zero-rate plan leaves every result byte-identical to a
+    /// run without a fault layer.
+    pub fault_plan: FaultPlan,
+    /// Retry/backoff policy applied to failed measurements.
+    pub measure_policy: MeasurePolicy,
 }
 
 impl Default for FelixOptions {
@@ -92,6 +99,8 @@ impl Default for FelixOptions {
             threads: 0,
             pipeline: PipelineOptions::default(),
             supervisor: SupervisorOptions::default(),
+            fault_plan: FaultPlan::none(),
+            measure_policy: MeasurePolicy::default(),
         }
     }
 }
@@ -129,23 +138,22 @@ impl GradientProposer {
         }
     }
 
-    /// Attaches a shared cross-task tape cache: objective builds first
-    /// consult (and on miss populate) `cache`, so structurally identical
-    /// sketches — across tasks, or across optimizers sharing the cache —
-    /// compile their gradient tapes once. Objective builds are
-    /// deterministic in exactly the fingerprinted inputs, so search
-    /// results are bit-identical with or without the cache.
+    /// Attaches a shared objective cache: on a memo miss the proposer asks
+    /// `cache` before building, so proposers holding the same `Arc` compile
+    /// each distinct sketch objective once between them. Builds are
+    /// deterministic in exactly the fingerprinted inputs, so search results
+    /// are bit-identical with or without the cache.
     #[must_use]
     pub fn with_shared_tape_cache(mut self, cache: Arc<TapeCache>) -> Self {
         self.tape_cache = Some(cache);
         self
     }
 
-    /// Returns the cached compiled objectives for `task`, building them (in
-    /// parallel over sketches — each build is deterministic and
-    /// independent) on first sight. A shared [`TapeCache`], when attached,
-    /// is consulted before building and populated after. Reports hit/miss
-    /// (and tape-cache hit/stale) into `stats`.
+    /// Returns the compiled objectives for `task` from the memo, building
+    /// them (in parallel over sketches — each build is deterministic and
+    /// independent) on first sight, through the shared [`TapeCache`] when
+    /// one is attached. Reports memo hit/miss and shared-cache hits into
+    /// `stats`.
     ///
     /// The memo is keyed by `workload_key`, not display name: display
     /// names can collide across tasks with different extents (two dense
@@ -166,32 +174,16 @@ impl GradientProposer {
             stats.cache_misses = task.sketches.len();
             let built = parallel_map(task.sketches.len(), threads, |i| {
                 let sk = &task.sketches[i];
-                let Some(cache) = tape_cache else {
-                    let obj =
-                        SketchObjective::build_with(&sk.program, &sk.features.exprs, pipeline);
-                    return (Arc::new(obj), false, false);
-                };
-                let bucket = sketch_bucket(sk.name, sk.program.sched_vars.len());
-                let fp = objective_fingerprint(&sk.program, &sk.features.exprs, pipeline);
-                match cache.lookup(bucket, fp) {
-                    TapeLookup::Hit(obj) => (obj, true, false),
-                    outcome => {
-                        let obj = Arc::new(SketchObjective::build_with(
-                            &sk.program,
-                            &sk.features.exprs,
-                            pipeline,
-                        ));
-                        cache.insert(bucket, fp, obj.clone());
-                        (obj, false, matches!(outcome, TapeLookup::Stale))
+                let (program, feats) = (&sk.program, &sk.features.exprs[..]);
+                match tape_cache {
+                    Some(cache) => cache.objective(program, feats, pipeline),
+                    None => {
+                        (Arc::new(SketchObjective::build_with(program, feats, pipeline)), false)
                     }
                 }
             });
-            let mut objs = Vec::with_capacity(built.len());
-            for (obj, hit, stale) in built {
-                stats.tape_cache_hits += usize::from(hit);
-                stats.tape_cache_stale += usize::from(stale);
-                objs.push(obj);
-            }
+            stats.tape_cache_hits = built.iter().filter(|(_, hit)| *hit).count();
+            let objs = built.into_iter().map(|(obj, _)| obj).collect();
             objectives.insert(task.workload_key.clone(), objs);
         }
         let objs = &objectives[&task.workload_key];

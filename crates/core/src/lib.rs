@@ -52,6 +52,6 @@ pub use api::{
 pub use cache::{structure_hash, CacheOutcome, ScheduleCache};
 pub use health::SupervisorOptions;
 pub use persist::{replay_records, CheckpointState, RecordLogSink};
-pub use tape_cache::{TapeCache, TapeCacheStats};
+pub use tape_cache::TapeCache;
 pub use gd::{FelixOptions, GradientProposer};
 pub use objective::{EvalScratch, SketchObjective};

@@ -32,8 +32,9 @@ use std::path::Path;
 /// Checkpoint document version, bumped on incompatible format changes.
 /// Version 2.0 added per-sketch supervision modes to task snapshots;
 /// version 3.0 added schedule-store attachment and per-task warm hints;
-/// version 4.0 added the schedule-store tenant namespace.
-const CHECKPOINT_VERSION: f64 = 4.0;
+/// version 4.0 added the schedule-store tenant namespace; version 5.0
+/// added the sketch-generator stamp.
+const CHECKPOINT_VERSION: f64 = 5.0;
 
 /// A [`MeasurementSink`] appending every measurement to a durable
 /// [`RecordLog`]. Write errors are reported once to stderr and then disable
@@ -194,6 +195,10 @@ pub fn replay_records(task: &mut SearchTask, records: &[Record], device_name: &s
 pub struct CheckpointState {
     /// Device the run targets, verified on resume.
     pub device_name: String,
+    /// Fingerprint of the sketch generator that numbered the sketches the
+    /// task snapshots refer to (`felix_tir::sketch::generator_hash`),
+    /// verified on resume.
+    pub generator: u64,
     /// Simulated tuning-clock position in seconds.
     pub clock_s: f64,
     /// Master RNG state (xoshiro256++ words).
@@ -379,6 +384,7 @@ pub fn checkpoint_to_json(state: &CheckpointState) -> Json {
     Json::obj(vec![
         ("version", Json::Num(CHECKPOINT_VERSION)),
         ("device", Json::Str(state.device_name.clone())),
+        ("gen", Json::u64_hex(state.generator)),
         ("clock_s", Json::f64_bits(state.clock_s)),
         (
             "rng",
@@ -445,6 +451,7 @@ pub fn checkpoint_from_json(doc: &Json) -> Option<CheckpointState> {
     }
     Some(CheckpointState {
         device_name: doc.get("device")?.as_str()?.to_string(),
+        generator: doc.get("gen")?.as_u64_hex()?,
         clock_s: doc.get("clock_s")?.as_f64_bits()?,
         rng_state: rng_words.try_into().ok()?,
         rounds_done: doc.get("rounds_done")?.as_usize()?,
@@ -483,6 +490,7 @@ mod tests {
     fn sample_state() -> CheckpointState {
         CheckpointState {
             device_name: "RTX A5000".to_string(),
+            generator: 0x5EED_FACE,
             clock_s: 0.1 + 0.2,
             rng_state: [1, u64::MAX, 0xDEAD_BEEF, 42],
             rounds_done: 7,

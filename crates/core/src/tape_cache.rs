@@ -1,43 +1,30 @@
-//! Cross-task cache of compiled sketch objectives (gradient tapes).
+//! The shared objective memo: compiled sketch objectives (gradient tapes)
+//! shared across proposers.
 //!
 //! Building a [`SketchObjective`] is the expensive, once-per-sketch part of
 //! attaching the gradient proposer to a task: smoothing, exponential
 //! substitution, equality-saturation simplification, and the tape compile
-//! together cost orders of magnitude more than a descent step. The
-//! [`GradientProposer`](crate::GradientProposer) already memoizes
-//! objectives per task *name*; this cache goes one step further and shares
-//! the built objective across **tasks** — two dense layers with identical
-//! shapes in different subgraphs, or the same workload tuned by several
-//! optimizers in one process (the serving tier's worker shards), compile
-//! their tapes once.
+//! together cost orders of magnitude more than a descent step. Each
+//! [`GradientProposer`](crate::GradientProposer) memoizes its objectives per
+//! `workload_key`; on a memo miss it consults this map, so proposers holding
+//! the same `Arc<TapeCache>` build each distinct objective once between
+//! them.
 //!
-//! Keying is two-level, mirroring the schedule store's transfer scheme:
-//!
-//! - the **bucket** is the extent-free structural key from PR's
-//!   [`structure_hash`](crate::cache::structure_hash) family — sketch name
-//!   plus schedule-variable count — so candidate entries are found without
-//!   scanning the whole cache;
-//! - within a bucket, an **exact fingerprint** (FNV-1a over the sketch
-//!   program's pool nodes with full constant bits, variables, buffers,
-//!   stages, constraints, schedule-variable metadata, the feature roots,
-//!   and the pipeline options) decides reuse. Constants carry the loop
-//!   extents, so two structurally identical sketches at different sizes
-//!   get different fingerprints and never share a tape.
-//!
-//! Objective builds are deterministic functions of exactly the
-//! fingerprinted inputs, so serving a cached `Arc` is bit-identical to
-//! rebuilding — the cache can never change a search result, only skip
-//! redundant compiles (asserted by `tests/tape_cache.rs`).
-//!
-//! Entries are stamped with the live sketch-generator fingerprint
-//! ([`generator_hash`]); a generator bump invalidates every cached tape
-//! (counted as `stale`, then rebuilt), mirroring the schedule store's
-//! staleness rule.
+//! The key is an exact fingerprint (FNV-1a over the sketch program's pool
+//! nodes with full constant bits, variables, buffers, stages, constraints,
+//! schedule-variable metadata, the feature roots, and the pipeline
+//! options). Constants carry the loop extents, so two structurally
+//! identical sketches at different sizes get different fingerprints and
+//! never share a tape. Objective builds are deterministic functions of
+//! exactly the fingerprinted inputs, so serving a cached `Arc` is
+//! bit-identical to rebuilding — the cache can never change a search
+//! result, only skip redundant compiles (asserted by `tests/tape_cache.rs`).
+//! The map lives and dies with one process, whose sketch generator cannot
+//! change under it, so entries carry no version stamp.
 
 use crate::objective::{PipelineOptions, SketchObjective};
 use felix_expr::{ENode, ExprId};
 use felix_records::{fnv1a, FNV_OFFSET};
-use felix_tir::sketch::generator_hash;
 use felix_tir::Program;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -58,22 +45,12 @@ impl Fnv {
     }
 }
 
-/// The extent-free bucket key for one sketch: name + schedule-variable
-/// count, the per-sketch analogue of [`crate::cache::structure_hash`].
-pub fn sketch_bucket(name: &str, n_sched_vars: usize) -> u64 {
-    let mut h = Fnv(FNV_OFFSET);
-    h.mix(name.as_bytes());
-    h.mix(b"\x00");
-    h.u64(n_sched_vars as u64);
-    h.0
-}
-
 /// Exact fingerprint of everything [`SketchObjective::build_with`] reads:
 /// the sketch program (pool nodes with full constant bits, variable names,
 /// buffers, stages, constraints, schedule-variable metadata), the feature
 /// roots, and the pipeline options. Two calls with equal fingerprints build
 /// bit-identical objectives.
-pub fn objective_fingerprint(
+fn objective_fingerprint(
     program: &Program,
     features: &[ExprId],
     pipeline: PipelineOptions,
@@ -143,126 +120,43 @@ pub fn objective_fingerprint(
     h.0
 }
 
-/// What a [`TapeCache::lookup`] found.
-pub enum TapeLookup {
-    /// A current entry; reuse it.
-    Hit(Arc<SketchObjective>),
-    /// An entry from a different sketch-generator fingerprint was evicted;
-    /// rebuild.
-    Stale,
-    /// Nothing cached; build and [`TapeCache::insert`].
-    Miss,
-}
-
-/// One cached objective, stamped with the generator fingerprint that was
-/// live when it was built.
-struct Entry {
-    fingerprint: u64,
-    generator: u64,
-    obj: Arc<SketchObjective>,
-}
-
-#[derive(Default)]
-struct Inner {
-    /// Generator fingerprint entries are checked against. Normally
-    /// [`generator_hash`]; overridable to drill the staleness path.
-    generator: u64,
-    buckets: HashMap<u64, Vec<Entry>>,
-    hits: usize,
-    misses: usize,
-    stale: usize,
-}
-
-/// Point-in-time counters of a [`TapeCache`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TapeCacheStats {
-    /// Lookups served a cached objective.
-    pub hits: usize,
-    /// Lookups that found nothing (the caller builds and inserts).
-    pub misses: usize,
-    /// Entries evicted because they were built under a different
-    /// sketch-generator fingerprint.
-    pub stale: usize,
-    /// Objectives currently cached.
-    pub entries: usize,
-}
-
-/// A process-wide, thread-safe cache of compiled sketch objectives, shared
-/// across optimizers via [`crate::Optimizer::with_shared_tape_cache`] /
+/// A thread-safe map from objective fingerprint to compiled objective,
+/// shared across proposers via
+/// [`crate::Optimizer::with_shared_tape_cache`] /
 /// [`crate::GradientProposer::with_shared_tape_cache`].
+#[derive(Default)]
 pub struct TapeCache {
-    inner: Mutex<Inner>,
-}
-
-impl Default for TapeCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    map: Mutex<HashMap<u64, Arc<SketchObjective>>>,
 }
 
 impl TapeCache {
-    /// An empty cache bound to the live sketch-generator fingerprint.
+    /// An empty cache.
     pub fn new() -> TapeCache {
-        TapeCache {
-            inner: Mutex::new(Inner { generator: generator_hash(), ..Inner::default() }),
-        }
+        TapeCache::default()
     }
 
-    /// Looks up the objective for `(bucket, fingerprint)`. An entry built
-    /// under a *different* generator fingerprint is evicted and reported
-    /// [`TapeLookup::Stale`] — the caller rebuilds, exactly as on a miss,
-    /// but the degradation is observable.
-    pub fn lookup(&self, bucket: u64, fingerprint: u64) -> TapeLookup {
-        let mut inner = self.inner.lock().expect("tape cache");
-        let generator = inner.generator;
-        let mut outcome = TapeLookup::Miss;
-        if let Some(entries) = inner.buckets.get_mut(&bucket) {
-            if let Some(pos) = entries.iter().position(|e| e.fingerprint == fingerprint) {
-                if entries[pos].generator == generator {
-                    outcome = TapeLookup::Hit(entries[pos].obj.clone());
-                } else {
-                    entries.remove(pos);
-                    outcome = TapeLookup::Stale;
-                }
-            }
+    /// The objective for `(program, features, pipeline)` and whether it was
+    /// served from the map. A miss builds outside the lock (sketches build
+    /// in parallel) and publishes the result; when two builders race on one
+    /// fingerprint the first insert wins — both are bit-identical builds,
+    /// so which `Arc` survives is immaterial.
+    pub(crate) fn objective(
+        &self,
+        program: &Program,
+        features: &[ExprId],
+        pipeline: PipelineOptions,
+    ) -> (Arc<SketchObjective>, bool) {
+        let fingerprint = objective_fingerprint(program, features, pipeline);
+        if let Some(obj) = self.map.lock().expect("tape cache").get(&fingerprint) {
+            return (obj.clone(), true);
         }
-        match &outcome {
-            TapeLookup::Hit(_) => inner.hits += 1,
-            TapeLookup::Stale => inner.stale += 1,
-            TapeLookup::Miss => inner.misses += 1,
-        }
-        outcome
+        let built = Arc::new(SketchObjective::build_with(program, features, pipeline));
+        let mut map = self.map.lock().expect("tape cache");
+        (map.entry(fingerprint).or_insert(built).clone(), false)
     }
 
-    /// Inserts a freshly built objective. A concurrent builder may have
-    /// inserted the same fingerprint first; the earlier entry wins (both
-    /// are bit-identical builds, so which `Arc` survives is immaterial).
-    pub fn insert(&self, bucket: u64, fingerprint: u64, obj: Arc<SketchObjective>) {
-        let mut inner = self.inner.lock().expect("tape cache");
-        let generator = inner.generator;
-        let entries = inner.buckets.entry(bucket).or_default();
-        if entries.iter().any(|e| e.fingerprint == fingerprint && e.generator == generator) {
-            return;
-        }
-        entries.push(Entry { fingerprint, generator, obj });
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> TapeCacheStats {
-        let inner = self.inner.lock().expect("tape cache");
-        TapeCacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            stale: inner.stale,
-            entries: inner.buckets.values().map(Vec::len).sum(),
-        }
-    }
-
-    /// Overrides the generator fingerprint lookups are checked against —
-    /// simulates a sketch-generator bump without recompiling the crate, so
-    /// tests and ops drills can exercise the staleness path. Every entry
-    /// built under the old fingerprint becomes stale on its next lookup.
-    pub fn override_generator(&self, generator: u64) {
-        self.inner.lock().expect("tape cache").generator = generator;
+    /// Objectives currently cached.
+    pub fn entries(&self) -> usize {
+        self.map.lock().expect("tape cache").len()
     }
 }

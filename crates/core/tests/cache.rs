@@ -4,60 +4,13 @@
 //! are deterministic, and kill-and-resume with a store attached stays
 //! byte-identical to the uninterrupted run.
 
-use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
-use felix_graph::models;
+mod common;
+
+use common::{
+    assert_tasks_bit_identical, history_bits, quick_options, scaled_network, tiny_network, tmp_dir,
+};
+use felix::{pretrained_cost_model, ModelQuality, Optimizer};
 use felix_sim::DeviceConfig;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn tiny_network() -> Vec<felix_graph::Task> {
-    extract_subgraphs(&models::llama_with_config(1, 16, 128, 4, 344, 2))
-}
-
-/// Same architecture as [`tiny_network`] at different extents: every task
-/// shares its structure hash with a [`tiny_network`] task but none shares a
-/// workload key — the structural near-miss (warm start) case.
-fn scaled_network() -> Vec<felix_graph::Task> {
-    extract_subgraphs(&models::llama_with_config(1, 32, 256, 4, 688, 2))
-}
-
-fn quick_options(threads: usize) -> FelixOptions {
-    FelixOptions { n_seeds: 2, n_steps: 15, threads, ..Default::default() }
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "felix-cache-{}-{}-{tag}",
-        std::process::id(),
-        n
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn history_bits(opt: &Optimizer) -> Vec<(u64, u64)> {
-    opt.history.iter().map(|p| (p.time_s.to_bits(), p.latency_ms.to_bits())).collect()
-}
-
-fn assert_tasks_bit_identical(a: &Optimizer, b: &Optimizer) {
-    for (ta, tb) in a.tasks().iter().zip(b.tasks()) {
-        assert_eq!(ta.best_latency_ms.to_bits(), tb.best_latency_ms.to_bits());
-        assert_eq!(ta.best_schedule, tb.best_schedule);
-        assert_eq!(ta.measured.len(), tb.measured.len());
-        for (ma, mb) in ta.measured.iter().zip(&tb.measured) {
-            assert_eq!(ma.0, mb.0);
-            assert_eq!(
-                ma.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                mb.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            assert_eq!(ma.2.to_bits(), mb.2.to_bits());
-        }
-        assert_eq!(ta.failed, tb.failed);
-        assert_eq!(ta.warm_hints, tb.warm_hints);
-    }
-}
 
 #[test]
 fn empty_schedule_store_is_bit_identical_at_every_thread_count() {

@@ -1,27 +1,23 @@
 //! End-to-end regression tests of the fault-tolerant tuning pipeline:
 //! the zero-fault bit-identity guarantee (including across tuner thread
-//! counts) and deterministic chaos runs at 10-30% injected failure rates.
+//! counts), deterministic chaos runs at 10-30% injected failure rates, and
+//! kill-and-resume under a fault plan.
 
-use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
+mod common;
+
+use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_network, tmp_dir};
+use felix::{pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::{MeasurePolicy, NetworkTuneResult};
-use felix_graph::models;
 use felix_sim::{DeviceConfig, FaultPlan};
-
-fn tiny_network() -> Vec<felix_graph::Task> {
-    extract_subgraphs(&models::llama_with_config(1, 16, 128, 4, 344, 2))
-}
-
-fn quick_options(threads: usize) -> FelixOptions {
-    FelixOptions { n_seeds: 2, n_steps: 15, threads, ..Default::default() }
-}
 
 fn run(plan: Option<FaultPlan>, threads: usize, rounds_extra: usize) -> (Optimizer, NetworkTuneResult) {
     let device = DeviceConfig::a5000();
     let model = pretrained_cost_model(&device, ModelQuality::Fast);
-    let mut opt = Optimizer::with_options(tiny_network(), model, device, quick_options(threads));
+    let mut options = quick_options(threads);
     if let Some(plan) = plan {
-        opt = opt.with_fault_plan(plan);
+        options.fault_plan = plan;
     }
+    let mut opt = Optimizer::with_options(tiny_network(), model, device, options);
     let rounds = opt.tasks().len() + rounds_extra;
     let res = opt.optimize_all(rounds, 4);
     (opt, res)
@@ -88,9 +84,12 @@ fn chaos_tuning_converges_without_panicking() {
     for (seed, rate) in [(41u64, 0.1), (42, 0.2), (43, 0.3)] {
         let device = DeviceConfig::a5000();
         let model = pretrained_cost_model(&device, ModelQuality::Fast);
-        let mut opt = Optimizer::with_options(tiny_network(), model, device, quick_options(1))
-            .with_fault_plan(FaultPlan::chaos(seed, rate))
-            .with_measure_policy(policy);
+        let options = FelixOptions {
+            fault_plan: FaultPlan::chaos(seed, rate),
+            measure_policy: policy,
+            ..quick_options(1)
+        };
+        let mut opt = Optimizer::with_options(tiny_network(), model, device, options);
         let rounds = opt.tasks().len() * 2;
         let res = opt.optimize_all(rounds, 6);
         assert_eq!(res.round_reports.len(), rounds, "every round ran (rate {rate})");
@@ -129,4 +128,46 @@ fn chaos_is_deterministic_per_seed() {
     assert_eq!(curve_bits(&res_a), curve_bits(&res_b));
     assert_eq!(res_a.round_reports, res_b.round_reports);
     assert_eq!(opt_a.tuning_time_s().to_bits(), opt_b.tuning_time_s().to_bits());
+}
+
+#[test]
+fn chaos_run_resumes_byte_identically_from_its_options_alone() {
+    // The fault plan and retry policy ride `FelixOptions`, so a chaos run
+    // killed at a round boundary and resumed with the same options value —
+    // nothing re-chained — must finish exactly as the uninterrupted run:
+    // same curve, same clock, same task states, same fault statistics.
+    for threads in [1usize, 2] {
+        let options = FelixOptions {
+            fault_plan: FaultPlan::chaos(0xC4A05, 0.25),
+            measure_policy: MeasurePolicy { max_retries: 3, ..Default::default() },
+            ..quick_options(threads)
+        };
+        let device = DeviceConfig::a5000();
+        let model = pretrained_cost_model(&device, ModelQuality::Fast);
+        let mut base = Optimizer::with_options(tiny_network(), model.clone(), device, options);
+        let n_rounds = base.tasks().len() * 2;
+        base.optimize_all(n_rounds, 6);
+
+        let dir = tmp_dir("chaos-resume");
+        let m = n_rounds / 2;
+        let faults = |opt: &Optimizer| -> usize {
+            opt.tasks().iter().map(|t| t.fault_stats.failures() + t.fault_stats.retries).sum()
+        };
+        {
+            let mut first = Optimizer::with_options(tiny_network(), model, device, options)
+                .with_checkpointing(&dir, 1);
+            first.optimize_all(m, 6);
+            assert!(faults(&first) > 0, "faults must fire before the kill");
+            assert!(faults(&first) < faults(&base), "and after it");
+            // Dropped here: the "crash".
+        }
+        let mut resumed = Optimizer::resume_from_checkpoint(tiny_network(), device, options, &dir)
+            .expect("resume from checkpoint");
+        resumed.optimize_all(n_rounds - m, 6);
+
+        assert_eq!(history_bits(&resumed), history_bits(&base), "{threads} threads");
+        assert_eq!(resumed.tuning_time_s().to_bits(), base.tuning_time_s().to_bits());
+        assert_tasks_bit_identical(&base, &resumed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -4,63 +4,12 @@
 //! a fresh optimizer, and — with the store disabled or the log empty — the
 //! persistence layer perturbs nothing at any thread count.
 
+mod common;
+
+use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_network, tmp_dir};
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_graph::models;
 use felix_sim::{DeviceConfig, FaultPlan};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn tiny_network() -> Vec<felix_graph::Task> {
-    extract_subgraphs(&models::llama_with_config(1, 16, 128, 4, 344, 2))
-}
-
-fn quick_options(threads: usize) -> FelixOptions {
-    FelixOptions { n_seeds: 2, n_steps: 15, threads, ..Default::default() }
-}
-
-/// A unique scratch directory per call (tests in one binary may run in
-/// parallel; directories must not collide).
-fn tmp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "felix-persistence-{}-{}-{tag}",
-        std::process::id(),
-        n
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-fn history_bits(opt: &Optimizer) -> Vec<(u64, u64)> {
-    opt.history.iter().map(|p| (p.time_s.to_bits(), p.latency_ms.to_bits())).collect()
-}
-
-fn assert_tasks_bit_identical(a: &Optimizer, b: &Optimizer) {
-    for (ta, tb) in a.tasks().iter().zip(b.tasks()) {
-        assert_eq!(ta.best_latency_ms.to_bits(), tb.best_latency_ms.to_bits());
-        assert_eq!(ta.best_schedule, tb.best_schedule);
-        assert_eq!(ta.measured.len(), tb.measured.len());
-        for (ma, mb) in ta.measured.iter().zip(&tb.measured) {
-            assert_eq!(ma.0, mb.0);
-            assert_eq!(
-                ma.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                mb.1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-            assert_eq!(ma.2.to_bits(), mb.2.to_bits());
-        }
-        assert_eq!(ta.failed, tb.failed);
-        assert_eq!(ta.fault_stats, tb.fault_stats);
-        assert_eq!(ta.samples.len(), tb.samples.len());
-        for (sa, sb) in ta.samples.iter().zip(&tb.samples) {
-            assert_eq!(sa.score.to_bits(), sb.score.to_bits());
-            assert_eq!(
-                sa.logfeats.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                sb.logfeats.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
-    }
-}
 
 #[test]
 fn resume_from_checkpoint_matches_uninterrupted_curve() {
@@ -120,6 +69,24 @@ fn resume_rejects_mismatched_checkpoints() {
     let other = extract_subgraphs(&models::dcgan(1));
     let err = Optimizer::resume_from_checkpoint(other, device, quick_options(1), &dir);
     assert!(err.is_err(), "network mismatch must be rejected");
+    // Wrong sketch generator: the snapshots' sketch indices and variable
+    // vectors mean nothing under a generator that numbers sketches anew.
+    let state = dir.join(felix::persist::STATE_FILE);
+    let live = felix_tir::sketch::generator_hash();
+    let text = std::fs::read_to_string(&state).expect("read state");
+    let stale = text.replace(
+        &format!("\"gen\":\"{live:016x}\""),
+        &format!("\"gen\":\"{:016x}\"", !live),
+    );
+    assert!(text != stale, "the checkpoint carries the live generator stamp");
+    std::fs::write(&state, stale).expect("rewrite state");
+    let err = Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
+        .err()
+        .expect("generator mismatch must be rejected");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    std::fs::write(&state, text).expect("restore state");
+    Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
+        .expect("the untouched checkpoint resumes");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -188,8 +155,8 @@ fn chaos_record_log_replay_restores_fault_state() {
     let model = pretrained_cost_model(&device, ModelQuality::Fast);
     let dir = tmp_dir("chaos-replay");
     let log = dir.join("records.jsonl");
-    let mut tuned = Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(1))
-        .with_fault_plan(FaultPlan::chaos(0x7A5, 0.3))
+    let chaos = FelixOptions { fault_plan: FaultPlan::chaos(0x7A5, 0.3), ..quick_options(1) };
+    let mut tuned = Optimizer::with_options(tiny_network(), model.clone(), device, chaos)
         .with_record_log(&log)
         .expect("open record log");
     let n_rounds = tuned.tasks().len() * 2;

@@ -800,16 +800,14 @@ mod tests {
     /// of the surviving prefix; the last cut is the bit-exact round trip.
     #[test]
     fn wal_recovers_the_intact_prefix_at_every_truncation_of_every_line_kind() {
-        let records = lifecycle_records();
+        let mut records = lifecycle_records();
+        let n = records.len();
+        records.push(records[0].clone());
         every_truncation_recovers_the_intact_prefix(
-            |path| {
-                let mut wal = JobWal::open(path).expect("open");
-                for r in &records {
-                    wal.append(r).expect("append");
-                }
-            },
+            n,
+            |path, i| JobWal::open(path).expect("open").append(&records[i]).expect("append"),
             |path| read_job_records(path).expect("read"),
-            |intact| records[..intact].to_vec(),
+            |survivors| survivors.iter().map(|&i| records[i].clone()).collect(),
         );
     }
 
@@ -935,6 +933,15 @@ mod tests {
             assert!(queue.commit(&record).is_err(), "ENOSPC must surface: {record:?}");
             assert_eq!(queue.state(), &before, "state advanced past a failed append");
         }
+        let replayed = QueueState::replay(&read_job_records(&path).expect("read"));
+        assert_eq!(&replayed, queue.state());
+        // A failed append may have left any prefix of its line behind, so
+        // the next one to succeed starts on a line of its own.
+        let len_before = std::fs::metadata(&path).expect("stat").len() as usize;
+        queue.wal.log.redirect_appends(path.to_str().expect("utf-8 path"));
+        queue.commit(&JobRecord::CancelRequested { job_id: live }).expect("commit");
+        let bytes = std::fs::read(&path).expect("read");
+        assert!(bytes[len_before..].starts_with(b"#\n{"), "fenced off the unknown tail");
         let replayed = QueueState::replay(&read_job_records(&path).expect("read"));
         assert_eq!(&replayed, queue.state());
         std::fs::remove_file(&path).ok();

@@ -461,25 +461,24 @@ mod tests {
 
     #[test]
     fn record_log_recovers_the_intact_prefix_at_every_truncation() {
-        let records: Vec<Record> = (0..8)
+        let records: Vec<Record> = (0..9)
             .map(|i| match i % 3 {
                 2 => Record::Health(sample_health(i)),
                 _ => Record::Measurement(sample_record(i)),
             })
             .collect();
         every_truncation_recovers_the_intact_prefix(
-            |path| {
+            8,
+            |path, i| {
                 let mut log = RecordLog::open(path).expect("open");
-                for r in &records {
-                    match r {
-                        Record::Measurement(m) => log.append(m),
-                        Record::Health(h) => log.append_health(h),
-                    }
-                    .expect("append");
+                match &records[i] {
+                    Record::Measurement(m) => log.append(m),
+                    Record::Health(h) => log.append_health(h),
                 }
+                .expect("append");
             },
             |path| read_all_records(path).expect("read"),
-            |intact| records[..intact].to_vec(),
+            |survivors| survivors.iter().map(|&i| records[i].clone()).collect(),
         );
     }
 

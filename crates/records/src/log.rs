@@ -9,13 +9,23 @@
 //! - an append is one `write_all` on an unbuffered `O_APPEND` handle: it is
 //!   in the OS when the call returns (survives a crash of this process),
 //!   and a *failed* append leaves nothing in user space to land later;
+//! - the unterminated fragment an interrupted or failed append leaves in
+//!   the *file* is fenced off by the next append (see [`FENCE`]);
 //! - a rewrite goes to a sibling `.tmp`, is fsynced and renamed over the
 //!   target, so a reader or a crash sees the old file or the new one.
 
 use crate::Json;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+
+/// What an append onto a dirty tail starts with, in the same `write_all`
+/// as its line. The newline ends the fragment's line, so the new record
+/// starts on one of its own; the byte before it keeps the fragment from
+/// parsing even when it was a whole document short of its terminator —
+/// every reader up to now dropped it as torn, and state folded from the log
+/// must not see it come back.
+const FENCE: &str = "#\n";
 
 /// An append handle on one JSONL file plus the count of intact lines this
 /// handle knows the file to hold.
@@ -24,10 +34,27 @@ pub(crate) struct Log {
     path: PathBuf,
     file: File,
     lines: usize,
+    /// The file may end in something other than a newline: it did when it
+    /// was opened, or an append has failed since (a short write can leave
+    /// any prefix of the line behind).
+    dirty_tail: bool,
 }
 
 fn open_append(path: &Path) -> std::io::Result<File> {
     OpenOptions::new().create(true).append(true).open(path)
+}
+
+/// Whether a non-empty file ends in a byte other than a newline. Anything
+/// without a length (a FIFO, a device) reads as clean.
+fn ends_mid_line(file: &File, path: &Path) -> std::io::Result<bool> {
+    if file.metadata()?.len() == 0 {
+        return Ok(false);
+    }
+    let mut last = [0u8];
+    let mut reader = File::open(path)?;
+    reader.seek(SeekFrom::End(-1))?;
+    reader.read_exact(&mut last)?;
+    Ok(last[0] != b'\n')
 }
 
 fn write_line(out: &mut impl Write, doc: &Json) -> std::io::Result<()> {
@@ -52,7 +79,9 @@ impl Log {
     /// Opens (creating if needed) the file for appending without reading
     /// it; [`Log::lines`] then counts only what this handle writes.
     pub(crate) fn open(path: &Path) -> std::io::Result<Log> {
-        Ok(Log { path: path.to_path_buf(), file: open_append(path)?, lines: 0 })
+        let file = open_append(path)?;
+        let dirty_tail = ends_mid_line(&file, path)?;
+        Ok(Log { path: path.to_path_buf(), file, lines: 0, dirty_tail })
     }
 
     /// Feeds every intact line of the file to `visit` in append order (see
@@ -75,7 +104,14 @@ impl Log {
     /// Appends one line. On `Ok` a crash of this process can no longer
     /// lose it; on `Err` the caller must not apply the change it encodes.
     pub(crate) fn append(&mut self, doc: &Json) -> std::io::Result<()> {
-        write_line(&mut self.file, doc)?;
+        let mut line = doc.write();
+        line.push('\n');
+        if self.dirty_tail {
+            line.insert_str(0, FENCE);
+        }
+        let written = self.file.write_all(line.as_bytes());
+        self.dirty_tail = written.is_err();
+        written?;
         self.lines += 1;
         Ok(())
     }
@@ -90,6 +126,7 @@ impl Log {
         })?;
         self.file = open_append(&self.path)?;
         self.lines = lines;
+        self.dirty_tail = false;
         Ok(lines)
     }
 
@@ -149,26 +186,34 @@ pub(crate) mod tests {
         std::env::temp_dir().join(format!("felix-records-{tag}-{}-{n}.jsonl", std::process::id()))
     }
 
-    /// The torn-tail property, written once for all three line codecs:
-    /// `write` fills a fresh log one record per line, and at **every** byte
-    /// offset the file is then cut to — from empty through "complete except
-    /// the newline" — `read` must return `expected(k)`, `k` being the lines
-    /// that survived complete. An interrupted append never costs more than
-    /// the record being written, whichever store wrote it.
+    /// The torn-tail property, written once for all three line codecs.
+    /// `append(path, i)` opens the store under test and appends record `i`;
+    /// records `0..n` fill a fresh log, and at **every** byte offset the
+    /// file is then cut to — from empty through "complete except the
+    /// newline" — `read` must return `expected` of the `k` records that
+    /// survived complete. Record `n`, appended through the store onto that
+    /// cut, must then be read back right after them: an interrupted append
+    /// never costs more than the record being written, whichever store
+    /// wrote it, and never the one written next.
     pub(crate) fn every_truncation_recovers_the_intact_prefix<T: PartialEq + std::fmt::Debug>(
-        write: impl FnOnce(&Path),
+        n: usize,
+        append: impl Fn(&Path, usize),
         read: impl Fn(&Path) -> Vec<T>,
-        expected: impl Fn(usize) -> Vec<T>,
+        expected: impl Fn(&[usize]) -> Vec<T>,
     ) {
         let path = tmp_path("truncation");
-        write(&path);
+        (0..n).for_each(|i| append(&path, i));
         let full = std::fs::read(&path).expect("read log bytes");
         assert_eq!(full.last(), Some(&b'\n'));
         for cut in 0..=full.len() {
             std::fs::write(&path, &full[..cut]).expect("truncate");
             // JSON strings escape newlines, so every 0x0A byte ends a line.
             let intact = full[..cut].iter().filter(|&&b| b == b'\n').count();
-            assert_eq!(read(&path), expected(intact), "cut at byte {cut}/{}", full.len());
+            let mut survivors: Vec<usize> = (0..intact).collect();
+            assert_eq!(read(&path), expected(&survivors), "cut at byte {cut}/{}", full.len());
+            append(&path, n);
+            survivors.push(n);
+            assert_eq!(read(&path), expected(&survivors), "append after cut {cut}/{}", full.len());
         }
         std::fs::remove_file(&path).ok();
     }

@@ -295,17 +295,17 @@ mod tests {
     #[test]
     fn store_recovers_the_intact_prefix_at_every_truncation() {
         every_truncation_recovers_the_intact_prefix(
-            |path| {
+            4,
+            |path, i| {
                 let mut store = ScheduleStore::open(path).expect("open");
-                for i in 0..4 {
-                    assert!(store.insert(sample_entry(i)).expect("insert"));
-                }
+                assert!(store.insert(sample_entry(i)).expect("insert"));
             },
             |path| snapshot(&ScheduleStore::open(path).expect("open truncated")),
-            |intact| {
-                let mut prefix: Vec<StoredSchedule> = (0..intact).map(sample_entry).collect();
-                prefix.sort_by_key(|e| e.task_key); // entries() iterates in key order
-                prefix
+            |survivors| {
+                let mut entries: Vec<StoredSchedule> =
+                    survivors.iter().map(|&i| sample_entry(i)).collect();
+                entries.sort_by_key(|e| e.task_key); // entries() iterates in key order
+                entries
             },
         );
     }

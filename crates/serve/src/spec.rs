@@ -204,6 +204,18 @@ impl JobSpec {
         Ok(())
     }
 
+    /// The tuning options this spec asks for — everything the optimizer
+    /// is built (or resumed) with. One thread: a job's rounds interleave
+    /// with other jobs' on the shard's own thread.
+    pub fn felix_options(&self) -> felix::FelixOptions {
+        felix::FelixOptions {
+            n_seeds: self.n_seeds,
+            n_steps: self.n_steps,
+            threads: 1,
+            ..Default::default()
+        }
+    }
+
     /// Builds the model graph.
     ///
     /// # Errors

@@ -27,7 +27,7 @@
 use crate::spec::JobSpec;
 use felix::cache::ScheduleCache;
 use felix::persist::STATE_FILE;
-use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
+use felix::{extract_subgraphs, pretrained_cost_model, ModelQuality, Optimizer};
 use felix_ansor::{job_priority, network_latency};
 use felix_records::jobs::{JobOutcome, SubmittedJob};
 use felix_records::{fnv1a, write_document, JobRecord, Json, FNV_OFFSET};
@@ -170,12 +170,7 @@ impl Shard {
         let spec = JobSpec::from_json(&job.spec)?;
         let device = spec.resolve_device()?;
         let graphs = extract_subgraphs(&spec.resolve_graph()?);
-        let options = FelixOptions {
-            n_seeds: spec.n_seeds,
-            n_steps: spec.n_steps,
-            threads: 1,
-            ..Default::default()
-        };
+        let options = spec.felix_options();
         let dir = job_dir(&self.data_dir, job.job_id);
         let opt = if dir.join(STATE_FILE).exists() {
             Optimizer::resume_from_checkpoint(graphs, device, options, &dir)

@@ -257,6 +257,15 @@ pub fn generator_hash() -> u64 {
     h
 }
 
+/// Whether an artifact stamped `stamp` — a schedule-store entry, a
+/// checkpoint — was written under the sketch generator this process runs.
+/// The one place the comparison is made; a stale artifact's (sketch index,
+/// variable vector) pairs refer to sketches that may since have been
+/// renumbered, so callers skip or refuse it.
+pub fn generator_is_current(stamp: u64) -> bool {
+    stamp == generator_hash()
+}
+
 /// Generates the symbolic sketches for an initial (naive) program.
 ///
 /// Mirrors Ansor's sketch rules for GPU: every subgraph gets the thread-bind

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: release build, the tier-1 line (`cargo test -q` at the root runs
 # the root package's 14 integration tests only), clippy with warnings
-# denied, then every crate's own suite under a time budget, the two bench
-# smokes and the ledger smoke. Everything is offline.
+# denied, then every crate's own suite under a time budget, the tuner_bench
+# smoke, the ledger smoke and the non-test line count. Everything is offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,12 +32,10 @@ for crate in felix-egraph felix-expr felix-tir felix-graph felix-features \
     fi
 done
 
-# Bench smokes (asserts only, no timing claims in CI). tuner_bench: batched
-# tape ≡ batch-of-one ≡ pool oracle bitwise at batches 1/7/8/9/16/17
-# (compile-time and run-time lane counts of the one kernel body).
-# cache_bench: the hit/warm/cold split end to end.
+# Bench smoke (asserts only, no timing claims in CI): batched tape ≡
+# batch-of-one ≡ pool oracle bitwise at batches 1/7/8/9/16/17 (compile-time
+# and run-time lane counts of the one kernel body).
 TUNER_BENCH_SMOKE=1 FELIX_FAST=1 cargo run -q --release -p felix-bench --bin tuner_bench
-TUNER_BENCH_SMOKE=1 FELIX_FAST=1 cargo run -q --release -p felix-bench --bin cache_bench
 
 # Ledger smoke: every benchmark workload, untraced then traced, CI-sized.
 # Gates on the ledger's output checks only (`correct: true`, no failed
@@ -45,3 +43,12 @@ TUNER_BENCH_SMOKE=1 FELIX_FAST=1 cargo run -q --release -p felix-bench --bin cac
 # `resume_then_rounds_equals_uninterrupted`, WAL replay, ...); timings are
 # printed, never compared here.
 bash benchmark/run.sh --smoke
+
+# Size of the product, for the next CHANGES.md entry to quote: lines of
+# every .rs file under crates/ up to its first `#[cfg(test)]`, `tests/`
+# directories excluded.
+find crates -name '*.rs' -not -path '*/tests/*' -print0 \
+    | xargs -0 awk 'FNR == 1 { in_tests = 0 }
+                    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+                    !in_tests { n++ }
+                    END { print "non-test lines under crates/: " n }'
