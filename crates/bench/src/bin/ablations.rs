@@ -6,7 +6,6 @@
 //! - `full`           — the complete system (paper defaults)
 //! - `no-smoothing`   — subgradients through raw `select`/`min`/`max`
 //! - `no-exp-subst`   — optimize `x` directly instead of `y = ln x`
-//! - `no-simplify`    — skip the equality-saturation rewriter
 //! - `no-fine-tune`   — never update the cost model with measurements
 //! - `seeds-1/seeds-16`, `steps-50/steps-400` — search-budget sweeps
 
@@ -42,14 +41,6 @@ fn variants() -> Vec<Variant> {
             name: "no-exp-subst",
             options: FelixOptions {
                 pipeline: PipelineOptions { exp_substitution: false, ..Default::default() },
-                ..base
-            },
-            update_model: true,
-        },
-        Variant {
-            name: "no-simplify",
-            options: FelixOptions {
-                pipeline: PipelineOptions { simplify: false, ..Default::default() },
                 ..base
             },
             update_model: true,

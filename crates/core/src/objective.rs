@@ -5,10 +5,11 @@
 //!
 //! 1. log-transform every feature formula (`ln(1+f)`),
 //! 2. rewrite non-differentiable operators into smooth ones (Fig. 4),
-//! 3. substitute `x = e^y` for every schedule variable,
-//! 4. simplify with the equality-saturation rewriter (logs distribute,
-//!    `log∘exp` cancels, products of tile sizes become sums of `y`),
-//! 5. keep the validity constraints as penalty expressions `g(y)`.
+//! 3. substitute `x = e^y` for every schedule variable (the pool's smart
+//!    constructors cancel any directly nested `log∘exp` as it is built),
+//! 4. keep the validity constraints as penalty expressions `g(y)`,
+//! 5. compile the live feature and penalty sub-DAG into one gradient tape
+//!    (dead-code elimination, constant folding, CSE).
 //!
 //! [`SketchObjective::cost_and_grad`] then composes the MLP cost model with
 //! the feature DAG: the MLP's input gradient seeds one reverse-mode sweep
@@ -17,10 +18,8 @@
 
 use felix_cost::Mlp;
 use felix_expr::autodiff::GradOptions;
-use felix_expr::rewrite::simplify_with_limits;
 use felix_expr::subst::exp_substitution;
 use felix_expr::{smooth_all, CompiledGradTape, ExprId, VarId};
-use felix_egraph::RunnerLimits;
 use felix_tir::Program;
 use std::collections::HashMap;
 
@@ -37,8 +36,6 @@ pub struct PipelineOptions {
     /// The `x = e^y` exponential substitution. When disabled, optimization
     /// runs directly over `x`.
     pub exp_substitution: bool,
-    /// Equality-saturation simplification of the rewritten formulas.
-    pub simplify: bool,
 }
 
 impl Default for PipelineOptions {
@@ -47,7 +44,6 @@ impl Default for PipelineOptions {
             smoothing: true,
             log_features: true,
             exp_substitution: true,
-            simplify: true,
         }
     }
 }
@@ -75,7 +71,7 @@ pub const PENALTY_CLAMP: f64 = 1e100;
 pub struct SketchObjective {
     /// A clone of the sketch's program whose pool holds the rewritten DAG.
     pub program: Program,
-    /// Smoothed, substituted, simplified `ln(1+feature_k)` roots.
+    /// Smoothed, substituted `ln(1+feature_k)` roots.
     pub log_feat_roots: Vec<ExprId>,
     /// Penalty expressions `g_r(y)` (legal iff `g_r <= 0`).
     pub penalty_roots: Vec<ExprId>,
@@ -171,18 +167,13 @@ impl SketchObjective {
             // Identity "substitution": optimize x directly.
             (smoothed, xs.iter().map(|&x| (x, x)).collect())
         };
-        // 4. equality-saturation simplification (log/exp cancellation).
-        let simplified = if pipeline.simplify {
-            let limits = RunnerLimits { max_iters: 12, max_nodes: 80_000 };
-            simplify_with_limits(&mut program.pool, &substituted, limits)
-        } else {
-            substituted
-        };
-        let log_feat_roots = simplified[..n_feats].to_vec();
-        let penalty_roots = simplified[n_feats..].to_vec();
+        // 4. the constraints' roots become the penalty roots.
+        let log_feat_roots = substituted[..n_feats].to_vec();
+        let penalty_roots = substituted[n_feats..].to_vec();
         let y_vars: Vec<VarId> = xs.iter().map(|x| x_to_y[x]).collect();
+        // 5. compile the live sub-DAG.
         let compile_start = std::time::Instant::now();
-        let tape = CompiledGradTape::compile(&program.pool, &simplified);
+        let tape = CompiledGradTape::compile(&program.pool, &substituted);
         let tape_compile_s = compile_start.elapsed().as_secs_f64();
         let mut obj = SketchObjective {
             program,

@@ -3,8 +3,8 @@
 //!
 //! Building a [`SketchObjective`] is the expensive, once-per-sketch part of
 //! attaching the gradient proposer to a task: smoothing, exponential
-//! substitution, equality-saturation simplification, and the tape compile
-//! together cost orders of magnitude more than a descent step. Each
+//! substitution and the tape compile together cost orders of magnitude
+//! more than a descent step. Each
 //! [`GradientProposer`](crate::GradientProposer) memoizes its objectives per
 //! `workload_key`; on a memo miss it consults this map, so proposers holding
 //! the same `Arc<TapeCache>` build each distinct objective once between
@@ -115,7 +115,6 @@ fn objective_fingerprint(
         u8::from(pipeline.smoothing),
         u8::from(pipeline.log_features),
         u8::from(pipeline.exp_substitution),
-        u8::from(pipeline.simplify),
     ]);
     h.0
 }

@@ -1,406 +1,15 @@
-//! A compact equality-saturation engine in the spirit of `egg` (Willsey et
-//! al., POPL '21), which the original Felix implementation uses for its
-//! expression rewriter.
+//! What is left of the equality-saturation engine: its limits struct.
 //!
-//! The engine is generic over a [`Language`] of operator nodes. It provides:
-//!
-//! - an [`EGraph`] with hash-consing, union-find and congruence closure,
-//! - a [`Pattern`] language with e-matching ([`pattern`]),
-//! - rewrite [`Rule`]s and a saturation [`Runner`] ([`rewrite`]),
-//! - best-term extraction by a user cost function ([`extract`]).
-//!
-//! # Example
-//!
-//! ```
-//! use felix_egraph::{EGraph, SymbolLang};
-//!
-//! let mut eg: EGraph<SymbolLang> = EGraph::new();
-//! let x = eg.add(SymbolLang::leaf("x"));
-//! let zero = eg.add(SymbolLang::leaf("0"));
-//! let add = eg.add(SymbolLang::new("+", vec![x, zero]));
-//! // `x + 0` and `x` are distinct classes until a rule (or a union) merges them.
-//! assert_ne!(eg.find(add), eg.find(x));
-//! eg.union(add, x);
-//! eg.rebuild();
-//! assert_eq!(eg.find(add), eg.find(x));
-//! ```
+//! The e-graph simplifier was measured to buy nothing over the expression
+//! pool's smart constructors and the tape compiler, and was deleted. This
+//! struct stays only because the frozen `benchmark/src/probes.rs` imports
+//! it to call `felix_expr::rewrite::simplify_with_limits`, now the identity.
 
-pub mod analysis;
-pub mod extract;
-pub mod pattern;
-pub mod rewrite;
-
-pub use analysis::{fold_constants, ConstLang};
-pub use extract::Extractor;
-pub use pattern::{Pattern, PatternNode, Subst};
-pub use rewrite::{Rule, Runner, RunnerLimits, RunnerReport, StopReason};
-
-use std::collections::HashMap;
-use std::fmt::{self, Debug};
-use std::hash::Hash;
-
-/// An e-class identifier.
-///
-/// Ids are canonicalized through the union-find; use [`EGraph::find`] to get
-/// the canonical representative.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Id(pub u32);
-
-impl Id {
-    fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl Debug for Id {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}", self.0)
-    }
-}
-
-impl fmt::Display for Id {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}", self.0)
-    }
-}
-
-/// A language of operator nodes storable in an [`EGraph`].
-///
-/// A node is an operator plus an ordered list of child [`Id`]s. Two nodes
-/// *match* when their operators (and arities) are equal, ignoring children.
-pub trait Language: Clone + Eq + Hash + Ord + Debug {
-    /// The children of this node.
-    fn children(&self) -> &[Id];
-    /// Mutable access to the children, used for canonicalization.
-    fn children_mut(&mut self) -> &mut [Id];
-    /// Whether `self` and `other` have the same operator (children ignored).
-    fn matches_op(&self, other: &Self) -> bool;
-    /// A short operator label for debugging.
-    fn op_label(&self) -> String;
-
-    /// True if this node has no children.
-    fn is_leaf(&self) -> bool {
-        self.children().is_empty()
-    }
-}
-
-/// A simple string-labelled language, useful for tests and small rewrites.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct SymbolLang {
-    /// Operator label.
-    pub op: String,
-    /// Child e-classes.
-    pub children: Vec<Id>,
-}
-
-impl SymbolLang {
-    /// A node with the given operator and children.
-    pub fn new(op: impl Into<String>, children: Vec<Id>) -> Self {
-        SymbolLang { op: op.into(), children }
-    }
-
-    /// A leaf node (no children).
-    pub fn leaf(op: impl Into<String>) -> Self {
-        SymbolLang::new(op, vec![])
-    }
-}
-
-impl Language for SymbolLang {
-    fn children(&self) -> &[Id] {
-        &self.children
-    }
-    fn children_mut(&mut self) -> &mut [Id] {
-        &mut self.children
-    }
-    fn matches_op(&self, other: &Self) -> bool {
-        self.op == other.op && self.children.len() == other.children.len()
-    }
-    fn op_label(&self) -> String {
-        self.op.clone()
-    }
-}
-
-/// An equivalence class of e-nodes.
-#[derive(Clone, Debug)]
-pub struct EClass<L> {
-    /// The canonical id of this class (kept in sync by `rebuild`).
-    pub id: Id,
-    /// The e-nodes in this class (canonicalized).
-    pub nodes: Vec<L>,
-    /// Parent e-nodes (and the class they live in), used for congruence.
-    parents: Vec<(L, Id)>,
-}
-
-/// An e-graph: a set of terms compactly sharing equal subterms.
-#[derive(Clone, Debug)]
-pub struct EGraph<L: Language> {
-    unionfind: Vec<Id>,
-    classes: HashMap<Id, EClass<L>>,
-    memo: HashMap<L, Id>,
-    /// Classes whose parents must be reprocessed by `rebuild`.
-    dirty: Vec<Id>,
-    n_unions: usize,
-}
-
-impl<L: Language> Default for EGraph<L> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<L: Language> EGraph<L> {
-    /// Creates an empty e-graph.
-    pub fn new() -> Self {
-        EGraph {
-            unionfind: Vec::new(),
-            classes: HashMap::new(),
-            memo: HashMap::new(),
-            dirty: Vec::new(),
-            n_unions: 0,
-        }
-    }
-
-    /// The number of e-classes (after canonicalization).
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// The total number of e-nodes across all classes.
-    pub fn num_nodes(&self) -> usize {
-        self.classes.values().map(|c| c.nodes.len()).sum()
-    }
-
-    /// Total number of successful unions performed so far.
-    pub fn num_unions(&self) -> usize {
-        self.n_unions
-    }
-
-    /// Finds the canonical representative of `id`.
-    pub fn find(&self, mut id: Id) -> Id {
-        while self.unionfind[id.index()] != id {
-            id = self.unionfind[id.index()];
-        }
-        id
-    }
-
-    fn find_mut(&mut self, id: Id) -> Id {
-        // Path compression.
-        let root = self.find(id);
-        let mut cur = id;
-        while self.unionfind[cur.index()] != root {
-            let next = self.unionfind[cur.index()];
-            self.unionfind[cur.index()] = root;
-            cur = next;
-        }
-        root
-    }
-
-    /// Canonicalizes the children of a node.
-    pub fn canonicalize(&self, mut node: L) -> L {
-        for c in node.children_mut() {
-            *c = self.find(*c);
-        }
-        node
-    }
-
-    /// Adds a node, returning the id of its class. Idempotent for equal nodes.
-    pub fn add(&mut self, node: L) -> Id {
-        let node = self.canonicalize(node);
-        if let Some(&id) = self.memo.get(&node) {
-            return self.find(id);
-        }
-        let id = Id(self.unionfind.len() as u32);
-        self.unionfind.push(id);
-        for &child in node.children() {
-            let child = self.find(child);
-            self.classes
-                .get_mut(&child)
-                .expect("child class must exist")
-                .parents
-                .push((node.clone(), id));
-        }
-        self.classes.insert(
-            id,
-            EClass { id, nodes: vec![node.clone()], parents: Vec::new() },
-        );
-        self.memo.insert(node, id);
-        id
-    }
-
-    /// Merges the classes of `a` and `b`. Returns the canonical id and
-    /// whether anything changed.
-    pub fn union(&mut self, a: Id, b: Id) -> (Id, bool) {
-        let a = self.find_mut(a);
-        let b = self.find_mut(b);
-        if a == b {
-            return (a, false);
-        }
-        // Union by size of parent list: merge the smaller into the larger.
-        let (winner, loser) = {
-            let pa = self.classes[&a].parents.len();
-            let pb = self.classes[&b].parents.len();
-            if pa >= pb {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        };
-        self.unionfind[loser.index()] = winner;
-        let loser_class = self.classes.remove(&loser).expect("loser class");
-        let winner_class = self.classes.get_mut(&winner).expect("winner class");
-        winner_class.nodes.extend(loser_class.nodes);
-        winner_class.parents.extend(loser_class.parents);
-        self.dirty.push(winner);
-        self.n_unions += 1;
-        (winner, true)
-    }
-
-    /// Restores the congruence invariant after unions. Must be called before
-    /// matching patterns again.
-    pub fn rebuild(&mut self) -> usize {
-        let mut n_repairs = 0;
-        while let Some(class) = self.dirty.pop() {
-            let class = self.find_mut(class);
-            let parents = std::mem::take(
-                &mut self.classes.get_mut(&class).expect("dirty class").parents,
-            );
-            let mut new_parents: HashMap<L, Id> = HashMap::new();
-            for (node, id) in parents {
-                let node = self.canonicalize(node);
-                self.memo.remove(&node);
-                let id = self.find_mut(id);
-                if let Some(&prev) = new_parents.get(&node) {
-                    let (_, changed) = self.union(prev, id);
-                    if changed {
-                        n_repairs += 1;
-                    }
-                } else {
-                    self.memo.insert(node.clone(), id);
-                    new_parents.insert(node, id);
-                }
-            }
-            let class = self.find_mut(class);
-            let cls = self.classes.get_mut(&class).expect("class after repair");
-            cls.parents
-                .extend(new_parents);
-            // Deduplicate and canonicalize the nodes of the class.
-            let mut nodes = std::mem::take(&mut cls.nodes);
-            let canon: Vec<L> = std::mem::take(&mut nodes);
-            let mut nodes: Vec<L> =
-                canon.into_iter().map(|n| self.canonicalize(n)).collect();
-            nodes.sort();
-            nodes.dedup();
-            let class = self.find_mut(class);
-            self.classes.get_mut(&class).expect("class").nodes = nodes;
-        }
-        n_repairs
-    }
-
-    /// The class for an id (canonicalized internally).
-    pub fn class(&self, id: Id) -> &EClass<L> {
-        &self.classes[&self.find(id)]
-    }
-
-    /// Iterates over all canonical classes.
-    pub fn classes(&self) -> impl Iterator<Item = &EClass<L>> {
-        self.classes.values()
-    }
-
-    /// Looks up the class of a node if it is already present.
-    pub fn lookup(&self, node: L) -> Option<Id> {
-        let node = self.canonicalize(node);
-        self.memo.get(&node).map(|&id| self.find(id))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn leafs(eg: &mut EGraph<SymbolLang>, names: &[&str]) -> Vec<Id> {
-        names.iter().map(|n| eg.add(SymbolLang::leaf(*n))).collect()
-    }
-
-    #[test]
-    fn add_is_idempotent() {
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let a = eg.add(SymbolLang::leaf("a"));
-        let b = eg.add(SymbolLang::leaf("a"));
-        assert_eq!(a, b);
-        assert_eq!(eg.num_classes(), 1);
-    }
-
-    #[test]
-    fn union_merges_classes() {
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let ids = leafs(&mut eg, &["a", "b"]);
-        assert_ne!(eg.find(ids[0]), eg.find(ids[1]));
-        eg.union(ids[0], ids[1]);
-        eg.rebuild();
-        assert_eq!(eg.find(ids[0]), eg.find(ids[1]));
-        assert_eq!(eg.num_classes(), 1);
-    }
-
-    #[test]
-    fn congruence_closure() {
-        // f(a) and f(b) must merge when a = b.
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let ids = leafs(&mut eg, &["a", "b"]);
-        let fa = eg.add(SymbolLang::new("f", vec![ids[0]]));
-        let fb = eg.add(SymbolLang::new("f", vec![ids[1]]));
-        assert_ne!(eg.find(fa), eg.find(fb));
-        eg.union(ids[0], ids[1]);
-        eg.rebuild();
-        assert_eq!(eg.find(fa), eg.find(fb));
-    }
-
-    #[test]
-    fn nested_congruence() {
-        // g(f(a)) = g(f(b)) through two levels.
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let ids = leafs(&mut eg, &["a", "b"]);
-        let fa = eg.add(SymbolLang::new("f", vec![ids[0]]));
-        let fb = eg.add(SymbolLang::new("f", vec![ids[1]]));
-        let gfa = eg.add(SymbolLang::new("g", vec![fa]));
-        let gfb = eg.add(SymbolLang::new("g", vec![fb]));
-        eg.union(ids[0], ids[1]);
-        eg.rebuild();
-        assert_eq!(eg.find(gfa), eg.find(gfb));
-        assert_eq!(eg.find(fa), eg.find(fb));
-    }
-
-    #[test]
-    fn lookup_finds_canonical() {
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let ids = leafs(&mut eg, &["a", "b"]);
-        let fa = eg.add(SymbolLang::new("f", vec![ids[0]]));
-        eg.union(ids[0], ids[1]);
-        eg.rebuild();
-        // After a = b, looking up f(b) should find f(a)'s class.
-        let found = eg.lookup(SymbolLang::new("f", vec![ids[1]]));
-        assert_eq!(found, Some(eg.find(fa)));
-    }
-
-    #[test]
-    fn node_dedup_after_rebuild() {
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let a = eg.add(SymbolLang::leaf("a"));
-        let b = eg.add(SymbolLang::leaf("b"));
-        let fa = eg.add(SymbolLang::new("f", vec![a]));
-        let fb = eg.add(SymbolLang::new("f", vec![b]));
-        eg.union(a, b);
-        eg.rebuild();
-        let f_class = eg.class(eg.find(fa));
-        assert_eq!(f_class.nodes.len(), 1, "f(a)/f(b) deduplicate");
-        assert_eq!(eg.find(fa), eg.find(fb));
-    }
-
-    #[test]
-    fn union_already_equal_is_noop() {
-        let mut eg: EGraph<SymbolLang> = EGraph::new();
-        let a = eg.add(SymbolLang::leaf("a"));
-        let (_, changed) = eg.union(a, a);
-        assert!(!changed);
-        assert_eq!(eg.num_unions(), 0);
-    }
+/// Saturation limits, accepted and ignored.
+#[derive(Clone, Copy, Debug)]
+pub struct RunnerLimits {
+    /// Maximum saturation iterations.
+    pub max_iters: usize,
+    /// Maximum e-graph nodes.
+    pub max_nodes: usize,
 }

@@ -11,8 +11,12 @@
 //! - reverse-mode automatic differentiation ([`autodiff`]),
 //! - smoothing of non-differentiable operators ([`smooth`], paper Fig. 4),
 //! - variable substitution, used for the `x = e^y` stabilization ([`subst`]),
-//! - an egg-style simplifier built on `felix-egraph` ([`rewrite`]),
+//! - compiled forward+reverse gradient tapes with dead-code elimination,
+//!   constant folding and common-subexpression sharing ([`tape`]),
 //! - integer factor utilities for rounding tile sizes ([`factor`]).
+//!
+//! There is no separate rewriting pass: the smart constructors and the tape
+//! compiler are the only simplifiers (`rewrite` keeps an identity shim).
 //!
 //! # Example
 //!

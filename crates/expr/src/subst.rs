@@ -76,8 +76,10 @@ fn subst_rec(
 /// and the mapping `x → y`.
 ///
 /// After this substitution a product of tile sizes `x1·x2·x3` inside a `log`
-/// becomes `y1+y2+y3` once the [`crate::rewrite`] simplifier distributes the
-/// logarithm, which is exactly the linear-growth form the paper wants.
+/// is `log(e^y1·e^y2·e^y3)`, evaluated as written: its value equals the
+/// paper's linear-growth form `y1+y2+y3`, but no pass distributes the
+/// logarithm. Only a directly nested `log(e^y)` folds to `y`, in
+/// [`ExprPool::log`].
 pub fn exp_substitution(
     pool: &mut ExprPool,
     vars: &mut VarTable,

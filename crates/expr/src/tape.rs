@@ -4,8 +4,8 @@
 //! every Adam step, so the per-step cost of one forward sweep plus one
 //! reverse adjoint sweep is the throughput bottleneck of the whole search
 //! (paper §3.4, Algorithm 1). Walking the full [`ExprPool`] pays for the
-//! entire rewrite history — log1p, smoothing, exp-substitution and e-graph
-//! simplification all leave dead intermediate sub-DAGs behind — while only
+//! entire rewrite history — log1p, smoothing and exp-substitution all leave
+//! dead intermediate sub-DAGs behind — while only
 //! the final feature and penalty roots are live.
 //!
 //! [`CompiledGradTape`] extracts the sub-DAG reachable from a fixed set of

@@ -8,7 +8,7 @@
 //! - `n_shards` **worker threads** each run a [`Shard`]: claim pending
 //!   jobs by `job_id % n_shards`, tick them under the fairness policy,
 //!   honor cancels/deadlines between ticks, and append terminal records;
-//! - all durable state funnels through one mutex-guarded [`State`],
+//! - all durable state funnels through one mutex-guarded `State`,
 //!   whose [`JobQueue`] is the WAL plus the state it replays to. The only
 //!   way to change that state is to `commit` a record — append first,
 //!   apply second — so memory always equals the replay of the file.

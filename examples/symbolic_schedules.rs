@@ -74,7 +74,7 @@ fn main() {
         );
     }
 
-    // The full differentiable pipeline: smooth -> log -> x = e^y -> simplify.
+    // The full differentiable pipeline: log -> smooth -> x = e^y -> tape compile.
     let objective = SketchObjective::build(&program, &features.exprs);
     let all_smooth = objective
         .log_feat_roots

@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # CI gate: release build, the tier-1 line (`cargo test -q` at the root runs
-# the root package's 14 integration tests only), clippy with warnings
-# denied, then every crate's own suite under a time budget, the tuner_bench
-# smoke, the ledger smoke and the non-test line count. Everything is offline.
+# the root package's 14 integration tests only), clippy and rustdoc with
+# warnings denied, then every crate's own suite under a time budget, the
+# tuner_bench smoke, the ledger smoke and the non-test line count.
+# Everything is offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+# Broken or private intra-doc links fail here, not in a reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The full suite, one crate at a time, each under a test-time budget: no
 # single crate's suite may exceed 60s of wall-clock, so a regression fails
@@ -19,8 +22,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 # FELIX_SKIP_CRASH_TESTS=1 to skip) — runs here, once.
 cargo test -q --workspace --no-run
 BUDGET_S=60
-for crate in felix-egraph felix-expr felix-tir felix-graph felix-features \
-             felix-sim felix-cost felix-records felix-ansor felix felix-bench \
+for crate in felix-expr felix-tir felix-graph felix-features felix-sim \
+             felix-cost felix-records felix-ansor felix felix-bench \
              felix-repro felix-serve; do
     start=$SECONDS
     cargo test -q -p "$crate" >/dev/null

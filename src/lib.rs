@@ -4,8 +4,7 @@
 //! and examples can use a single dependency. See the individual crates for
 //! the real APIs:
 //!
-//! - [`expr`]: symbolic expressions, autodiff, smoothing and rewriting
-//! - [`egraph`]: equality-saturation engine
+//! - [`expr`]: symbolic expressions, autodiff, smoothing and gradient tapes
 //! - [`tir`]: loop-nest IR and schedule primitives
 //! - [`graph`]: tensor operators, computation graphs, the model zoo
 //! - [`features`]: the 82-dimensional program feature extractor
@@ -19,7 +18,6 @@
 pub use felix;
 pub use felix_ansor as ansor;
 pub use felix_cost as cost;
-pub use felix_egraph as egraph;
 pub use felix_expr as expr;
 pub use felix_features as features;
 pub use felix_graph as graph;
