@@ -11,6 +11,14 @@ use felix_sim::TuningClock;
 use rand::rngs::StdRng;
 use rand::Rng;
 
+/// Probability that a child of the next generation is a mutation of one
+/// parent rather than a crossover of two.
+const MUTATION_RATE: f64 = 0.85;
+
+/// Fraction of the initial population seeded from previously measured
+/// good schedules.
+const ELITE_SEED_FRAC: f64 = 0.25;
+
 /// Configuration of the evolutionary search.
 #[derive(Clone, Copy, Debug)]
 pub struct EvolutionConfig {
@@ -18,21 +26,11 @@ pub struct EvolutionConfig {
     pub population: usize,
     /// Generations per round (paper: 4).
     pub generations: usize,
-    /// Fraction of the next generation produced by mutation (vs crossover).
-    pub mutation_rate: f64,
-    /// Fraction of the initial population seeded from previously measured
-    /// good schedules.
-    pub elite_seed_frac: f64,
 }
 
 impl Default for EvolutionConfig {
     fn default() -> Self {
-        EvolutionConfig {
-            population: 2048,
-            generations: 4,
-            mutation_rate: 0.85,
-            elite_seed_frac: 0.25,
-        }
+        EvolutionConfig { population: 2048, generations: 4 }
     }
 }
 
@@ -111,7 +109,7 @@ impl EvolutionaryProposer {
             .filter(|(sk, _, _)| sketches.contains(sk) && !task.is_quarantined(*sk))
             .collect();
         elites.sort_by(|a, b| total_cmp_nan_last(&a.2, &b.2));
-        let n_elite = ((cfg.population as f64 * cfg.elite_seed_frac) as usize)
+        let n_elite = ((cfg.population as f64 * ELITE_SEED_FRAC) as usize)
             .min(elites.len());
         for e in elites.iter().take(n_elite) {
             pop.push((e.0, e.1.clone()));
@@ -136,7 +134,7 @@ impl EvolutionaryProposer {
             let mut next: Vec<(usize, Vec<f64>)> = parents.clone();
             while next.len() < cfg.population {
                 let (sk, base) = &parents[rng.gen_range(0..parents.len())];
-                let child = if rng.gen_bool(cfg.mutation_rate) {
+                let child = if rng.gen_bool(MUTATION_RATE) {
                     mutate_schedule(&task.sketches[*sk].program, base, rng, 8)
                 } else {
                     // Crossover within the same sketch.
@@ -252,7 +250,7 @@ mod tests {
     }
 
     fn small_cfg() -> EvolutionConfig {
-        EvolutionConfig { population: 64, generations: 2, ..Default::default() }
+        EvolutionConfig { population: 64, generations: 2 }
     }
 
     #[test]

@@ -129,8 +129,6 @@ pub struct HealthReport {
     pub grad_clips: usize,
     /// Worker panics caught (each poisons one sketch, not the process).
     pub panics_caught: usize,
-    /// Wall-clock descent overrun charged to the tuning clock (seconds).
-    pub deadline_overrun_s: f64,
     /// Sketches whose every seed exhausted its restart budget this round
     /// (escalated one rung).
     pub exhausted_sketches: Vec<usize>,
@@ -155,7 +153,6 @@ impl HealthReport {
             && self.seed_restarts == 0
             && self.grad_clips == 0
             && self.panics_caught == 0
-            && self.deadline_overrun_s == 0.0
             && self.exhausted_sketches.is_empty()
             && self.poisoned_sketches.is_empty()
             && self.pathological_sketches.is_empty()
@@ -185,7 +182,6 @@ impl HealthReport {
         self.seed_restarts += other.seed_restarts;
         self.grad_clips += other.grad_clips;
         self.panics_caught += other.panics_caught;
-        self.deadline_overrun_s += other.deadline_overrun_s;
         for (dst, src) in [
             (&mut self.exhausted_sketches, &other.exhausted_sketches),
             (&mut self.poisoned_sketches, &other.poisoned_sketches),
@@ -321,6 +317,24 @@ impl SearchTask {
     /// Whether a candidate has already been measured.
     pub fn already_measured(&self, sketch: usize, vals: &[f64]) -> bool {
         self.measured_keys.contains(&Self::key(sketch, vals))
+    }
+
+    /// Whether sketch `sketch` exists and `vals` assigns each of its
+    /// variables — the shape feature and constraint evaluation index by.
+    fn shaped_for(&self, sketch: usize, vals: &[f64]) -> bool {
+        self.sketches
+            .get(sketch)
+            .is_some_and(|st| st.program.vars.len() == vals.len())
+    }
+
+    /// Whether `(sketch, vals)` is a valid schedule of this task: the
+    /// sketch exists, `vals` assigns each of its variables, and the
+    /// assignment satisfies its constraints. The one check a schedule
+    /// passes before it is measured, recorded from a config file or a
+    /// schedule store, or descended from as a warm hint —
+    /// `Program::constraints_ok` alone panics on a short slice.
+    pub fn fits(&self, sketch: usize, vals: &[f64]) -> bool {
+        self.shaped_for(sketch, vals) && self.sketches[sketch].program.constraints_ok(vals, 1e-9)
     }
 
     /// Records a measurement, updating the incumbent. A success also clears
@@ -463,18 +477,33 @@ impl SearchTask {
     /// closed-form functions of the schedule values, so re-evaluating them
     /// reproduces every sample bit for bit and they need not be persisted.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's workload key or sketch-shaped vectors do
-    /// not match this task (checkpoint from a different network or device).
-    pub fn restore(&mut self, snap: TaskSnapshot) {
-        assert_eq!(
-            snap.workload_key, self.workload_key,
-            "checkpoint task mismatch (different network or task order?)"
-        );
-        assert_eq!(snap.fail_streak.len(), self.sketches.len(), "sketch count changed");
-        assert_eq!(snap.quarantined.len(), self.sketches.len(), "sketch count changed");
-        assert_eq!(snap.sketch_modes.len(), self.sketches.len(), "sketch count changed");
+    /// Leaves the task untouched and says why when the snapshot does not
+    /// fit it: another workload key (a checkpoint of a different network
+    /// or task order), per-sketch vectors of another length, a sketch
+    /// index this task does not have, or a schedule whose length differs
+    /// from its sketch's variable count.
+    pub fn restore(&mut self, snap: TaskSnapshot) -> Result<(), &'static str> {
+        let n = self.sketches.len();
+        if snap.workload_key != self.workload_key {
+            return Err("checkpoint task does not match the network");
+        }
+        let per_sketch = [snap.fail_streak.len(), snap.quarantined.len(), snap.sketch_modes.len()];
+        if per_sketch.iter().any(|&len| len != n) {
+            return Err("checkpoint sketch count does not match the task");
+        }
+        let mut schedules = snap
+            .best_schedule
+            .iter()
+            .map(|(sk, vals)| (*sk, vals))
+            .chain(snap.measured.iter().map(|(sk, vals, _)| (*sk, vals)))
+            .chain(snap.warm_hints.iter().map(|(sk, vals)| (*sk, vals)));
+        if !schedules.all(|(sk, vals)| self.shaped_for(sk, vals))
+            || snap.failed.iter().any(|(sk, _, _)| *sk >= n)
+        {
+            return Err("checkpoint schedule does not fit the task's sketches");
+        }
         self.best_latency_ms = snap.best_latency_ms;
         self.best_schedule = snap.best_schedule;
         self.fault_stats = snap.fault_stats;
@@ -499,6 +528,7 @@ impl SearchTask {
             .collect();
         self.measured = snap.measured;
         self.failed = snap.failed;
+        Ok(())
     }
 }
 
@@ -578,9 +608,6 @@ pub struct TunerStats {
     /// Sketches running degraded (below [`SketchMode::Gradient`]) after
     /// this round.
     pub degraded_sketches: usize,
-    /// Wall-clock descent overrun charged to the tuning clock this round
-    /// (seconds; zero unless the deadline watchdog fired).
-    pub deadline_overrun_s: f64,
     /// Tasks served a finished schedule straight from a persistent
     /// schedule store (exact cache hit: no tuning, no RNG or clock spend).
     /// Zero for every proposer round; reported by the cache layer.
@@ -619,15 +646,13 @@ impl TunerStats {
             || self.nonfinite_events > 0
             || self.panics_caught > 0
             || self.degraded_sketches > 0
-            || self.deadline_overrun_s > 0.0
         {
             line.push_str(&format!(
-                " health[restart {} nonfinite {} panic {} degraded {} overrun {:.1}s]",
+                " health[restart {} nonfinite {} panic {} degraded {}]",
                 self.seed_restarts,
                 self.nonfinite_events,
                 self.panics_caught,
                 self.degraded_sketches,
-                self.deadline_overrun_s,
             ));
         }
         if self.schedule_cache_hits > 0
@@ -746,35 +771,18 @@ pub trait MeasurementSink {
     fn record_health(&mut self, _event: &HealthEvent<'_>) {}
 }
 
-/// Retry-with-backoff policy for failed measurements, charged against the
-/// tuning clock (a retried candidate costs real tuning time, exactly as a
-/// flaky device does in AutoTVM/MetaSchedule).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MeasurePolicy {
-    /// Maximum retries per candidate after the first attempt (build errors
-    /// are never retried — rebuilding the same kernel cannot succeed).
-    pub max_retries: usize,
-    /// Backoff before the first retry, in simulated seconds.
-    pub backoff_s: f64,
-    /// Multiplier applied to the backoff after each retry (exponential
-    /// backoff).
-    pub backoff_mult: f64,
-}
+/// Retries per failed candidate after its first attempt. Timeouts and
+/// device errors are retried; build errors never are (rebuilding the same
+/// kernel cannot succeed). Every retry and its backoff are charged to the
+/// tuning clock, as a flaky device costs real tuning time in
+/// AutoTVM/MetaSchedule.
+pub const MAX_RETRIES: usize = 2;
 
-impl Default for MeasurePolicy {
-    fn default() -> Self {
-        MeasurePolicy { max_retries: 2, backoff_s: 0.5, backoff_mult: 2.0 }
-    }
-}
-
-impl MeasurePolicy {
-    /// Backoff before retry number `retry` (0-based), in seconds.
-    pub fn backoff_for(&self, retry: usize) -> f64 {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-        {
-            self.backoff_s * self.backoff_mult.powi(retry as i32)
-        }
-    }
+/// Simulated seconds of backoff before retry number `retry` (0-based):
+/// 0.5 s, doubling per retry.
+#[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+fn backoff_for(retry: usize) -> f64 {
+    0.5 * 2.0f64.powi(retry as i32)
 }
 
 /// What one call of [`tune_task_round`] did with its measurement budget,
@@ -807,8 +815,6 @@ pub struct TuneOptions {
     /// zero plan the whole pipeline is byte-identical to one without the
     /// fault layer).
     pub fault_plan: FaultPlan,
-    /// Retry/backoff policy for failed measurements.
-    pub measure_policy: MeasurePolicy,
 }
 
 impl Default for TuneOptions {
@@ -819,7 +825,6 @@ impl Default for TuneOptions {
             fine_tune_epochs: 5,
             fine_tune_lr: 4e-4,
             fault_plan: FaultPlan::none(),
-            measure_policy: MeasurePolicy::default(),
         }
     }
 }
@@ -881,12 +886,12 @@ pub fn tune_task_round_with_sink(
         if task.already_measured(sketch, &vals) {
             continue;
         }
-        let st = &task.sketches[sketch];
-        if !st.program.constraints_ok(&vals, 1e-9) {
+        if !task.fits(sketch, &vals) {
             continue;
         }
+        let st = &task.sketches[sketch];
         // Attempt loop: transient faults (timeouts, device errors) are
-        // retried up to the policy bound with exponential backoff; build
+        // retried up to MAX_RETRIES times with exponential backoff; build
         // errors are deterministic and fail immediately. Every attempt —
         // successful, failed, or retried — is charged to the tuning clock.
         // With a zero-rate plan this loop runs exactly one iteration and
@@ -912,8 +917,8 @@ pub fn tune_task_round_with_sink(
                 MeasureOutcome::Fail(kind) => {
                     clock.charge_failed_measurement(kind, sim.device.rpc, costs);
                     let retries_spent = attempt as usize;
-                    if kind.retryable() && retries_spent < opts.measure_policy.max_retries {
-                        clock.advance(opts.measure_policy.backoff_for(retries_spent));
+                    if kind.retryable() && retries_spent < MAX_RETRIES {
+                        clock.advance(backoff_for(retries_spent));
                         report.retries += 1;
                         task.fault_stats.retries += 1;
                         attempt += 1;
@@ -1440,7 +1445,7 @@ mod tests {
         task.apply_health(&HealthReport { poisoned_sketches: vec![1], ..Default::default() });
         let snap = task.snapshot();
         let mut fresh = SearchTask::from_task(&dense_task(), &sim);
-        fresh.restore(snap);
+        fresh.restore(snap).expect("same task");
         assert_eq!(fresh.sketch_modes(), task.sketch_modes());
         assert_eq!(fresh.sketch_mode(1), SketchMode::Evolutionary);
     }
@@ -1464,7 +1469,7 @@ mod tests {
 
         let snap = task.snapshot();
         let mut fresh = SearchTask::from_task(&dense_task(), &sim);
-        fresh.restore(snap);
+        fresh.restore(snap).expect("same task");
         assert_eq!(fresh.measured, task.measured);
         assert_eq!(fresh.failed, task.failed);
         assert_eq!(fresh.best_latency_ms.to_bits(), task.best_latency_ms.to_bits());

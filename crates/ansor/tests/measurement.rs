@@ -4,7 +4,7 @@
 
 use felix_ansor::{
     evolution::EvolutionConfig, select_next_task, tune_task_round, EvolutionaryProposer,
-    MeasurePolicy, Proposer, RandomProposer, RoundReport, SearchTask, TuneOptions,
+    Proposer, RandomProposer, RoundReport, SearchTask, TuneOptions, MAX_RETRIES,
 };
 use felix_cost::{random_schedule, Mlp};
 use felix_graph::{Op, Subgraph, Task};
@@ -151,13 +151,11 @@ fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
     let (mut task, mut model, sim) = setup();
     let costs = ClockCosts::default();
     let plan = FaultPlan::chaos(0xC0FFEE, 0.3);
-    let policy = MeasurePolicy::default();
     let opts = TuneOptions {
         measurements_per_round: 8,
         update_model: true,
         fine_tune_epochs: 1,
         fault_plan: plan,
-        measure_policy: policy,
         ..Default::default()
     };
     let mut prop = RandomProposer;
@@ -170,7 +168,7 @@ fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
         );
         // Per round: every retry is charged to a candidate that was
         // attempted, and no candidate retries more than the bound.
-        assert!(r.retries <= (r.measured + r.failed) * policy.max_retries);
+        assert!(r.retries <= (r.measured + r.failed) * MAX_RETRIES);
         total.measured += r.measured;
         total.failed += r.failed;
         total.retries += r.retries;
@@ -283,7 +281,7 @@ fn evolution_baseline_is_deterministic() {
     let mut model_rng = StdRng::seed_from_u64(0);
     let model = Mlp::new(&mut model_rng);
     let costs = ClockCosts::default();
-    let cfg = EvolutionConfig { population: 48, generations: 2, ..Default::default() };
+    let cfg = EvolutionConfig { population: 48, generations: 2 };
     let mut runs = Vec::new();
     for _ in 0..2 {
         let task = SearchTask::from_task(&dense_task(), &sim);

@@ -73,7 +73,6 @@ fn main() {
         let mut ansor = EvolutionaryProposer::new(EvolutionConfig {
             population: scale.ansor_population().min(1024),
             generations: 4,
-            ..Default::default()
         });
         let arun = tune_single_task(&task, &dev, &model, &mut ansor, 64, rounds, 11);
         for (tool, run) in [("Felix", &frun), ("Ansor", &arun)] {

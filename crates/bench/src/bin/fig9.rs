@@ -65,7 +65,6 @@ fn main() {
         let mut aprop = EvolutionaryProposer::new(EvolutionConfig {
             population: scale.ansor_population().min(1024),
             generations: 4,
-            ..Default::default()
         });
         let ansor = tune_single_task(&task, &dev, &model, &mut aprop, 64, rounds, 21)
             .task

@@ -14,7 +14,7 @@
 //! (reported, never asserted), requires the tape to beat the pool reference
 //! by >= 6x at the production batch of 16 on the dense-512 sketch, and
 //! writes `BENCH_tape.json` to the results directory (`results/` by
-//! default; `--out-dir` / `FELIX_BENCH_DIR` override).
+//! default; `--out-dir` overrides).
 
 use felix::parallel::effective_threads;
 use felix::{EvalScratch, FelixOptions, GradientProposer, SketchObjective};

@@ -85,18 +85,11 @@ impl Scale {
 /// Directory for cached models and experiment outputs.
 ///
 /// Defaults to the repository's `results/`; override with the `--out-dir
-/// <path>` flag (every harness binary parses it via [`out_dir_from_args`])
-/// or the `FELIX_BENCH_DIR` environment variable. The flag wins over the
-/// environment so a wrapper script can pin a per-run directory while CI
-/// sets a global one.
+/// <path>` flag (every harness binary parses it via [`out_dir_from_args`]).
 pub fn results_dir() -> PathBuf {
-    let root = OUT_DIR
-        .get()
-        .cloned()
-        .or_else(|| std::env::var("FELIX_BENCH_DIR").ok().map(PathBuf::from))
-        .unwrap_or_else(|| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-        });
+    let root = OUT_DIR.get().cloned().unwrap_or_else(|| {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    });
     std::fs::create_dir_all(&root).expect("create results dir");
     root.canonicalize().expect("canonical results dir")
 }
@@ -182,9 +175,8 @@ impl TuneRun {
 }
 
 /// Selects the global schedule store for [`run_felix`] (the
-/// `--schedule-store <path>` flag of the fig6/fig7 harnesses; the
-/// `FELIX_SCHEDULE_STORE` environment variable is the equivalent knob).
-/// First setter wins.
+/// `--schedule-store <path>` flag of the fig6/fig7 harnesses). First setter
+/// wins.
 pub fn set_schedule_store(path: impl Into<PathBuf>) {
     let _ = SCHEDULE_STORE.set(path.into());
 }
@@ -200,13 +192,6 @@ pub fn schedule_store_from_args() {
 }
 
 static SCHEDULE_STORE: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
-
-fn schedule_store_path() -> Option<PathBuf> {
-    SCHEDULE_STORE
-        .get()
-        .cloned()
-        .or_else(|| std::env::var("FELIX_SCHEDULE_STORE").ok().map(PathBuf::from))
-}
 
 #[allow(clippy::too_many_arguments)]
 fn run_with_proposer(
@@ -301,7 +286,7 @@ pub fn run_felix(
         16,
         scale.rounds_factor(),
         seed,
-        schedule_store_path(),
+        SCHEDULE_STORE.get().cloned(),
     );
     TuneRun {
         tool: "Felix",
@@ -322,7 +307,6 @@ pub fn run_ansor(
     let mut proposer = EvolutionaryProposer::new(EvolutionConfig {
         population: scale.ansor_population(),
         generations: 4,
-        ..Default::default()
     });
     let res =
         run_with_proposer(graph, device, model, &mut proposer, 64, scale.rounds_factor(), seed, None);

@@ -274,15 +274,18 @@ impl Optimizer {
     /// curve the uninterrupted run would have produced, byte for byte.
     ///
     /// `graphs`, `device` and `options` must be the ones the checkpointed
-    /// run used (the tasks are rebuilt and verified by workload key; the
-    /// options carry the search knobs, fault plan and retry policy). A
-    /// record log attached to the original run is reattached for appending;
-    /// re-run rounds may append duplicate records, which replay skips.
+    /// run used (the tasks are rebuilt and each snapshot is checked against
+    /// its task before it is restored; the options carry the search knobs
+    /// and the fault plan). A record log attached to the original run is
+    /// reattached for appending; re-run rounds may append duplicate records,
+    /// which replay skips.
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on a malformed or mismatched checkpoint, plus
-    /// any underlying I/O error.
+    /// Returns `InvalidData` on a malformed or mismatched checkpoint —
+    /// including a parseable one whose snapshots name sketches or carry
+    /// schedules the rebuilt tasks do not have — plus any underlying I/O
+    /// error.
     pub fn resume_from_checkpoint(
         graphs: Vec<Task>,
         device: DeviceConfig,
@@ -309,10 +312,7 @@ impl Optimizer {
             return Err(bad("checkpoint task count does not match the network"));
         }
         for (task, snap) in opt.tasks.iter_mut().zip(state.tasks) {
-            if snap.workload_key != task.workload_key {
-                return Err(bad("checkpoint task does not match the network"));
-            }
-            task.restore(snap);
+            task.restore(snap).map_err(bad)?;
         }
         // `new() + advance(x)` is `0.0 + x`, which is bit-exact.
         opt.clock.advance(state.clock_s);
@@ -376,7 +376,6 @@ impl Optimizer {
         let opts = TuneOptions {
             measurements_per_round: measure_per_round,
             fault_plan: self.proposer.options.fault_plan,
-            measure_policy: self.proposer.options.measure_policy,
             ..Default::default()
         };
         let mut res = NetworkTuneResult {
@@ -562,9 +561,7 @@ impl Optimizer {
                 .filter(|t| t.name == parts[0])
                 .min_by_key(|t| t.best_schedule.is_some());
             if let Some(t) = target {
-                if sketch < t.sketches.len()
-                    && t.sketches[sketch].program.constraints_ok(&vals, 1e-9)
-                {
+                if t.fits(sketch, &vals) {
                     t.record(sketch, vals, latency);
                     loaded += 1;
                 }
@@ -604,11 +601,6 @@ impl CompiledModule {
         }
         out
     }
-}
-
-/// Convenience: current end-to-end latency of an optimizer's tasks.
-pub fn current_network_latency(opt: &Optimizer) -> f64 {
-    network_latency(opt.tasks())
 }
 
 #[cfg(test)]
@@ -687,6 +679,12 @@ mod tests {
         // Comments and blank lines are fine.
         let ok = opt.load_configs(std::io::BufReader::new(&b"# comment\n\n"[..]));
         assert_eq!(ok.expect("comments ok"), 0);
+        // A well-formed line naming a real task and sketch, but with fewer
+        // values than the sketch has variables, is skipped, not evaluated.
+        let short = format!("{}\t1\t0\t1.5\t2\n", opt.tasks()[0].name);
+        let loaded = opt.load_configs(std::io::BufReader::new(short.as_bytes()));
+        assert_eq!(loaded.expect("short line is not an error"), 0);
+        assert!(opt.tasks()[0].best_schedule.is_none());
     }
 
     #[test]

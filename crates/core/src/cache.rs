@@ -161,7 +161,8 @@ impl ScheduleCache {
         if let Some(entry) = self.store.get(key) {
             if entry.workload_key == scoped
                 && entry.device == device_name
-                && valid_for(task, entry.sketch, &entry.sketch_name, &entry.values)
+                && task.sketches.get(entry.sketch).is_some_and(|st| st.name == entry.sketch_name)
+                && task.fits(entry.sketch, &entry.values)
             {
                 // An entry from an older (or unknown) sketch generator may
                 // still pass the structural validity check by accident;
@@ -253,14 +254,6 @@ impl ScheduleCache {
             }
         }
     }
-}
-
-/// Whether a stored schedule is sound for this task's live sketches.
-fn valid_for(task: &SearchTask, sketch: usize, sketch_name: &str, values: &[f64]) -> bool {
-    let Some(st) = task.sketches.get(sketch) else { return false };
-    st.name == sketch_name
-        && values.len() == st.program.vars.len()
-        && st.program.constraints_ok(values, 1e-9)
 }
 
 #[cfg(test)]

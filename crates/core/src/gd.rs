@@ -27,14 +27,13 @@
 //! **bit-identical at every thread count** — `threads: 1` is the proof
 //! path, `threads: 0` (one worker per core) the fast path.
 
-use crate::health::{restart_salt, restart_stream, ChunkHealth, SeedHealth, SupervisorOptions};
+use crate::health::{restart_salt, restart_stream, ChunkHealth, SeedHealth};
 use crate::objective::{EvalScratch, PipelineOptions, SketchObjective};
 use crate::parallel::{effective_threads, parallel_map};
 use crate::tape_cache::TapeCache;
 use felix_ansor::evolution::EvolutionConfig;
 use felix_ansor::{
-    EvolutionaryProposer, HealthReport, MeasurePolicy, Proposer, SearchTask, SketchMode,
-    TunerStats,
+    EvolutionaryProposer, HealthReport, Proposer, SearchTask, SketchMode, TunerStats,
 };
 use felix_cost::{
     log_transform, total_cmp_desc_nan_last, total_cmp_nan_last, AdamOpt, Mlp, MlpScratch,
@@ -57,6 +56,23 @@ const SEED_INIT_DRAWS: usize = 8;
 /// Candidates per batched scoring chunk (one `predict_batch` call each).
 const SCORE_CHUNK: usize = 64;
 
+/// Constraint-penalty coefficient `λ` of the objective
+/// `O = −C + λ Σ max(g, 0)²` (Equation 4).
+const LAMBDA: f64 = 1.0;
+
+/// Adam learning rate in `y = ln x` space.
+const LR: f64 = 0.08;
+
+/// Gradient-norm clip for seeds of a [`SketchMode::Gradient`] sketch.
+/// Healthy gradients stay orders of magnitude below it.
+const GRAD_CLIP: f64 = 1e8;
+
+/// Tighter clip for sketches degraded to [`SketchMode::ClippedGradient`].
+const CLIPPED_GRAD_CLIP: f64 = 1e2;
+
+/// Per-restart Adam learning-rate multiplier (trust-region backoff).
+const TRUST_BACKOFF: f64 = 0.5;
+
 /// Hyperparameters of the gradient-descent search (paper §5 defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct FelixOptions {
@@ -64,25 +80,19 @@ pub struct FelixOptions {
     pub n_seeds: usize,
     /// Gradient-descent steps per round (`nSteps`, default 200).
     pub n_steps: usize,
-    /// Constraint-penalty coefficient `λ`.
-    pub lambda: f64,
-    /// Adam learning rate in `y = ln x` space.
-    pub lr: f64,
     /// Worker threads: `0` = one per available core, `1` = serial. The
     /// search result is bit-identical for every setting.
     pub threads: usize,
     /// Which rewriting stages to apply (ablation knob; all on by default).
     pub pipeline: PipelineOptions,
-    /// Thresholds of the descent supervisor: per-seed health monitoring,
-    /// deterministic restarts, panic isolation, and graceful degradation.
-    /// The defaults never trip on a healthy run.
-    pub supervisor: SupervisorOptions,
+    /// Test hook: the descent of this sketch panics on its first step,
+    /// exercising the supervisor's panic isolation deterministically (the
+    /// descent-level sibling of the serving tier's `fault_panic_round`).
+    pub inject_panic_sketch: Option<usize>,
     /// Measurement faults injected during tuning (testing / chaos runs).
     /// The default zero-rate plan leaves every result byte-identical to a
     /// run without a fault layer.
     pub fault_plan: FaultPlan,
-    /// Retry/backoff policy applied to failed measurements.
-    pub measure_policy: MeasurePolicy,
 }
 
 impl Default for FelixOptions {
@@ -94,13 +104,10 @@ impl Default for FelixOptions {
             // seed than 8 on dense-512 while exploring more restarts.
             n_seeds: 16,
             n_steps: 200,
-            lambda: 1.0,
-            lr: 0.08,
             threads: 0,
             pipeline: PipelineOptions::default(),
-            supervisor: SupervisorOptions::default(),
+            inject_panic_sketch: None,
             fault_plan: FaultPlan::none(),
-            measure_policy: MeasurePolicy::default(),
         }
     }
 }
@@ -112,6 +119,14 @@ struct Seed {
     y: Vec<f64>,
     opt: AdamOpt,
     health: SeedHealth,
+}
+
+impl Seed {
+    /// A seed of `sketch` at `y`, with fresh Adam and supervision state.
+    fn new(sketch: usize, y: Vec<f64>) -> Seed {
+        let opt = AdamOpt::new(y.len(), LR);
+        Seed { sketch, y, opt, health: SeedHealth::default() }
+    }
 }
 
 /// The gradient-descent candidate proposer (Felix's search algorithm).
@@ -231,21 +246,18 @@ fn run_guarded(f: impl FnOnce()) -> bool {
 /// Restarts one seed from its dedicated RNG substream: a fresh random
 /// schedule drawn from `restart_stream(salt, global_idx, restart_count)`
 /// and a fresh Adam state with the learning rate backed off by
-/// `trust_backoff^restarts` (a shrinking trust region). Never touches the
+/// `TRUST_BACKOFF^restarts` (a shrinking trust region). Never touches the
 /// master RNG, so seeds that don't restart are unaffected. Freezes the
 /// seed instead when its restart budget is spent.
-#[allow(clippy::too_many_arguments)]
 fn restart_seed(
     seed: &mut Seed,
     task: &SearchTask,
     objectives: &[Arc<SketchObjective>],
-    sup: &SupervisorOptions,
-    base_lr: f64,
     salt: u64,
     global_idx: usize,
     health: &mut ChunkHealth,
 ) {
-    if !seed.health.consume_restart(sup.restart_budget) {
+    if !seed.health.consume_restart() {
         return;
     }
     health.seed_restarts += 1;
@@ -254,7 +266,7 @@ fn restart_seed(
     let st = &task.sketches[seed.sketch];
     let x = felix_cost::random_schedule(&st.program, &mut srng, 64);
     seed.y = objectives[seed.sketch].to_y_space(&x);
-    let lr = base_lr * sup.trust_backoff.powi(seed.health.restarts as i32);
+    let lr = LR * TRUST_BACKOFF.powi(seed.health.restarts as i32);
     let nv = seed.y.len();
     seed.opt = AdamOpt::new(nv, lr);
 }
@@ -291,7 +303,6 @@ fn descend_chunk(
     base: usize,
     seeds: &mut [Seed],
 ) -> (Vec<Vec<f64>>, Vec<Vec<(usize, Vec<f64>)>>, ChunkHealth) {
-    let sup = opts.supervisor;
     let mut health = ChunkHealth::default();
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (i, s) in seeds.iter().enumerate() {
@@ -333,7 +344,7 @@ fn descend_chunk(
             let obj = &objectives[*sk];
             let seeds_ro: &[Seed] = seeds;
             let ok = run_guarded(|| {
-                if step == 0 && sup.inject_panic_sketch == Some(*sk) {
+                if step == 0 && opts.inject_panic_sketch == Some(*sk) {
                     panic!("injected descent panic (sketch {sk})");
                 }
                 obj.begin_batch(scratch, lanes.len());
@@ -385,7 +396,7 @@ fn descend_chunk(
                 // batched the same way — per lane the seeds
                 // `grad_from_dscore_pool` builds, in its root order.
                 obj.seed_feats_cols(scratch, lanes, seeds.len(), &mlp_grads);
-                obj.seed_penalties_all(scratch, opts.lambda, |lane, p, ok| {
+                obj.seed_penalties_all(scratch, LAMBDA, |lane, p, ok| {
                     let i = lanes[lane];
                     pen[i] = p;
                     pen_ok[i] = ok;
@@ -407,27 +418,19 @@ fn descend_chunk(
                     if !finite {
                         health.nonfinite_events += 1;
                         health.sketch_mut(*sk).events += 1;
-                        restart_seed(
-                            &mut seeds[i], task, objectives, &sup, opts.lr, salt,
-                            base + i, &mut health,
-                        );
+                        restart_seed(&mut seeds[i], task, objectives, salt, base + i, &mut health);
                         continue;
                     }
-                    if seeds[i].health.note_objective(
-                        obj_val, sup.window, sup.divergence_min_rise,
-                    ) {
+                    if seeds[i].health.note_objective(obj_val) {
                         health.divergence_events += 1;
                         health.sketch_mut(*sk).events += 1;
-                        restart_seed(
-                            &mut seeds[i], task, objectives, &sup, opts.lr, salt,
-                            base + i, &mut health,
-                        );
+                        restart_seed(&mut seeds[i], task, objectives, salt, base + i, &mut health);
                         continue;
                     }
                     let clip = if modes[*sk] == SketchMode::ClippedGradient {
-                        sup.clipped_grad_clip
+                        CLIPPED_GRAD_CLIP
                     } else {
-                        sup.grad_clip
+                        GRAD_CLIP
                     };
                     if norm_sq > clip * clip {
                         let scale = clip / norm_sq.sqrt();
@@ -483,7 +486,6 @@ impl Proposer for GradientProposer {
         rng: &mut StdRng,
     ) -> Vec<(usize, Vec<f64>)> {
         let opts = self.options;
-        let sup = opts.supervisor;
         let threads = effective_threads(opts.threads);
         let mut stats = TunerStats { threads, ..TunerStats::default() };
         let objectives = Self::objectives_for(
@@ -547,14 +549,7 @@ impl Proposer for GradientProposer {
         let n_warm = (opts.n_seeds / 2).min(elites.len());
         let mut seeds: Vec<Seed> = Vec::with_capacity(opts.n_seeds);
         for e in elites.iter().take(n_warm) {
-            let y = objectives[e.0].to_y_space(&e.1);
-            let nv = y.len();
-            seeds.push(Seed {
-                sketch: e.0,
-                y,
-                opt: AdamOpt::new(nv, opts.lr),
-                health: SeedHealth::default(),
-            });
+            seeds.push(Seed::new(e.0, objectives[e.0].to_y_space(&e.1)));
         }
         // Schedule-cache warm hints fill whatever warm slots the elites left
         // (a task with measurements ignores hints — its own history wins).
@@ -565,20 +560,10 @@ impl Proposer for GradientProposer {
             if seeds.len() >= (opts.n_seeds / 2).max(1) {
                 break;
             }
-            if !gd_active.contains(sketch)
-                || x.len() != task.sketches[*sketch].program.vars.len()
-                || !task.sketches[*sketch].program.constraints_ok(x, 1e-9)
-            {
+            if !gd_active.contains(sketch) || !task.fits(*sketch, x) {
                 continue;
             }
-            let y = objectives[*sketch].to_y_space(x);
-            let nv = y.len();
-            seeds.push(Seed {
-                sketch: *sketch,
-                y,
-                opt: AdamOpt::new(nv, opts.lr),
-                health: SeedHealth::default(),
-            });
+            seeds.push(Seed::new(*sketch, objectives[*sketch].to_y_space(x)));
         }
         let slots: Vec<(usize, u64)> = if gd_active.is_empty() {
             Vec::new()
@@ -609,14 +594,7 @@ impl Proposer for GradientProposer {
         });
         clock.charge_batched_predictions(slots.len() * SEED_INIT_DRAWS, costs);
         for ((sketch, _), x) in slots.iter().zip(inits) {
-            let y = objectives[*sketch].to_y_space(&x);
-            let nv = y.len();
-            seeds.push(Seed {
-                sketch: *sketch,
-                y,
-                opt: AdamOpt::new(nv, opts.lr),
-                health: SeedHealth::default(),
-            });
+            seeds.push(Seed::new(*sketch, objectives[*sketch].to_y_space(&x)));
         }
 
         // --- Adam descent, recording the whole trajectory (line 15-19) -----
@@ -670,17 +648,10 @@ impl Proposer for GradientProposer {
 
         // --- Health accounting ---------------------------------------------
         // Chunk counters merge in chunk order (deterministic at any thread
-        // count: chunks are contiguous seed ranges). The per-round deadline
-        // watchdog charges wall-clock overrun to the simulated tuning clock
-        // so a stalling descent pays for its time on the curve.
+        // count: chunks are contiguous seed ranges).
         let mut merged = ChunkHealth::default();
         for (_, _, h) in &per_chunk {
             merged.merge(h);
-        }
-        let mut deadline_overrun = 0.0;
-        if descent_s > sup.deadline_s {
-            deadline_overrun = descent_s - sup.deadline_s;
-            clock.advance(deadline_overrun);
         }
         let mut health = HealthReport {
             nonfinite_events: merged.nonfinite_events,
@@ -688,7 +659,6 @@ impl Proposer for GradientProposer {
             seed_restarts: merged.seed_restarts,
             grad_clips: merged.grad_clips,
             panics_caught: merged.panics_caught,
-            deadline_overrun_s: deadline_overrun,
             ..HealthReport::default()
         };
         for s in &merged.sketches {
@@ -707,7 +677,6 @@ impl Proposer for GradientProposer {
         stats.seed_restarts = health.seed_restarts;
         stats.nonfinite_events = health.nonfinite_events;
         stats.panics_caught = health.panics_caught;
-        stats.deadline_overrun_s = health.deadline_overrun_s;
         let flagged = health.degraded_sketches();
         stats.degraded_sketches = (0..task.sketches.len())
             .filter(|&i| modes[i] != SketchMode::Gradient || flagged.contains(&i))
@@ -828,11 +797,8 @@ impl Proposer for GradientProposer {
         // pathological tape) still get measured: a fresh evolutionary
         // proposer searches just those sketches for their budget slice.
         if n_evo > 0 {
-            let mut evo = EvolutionaryProposer::new(EvolutionConfig {
-                population: 128,
-                generations: 2,
-                ..Default::default()
-            });
+            let mut evo =
+                EvolutionaryProposer::new(EvolutionConfig { population: 128, generations: 2 });
             let evo_cands =
                 evo.propose_for_sketches(task, model, n_evo, clock, costs, rng, &evo_active);
             for (sk, x) in evo_cands {
@@ -1090,11 +1056,7 @@ mod tests {
         tune_task_round(
             &mut ftask, &mut felix, &mut model, &sim, &mut fclock, &costs, &opts, &mut rng,
         );
-        let mut evo = EvolutionaryProposer::new(felix_ansor::evolution::EvolutionConfig {
-            population: 128,
-            generations: 2,
-            ..Default::default()
-        });
+        let mut evo = EvolutionaryProposer::new(EvolutionConfig { population: 128, generations: 2 });
         let mut eclock = TuningClock::new();
         tune_task_round(
             &mut etask, &mut evo, &mut model, &sim, &mut eclock, &costs, &opts, &mut rng,

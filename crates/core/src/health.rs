@@ -10,74 +10,40 @@
 //!   tape roots (features *and* penalties) are checked every step; any
 //!   NaN/Inf restarts the seed.
 //! - **Divergence detection** — a seed whose objective value rises
-//!   monotonically for [`SupervisorOptions::window`] consecutive steps *and*
-//!   cumulatively by more than [`SupervisorOptions::divergence_min_rise`] is
-//!   declared diverging and restarted. Both conditions are required: healthy
+//!   monotonically for `DIVERGENCE_WINDOW` (16) consecutive steps *and*
+//!   cumulatively by more than `DIVERGENCE_MIN_RISE` (1e4) is declared
+//!   diverging and restarted. Both conditions are required: healthy
 //!   descent over a multi-modal landscape routinely rises for a few steps.
 //! - **Gradient clipping** — gradient norms above the active clip are
 //!   scaled down (a trust region on the step, not a restart).
 //! - **Deterministic restarts** — a restarted seed redraws its starting
 //!   point from a dedicated RNG substream derived by pure hashing
 //!   ([`restart_stream`]), never from the master RNG, so a restart never
-//!   shifts a healthy seed's stream. Each restart shrinks the seed's Adam
-//!   learning rate by [`SupervisorOptions::trust_backoff`] (trust-region
-//!   backoff).
-//! - **Exhaustion** — a seed that burns through
-//!   [`SupervisorOptions::restart_budget`] restarts is frozen; a sketch
-//!   whose seeds are all frozen escalates one rung down the degradation
-//!   ladder (gradient → clipped gradient → evolutionary).
+//!   shifts a healthy seed's stream. Each restart halves the seed's Adam
+//!   learning rate (trust-region backoff).
+//! - **Exhaustion** — a seed that burns through `RESTART_BUDGET` (3)
+//!   restarts is frozen; a sketch whose seeds are all frozen escalates one
+//!   rung down the degradation ladder (gradient → clipped gradient →
+//!   evolutionary).
 //!
-//! The supervisor's observations accumulate in a [`ChunkHealth`] per worker
-//! chunk; the proposer merges the chunks and publishes a
+//! The thresholds are constants chosen so a healthy run never trips any of
+//! them: supervision is then observation-only. The supervisor's
+//! observations accumulate in a [`ChunkHealth`] per worker chunk; the
+//! proposer merges the chunks and publishes a
 //! [`felix_ansor::HealthReport`] through the round report and record log.
 
 use felix_records::{fnv1a, FNV_OFFSET};
 
-/// Thresholds of the descent supervisor. The defaults are chosen so a
-/// healthy run never trips any of them: supervision is then
-/// observation-only.
-#[derive(Clone, Copy, Debug)]
-pub struct SupervisorOptions {
-    /// Consecutive monotonically-rising objective steps before a seed is
-    /// considered diverging.
-    pub window: usize,
-    /// Minimum cumulative objective rise over the window; guards against
-    /// flagging the small rises of healthy non-convex descent.
-    pub divergence_min_rise: f64,
-    /// Gradient-norm clip for seeds in [`felix_ansor::SketchMode::Gradient`]
-    /// mode. Healthy gradients stay orders of magnitude below this.
-    pub grad_clip: f64,
-    /// Tighter clip for sketches degraded to
-    /// [`felix_ansor::SketchMode::ClippedGradient`].
-    pub clipped_grad_clip: f64,
-    /// Restarts per seed per round before the seed is frozen (exhausted).
-    pub restart_budget: usize,
-    /// Per-restart Adam learning-rate multiplier (trust-region backoff).
-    pub trust_backoff: f64,
-    /// Wall-clock deadline for one round's descent, in seconds. Overruns
-    /// are charged to the simulated tuning clock so a stalling descent
-    /// cannot make the time-vs-latency curve look better than it is.
-    /// `f64::INFINITY` (the default) never charges.
-    pub deadline_s: f64,
-    /// Test hook: the descent of this sketch panics on its first step,
-    /// exercising the panic-isolation path deterministically.
-    pub inject_panic_sketch: Option<usize>,
-}
+/// Consecutive monotonically-rising objective steps before a seed is
+/// considered diverging.
+const DIVERGENCE_WINDOW: usize = 16;
 
-impl Default for SupervisorOptions {
-    fn default() -> Self {
-        SupervisorOptions {
-            window: 16,
-            divergence_min_rise: 1e4,
-            grad_clip: 1e8,
-            clipped_grad_clip: 1e2,
-            restart_budget: 3,
-            trust_backoff: 0.5,
-            deadline_s: f64::INFINITY,
-            inject_panic_sketch: None,
-        }
-    }
-}
+/// Minimum cumulative objective rise over the window; guards against
+/// flagging the small rises of healthy non-convex descent.
+const DIVERGENCE_MIN_RISE: f64 = 1e4;
+
+/// Restarts per seed per round before the seed is frozen (exhausted).
+const RESTART_BUDGET: usize = 3;
 
 /// Per-seed supervision state, advanced once per Adam step.
 #[derive(Clone, Copy, Debug)]
@@ -108,9 +74,9 @@ impl Default for SeedHealth {
 
 impl SeedHealth {
     /// Feeds one step's objective value; returns `true` when the divergence
-    /// criterion trips (monotone rise of `window` steps with cumulative
-    /// rise above `min_rise`).
-    pub fn note_objective(&mut self, obj: f64, window: usize, min_rise: f64) -> bool {
+    /// criterion trips (monotone rise of `DIVERGENCE_WINDOW` steps with
+    /// cumulative rise above `DIVERGENCE_MIN_RISE`).
+    pub fn note_objective(&mut self, obj: f64) -> bool {
         if obj > self.last_obj {
             if self.rising_steps == 0 {
                 self.rise_start_obj = self.last_obj;
@@ -120,13 +86,14 @@ impl SeedHealth {
             self.rising_steps = 0;
         }
         self.last_obj = obj;
-        self.rising_steps >= window && obj - self.rise_start_obj > min_rise
+        self.rising_steps >= DIVERGENCE_WINDOW && obj - self.rise_start_obj > DIVERGENCE_MIN_RISE
     }
 
     /// Consumes one restart (resetting the divergence window) and reports
-    /// whether the budget allowed it; `false` freezes the seed instead.
-    pub fn consume_restart(&mut self, budget: usize) -> bool {
-        if self.restarts >= budget {
+    /// whether `RESTART_BUDGET` allowed it; `false` freezes the seed
+    /// instead.
+    pub fn consume_restart(&mut self) -> bool {
+        if self.restarts >= RESTART_BUDGET {
             self.exhausted = true;
             return false;
         }
@@ -222,16 +189,6 @@ impl ChunkHealth {
             e.poisoned |= s.poisoned;
         }
     }
-
-    /// True when nothing happened: no events, no restarts, no poisoning.
-    pub fn is_clean(&self) -> bool {
-        self.nonfinite_events == 0
-            && self.divergence_events == 0
-            && self.seed_restarts == 0
-            && self.grad_clips == 0
-            && self.panics_caught == 0
-            && self.sketches.iter().all(|s| !s.poisoned && s.exhausted_lanes == 0)
-    }
 }
 
 #[cfg(test)]
@@ -243,19 +200,19 @@ mod tests {
         let mut h = SeedHealth::default();
         // Monotone rise but tiny: never trips.
         for i in 0..40 {
-            assert!(!h.note_objective(f64::from(i), 16, 1e4));
+            assert!(!h.note_objective(f64::from(i)));
         }
         // Large rise but interrupted every few steps: never trips.
         let mut h = SeedHealth::default();
         for i in 0..40 {
             let obj = if i % 8 == 7 { 0.0 } else { f64::from(i) * 1e4 };
-            assert!(!h.note_objective(obj, 16, 1e4));
+            assert!(!h.note_objective(obj));
         }
         // Monotone AND large: trips exactly at the window boundary.
         let mut h = SeedHealth::default();
         let mut tripped = None;
         for i in 0..40 {
-            if h.note_objective(f64::from(i) * 1e4, 16, 1e4) {
+            if h.note_objective(f64::from(i) * 1e4) {
                 tripped = Some(i);
                 break;
             }
@@ -268,11 +225,13 @@ mod tests {
     #[test]
     fn restart_budget_freezes_after_exhaustion() {
         let mut h = SeedHealth::default();
-        assert!(h.consume_restart(2));
-        assert!(h.consume_restart(2));
-        assert!(!h.consume_restart(2), "third restart exceeds budget 2");
+        for _ in 0..RESTART_BUDGET {
+            assert!(h.consume_restart());
+        }
+        assert!(!h.exhausted);
+        assert!(!h.consume_restart(), "one restart past the budget");
         assert!(h.exhausted);
-        assert_eq!(h.restarts, 2);
+        assert_eq!(h.restarts, RESTART_BUDGET);
     }
 
     #[test]
@@ -310,7 +269,5 @@ mod tests {
         assert_eq!(a.seed_restarts, 2);
         let s = &a.sketches[0];
         assert_eq!((s.lanes, s.exhausted_lanes, s.events, s.poisoned), (3, 1, 1, true));
-        assert!(!a.is_clean());
-        assert!(ChunkHealth::default().is_clean());
     }
 }

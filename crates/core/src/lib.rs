@@ -50,7 +50,6 @@ pub use api::{
     extract_subgraphs, pretrained_cost_model, CompiledModule, ModelQuality, Optimizer,
 };
 pub use cache::{structure_hash, CacheOutcome, ScheduleCache};
-pub use health::SupervisorOptions;
 pub use persist::{replay_records, CheckpointState, RecordLogSink};
 pub use tape_cache::TapeCache;
 pub use gd::{FelixOptions, GradientProposer};

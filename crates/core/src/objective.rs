@@ -31,8 +31,6 @@ pub struct PipelineOptions {
     /// Replace non-differentiable operators by smooth ones (§3.3, Fig. 4).
     /// When disabled, gradients fall back to subgradients.
     pub smoothing: bool,
-    /// Log-transform features (`ln(1+f)`).
-    pub log_features: bool,
     /// The `x = e^y` exponential substitution. When disabled, optimization
     /// runs directly over `x`.
     pub exp_substitution: bool,
@@ -42,7 +40,6 @@ impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             smoothing: true,
-            log_features: true,
             exp_substitution: true,
         }
     }
@@ -139,11 +136,7 @@ impl SketchObjective {
     ) -> Self {
         let mut program = sketch_program.clone();
         // 1. log-transform features.
-        let logfeats: Vec<ExprId> = if pipeline.log_features {
-            features.iter().map(|&f| program.pool.log1p(f)).collect()
-        } else {
-            features.to_vec()
-        };
+        let logfeats: Vec<ExprId> = features.iter().map(|&f| program.pool.log1p(f)).collect();
         // 2. smooth features and constraints together (shared memo).
         let constraint_roots: Vec<ExprId> =
             program.constraints.iter().map(|c| c.expr).collect();

@@ -107,7 +107,6 @@ impl MeasurementSink for RecordLogSink {
             seed_restarts: event.report.seed_restarts,
             grad_clips: event.report.grad_clips,
             panics_caught: event.report.panics_caught,
-            deadline_overrun_s: event.report.deadline_overrun_s,
             modes: event.modes.iter().map(|m| m.label().to_string()).collect(),
             time_s: event.time_s,
         };

@@ -111,11 +111,7 @@ fn objective_fingerprint(
     for f in features {
         h.u32(f.index() as u32);
     }
-    h.mix(&[
-        u8::from(pipeline.smoothing),
-        u8::from(pipeline.log_features),
-        u8::from(pipeline.exp_substitution),
-    ]);
+    h.mix(&[u8::from(pipeline.smoothing), u8::from(pipeline.exp_substitution)]);
     h.0
 }
 

@@ -7,7 +7,7 @@ mod common;
 
 use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_network, tmp_dir};
 use felix::{pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
-use felix_ansor::{MeasurePolicy, NetworkTuneResult};
+use felix_ansor::{NetworkTuneResult, MAX_RETRIES};
 use felix_sim::{DeviceConfig, FaultPlan};
 
 fn run(plan: Option<FaultPlan>, threads: usize, rounds_extra: usize) -> (Optimizer, NetworkTuneResult) {
@@ -80,13 +80,11 @@ fn chaos_tuning_converges_without_panicking() {
     // must complete every round, converge to a finite network latency, keep
     // failed samples out of the fine-tuning buffer, and respect the retry
     // bound everywhere.
-    let policy = MeasurePolicy::default();
     for (seed, rate) in [(41u64, 0.1), (42, 0.2), (43, 0.3)] {
         let device = DeviceConfig::a5000();
         let model = pretrained_cost_model(&device, ModelQuality::Fast);
         let options = FelixOptions {
             fault_plan: FaultPlan::chaos(seed, rate),
-            measure_policy: policy,
             ..quick_options(1)
         };
         let mut opt = Optimizer::with_options(tiny_network(), model, device, options);
@@ -103,7 +101,7 @@ fn chaos_tuning_converges_without_panicking() {
         let retries: usize = res.round_reports.iter().map(|r| r.retries).sum();
         assert!(failed + retries > 0, "rate {rate} chaos must actually inject faults");
         for r in &res.round_reports {
-            assert!(r.retries <= (r.measured + r.failed) * policy.max_retries);
+            assert!(r.retries <= (r.measured + r.failed) * MAX_RETRIES);
         }
         for t in opt.tasks() {
             // Replay-buffer hygiene at network scale.
@@ -132,14 +130,13 @@ fn chaos_is_deterministic_per_seed() {
 
 #[test]
 fn chaos_run_resumes_byte_identically_from_its_options_alone() {
-    // The fault plan and retry policy ride `FelixOptions`, so a chaos run
+    // The fault plan rides `FelixOptions`, so a chaos run
     // killed at a round boundary and resumed with the same options value —
     // nothing re-chained — must finish exactly as the uninterrupted run:
     // same curve, same clock, same task states, same fault statistics.
     for threads in [1usize, 2] {
         let options = FelixOptions {
             fault_plan: FaultPlan::chaos(0xC4A05, 0.25),
-            measure_policy: MeasurePolicy { max_retries: 3, ..Default::default() },
             ..quick_options(threads)
         };
         let device = DeviceConfig::a5000();

@@ -84,6 +84,24 @@ fn resume_rejects_mismatched_checkpoints() {
         .err()
         .expect("generator mismatch must be rejected");
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // Parseable checkpoints that do not fit the rebuilt tasks: a sketch
+    // index past the sketch count, a short `modes` array, a schedule one
+    // value short. Each is an error result, not a panic in the restore.
+    let doc = felix_records::Json::parse(text.trim_end()).expect("parse state");
+    let good = felix::persist::checkpoint_from_json(&doc).expect("decode state");
+    let tuned = good.tasks.iter().position(|t| !t.measured.is_empty()).expect("a measured task");
+    let mut corrupt = [good.clone(), good.clone(), good];
+    corrupt[0].tasks[tuned].measured[0].0 = 99;
+    corrupt[1].tasks[tuned].sketch_modes.pop();
+    corrupt[2].tasks[tuned].measured[0].1.pop();
+    for state_doc in &corrupt {
+        let json = felix::persist::checkpoint_to_json(state_doc);
+        felix_records::write_document(&state, &json).expect("rewrite state");
+        let err = Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
+            .err()
+            .expect("an ill-fitting checkpoint must be rejected");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
     std::fs::write(&state, text).expect("restore state");
     Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
         .expect("the untouched checkpoint resumes");

@@ -8,7 +8,7 @@
 mod common;
 
 use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_network, tmp_dir};
-use felix::{pretrained_cost_model, FelixOptions, ModelQuality, Optimizer, SupervisorOptions};
+use felix::{pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::SketchMode;
 use felix_cost::Mlp;
 use felix_records::Record;
@@ -108,13 +108,7 @@ fn injected_panic_poisons_only_that_sketch() {
     // — other sketches, other tasks, measurements — proceeds untouched.
     let device = DeviceConfig::a5000();
     let model = pretrained_cost_model(&device, ModelQuality::Fast);
-    let opts = FelixOptions {
-        supervisor: SupervisorOptions {
-            inject_panic_sketch: Some(0),
-            ..Default::default()
-        },
-        ..quick_options(1)
-    };
+    let opts = FelixOptions { inject_panic_sketch: Some(0), ..quick_options(1) };
     let mut opt = Optimizer::with_options(tiny_network(), model, device, opts);
     let n_rounds = opt.tasks().len() + 2;
     opt.optimize_all(n_rounds, 4);
@@ -219,24 +213,4 @@ fn health_records_replay_restores_degradation_state() {
         assert_eq!(ta.sketch_modes(), tb.sketch_modes(), "modes replay from the log");
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn deadline_overrun_is_charged_to_the_tuning_clock() {
-    // A zero deadline makes every descent overrun; the watchdog must
-    // report the overrun and charge it to the simulated clock (a stalling
-    // descent cannot make the curve look better than it is).
-    let device = DeviceConfig::a5000();
-    let model = pretrained_cost_model(&device, ModelQuality::Fast);
-    let opts = FelixOptions {
-        supervisor: SupervisorOptions { deadline_s: 0.0, ..Default::default() },
-        ..quick_options(1)
-    };
-    let mut opt = Optimizer::with_options(tiny_network(), model, device, opts);
-    let n_rounds = opt.tasks().len() + 2;
-    opt.optimize_all(n_rounds, 4);
-    let overrun: f64 = opt.stats.iter().map(|s| s.deadline_overrun_s).sum();
-    assert!(overrun > 0.0, "a zero deadline must always overrun");
-    assert!(opt.tuning_time_s() > overrun, "overrun is part of the clock");
-    assert!(!opt.history.is_empty());
 }

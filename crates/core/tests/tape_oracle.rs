@@ -1,7 +1,8 @@
 //! The compiled tape against the pool-walking oracle over every distinct
 //! sketch of the six batch-1 networks: the default objective's tape path
 //! must reproduce `cost_and_grad_pool` bit for bit, at width 1 and lane by
-//! lane at width 16. No `log∘exp` or `exp∘log` pair may be reachable from
+//! lane at widths 7, 16 and 17 — the run-time lane count, the production
+//! compile-time width, and one full chunk plus a partial one. No `log∘exp` or `exp∘log` pair may be reachable from
 //! a root: with no simplifier in the pipeline, nothing later would cancel it.
 
 use felix::extract_subgraphs;
@@ -15,7 +16,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
-const WIDTH: usize = 16;
+/// Batch widths checked lane by lane against the pool oracle.
+const WIDTHS: [usize; 3] = [7, 16, 17];
 const LAMBDA: f64 = 1.0;
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -46,8 +48,8 @@ fn assert_no_log_exp_pairs(pool: &ExprPool, roots: &[ExprId], sketch: &str) {
     }
 }
 
-/// Width 16 through the batched calls the descent loop makes; every lane
-/// must equal the pool oracle at its own point.
+/// One batch of `points.len()` lanes through the batched calls the descent
+/// loop makes; every lane must equal the pool oracle at its own point.
 fn assert_lanes_match_pool(obj: &SketchObjective, model: &Mlp, points: &[Vec<f64>], sketch: &str) {
     let cols: Vec<usize> = (0..points.len()).collect();
     let mut scratch = EvalScratch::default();
@@ -112,8 +114,9 @@ fn tape_matches_pool_oracle_on_every_sketch_of_all_six_networks() {
                 assert_no_log_exp_pairs(&obj.program.pool, &roots, &label);
 
                 // Log-space points spanning tile sizes 1..e^5, so both
-                // feasible and penalty-active schedules are covered.
-                let points: Vec<Vec<f64>> = (0..WIDTH)
+                // feasible and penalty-active schedules are covered; one per
+                // lane of the widest batch, narrower batches take a prefix.
+                let points: Vec<Vec<f64>> = (0..WIDTHS[2])
                     .map(|_| (0..obj.n_vars()).map(|_| rng.gen_range(0.0..5.0)).collect())
                     .collect();
                 let (c_tape, s_tape, g_tape) = obj.cost_and_grad(&model, LAMBDA, &points[0]);
@@ -125,7 +128,9 @@ fn tape_matches_pool_oracle_on_every_sketch_of_all_six_networks() {
                 );
                 assert_eq!(s_tape.to_bits(), s_pool.to_bits(), "{label}: width 1 score");
                 assert_eq!(bits(&g_tape), bits(&g_pool), "{label}: width 1 gradient");
-                assert_lanes_match_pool(&obj, &model, &points, &label);
+                for width in WIDTHS {
+                    assert_lanes_match_pool(&obj, &model, &points[..width], &label);
+                }
                 n_sketches += 1;
             }
         }

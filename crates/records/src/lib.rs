@@ -131,18 +131,14 @@ impl TuningRecord {
 
 /// Version of the health-record wire format. Bumped whenever a field is
 /// added, removed, or re-encoded; readers skip lines of any other version
-/// instead of guessing at their meaning.
-pub const HEALTH_RECORD_VERSION: usize = 1;
+/// instead of guessing at their meaning. Version 2 dropped `overrun_s`.
+pub const HEALTH_RECORD_VERSION: usize = 2;
 
 /// One persisted descent-supervisor report: the health counters of a tuning
 /// round plus the authoritative per-sketch proposer modes *after* the
 /// round's degradation/recovery decisions were applied. Replaying these
 /// lines restores the degradation state of a resumed run, so it keeps
 /// making the same proposer choices as the run that wrote the log.
-///
-/// Counters are integers (exact in JSON); the one fractional field,
-/// `deadline_overrun_s`, is encoded as a 16-hex-digit bit pattern so it
-/// round-trips bit-exactly like every other float in the store.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HealthRecord {
     /// Wire-format version ([`HEALTH_RECORD_VERSION`] when written).
@@ -161,8 +157,6 @@ pub struct HealthRecord {
     pub grad_clips: usize,
     /// Worker panics caught and quarantined.
     pub panics_caught: usize,
-    /// Wall-clock descent overrun charged to the tuning clock (seconds).
-    pub deadline_overrun_s: f64,
     /// Per-sketch proposer-mode labels after applying this report (see
     /// `felix_ansor::SketchMode::label`); the authoritative replay state.
     pub modes: Vec<String>,
@@ -185,7 +179,6 @@ impl HealthRecord {
             ("restarts", Json::Num(self.seed_restarts as f64)),
             ("grad_clips", Json::Num(self.grad_clips as f64)),
             ("panics", Json::Num(self.panics_caught as f64)),
-            ("overrun_s", Json::f64_bits(self.deadline_overrun_s)),
             (
                 "modes",
                 Json::Arr(self.modes.iter().map(|m| Json::Str(m.clone())).collect()),
@@ -213,7 +206,6 @@ impl HealthRecord {
             seed_restarts: doc.get("restarts")?.as_usize()?,
             grad_clips: doc.get("grad_clips")?.as_usize()?,
             panics_caught: doc.get("panics")?.as_usize()?,
-            deadline_overrun_s: doc.get("overrun_s")?.as_f64_bits()?,
             modes: doc
                 .get("modes")?
                 .as_arr()?
@@ -453,7 +445,6 @@ mod tests {
             seed_restarts: 2 * round + 1,
             grad_clips: round,
             panics_caught: round % 2,
-            deadline_overrun_s: 0.1 + 0.2, // non-representable sum
             modes: vec!["gd".to_string(), "evo".to_string()],
             time_s: 12.5 * round as f64,
         }
@@ -511,9 +502,11 @@ mod tests {
     fn newer_version_and_unknown_kind_lines_are_skipped() {
         let path = tmp_path("future");
         let mut log = RecordLog::open(&path).expect("open");
-        let mut future = sample_health(1);
-        future.version = HEALTH_RECORD_VERSION + 1;
-        log.append_health(&future).expect("append");
+        for version in [HEALTH_RECORD_VERSION - 1, HEALTH_RECORD_VERSION + 1] {
+            let mut other = sample_health(1);
+            other.version = version;
+            log.append_health(&other).expect("append");
+        }
         drop(log);
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
         writeln!(f, "{{\"kind\":\"telemetry\",\"x\":1}}").expect("write");

@@ -19,12 +19,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # are built first, so the loop measures execution, not compilation. Every
 # named scenario — chaos tuning, kill-and-resume, descent supervision, tape
 # and schedule caches, the serve crash/lifecycle harness (Unix-only,
-# FELIX_SKIP_CRASH_TESTS=1 to skip) — runs here, once.
+# FELIX_SKIP_CRASH_TESTS=1 to skip) — runs here, once. The crate list is
+# every package manifest in the workspace (the root package plus
+# crates/*), so a new crate cannot slip past the budget.
 cargo test -q --workspace --no-run
 BUDGET_S=60
-for crate in felix-expr felix-tir felix-graph felix-features felix-sim \
-             felix-cost felix-records felix-ansor felix felix-bench \
-             felix-repro felix-serve; do
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    crate=$(sed -n '/^\[package\]/,/^\[/s/^name = "\(.*\)"$/\1/p' "$manifest")
     start=$SECONDS
     cargo test -q -p "$crate" >/dev/null
     elapsed=$((SECONDS - start))
