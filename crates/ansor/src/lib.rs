@@ -60,13 +60,11 @@ impl SketchState {
 
 /// Which proposal algorithm a sketch is currently tuned with — the rungs of
 /// the supervisor's degradation ladder. Every sketch starts at
-/// [`SketchMode::Gradient`]; the descent supervisor escalates a sketch one
-/// rung at a time when its seeds keep failing, and de-escalates
-/// [`SketchMode::ClippedGradient`] back to full gradient descent after a
-/// clean round. [`SketchMode::Evolutionary`] is sticky: a sketch that
-/// reached the bottom rung (panicking or pathological objective, or clipped
-/// descent still diverging) stays on the discrete proposer, which cannot
-/// diverge.
+/// [`SketchMode::Gradient`]. The descent supervisor (the `felix` crate's
+/// `health` module, the one place the ladder policy lives) decides each
+/// sketch's rung for the next round and hands it over in
+/// [`HealthReport::modes`]; [`SketchMode::Evolutionary`] is sticky, since
+/// the discrete proposer cannot diverge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SketchMode {
     /// Full-speed gradient descent (the healthy default).
@@ -99,24 +97,16 @@ impl SketchMode {
         }
     }
 
-    /// The next rung down the degradation ladder.
-    pub fn escalated(self) -> SketchMode {
-        match self {
-            SketchMode::Gradient => SketchMode::ClippedGradient,
-            SketchMode::ClippedGradient | SketchMode::Evolutionary => SketchMode::Evolutionary,
-        }
-    }
-
     /// Whether this mode still runs gradient descent.
     pub fn uses_gradient(self) -> bool {
         self != SketchMode::Evolutionary
     }
 }
 
-/// What the descent supervisor observed during one `propose` call: numeric
-/// failure counters plus the per-sketch escalation/recovery decisions. A
-/// clean report is all-zero/empty — the invariant behind the healthy-run
-/// bit-parity guarantee.
+/// What the descent supervisor observed during one `propose` call — five
+/// numeric failure counters — and what it decided: every sketch's
+/// [`SketchMode`] for the next round. The counters of a healthy round are
+/// all zero, the invariant behind the healthy-run bit-parity guarantee.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct HealthReport {
     /// NaN/Inf/overflow events (objective, gradient, or feature outputs).
@@ -129,68 +119,34 @@ pub struct HealthReport {
     pub grad_clips: usize,
     /// Worker panics caught (each poisons one sketch, not the process).
     pub panics_caught: usize,
-    /// Sketches whose every seed exhausted its restart budget this round
-    /// (escalated one rung).
-    pub exhausted_sketches: Vec<usize>,
-    /// Sketches whose objective panicked this round (escalated straight to
-    /// [`SketchMode::Evolutionary`]).
-    pub poisoned_sketches: Vec<usize>,
-    /// Sketches whose tape compiled to a pathological (non-finite at the
-    /// probe point) objective (escalated straight to
-    /// [`SketchMode::Evolutionary`]).
-    pub pathological_sketches: Vec<usize>,
-    /// Clipped-mode sketches that completed a clean descent this round
-    /// (de-escalated back to [`SketchMode::Gradient`]).
-    pub recovered_sketches: Vec<usize>,
+    /// Every sketch's mode for the next round, as the supervisor decided
+    /// it — exactly what a health record persists. Empty when nothing
+    /// decided (proposers without a descent phase): the task's modes stay.
+    pub modes: Vec<SketchMode>,
 }
 
 impl HealthReport {
-    /// True when nothing noteworthy happened — no counters, no
-    /// escalations, no recoveries.
+    /// True when every counter is zero. (Whether the modes changed is a
+    /// question for the task: see [`SearchTask::apply_health`].)
     pub fn is_clean(&self) -> bool {
         self.nonfinite_events == 0
             && self.divergence_events == 0
             && self.seed_restarts == 0
             && self.grad_clips == 0
             && self.panics_caught == 0
-            && self.exhausted_sketches.is_empty()
-            && self.poisoned_sketches.is_empty()
-            && self.pathological_sketches.is_empty()
-            && self.recovered_sketches.is_empty()
     }
 
-    /// Sketches this report degrades (exhausted ∪ poisoned ∪ pathological,
-    /// deduplicated).
-    pub fn degraded_sketches(&self) -> Vec<usize> {
-        let mut all: Vec<usize> = self
-            .exhausted_sketches
-            .iter()
-            .chain(&self.poisoned_sketches)
-            .chain(&self.pathological_sketches)
-            .copied()
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
-    }
-
-    /// Folds another report into this one (counters add, sketch lists
-    /// union).
+    /// Folds another report into this one: counters add, and the other
+    /// report's modes, when it has any, replace these (the later decision
+    /// wins).
     pub fn merge(&mut self, other: &HealthReport) {
         self.nonfinite_events += other.nonfinite_events;
         self.divergence_events += other.divergence_events;
         self.seed_restarts += other.seed_restarts;
         self.grad_clips += other.grad_clips;
         self.panics_caught += other.panics_caught;
-        for (dst, src) in [
-            (&mut self.exhausted_sketches, &other.exhausted_sketches),
-            (&mut self.poisoned_sketches, &other.poisoned_sketches),
-            (&mut self.pathological_sketches, &other.pathological_sketches),
-            (&mut self.recovered_sketches, &other.recovered_sketches),
-        ] {
-            dst.extend(src.iter().copied());
-            dst.sort_unstable();
-            dst.dedup();
+        if !other.modes.is_empty() {
+            self.modes.clone_from(&other.modes);
         }
     }
 }
@@ -220,18 +176,17 @@ pub struct SearchTask {
     pub samples: Vec<Sample>,
     /// Candidates whose measurement failed after exhausting retries:
     /// `(sketch, values, fault kind)`. They count as "measured" for dedup
-    /// so the proposer never re-spends budget on them.
+    /// so the proposer never re-spends budget on them; the per-kind fault
+    /// counts are this list's histogram.
     pub failed: Vec<(usize, Vec<f64>, FaultKind)>,
-    /// Failure/retry counters, consumed by the task scheduler to
-    /// deprioritize tasks burning their budget on faults.
-    pub fault_stats: TaskFaultStats,
+    /// Measurement retries spent on this task's candidates, including
+    /// retries of candidates that later succeeded.
+    pub retries: usize,
     /// Dedup set of measured candidates.
     measured_keys: HashSet<String>,
-    /// Consecutive failed candidates per sketch (reset by any success).
+    /// Consecutive failed candidates per sketch (reset by any success); a
+    /// streak of [`SearchTask::QUARANTINE_STREAK`] quarantines the sketch.
     fail_streak: Vec<usize>,
-    /// Sketches quarantined after persistent failures; proposers skip them
-    /// until a success on the sketch lifts the quarantine.
-    quarantined: Vec<bool>,
     /// Per-sketch degradation-ladder rung, updated by
     /// [`SearchTask::apply_health`] (all-[`SketchMode::Gradient`] until the
     /// supervisor reports trouble).
@@ -243,31 +198,6 @@ pub struct SearchTask {
     pub warm_hints: Vec<(usize, Vec<f64>)>,
     /// Rounds spent on this task.
     pub rounds: usize,
-}
-
-/// Failure and retry counters of one task's measurement history.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TaskFaultStats {
-    /// Candidates lost to compile failures.
-    pub build_errors: usize,
-    /// Candidates lost to watchdog timeouts (after retries).
-    pub timeouts: usize,
-    /// Candidates lost to device/RPC errors (after retries).
-    pub device_errors: usize,
-    /// Total retry attempts spent (including ones that later succeeded).
-    pub retries: usize,
-}
-
-impl TaskFaultStats {
-    /// Total candidates lost to faults.
-    pub fn failures(&self) -> usize {
-        self.build_errors + self.timeouts + self.device_errors
-    }
-
-    /// Measurement-budget attempts wasted on faults (failures + retries).
-    pub fn wasted_attempts(&self) -> usize {
-        self.failures() + self.retries
-    }
 }
 
 impl SearchTask {
@@ -296,10 +226,9 @@ impl SearchTask {
             measured: Vec::new(),
             samples: Vec::new(),
             failed: Vec::new(),
-            fault_stats: TaskFaultStats::default(),
+            retries: 0,
             measured_keys: HashSet::new(),
             fail_streak: vec![0; n_sketches],
-            quarantined: vec![false; n_sketches],
             sketch_modes: vec![SketchMode::Gradient; n_sketches],
             warm_hints: Vec::new(),
             rounds: 0,
@@ -337,47 +266,49 @@ impl SearchTask {
         self.shaped_for(sketch, vals) && self.sketches[sketch].program.constraints_ok(vals, 1e-9)
     }
 
+    /// The incumbent rule: a latency strictly below the best so far takes
+    /// over (ties keep the earlier schedule; NaN never wins).
+    fn offer_incumbent(&mut self, sketch: usize, vals: &[f64], latency_ms: f64) {
+        if latency_ms < self.best_latency_ms {
+            self.best_latency_ms = latency_ms;
+            self.best_schedule = Some((sketch, vals.to_vec()));
+        }
+    }
+
     /// Records a measurement, updating the incumbent. A success also clears
-    /// the sketch's failure streak and lifts any quarantine (the fault was
+    /// the sketch's failure streak, lifting any quarantine (the fault was
     /// evidently transient).
     pub fn record(&mut self, sketch: usize, vals: Vec<f64>, latency_ms: f64) {
         self.measured_keys.insert(Self::key(sketch, &vals));
-        if latency_ms < self.best_latency_ms {
-            self.best_latency_ms = latency_ms;
-            self.best_schedule = Some((sketch, vals.clone()));
-        }
+        self.offer_incumbent(sketch, &vals, latency_ms);
         if let Some(streak) = self.fail_streak.get_mut(sketch) {
             *streak = 0;
-        }
-        if let Some(q) = self.quarantined.get_mut(sketch) {
-            *q = false;
         }
         self.measured.push((sketch, vals, latency_ms));
     }
 
     /// Records a candidate whose measurement failed after exhausting its
-    /// retry budget. The candidate joins the dedup set (never re-proposed),
-    /// the per-kind counters advance, and a sketch whose candidates fail
-    /// [`Self::QUARANTINE_STREAK`] times in a row is quarantined.
+    /// retry budget. The candidate joins the dedup set (never re-proposed)
+    /// and the sketch's failure streak grows; at
+    /// [`Self::QUARANTINE_STREAK`] the sketch is quarantined.
     pub fn record_failure(&mut self, sketch: usize, vals: Vec<f64>, kind: FaultKind) {
         self.measured_keys.insert(Self::key(sketch, &vals));
-        match kind {
-            FaultKind::BuildError => self.fault_stats.build_errors += 1,
-            FaultKind::Timeout => self.fault_stats.timeouts += 1,
-            FaultKind::DeviceError => self.fault_stats.device_errors += 1,
-        }
         if let Some(streak) = self.fail_streak.get_mut(sketch) {
             *streak += 1;
-            if *streak >= Self::QUARANTINE_STREAK {
-                self.quarantined[sketch] = true;
-            }
         }
         self.failed.push((sketch, vals, kind));
     }
 
-    /// Whether a sketch is currently quarantined.
+    /// Measurement-budget attempts wasted on faults: failed candidates
+    /// plus retries.
+    pub fn wasted_attempts(&self) -> usize {
+        self.failed.len() + self.retries
+    }
+
+    /// Whether a sketch is currently quarantined: its last
+    /// [`Self::QUARANTINE_STREAK`] candidates (or more) all failed.
     pub fn is_quarantined(&self, sketch: usize) -> bool {
-        self.quarantined.get(sketch).copied().unwrap_or(false)
+        self.fail_streak.get(sketch).is_some_and(|&s| s >= Self::QUARANTINE_STREAK)
     }
 
     /// Indices of sketches proposers should draw from: every
@@ -385,7 +316,7 @@ impl SearchTask {
     /// quarantined (so a fully-faulted task still probes for recovery).
     pub fn active_sketches(&self) -> Vec<usize> {
         let active: Vec<usize> = (0..self.sketches.len())
-            .filter(|&i| !self.quarantined[i])
+            .filter(|&i| !self.is_quarantined(i))
             .collect();
         if active.is_empty() {
             (0..self.sketches.len()).collect()
@@ -415,56 +346,29 @@ impl SearchTask {
         self.sketch_modes.copy_from_slice(modes);
     }
 
-    /// Applies one round's supervisor decisions to the per-sketch modes:
-    /// exhausted sketches step one rung down the degradation ladder,
-    /// poisoned (panicking) and pathological sketches jump straight to the
-    /// evolutionary fallback, and recovered clipped sketches step back up.
-    /// Returns whether any mode changed.
+    /// Adopts the supervisor's modes for the next round (a report without
+    /// modes leaves them as they are). Returns whether any mode changed.
     pub fn apply_health(&mut self, report: &HealthReport) -> bool {
-        let mut changed = false;
-        let mut set = |modes: &mut Vec<SketchMode>, sk: usize, mode: SketchMode| {
-            if let Some(m) = modes.get_mut(sk) {
-                if *m != mode {
-                    *m = mode;
-                    changed = true;
-                }
-            }
-        };
-        for &sk in &report.exhausted_sketches {
-            let next = self.sketch_mode(sk).escalated();
-            set(&mut self.sketch_modes, sk, next);
-        }
-        for &sk in report
-            .poisoned_sketches
-            .iter()
-            .chain(&report.pathological_sketches)
-        {
-            set(&mut self.sketch_modes, sk, SketchMode::Evolutionary);
-        }
-        for &sk in &report.recovered_sketches {
-            if self.sketch_mode(sk) == SketchMode::ClippedGradient {
-                set(&mut self.sketch_modes, sk, SketchMode::Gradient);
-            }
+        let changed = !report.modes.is_empty() && report.modes != self.sketch_modes;
+        if changed {
+            self.set_sketch_modes(&report.modes);
         }
         changed
     }
 
-    /// Captures the complete mutable search state for checkpointing.
+    /// Captures the mutable search state a checkpoint persists: everything
+    /// [`SearchTask::restore`] cannot recompute.
     ///
-    /// `fail_streak` and `quarantined` are copied explicitly rather than
-    /// replayed: the interleaving of `measured` and `failed` (which a
-    /// success-resets-the-streak replay would need) is not recoverable from
-    /// the two separate vectors.
+    /// `fail_streak` is copied rather than replayed: the interleaving of
+    /// `measured` and `failed` (which a success-resets-the-streak replay
+    /// would need) is not recoverable from the two separate vectors.
     pub fn snapshot(&self) -> TaskSnapshot {
         TaskSnapshot {
             workload_key: self.workload_key.clone(),
-            best_latency_ms: self.best_latency_ms,
-            best_schedule: self.best_schedule.clone(),
             measured: self.measured.clone(),
             failed: self.failed.clone(),
-            fault_stats: self.fault_stats,
+            retries: self.retries,
             fail_streak: self.fail_streak.clone(),
-            quarantined: self.quarantined.clone(),
             sketch_modes: self.sketch_modes.clone(),
             warm_hints: self.warm_hints.clone(),
             rounds: self.rounds,
@@ -472,10 +376,11 @@ impl SearchTask {
     }
 
     /// Restores a snapshot into a freshly built task (same subgraph and
-    /// device, so the same sketches). The dedup set and the replay-buffer
-    /// samples are rebuilt deterministically from `measured` — features are
-    /// closed-form functions of the schedule values, so re-evaluating them
-    /// reproduces every sample bit for bit and they need not be persisted.
+    /// device, so the same sketches) and recomputes the rest: the
+    /// incumbent by folding `measured` through [`SearchTask::record`]'s
+    /// rule in order, the dedup set, and the replay-buffer samples —
+    /// features are closed-form functions of the schedule values, so
+    /// re-evaluating them reproduces every sample bit for bit.
     ///
     /// # Errors
     ///
@@ -489,26 +394,26 @@ impl SearchTask {
         if snap.workload_key != self.workload_key {
             return Err("checkpoint task does not match the network");
         }
-        let per_sketch = [snap.fail_streak.len(), snap.quarantined.len(), snap.sketch_modes.len()];
-        if per_sketch.iter().any(|&len| len != n) {
+        if snap.fail_streak.len() != n || snap.sketch_modes.len() != n {
             return Err("checkpoint sketch count does not match the task");
         }
         let mut schedules = snap
-            .best_schedule
+            .measured
             .iter()
-            .map(|(sk, vals)| (*sk, vals))
-            .chain(snap.measured.iter().map(|(sk, vals, _)| (*sk, vals)))
+            .map(|(sk, vals, _)| (*sk, vals))
             .chain(snap.warm_hints.iter().map(|(sk, vals)| (*sk, vals)));
         if !schedules.all(|(sk, vals)| self.shaped_for(sk, vals))
             || snap.failed.iter().any(|(sk, _, _)| *sk >= n)
         {
             return Err("checkpoint schedule does not fit the task's sketches");
         }
-        self.best_latency_ms = snap.best_latency_ms;
-        self.best_schedule = snap.best_schedule;
-        self.fault_stats = snap.fault_stats;
+        self.best_latency_ms = f64::INFINITY;
+        self.best_schedule = None;
+        for (sk, vals, latency) in &snap.measured {
+            self.offer_incumbent(*sk, vals, *latency);
+        }
+        self.retries = snap.retries;
         self.fail_streak = snap.fail_streak;
-        self.quarantined = snap.quarantined;
         self.sketch_modes = snap.sketch_modes;
         self.warm_hints = snap.warm_hints;
         self.rounds = snap.rounds;
@@ -532,26 +437,22 @@ impl SearchTask {
     }
 }
 
-/// The complete mutable search state of a [`SearchTask`], detached from the
-/// (deterministically rebuildable) sketches — what a checkpoint persists.
+/// The mutable search state of a [`SearchTask`] that cannot be recomputed,
+/// detached from the (deterministically rebuildable) sketches — what a
+/// checkpoint persists. The incumbent, the per-kind fault counts, the
+/// quarantine flags, the dedup set and the samples all follow from it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TaskSnapshot {
     /// [`SearchTask::workload_key`], verified on restore.
     pub workload_key: String,
-    /// Best measured latency (ms).
-    pub best_latency_ms: f64,
-    /// Best (sketch, values) found.
-    pub best_schedule: Option<(usize, Vec<f64>)>,
     /// All successful measurements in order.
     pub measured: Vec<(usize, Vec<f64>, f64)>,
     /// All exhausted-retry failures in order.
     pub failed: Vec<(usize, Vec<f64>, FaultKind)>,
-    /// Fault counters.
-    pub fault_stats: TaskFaultStats,
+    /// [`SearchTask::retries`].
+    pub retries: usize,
     /// Per-sketch consecutive-failure streaks.
     pub fail_streak: Vec<usize>,
-    /// Per-sketch quarantine flags.
-    pub quarantined: Vec<bool>,
     /// Per-sketch degradation-ladder rungs.
     pub sketch_modes: Vec<SketchMode>,
     /// Cached warm-start hints (schedule-store transfers).
@@ -606,18 +507,8 @@ pub struct TunerStats {
     /// Worker panics caught and quarantined this round.
     pub panics_caught: usize,
     /// Sketches running degraded (below [`SketchMode::Gradient`]) after
-    /// this round.
+    /// this round: the supervisor's [`HealthReport::modes`] for the next.
     pub degraded_sketches: usize,
-    /// Tasks served a finished schedule straight from a persistent
-    /// schedule store (exact cache hit: no tuning, no RNG or clock spend).
-    /// Zero for every proposer round; reported by the cache layer.
-    pub schedule_cache_hits: usize,
-    /// Tasks warm-started from a structurally matching store entry.
-    pub schedule_cache_warm_starts: usize,
-    /// Store entries skipped because they were written by a different
-    /// sketch-generator version (stale fingerprint). Zero for every
-    /// proposer round; reported by the cache layer.
-    pub schedule_cache_stale: usize,
     /// Sketch objectives served from a shared cross-proposer tape cache
     /// this round (compiled-tape compiles skipped entirely).
     pub tape_cache_hits: usize,
@@ -653,17 +544,6 @@ impl TunerStats {
                 self.nonfinite_events,
                 self.panics_caught,
                 self.degraded_sketches,
-            ));
-        }
-        if self.schedule_cache_hits > 0
-            || self.schedule_cache_warm_starts > 0
-            || self.schedule_cache_stale > 0
-        {
-            line.push_str(&format!(
-                " sched-cache[hit {} warm {} stale {}]",
-                self.schedule_cache_hits,
-                self.schedule_cache_warm_starts,
-                self.schedule_cache_stale,
             ));
         }
         if self.tape_cache_hits > 0 {
@@ -749,11 +629,9 @@ pub struct HealthEvent<'a> {
     pub task_name: &'a str,
     /// Tuning round (0-based) whose descent produced the report.
     pub round: usize,
-    /// The supervisor's counters and escalation/recovery decisions.
+    /// The supervisor's counters and its modes for the next round — the
+    /// authoritative state a replay restores.
     pub report: &'a HealthReport,
-    /// Per-sketch modes *after* applying the report — the authoritative
-    /// state a replay restores.
-    pub modes: &'a [SketchMode],
     /// Simulated tuning-clock time when the report was recorded.
     pub time_s: f64,
 }
@@ -862,10 +740,10 @@ pub fn tune_task_round_with_sink(
     mut sink: Option<&mut (dyn MeasurementSink + '_)>,
 ) -> RoundReport {
     let candidates = proposer.propose(task, model, opts.measurements_per_round, clock, costs, rng);
-    // Apply the supervisor's escalation/recovery decisions before anything
-    // else consumes the round: degradation takes effect from the next
-    // propose call, and the decision point is what the record log persists
-    // (so a replay re-applies the exact same ladder moves).
+    // Adopt the supervisor's modes before anything else consumes the
+    // round: degradation takes effect from the next propose call, and the
+    // decision is what the record log persists (so a replay restores the
+    // exact same ladder moves).
     let health = proposer.take_health();
     let modes_changed = task.apply_health(&health);
     if modes_changed || !health.is_clean() {
@@ -875,7 +753,6 @@ pub fn tune_task_round_with_sink(
                 task_name: &task.name,
                 round: task.rounds,
                 report: &health,
-                modes: task.sketch_modes(),
                 time_s: clock.now_s(),
             });
         }
@@ -920,7 +797,7 @@ pub fn tune_task_round_with_sink(
                     if kind.retryable() && retries_spent < MAX_RETRIES {
                         clock.advance(backoff_for(retries_spent));
                         report.retries += 1;
-                        task.fault_stats.retries += 1;
+                        task.retries += 1;
                         attempt += 1;
                         continue;
                     }
@@ -1036,7 +913,7 @@ pub fn task_priority(t: &SearchTask) -> f64 {
     if t.best_latency_ms.is_infinite() {
         -(t.rounds as f64)
     } else {
-        let wasted = t.fault_stats.wasted_attempts() as f64;
+        let wasted = t.wasted_attempts() as f64;
         let fault_penalty = 1.0 + wasted / (t.measured.len() as f64 + 1.0);
         t.weight as f64 * t.best_latency_ms / (t.rounds as f64).sqrt() / fault_penalty
     }
@@ -1289,7 +1166,9 @@ mod tests {
         // Task 0 was seeded but lost every candidate to faults: its
         // incumbent is still infinite. Task 1 is healthy.
         tasks[0].rounds = 1;
-        tasks[0].fault_stats.build_errors = 16;
+        for i in 0..16 {
+            tasks[0].record_failure(0, vec![f64::from(i); 2], FaultKind::BuildError);
+        }
         tasks[1].rounds = 1;
         tasks[1].best_latency_ms = 5.0;
         let mut picks = [0usize; 2];
@@ -1381,73 +1260,127 @@ mod tests {
     }
 
     #[test]
-    fn apply_health_walks_the_degradation_ladder() {
+    fn apply_health_adopts_the_reported_modes() {
         let sim = Simulator::new(DeviceConfig::a5000());
         let mut task = SearchTask::from_task(&dense_task(), &sim);
         assert!(task.sketch_modes().iter().all(|&m| m == SketchMode::Gradient));
-
-        // Clean report: no change.
-        assert!(!task.apply_health(&HealthReport::default()));
-
-        // Exhausted restart budget: one rung down (GD -> clipped GD).
-        let exhausted = HealthReport { exhausted_sketches: vec![0], ..Default::default() };
-        assert!(task.apply_health(&exhausted));
-        assert_eq!(task.sketch_mode(0), SketchMode::ClippedGradient);
-        assert_eq!(task.sketch_mode(1), SketchMode::Gradient);
-
-        // Exhausted again while clipped: bottom rung (evolutionary).
-        assert!(task.apply_health(&exhausted));
-        assert_eq!(task.sketch_mode(0), SketchMode::Evolutionary);
-
-        // A panic jumps straight to evolutionary regardless of rung.
-        let poisoned = HealthReport { poisoned_sketches: vec![1], ..Default::default() };
-        assert!(task.apply_health(&poisoned));
-        assert_eq!(task.sketch_mode(1), SketchMode::Evolutionary);
-
-        // Recovery only lifts the clipped rung; evolutionary is sticky.
-        let recovered = HealthReport { recovered_sketches: vec![0, 1], ..Default::default() };
-        assert!(!task.apply_health(&recovered));
-        assert_eq!(task.sketch_mode(0), SketchMode::Evolutionary);
-        assert_eq!(task.sketch_mode(1), SketchMode::Evolutionary);
-
-        // Recovery from clipped mode steps back up to full gradient.
-        task.set_sketch_modes(&[SketchMode::ClippedGradient, SketchMode::Evolutionary]);
-        assert!(task.apply_health(&HealthReport {
-            recovered_sketches: vec![0],
-            ..Default::default()
-        }));
-        assert_eq!(task.sketch_mode(0), SketchMode::Gradient);
+        // A report without modes (no descent phase) decides nothing.
+        assert!(!task.apply_health(&HealthReport { seed_restarts: 3, ..Default::default() }));
+        let modes = vec![SketchMode::ClippedGradient, SketchMode::Evolutionary];
+        let report = HealthReport { modes: modes.clone(), ..Default::default() };
+        assert!(task.apply_health(&report));
+        assert_eq!(task.sketch_modes(), &modes[..]);
+        assert!(!task.apply_health(&report), "the same modes again change nothing");
     }
 
     #[test]
     fn health_report_merge_and_cleanliness() {
-        let mut a = HealthReport { seed_restarts: 2, exhausted_sketches: vec![1], ..Default::default() };
-        let b = HealthReport {
-            seed_restarts: 1,
-            nonfinite_events: 4,
-            exhausted_sketches: vec![0, 1],
-            poisoned_sketches: vec![0],
-            ..Default::default()
-        };
+        let evo = vec![SketchMode::Evolutionary, SketchMode::Gradient];
+        let mut a = HealthReport { seed_restarts: 2, modes: evo.clone(), ..Default::default() };
+        let b = HealthReport { seed_restarts: 1, nonfinite_events: 4, ..Default::default() };
         assert!(HealthReport::default().is_clean());
+        assert!(HealthReport { modes: evo.clone(), ..Default::default() }.is_clean());
         assert!(!a.is_clean());
         a.merge(&b);
         assert_eq!(a.seed_restarts, 3);
         assert_eq!(a.nonfinite_events, 4);
-        assert_eq!(a.exhausted_sketches, vec![0, 1], "sketch lists union");
-        assert_eq!(a.degraded_sketches(), vec![0, 1]);
+        assert_eq!(a.modes, evo, "a report without modes keeps the decision");
+        let clipped = vec![SketchMode::ClippedGradient; 2];
+        a.merge(&HealthReport { modes: clipped.clone(), ..Default::default() });
+        assert_eq!(a.modes, clipped, "the later decision wins");
     }
 
     #[test]
     fn degraded_sketch_modes_survive_snapshot_restore() {
         let sim = Simulator::new(DeviceConfig::a5000());
         let mut task = SearchTask::from_task(&dense_task(), &sim);
-        task.apply_health(&HealthReport { poisoned_sketches: vec![1], ..Default::default() });
+        task.set_sketch_modes(&[SketchMode::Gradient, SketchMode::Evolutionary]);
         let snap = task.snapshot();
         let mut fresh = SearchTask::from_task(&dense_task(), &sim);
         fresh.restore(snap).expect("same task");
         assert_eq!(fresh.sketch_modes(), task.sketch_modes());
         assert_eq!(fresh.sketch_mode(1), SketchMode::Evolutionary);
+    }
+
+    /// The dense task with a copy of its second sketch appended: three
+    /// sketches for interleaving properties (no operator lowers to more
+    /// than two).
+    fn three_sketch_task(sim: &Simulator) -> SearchTask {
+        let mut task = SearchTask::from_task(&dense_task(), sim);
+        task.sketches.push(task.sketches[1].clone());
+        task.fail_streak.push(0);
+        task.sketch_modes.push(SketchMode::Gradient);
+        task
+    }
+
+    fn sample_bits(samples: &[Sample]) -> Vec<(u64, Vec<u64>)> {
+        samples
+            .iter()
+            .map(|s| (s.score.to_bits(), s.logfeats.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    #[test]
+    fn restore_recomputes_what_the_snapshot_drops_after_every_step() {
+        // Seeded interleavings of successes and failures over three
+        // sketches: a scripted opening drives sketch 0 past the quarantine
+        // streak, lifts it with one success, then quarantines every sketch
+        // at once; random traffic follows. Latencies repeat (ties keep the
+        // earlier incumbent) and include +inf and NaN (never incumbents).
+        let sim = Simulator::new(DeviceConfig::a5000());
+        let fresh = three_sketch_task(&sim);
+        let mut live = fresh.clone();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let latencies = [2.5, 2.5, 1.25, 1.25, 4.0, f64::INFINITY, f64::NAN];
+        let kinds = [FaultKind::BuildError, FaultKind::Timeout, FaultKind::DeviceError];
+        let histogram = |t: &SearchTask| kinds.map(|k| t.failed.iter().filter(|f| f.2 == k).count());
+        let streak = SearchTask::QUARANTINE_STREAK;
+        let mut script: Vec<(usize, bool)> = vec![(0, true); streak + 1];
+        script.push((0, false));
+        for _ in 0..streak {
+            script.extend([(0, true), (1, true), (2, true)]);
+        }
+        let (mut quarantined_all, mut lifted) = (false, false);
+        for step in 0..script.len() + 160 {
+            let (sk, fail) = script
+                .get(step)
+                .copied()
+                .unwrap_or_else(|| (rng.gen_range(0..3), rng.gen_bool(0.6)));
+            let was_quarantined = live.is_quarantined(sk);
+            let vals = felix_cost::random_schedule(&live.sketches[sk].program, &mut rng, 64);
+            if fail {
+                live.record_failure(sk, vals, kinds[rng.gen_range(0..kinds.len())]);
+                live.retries += rng.gen_range(0..=MAX_RETRIES);
+            } else {
+                let latency = latencies[rng.gen_range(0..latencies.len())];
+                let st = &live.sketches[sk];
+                live.samples.push(ingest_sample(&st.program, &st.features, &vals, latency));
+                live.record(sk, vals, latency);
+                lifted |= was_quarantined;
+            }
+            quarantined_all |= (0..3).all(|i| live.is_quarantined(i));
+
+            let mut back = fresh.clone();
+            back.restore(live.snapshot()).expect("a task's own snapshot fits it");
+            assert_eq!(back.best_latency_ms.to_bits(), live.best_latency_ms.to_bits(), "step {step}");
+            assert_eq!(back.best_schedule, live.best_schedule, "step {step}");
+            for i in 0..3 {
+                assert_eq!(back.is_quarantined(i), live.is_quarantined(i), "step {step}");
+            }
+            assert_eq!(back.active_sketches(), live.active_sketches(), "step {step}");
+            assert_eq!(histogram(&back), histogram(&live), "step {step}");
+            assert_eq!(back.wasted_attempts(), live.wasted_attempts(), "step {step}");
+            for (sk, vals, _) in &live.measured {
+                assert!(back.already_measured(*sk, vals), "step {step}");
+            }
+            for (sk, vals, _) in &live.failed {
+                assert!(back.already_measured(*sk, vals), "step {step}");
+            }
+            assert_eq!(sample_bits(&back.samples), sample_bits(&live.samples), "step {step}");
+        }
+        assert!(lifted, "a success must lift a quarantine");
+        assert!(quarantined_all, "every sketch must be quarantined at once");
+        assert!(live.best_latency_ms.is_finite());
     }
 
     #[test]
@@ -1474,7 +1407,7 @@ mod tests {
         assert_eq!(fresh.failed, task.failed);
         assert_eq!(fresh.best_latency_ms.to_bits(), task.best_latency_ms.to_bits());
         assert_eq!(fresh.best_schedule, task.best_schedule);
-        assert_eq!(fresh.fault_stats, task.fault_stats);
+        assert_eq!(fresh.retries, task.retries);
         assert_eq!(fresh.rounds, task.rounds);
         assert!(fresh.already_measured(0, &[999.0, 999.0]), "dedup set rebuilt");
         // Replay-buffer samples rebuild bit-exactly from the measurements.

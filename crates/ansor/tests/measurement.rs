@@ -180,8 +180,7 @@ fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
     // for failures; failed candidates still count as measured for dedup.
     assert_eq!(task.samples.len(), task.measured.len());
     assert_eq!(task.failed.len(), total.failed);
-    assert_eq!(task.fault_stats.failures(), total.failed);
-    assert_eq!(task.fault_stats.retries, total.retries);
+    assert_eq!(task.retries, total.retries);
     for (sk, vals, _) in &task.failed {
         assert!(task.already_measured(*sk, vals), "failures join the dedup set");
     }
@@ -211,7 +210,8 @@ fn build_errors_fail_fast_without_retry() {
     assert_eq!(report.measured, 0);
     assert_eq!(report.failed, 6);
     assert_eq!(report.retries, 0, "build errors are deterministic: never retried");
-    assert_eq!(task.fault_stats.build_errors, 6);
+    assert!(task.failed.iter().all(|f| f.2 == FaultKind::BuildError));
+    assert_eq!(task.failed.len(), 6);
     assert!(task.samples.is_empty());
     assert!(task.best_latency_ms.is_infinite());
     // Each failure still burns compile time on the clock.

@@ -26,7 +26,6 @@ fn felix_final(dev: &str, net: &str) -> Option<f64> {
 
 fn main() {
     felix_bench::out_dir_from_args();
-    felix_bench::schedule_store_from_args();
     let scale = Scale::from_env();
     let mut out = String::from(
         "device,network,pytorch_ms,tensorflow_ms,tensorrt_ms,felix_ms\n",

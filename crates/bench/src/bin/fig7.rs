@@ -14,7 +14,6 @@ use felix_sim::DeviceConfig;
 
 fn main() {
     felix_bench::out_dir_from_args();
-    felix_bench::schedule_store_from_args();
     let scale = Scale::from_env();
     let mut rows = Vec::new();
     println!("Figure 7: Felix vs Ansor-TenSet tuning curves (batch 1)");

@@ -8,8 +8,9 @@
 //! parallel tuner is built around (see DESIGN.md). The tape section always
 //! asserts bitwise equality between the batched tape, batch-of-one tape,
 //! and pool objective paths at batch sizes on both sides of the
-//! compile-time lane counts; `TUNER_BENCH_SMOKE=1` runs only those asserts
-//! (CI mode, no timing claims), while the default timed mode additionally
+//! compile-time lane counts (`crates/core/tests/tape_oracle.rs` makes the
+//! same parity asserts in the test suite); `TUNER_BENCH_SMOKE=1` runs only
+//! those asserts, no timing claims, while the default timed mode additionally
 //! times the tape's forward+reverse per seed at batch widths 1/4/7/8/13/16
 //! (reported, never asserted), requires the tape to beat the pool reference
 //! by >= 6x at the production batch of 16 on the dense-512 sketch, and

@@ -95,7 +95,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Selects the output directory for [`results_dir`] programmatically.
-/// First setter wins (same discipline as [`set_schedule_store`]).
+/// First setter wins.
 pub fn set_out_dir(path: impl Into<PathBuf>) {
     let _ = OUT_DIR.set(path.into());
 }
@@ -174,26 +174,6 @@ impl TuneRun {
     }
 }
 
-/// Selects the global schedule store for [`run_felix`] (the
-/// `--schedule-store <path>` flag of the fig6/fig7 harnesses). First setter
-/// wins.
-pub fn set_schedule_store(path: impl Into<PathBuf>) {
-    let _ = SCHEDULE_STORE.set(path.into());
-}
-
-/// Parses `--schedule-store <path>` from the process arguments; harness
-/// binaries call this at the top of `main`.
-pub fn schedule_store_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--schedule-store") {
-        let path = args.get(i + 1).expect("--schedule-store requires a path");
-        set_schedule_store(path.clone());
-    }
-}
-
-static SCHEDULE_STORE: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
-
-#[allow(clippy::too_many_arguments)]
 fn run_with_proposer(
     graph: &Graph,
     device: &DeviceConfig,
@@ -202,36 +182,11 @@ fn run_with_proposer(
     measurements_per_round: usize,
     rounds_factor: usize,
     seed: u64,
-    store: Option<PathBuf>,
 ) -> NetworkTuneResult {
     let sim = Simulator::new(*device);
     let tasks: Vec<Task> = partition(graph);
     let mut search: Vec<SearchTask> =
         tasks.iter().map(|t| SearchTask::from_task(t, &sim)).collect();
-    // The schedule store serves exact hits / warm hints before the first
-    // round and receives this run's incumbents afterwards. Open failures
-    // degrade to a storeless run rather than aborting the harness.
-    let mut cache = store.and_then(|p| match felix::ScheduleCache::open(&p) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("[felix] schedule store {} unusable ({e}); tuning cold", p.display());
-            None
-        }
-    });
-    if let Some(c) = &mut cache {
-        for t in &mut search {
-            c.apply(t, device.name);
-        }
-        if c.hits + c.warm_starts > 0 {
-            eprintln!(
-                "[felix] schedule store: {} exact hits, {} warm starts on {} ({} tasks)",
-                c.hits,
-                c.warm_starts,
-                graph.name,
-                search.len()
-            );
-        }
-    }
     // The paper compares tools at equal *tuning time*, so the budget is a
     // wall-clock target: roughly `rounds_factor` Ansor-sized rounds per task
     // (one Ansor round ≈ 64 measurements ≈ 55 s). Felix fits ~4x more of
@@ -263,9 +218,6 @@ fn run_with_proposer(
         result.unmeasured_tasks = chunk.unmeasured_tasks;
         rounds_done += 1;
     }
-    if let Some(c) = &mut cache {
-        c.publish(&search, device.name);
-    }
     result
 }
 
@@ -278,16 +230,8 @@ pub fn run_felix(
     seed: u64,
 ) -> TuneRun {
     let mut proposer = GradientProposer::new(scale.felix_options());
-    let res = run_with_proposer(
-        graph,
-        device,
-        model,
-        &mut proposer,
-        16,
-        scale.rounds_factor(),
-        seed,
-        SCHEDULE_STORE.get().cloned(),
-    );
+    let res =
+        run_with_proposer(graph, device, model, &mut proposer, 16, scale.rounds_factor(), seed);
     TuneRun {
         tool: "Felix",
         curve: res.curve,
@@ -309,7 +253,7 @@ pub fn run_ansor(
         generations: 4,
     });
     let res =
-        run_with_proposer(graph, device, model, &mut proposer, 64, scale.rounds_factor(), seed, None);
+        run_with_proposer(graph, device, model, &mut proposer, 64, scale.rounds_factor(), seed);
     TuneRun {
         tool: "Ansor-TenSet",
         curve: res.curve,

@@ -166,11 +166,8 @@ impl Optimizer {
     /// fingerprint — see `felix_tir::sketch::generator_hash`) are rejected
     /// as clean misses and counted, never served.
     ///
-    /// Cache activity is reported as one [`TunerStats`] entry (with
-    /// `schedule_cache_hits` / `schedule_cache_warm_starts` /
-    /// `schedule_cache_stale` set) pushed onto [`Optimizer::stats`] — only
-    /// when the store actually served or rejected something, so an empty
-    /// store leaves the run byte-identical to a storeless one.
+    /// The hit, warm-start and stale counts live on the cache itself
+    /// ([`Optimizer::schedule_cache`]).
     ///
     /// # Errors
     ///
@@ -197,14 +194,6 @@ impl Optimizer {
         let device = self.sim.device.name;
         for task in &mut self.tasks {
             cache.apply(task, device);
-        }
-        if cache.hits + cache.warm_starts + cache.stale > 0 {
-            self.stats.push(TunerStats {
-                schedule_cache_hits: cache.hits,
-                schedule_cache_warm_starts: cache.warm_starts,
-                schedule_cache_stale: cache.stale,
-                ..Default::default()
-            });
         }
         self.schedule_store = Some(cache);
         Ok(self)

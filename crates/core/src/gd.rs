@@ -260,7 +260,7 @@ fn restart_seed(
     if !seed.health.consume_restart() {
         return;
     }
-    health.seed_restarts += 1;
+    health.counters.seed_restarts += 1;
     let stream = restart_stream(salt, global_idx, seed.health.restarts);
     let mut srng = StdRng::seed_from_u64(stream);
     let st = &task.sketches[seed.sketch];
@@ -361,7 +361,7 @@ fn descend_chunk(
             });
             if !ok {
                 poisoned[gi] = true;
-                health.panics_caught += 1;
+                health.counters.panics_caught += 1;
                 health.sketch_mut(*sk).poisoned = true;
                 for k in 0..FEATURE_COUNT {
                     for &i in lanes {
@@ -416,13 +416,13 @@ fn descend_chunk(
                     let finite =
                         obj_val.is_finite() && norm_sq.is_finite() && feat_ok[i] && pen_ok[i];
                     if !finite {
-                        health.nonfinite_events += 1;
+                        health.counters.nonfinite_events += 1;
                         health.sketch_mut(*sk).events += 1;
                         restart_seed(&mut seeds[i], task, objectives, salt, base + i, &mut health);
                         continue;
                     }
                     if seeds[i].health.note_objective(obj_val) {
-                        health.divergence_events += 1;
+                        health.counters.divergence_events += 1;
                         health.sketch_mut(*sk).events += 1;
                         restart_seed(&mut seeds[i], task, objectives, salt, base + i, &mut health);
                         continue;
@@ -437,7 +437,7 @@ fn descend_chunk(
                         for g in &mut grad {
                             *g *= scale;
                         }
-                        health.grad_clips += 1;
+                        health.counters.grad_clips += 1;
                         health.sketch_mut(*sk).events += 1;
                     }
                     seeds[i].opt.step(&mut seeds[i].y, &grad);
@@ -445,7 +445,7 @@ fn descend_chunk(
             });
             if !ok {
                 poisoned[gi] = true;
-                health.panics_caught += 1;
+                health.counters.panics_caught += 1;
                 health.sketch_mut(*sk).poisoned = true;
                 for k in 0..FEATURE_COUNT {
                     for &i in lanes {
@@ -648,39 +648,18 @@ impl Proposer for GradientProposer {
 
         // --- Health accounting ---------------------------------------------
         // Chunk counters merge in chunk order (deterministic at any thread
-        // count: chunks are contiguous seed ranges).
+        // count: chunks are contiguous seed ranges); the merged lanes decide
+        // every sketch's mode for the next round.
         let mut merged = ChunkHealth::default();
         for (_, _, h) in &per_chunk {
             merged.merge(h);
         }
-        let mut health = HealthReport {
-            nonfinite_events: merged.nonfinite_events,
-            divergence_events: merged.divergence_events,
-            seed_restarts: merged.seed_restarts,
-            grad_clips: merged.grad_clips,
-            panics_caught: merged.panics_caught,
-            ..HealthReport::default()
-        };
-        for s in &merged.sketches {
-            if s.poisoned {
-                health.poisoned_sketches.push(s.sketch);
-            } else if s.lanes > 0 && s.exhausted_lanes == s.lanes {
-                health.exhausted_sketches.push(s.sketch);
-            } else if modes[s.sketch] == SketchMode::ClippedGradient && s.events == 0 {
-                health.recovered_sketches.push(s.sketch);
-            }
-        }
-        health.pathological_sketches.clone_from(&pathological);
-        health.exhausted_sketches.sort_unstable();
-        health.poisoned_sketches.sort_unstable();
-        health.recovered_sketches.sort_unstable();
+        let health = merged.into_report(modes, &pathological);
         stats.seed_restarts = health.seed_restarts;
         stats.nonfinite_events = health.nonfinite_events;
         stats.panics_caught = health.panics_caught;
-        let flagged = health.degraded_sketches();
-        stats.degraded_sketches = (0..task.sketches.len())
-            .filter(|&i| modes[i] != SketchMode::Gradient || flagged.contains(&i))
-            .count();
+        stats.degraded_sketches =
+            health.modes.iter().filter(|&&m| m != SketchMode::Gradient).count();
         self.health.merge(&health);
 
         // --- Round, validate, dedupe (line 20) ------------------------------
@@ -981,6 +960,25 @@ mod tests {
             assert!(!s.summary().is_empty());
         }
         assert!(prop.take_stats().is_empty(), "stats drain");
+    }
+
+    #[test]
+    fn clipped_sketch_recovers_after_one_clean_round() {
+        // A clipped sketch whose round trips nothing steps back up to
+        // gradient descent, and the round's stats count the sketches
+        // degraded *after* it: none.
+        let (mut task, model, _sim) = setup();
+        task.set_sketch_modes(&[SketchMode::ClippedGradient, SketchMode::Gradient]);
+        let mut prop = GradientProposer::new(quick_opts());
+        let mut clock = TuningClock::new();
+        let costs = ClockCosts::default();
+        let mut rng = StdRng::seed_from_u64(2);
+        prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
+        assert_eq!(prop.take_stats()[0].degraded_sketches, 0);
+        let health = prop.take_health();
+        assert!(health.is_clean(), "a healthy round: {health:?}");
+        assert!(task.apply_health(&health));
+        assert_eq!(task.sketch_mode(0), SketchMode::Gradient);
     }
 
     #[test]

@@ -29,9 +29,13 @@
 //! The thresholds are constants chosen so a healthy run never trips any of
 //! them: supervision is then observation-only. The supervisor's
 //! observations accumulate in a [`ChunkHealth`] per worker chunk; the
-//! proposer merges the chunks and publishes a
-//! [`felix_ansor::HealthReport`] through the round report and record log.
+//! proposer merges the chunks, and [`ChunkHealth::into_report`] turns them
+//! into the round's [`HealthReport`] — counters plus every sketch's mode
+//! for the next round, decided by [`next_mode`], the one place the ladder
+//! policy lives. The task adopts those modes as they are, and the record
+//! log persists them.
 
+use felix_ansor::{HealthReport, SketchMode};
 use felix_records::{fnv1a, FNV_OFFSET};
 
 /// Consecutive monotonically-rising objective steps before a seed is
@@ -138,21 +142,33 @@ pub struct SketchHealth {
     pub poisoned: bool,
 }
 
-/// Supervision counters accumulated by one worker chunk's descent, merged
-/// across chunks (associatively, in chunk order) into the round's
-/// [`felix_ansor::HealthReport`].
+/// The degradation ladder: a sketch's mode for the next round, from its
+/// mode this round, what its lanes did (`None` when no seed descended it)
+/// and whether its tape is pathological (non-finite at the probe point).
+/// Pathological and poisoned (panicking) sketches drop straight to
+/// [`SketchMode::Evolutionary`]; a sketch whose every lane exhausted its
+/// restart budget steps one rung down; a clipped sketch with a clean round
+/// steps back up to [`SketchMode::Gradient`]. Evolutionary is sticky.
+pub fn next_mode(mode: SketchMode, seen: Option<&SketchHealth>, pathological: bool) -> SketchMode {
+    match seen {
+        _ if pathological => SketchMode::Evolutionary,
+        Some(s) if s.poisoned => SketchMode::Evolutionary,
+        Some(s) if s.lanes > 0 && s.exhausted_lanes == s.lanes => match mode {
+            SketchMode::Gradient => SketchMode::ClippedGradient,
+            SketchMode::ClippedGradient | SketchMode::Evolutionary => SketchMode::Evolutionary,
+        },
+        Some(s) if mode == SketchMode::ClippedGradient && s.events == 0 => SketchMode::Gradient,
+        _ => mode,
+    }
+}
+
+/// Supervision state accumulated by one worker chunk's descent, merged
+/// across chunks (associatively, in chunk order).
 #[derive(Clone, Debug, Default)]
 pub struct ChunkHealth {
-    /// NaN/Inf detections (objective, gradient, or tape roots).
-    pub nonfinite_events: usize,
-    /// Monotone-divergence detections.
-    pub divergence_events: usize,
-    /// Seed restarts performed.
-    pub seed_restarts: usize,
-    /// Gradient-norm clips applied.
-    pub grad_clips: usize,
-    /// Panics caught and contained by the per-sketch isolation boundary.
-    pub panics_caught: usize,
+    /// The round's failure counters (their `modes` stay empty until
+    /// [`ChunkHealth::into_report`]).
+    pub counters: HealthReport,
     /// Per-sketch lane health, in first-seen order.
     pub sketches: Vec<SketchHealth>,
 }
@@ -176,11 +192,7 @@ impl ChunkHealth {
     /// Folds `other` into `self` (counter sums; per-sketch entries merge by
     /// sketch index).
     pub fn merge(&mut self, other: &ChunkHealth) {
-        self.nonfinite_events += other.nonfinite_events;
-        self.divergence_events += other.divergence_events;
-        self.seed_restarts += other.seed_restarts;
-        self.grad_clips += other.grad_clips;
-        self.panics_caught += other.panics_caught;
+        self.counters.merge(&other.counters);
         for s in &other.sketches {
             let e = self.sketch_mut(s.sketch);
             e.lanes += s.lanes;
@@ -188,6 +200,21 @@ impl ChunkHealth {
             e.events += s.events;
             e.poisoned |= s.poisoned;
         }
+    }
+
+    /// The round's report: the merged counters and, per sketch, the
+    /// [`next_mode`] after `modes` (this round's), given which sketches are
+    /// `pathological`.
+    pub fn into_report(self, modes: &[SketchMode], pathological: &[usize]) -> HealthReport {
+        let modes = modes
+            .iter()
+            .enumerate()
+            .map(|(i, &mode)| {
+                let seen = self.sketches.iter().find(|s| s.sketch == i);
+                next_mode(mode, seen, pathological.contains(&i))
+            })
+            .collect();
+        HealthReport { modes, ..self.counters }
     }
 }
 
@@ -255,7 +282,7 @@ mod tests {
             s.lanes = 2;
             s.events = 1;
         }
-        a.nonfinite_events = 1;
+        a.counters.nonfinite_events = 1;
         let mut b = ChunkHealth::default();
         {
             let s = b.sketch_mut(1);
@@ -263,11 +290,64 @@ mod tests {
             s.exhausted_lanes = 1;
             s.poisoned = true;
         }
-        b.seed_restarts = 2;
+        b.counters.seed_restarts = 2;
         a.merge(&b);
-        assert_eq!(a.nonfinite_events, 1);
-        assert_eq!(a.seed_restarts, 2);
+        assert_eq!(a.counters.nonfinite_events, 1);
+        assert_eq!(a.counters.seed_restarts, 2);
         let s = &a.sketches[0];
         assert_eq!((s.lanes, s.exhausted_lanes, s.events, s.poisoned), (3, 1, 1, true));
+    }
+
+    #[test]
+    fn next_mode_walks_the_degradation_ladder() {
+        use SketchMode::{ClippedGradient as Clipped, Evolutionary as Evo, Gradient as Gd};
+        let lanes = |exhausted: usize, events: usize, poisoned: bool| SketchHealth {
+            sketch: 0,
+            lanes: 2,
+            exhausted_lanes: exhausted,
+            events,
+            poisoned,
+        };
+        let clean = lanes(0, 0, false);
+        let noisy = lanes(0, 3, false);
+        let exhausted = lanes(2, 5, false);
+        let poisoned = lanes(0, 0, true);
+        // (case, mode this round, lanes seen, pathological, next mode)
+        let table: [(&str, SketchMode, Option<&SketchHealth>, bool, SketchMode); 12] = [
+            ("poisoned gradient", Gd, Some(&poisoned), false, Evo),
+            ("poisoned clipped", Clipped, Some(&poisoned), false, Evo),
+            ("pathological gradient", Gd, None, true, Evo),
+            ("pathological clipped", Clipped, None, true, Evo),
+            ("exhausted gradient", Gd, Some(&exhausted), false, Clipped),
+            ("exhausted clipped", Clipped, Some(&exhausted), false, Evo),
+            ("exhausted evolutionary", Evo, Some(&exhausted), false, Evo),
+            ("clipped, clean round", Clipped, Some(&clean), false, Gd),
+            ("clipped, events but no exhaustion", Clipped, Some(&noisy), false, Clipped),
+            ("untouched gradient", Gd, Some(&noisy), false, Gd),
+            ("clipped, no lanes", Clipped, None, false, Clipped),
+            ("untouched evolutionary", Evo, None, false, Evo),
+        ];
+        for (case, mode, seen, pathological, next) in table {
+            assert_eq!(next_mode(mode, seen, pathological), next, "{case}");
+        }
+    }
+
+    #[test]
+    fn into_report_decides_every_sketch() {
+        let mut h = ChunkHealth::default();
+        h.counters.seed_restarts = 4;
+        {
+            let s = h.sketch_mut(0);
+            s.lanes = 1;
+            s.exhausted_lanes = 1;
+        }
+        h.sketch_mut(2).lanes = 1;
+        let modes = [SketchMode::Gradient, SketchMode::Gradient, SketchMode::ClippedGradient];
+        let report = h.into_report(&modes, &[1]);
+        assert_eq!(report.seed_restarts, 4);
+        assert_eq!(
+            report.modes,
+            [SketchMode::ClippedGradient, SketchMode::Evolutionary, SketchMode::Gradient]
+        );
     }
 }

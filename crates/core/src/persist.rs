@@ -9,14 +9,14 @@
 //!   touches the RNG or the tuning clock — so a run with the log enabled is
 //!   bit-identical to one without.
 //! - [`replay_records`] rebuilds a fresh [`SearchTask`]'s search state from
-//!   matching log records (warm start): incumbent, dedup set, fault stats,
-//!   quarantine flags, and replay-buffer samples are reproduced exactly as a
+//!   matching log records (warm start): incumbent, dedup set, fault history,
+//!   failure streaks, and replay-buffer samples are reproduced exactly as a
 //!   live run would have built them, because records apply through the same
 //!   `record`/`record_failure` path in log order.
-//! - [`checkpoint_to_json`] / [`checkpoint_from_json`] serialize the full
-//!   tuner state (task snapshots, clock, RNG position, history curve) with
-//!   every float as an exact bit pattern, so a resumed run continues the
-//!   time-vs-latency curve byte-identically.
+//! - [`checkpoint_to_json`] / [`checkpoint_from_json`] serialize the tuner
+//!   state restore cannot recompute (task snapshots, clock, RNG position,
+//!   history curve) with every float as an exact bit pattern, so a resumed
+//!   run continues the time-vs-latency curve byte-identically.
 
 use felix_ansor::{
     CurvePoint, HealthEvent, MeasurementEvent, MeasurementSink, SearchTask, SketchMode,
@@ -33,8 +33,10 @@ use std::path::Path;
 /// Version 2.0 added per-sketch supervision modes to task snapshots;
 /// version 3.0 added schedule-store attachment and per-task warm hints;
 /// version 4.0 added the schedule-store tenant namespace; version 5.0
-/// added the sketch-generator stamp.
-const CHECKPOINT_VERSION: f64 = 5.0;
+/// added the sketch-generator stamp; version 6.0 dropped what restore
+/// recomputes (the incumbent, per-kind fault counts, quarantine flags),
+/// keeping `retries` as the one stored fault counter.
+const CHECKPOINT_VERSION: f64 = 6.0;
 
 /// A [`MeasurementSink`] appending every measurement to a durable
 /// [`RecordLog`]. Write errors are reported once to stderr and then disable
@@ -107,7 +109,7 @@ impl MeasurementSink for RecordLogSink {
             seed_restarts: event.report.seed_restarts,
             grad_clips: event.report.grad_clips,
             panics_caught: event.report.panics_caught,
-            modes: event.modes.iter().map(|m| m.label().to_string()).collect(),
+            modes: event.report.modes.iter().map(|m| m.label().to_string()).collect(),
             time_s: event.time_s,
         };
         if let Err(e) = self.log.append_health(&record) {
@@ -125,8 +127,8 @@ impl MeasurementSink for RecordLogSink {
 /// number of *successful* measurements replayed.
 ///
 /// Measurement records apply through [`SearchTask::record`] /
-/// `record_failure`, so the incumbent, dedup set, per-kind fault counters,
-/// failure streaks, and quarantine flags come out exactly as the original
+/// `record_failure`, so the incumbent, dedup set, fault history and
+/// failure streaks (hence quarantine) come out exactly as the original
 /// run left them (the log preserves the success/failure interleaving the
 /// streak logic depends on). Health records restore the per-sketch
 /// supervision modes (each overwrites the last, so the final record wins —
@@ -161,7 +163,7 @@ pub fn replay_records(task: &mut SearchTask, records: &[Record], device_name: &s
                         task.record_failure(rec.sketch, rec.values.clone(), kind);
                     }
                 }
-                task.fault_stats.retries += rec.retries;
+                task.retries += rec.retries;
             }
             Record::Health(rec) => {
                 if rec.task_key != key || rec.modes.len() != task.sketches.len() {
@@ -188,8 +190,9 @@ pub fn replay_records(task: &mut SearchTask, records: &[Record], device_name: &s
     task.measured.len() - n_before
 }
 
-/// The complete tuner state a checkpoint persists (everything except the
-/// cost-model weights, which live in a sibling binary file).
+/// The tuner state a checkpoint persists (everything restore cannot
+/// recompute, except the cost-model weights, which live in a sibling
+/// binary file).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CheckpointState {
     /// Device the run targets, verified on resume.
@@ -232,17 +235,6 @@ fn values_from_json(node: &Json) -> Option<Vec<f64>> {
 fn snapshot_to_json(snap: &TaskSnapshot) -> Json {
     Json::obj(vec![
         ("workload_key", Json::Str(snap.workload_key.clone())),
-        ("best_latency_ms", Json::f64_bits(snap.best_latency_ms)),
-        (
-            "best_schedule",
-            match &snap.best_schedule {
-                None => Json::Null,
-                Some((sk, vals)) => Json::obj(vec![
-                    ("sketch", Json::Num(*sk as f64)),
-                    ("values", values_to_json(vals)),
-                ]),
-            },
-        ),
         (
             "measured",
             Json::Arr(
@@ -273,22 +265,10 @@ fn snapshot_to_json(snap: &TaskSnapshot) -> Json {
                     .collect(),
             ),
         ),
-        (
-            "fault_stats",
-            Json::obj(vec![
-                ("build_errors", Json::Num(snap.fault_stats.build_errors as f64)),
-                ("timeouts", Json::Num(snap.fault_stats.timeouts as f64)),
-                ("device_errors", Json::Num(snap.fault_stats.device_errors as f64)),
-                ("retries", Json::Num(snap.fault_stats.retries as f64)),
-            ]),
-        ),
+        ("retries", Json::Num(snap.retries as f64)),
         (
             "fail_streak",
             Json::Arr(snap.fail_streak.iter().map(|&s| Json::Num(s as f64)).collect()),
-        ),
-        (
-            "quarantined",
-            Json::Arr(snap.quarantined.iter().map(|&q| Json::Bool(q)).collect()),
         ),
         (
             "modes",
@@ -317,28 +297,15 @@ fn snapshot_to_json(snap: &TaskSnapshot) -> Json {
 fn snapshot_from_json(doc: &Json) -> Option<TaskSnapshot> {
     let mut snap = TaskSnapshot {
         workload_key: doc.get("workload_key")?.as_str()?.to_string(),
-        best_latency_ms: doc.get("best_latency_ms")?.as_f64_bits()?,
-        best_schedule: None,
         measured: Vec::new(),
         failed: Vec::new(),
-        fault_stats: felix_ansor::TaskFaultStats {
-            build_errors: doc.get("fault_stats")?.get("build_errors")?.as_usize()?,
-            timeouts: doc.get("fault_stats")?.get("timeouts")?.as_usize()?,
-            device_errors: doc.get("fault_stats")?.get("device_errors")?.as_usize()?,
-            retries: doc.get("fault_stats")?.get("retries")?.as_usize()?,
-        },
+        retries: doc.get("retries")?.as_usize()?,
         fail_streak: doc
             .get("fail_streak")?
             .as_arr()?
             .iter()
             .map(Json::as_usize)
             .collect::<Option<Vec<usize>>>()?,
-        quarantined: doc
-            .get("quarantined")?
-            .as_arr()?
-            .iter()
-            .map(Json::as_bool)
-            .collect::<Option<Vec<bool>>>()?,
         sketch_modes: doc
             .get("modes")?
             .as_arr()?
@@ -351,15 +318,6 @@ fn snapshot_from_json(doc: &Json) -> Option<TaskSnapshot> {
     for entry in doc.get("warm_hints")?.as_arr()? {
         let [sk, vals] = entry.as_arr()? else { return None };
         snap.warm_hints.push((sk.as_usize()?, values_from_json(vals)?));
-    }
-    match doc.get("best_schedule")? {
-        Json::Null => {}
-        node => {
-            snap.best_schedule = Some((
-                node.get("sketch")?.as_usize()?,
-                values_from_json(node.get("values")?)?,
-            ));
-        }
     }
     for entry in doc.get("measured")?.as_arr()? {
         let [sk, vals, latency] = entry.as_arr()? else { return None };
@@ -501,20 +459,18 @@ mod tests {
                 CurvePoint { time_s: 1.5, latency_ms: 10.25 },
                 CurvePoint { time_s: 3.0, latency_ms: 1.0 / 3.0 },
             ],
+            // One consistent history: sketch 0 has two variables and
+            // sketch 1 three; sketch 1's failure came after its success,
+            // so its streak is 1.
             tasks: vec![TaskSnapshot {
                 workload_key: "[Dense { m: 256, k: 512, n: 512 }]".to_string(),
-                best_latency_ms: f64::INFINITY,
-                best_schedule: Some((1, vec![2.0, 16.0, -0.0])),
-                measured: vec![(0, vec![4.0, 8.0], 1.125)],
-                failed: vec![(1, vec![2.0, 2.0], FaultKind::Timeout)],
-                fault_stats: felix_ansor::TaskFaultStats {
-                    build_errors: 1,
-                    timeouts: 2,
-                    device_errors: 0,
-                    retries: 5,
-                },
-                fail_streak: vec![0, 3],
-                quarantined: vec![false, true],
+                measured: vec![
+                    (0, vec![4.0, 8.0], 1.125),
+                    (1, vec![2.0, 16.0, -0.0], f64::INFINITY),
+                ],
+                failed: vec![(1, vec![2.0, 2.0, 4.0], FaultKind::Timeout)],
+                retries: 2,
+                fail_streak: vec![0, 1],
                 sketch_modes: vec![SketchMode::ClippedGradient, SketchMode::Evolutionary],
                 warm_hints: vec![(0, vec![2.0, 8.0, 0.1 + 0.2])],
                 rounds: 4,
@@ -530,12 +486,8 @@ mod tests {
         let back = checkpoint_from_json(&Json::parse(&text).expect("parse")).expect("decode");
         assert_eq!(back, state);
         assert_eq!(back.clock_s.to_bits(), state.clock_s.to_bits());
-        assert_eq!(
-            back.tasks[0].best_latency_ms.to_bits(),
-            f64::INFINITY.to_bits(),
-            "non-finite incumbent survives"
-        );
-        let Some((_, vals)) = &back.tasks[0].best_schedule else { panic!("schedule") };
+        let (_, vals, latency) = &back.tasks[0].measured[1];
+        assert_eq!(latency.to_bits(), f64::INFINITY.to_bits(), "non-finite latency survives");
         assert_eq!(vals[2].to_bits(), (-0.0f64).to_bits(), "-0.0 preserved");
     }
 

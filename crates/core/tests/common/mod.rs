@@ -52,7 +52,7 @@ pub fn assert_tasks_bit_identical(a: &Optimizer, b: &Optimizer) {
             assert_eq!(ma.2.to_bits(), mb.2.to_bits());
         }
         assert_eq!(ta.failed, tb.failed);
-        assert_eq!(ta.fault_stats, tb.fault_stats);
+        assert_eq!(ta.retries, tb.retries);
         assert_eq!(ta.samples.len(), tb.samples.len());
         for (sa, sb) in ta.samples.iter().zip(&tb.samples) {
             assert_eq!(sa.score.to_bits(), sb.score.to_bits());

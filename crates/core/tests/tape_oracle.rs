@@ -1,9 +1,10 @@
 //! The compiled tape against the pool-walking oracle over every distinct
 //! sketch of the six batch-1 networks: the default objective's tape path
-//! must reproduce `cost_and_grad_pool` bit for bit, at width 1 and lane by
-//! lane at widths 7, 16 and 17 — the run-time lane count, the production
-//! compile-time width, and one full chunk plus a partial one. No `log∘exp` or `exp∘log` pair may be reachable from
-//! a root: with no simplifier in the pipeline, nothing later would cancel it.
+//! must reproduce `cost_and_grad_pool` bit for bit, batch-of-one and lane by
+//! lane at batch widths 1, 7, 8, 9, 16 and 17 — the compile-time lane
+//! counts 8 and 16, the run-time ones around them, and one full chunk plus
+//! a partial one. No `log∘exp` or `exp∘log` pair may be reachable from a
+//! root: with no simplifier in the pipeline, nothing later would cancel it.
 
 use felix::extract_subgraphs;
 use felix::objective::{EvalScratch, SketchObjective};
@@ -17,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 
 /// Batch widths checked lane by lane against the pool oracle.
-const WIDTHS: [usize; 3] = [7, 16, 17];
+const WIDTHS: [usize; 6] = [1, 7, 8, 9, 16, 17];
 const LAMBDA: f64 = 1.0;
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -49,7 +50,8 @@ fn assert_no_log_exp_pairs(pool: &ExprPool, roots: &[ExprId], sketch: &str) {
 }
 
 /// One batch of `points.len()` lanes through the batched calls the descent
-/// loop makes; every lane must equal the pool oracle at its own point.
+/// loop makes; every lane, and the batch-of-one `cost_and_grad` at its
+/// point, must equal the pool oracle there.
 fn assert_lanes_match_pool(obj: &SketchObjective, model: &Mlp, points: &[Vec<f64>], sketch: &str) {
     let cols: Vec<usize> = (0..points.len()).collect();
     let mut scratch = EvalScratch::default();
@@ -79,6 +81,10 @@ fn assert_lanes_match_pool(obj: &SketchObjective, model: &Mlp, points: &[Vec<f64
     for (lane, y) in points.iter().enumerate() {
         obj.grad_lane(&scratch, lane, &mut grad);
         let (c_pool, s_pool, g_pool) = obj.cost_and_grad_pool(model, LAMBDA, y);
+        let (c_one, s_one, g_one) = obj.cost_and_grad(model, LAMBDA, y);
+        assert_eq!(c_one.to_bits(), c_pool.to_bits(), "{sketch}: batch-of-one objective");
+        assert_eq!(s_one.to_bits(), s_pool.to_bits(), "{sketch}: batch-of-one score");
+        assert_eq!(bits(&g_one), bits(&g_pool), "{sketch}: batch-of-one gradient");
         let c_tape = -scores[lane] + penalties[lane];
         assert_eq!(
             scores[lane].to_bits(),
@@ -99,6 +105,7 @@ fn tape_matches_pool_oracle_on_every_sketch_of_all_six_networks() {
     let sim = Simulator::new(DeviceConfig::a5000());
     let model = Mlp::new(&mut StdRng::seed_from_u64(11));
     let mut rng = StdRng::seed_from_u64(12);
+    let widest = *WIDTHS.iter().max().expect("at least one width");
     let mut seen_tasks = HashSet::new();
     let mut n_sketches = 0;
     for graph in all_models(1) {
@@ -116,18 +123,9 @@ fn tape_matches_pool_oracle_on_every_sketch_of_all_six_networks() {
                 // Log-space points spanning tile sizes 1..e^5, so both
                 // feasible and penalty-active schedules are covered; one per
                 // lane of the widest batch, narrower batches take a prefix.
-                let points: Vec<Vec<f64>> = (0..WIDTHS[2])
+                let points: Vec<Vec<f64>> = (0..widest)
                     .map(|_| (0..obj.n_vars()).map(|_| rng.gen_range(0.0..5.0)).collect())
                     .collect();
-                let (c_tape, s_tape, g_tape) = obj.cost_and_grad(&model, LAMBDA, &points[0]);
-                let (c_pool, s_pool, g_pool) = obj.cost_and_grad_pool(&model, LAMBDA, &points[0]);
-                assert_eq!(
-                    c_tape.to_bits(),
-                    c_pool.to_bits(),
-                    "{label}: width 1 objective"
-                );
-                assert_eq!(s_tape.to_bits(), s_pool.to_bits(), "{label}: width 1 score");
-                assert_eq!(bits(&g_tape), bits(&g_pool), "{label}: width 1 gradient");
                 for width in WIDTHS {
                     assert_lanes_match_pool(&obj, &model, &points[..width], &label);
                 }

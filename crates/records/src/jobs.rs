@@ -2,8 +2,8 @@
 //!
 //! The serving tier (`felix-serve`) fronts the tuner with a write-ahead
 //! log: every submitted job is appended here *before* the client sees an
-//! acknowledgment, every terminal transition is appended *after* the job's
-//! result document is durably on disk. Because the WAL is the only
+//! acknowledgment, and every terminal transition is appended with the
+//! job's result document inside it. Because the WAL is the only
 //! authority on queue membership, a worker killed at any instant recovers
 //! the exact queue by replaying the log — claims are observability-only
 //! and carry no recovery weight (a claimed-but-incomplete job is simply
@@ -24,9 +24,9 @@
 //!            worker panics/dies N times
 //! ```
 //!
-//! The four terminal states are each proven by their own WAL line,
-//! appended only after the job's result document is atomically on disk, so
-//! a terminal line is proof the (possibly partial) result can be served.
+//! The four terminal states are each proven by their own WAL line, which
+//! carries the job's (possibly partial) result — the only copy, and the
+//! one a `result` request serves.
 //! `job-cancel` records the *request* (durable before the cancel is
 //! acknowledged); the matching `job-cancelled` terminal line lands when a
 //! worker honors it between tuning rounds. `job-crash` persists a
@@ -159,9 +159,8 @@ pub enum JobRecord {
         /// Total crashes attributed to this job so far.
         count: u32,
     },
-    /// The job reached a terminal state and its result document is
-    /// durable. Appended *after* the result write, so a terminal line is
-    /// proof the result can be served.
+    /// The job reached a terminal state. The line carries the result
+    /// document, so a terminal line is the servable result.
     Finished {
         /// The finished job.
         job_id: u64,
@@ -755,7 +754,7 @@ mod tests {
     #[test]
     fn replay_is_idempotent_under_duplicates() {
         let mut records = lifecycle_records();
-        // A crash between result write and terminal-append re-finalizes:
+        // A crash between finalizing and the terminal append re-finalizes:
         // the WAL can hold the same terminal (and claim, cancel, crash)
         // line twice.
         records.push(JobRecord::Claimed { job_id: 0, shard: 1 });

@@ -11,8 +11,8 @@
 //!    pending set survives any crash;
 //! 2. workers checkpoint after every round and derive all scheduling
 //!    decisions from durable state only;
-//! 3. results are written atomically before their terminal record, and
-//!    finalization is idempotent.
+//! 3. a job's result travels in its terminal WAL record, and finalization
+//!    is idempotent.
 //!
 //! On top of that sits the **job lifecycle** state machine
 //! (`submitted → running → done | cancelled | expired | quarantined`):
@@ -38,5 +38,5 @@ pub use protocol::{read_frame, write_frame, FrameError, JobRow, Request, Respons
 pub use server::{DrainHandle, ServeConfig, Server};
 pub use spec::JobSpec;
 pub use worker::{
-    job_dir, result_path, store_path, Shard, StepOutcome, QUARANTINE_CRASHES, WAL_FILE,
+    job_dir, store_path, Shard, StepOutcome, QUARANTINE_CRASHES, WAL_FILE,
 };

@@ -18,9 +18,9 @@
 //! Submit: WAL line flushed **before** the `ack` response — an acked job
 //! survives any crash. Cancel: the request line is flushed before the
 //! client hears `cancelling`, so a cancel survives any crash too. Every
-//! terminal transition (`done`, `cancelled`, `expired`, `quarantined`):
-//! the result document is written atomically **before** the terminal
-//! line — a terminal line proves the result is servable. Claims are
+//! terminal transition (`done`, `cancelled`, `expired`, `quarantined`)
+//! is one WAL line that carries the job's result document, so a terminal
+//! line is the servable result; there is no other copy. Claims are
 //! logged for observability only. Workers killed mid-job restart from
 //! the per-job checkpoints; see [`crate::worker`] for why the replay is
 //! byte-identical.
@@ -61,8 +61,8 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Listen address, e.g. `"127.0.0.1:0"` (port 0 = ephemeral).
     pub addr: String,
-    /// Root of all durable state: WAL, per-job checkpoints and results,
-    /// per-tenant schedule stores.
+    /// Root of all durable state: the WAL (results included), per-job
+    /// checkpoints, per-tenant schedule stores.
     pub data_dir: PathBuf,
     /// Worker shards (jobs are partitioned by `job_id % shards`).
     pub shards: usize,
@@ -436,7 +436,7 @@ fn commit_or_drain(shared: &Shared, st: &mut State, what: &str, record: &JobReco
     false
 }
 
-/// Commits a terminal record (the result document is already durable) and
+/// Commits a terminal record (the result document rides in it) and
 /// compacts the WAL if it has grown past its slack.
 fn complete(shared: &Shared, record: JobRecord) {
     let mut st = shared.lock();

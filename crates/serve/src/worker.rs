@@ -30,7 +30,7 @@ use felix::persist::STATE_FILE;
 use felix::{extract_subgraphs, pretrained_cost_model, ModelQuality, Optimizer};
 use felix_ansor::{job_priority, network_latency};
 use felix_records::jobs::{JobOutcome, SubmittedJob};
-use felix_records::{fnv1a, write_document, JobRecord, Json, FNV_OFFSET};
+use felix_records::{fnv1a, JobRecord, Json, FNV_OFFSET};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -45,14 +45,9 @@ pub const WAL_FILE: &str = "wal.jsonl";
 /// replay instead of crash-looping the daemon forever.
 pub const QUARANTINE_CRASHES: u32 = 3;
 
-/// The per-job state directory (checkpoints + result document).
+/// The per-job state directory (its checkpoints).
 pub fn job_dir(data_dir: &Path, job_id: u64) -> PathBuf {
     data_dir.join("jobs").join(format!("{job_id:016x}"))
-}
-
-/// The finished-job result document path.
-pub fn result_path(data_dir: &Path, job_id: u64) -> PathBuf {
-    job_dir(data_dir, job_id).join("result.json")
 }
 
 /// The tenant's schedule-store file. The filename embeds an FNV-1a hash
@@ -80,8 +75,8 @@ struct ActiveJob {
 pub enum StepOutcome {
     /// Ran one tuning round of this job.
     Ticked(u64),
-    /// The job finished: its result document is durably on disk and this
-    /// terminal record is ready for the WAL.
+    /// The job finished: this terminal record, which carries the result
+    /// document, is ready for the WAL.
     Finished(JobRecord),
     /// The job's tick panicked. The job was dropped from the shard (its
     /// in-memory optimizer state is suspect; the on-disk checkpoint from
@@ -198,7 +193,7 @@ impl Shard {
     /// Finalizes a pending (not adopted) job into a non-`Done` terminal
     /// state without running it:
     ///
-    /// - [`JobOutcome::Quarantined`] writes an error-report result and
+    /// - [`JobOutcome::Quarantined`] yields an error-report result and
     ///   never touches the job's optimizer or checkpoint — the whole
     ///   point is that building or ticking this job crashes workers.
     /// - [`JobOutcome::Cancelled`] / [`JobOutcome::Expired`] checkpoint
@@ -209,8 +204,8 @@ impl Shard {
     ///   document depends on the checkpoint alone.
     ///
     /// Idempotent and deterministic in the durable state, like
-    /// [`Shard::adopt`]'s re-finalization path: a crash between the
-    /// result write and the WAL line replays to the same bytes.
+    /// [`Shard::adopt`]'s re-finalization path: a crash before the WAL
+    /// line lands replays to the same bytes.
     pub fn dispose(&mut self, job: &SubmittedJob, outcome: JobOutcome, crashes: u32) -> JobRecord {
         if outcome == JobOutcome::Quarantined {
             let message = format!(
@@ -306,20 +301,16 @@ impl Shard {
         best.map(|(i, _)| i)
     }
 
-    /// Writes the job's result document atomically, publishes its
-    /// incumbents to the tenant's schedule store, and builds the
-    /// terminal record for `outcome`. Deterministic in the optimizer
-    /// state alone, so re-finalizing after a crash reproduces the result
-    /// byte for byte (and re-publishing is a no-op on the store). A
-    /// cancelled/expired job's partial incumbents publish too — they are
-    /// real measured schedules, as warm-start-worthy as a full run's.
+    /// Publishes the job's incumbents to the tenant's schedule store and
+    /// builds the terminal record for `outcome`, result document included.
+    /// Deterministic in the optimizer state alone, so re-finalizing after a
+    /// crash reproduces the record byte for byte (and re-publishing is a
+    /// no-op on the store). A cancelled/expired job's partial incumbents
+    /// publish too — they are real measured schedules, as
+    /// warm-start-worthy as a full run's.
     fn finalize_with(&self, outcome: JobOutcome, job: &mut ActiveJob) -> JobRecord {
         let latency_ms = network_latency(job.opt.tasks());
         let result = result_document(job);
-        let path = result_path(&self.data_dir, job.job_id);
-        if let Err(e) = write_document(&path, &result) {
-            eprintln!("[felix-serve] result write to {} failed: {e}", path.display());
-        }
         match ensure_store(&self.data_dir, &job.tenant)
             .map_err(std::io::Error::other)
             .and_then(ScheduleCache::open)
@@ -345,26 +336,20 @@ impl Shard {
         self.finalize_error_with(JobOutcome::Done, job, message)
     }
 
-    /// Writes an error-report result document and builds the terminal
-    /// record for `outcome` without touching the job's optimizer.
+    /// The terminal record for `outcome` with an error report as its
+    /// result document, built without touching the job's optimizer.
     fn finalize_error_with(
         &self,
         outcome: JobOutcome,
         job: &SubmittedJob,
         message: &str,
     ) -> JobRecord {
-        let result = Json::obj(vec![("error", Json::Str(message.to_string()))]);
-        let dir = job_dir(&self.data_dir, job.job_id);
-        std::fs::create_dir_all(&dir).ok();
-        if let Err(e) = write_document(result_path(&self.data_dir, job.job_id), &result) {
-            eprintln!("[felix-serve] error-result write failed: {e}");
-        }
         JobRecord::Finished {
             job_id: job.job_id,
             outcome,
             rounds: 0,
             latency_ms: f64::INFINITY,
-            result,
+            result: Json::obj(vec![("error", Json::Str(message.to_string()))]),
         }
     }
 }

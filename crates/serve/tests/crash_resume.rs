@@ -1,7 +1,8 @@
 //! Kill/chaos end-to-end test: SIGKILL the daemon mid-job at a
 //! seeded-random instant, restart it on the same data directory, and
-//! assert the final results are **byte-identical** to an uninterrupted
-//! run — and that the WAL replays to the same queue state.
+//! assert the final results — the bytes the WAL holds and the daemon
+//! serves — are **byte-identical** to an uninterrupted run, and that the
+//! WAL replays to the same queue state.
 //!
 //! Unix-only (`Child::kill` must be an uncatchable SIGKILL for the chaos
 //! to mean anything) and skippable on constrained platforms with
@@ -11,7 +12,7 @@
 #![cfg(unix)]
 
 use felix_records::{read_job_records, Json, QueueState};
-use felix_serve::{Client, JobSpec};
+use felix_serve::{Client, JobSpec, WAL_FILE};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -105,26 +106,34 @@ fn submit_two_tenants(daemon: &Daemon) -> Vec<u64> {
     ]
 }
 
-fn wait_all_done(daemon: &Daemon, jobs: &[u64]) {
+/// Waits for every job to finish `done`; returns the result documents the
+/// daemon served, serialized.
+fn wait_all_done(daemon: &Daemon, jobs: &[u64]) -> Vec<String> {
     let mut client = daemon.client();
-    for &job in jobs {
-        let (state, _) =
-            client.wait_done(job, Duration::from_secs(120)).expect("job result");
-        assert_eq!(state, "done", "job {job} ended {state}, expected done");
-    }
+    jobs.iter()
+        .map(|&job| {
+            let (state, result) =
+                client.wait_done(job, Duration::from_secs(120)).expect("job result");
+            assert_eq!(state, "done", "job {job} ended {state}, expected done");
+            result.write()
+        })
+        .collect()
 }
 
-fn result_bytes(data_dir: &Path, jobs: &[u64]) -> Vec<Vec<u8>> {
+/// Each job's result as the WAL holds it: its terminal record's document,
+/// serialized, from a replay of the data directory's WAL.
+fn result_bytes(data_dir: &Path, jobs: &[u64]) -> Vec<String> {
+    let queue = QueueState::replay(&read_job_records(data_dir.join(WAL_FILE)).expect("read wal"));
     jobs.iter()
-        .map(|&j| {
-            std::fs::read(felix_serve::result_path(data_dir, j))
-                .unwrap_or_else(|e| panic!("result for job {j}: {e}"))
+        .map(|j| {
+            let done = queue.terminal.get(j);
+            done.unwrap_or_else(|| panic!("no terminal record for job {j}")).result.write()
         })
         .collect()
 }
 
 /// The reference run: same two jobs, never interrupted.
-fn uninterrupted_results(jobs_hint: &[u64]) -> Vec<Vec<u8>> {
+fn uninterrupted_results(jobs_hint: &[u64]) -> Vec<String> {
     let dir = tmp_dir("reference");
     let daemon = Daemon::spawn(&dir);
     let jobs = submit_two_tenants(&daemon);
@@ -161,7 +170,7 @@ fn sigkill_mid_job_then_restart_is_byte_identical() {
 
     // The WAL must replay cleanly right now, mid-flight: both submits
     // durable (they were acked), nothing lost to the torn tail.
-    let mid = QueueState::replay(&read_job_records(dir.join("wal.jsonl")).expect("read wal"));
+    let mid = QueueState::replay(&read_job_records(dir.join(WAL_FILE)).expect("read wal"));
     assert_eq!(mid.submitted.len(), 2, "acked submits lost in the crash");
     for (&job, tenant) in jobs.iter().zip(["tenant-a", "tenant-b"]) {
         let row = mid.job(job).expect("submitted job in replay");
@@ -170,7 +179,7 @@ fn sigkill_mid_job_then_restart_is_byte_identical() {
 
     // Restart on the same directory; unfinished jobs resume and finish.
     let daemon = Daemon::spawn(&dir);
-    wait_all_done(&daemon, &jobs);
+    let served = wait_all_done(&daemon, &jobs);
     daemon.shutdown();
 
     let crashed = result_bytes(&dir, &jobs);
@@ -183,18 +192,17 @@ fn sigkill_mid_job_then_restart_is_byte_identical() {
     }
 
     // And the final WAL replays to a complete, consistent queue: both
-    // jobs done with results matching the documents on disk byte-wise.
-    let queue = QueueState::replay(&read_job_records(dir.join("wal.jsonl")).expect("read wal"));
+    // jobs done, holding byte-wise the results the daemon served.
+    let queue = QueueState::replay(&read_job_records(dir.join(WAL_FILE)).expect("read wal"));
     assert_eq!(queue.pending().len(), 0, "jobs left pending after completion");
-    for (&job, bytes) in jobs.iter().zip(&crashed) {
+    for (&job, served) in jobs.iter().zip(&served) {
         let done = queue.terminal.get(&job).expect("terminal record");
         assert_eq!(done.outcome, felix_records::JobOutcome::Done);
         assert_eq!(done.rounds, ROUNDS);
-        let on_disk = Json::parse(std::str::from_utf8(bytes).unwrap()).unwrap();
         assert_eq!(
-            done.result.write(),
-            on_disk.write(),
-            "WAL result for job {job} disagrees with the result document"
+            &done.result.write(),
+            served,
+            "WAL result for job {job} disagrees with the served result"
         );
     }
 }
@@ -274,7 +282,7 @@ fn warm_cache_jobs_survive_kills_with_an_uncorrupted_store() {
     // latency is +inf whenever some subgraph never fits the quick spec's
     // measure budget — true for uninterrupted runs of this tiny model
     // too, so per-kernel finiteness is the meaningful check.)
-    let queue = QueueState::replay(&read_job_records(dir.join("wal.jsonl")).expect("read wal"));
+    let queue = QueueState::replay(&read_job_records(dir.join(WAL_FILE)).expect("read wal"));
     for &job in &jobs {
         let done = queue.terminal.get(&job).expect("terminal record");
         assert_eq!(done.outcome, felix_records::JobOutcome::Done);

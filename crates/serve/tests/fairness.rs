@@ -6,9 +6,9 @@ use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality
 use felix_ansor::network_latency;
 use felix_graph::models;
 use felix_records::jobs::SubmittedJob;
-use felix_records::Json;
-use felix_serve::{result_path, JobSpec, Shard, StepOutcome};
-use std::path::PathBuf;
+use felix_records::{read_job_records, JobRecord, JobWal, Json, QueueState};
+use felix_serve::{JobSpec, Shard, StepOutcome, WAL_FILE};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const DEVICE: &str = "RTX A5000";
@@ -35,6 +35,27 @@ fn submitted(job_id: u64, tenant: &str, rounds: usize) -> SubmittedJob {
     }
 }
 
+/// Logs the jobs and the shard's terminal records to a WAL under `dir` as
+/// the daemon does, and returns the queue that WAL replays to — whose
+/// terminal results are what a `result` request serves.
+fn served(dir: &Path, jobs: &[SubmittedJob], finished: &[JobRecord]) -> QueueState {
+    let path = dir.join(WAL_FILE);
+    let mut wal = JobWal::open(&path).expect("open wal");
+    for job in jobs {
+        let submit = JobRecord::Submitted {
+            job_id: job.job_id,
+            tenant: job.tenant.clone(),
+            spec: job.spec.clone(),
+            submitted_at_ms: job.submitted_at_ms,
+        };
+        wal.append(&submit).expect("append submit");
+    }
+    for record in finished {
+        wal.append(record).expect("append terminal");
+    }
+    QueueState::replay(&read_job_records(&path).expect("read wal"))
+}
+
 #[test]
 fn lone_tenant_is_not_starved_by_a_crowd() {
     // Tenant "crowd" floods the shard with 10 one-round jobs; tenant
@@ -43,14 +64,16 @@ fn lone_tenant_is_not_starved_by_a_crowd() {
     // T − 1 = 1 foreign tick between its own ticks.
     let dir = tmp_dir("starvation");
     let mut shard = Shard::new(0, 1, &dir);
-    for id in 0..10u64 {
-        assert!(shard.adopt(&submitted(id, "crowd", 1)).is_none());
+    let mut jobs: Vec<SubmittedJob> = (0..10u64).map(|id| submitted(id, "crowd", 1)).collect();
+    jobs.push(submitted(10, "lone", 3));
+    for job in &jobs {
+        assert!(shard.adopt(job).is_none());
     }
-    assert!(shard.adopt(&submitted(10, "lone", 3)).is_none());
 
     let tenant_of = |job_id: u64| if job_id == 10 { "lone" } else { "crowd" };
     let mut ticks: Vec<&str> = Vec::new();
     let mut lone_done_at = None;
+    let mut finished = Vec::new();
     while let Some(outcome) = shard.step() {
         let job_id = match outcome {
             StepOutcome::Ticked(id) => id,
@@ -59,6 +82,7 @@ fn lone_tenant_is_not_starved_by_a_crowd() {
                 if id == 10 {
                     lone_done_at = Some(ticks.len());
                 }
+                finished.push(record);
                 id
             }
             StepOutcome::Crashed(id) => panic!("job {id} crashed without a fault plan"),
@@ -80,9 +104,11 @@ fn lone_tenant_is_not_starved_by_a_crowd() {
     }
     // And the crowd still progresses: it owns every remaining tick.
     assert!(ticks[lone_done_at + 1..].iter().all(|&t| t == "crowd"));
-    // Everyone finished: all eleven result documents exist.
+    // Everyone finished: the WAL serves all eleven result documents.
+    let queue = served(&dir, &jobs, &finished);
     for id in 0..=10u64 {
-        assert!(result_path(&dir, id).exists(), "missing result for job {id}");
+        let done = queue.terminal.get(&id).unwrap_or_else(|| panic!("no result for job {id}"));
+        assert!(done.result.get("kernels").is_some(), "job {id} result: {:?}", done.result);
     }
 }
 
@@ -90,14 +116,15 @@ fn lone_tenant_is_not_starved_by_a_crowd() {
 fn single_job_serving_is_bit_identical_to_optimize_all() {
     // A shard whose whole queue is one job must tick it back-to-back,
     // which the worker promises is bit-identical to one `optimize_all`
-    // call. Compare the served result document against a directly-driven
-    // optimizer, field by field, at the bit level.
+    // call. Compare the result document the WAL serves against a
+    // directly-driven optimizer, field by field, at the bit level.
     let rounds = 3usize;
     let measures = 4usize;
 
     let dir = tmp_dir("equivalence");
     let mut shard = Shard::new(0, 1, &dir);
-    assert!(shard.adopt(&submitted(0, "solo", rounds)).is_none());
+    let job = submitted(0, "solo", rounds);
+    assert!(shard.adopt(&job).is_none());
     let record = loop {
         match shard.step().expect("queue drained early") {
             StepOutcome::Ticked(_) => {}
@@ -106,8 +133,8 @@ fn single_job_serving_is_bit_identical_to_optimize_all() {
         }
     };
     assert_eq!(record.job_id(), 0);
-    let text = std::fs::read_to_string(result_path(&dir, 0)).expect("result document");
-    let doc = Json::parse(&text).expect("result parses");
+    let queue = served(&dir, &[job], &[record]);
+    let doc = &queue.terminal[&0].result;
 
     // The reference: the same spec run through the library path the rest
     // of the workspace tests (same options the served job derives).

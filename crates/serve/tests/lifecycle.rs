@@ -138,8 +138,9 @@ fn mix(seed: u64) -> u64 {
 /// One lifecycle scenario run: job A completes (3 rounds), job B is
 /// cancelled before it ever runs (the `--max-active 1` gate keeps it
 /// queued behind A), job C expires on a zero deadline. Returns
-/// `(job_ids, terminal_states, result_bytes)`.
-fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> (Vec<u64>, Vec<String>, Vec<Vec<u8>>) {
+/// `(job_ids, terminal_states, result_bytes)`, the result bytes being each
+/// job's terminal WAL document — what a `result` request serves.
+fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> (Vec<u64>, Vec<String>, Vec<String>) {
     let extra = &["--max-active", "1"];
     let daemon = Daemon::spawn(dir, extra);
     let jobs = {
@@ -173,13 +174,8 @@ fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> (Vec<u64>, Vec<String>, 
         states.push(state);
     }
     daemon.shutdown();
-    let bytes = jobs
-        .iter()
-        .map(|&j| {
-            std::fs::read(felix_serve::result_path(dir, j))
-                .unwrap_or_else(|e| panic!("result for job {j}: {e}"))
-        })
-        .collect();
+    let queue = QueueState::replay(&read_job_records(dir.join("wal.jsonl")).expect("read wal"));
+    let bytes = jobs.iter().map(|j| queue.terminal[j].result.write()).collect();
     (jobs, states, bytes)
 }
 

@@ -2,7 +2,8 @@
 # CI gate: release build, the tier-1 line (`cargo test -q` at the root runs
 # the root package's 14 integration tests only), clippy and rustdoc with
 # warnings denied, then every crate's own suite under a time budget, the
-# tuner_bench smoke, the ledger smoke and the non-test line count.
+# ledger smoke and the non-test line count. Nothing here writes a tracked
+# file: `git status` stays clean.
 # Everything is offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,11 +36,6 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
         exit 1
     fi
 done
-
-# Bench smoke (asserts only, no timing claims in CI): batched tape ≡
-# batch-of-one ≡ pool oracle bitwise at batches 1/7/8/9/16/17 (compile-time
-# and run-time lane counts of the one kernel body).
-TUNER_BENCH_SMOKE=1 FELIX_FAST=1 cargo run -q --release -p felix-bench --bin tuner_bench
 
 # Ledger smoke: every benchmark workload, untraced then traced, CI-sized.
 # Gates on the ledger's output checks only (`correct: true`, no failed
