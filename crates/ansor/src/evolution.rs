@@ -1,7 +1,7 @@
 //! Ansor's evolutionary search (population 2048, 4 generations by default,
 //! §5), guided by the learned cost model.
 
-use crate::{Proposer, SearchTask};
+use crate::{schedule_key, Proposer, SearchTask};
 use felix_cost::{
     crossover_schedules, log_transform_into, mutate_schedule, random_schedule,
     total_cmp_desc_nan_last, total_cmp_nan_last, Mlp,
@@ -116,7 +116,8 @@ impl EvolutionaryProposer {
         }
         while pop.len() < cfg.population {
             let sk = sketches[rng.gen_range(0..sketches.len())];
-            let vals = random_schedule(&task.sketches[sk].program, rng, 32);
+            let st = &task.sketches[sk];
+            let vals = random_schedule(&st.program, &st.rounding, rng, 32);
             pop.push((sk, vals));
         }
         clock.charge_evolution(cfg.population, costs);
@@ -134,14 +135,15 @@ impl EvolutionaryProposer {
             let mut next: Vec<(usize, Vec<f64>)> = parents.clone();
             while next.len() < cfg.population {
                 let (sk, base) = &parents[rng.gen_range(0..parents.len())];
+                let st = &task.sketches[*sk];
                 let child = if rng.gen_bool(MUTATION_RATE) {
-                    mutate_schedule(&task.sketches[*sk].program, base, rng, 8)
+                    mutate_schedule(&st.program, &st.rounding, base, rng, 8)
                 } else {
                     // Crossover within the same sketch.
                     let same: Vec<&(usize, Vec<f64>)> =
                         parents.iter().filter(|(s, _)| s == sk).collect();
                     let other = same[rng.gen_range(0..same.len())];
-                    crossover_schedules(&task.sketches[*sk].program, base, &other.1, rng)
+                    crossover_schedules(&st.program, &st.rounding, base, &other.1, rng)
                 };
                 next.push((*sk, child));
             }
@@ -164,11 +166,9 @@ impl EvolutionaryProposer {
             if !task.sketches[*sk].program.constraints_ok(vals, 0.0) {
                 continue;
             }
-            let key = format!("{sk}:{vals:?}");
-            if seen.contains(&key) || task.already_measured(*sk, vals) {
+            if task.already_measured(*sk, vals) || !seen.insert(schedule_key(*sk, vals)) {
                 continue;
             }
-            seen.insert(key);
             out.push((*sk, vals.clone()));
             if out.len() >= n {
                 break;

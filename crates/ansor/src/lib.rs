@@ -19,7 +19,7 @@ use felix_graph::Task;
 use felix_sim::clock::ClockCosts;
 use felix_sim::vendor::hardware_params;
 use felix_sim::{candidate_key, FaultKind, FaultPlan, MeasureOutcome, Simulator, TuningClock};
-use felix_tir::sketch::generate_sketches;
+use felix_tir::sketch::{generate_sketches, RoundingPlan};
 use felix_tir::Program;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -36,6 +36,9 @@ pub struct SketchState {
     pub features: FeatureSet,
     /// Tape-compiled feature evaluator (hot path of candidate scoring).
     pub compiled: felix_expr::CompiledExprs,
+    /// The program's rounding plan: every relaxed point a proposer rounds
+    /// back to a valid schedule goes through it.
+    pub rounding: RoundingPlan,
 }
 
 impl SketchState {
@@ -151,6 +154,22 @@ impl HealthReport {
     }
 }
 
+/// Dedup identity of a candidate: its sketch and the bit patterns of its
+/// values, see [`schedule_key`].
+pub type ScheduleKey = (usize, Vec<u64>);
+
+/// The [`ScheduleKey`] of `(sketch, vals)`. Every NaN maps to one bit
+/// pattern, so two candidates share a key exactly when their
+/// `format!("{sketch}:{vals:?}")` renderings are equal: `Debug` prints every
+/// NaN as `NaN` and every other distinct bit pattern differently.
+pub fn schedule_key(sketch: usize, vals: &[f64]) -> ScheduleKey {
+    let bits = vals
+        .iter()
+        .map(|v| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() })
+        .collect();
+    (sketch, bits)
+}
+
 /// Search state of one tuning task (fused subgraph).
 #[derive(Clone, Debug)]
 pub struct SearchTask {
@@ -183,7 +202,7 @@ pub struct SearchTask {
     /// retries of candidates that later succeeded.
     pub retries: usize,
     /// Dedup set of measured candidates.
-    measured_keys: HashSet<String>,
+    measured_keys: HashSet<ScheduleKey>,
     /// Consecutive failed candidates per sketch (reset by any success); a
     /// streak of [`SearchTask::QUARANTINE_STREAK`] quarantines the sketch.
     fail_streak: Vec<usize>,
@@ -212,7 +231,8 @@ impl SearchTask {
                 let features = extract_features(&mut program);
                 let compiled =
                     felix_expr::CompiledExprs::compile(&program.pool, &features.exprs);
-                SketchState { name: sk.name, program, features, compiled }
+                let rounding = RoundingPlan::new(&program);
+                SketchState { name: sk.name, program, features, compiled, rounding }
             })
             .collect();
         let n_sketches = sketches.len();
@@ -239,13 +259,9 @@ impl SearchTask {
     /// quarantine.
     pub const QUARANTINE_STREAK: usize = 6;
 
-    fn key(sketch: usize, vals: &[f64]) -> String {
-        format!("{sketch}:{vals:?}")
-    }
-
     /// Whether a candidate has already been measured.
     pub fn already_measured(&self, sketch: usize, vals: &[f64]) -> bool {
-        self.measured_keys.contains(&Self::key(sketch, vals))
+        self.measured_keys.contains(&schedule_key(sketch, vals))
     }
 
     /// Whether sketch `sketch` exists and `vals` assigns each of its
@@ -279,7 +295,7 @@ impl SearchTask {
     /// the sketch's failure streak, lifting any quarantine (the fault was
     /// evidently transient).
     pub fn record(&mut self, sketch: usize, vals: Vec<f64>, latency_ms: f64) {
-        self.measured_keys.insert(Self::key(sketch, &vals));
+        self.measured_keys.insert(schedule_key(sketch, &vals));
         self.offer_incumbent(sketch, &vals, latency_ms);
         if let Some(streak) = self.fail_streak.get_mut(sketch) {
             *streak = 0;
@@ -292,7 +308,7 @@ impl SearchTask {
     /// and the sketch's failure streak grows; at
     /// [`Self::QUARANTINE_STREAK`] the sketch is quarantined.
     pub fn record_failure(&mut self, sketch: usize, vals: Vec<f64>, kind: FaultKind) {
-        self.measured_keys.insert(Self::key(sketch, &vals));
+        self.measured_keys.insert(schedule_key(sketch, &vals));
         if let Some(streak) = self.fail_streak.get_mut(sketch) {
             *streak += 1;
         }
@@ -420,8 +436,8 @@ impl SearchTask {
         self.measured_keys = snap
             .measured
             .iter()
-            .map(|(sk, vals, _)| Self::key(*sk, vals))
-            .chain(snap.failed.iter().map(|(sk, vals, _)| Self::key(*sk, vals)))
+            .map(|(sk, vals, _)| schedule_key(*sk, vals))
+            .chain(snap.failed.iter().map(|(sk, vals, _)| schedule_key(*sk, vals)))
             .collect();
         self.samples = snap
             .measured
@@ -472,6 +488,9 @@ pub struct TunerStats {
     pub steps_per_sec: f64,
     /// Rounded trajectory points examined this round.
     pub candidates: usize,
+    /// Distinct schedules among this round's rounded points: each one's
+    /// constraint and already-measured checks run once.
+    pub distinct_candidates: usize,
     /// Fraction of rounded points rejected because a validity constraint
     /// was violated (the penalty terms failed to keep the seed feasible).
     pub penalty_violation_rate: f64,
@@ -518,11 +537,12 @@ impl TunerStats {
     /// One-line human-readable rendering for bench binaries and logs.
     pub fn summary(&self) -> String {
         let mut line = format!(
-            "steps {} ({:.0}/s, {} thr) cand {} viol {:.0}% dup {:.0}% cache {}/{} tape {}/{} nodes ({:.1} ms compile) fail {} retry {}",
+            "steps {} ({:.0}/s, {} thr) cand {} ({} distinct) viol {:.0}% dup {:.0}% cache {}/{} tape {}/{} nodes ({:.1} ms compile) fail {} retry {}",
             self.grad_steps,
             self.steps_per_sec,
             self.threads,
             self.candidates,
+            self.distinct_candidates,
             self.penalty_violation_rate * 100.0,
             self.rounding_rejection_rate * 100.0,
             self.cache_hits,
@@ -1056,9 +1076,8 @@ impl Proposer for RandomProposer {
         (0..n)
             .map(|_| {
                 let sk = active[rng.gen_range(0..active.len())];
-                let vals =
-                    felix_cost::random_schedule(&task.sketches[sk].program, rng, 64);
-                (sk, vals)
+                let st = &task.sketches[sk];
+                (sk, felix_cost::random_schedule(&st.program, &st.rounding, rng, 64))
             })
             .collect()
     }
@@ -1347,7 +1366,8 @@ mod tests {
                 .copied()
                 .unwrap_or_else(|| (rng.gen_range(0..3), rng.gen_bool(0.6)));
             let was_quarantined = live.is_quarantined(sk);
-            let vals = felix_cost::random_schedule(&live.sketches[sk].program, &mut rng, 64);
+            let st = &live.sketches[sk];
+            let vals = felix_cost::random_schedule(&st.program, &st.rounding, &mut rng, 64);
             if fail {
                 live.record_failure(sk, vals, kinds[rng.gen_range(0..kinds.len())]);
                 live.retries += rng.gen_range(0..=MAX_RETRIES);

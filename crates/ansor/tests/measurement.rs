@@ -72,7 +72,8 @@ fn valid_candidates(task: &SearchTask, n: usize, seed: u64) -> Vec<(usize, Vec<f
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out: Vec<(usize, Vec<f64>)> = Vec::new();
     while out.len() < n {
-        let vals = random_schedule(&task.sketches[0].program, &mut rng, 64);
+        let st = &task.sketches[0];
+        let vals = random_schedule(&st.program, &st.rounding, &mut rng, 64);
         if !out.iter().any(|(_, v)| *v == vals) {
             out.push((0, vals));
         }

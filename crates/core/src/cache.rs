@@ -296,6 +296,7 @@ mod tests {
                 let mut t = task.clone();
                 let vals = felix_cost::random_schedule(
                     &t.sketches[0].program,
+                    &t.sketches[0].rounding,
                     &mut StdRng::seed_from_u64(1),
                     64,
                 );
@@ -307,6 +308,7 @@ mod tests {
         // ...but a task that already has measurements is left untouched.
         let vals = felix_cost::random_schedule(
             &task.sketches[0].program,
+            &task.sketches[0].rounding,
             &mut StdRng::seed_from_u64(2),
             64,
         );

@@ -6,6 +6,18 @@
 //! in log space), validated, ranked by cost-model-predicted performance, and
 //! the top `nMeasure` go to the hardware (simulator).
 //!
+//! # Round once, check once per distinct schedule
+//!
+//! The seeds visit `nSeeds × nSteps` points, but far fewer distinct integer
+//! schedules (on ResNet-50, ≈ 140 of 3 200). Each point is rounded exactly
+//! once, through its sketch's [`felix_tir::sketch::RoundingPlan`] (built
+//! once per task), in fixed-size chunks on the worker pool. One serial pass
+//! then keys every rounded point by its [`felix_ansor::ScheduleKey`]: the
+//! constraint and already-measured checks run on a key's first occurrence
+//! only, and every later occurrence reuses that verdict, so the violation
+//! and duplicate counts are still per point. Only the fresh distinct
+//! schedules are scored.
+//!
 //! # Parallel, batched execution
 //!
 //! Both halves of each Adam step are batched. The expression side runs on
@@ -33,7 +45,8 @@ use crate::parallel::{effective_threads, parallel_map};
 use crate::tape_cache::TapeCache;
 use felix_ansor::evolution::EvolutionConfig;
 use felix_ansor::{
-    EvolutionaryProposer, HealthReport, Proposer, SearchTask, SketchMode, TunerStats,
+    schedule_key, EvolutionaryProposer, HealthReport, Proposer, ScheduleKey, SearchTask,
+    SketchMode, TunerStats,
 };
 use felix_cost::{
     log_transform, total_cmp_desc_nan_last, total_cmp_nan_last, AdamOpt, Mlp, MlpScratch,
@@ -42,10 +55,10 @@ use felix_cost::{
 use felix_features::FEATURE_COUNT;
 use felix_sim::clock::ClockCosts;
 use felix_sim::{FaultPlan, TuningClock};
-use felix_tir::sketch::round_to_valid;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Random draws per non-warm seed slot; the best-predicted draw becomes the
@@ -55,6 +68,10 @@ const SEED_INIT_DRAWS: usize = 8;
 
 /// Candidates per batched scoring chunk (one `predict_batch` call each).
 const SCORE_CHUNK: usize = 64;
+
+/// Trajectory points per rounding chunk. Fixed, so the chunking (and with
+/// it every rounded point) is the same at every thread count.
+const ROUND_CHUNK: usize = 256;
 
 /// Constraint-penalty coefficient `λ` of the objective
 /// `O = −C + λ Σ max(g, 0)²` (Equation 4).
@@ -76,7 +93,7 @@ const TRUST_BACKOFF: f64 = 0.5;
 /// Hyperparameters of the gradient-descent search (paper §5 defaults).
 #[derive(Clone, Copy, Debug)]
 pub struct FelixOptions {
-    /// Schedules optimized simultaneously (`nSeeds`, default 8).
+    /// Schedules optimized simultaneously (`nSeeds`, default 16).
     pub n_seeds: usize,
     /// Gradient-descent steps per round (`nSteps`, default 200).
     pub n_steps: usize,
@@ -264,7 +281,7 @@ fn restart_seed(
     let stream = restart_stream(salt, global_idx, seed.health.restarts);
     let mut srng = StdRng::seed_from_u64(stream);
     let st = &task.sketches[seed.sketch];
-    let x = felix_cost::random_schedule(&st.program, &mut srng, 64);
+    let x = felix_cost::random_schedule(&st.program, &st.rounding, &mut srng, 64);
     seed.y = objectives[seed.sketch].to_y_space(&x);
     let lr = LR * TRUST_BACKOFF.powi(seed.health.restarts as i32);
     let nv = seed.y.len();
@@ -577,7 +594,7 @@ impl Proposer for GradientProposer {
             let mut srng = StdRng::seed_from_u64(stream);
             let st = &task.sketches[sketch];
             let cands: Vec<Vec<f64>> = (0..SEED_INIT_DRAWS)
-                .map(|_| felix_cost::random_schedule(&st.program, &mut srng, 64))
+                .map(|_| felix_cost::random_schedule(&st.program, &st.rounding, &mut srng, 64))
                 .collect();
             let mut scratch = Vec::new();
             let feats: Vec<Vec<f64>> = cands
@@ -637,22 +654,24 @@ impl Proposer for GradientProposer {
         let descent_s = descent_start.elapsed().as_secs_f64();
         stats.grad_steps = n_live * opts.n_steps;
         stats.steps_per_sec = stats.grad_steps as f64 / descent_s.max(1e-12);
-        let mut history: Vec<(usize, Vec<f64>)> =
-            Vec::with_capacity(n_live * opts.n_steps);
-        for step in 0..opts.n_steps {
-            for (scores, hist, _) in &per_chunk {
-                self.trace.extend_from_slice(&scores[step]);
-                history.extend(hist[step].iter().cloned());
-            }
-        }
 
-        // --- Health accounting ---------------------------------------------
+        // --- Health accounting, trajectory ---------------------------------
         // Chunk counters merge in chunk order (deterministic at any thread
         // count: chunks are contiguous seed ranges); the merged lanes decide
-        // every sketch's mode for the next round.
+        // every sketch's mode for the next round. The chunks' trajectories
+        // are moved (not copied) into one step-major list.
         let mut merged = ChunkHealth::default();
-        for (_, _, h) in &per_chunk {
-            merged.merge(h);
+        let mut chunk_trajs = Vec::with_capacity(per_chunk.len());
+        for (scores, hist, h) in per_chunk {
+            merged.merge(&h);
+            chunk_trajs.push((scores, hist.into_iter()));
+        }
+        let mut trajectory: Vec<(usize, Vec<f64>)> = Vec::with_capacity(n_live * opts.n_steps);
+        for step in 0..opts.n_steps {
+            for (scores, hist) in &mut chunk_trajs {
+                self.trace.extend_from_slice(&scores[step]);
+                trajectory.extend(hist.next().expect("one history row per step"));
+            }
         }
         let health = merged.into_report(modes, &pathological);
         stats.seed_restarts = health.seed_restarts;
@@ -662,34 +681,65 @@ impl Proposer for GradientProposer {
             health.modes.iter().filter(|&&m| m != SketchMode::Gradient).count();
         self.health.merge(&health);
 
-        // --- Round, validate, dedupe (line 20) ------------------------------
-        // A BTreeMap keeps candidate order independent of hasher state, so
-        // runs (and thread counts) are exactly reproducible.
-        stats.candidates = history.len();
+        // --- Round (line 20) -------------------------------------------------
+        // Every visited point is rounded once, through its sketch's stored
+        // plan, in fixed-size chunks on the pool; results keep trajectory
+        // order. The relaxed trajectory is dropped as soon as it is rounded.
+        let rounded: Vec<(usize, Vec<f64>)> =
+            parallel_map(trajectory.len().div_ceil(ROUND_CHUNK), threads, |ci| {
+                let end = ((ci + 1) * ROUND_CHUNK).min(trajectory.len());
+                trajectory[ci * ROUND_CHUNK..end]
+                    .iter()
+                    .map(|(sk, y)| {
+                        let st = &task.sketches[*sk];
+                        let mut x = objectives[*sk].to_x_space(y, st.program.vars.len());
+                        st.rounding.round_in_place(&mut x);
+                        (*sk, x)
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        drop(trajectory);
+
+        // --- Validate, dedupe ----------------------------------------------
+        // The constraint and already-measured checks run on a schedule's
+        // first occurrence; later occurrences reuse its verdict (feasible or
+        // not), so violations and duplicates are still counted per point.
+        stats.candidates = rounded.len();
         let mut violations = 0usize;
         let mut duplicates = 0usize;
-        let mut unique: BTreeMap<String, (usize, Vec<f64>)> = BTreeMap::new();
-        for (sk, y) in history {
-            let obj = &objectives[sk];
-            let program = &task.sketches[sk].program;
-            let x_relaxed = obj.to_x_space(&y, program.vars.len());
-            let x = round_to_valid(program, &x_relaxed);
-            if !program.constraints_ok(&x, 1e-9) {
-                violations += 1;
-                continue;
-            }
-            if task.already_measured(sk, &x) || unique.insert(format!("{sk}:{x:?}"), (sk, x)).is_some() {
-                duplicates += 1;
+        let mut feasible: HashMap<ScheduleKey, bool> = HashMap::new();
+        let mut cands: Vec<(usize, Vec<f64>)> = Vec::new();
+        for (sk, x) in rounded {
+            match feasible.entry(schedule_key(sk, &x)) {
+                Entry::Occupied(e) if *e.get() => duplicates += 1,
+                Entry::Occupied(_) => violations += 1,
+                Entry::Vacant(e) => {
+                    let ok = *e.insert(task.sketches[sk].program.constraints_ok(&x, 1e-9));
+                    if !ok {
+                        violations += 1;
+                    } else if task.already_measured(sk, &x) {
+                        duplicates += 1;
+                    } else {
+                        cands.push((sk, x));
+                    }
+                }
             }
         }
+        stats.distinct_candidates = feasible.len();
         if stats.candidates > 0 {
             stats.penalty_violation_rate = violations as f64 / stats.candidates as f64;
             stats.rounding_rejection_rate = duplicates as f64 / stats.candidates as f64;
         }
+        // Survivors in the order of their `"{sk}:{x:?}"` strings: this pins
+        // the candidate order that scoring, the neighbour draws and the
+        // selection below see, which the bit-identity bars depend on.
+        cands.sort_by_cached_key(|(sk, x)| format!("{sk}:{x:?}"));
 
         // --- Rank by predicted performance on the exact features (line 21),
         // via the compiled feature tapes, in parallel batches.
-        let cands: Vec<(usize, Vec<f64>)> = unique.into_values().collect();
         let cand_scores = score_candidates(task, &packed, threads, &cands);
         clock.charge_batched_predictions(cands.len(), costs);
         let mut ranked: Vec<(f64, usize, Vec<f64>)> = cand_scores
@@ -706,21 +756,17 @@ impl Proposer for GradientProposer {
         // the nearest factor; the neighbors are the adjacent discretizations
         // of the same relaxed point). Mutations draw from the master RNG in
         // a fixed serial order; only their scoring fans out.
-        let mut seen: std::collections::HashSet<String> = ranked
-            .iter()
-            .map(|(_, sk, x)| format!("{sk}:{x:?}"))
-            .collect();
+        let mut seen: HashSet<ScheduleKey> =
+            ranked.iter().map(|(_, sk, x)| schedule_key(*sk, x)).collect();
         let mut neighbors: Vec<(usize, Vec<f64>)> = Vec::new();
-        for (_, sk, x) in ranked.iter().take(8).cloned().collect::<Vec<_>>() {
-            let program = &task.sketches[sk].program;
+        for (_, sk, x) in ranked.iter().take(8) {
+            let st = &task.sketches[*sk];
             for _ in 0..24 {
-                let nb = felix_cost::mutate_schedule(program, &x, rng, 4);
-                let key = format!("{sk}:{nb:?}");
-                if seen.contains(&key) || task.already_measured(sk, &nb) {
+                let nb = felix_cost::mutate_schedule(&st.program, &st.rounding, x, rng, 4);
+                if task.already_measured(*sk, &nb) || !seen.insert(schedule_key(*sk, &nb)) {
                     continue;
                 }
-                seen.insert(key);
-                neighbors.push((sk, nb));
+                neighbors.push((*sk, nb));
             }
         }
         let nb_scores = score_candidates(task, &packed, threads, &neighbors);
@@ -954,6 +1000,7 @@ mod tests {
             assert_eq!(s.grad_steps, 4 * 40);
             assert!(s.steps_per_sec > 0.0);
             assert!(s.candidates > 0);
+            assert!(0 < s.distinct_candidates && s.distinct_candidates <= s.candidates);
             assert!(s.threads >= 1);
             assert!((0.0..=1.0).contains(&s.penalty_violation_rate));
             assert!((0.0..=1.0).contains(&s.rounding_rejection_rate));
@@ -981,36 +1028,56 @@ mod tests {
         assert_eq!(task.sketch_mode(0), SketchMode::Gradient);
     }
 
-    #[test]
-    fn parallel_search_is_bit_identical_to_serial() {
-        // The determinism guarantee: with the same RNG seed, the proposer
-        // returns byte-for-byte the same candidates, prediction trace, and
-        // simulated clock at every thread count. Batched MLP rows are
-        // bit-identical to scalar calls and all master-RNG draws happen in
-        // a fixed serial order, so this holds exactly, not approximately.
+    /// The determinism guarantee: with the same RNG seed, the proposer
+    /// returns byte-for-byte the same candidates, prediction trace,
+    /// simulated clock and rounding counters at 1, 2 and 4 threads. Batched
+    /// MLP rows are bit-identical to scalar calls, rounding chunks are a
+    /// fixed size, and all master-RNG draws happen in a fixed serial order,
+    /// so this holds exactly, not approximately.
+    fn assert_thread_counts_agree(opts: FelixOptions) {
         let (task, model, _sim) = setup();
         let costs = ClockCosts::default();
         let mut runs = Vec::new();
         for threads in [1, 2, 4] {
-            let mut prop = GradientProposer::new(FelixOptions {
-                threads,
-                ..quick_opts()
-            });
+            let mut prop = GradientProposer::new(FelixOptions { threads, ..opts });
             let mut clock = TuningClock::new();
             let mut rng = StdRng::seed_from_u64(5);
             let cands = prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
             let trace = prop.take_prediction_trace();
-            runs.push((cands, trace, clock.now_s()));
+            let s = prop.take_stats()[0];
+            let counters = (
+                s.candidates,
+                s.distinct_candidates,
+                s.penalty_violation_rate.to_bits(),
+                s.rounding_rejection_rate.to_bits(),
+            );
+            runs.push((cands, trace, clock.now_s(), counters));
         }
-        let (ref_cands, ref_trace, ref_clock) = &runs[0];
-        for (i, (cands, trace, clock_s)) in runs.iter().enumerate().skip(1) {
+        let (ref_cands, ref_trace, ref_clock, ref_counters) = &runs[0];
+        assert!(!ref_cands.is_empty());
+        for (i, (cands, trace, clock_s, counters)) in runs.iter().enumerate().skip(1) {
             assert_eq!(cands, ref_cands, "candidates differ at run {i}");
             assert_eq!(trace.len(), ref_trace.len());
             for (a, b) in trace.iter().zip(ref_trace) {
                 assert_eq!(a.to_bits(), b.to_bits(), "trace not bit-identical");
             }
             assert_eq!(clock_s.to_bits(), ref_clock.to_bits(), "clock differs");
+            assert_eq!(counters, ref_counters, "rounding counters differ at run {i}");
         }
+    }
+
+    #[test]
+    fn parallel_search_is_bit_identical_to_serial() {
+        // 4 × 40 = 160 points: one rounding chunk.
+        assert_thread_counts_agree(quick_opts());
+    }
+
+    #[test]
+    fn parallel_rounding_across_chunks_is_bit_identical_to_serial() {
+        // 8 × 100 = 800 points: three full rounding chunks and a partial one.
+        let opts = FelixOptions { n_seeds: 8, n_steps: 100, ..Default::default() };
+        assert!(opts.n_seeds * opts.n_steps > 3 * ROUND_CHUNK);
+        assert_thread_counts_agree(opts);
     }
 
     #[test]

@@ -14,6 +14,7 @@ use felix_graph::lower::lower_subgraph;
 use felix_graph::{EwKind, Op, Subgraph};
 use felix_sim::vendor::hardware_params;
 use felix_sim::{DeviceConfig, Simulator};
+use felix_tir::sketch::RoundingPlan;
 use felix_tir::Program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,8 +171,9 @@ pub fn generate_dataset(
         for sk in felix_tir::sketch::generate_sketches(&p0, &hw) {
             let mut p = sk.program;
             let fs = extract_features(&mut p);
+            let plan = RoundingPlan::new(&p);
             for _ in 0..schedules_per_workload {
-                let vals = random_schedule(&p, &mut rng, 64);
+                let vals = random_schedule(&p, &plan, &mut rng, 64);
                 let latency = sim.measure(&p, &fs, &vals, &mut rng);
                 samples.push(ingest_sample(&p, &fs, &vals, latency));
             }

@@ -1,7 +1,7 @@
 //! Random valid schedule sampling (rejection sampling, Algorithm 1 line 12).
 
 use felix_expr::factor::factors;
-use felix_tir::sketch::{round_to_valid, SchedVarKind};
+use felix_tir::sketch::{RoundingPlan, SchedVarKind};
 use felix_tir::Program;
 use rand::Rng;
 
@@ -13,12 +13,17 @@ use rand::Rng;
 /// rejection-sampled against the program's constraints. If no draw fully
 /// satisfies the constraints within `max_tries` (possible for awkward prime
 /// extents), the least-violating draw is returned — downstream validity
-/// checks still guard measurement.
-pub fn random_schedule(p: &Program, rng: &mut impl Rng, max_tries: usize) -> Vec<f64> {
+/// checks still guard measurement. `plan` is `p`'s [`RoundingPlan`].
+pub fn random_schedule(
+    p: &Program,
+    plan: &RoundingPlan,
+    rng: &mut impl Rng,
+    max_tries: usize,
+) -> Vec<f64> {
     let mut best: Option<(usize, Vec<f64>)> = None;
     for _ in 0..max_tries {
         let raw = draw(p, rng);
-        let vals = round_to_valid(p, &raw);
+        let vals = plan.round(&raw);
         let violations = p.violated_constraints(&vals, 0.0).len();
         if violations == 0 {
             return vals;
@@ -28,7 +33,7 @@ pub fn random_schedule(p: &Program, rng: &mut impl Rng, max_tries: usize) -> Vec
         }
     }
     best.map(|(_, v)| v)
-        .unwrap_or_else(|| round_to_valid(p, &vec![1.0; p.vars.len()]))
+        .unwrap_or_else(|| plan.round(&vec![1.0; p.vars.len()]))
 }
 
 fn draw(p: &Program, rng: &mut impl Rng) -> Vec<f64> {
@@ -52,9 +57,10 @@ fn draw(p: &Program, rng: &mut impl Rng) -> Vec<f64> {
 /// search). Mirrors Ansor's tile-size mutation: move a prime factor between
 /// two levels of the same axis split (product preserved), or between an
 /// explicit level and the implicit derived outer level; unroll variables
-/// step by a factor of two.
+/// step by a factor of two. `plan` is `p`'s [`RoundingPlan`].
 pub fn mutate_schedule(
     p: &Program,
+    plan: &RoundingPlan,
     vals: &[f64],
     rng: &mut impl Rng,
     max_tries: usize,
@@ -134,7 +140,7 @@ pub fn mutate_schedule(
                 }
             }
         }
-        let rounded = round_to_valid(p, &raw);
+        let rounded = plan.round(&raw);
         if rounded != vals && p.constraints_ok(&rounded, 0.0) {
             return rounded;
         }
@@ -143,9 +149,10 @@ pub fn mutate_schedule(
 }
 
 /// One-point crossover of two valid schedules (per schedule variable),
-/// repaired to validity.
+/// repaired to validity. `plan` is `p`'s [`RoundingPlan`].
 pub fn crossover_schedules(
     p: &Program,
+    plan: &RoundingPlan,
     a: &[f64],
     b: &[f64],
     rng: &mut impl Rng,
@@ -156,7 +163,7 @@ pub fn crossover_schedules(
             raw[sv.var.index()] = b[sv.var.index()];
         }
     }
-    let rounded = round_to_valid(p, &raw);
+    let rounded = plan.round(&raw);
     if p.constraints_ok(&rounded, 0.0) {
         rounded
     } else {
@@ -173,18 +180,20 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn sketch_program() -> Program {
+    fn sketch_program() -> (Program, RoundingPlan) {
         let sg = Subgraph { ops: vec![Op::Dense { m: 512, k: 512, n: 512 }] };
         let p0 = lower_subgraph(&sg);
-        multi_level_tiling_sketch(&p0, &HardwareParams::default()).program
+        let p = multi_level_tiling_sketch(&p0, &HardwareParams::default()).program;
+        let plan = RoundingPlan::new(&p);
+        (p, plan)
     }
 
     #[test]
     fn samples_are_valid() {
-        let p = sketch_program();
+        let (p, plan) = sketch_program();
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..50 {
-            let s = random_schedule(&p, &mut rng, 64);
+            let s = random_schedule(&p, &plan, &mut rng, 64);
             assert!(
                 p.constraints_ok(&s, 0.0),
                 "invalid sample {s:?}: {:?}",
@@ -195,11 +204,11 @@ mod tests {
 
     #[test]
     fn samples_are_diverse() {
-        let p = sketch_program();
+        let (p, plan) = sketch_program();
         let mut rng = StdRng::seed_from_u64(1);
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..40 {
-            let s = random_schedule(&p, &mut rng, 64);
+            let s = random_schedule(&p, &plan, &mut rng, 64);
             distinct.insert(format!("{s:?}"));
         }
         assert!(distinct.len() > 10, "only {} distinct schedules", distinct.len());
@@ -207,12 +216,12 @@ mod tests {
 
     #[test]
     fn mutation_changes_and_stays_valid() {
-        let p = sketch_program();
+        let (p, plan) = sketch_program();
         let mut rng = StdRng::seed_from_u64(2);
-        let base = random_schedule(&p, &mut rng, 64);
+        let base = random_schedule(&p, &plan, &mut rng, 64);
         let mut changed = 0;
         for _ in 0..20 {
-            let m = mutate_schedule(&p, &base, &mut rng, 16);
+            let m = mutate_schedule(&p, &plan, &base, &mut rng, 16);
             assert!(p.constraints_ok(&m, 0.0));
             if m != base {
                 changed += 1;
@@ -223,12 +232,12 @@ mod tests {
 
     #[test]
     fn crossover_stays_valid() {
-        let p = sketch_program();
+        let (p, plan) = sketch_program();
         let mut rng = StdRng::seed_from_u64(3);
-        let a = random_schedule(&p, &mut rng, 64);
-        let b = random_schedule(&p, &mut rng, 64);
+        let a = random_schedule(&p, &plan, &mut rng, 64);
+        let b = random_schedule(&p, &plan, &mut rng, 64);
         for _ in 0..20 {
-            let c = crossover_schedules(&p, &a, &b, &mut rng);
+            let c = crossover_schedules(&p, &plan, &a, &b, &mut rng);
             assert!(p.constraints_ok(&c, 0.0));
         }
     }

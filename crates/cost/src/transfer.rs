@@ -242,8 +242,9 @@ mod tests {
             if let Some(sk) = generate_sketches(&p0, &hw).into_iter().next() {
                 let mut p = sk.program;
                 let fs = extract_features(&mut p);
+                let plan = felix_tir::sketch::RoundingPlan::new(&p);
                 for i in 0..per_sketch {
-                    let vals = random_schedule(&p, &mut rng, 64);
+                    let vals = random_schedule(&p, &plan, &mut rng, 64);
                     let latency = sim.measure(&p, &fs, &vals, &mut rng);
                     log.append(&TuningRecord {
                         task_key: key,

@@ -153,48 +153,121 @@ fn fresh_unroll_var(p: &mut Program, name: String, max: i64) -> ExprId {
 ///
 /// `raw` is indexed by [`felix_expr::VarId`]; entries for non-schedule
 /// variables are passed through unchanged.
+///
+/// Builds a [`RoundingPlan`] per call; callers rounding many points of one
+/// program build the plan once and call [`RoundingPlan::round`].
 pub fn round_to_valid(program: &Program, raw: &[f64]) -> Vec<f64> {
-    use felix_expr::factor::{round_split, round_to_factor};
-    let mut out = raw.to_vec();
-    // Group split variables by (stage, axis).
-    let mut groups: std::collections::BTreeMap<(usize, u32), Vec<(u32, VarId)>> =
-        std::collections::BTreeMap::new();
-    for sv in &program.sched_vars {
-        match sv.kind {
-            SchedVarKind::Split { stage, axis, level, .. } => {
-                groups.entry((stage, axis.0)).or_default().push((level, sv.var));
-            }
-            SchedVarKind::Unroll { max } => {
-                let x = raw[sv.var.index()].max(1.0);
-                let mut pow2 = 1i64;
-                let mut best = 1i64;
-                let mut best_d = f64::INFINITY;
-                while pow2 <= max {
-                    let d = ((pow2 as f64).ln() - x.ln()).abs();
-                    if d < best_d {
-                        best_d = d;
-                        best = pow2;
-                    }
-                    pow2 *= 2;
+    RoundingPlan::new(program).round(raw)
+}
+
+/// Candidates of one rounding decision: each value with its `ln`, ascending.
+type LogLattice = Vec<(u64, f64)>;
+
+/// The split variables of one `(stage, axis)`: their indices in level order
+/// and every factor of the axis extent with its `ln`, ascending.
+#[derive(Clone, Debug)]
+struct SplitGroup {
+    vars: Vec<usize>,
+    factors: LogLattice,
+}
+
+/// Everything [`round_to_valid`] derives from the program alone, computed
+/// once: split groups in `(stage, axis)` order with their factor lattices,
+/// and each unroll variable's powers of two. Rounding a point is then one
+/// pass of compares against precomputed logarithms.
+#[derive(Clone, Debug)]
+pub struct RoundingPlan {
+    splits: Vec<SplitGroup>,
+    unrolls: Vec<(usize, LogLattice)>,
+}
+
+impl RoundingPlan {
+    /// The plan of `program`'s schedule variables.
+    pub fn new(program: &Program) -> Self {
+        let mut groups: std::collections::BTreeMap<(usize, u32), Vec<(u32, usize)>> =
+            std::collections::BTreeMap::new();
+        let mut unrolls = Vec::new();
+        for sv in &program.sched_vars {
+            match sv.kind {
+                SchedVarKind::Split { stage, axis, level, .. } => {
+                    groups.entry((stage, axis.0)).or_default().push((level, sv.var.index()));
                 }
-                out[sv.var.index()] = best as f64;
+                SchedVarKind::Unroll { max } => {
+                    let pows = std::iter::successors(Some(1i64), |p| p.checked_mul(2))
+                        .take_while(|&p| p <= max)
+                        .map(|p| (p as u64, (p as f64).ln()))
+                        .collect();
+                    unrolls.push((sv.var.index(), pows));
+                }
+            }
+        }
+        let splits = groups
+            .into_iter()
+            .map(|((stage, axis), mut vars)| {
+                vars.sort_by_key(|&(level, _)| level);
+                let extent = program.stages[stage].axis(crate::AxisId(axis)).extent as u64;
+                SplitGroup {
+                    vars: vars.into_iter().map(|(_, v)| v).collect(),
+                    factors: felix_expr::factor::factors(extent.max(1))
+                        .into_iter()
+                        .map(|f| (f, (f as f64).ln()))
+                        .collect(),
+                }
+            })
+            .collect();
+        RoundingPlan { splits, unrolls }
+    }
+
+    /// [`round_to_valid`] of `raw` under this plan's program.
+    pub fn round(&self, raw: &[f64]) -> Vec<f64> {
+        let mut out = raw.to_vec();
+        self.round_in_place(&mut out);
+        out
+    }
+
+    /// [`RoundingPlan::round`] overwriting `vals`: each schedule variable's
+    /// raw value is read before it is written, so rounding in place is the
+    /// same as rounding a copy.
+    pub fn round_in_place(&self, vals: &mut [f64]) {
+        for (v, pows) in &self.unrolls {
+            let lx = vals[*v].max(1.0).ln();
+            vals[*v] = nearest_in_log(pows.iter().copied(), lx) as f64;
+        }
+        for group in &self.splits {
+            // Greedy in level order (`felix_expr::factor::round_split`):
+            // each level takes the factor of the remaining quotient nearest
+            // in log space; the factors of `rem` are exactly the extent's
+            // factors dividing it, in the same ascending order.
+            let mut rem = group.factors.last().map_or(1, |&(f, _)| f);
+            for &v in &group.vars {
+                let x = vals[v];
+                let f = if !x.is_finite() || x <= 1.0 {
+                    1
+                } else {
+                    let fits = group.factors.iter().copied().filter(|&(f, _)| rem % f == 0);
+                    nearest_in_log(fits, x.ln())
+                };
+                vals[v] = f as f64;
+                rem /= f;
             }
         }
     }
-    for ((stage, axis), mut vars) in groups {
-        vars.sort_by_key(|&(level, _)| level);
-        let extent = program.stages[stage].axis(crate::AxisId(axis)).extent as u64;
-        let cands: Vec<f64> = vars.iter().map(|&(_, v)| raw[v.index()]).collect();
-        if vars.len() == 1 {
-            out[vars[0].1.index()] = round_to_factor(extent, cands[0]) as f64;
-        } else {
-            let rounded = round_split(extent, &cands);
-            for (&(_, v), r) in vars.iter().zip(rounded) {
-                out[v.index()] = r as f64;
-            }
+}
+
+/// The first candidate whose `ln` is nearest `lx` (strict `<`, so ties keep
+/// the smaller value); 1 when there is no candidate or every distance is
+/// non-finite.
+fn nearest_in_log(cands: impl Iterator<Item = (u64, f64)>, lx: f64) -> u64 {
+    let mut best = 1;
+    let mut best_d = f64::INFINITY;
+    for (c, lc) in cands {
+        let d = (lc - lx).abs();
+        if d < best_d {
+            best_d = d;
+            best = c;
         }
     }
-    out
+    best
 }
 
 /// Index of the anchor stage: the compute stage with the most work.
@@ -812,8 +885,8 @@ mod tests {
     #[test]
     fn single_split_rounds_to_log_space_nearest_factor() {
         // The k axis of the tiling sketch has exactly one split variable
-        // (var index 6, extent 96 here), so its rounding is a direct
-        // round_to_factor call; check it against a brute-force search for
+        // (var index 6, extent 96 here), so its rounding is one search over
+        // the extent's factors; check it against a brute-force search for
         // the factor nearest in log space.
         let p = dense(512, 384, 96);
         let s = multi_level_tiling_sketch(&p, &HardwareParams::default());

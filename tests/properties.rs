@@ -11,7 +11,7 @@ use felix_repro::features::extract_features;
 use felix_repro::graph::lower::lower_subgraph;
 use felix_repro::graph::{Op, Subgraph};
 use felix_repro::sim::{DeviceConfig, Simulator};
-use felix_repro::tir::sketch::{generate_sketches, round_to_valid, HardwareParams};
+use felix_repro::tir::sketch::{generate_sketches, round_to_valid, HardwareParams, RoundingPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -159,7 +159,8 @@ fn random_schedules_are_valid_and_measurable() {
         for sk in generate_sketches(&p0, &hw) {
             let mut program = sk.program;
             let fs = extract_features(&mut program);
-            let vals = random_schedule(&program, &mut rng, 256);
+            let plan = RoundingPlan::new(&program);
+            let vals = random_schedule(&program, &plan, &mut rng, 256);
             // Awkward (e.g. prime) extents may admit no fully-valid
             // schedule within the sampling budget; the sampler then returns
             // its least-violating draw and the tuner's own validity check
@@ -219,7 +220,7 @@ fn simulator_is_deterministic_across_calls() {
     for sk in generate_sketches(&p0, &hw) {
         let mut program = sk.program;
         let fs = extract_features(&mut program);
-        let vals = random_schedule(&program, &mut rng, 64);
+        let vals = random_schedule(&program, &RoundingPlan::new(&program), &mut rng, 64);
         let a = sim.latency_ms(&program, &fs, &vals);
         let b = sim.latency_ms(&program, &fs, &vals);
         assert_eq!(a, b);
