@@ -13,6 +13,7 @@ pub mod evolution;
 pub use evolution::EvolutionaryProposer;
 
 use felix_cost::{fine_tune, ingest_sample, Mlp, Sample};
+use felix_expr::CompiledGradTape;
 use felix_features::{extract_features, FeatureSet};
 use felix_graph::lower::lower_subgraph;
 use felix_graph::Task;
@@ -34,8 +35,9 @@ pub struct SketchState {
     pub program: Program,
     /// The 82 feature formulas over this sketch's schedule variables.
     pub features: FeatureSet,
-    /// Tape-compiled feature evaluator (hot path of candidate scoring).
-    pub compiled: felix_expr::CompiledExprs,
+    /// The feature formulas compiled to a tape (hot path of candidate
+    /// scoring; only its forward sweep runs here).
+    pub tape: CompiledGradTape,
     /// The program's rounding plan: every relaxed point a proposer rounds
     /// back to a valid schedule goes through it.
     pub rounding: RoundingPlan,
@@ -45,7 +47,9 @@ impl SketchState {
     /// Raw feature values of a concrete schedule via the compiled tape
     /// (identical to `features.eval`, minus the full-pool walk).
     pub fn eval_features(&self, values: &[f64], scratch: &mut Vec<f64>) -> Vec<f64> {
-        self.compiled.eval_into(values, scratch)
+        let mut out = Vec::with_capacity(self.tape.n_roots());
+        self.eval_features_into(values, scratch, &mut out);
+        out
     }
 
     /// [`SketchState::eval_features`] into a caller-owned output buffer
@@ -57,7 +61,8 @@ impl SketchState {
         scratch: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) {
-        self.compiled.eval_write(values, scratch, out);
+        self.tape.forward(values, scratch);
+        self.tape.write_roots(scratch, 1, 0, out);
     }
 }
 
@@ -229,10 +234,9 @@ impl SearchTask {
             .map(|sk| {
                 let mut program = sk.program;
                 let features = extract_features(&mut program);
-                let compiled =
-                    felix_expr::CompiledExprs::compile(&program.pool, &features.exprs);
+                let tape = CompiledGradTape::compile(&program.pool, &features.exprs);
                 let rounding = RoundingPlan::new(&program);
-                SketchState { name: sk.name, program, features, compiled, rounding }
+                SketchState { name: sk.name, program, features, tape, rounding }
             })
             .collect();
         let n_sketches = sketches.len();
@@ -275,8 +279,8 @@ impl SearchTask {
     /// Whether `(sketch, vals)` is a valid schedule of this task: the
     /// sketch exists, `vals` assigns each of its variables, and the
     /// assignment satisfies its constraints. The one check a schedule
-    /// passes before it is measured, recorded from a config file or a
-    /// schedule store, or descended from as a warm hint —
+    /// passes before it is measured, recorded from a schedule store, or
+    /// descended from as a warm hint —
     /// `Program::constraints_ok` alone panics on a short slice.
     pub fn fits(&self, sketch: usize, vals: &[f64]) -> bool {
         self.shaped_for(sketch, vals) && self.sketches[sketch].program.constraints_ok(vals, 1e-9)

@@ -162,9 +162,12 @@ impl Optimizer {
     ///   the cached optimum while leaving every RNG substream untouched;
     /// - tuning rounds publish each task's incumbent back to the store.
     ///
-    /// Entries written by a different sketch-generator version (a stale
-    /// fingerprint — see `felix_tir::sketch::generator_hash`) are rejected
-    /// as clean misses and counted, never served.
+    /// The store is Fig. 5's `save_res` / `configs_file` pair: a later
+    /// optimizer attached to the same file compiles the saved schedules
+    /// without re-tuning. Entries written by a different sketch-generator
+    /// version (a stale fingerprint — see
+    /// `felix_tir::sketch::generator_hash`) are rejected as clean misses and
+    /// counted, never served.
     ///
     /// The hit, warm-start and stale counts live on the cache itself
     /// ([`Optimizer::schedule_cache`]).
@@ -487,79 +490,6 @@ pub struct CompiledModule {
     pub kernels: Vec<CompiledKernel>,
 }
 
-impl Optimizer {
-    /// Saves the best configurations found so far in a simple line format
-    /// (the `save_res="resnet50.json"` step of Fig. 5).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn save_configs<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "# felix tuned configs for {}", self.sim.device.name)?;
-        for t in &self.tasks {
-            if let Some((sketch, vals)) = &t.best_schedule {
-                let vals: Vec<String> = vals.iter().map(|v| format!("{v}")).collect();
-                writeln!(
-                    w,
-                    "{}\t{}\t{}\t{}\t{}",
-                    t.name,
-                    t.weight,
-                    sketch,
-                    t.best_latency_ms,
-                    vals.join(",")
-                )?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Restores best configurations saved by [`Optimizer::save_configs`]
-    /// into matching tasks (by name), enabling
-    /// `compile_with_best_configs` without re-tuning (the
-    /// `configs_file="resnet50.json"` step of Fig. 5).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unreadable input or malformed lines.
-    pub fn load_configs<R: std::io::BufRead>(&mut self, r: R) -> std::io::Result<usize> {
-        use std::io::{Error, ErrorKind};
-        let mut loaded = 0;
-        for line in r.lines() {
-            let line = line?;
-            if line.starts_with('#') || line.trim().is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = line.split('\t').collect();
-            if parts.len() != 5 {
-                return Err(Error::new(ErrorKind::InvalidData, "malformed config line"));
-            }
-            fn bad<E>(_: E) -> Error {
-                Error::new(ErrorKind::InvalidData, "malformed number")
-            }
-            let sketch: usize = parts[2].parse().map_err(bad)?;
-            let latency: f64 = parts[3].parse().map_err(bad)?;
-            let vals: Vec<f64> = parts[4]
-                .split(',')
-                .map(|v| v.parse().map_err(bad))
-                .collect::<Result<_, _>>()?;
-            // Display names can collide (e.g. two dense layers differing
-            // only in the reduction size); fill un-restored tasks first.
-            let target = self
-                .tasks
-                .iter_mut()
-                .filter(|t| t.name == parts[0])
-                .min_by_key(|t| t.best_schedule.is_some());
-            if let Some(t) = target {
-                if t.fits(sketch, &vals) {
-                    t.record(sketch, vals, latency);
-                    loaded += 1;
-                }
-            }
-        }
-        Ok(loaded)
-    }
-}
-
 impl CompiledModule {
     /// End-to-end latency estimate in milliseconds.
     pub fn latency_ms(&self) -> f64 {
@@ -625,55 +555,6 @@ mod tests {
         // One stats record per proposer round, drained from the proposer.
         assert_eq!(opt.stats.len(), n_tasks + 2);
         assert!(opt.stats.iter().all(|s| s.grad_steps > 0 && s.threads >= 1));
-    }
-
-    #[test]
-    fn configs_save_and_load_round_trip() {
-        let device = DeviceConfig::a5000();
-        let dnn = models::llama_with_config(1, 16, 128, 4, 344, 2);
-        let cost_model = pretrained_cost_model(&device, ModelQuality::Fast);
-        let mut opt = Optimizer::with_options(
-            extract_subgraphs(&dnn),
-            cost_model.clone(),
-            device,
-            FelixOptions { n_seeds: 2, n_steps: 15, ..Default::default() },
-        );
-        let n_tasks = opt.tasks().len();
-        opt.optimize_all(n_tasks * 2, 4);
-        let tuned = opt
-            .tasks()
-            .iter()
-            .filter(|t| t.best_schedule.is_some())
-            .count();
-        assert_eq!(tuned, n_tasks, "every task measured at least once");
-        let mut buf = Vec::new();
-        opt.save_configs(&mut buf).expect("save");
-        // A fresh optimizer (no tuning) restores the configs and compiles.
-        let mut fresh = Optimizer::new(extract_subgraphs(&dnn), cost_model, device);
-        let loaded = fresh.load_configs(std::io::BufReader::new(buf.as_slice())).expect("load");
-        assert_eq!(loaded, n_tasks);
-        let module = fresh.compile_with_best_configs();
-        assert_eq!(module.kernels.len(), n_tasks);
-        assert!((module.latency_ms() - opt.compile_with_best_configs().latency_ms()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn load_configs_rejects_garbage() {
-        let device = DeviceConfig::a5000();
-        let dnn = models::dcgan(1);
-        let cost_model = pretrained_cost_model(&device, ModelQuality::Fast);
-        let mut opt = Optimizer::new(extract_subgraphs(&dnn), cost_model, device);
-        let err = opt.load_configs(std::io::BufReader::new(&b"bad line without tabs\n"[..]));
-        assert!(err.is_err());
-        // Comments and blank lines are fine.
-        let ok = opt.load_configs(std::io::BufReader::new(&b"# comment\n\n"[..]));
-        assert_eq!(ok.expect("comments ok"), 0);
-        // A well-formed line naming a real task and sketch, but with fewer
-        // values than the sketch has variables, is skipped, not evaluated.
-        let short = format!("{}\t1\t0\t1.5\t2\n", opt.tasks()[0].name);
-        let loaded = opt.load_configs(std::io::BufReader::new(short.as_bytes()));
-        assert_eq!(loaded.expect("short line is not an error"), 0);
-        assert!(opt.tasks()[0].best_schedule.is_none());
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!   (same workload key and device). The schedule is validated against the
 //!   live task's sketches and, if sound, recorded as a measurement —
 //!   serving a tuned schedule in microseconds with *zero* measurement
-//!   budget, RNG draws, or clock advancement (the same pure-state path
-//!   [`crate::Optimizer::load_configs`] uses).
+//!   budget, RNG draws, or clock advancement.
 //! - **Structural near-miss** — no exact entry, but some entry on the same
 //!   device shares the task's [`structure_hash`] (same sketch names and
 //!   variable counts — the same operator class at different extents). Its

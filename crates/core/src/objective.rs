@@ -308,7 +308,7 @@ impl SketchObjective {
     }
 
     /// Full pool-walking `cost_and_grad`: the reference oracle the tape
-    /// path is checked against (tests, `tuner_bench` equivalence asserts).
+    /// path is checked against (`tape_oracle.rs` and the unit tests).
     pub fn cost_and_grad_pool(
         &self,
         model: &Mlp,

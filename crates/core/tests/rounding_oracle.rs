@@ -1,6 +1,7 @@
 //! The rounding plan against the rounding it replaced, over every distinct
 //! sketch of the six batch-1 networks: `RoundingPlan::round` must reproduce
-//! the plan-free `round_to_valid` (kept below as the reference) bit for bit.
+//! the plan-free `round_to_valid` (kept below as the reference, with the
+//! factor-rounding helpers it was built on) bit for bit.
 //! Raw values mix seeded log-uniform draws with the edge cases: NaN, ±∞,
 //! zero, negatives, values at or below 1, 1e12, exact factors, and the
 //! geometric midpoints between two factors, where the strict-`<` tie rule
@@ -8,7 +9,7 @@
 
 use felix::extract_subgraphs;
 use felix_ansor::SearchTask;
-use felix_expr::factor::{factors, round_split, round_to_factor};
+use felix_expr::factor::factors;
 use felix_graph::models::all_models;
 use felix_sim::{DeviceConfig, Simulator};
 use felix_tir::sketch::{round_to_valid, SchedVarKind};
@@ -19,6 +20,38 @@ use std::collections::{BTreeMap, HashSet};
 
 /// Raw vectors rounded per sketch.
 const TRIALS: usize = 64;
+
+/// Rounds a real candidate `x` to the factor of `n` nearest in log space;
+/// non-finite candidates and candidates at or below 1 round to 1.
+fn round_to_factor(n: u64, x: f64) -> u64 {
+    if !x.is_finite() || x <= 1.0 {
+        return 1;
+    }
+    let lx = x.ln();
+    let mut best = 1u64;
+    let mut best_d = f64::INFINITY;
+    for f in factors(n) {
+        let d = ((f as f64).ln() - lx).abs();
+        if d < best_d {
+            best_d = d;
+            best = f;
+        }
+    }
+    best
+}
+
+/// Splits extent `n` greedily from the first candidate on: each level takes
+/// the factor of the remaining quotient nearest its candidate.
+fn round_split(n: u64, candidates: &[f64]) -> Vec<u64> {
+    let mut rem = n.max(1);
+    let mut out = Vec::with_capacity(candidates.len());
+    for &c in candidates {
+        let f = round_to_factor(rem, c);
+        out.push(f);
+        rem /= f;
+    }
+    out
+}
 
 /// `round_to_valid` as it was before the rounding plan existed.
 fn reference_round(program: &Program, raw: &[f64]) -> Vec<f64> {

@@ -31,10 +31,10 @@ pub struct Sample {
 /// Recomputes the training sample of one measured schedule: evaluate the
 /// closed-form features at `values`, log-transform them, and convert the
 /// latency to the score target. This is the **single** ingestion routine
-/// shared by live measurement, checkpoint restore, record-log replay,
-/// transfer-dataset building, and synthetic dataset generation — features
-/// are pure functions of the schedule values, so every caller reproduces
-/// the same sample bit for bit from the same `(values, latency)` pair.
+/// shared by live measurement, checkpoint restore, record-log replay and
+/// synthetic dataset generation — features are pure functions of the
+/// schedule values, so every caller reproduces the same sample bit for bit
+/// from the same `(values, latency)` pair.
 pub fn ingest_sample(
     program: &Program,
     features: &FeatureSet,

@@ -14,15 +14,11 @@
 pub mod dataset;
 pub mod sampling;
 pub mod trainer;
-pub mod transfer;
 
 pub use dataset::{generate_dataset, ingest_sample, Dataset, Sample};
 pub use sampling::{crossover_schedules, mutate_schedule, random_schedule};
 pub use trainer::{
     fine_tune, finite_sample_indices, nonfinite_sample_count, pretrain, TrainConfig,
-};
-pub use transfer::{
-    pretrain_transfer, TransferBuilder, TransferDataset, TransferStats, TRANSFER_INIT_SEED,
 };
 
 use felix_features::FEATURE_COUNT;

@@ -134,21 +134,6 @@ fn run_epochs(
     epoch_losses
 }
 
-/// Mean-squared error of the model on a sample set.
-pub fn evaluate_mse(mlp: &Mlp, samples: &[Sample]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples
-        .iter()
-        .map(|s| {
-            let p = mlp.predict(&s.logfeats);
-            (p - s.score).powi(2)
-        })
-        .sum::<f64>()
-        / samples.len() as f64
-}
-
 /// Spearman-style rank correlation between predictions and targets — the
 /// metric that matters for search (ordering schedules correctly).
 pub fn rank_correlation(mlp: &Mlp, samples: &[Sample]) -> f64 {

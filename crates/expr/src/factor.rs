@@ -1,9 +1,10 @@
-//! Integer factor utilities for schedule rounding (paper §3.3).
+//! Integer factors for schedule rounding (paper §3.3).
 //!
 //! Tile sizes carry divisibility constraints `N mod x = 0`. After gradient
 //! descent in `y = ln x` space, Felix rounds `y` to the nearest `ln N_i`
 //! where `N_i` ranges over the factors of `N`, rather than rounding `x` to
-//! the nearest integer.
+//! the nearest integer (`felix_tir::sketch::RoundingPlan` does the
+//! rounding).
 
 /// All positive factors of `n`, sorted ascending.
 ///
@@ -29,50 +30,6 @@ pub fn factors(n: u64) -> Vec<u64> {
     small
 }
 
-/// Rounds a real candidate `x` to the factor of `n` nearest in log space.
-///
-/// Non-finite or non-positive candidates round to 1.
-pub fn round_to_factor(n: u64, x: f64) -> u64 {
-    if !x.is_finite() || x <= 1.0 {
-        return 1;
-    }
-    let lx = x.ln();
-    let mut best = 1u64;
-    let mut best_d = f64::INFINITY;
-    for f in factors(n) {
-        let d = ((f as f64).ln() - lx).abs();
-        if d < best_d {
-            best_d = d;
-            best = f;
-        }
-    }
-    best
-}
-
-/// Rounds a log-space candidate `y` to the nearest `ln N_i` (factor of `n`),
-/// returning the factor. This is the exact operation from paper §3.3.
-pub fn round_log_to_factor(n: u64, y: f64) -> u64 {
-    round_to_factor(n, y.exp())
-}
-
-/// Splits extent `n` into `levels` factors whose product divides `n`, each
-/// rounded from the real-valued candidates, greedily from the innermost
-/// level outwards. Returns one factor per candidate; the quotient
-/// `n / Π factors` is what remains for the outermost (derived) level.
-///
-/// Greedy rounding per level keeps each level a factor of the *remaining*
-/// quotient so the whole split stays valid.
-pub fn round_split(n: u64, candidates: &[f64]) -> Vec<u64> {
-    let mut rem = n.max(1);
-    let mut out = Vec::with_capacity(candidates.len());
-    for &c in candidates {
-        let f = round_to_factor(rem, c);
-        out.push(f);
-        rem /= f;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,44 +52,5 @@ mod tests {
     #[test]
     fn factors_of_square() {
         assert_eq!(factors(36), vec![1, 2, 3, 4, 6, 9, 12, 18, 36]);
-    }
-
-    #[test]
-    fn round_prefers_log_distance() {
-        // For n=1024, x=3.0: ln 3 ≈ 1.10 is closer to ln 4 ≈ 1.39 than to
-        // ln 2 ≈ 0.69? |1.10-1.39| = 0.29 < |1.10-0.69| = 0.41, so 4.
-        assert_eq!(round_to_factor(1024, 3.0), 4);
-        assert_eq!(round_to_factor(1024, 2.7), 2);
-    }
-
-    #[test]
-    fn round_clamps_degenerate() {
-        assert_eq!(round_to_factor(64, -3.0), 1);
-        assert_eq!(round_to_factor(64, f64::NAN), 1);
-        assert_eq!(round_to_factor(64, 0.5), 1);
-        assert_eq!(round_to_factor(64, 1e12), 64);
-    }
-
-    #[test]
-    fn round_log_space() {
-        assert_eq!(round_log_to_factor(1024, (8.0f64).ln()), 8);
-        assert_eq!(round_log_to_factor(1024, 0.0), 1);
-    }
-
-    #[test]
-    fn round_split_product_divides() {
-        for n in [60u64, 1024, 96, 7, 230] {
-            let cands = [3.3, 2.1, 4.9];
-            let split = round_split(n, &cands);
-            let prod: u64 = split.iter().product();
-            assert_eq!(n % prod, 0, "split {split:?} of {n} must divide");
-        }
-    }
-
-    #[test]
-    fn round_split_respects_remaining_quotient() {
-        // n = 8, candidates ~ [8, 8]: first level takes 8, second must be 1.
-        let split = round_split(8, &[8.0, 8.0]);
-        assert_eq!(split, vec![8, 1]);
     }
 }

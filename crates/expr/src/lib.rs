@@ -34,7 +34,6 @@
 //! ```
 
 pub mod autodiff;
-pub mod compile;
 pub mod display;
 pub mod factor;
 pub mod rewrite;
@@ -43,10 +42,9 @@ pub mod subst;
 pub mod tape;
 
 pub use autodiff::{GradError, Gradients};
-pub use compile::CompiledExprs;
 pub use tape::CompiledGradTape;
 pub use display::DisplayExpr;
-pub use factor::{factors, round_to_factor};
+pub use factor::factors;
 pub use smooth::{is_smooth, smooth_all, smooth_expr};
 pub use subst::substitute;
 
@@ -466,14 +464,6 @@ impl ExprPool {
             acc = self.add(acc, x);
         }
         acc
-    }
-
-    /// `a / b` in the symbolic, divisibility-guaranteed setting.
-    ///
-    /// Schedule rounding guarantees tile products divide loop extents (paper
-    /// §3.3), so the symbolic form never needs a true ceiling division.
-    pub fn ceil_div(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        self.div(a, b)
     }
 
     /// Evaluates the value of *every* node given variable values indexed by

@@ -966,11 +966,16 @@ mod tests {
     fn forward_matches_pool_bitwise() {
         let (p, roots, _) = example_pool();
         let tape = CompiledGradTape::compile(&p, &roots);
+        // One scratch and one output buffer across every point, as feature
+        // scoring loops reuse them: `write_roots` must clear stale roots.
+        let (mut vals, mut out) = (Vec::new(), Vec::new());
         for at in [[2.0, 3.0], [0.5, 7.0], [9.0, 0.25]] {
             let full = p.eval_all(&at);
-            let fast = tape.eval(&at);
+            tape.forward(&at, &mut vals);
+            tape.write_roots(&vals, 1, 0, &mut out);
+            assert_eq!(out.len(), roots.len());
             for (k, &r) in roots.iter().enumerate() {
-                assert_eq!(fast[k].to_bits(), full[r.index()].to_bits());
+                assert_eq!(out[k].to_bits(), full[r.index()].to_bits());
             }
         }
     }
@@ -1075,7 +1080,7 @@ mod tests {
     }
 
     #[test]
-    fn dce_drops_rewrite_debris() {
+    fn dce_and_cse_shrink_the_tape() {
         let mut vars = VarTable::new();
         let vx = vars.fresh("x");
         let mut p = ExprPool::new();
@@ -1091,6 +1096,14 @@ mod tests {
         assert_eq!(tape.source_nodes(), tape.len());
         assert!(p.len() > 200);
         assert_eq!(tape.eval(&[3.0]), vec![9.0]);
+
+        // A subterm shared by two roots is one instruction: x, exp, add,
+        // mul.
+        let e = p.exp(x);
+        let (a, b) = (p.add(e, e), p.mul(e, e));
+        let tape = CompiledGradTape::compile(&p, &[a, b]);
+        assert_eq!(tape.len(), 4);
+        assert_eq!(tape.eval(&[0.0]), vec![2.0, 1.0]);
     }
 
     #[test]

@@ -313,16 +313,6 @@ impl JobWal {
         self.log.append(&record.to_json())
     }
 
-    /// Reads every intact record currently in the WAL (see
-    /// [`read_job_records`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from reading the file.
-    pub fn read_records(&self) -> std::io::Result<Vec<JobRecord>> {
-        read_job_records(self.log.path())
-    }
-
     /// Atomically rewrites the WAL to the canonical record sequence of
     /// `state` (see [`QueueState::canonical_records`]): a reader (or a
     /// crash) concurrent with the compaction sees either the old log or
@@ -817,10 +807,10 @@ mod tests {
         for r in lifecycle_records() {
             wal.append(&r).expect("append");
         }
-        let state = QueueState::replay(&wal.read_records().expect("read"));
+        let state = QueueState::replay(&read_job_records(&path).expect("read"));
         wal.compact(&state).expect("compact");
         let once = std::fs::read(&path).expect("read");
-        let state = QueueState::replay(&wal.read_records().expect("read"));
+        let state = QueueState::replay(&read_job_records(&path).expect("read"));
         wal.compact(&state).expect("compact again");
         assert_eq!(std::fs::read(&path).expect("read"), once, "second compact is a no-op");
         std::fs::remove_file(&path).ok();

@@ -253,9 +253,9 @@ pub fn task_key(workload_key: &str, device_name: &str) -> u64 {
 ///
 /// Every append reaches the OS before it returns, so an interrupted run
 /// loses at most the line being written when the process died.
-/// [`RecordLog::read_records`] tolerates exactly that failure mode: a record
-/// counts only if its line is newline-terminated and parses, so a truncated
-/// tail is skipped silently and every intact record before it is recovered.
+/// [`read_all_records`] tolerates exactly that failure mode: a record counts
+/// only if its line is newline-terminated and parses, so a truncated tail is
+/// skipped silently and every intact record before it is recovered.
 #[derive(Debug)]
 pub struct RecordLog {
     log: Log,
@@ -295,40 +295,13 @@ impl RecordLog {
     pub fn append_health(&mut self, record: &HealthRecord) -> std::io::Result<()> {
         self.log.append(&record.to_json())
     }
-
-    /// Reads every intact record currently in the log (including records
-    /// appended by earlier processes). A truncated or corrupt tail is
-    /// ignored; corruption *before* intact records (torn middle lines from
-    /// e.g. concurrent writers) is skipped line-wise the same way.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from reading the file.
-    pub fn read_records(&self) -> std::io::Result<Vec<TuningRecord>> {
-        read_records(self.log.path())
-    }
-}
-
-/// Reads the intact records of a JSONL log at `path` (see
-/// [`RecordLog::read_records`]). A missing file reads as an empty log.
-///
-/// # Errors
-///
-/// Returns I/O errors other than the file not existing.
-pub fn read_records(path: impl AsRef<Path>) -> std::io::Result<Vec<TuningRecord>> {
-    Ok(read_all_records(path)?
-        .into_iter()
-        .filter_map(|r| match r {
-            Record::Measurement(m) => Some(m),
-            Record::Health(_) => None,
-        })
-        .collect())
 }
 
 /// Reads every intact line of a mixed log at `path` — measurements and
-/// health reports, in append order. A missing file reads as an empty log;
-/// torn, corrupt, or unknown-kind lines are skipped exactly like in
-/// [`read_records`].
+/// health reports, in append order, including lines appended by earlier
+/// processes. A missing file reads as an empty log. A truncated or corrupt
+/// tail is ignored; torn middle lines (e.g. from concurrent writers) and
+/// unknown-kind lines are skipped line-wise the same way.
 ///
 /// # Errors
 ///
@@ -405,12 +378,13 @@ mod tests {
         for r in &records {
             log.append(r).expect("append");
         }
-        assert_eq!(log.read_records().expect("read"), records);
+        let want: Vec<Record> = records.into_iter().map(Record::Measurement).collect();
+        assert_eq!(read_all_records(&path).expect("read"), want);
         // Reopening appends rather than truncating.
         drop(log);
         let mut log = RecordLog::open(&path).expect("reopen");
         log.append(&sample_record(10)).expect("append");
-        assert_eq!(read_records(&path).expect("read").len(), 11);
+        assert_eq!(read_all_records(&path).expect("read").len(), 11);
         std::fs::remove_file(&path).ok();
     }
 
@@ -423,7 +397,9 @@ mod tests {
         rec.outcome = RecordOutcome::Ok(noisy);
         rec.time_s = 0.1 + 0.2; // classic non-representable sum
         log.append(&rec).expect("append");
-        let back = log.read_records().expect("read").remove(0);
+        let Record::Measurement(back) = read_all_records(&path).expect("read").remove(0) else {
+            panic!("measurement record")
+        };
         let RecordOutcome::Ok(l) = back.outcome else { panic!("ok record") };
         assert_eq!(l.to_bits(), noisy.to_bits());
         assert_eq!(back.time_s.to_bits(), rec.time_s.to_bits());
@@ -432,7 +408,7 @@ mod tests {
 
     #[test]
     fn missing_log_reads_empty() {
-        assert!(read_records(tmp_path("missing")).expect("read").is_empty());
+        assert!(read_all_records(tmp_path("missing")).expect("read").is_empty());
     }
 
     fn sample_health(round: usize) -> HealthRecord {
@@ -474,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_log_preserves_append_order_and_filters_by_kind() {
+    fn mixed_log_preserves_append_order() {
         let path = tmp_path("mixed");
         let mut log = RecordLog::open(&path).expect("open");
         log.append(&sample_record(1)).expect("append");
@@ -488,12 +464,6 @@ mod tests {
                 Record::Health(sample_health(0)),
                 Record::Measurement(sample_record(2)),
             ]
-        );
-        // The measurement-only reader (pre-health callers) skips health
-        // lines instead of choking on them.
-        assert_eq!(
-            read_records(&path).expect("read"),
-            vec![sample_record(1), sample_record(2)]
         );
         std::fs::remove_file(&path).ok();
     }

@@ -234,10 +234,10 @@ impl RoundingPlan {
             vals[*v] = nearest_in_log(pows.iter().copied(), lx) as f64;
         }
         for group in &self.splits {
-            // Greedy in level order (`felix_expr::factor::round_split`):
-            // each level takes the factor of the remaining quotient nearest
-            // in log space; the factors of `rem` are exactly the extent's
-            // factors dividing it, in the same ascending order.
+            // Greedy in level order: each level takes the factor of the
+            // remaining quotient nearest in log space; the factors of `rem`
+            // are exactly the extent's factors dividing it, in the same
+            // ascending order.
             let mut rem = group.factors.last().map_or(1, |&(f, _)| f);
             for &v in &group.vars {
                 let x = vals[v];

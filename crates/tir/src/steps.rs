@@ -3,7 +3,7 @@
 //! A schedule is a sequence of [`Step`]s whose parameters may be symbolic
 //! expressions (schedule variables), making the transformed program a
 //! *symbolic program* in the paper's sense. [`apply`] runs a step against a
-//! [`Program`]; [`apply_all`] runs a whole schedule.
+//! [`Program`].
 
 use crate::{
     AccessKind, AxisId, AxisKind, CacheReadInfo, Loop, LoopKind, MemScope, Program,
@@ -95,13 +95,6 @@ pub fn apply(p: &mut Program, step: &Step) {
         Step::CacheRead { consumer, access_idx, tile_elems, rounds } => {
             cache_read(p, *consumer, *access_idx, *tile_elems, *rounds);
         }
-    }
-}
-
-/// Applies a whole schedule in order.
-pub fn apply_all(p: &mut Program, steps: &[Step]) {
-    for s in steps {
-        apply(p, s);
     }
 }
 

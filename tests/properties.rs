@@ -5,15 +5,19 @@
 
 use felix_repro::cost::random_schedule;
 use felix_repro::expr::autodiff::GradOptions;
-use felix_repro::expr::factor::{factors, round_split, round_to_factor};
+use felix_repro::expr::factor::factors;
 use felix_repro::expr::{smooth_expr, ExprPool, VarTable};
 use felix_repro::features::extract_features;
 use felix_repro::graph::lower::lower_subgraph;
 use felix_repro::graph::{Op, Subgraph};
 use felix_repro::sim::{DeviceConfig, Simulator};
-use felix_repro::tir::sketch::{generate_sketches, round_to_valid, HardwareParams, RoundingPlan};
+use felix_repro::tir::sketch::{
+    generate_sketches, round_to_valid, HardwareParams, RoundingPlan, SchedVarKind,
+};
+use felix_repro::tir::Program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 #[test]
 fn factors_divide_and_cover() {
@@ -31,32 +35,80 @@ fn factors_divide_and_cover() {
     }
 }
 
+/// The sketches of seeded dense ops with arbitrary extents (primes and
+/// highly composite numbers alike), each with its rounding plan.
+fn dense_sketch_plans(rng: &mut StdRng, n_ops: usize) -> Vec<(Program, RoundingPlan)> {
+    let hw = HardwareParams::default();
+    let mut out = Vec::new();
+    for _ in 0..n_ops {
+        let [m, k, n] = [0; 3].map(|_| rng.gen_range(1i64..5_000));
+        let p0 = lower_subgraph(&Subgraph { ops: vec![Op::Dense { m, k, n }] });
+        for sk in generate_sketches(&p0, &hw) {
+            let plan = RoundingPlan::new(&sk.program);
+            out.push((sk.program, plan));
+        }
+    }
+    out
+}
+
+/// `n` raw values: mostly log-uniform over (e^-3, 1e6), sometimes NaN, ±∞
+/// or non-positive.
+fn raw_point(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    const EDGES: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -10.0];
+    (0..n)
+        .map(|_| match rng.gen_range(0..8) {
+            0 => EDGES[rng.gen_range(0..EDGES.len())],
+            _ => rng.gen_range(-3.0f64..1e6f64.ln()).exp(),
+        })
+        .collect()
+}
+
 #[test]
 fn rounding_always_yields_a_factor() {
+    // Every split variable rounds to a factor of its axis extent, every
+    // unroll variable to a power of two within its cap.
     let mut rng = StdRng::seed_from_u64(0xFAC71);
-    for _ in 0..512 {
-        let n = rng.gen_range(1u64..100_000);
-        let x = rng.gen_range(-10.0f64..1e6);
-        let f = round_to_factor(n, x);
-        assert_eq!(n % f, 0, "n={n} x={x} f={f}");
-        assert!(f >= 1);
+    for (program, plan) in dense_sketch_plans(&mut rng, 32) {
+        for _ in 0..16 {
+            let raw = raw_point(&mut rng, program.vars.len());
+            let rounded = plan.round(&raw);
+            for sv in &program.sched_vars {
+                let v = rounded[sv.var.index()];
+                assert!(v >= 1.0 && v.fract() == 0.0, "{:?} -> {v}, raw {raw:?}", sv.kind);
+                match sv.kind {
+                    SchedVarKind::Split { extent, .. } => {
+                        assert_eq!(extent % v as i64, 0, "split {v} of {extent}, raw {raw:?}");
+                    }
+                    SchedVarKind::Unroll { max } => {
+                        assert!((v as u64).is_power_of_two() && v as i64 <= max, "unroll {v}");
+                    }
+                }
+            }
+        }
     }
 }
 
 #[test]
 fn round_split_product_divides() {
+    // Greedy level-by-level rounding keeps each split group's product a
+    // divisor of its extent, whatever the raw candidates.
     let mut rng = StdRng::seed_from_u64(0xFAC72);
-    for _ in 0..512 {
-        let n = rng.gen_range(1u64..65_536);
-        let cs = [
-            rng.gen_range(0.1f64..600.0),
-            rng.gen_range(0.1f64..600.0),
-            rng.gen_range(0.1f64..600.0),
-        ];
-        let split = round_split(n, &cs);
-        let prod: u64 = split.iter().product();
-        assert!(prod >= 1, "n={n} cs={cs:?}");
-        assert_eq!(n % prod, 0, "n={n} cs={cs:?} split={split:?}");
+    for (program, plan) in dense_sketch_plans(&mut rng, 32) {
+        for _ in 0..16 {
+            let raw = raw_point(&mut rng, program.vars.len());
+            let rounded = plan.round(&raw);
+            let mut groups: BTreeMap<(usize, u32), (i64, i64)> = BTreeMap::new();
+            for sv in &program.sched_vars {
+                if let SchedVarKind::Split { stage, axis, extent, .. } = sv.kind {
+                    let group = groups.entry((stage, axis.0)).or_insert((extent, 1));
+                    group.1 *= rounded[sv.var.index()] as i64;
+                }
+            }
+            assert!(!groups.is_empty());
+            for ((stage, axis), (extent, prod)) in groups {
+                assert_eq!(extent % prod, 0, "stage {stage} axis {axis}: {prod} ∤ {extent}");
+            }
+        }
     }
 }
 
@@ -199,7 +251,7 @@ fn relaxed_points_round_to_valid_schedules() {
         // All split groups divide their extents (range constraints may
         // still fail — e.g. threads cap — but divisibility must hold).
         for sv in &program.sched_vars {
-            if let felix_repro::tir::sketch::SchedVarKind::Split { extent, .. } = sv.kind {
+            if let SchedVarKind::Split { extent, .. } = sv.kind {
                 let v = rounded[sv.var.index()];
                 assert_eq!(v.fract(), 0.0, "case {case}");
                 assert!(v >= 1.0 && v <= extent as f64, "case {case}");
