@@ -125,7 +125,8 @@ pub struct HealthReport {
     pub seed_restarts: usize,
     /// Gradient-norm clips applied.
     pub grad_clips: usize,
-    /// Worker panics caught (each poisons one sketch, not the process).
+    /// Sketches poisoned by a caught panic (one each, however many of
+    /// their work items panicked; the process lives on).
     pub panics_caught: usize,
     /// Every sketch's mode for the next round, as the supervisor decided
     /// it — exactly what a health record persists. Empty when nothing
@@ -527,7 +528,7 @@ pub struct TunerStats {
     pub seed_restarts: usize,
     /// Non-finite objective/gradient/feature events this round.
     pub nonfinite_events: usize,
-    /// Worker panics caught and quarantined this round.
+    /// Sketches poisoned by a caught panic this round.
     pub panics_caught: usize,
     /// Sketches running degraded (below [`SketchMode::Gradient`]) after
     /// this round: the supervisor's [`HealthReport::modes`] for the next.

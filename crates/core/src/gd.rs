@@ -11,8 +11,9 @@
 //! The seeds visit `nSeeds × nSteps` points, but far fewer distinct integer
 //! schedules (on ResNet-50, ≈ 140 of 3 200). Each point is rounded exactly
 //! once, through its sketch's [`felix_tir::sketch::RoundingPlan`] (built
-//! once per task), in fixed-size chunks on the worker pool. One serial pass
-//! then keys every rounded point by its [`felix_ansor::ScheduleKey`]: the
+//! once per task), by the work item that visited it, right after the Adam
+//! step that reached it. One serial pass then keys every rounded point, in
+//! step-major seed order, by its [`felix_ansor::ScheduleKey`]: the
 //! constraint and already-measured checks run on a key's first occurrence
 //! only, and every later occurrence reuses that verdict, so the violation
 //! and duplicate counts are still per point. Only the fresh distinct
@@ -20,33 +21,37 @@
 //!
 //! # Parallel, batched execution
 //!
-//! Both halves of each Adam step are batched. The expression side runs on
-//! each sketch's compiled gradient tape
-//! ([`felix_expr::CompiledGradTape`], built once per objective): seeds
-//! sharing a sketch sweep the tape's fused forward and reverse passes in
-//! one structure-of-arrays pass over all lanes, with per-worker scratch
-//! buffers reused across steps so the steady-state loop is allocation-free.
-//! The cost model is evaluated in matrix-shaped batches: each Adam step
-//! makes one [`PackedMlp::input_gradient_batch_cols`] call over all the
-//! seeds a worker owns instead of `nSeeds` scalar calls, and candidate
-//! ranking batches its predictions the same way, all against one packed
-//! view of the weights built per `propose`. Independent seeds (and
-//! independent sketch objectives) run on a scoped-thread pool
-//! ([`crate::parallel`]) whose workers self-schedule from a shared queue.
-//! Every batched MLP row is bit-identical to the scalar path and all
-//! randomness is drawn from the master RNG in a fixed serial order
-//! (per-seed work uses derived `StdRng` streams), so the search result is
-//! **bit-identical at every thread count** — `threads: 1` is the proof
-//! path, `threads: 0` (one worker per core) the fast path.
+//! One work item is a run of one sketch's seeds: the round's seeds are
+//! grouped by sketch in ascending global index, and each group is cut into
+//! runs of at most `⌈nSeeds / workers⌉` lanes. Both halves of each Adam
+//! step are batched over an item's lanes. The expression side runs on the
+//! sketch's compiled gradient tape ([`felix_expr::CompiledGradTape`], built
+//! once per objective): the item's seeds sweep the tape's fused forward and
+//! reverse passes in one structure-of-arrays pass over all lanes, with the
+//! item's scratch buffers reused across steps so the steady-state loop
+//! allocates only the rounded points. The cost model is evaluated in
+//! matrix-shaped batches: each Adam step makes one
+//! [`PackedMlp::input_gradient_batch_cols`] call over the item's lanes
+//! instead of one scalar call per seed, and candidate ranking batches its
+//! predictions the same way, all against one packed view of the weights
+//! built per `propose`. Items (and independent sketch objectives) run on a
+//! scoped-thread pool ([`crate::parallel`]) whose workers self-schedule from
+//! a shared queue. Every batched MLP row is bit-identical to the scalar
+//! path, restart substreams are keyed by global seed index, item results
+//! are read back in step-major seed order, and all randomness is drawn from
+//! the master RNG in a fixed serial order (per-seed work uses derived
+//! `StdRng` streams), so the search result is **bit-identical at every
+//! thread count** — `threads: 1` is the proof path, `threads: 0` (one
+//! worker per core) the fast path.
 
-use crate::health::{restart_salt, restart_stream, ChunkHealth, SeedHealth};
+use crate::health::{restart_salt, restart_stream, round_report, SeedHealth, SketchHealth};
 use crate::objective::{EvalScratch, PipelineOptions, SketchObjective};
 use crate::parallel::{effective_threads, parallel_map};
 use crate::tape_cache::TapeCache;
 use felix_ansor::evolution::EvolutionConfig;
 use felix_ansor::{
     schedule_key, EvolutionaryProposer, HealthReport, Proposer, ScheduleKey, SearchTask,
-    SketchMode, TunerStats,
+    SketchMode, SketchState, TunerStats,
 };
 use felix_cost::{
     log_transform, total_cmp_desc_nan_last, total_cmp_nan_last, AdamOpt, Mlp, MlpScratch,
@@ -59,7 +64,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Random draws per non-warm seed slot; the best-predicted draw becomes the
 /// slot's starting point (a single blind draw frequently lands in a poor
@@ -68,10 +73,6 @@ const SEED_INIT_DRAWS: usize = 8;
 
 /// Candidates per batched scoring chunk (one `predict_batch` call each).
 const SCORE_CHUNK: usize = 64;
-
-/// Trajectory points per rounding chunk. Fixed, so the chunking (and with
-/// it every rounded point) is the same at every thread count.
-const ROUND_CHUNK: usize = 256;
 
 /// Constraint-penalty coefficient `λ` of the objective
 /// `O = −C + λ Σ max(g, 0)²` (Equation 4).
@@ -115,7 +116,7 @@ pub struct FelixOptions {
 impl Default for FelixOptions {
     fn default() -> Self {
         FelixOptions {
-            // 16 seeds per chunk: the compiled tape's per-sweep costs
+            // 16 seeds per round: the compiled tape's per-sweep costs
             // (instruction-stream traversal, dispatch, row setup) amortize
             // across the seed batch, so the wider batch is ~17% cheaper per
             // seed than 8 on dense-512 while exploring more restarts.
@@ -129,21 +130,37 @@ impl Default for FelixOptions {
     }
 }
 
-/// One descending schedule: its sketch, current y-space point, Adam state,
-/// and supervision state.
+/// One descending schedule: its current y-space point, Adam state, and
+/// supervision state.
 struct Seed {
-    sketch: usize,
     y: Vec<f64>,
     opt: AdamOpt,
     health: SeedHealth,
 }
 
 impl Seed {
-    /// A seed of `sketch` at `y`, with fresh Adam and supervision state.
-    fn new(sketch: usize, y: Vec<f64>) -> Seed {
+    /// A seed at `y`, with fresh Adam and supervision state.
+    fn new(y: Vec<f64>) -> Seed {
         let opt = AdamOpt::new(y.len(), LR);
-        Seed { sketch, y, opt, health: SeedHealth::default() }
+        Seed { y, opt, health: SeedHealth::default() }
     }
+}
+
+/// One work item of a round's descent: a run of one sketch's seeds, by
+/// ascending global seed index.
+struct Item {
+    sketch: usize,
+    seeds: Vec<usize>,
+}
+
+/// What a work item returns: per-step scores and rounded points
+/// (step-major, one per lane per step), its supervision counters and its
+/// lanes' health.
+struct ItemOut {
+    scores: Vec<f64>,
+    rounded: Vec<Vec<f64>>,
+    counters: HealthReport,
+    health: SketchHealth,
 }
 
 /// The gradient-descent candidate proposer (Felix's search algorithm).
@@ -260,225 +277,181 @@ fn run_guarded(f: impl FnOnce()) -> bool {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_ok()
 }
 
-/// Restarts one seed from its dedicated RNG substream: a fresh random
-/// schedule drawn from `restart_stream(salt, global_idx, restart_count)`
-/// and a fresh Adam state with the learning rate backed off by
-/// `TRUST_BACKOFF^restarts` (a shrinking trust region). Never touches the
-/// master RNG, so seeds that don't restart are unaffected. Freezes the
+/// Restarts one seed of sketch `st` from its dedicated RNG substream: a fresh
+/// random schedule drawn from `restart_stream(salt, global_idx,
+/// restart_count)` and a fresh Adam state with the learning rate backed off
+/// by `TRUST_BACKOFF^restarts` (a shrinking trust region). Never touches
+/// the master RNG, so seeds that don't restart are unaffected. Freezes the
 /// seed instead when its restart budget is spent.
 fn restart_seed(
     seed: &mut Seed,
-    task: &SearchTask,
-    objectives: &[Arc<SketchObjective>],
+    st: &SketchState,
+    obj: &SketchObjective,
     salt: u64,
     global_idx: usize,
-    health: &mut ChunkHealth,
+    counters: &mut HealthReport,
 ) {
     if !seed.health.consume_restart() {
         return;
     }
-    health.counters.seed_restarts += 1;
+    counters.seed_restarts += 1;
     let stream = restart_stream(salt, global_idx, seed.health.restarts);
     let mut srng = StdRng::seed_from_u64(stream);
-    let st = &task.sketches[seed.sketch];
     let x = felix_cost::random_schedule(&st.program, &st.rounding, &mut srng, 64);
-    seed.y = objectives[seed.sketch].to_y_space(&x);
+    seed.y = obj.to_y_space(&x);
     let lr = LR * TRUST_BACKOFF.powi(seed.health.restarts as i32);
-    let nv = seed.y.len();
-    seed.opt = AdamOpt::new(nv, lr);
+    seed.opt = AdamOpt::new(seed.y.len(), lr);
 }
 
-/// Runs the full Adam descent for one worker's seeds. Seeds are grouped by
-/// sketch (stable first-seen order); per step each group runs ONE batched
-/// forward tape sweep across its lanes, the chunk makes ONE matrix-shaped
-/// MLP call over all features (in seed order), then each group runs ONE
-/// batched reverse sweep and the Adam updates apply per seed. All scratch
-/// buffers live outside the step loop, so steady state allocates only the
-/// per-step score/history rows. Lane layout never changes accumulation
-/// order, so scores and trajectories are bit-identical to a serial
-/// seed-at-a-time descent. Returns per-step predicted scores, `(sketch, y)`
-/// trajectory snapshots (both in seed order), and the chunk's supervision
-/// counters.
+/// Runs the full Adam descent of one work item, whose seeds start at
+/// `starts[g].1` for each global index `g` in `item.seeds`. Per step the
+/// item runs ONE batched forward tape sweep over its lanes, ONE
+/// matrix-shaped MLP call, ONE batched reverse sweep, then the per-seed
+/// Adam updates, and rounds every lane's new point through the sketch's
+/// `RoundingPlan`. All scratch buffers live outside the step loop. Lane
+/// layout never changes accumulation order, so scores and points are
+/// bit-identical to a serial seed-at-a-time descent.
 ///
 /// Every step of every lane is health-checked (non-finite
-/// objective/gradient/tape roots, monotone divergence, gradient-norm clip)
-/// and each sketch group's tape work runs inside a panic-isolation
-/// boundary: a panicking sketch is poisoned — its lanes freeze and their
-/// feature rows zero-fill so the shared MLP batch keeps its shape — while
-/// every other sketch's descent continues untouched.
-/// `base` is the chunk's first global seed index (chunks are contiguous,
-/// so `base + i` is thread-count invariant), used to derive restart RNG
-/// substreams.
-#[allow(clippy::type_complexity, clippy::too_many_lines, clippy::too_many_arguments)]
-fn descend_chunk(
+/// objective/gradient/tape roots, monotone divergence, gradient-norm clip),
+/// and the tape work runs inside a panic-isolation boundary: a panic
+/// poisons the item — its lanes freeze and score a zero feature row, so
+/// the trace keeps its shape — while every other item descends untouched.
+/// Restart substreams are keyed by global seed index, so they do not
+/// depend on how the seeds were cut into items.
+#[allow(clippy::too_many_arguments)]
+fn descend_item(
     objectives: &[Arc<SketchObjective>],
     task: &SearchTask,
     model: &PackedMlp,
     opts: &FelixOptions,
     modes: &[SketchMode],
     salt: u64,
-    base: usize,
-    seeds: &mut [Seed],
-) -> (Vec<Vec<f64>>, Vec<Vec<(usize, Vec<f64>)>>, ChunkHealth) {
-    let mut health = ChunkHealth::default();
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (i, s) in seeds.iter().enumerate() {
-        match groups.iter_mut().find(|(sk, _)| *sk == s.sketch) {
-            Some((_, lanes)) => lanes.push(i),
-            None => groups.push((s.sketch, vec![i])),
-        }
-    }
-    for (sk, lanes) in &groups {
-        health.sketch_mut(*sk).lanes += lanes.len();
-    }
-    let mut poisoned = vec![false; groups.len()];
-    let mut scratches: Vec<EvalScratch> = vec![EvalScratch::default(); groups.len()];
-    // Feature matrix, feature-major (`feats_t[k * n_seeds + i]` is seed
-    // `i`'s feature `k`): the transposed extraction pass writes contiguous
-    // root rows into it, and the batched MLP call reads it as is (its
-    // layer-0 normalize is the only pass that turns it sample-major).
-    let mut feats_t: Vec<f64> = vec![0.0; FEATURE_COUNT * seeds.len()];
+    starts: &[(usize, Vec<f64>)],
+    item: &Item,
+) -> ItemOut {
+    let sketch = item.sketch;
+    let (obj, st) = (&*objectives[sketch], &task.sketches[sketch]);
+    let clip = if modes[sketch] == SketchMode::ClippedGradient {
+        CLIPPED_GRAD_CLIP
+    } else {
+        GRAD_CLIP
+    };
+    let lanes = item.seeds.len();
+    let cols: Vec<usize> = (0..lanes).collect();
+    let mut seeds: Vec<Seed> = item.seeds.iter().map(|&g| Seed::new(starts[g].1.clone())).collect();
+    let mut counters = HealthReport::default();
+    let mut health = SketchHealth { lanes, ..SketchHealth::default() };
+    let mut scratch = EvalScratch::default();
+    // Feature matrix, feature-major (`feats_t[k * lanes + l]` is lane `l`'s
+    // feature `k`): the transposed extraction pass writes contiguous root
+    // rows into it, and the batched MLP call reads it as is (its layer-0
+    // normalize is the only pass that turns it sample-major).
+    let mut feats_t: Vec<f64> = vec![0.0; FEATURE_COUNT * lanes];
     let mut grad: Vec<f64> = Vec::new();
-    let mut pen: Vec<f64> = vec![0.0; seeds.len()];
+    let mut pen: Vec<f64> = vec![0.0; lanes];
     // Tape-level finiteness verdicts, derived for free inside
     // `write_feats_cols`/`seed_penalties_all` (which already read every
     // root) — a standalone root scan per lane per step costs a
     // cache-hostile pass over the tape values.
-    let mut feat_ok: Vec<bool> = vec![true; seeds.len()];
-    let mut pen_ok: Vec<bool> = vec![true; seeds.len()];
+    let mut feat_ok: Vec<bool> = vec![true; lanes];
+    let mut pen_ok: Vec<bool> = vec![true; lanes];
     // MLP arena: the batched kernels reuse these across all steps, so
     // the per-step cost-model call allocates nothing in steady state.
     let mut mlp_scratch = MlpScratch::default();
     let mut mlp_scores: Vec<f64> = Vec::new();
     let mut mlp_grads: Vec<f64> = Vec::new();
-    let mut scores = Vec::with_capacity(opts.n_steps);
-    let mut history = Vec::with_capacity(opts.n_steps);
+    let mut scores = Vec::with_capacity(opts.n_steps * lanes);
+    let mut rounded = Vec::with_capacity(opts.n_steps * lanes);
     for step in 0..opts.n_steps {
-        for (gi, ((sk, lanes), scratch)) in groups.iter().zip(&mut scratches).enumerate() {
-            if poisoned[gi] {
-                continue;
-            }
-            let obj = &objectives[*sk];
-            let seeds_ro: &[Seed] = seeds;
-            let ok = run_guarded(|| {
-                if step == 0 && opts.inject_panic_sketch == Some(*sk) {
-                    panic!("injected descent panic (sketch {sk})");
+        if !health.poisoned {
+            health.poisoned = !run_guarded(|| {
+                if step == 0 && opts.inject_panic_sketch == Some(sketch) {
+                    panic!("injected descent panic (sketch {sketch})");
                 }
-                obj.begin_batch(scratch, lanes.len());
-                for (lane, &i) in lanes.iter().enumerate() {
-                    obj.set_lane(scratch, lane, &seeds_ro[i].y);
+                obj.begin_batch(&mut scratch, lanes);
+                for (lane, seed) in seeds.iter().enumerate() {
+                    obj.set_lane(&mut scratch, lane, &seed.y);
                 }
-                obj.forward_batch(scratch);
+                obj.forward_batch(&mut scratch);
                 // Feature extraction transposed over all lanes (roots
                 // outer, lanes inner) — per lane the values
                 // `eval_feats_pool` computes.
-                obj.write_feats_cols(scratch, lanes, seeds_ro.len(), &mut feats_t, |lane, ok| {
-                    feat_ok[lanes[lane]] = ok;
+                obj.write_feats_cols(&mut scratch, &cols, lanes, &mut feats_t, |lane, ok| {
+                    feat_ok[lane] = ok;
                 });
             });
-            if !ok {
-                poisoned[gi] = true;
-                health.counters.panics_caught += 1;
-                health.sketch_mut(*sk).poisoned = true;
-                for k in 0..FEATURE_COUNT {
-                    for &i in lanes {
-                        feats_t[k * seeds.len() + i] = 0.0;
-                    }
-                }
-            }
+        }
+        if health.poisoned {
+            feats_t.fill(0.0);
         }
         model.input_gradient_batch_cols(
             &feats_t,
-            seeds.len(),
+            lanes,
             &mut mlp_scratch,
             &mut mlp_scores,
             &mut mlp_grads,
         );
-        let mut step_scores = vec![0.0; seeds.len()];
-        for (gi, ((sk, lanes), scratch)) in groups.iter().zip(&mut scratches).enumerate() {
-            let obj = &objectives[*sk];
-            if poisoned[gi] {
-                for &i in lanes {
-                    step_scores[i] = mlp_scores[i];
-                }
-                continue;
-            }
+        scores.extend_from_slice(&mlp_scores[..lanes]);
+        if !health.poisoned {
             let ok = run_guarded(|| {
-                for &i in lanes.iter() {
-                    step_scores[i] = mlp_scores[i];
-                }
                 // Feature seeding straight from the feature-major MLP
-                // gradient buffer (roots outer, lanes inner; contiguous
-                // lane runs are pure row sweeps), then penalty seeding
-                // batched the same way — per lane the seeds
-                // `grad_from_dscore_pool` builds, in its root order.
-                obj.seed_feats_cols(scratch, lanes, seeds.len(), &mlp_grads);
-                obj.seed_penalties_all(scratch, LAMBDA, |lane, p, ok| {
-                    let i = lanes[lane];
-                    pen[i] = p;
-                    pen_ok[i] = ok;
+                // gradient buffer, then penalty seeding batched the same
+                // way — per lane the seeds `grad_from_dscore_pool` builds,
+                // in its root order.
+                obj.seed_feats_cols(&mut scratch, &cols, lanes, &mlp_grads);
+                obj.seed_penalties_all(&mut scratch, LAMBDA, |lane, p, ok| {
+                    pen[lane] = p;
+                    pen_ok[lane] = ok;
                 });
-                obj.backward_batch(scratch);
-                for (lane, &i) in lanes.iter().enumerate() {
-                    if seeds[i].health.exhausted {
+                obj.backward_batch(&mut scratch);
+                for (lane, seed) in seeds.iter_mut().enumerate() {
+                    if seed.health.exhausted {
                         continue;
                     }
-                    obj.grad_lane(scratch, lane, &mut grad);
+                    obj.grad_lane(&scratch, lane, &mut grad);
                     // Minimized objective: O = -score + λ·penalty. The
                     // squared gradient norm doubles as the finiteness probe
                     // (a NaN/Inf component poisons the sum) and as the clip
                     // test below — one pass over the gradient covers both.
-                    let obj_val = -step_scores[i] + pen[i];
+                    let obj_val = -mlp_scores[lane] + pen[lane];
                     let norm_sq = grad.iter().map(|g| g * g).sum::<f64>();
                     let finite =
-                        obj_val.is_finite() && norm_sq.is_finite() && feat_ok[i] && pen_ok[i];
+                        obj_val.is_finite() && norm_sq.is_finite() && feat_ok[lane] && pen_ok[lane];
+                    let global = item.seeds[lane];
                     if !finite {
-                        health.counters.nonfinite_events += 1;
-                        health.sketch_mut(*sk).events += 1;
-                        restart_seed(&mut seeds[i], task, objectives, salt, base + i, &mut health);
+                        counters.nonfinite_events += 1;
+                        health.events += 1;
+                        restart_seed(seed, st, obj, salt, global, &mut counters);
                         continue;
                     }
-                    if seeds[i].health.note_objective(obj_val) {
-                        health.counters.divergence_events += 1;
-                        health.sketch_mut(*sk).events += 1;
-                        restart_seed(&mut seeds[i], task, objectives, salt, base + i, &mut health);
+                    if seed.health.note_objective(obj_val) {
+                        counters.divergence_events += 1;
+                        health.events += 1;
+                        restart_seed(seed, st, obj, salt, global, &mut counters);
                         continue;
                     }
-                    let clip = if modes[*sk] == SketchMode::ClippedGradient {
-                        CLIPPED_GRAD_CLIP
-                    } else {
-                        GRAD_CLIP
-                    };
                     if norm_sq > clip * clip {
                         let scale = clip / norm_sq.sqrt();
                         for g in &mut grad {
                             *g *= scale;
                         }
-                        health.counters.grad_clips += 1;
-                        health.sketch_mut(*sk).events += 1;
+                        counters.grad_clips += 1;
+                        health.events += 1;
                     }
-                    seeds[i].opt.step(&mut seeds[i].y, &grad);
+                    seed.opt.step(&mut seed.y, &grad);
                 }
             });
-            if !ok {
-                poisoned[gi] = true;
-                health.counters.panics_caught += 1;
-                health.sketch_mut(*sk).poisoned = true;
-                for k in 0..FEATURE_COUNT {
-                    for &i in lanes {
-                        feats_t[k * seeds.len() + i] = 0.0;
-                    }
-                }
-            }
+            health.poisoned = !ok;
         }
-        scores.push(step_scores);
-        history.push(seeds.iter().map(|s| (s.sketch, s.y.clone())).collect());
+        for seed in &seeds {
+            let mut x = obj.to_x_space(&seed.y, st.program.vars.len());
+            st.rounding.round_in_place(&mut x);
+            rounded.push(x);
+        }
     }
-    for (sk, lanes) in &groups {
-        let ex = lanes.iter().filter(|&&i| seeds[i].health.exhausted).count();
-        health.sketch_mut(*sk).exhausted_lanes += ex;
-    }
-    (scores, history, health)
+    health.exhausted_lanes = seeds.iter().filter(|s| s.health.exhausted).count();
+    ItemOut { scores, rounded, counters, health }
 }
 
 impl Default for GradientProposer {
@@ -564,9 +537,10 @@ impl Proposer for GradientProposer {
             .collect();
         elites.sort_by(|a, b| total_cmp_nan_last(&a.2, &b.2));
         let n_warm = (opts.n_seeds / 2).min(elites.len());
-        let mut seeds: Vec<Seed> = Vec::with_capacity(opts.n_seeds);
+        // Each seed's sketch and y-space starting point, by global index.
+        let mut starts: Vec<(usize, Vec<f64>)> = Vec::with_capacity(opts.n_seeds);
         for e in elites.iter().take(n_warm) {
-            seeds.push(Seed::new(e.0, objectives[e.0].to_y_space(&e.1)));
+            starts.push((e.0, objectives[e.0].to_y_space(&e.1)));
         }
         // Schedule-cache warm hints fill whatever warm slots the elites left
         // (a task with measurements ignores hints — its own history wins).
@@ -574,18 +548,18 @@ impl Proposer for GradientProposer {
         // same index with the same master-RNG position, so a hint-free task
         // is byte-identical to a cache-unaware run.
         for (sketch, x) in &task.warm_hints {
-            if seeds.len() >= (opts.n_seeds / 2).max(1) {
+            if starts.len() >= (opts.n_seeds / 2).max(1) {
                 break;
             }
             if !gd_active.contains(sketch) || !task.fits(*sketch, x) {
                 continue;
             }
-            seeds.push(Seed::new(*sketch, objectives[*sketch].to_y_space(x)));
+            starts.push((*sketch, objectives[*sketch].to_y_space(x)));
         }
         let slots: Vec<(usize, u64)> = if gd_active.is_empty() {
             Vec::new()
         } else {
-            (seeds.len()..opts.n_seeds)
+            (starts.len()..opts.n_seeds)
                 .map(|i| (gd_active[i % gd_active.len()], rng.gen::<u64>()))
                 .collect()
         };
@@ -611,69 +585,44 @@ impl Proposer for GradientProposer {
         });
         clock.charge_batched_predictions(slots.len() * SEED_INIT_DRAWS, costs);
         for ((sketch, _), x) in slots.iter().zip(inits) {
-            seeds.push(Seed::new(*sketch, objectives[*sketch].to_y_space(&x)));
+            starts.push((*sketch, objectives[*sketch].to_y_space(&x)));
         }
 
-        // --- Adam descent, recording the whole trajectory (line 15-19) -----
-        // Seeds are split into one contiguous chunk per worker; each worker
-        // runs its chunk's descent in lockstep with one batched MLP call per
-        // step. Chunks are merged back in seed order, so the trace and
-        // trajectory are identical to a serial, fully-batched run.
-        let n_live = seeds.len();
+        // --- Adam descent and rounding (line 15-20) ------------------------
+        // Work items are runs of one sketch's seeds, at most one worker's
+        // share of the seeds wide, so every worker gets about the same
+        // number of MLP rows and a sketch's seeds share one tape sweep
+        // wherever that share allows.
+        let n_live = starts.len();
         for _ in 0..opts.n_steps {
             clock.charge_gradient_step(n_live, costs);
         }
         let salt = restart_salt(&task.name, task.rounds);
-        let workers = threads.min(n_live).max(1);
-        let chunk_size = n_live.div_ceil(workers).max(1);
+        let width = n_live.div_ceil(threads.min(n_live).max(1)).max(1);
+        let mut items: Vec<Item> = Vec::new();
+        for sketch in 0..objectives.len() {
+            let group: Vec<usize> = (0..n_live).filter(|&g| starts[g].0 == sketch).collect();
+            items.extend(group.chunks(width).map(|run| Item { sketch, seeds: run.to_vec() }));
+        }
         let descent_start = std::time::Instant::now();
-        let chunks: Vec<Mutex<Vec<Seed>>> = {
-            let mut chunks = Vec::with_capacity(workers);
-            let mut rest = seeds;
-            while !rest.is_empty() {
-                let tail = rest.split_off(chunk_size.min(rest.len()));
-                chunks.push(Mutex::new(rest));
-                rest = tail;
-            }
-            chunks
-        };
-        let per_chunk = parallel_map(chunks.len(), threads, |ci| {
-            let mut chunk_seeds =
-                std::mem::take(&mut *chunks[ci].lock().expect("chunk slot"));
-            descend_chunk(
-                objectives,
-                task,
-                &packed,
-                &opts,
-                modes,
-                salt,
-                ci * chunk_size,
-                &mut chunk_seeds,
-            )
+        let mut outs = parallel_map(items.len(), threads, |i| {
+            descend_item(objectives, task, &packed, &opts, modes, salt, &starts, &items[i])
         });
         let descent_s = descent_start.elapsed().as_secs_f64();
         stats.grad_steps = n_live * opts.n_steps;
         stats.steps_per_sec = stats.grad_steps as f64 / descent_s.max(1e-12);
 
-        // --- Health accounting, trajectory ---------------------------------
-        // Chunk counters merge in chunk order (deterministic at any thread
-        // count: chunks are contiguous seed ranges); the merged lanes decide
-        // every sketch's mode for the next round. The chunks' trajectories
-        // are moved (not copied) into one step-major list.
-        let mut merged = ChunkHealth::default();
-        let mut chunk_trajs = Vec::with_capacity(per_chunk.len());
-        for (scores, hist, h) in per_chunk {
-            merged.merge(&h);
-            chunk_trajs.push((scores, hist.into_iter()));
+        // --- Health accounting ---------------------------------------------
+        // Item counters add up and lane health merges per sketch, so a
+        // sketch cut into several items still counts one panic; the merged
+        // lanes decide every sketch's mode for the next round.
+        let mut counters = HealthReport::default();
+        let mut sketch_health = vec![SketchHealth::default(); objectives.len()];
+        for (item, out) in items.iter().zip(&outs) {
+            counters.merge(&out.counters);
+            sketch_health[item.sketch].merge(&out.health);
         }
-        let mut trajectory: Vec<(usize, Vec<f64>)> = Vec::with_capacity(n_live * opts.n_steps);
-        for step in 0..opts.n_steps {
-            for (scores, hist) in &mut chunk_trajs {
-                self.trace.extend_from_slice(&scores[step]);
-                trajectory.extend(hist.next().expect("one history row per step"));
-            }
-        }
-        let health = merged.into_report(modes, &pathological);
+        let health = round_report(counters, &sketch_health, modes, &pathological);
         stats.seed_restarts = health.seed_restarts;
         stats.nonfinite_events = health.nonfinite_events;
         stats.panics_caught = health.panics_caught;
@@ -681,49 +630,40 @@ impl Proposer for GradientProposer {
             health.modes.iter().filter(|&&m| m != SketchMode::Gradient).count();
         self.health.merge(&health);
 
-        // --- Round (line 20) -------------------------------------------------
-        // Every visited point is rounded once, through its sketch's stored
-        // plan, in fixed-size chunks on the pool; results keep trajectory
-        // order. The relaxed trajectory is dropped as soon as it is rounded.
-        let rounded: Vec<(usize, Vec<f64>)> =
-            parallel_map(trajectory.len().div_ceil(ROUND_CHUNK), threads, |ci| {
-                let end = ((ci + 1) * ROUND_CHUNK).min(trajectory.len());
-                trajectory[ci * ROUND_CHUNK..end]
-                    .iter()
-                    .map(|(sk, y)| {
-                        let st = &task.sketches[*sk];
-                        let mut x = objectives[*sk].to_x_space(y, st.program.vars.len());
-                        st.rounding.round_in_place(&mut x);
-                        (*sk, x)
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        drop(trajectory);
-
-        // --- Validate, dedupe ----------------------------------------------
-        // The constraint and already-measured checks run on a schedule's
-        // first occurrence; later occurrences reuse its verdict (feasible or
-        // not), so violations and duplicates are still counted per point.
-        stats.candidates = rounded.len();
+        // --- Trace, validate, dedupe ------------------------------------------
+        // Scores and rounded points are read back in step-major global seed
+        // order. The constraint and already-measured checks run on a
+        // schedule's first occurrence; later occurrences reuse its verdict
+        // (feasible or not), so violations and duplicates are still counted
+        // per point.
+        let mut lane_of = vec![(0, 0); n_live];
+        for (i, item) in items.iter().enumerate() {
+            for (lane, &g) in item.seeds.iter().enumerate() {
+                lane_of[g] = (i, lane);
+            }
+        }
+        stats.candidates = n_live * opts.n_steps;
         let mut violations = 0usize;
         let mut duplicates = 0usize;
         let mut feasible: HashMap<ScheduleKey, bool> = HashMap::new();
         let mut cands: Vec<(usize, Vec<f64>)> = Vec::new();
-        for (sk, x) in rounded {
-            match feasible.entry(schedule_key(sk, &x)) {
-                Entry::Occupied(e) if *e.get() => duplicates += 1,
-                Entry::Occupied(_) => violations += 1,
-                Entry::Vacant(e) => {
-                    let ok = *e.insert(task.sketches[sk].program.constraints_ok(&x, 1e-9));
-                    if !ok {
-                        violations += 1;
-                    } else if task.already_measured(sk, &x) {
-                        duplicates += 1;
-                    } else {
-                        cands.push((sk, x));
+        for step in 0..opts.n_steps {
+            for &(i, lane) in &lane_of {
+                let (sk, k) = (items[i].sketch, step * items[i].seeds.len() + lane);
+                self.trace.push(outs[i].scores[k]);
+                let x = std::mem::take(&mut outs[i].rounded[k]);
+                match feasible.entry(schedule_key(sk, &x)) {
+                    Entry::Occupied(e) if *e.get() => duplicates += 1,
+                    Entry::Occupied(_) => violations += 1,
+                    Entry::Vacant(e) => {
+                        let ok = *e.insert(task.sketches[sk].program.constraints_ok(&x, 1e-9));
+                        if !ok {
+                            violations += 1;
+                        } else if task.already_measured(sk, &x) {
+                            duplicates += 1;
+                        } else {
+                            cands.push((sk, x));
+                        }
                     }
                 }
             }
@@ -792,8 +732,9 @@ impl Proposer for GradientProposer {
         };
         // Degraded sketches get a proportional slice of the measurement
         // budget, filled by the evolutionary fallback below; with nothing
-        // degraded the gradient path keeps the whole budget (n_gd == n).
-        let n_evo = if evo_active.is_empty() {
+        // degraded, or no budget to slice, the gradient path keeps the whole
+        // budget (n_gd == n).
+        let n_evo = if evo_active.is_empty() || n == 0 {
             0
         } else {
             ((n * evo_active.len()) / task.sketches.len()).clamp(1, n)
@@ -1030,20 +971,21 @@ mod tests {
 
     /// The determinism guarantee: with the same RNG seed, the proposer
     /// returns byte-for-byte the same candidates, prediction trace,
-    /// simulated clock and rounding counters at 1, 2 and 4 threads. Batched
-    /// MLP rows are bit-identical to scalar calls, rounding chunks are a
-    /// fixed size, and all master-RNG draws happen in a fixed serial order,
-    /// so this holds exactly, not approximately.
-    fn assert_thread_counts_agree(opts: FelixOptions) {
-        let (task, model, _sim) = setup();
+    /// simulated clock, rounding counters and health report at 1, 2, 3, 4
+    /// and 16 threads, however the seeds are cut into work items. Batched
+    /// MLP rows are bit-identical to scalar calls, restart substreams are
+    /// keyed by global seed index, and all master-RNG draws happen in a
+    /// fixed serial order, so this holds exactly, not approximately.
+    fn assert_thread_counts_agree(task: &SearchTask, opts: FelixOptions) {
         let costs = ClockCosts::default();
         let mut runs = Vec::new();
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 3, 4, 16] {
             let mut prop = GradientProposer::new(FelixOptions { threads, ..opts });
             let mut clock = TuningClock::new();
             let mut rng = StdRng::seed_from_u64(5);
-            let cands = prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
-            let trace = prop.take_prediction_trace();
+            let cands = prop.propose(task, shared_model(), 8, &mut clock, &costs, &mut rng);
+            let trace: Vec<u64> =
+                prop.take_prediction_trace().iter().map(|v| v.to_bits()).collect();
             let s = prop.take_stats()[0];
             let counters = (
                 s.candidates,
@@ -1051,33 +993,39 @@ mod tests {
                 s.penalty_violation_rate.to_bits(),
                 s.rounding_rejection_rate.to_bits(),
             );
-            runs.push((cands, trace, clock.now_s(), counters));
+            let health = prop.take_health();
+            runs.push((threads, (cands, trace, clock.now_s().to_bits(), counters, health)));
         }
-        let (ref_cands, ref_trace, ref_clock, ref_counters) = &runs[0];
-        assert!(!ref_cands.is_empty());
-        for (i, (cands, trace, clock_s, counters)) in runs.iter().enumerate().skip(1) {
-            assert_eq!(cands, ref_cands, "candidates differ at run {i}");
-            assert_eq!(trace.len(), ref_trace.len());
-            for (a, b) in trace.iter().zip(ref_trace) {
-                assert_eq!(a.to_bits(), b.to_bits(), "trace not bit-identical");
-            }
-            assert_eq!(clock_s.to_bits(), ref_clock.to_bits(), "clock differs");
-            assert_eq!(counters, ref_counters, "rounding counters differ at run {i}");
+        let serial = &runs[0].1;
+        assert!(!serial.0.is_empty());
+        for (threads, run) in &runs[1..] {
+            assert_eq!(run, serial, "{threads} threads");
         }
     }
 
     #[test]
     fn parallel_search_is_bit_identical_to_serial() {
-        // 4 × 40 = 160 points: one rounding chunk.
-        assert_thread_counts_agree(quick_opts());
+        let (task, _model, _sim) = setup();
+        assert_thread_counts_agree(&task, quick_opts());
     }
 
     #[test]
-    fn parallel_rounding_across_chunks_is_bit_identical_to_serial() {
-        // 8 × 100 = 800 points: three full rounding chunks and a partial one.
-        let opts = FelixOptions { n_seeds: 8, n_steps: 100, ..Default::default() };
-        assert!(opts.n_seeds * opts.n_steps > 3 * ROUND_CHUNK);
-        assert_thread_counts_agree(opts);
+    fn sketch_cut_into_several_items_is_bit_identical_to_serial() {
+        // Eight measured elites on sketch 1 take all eight warm slots and
+        // the exploration slots alternate sketches, so 4 seeds descend
+        // sketch 0 and 12 descend sketch 1: above one thread, sketch 1 is
+        // cut into 2 to 12 work items.
+        let (mut task, _model, sim) = setup();
+        assert_eq!(task.sketches.len(), 2);
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..8 {
+            let st = &task.sketches[1];
+            let x = felix_cost::random_schedule(&st.program, &st.rounding, &mut rng, 64);
+            let latency = sim.latency_ms(&st.program, &st.features, &x);
+            task.record(1, x, latency);
+        }
+        let opts = FelixOptions { n_seeds: 16, n_steps: 30, ..Default::default() };
+        assert_thread_counts_agree(&task, opts);
     }
 
     #[test]

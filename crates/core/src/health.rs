@@ -27,13 +27,14 @@
 //!   evolutionary).
 //!
 //! The thresholds are constants chosen so a healthy run never trips any of
-//! them: supervision is then observation-only. The supervisor's
-//! observations accumulate in a [`ChunkHealth`] per worker chunk; the
-//! proposer merges the chunks, and [`ChunkHealth::into_report`] turns them
-//! into the round's [`HealthReport`] — counters plus every sketch's mode
-//! for the next round, decided by [`next_mode`], the one place the ladder
-//! policy lives. The task adopts those modes as they are, and the record
-//! log persists them.
+//! them: supervision is then observation-only. Each work item of the
+//! descent (a run of one sketch's seeds) returns its failure counters and
+//! one [`SketchHealth`]; the proposer adds the counters up, merges the lane
+//! health per sketch index, and [`round_report`] turns them into the
+//! round's [`HealthReport`] — counters plus every sketch's mode for the
+//! next round, decided by [`next_mode`], the one place the ladder policy
+//! lives. The task adopts those modes as they are, and the record log
+//! persists them.
 
 use felix_ansor::{HealthReport, SketchMode};
 use felix_records::{fnv1a, FNV_OFFSET};
@@ -126,11 +127,10 @@ pub fn restart_stream(salt: u64, seed_index: usize, restart: usize) -> u64 {
     fnv1a(h, &(restart as u64).to_le_bytes())
 }
 
-/// Health of one sketch's lanes within a worker chunk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Health of one sketch's lanes this round: one work item's, or every
+/// item's of the sketch after [`SketchHealth::merge`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SketchHealth {
-    /// Sketch index within the task.
-    pub sketch: usize,
     /// Seeds descending this sketch.
     pub lanes: usize,
     /// Seeds frozen after exhausting the restart budget.
@@ -140,6 +140,17 @@ pub struct SketchHealth {
     /// A panic escaped this sketch's tape or objective; the sketch is
     /// quarantined from gradient descent.
     pub poisoned: bool,
+}
+
+impl SketchHealth {
+    /// Folds another item of the same sketch into `self`: lane and event
+    /// counts add, `poisoned` ORs.
+    pub fn merge(&mut self, other: &SketchHealth) {
+        self.lanes += other.lanes;
+        self.exhausted_lanes += other.exhausted_lanes;
+        self.events += other.events;
+        self.poisoned |= other.poisoned;
+    }
 }
 
 /// The degradation ladder: a sketch's mode for the next round, from its
@@ -162,60 +173,26 @@ pub fn next_mode(mode: SketchMode, seen: Option<&SketchHealth>, pathological: bo
     }
 }
 
-/// Supervision state accumulated by one worker chunk's descent, merged
-/// across chunks (associatively, in chunk order).
-#[derive(Clone, Debug, Default)]
-pub struct ChunkHealth {
-    /// The round's failure counters (their `modes` stay empty until
-    /// [`ChunkHealth::into_report`]).
-    pub counters: HealthReport,
-    /// Per-sketch lane health, in first-seen order.
-    pub sketches: Vec<SketchHealth>,
-}
-
-impl ChunkHealth {
-    /// Mutable per-sketch entry, created on first touch.
-    pub fn sketch_mut(&mut self, sketch: usize) -> &mut SketchHealth {
-        if let Some(i) = self.sketches.iter().position(|s| s.sketch == sketch) {
-            return &mut self.sketches[i];
-        }
-        self.sketches.push(SketchHealth {
-            sketch,
-            lanes: 0,
-            exhausted_lanes: 0,
-            events: 0,
-            poisoned: false,
-        });
-        self.sketches.last_mut().expect("just pushed")
-    }
-
-    /// Folds `other` into `self` (counter sums; per-sketch entries merge by
-    /// sketch index).
-    pub fn merge(&mut self, other: &ChunkHealth) {
-        self.counters.merge(&other.counters);
-        for s in &other.sketches {
-            let e = self.sketch_mut(s.sketch);
-            e.lanes += s.lanes;
-            e.exhausted_lanes += s.exhausted_lanes;
-            e.events += s.events;
-            e.poisoned |= s.poisoned;
-        }
-    }
-
-    /// The round's report: the merged counters and, per sketch, the
-    /// [`next_mode`] after `modes` (this round's), given which sketches are
-    /// `pathological`.
-    pub fn into_report(self, modes: &[SketchMode], pathological: &[usize]) -> HealthReport {
-        let modes = modes
-            .iter()
-            .enumerate()
-            .map(|(i, &mode)| {
-                let seen = self.sketches.iter().find(|s| s.sketch == i);
-                next_mode(mode, seen, pathological.contains(&i))
-            })
-            .collect();
-        HealthReport { modes, ..self.counters }
-    }
+/// The round's report: the summed item `counters` plus one caught panic per
+/// poisoned sketch, and, per sketch, the [`next_mode`] after `modes` (this
+/// round's), from `sketches` (indexed like `modes`; a sketch no seed
+/// descended has no lanes) and which sketches are `pathological`.
+pub fn round_report(
+    counters: HealthReport,
+    sketches: &[SketchHealth],
+    modes: &[SketchMode],
+    pathological: &[usize],
+) -> HealthReport {
+    let modes = modes
+        .iter()
+        .zip(sketches)
+        .enumerate()
+        .map(|(i, (&mode, s))| {
+            next_mode(mode, Some(s).filter(|s| s.lanes > 0), pathological.contains(&i))
+        })
+        .collect();
+    let panics_caught = sketches.iter().filter(|s| s.poisoned).count();
+    HealthReport { modes, panics_caught, ..counters }
 }
 
 #[cfg(test)]
@@ -275,34 +252,17 @@ mod tests {
     }
 
     #[test]
-    fn chunk_health_merges_by_sketch() {
-        let mut a = ChunkHealth::default();
-        {
-            let s = a.sketch_mut(1);
-            s.lanes = 2;
-            s.events = 1;
-        }
-        a.counters.nonfinite_events = 1;
-        let mut b = ChunkHealth::default();
-        {
-            let s = b.sketch_mut(1);
-            s.lanes = 1;
-            s.exhausted_lanes = 1;
-            s.poisoned = true;
-        }
-        b.counters.seed_restarts = 2;
-        a.merge(&b);
-        assert_eq!(a.counters.nonfinite_events, 1);
-        assert_eq!(a.counters.seed_restarts, 2);
-        let s = &a.sketches[0];
-        assert_eq!((s.lanes, s.exhausted_lanes, s.events, s.poisoned), (3, 1, 1, true));
+    fn sketch_health_merge_adds_counts_and_ors_poison() {
+        let mut a = SketchHealth { lanes: 2, events: 1, ..SketchHealth::default() };
+        a.merge(&SketchHealth { lanes: 1, exhausted_lanes: 1, poisoned: true, events: 0 });
+        a.merge(&SketchHealth { lanes: 1, ..SketchHealth::default() });
+        assert_eq!(a, SketchHealth { lanes: 4, exhausted_lanes: 1, events: 1, poisoned: true });
     }
 
     #[test]
     fn next_mode_walks_the_degradation_ladder() {
         use SketchMode::{ClippedGradient as Clipped, Evolutionary as Evo, Gradient as Gd};
         let lanes = |exhausted: usize, events: usize, poisoned: bool| SketchHealth {
-            sketch: 0,
             lanes: 2,
             exhausted_lanes: exhausted,
             events,
@@ -333,21 +293,29 @@ mod tests {
     }
 
     #[test]
-    fn into_report_decides_every_sketch() {
-        let mut h = ChunkHealth::default();
-        h.counters.seed_restarts = 4;
-        {
-            let s = h.sketch_mut(0);
-            s.lanes = 1;
-            s.exhausted_lanes = 1;
-        }
-        h.sketch_mut(2).lanes = 1;
-        let modes = [SketchMode::Gradient, SketchMode::Gradient, SketchMode::ClippedGradient];
-        let report = h.into_report(&modes, &[1]);
+    fn round_report_decides_every_sketch_and_counts_poisoned_sketches() {
+        let counters = HealthReport { seed_restarts: 4, ..HealthReport::default() };
+        let exhausted = SketchHealth { lanes: 1, exhausted_lanes: 1, ..SketchHealth::default() };
+        let poisoned = SketchHealth { lanes: 3, poisoned: true, ..SketchHealth::default() };
+        let sketches = [exhausted, SketchHealth::default(), poisoned, SketchHealth::default()];
+        let modes = [
+            SketchMode::Gradient,
+            SketchMode::Gradient,
+            SketchMode::Gradient,
+            SketchMode::ClippedGradient,
+        ];
+        let report = round_report(counters, &sketches, &modes, &[1]);
         assert_eq!(report.seed_restarts, 4);
+        assert_eq!(report.panics_caught, 1, "one panic per poisoned sketch");
         assert_eq!(
             report.modes,
-            [SketchMode::ClippedGradient, SketchMode::Evolutionary, SketchMode::Gradient]
+            [
+                SketchMode::ClippedGradient,
+                SketchMode::Evolutionary,
+                SketchMode::Evolutionary,
+                // No lanes: not seen, so a clipped sketch stays clipped.
+                SketchMode::ClippedGradient,
+            ]
         );
     }
 }

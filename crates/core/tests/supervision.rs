@@ -1,15 +1,15 @@
 //! End-to-end tests of the self-healing descent runtime: supervision
 //! trips nothing on healthy runs (at every thread count), contains NaN
 //! cost models and panicking sketch objectives without losing the run,
-//! degrades only the affected sketches to the evolutionary fallback, and
-//! persists its degradation decisions so killed runs resume
-//! byte-identically.
+//! degrades only the affected sketches to the evolutionary fallback —
+//! identically at every thread count — and persists its degradation
+//! decisions so killed runs resume byte-identically.
 
 mod common;
 
 use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_network, tmp_dir};
 use felix::{pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
-use felix_ansor::SketchMode;
+use felix_ansor::{SketchMode, TunerStats};
 use felix_cost::Mlp;
 use felix_records::Record;
 use felix_sim::DeviceConfig;
@@ -129,6 +129,85 @@ fn injected_panic_poisons_only_that_sketch() {
         }
         assert!(!t.measured.is_empty(), "the round still measures candidates");
     }
+}
+
+/// Every `TunerStats` counter of a run, with the timing fields (and the
+/// thread count itself) zeroed.
+fn counters(opt: &Optimizer) -> Vec<TunerStats> {
+    let untimed = |s: &TunerStats| TunerStats {
+        steps_per_sec: 0.0,
+        tape_compile_s: 0.0,
+        threads: 0,
+        ..*s
+    };
+    opt.stats.iter().map(untimed).collect()
+}
+
+/// Runs `options` with a record log at 1, 2, 3 and 4 threads and asserts
+/// the history, task state, record-log bytes and stats counters repeat.
+/// With 4 seeds a sketch's seeds are cut into several work items at the
+/// higher thread counts.
+fn assert_degraded_run_thread_parity(tag: &str, model: &Mlp, options: FelixOptions) {
+    let device = DeviceConfig::a5000();
+    let dir = tmp_dir(tag);
+    let run = |threads: usize| {
+        let log = dir.join(format!("records-{threads}.jsonl"));
+        let mut opt = Optimizer::with_options(
+            tiny_network(),
+            model.clone(),
+            device,
+            FelixOptions { threads, ..options },
+        )
+        .with_record_log(&log)
+        .expect("open record log");
+        let n_rounds = opt.tasks().len() + 2;
+        opt.optimize_all(n_rounds, 4);
+        let bytes = std::fs::read(&log).expect("read record log");
+        (opt, bytes)
+    };
+    let runs = [1usize, 2, 3, 4].map(run);
+    let (serial, serial_log) = &runs[0];
+    assert!(
+        counters(serial).iter().any(|s| s.panics_caught + s.nonfinite_events > 0),
+        "the scenario must actually trip the supervisor"
+    );
+    for ((opt, log), threads) in runs.iter().zip([1, 2, 3, 4]) {
+        assert_eq!(history_bits(opt), history_bits(serial), "{threads} threads");
+        assert_tasks_bit_identical(serial, opt);
+        assert!(log == serial_log, "record log differs at {threads} threads");
+        assert_eq!(counters(opt), counters(serial), "stats differ at {threads} threads");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn injected_panic_run_is_identical_at_every_thread_count() {
+    let model = pretrained_cost_model(&DeviceConfig::a5000(), ModelQuality::Fast);
+    let options = FelixOptions { n_seeds: 4, inject_panic_sketch: Some(0), ..quick_options(1) };
+    assert_degraded_run_thread_parity("panic-parity", &model, options);
+}
+
+#[test]
+fn nan_model_run_is_identical_at_every_thread_count() {
+    let base = pretrained_cost_model(&DeviceConfig::a5000(), ModelQuality::Fast);
+    let options = FelixOptions { n_seeds: 4, ..quick_options(1) };
+    assert_degraded_run_thread_parity("nan-parity", &nan_model(&base), options);
+}
+
+#[test]
+fn zero_measurement_round_after_a_degraded_round_proposes_nothing() {
+    // A degraded sketch gets a slice of the measurement budget; with no
+    // budget there is no slice to give, and the round must not panic.
+    let device = DeviceConfig::a5000();
+    let model = pretrained_cost_model(&device, ModelQuality::Fast);
+    let opts = FelixOptions { inject_panic_sketch: Some(0), ..quick_options(1) };
+    let mut opt = Optimizer::with_options(tiny_network(), model, device, opts);
+    let n_tasks = opt.tasks().len();
+    opt.optimize_all(n_tasks, 4);
+    assert!(opt.tasks().iter().all(|t| t.sketch_modes()[0] == SketchMode::Evolutionary));
+    let measured: usize = opt.tasks().iter().map(|t| t.measured.len()).sum();
+    opt.optimize_all(1, 0);
+    assert_eq!(opt.tasks().iter().map(|t| t.measured.len()).sum::<usize>(), measured);
 }
 
 #[test]

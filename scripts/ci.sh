@@ -28,7 +28,13 @@ BUDGET_S=60
 for manifest in Cargo.toml crates/*/Cargo.toml; do
     crate=$(sed -n '/^\[package\]/,/^\[/s/^name = "\(.*\)"$/\1/p' "$manifest")
     start=$SECONDS
-    cargo test -q -p "$crate" >/dev/null
+    # libtest reports failures on stdout: held back while the suite
+    # passes, printed when it fails.
+    if ! out=$(cargo test -q -p "$crate"); then
+        printf '%s\n' "$out"
+        echo "FAIL: $crate test suite failed" >&2
+        exit 1
+    fi
     elapsed=$((SECONDS - start))
     echo "test-time $crate: ${elapsed}s"
     if [ "$elapsed" -gt "$BUDGET_S" ]; then
