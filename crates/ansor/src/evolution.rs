@@ -3,8 +3,8 @@
 
 use crate::{schedule_key, Proposer, SearchTask};
 use felix_cost::{
-    crossover_schedules, log_transform_into, mutate_schedule, random_schedule,
-    total_cmp_desc_nan_last, total_cmp_nan_last, Mlp,
+    crossover_schedules, mutate_schedule, random_schedule, total_cmp_desc_nan_last,
+    total_cmp_nan_last, Mlp, PackedMlp,
 };
 use felix_sim::clock::ClockCosts;
 use felix_sim::TuningClock;
@@ -40,42 +40,29 @@ pub struct EvolutionaryProposer {
     /// Hyperparameters.
     pub config: EvolutionConfig,
     trace: Vec<f64>,
-    scratch: Vec<f64>,
-    raw: Vec<f64>,
-    logrow: Vec<f64>,
 }
 
 impl EvolutionaryProposer {
     /// With the paper's default settings.
     pub fn new(config: EvolutionConfig) -> Self {
-        EvolutionaryProposer {
-            config,
-            trace: Vec::new(),
-            scratch: Vec::new(),
-            raw: Vec::new(),
-            logrow: Vec::new(),
-        }
+        EvolutionaryProposer { config, trace: Vec::new() }
     }
 
+    /// Scores a population through [`SearchTask::score_candidates`] and
+    /// records the scores in the prediction trace. The clock is charged at
+    /// the per-prediction rate of the baseline's accounting.
     fn score_population(
         &mut self,
         task: &SearchTask,
-        model: &Mlp,
+        model: &PackedMlp,
         pop: &[(usize, Vec<f64>)],
         clock: &mut TuningClock,
         costs: &ClockCosts,
     ) -> Vec<f64> {
         clock.charge_predictions(pop.len(), costs);
-        pop.iter()
-            .map(|(sk, vals)| {
-                let st = &task.sketches[*sk];
-                st.eval_features_into(vals, &mut self.scratch, &mut self.raw);
-                log_transform_into(&self.raw, &mut self.logrow);
-                let score = model.predict(&self.logrow);
-                self.trace.push(score);
-                score
-            })
-            .collect()
+        let scores = task.score_candidates(model, pop);
+        self.trace.extend_from_slice(&scores);
+        scores
     }
 
     /// [`Proposer::propose`] restricted to a caller-chosen sketch set — the
@@ -123,7 +110,9 @@ impl EvolutionaryProposer {
         clock.charge_evolution(cfg.population, costs);
 
         // --- Generations --------------------------------------------------
-        let mut scores = self.score_population(task, model, &pop, clock, costs);
+        // One packed view of the model scores every generation.
+        let packed = model.pack();
+        let mut scores = self.score_population(task, &packed, &pop, clock, costs);
         for _ in 0..cfg.generations {
             // Rank and keep the better half as parents.
             let mut order: Vec<usize> = (0..pop.len()).collect();
@@ -149,7 +138,7 @@ impl EvolutionaryProposer {
             }
             clock.charge_evolution(cfg.population, costs);
             pop = next;
-            scores = self.score_population(task, model, &pop, clock, costs);
+            scores = self.score_population(task, &packed, &pop, clock, costs);
         }
 
         // --- Pick the top-n unmeasured candidates -------------------------

@@ -12,8 +12,7 @@ pub mod evolution;
 
 pub use evolution::EvolutionaryProposer;
 
-use felix_cost::{fine_tune, ingest_sample, Mlp, Sample};
-use felix_expr::CompiledGradTape;
+use felix_cost::{fine_tune, ingest_sample, log_transform, Mlp, PackedMlp, Sample};
 use felix_features::{extract_features, FeatureSet};
 use felix_graph::lower::lower_subgraph;
 use felix_graph::Task;
@@ -31,38 +30,26 @@ use std::collections::HashSet;
 pub struct SketchState {
     /// Sketch label.
     pub name: &'static str,
-    /// The symbolic program.
+    /// The symbolic program; its pool holds the feature formulas.
     pub program: Program,
     /// The 82 feature formulas over this sketch's schedule variables.
     pub features: FeatureSet,
-    /// The feature formulas compiled to a tape (hot path of candidate
-    /// scoring; only its forward sweep runs here).
-    pub tape: CompiledGradTape,
     /// The program's rounding plan: every relaxed point a proposer rounds
     /// back to a valid schedule goes through it.
     pub rounding: RoundingPlan,
 }
 
 impl SketchState {
-    /// Raw feature values of a concrete schedule via the compiled tape
-    /// (identical to `features.eval`, minus the full-pool walk).
-    pub fn eval_features(&self, values: &[f64], scratch: &mut Vec<f64>) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.tape.n_roots());
-        self.eval_features_into(values, scratch, &mut out);
-        out
-    }
-
-    /// [`SketchState::eval_features`] into a caller-owned output buffer
-    /// (cleared first); with both buffers reused, scoring loops allocate
-    /// nothing per candidate.
+    /// Raw feature values of a concrete schedule, by one walk of the sketch
+    /// pool into `scratch` ([`FeatureSet::eval_into`]); with both buffers
+    /// reused, scoring loops allocate nothing per candidate.
     pub fn eval_features_into(
         &self,
         values: &[f64],
         scratch: &mut Vec<f64>,
         out: &mut Vec<f64>,
     ) {
-        self.tape.forward(values, scratch);
-        self.tape.write_roots(scratch, 1, 0, out);
+        self.features.eval_into(&self.program, values, scratch, out);
     }
 }
 
@@ -235,9 +222,8 @@ impl SearchTask {
             .map(|sk| {
                 let mut program = sk.program;
                 let features = extract_features(&mut program);
-                let tape = CompiledGradTape::compile(&program.pool, &features.exprs);
                 let rounding = RoundingPlan::new(&program);
-                SketchState { name: sk.name, program, features, tape, rounding }
+                SketchState { name: sk.name, program, features, rounding }
             })
             .collect();
         let n_sketches = sketches.len();
@@ -263,6 +249,24 @@ impl SearchTask {
     /// Consecutive candidate failures on one sketch that trigger
     /// quarantine.
     pub const QUARANTINE_STREAK: usize = 6;
+
+    /// Predicted scores of `(sketch, values)` candidates: each one's
+    /// features are evaluated and log-transformed, then all rows go through
+    /// one [`PackedMlp::predict_batch`] call. Row `i` is bit-identical to
+    /// `Mlp::predict` on candidate `i`, so how callers cut a candidate list
+    /// into calls never changes a score. Both the gradient and the
+    /// evolutionary proposer score every candidate through here.
+    pub fn score_candidates(&self, model: &PackedMlp, cands: &[(usize, Vec<f64>)]) -> Vec<f64> {
+        let (mut nodes, mut raw) = (Vec::new(), Vec::new());
+        let rows: Vec<Vec<f64>> = cands
+            .iter()
+            .map(|(sk, vals)| {
+                self.sketches[*sk].eval_features_into(vals, &mut nodes, &mut raw);
+                log_transform(&raw)
+            })
+            .collect();
+        model.predict_batch(&rows)
+    }
 
     /// Whether a candidate has already been measured.
     pub fn already_measured(&self, sketch: usize, vals: &[f64]) -> bool {
@@ -533,8 +537,9 @@ pub struct TunerStats {
     /// Sketches running degraded (below [`SketchMode::Gradient`]) after
     /// this round: the supervisor's [`HealthReport::modes`] for the next.
     pub degraded_sketches: usize,
-    /// Sketch objectives served from a shared cross-proposer tape cache
-    /// this round (compiled-tape compiles skipped entirely).
+    /// Always 0: there is no shared objective cache any more. Kept only
+    /// because the benchmark ledger (`benchmark/`) still reads it, until
+    /// ROADMAP item 1 step B deletes it there.
     pub tape_cache_hits: usize,
 }
 
@@ -570,9 +575,6 @@ impl TunerStats {
                 self.panics_caught,
                 self.degraded_sketches,
             ));
-        }
-        if self.tape_cache_hits > 0 {
-            line.push_str(&format!(" tape-cache[hit {}]", self.tape_cache_hits));
         }
         line
     }

@@ -65,7 +65,8 @@ impl Scale {
         }
     }
 
-    /// Felix gradient-descent settings (paper §5: 8 seeds, 200 steps).
+    /// Felix gradient-descent settings: [`FelixOptions::default`] (16
+    /// seeds, 200 steps), cut to 4 seeds × 50 steps at [`Scale::Fast`].
     pub fn felix_options(self) -> FelixOptions {
         match self {
             Scale::Fast => FelixOptions { n_seeds: 4, n_steps: 50, ..Default::default() },

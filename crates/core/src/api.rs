@@ -202,16 +202,6 @@ impl Optimizer {
         Ok(self)
     }
 
-    /// Attaches a shared objective cache (see [`crate::tape_cache`]): every
-    /// optimizer holding a clone of the same `Arc` compiles each distinct
-    /// sketch objective once between them. Tuning results are bit-identical
-    /// with or without the cache.
-    #[must_use]
-    pub fn with_shared_tape_cache(mut self, cache: std::sync::Arc<crate::TapeCache>) -> Self {
-        self.proposer = self.proposer.with_shared_tape_cache(cache);
-        self
-    }
-
     /// Enables checkpointing: after every `every_rounds` tuning rounds (and
     /// at the end of each `optimize_all` call) the full tuner state — task
     /// snapshots, cost-model weights, clock, and RNG position — is written
@@ -382,7 +372,18 @@ impl Optimizer {
                 .count(),
         };
         for i in 0..n_total_rounds {
-            let round = self.run_rounds(&opts, 1);
+            let round = tune_network_with_sink(
+                &mut self.tasks,
+                &mut self.proposer,
+                &mut self.model,
+                &self.sim,
+                &mut self.clock,
+                &self.costs,
+                &opts,
+                1,
+                &mut self.rng,
+                self.sink.as_mut().map(|s| s as &mut dyn MeasurementSink),
+            );
             self.history.extend(round.curve.iter().copied());
             res.curve.extend(round.curve);
             res.task_latencies = round.task_latencies;
@@ -420,21 +421,6 @@ impl Optimizer {
     /// are interleaved with other optimizers' work.
     pub fn tick(&mut self, measure_per_round: usize) -> NetworkTuneResult {
         self.optimize_all(1, measure_per_round)
-    }
-
-    fn run_rounds(&mut self, opts: &TuneOptions, n_rounds: usize) -> NetworkTuneResult {
-        tune_network_with_sink(
-            &mut self.tasks,
-            &mut self.proposer,
-            &mut self.model,
-            &self.sim,
-            &mut self.clock,
-            &self.costs,
-            opts,
-            n_rounds,
-            &mut self.rng,
-            self.sink.as_mut().map(|s| s as &mut dyn MeasurementSink),
-        )
     }
 
     /// Applies the best schedule found for each subgraph and produces a

@@ -47,15 +47,13 @@
 use crate::health::{restart_salt, restart_stream, round_report, SeedHealth, SketchHealth};
 use crate::objective::{EvalScratch, PipelineOptions, SketchObjective};
 use crate::parallel::{effective_threads, parallel_map};
-use crate::tape_cache::TapeCache;
 use felix_ansor::evolution::EvolutionConfig;
 use felix_ansor::{
     schedule_key, EvolutionaryProposer, HealthReport, Proposer, ScheduleKey, SearchTask,
     SketchMode, SketchState, TunerStats,
 };
 use felix_cost::{
-    log_transform, total_cmp_desc_nan_last, total_cmp_nan_last, AdamOpt, Mlp, MlpScratch,
-    PackedMlp,
+    total_cmp_desc_nan_last, total_cmp_nan_last, AdamOpt, Mlp, MlpScratch, PackedMlp,
 };
 use felix_features::FEATURE_COUNT;
 use felix_sim::clock::ClockCosts;
@@ -163,12 +161,26 @@ struct ItemOut {
     health: SketchHealth,
 }
 
+/// An empty type. Each [`GradientProposer`]'s own memo is the only
+/// objective cache; this type and
+/// [`GradientProposer::with_shared_tape_cache`] are kept only because the
+/// benchmark ledger (`benchmark/`) still names them, until ROADMAP item 1
+/// step B deletes them there.
+#[derive(Debug, Default)]
+pub struct TapeCache;
+
+impl TapeCache {
+    /// The empty value.
+    pub fn new() -> TapeCache {
+        TapeCache
+    }
+}
+
 /// The gradient-descent candidate proposer (Felix's search algorithm).
 pub struct GradientProposer {
     /// Hyperparameters.
     pub options: FelixOptions,
-    objectives: HashMap<String, Vec<Arc<SketchObjective>>>,
-    tape_cache: Option<Arc<TapeCache>>,
+    objectives: HashMap<String, Vec<SketchObjective>>,
     trace: Vec<f64>,
     stats: Vec<TunerStats>,
     health: HealthReport,
@@ -180,28 +192,21 @@ impl GradientProposer {
         GradientProposer {
             options,
             objectives: HashMap::new(),
-            tape_cache: None,
             trace: Vec::new(),
             stats: Vec::new(),
             health: HealthReport::default(),
         }
     }
 
-    /// Attaches a shared objective cache: on a memo miss the proposer asks
-    /// `cache` before building, so proposers holding the same `Arc` compile
-    /// each distinct sketch objective once between them. Builds are
-    /// deterministic in exactly the fingerprinted inputs, so search results
-    /// are bit-identical with or without the cache.
+    /// Returns `self` unchanged (see [`TapeCache`]).
     #[must_use]
-    pub fn with_shared_tape_cache(mut self, cache: Arc<TapeCache>) -> Self {
-        self.tape_cache = Some(cache);
+    pub fn with_shared_tape_cache(self, _cache: Arc<TapeCache>) -> Self {
         self
     }
 
     /// Returns the compiled objectives for `task` from the memo, building
     /// them (in parallel over sketches — each build is deterministic and
-    /// independent) on first sight, through the shared [`TapeCache`] when
-    /// one is attached. Reports memo hit/miss and shared-cache hits into
+    /// independent) on first sight. Reports memo hits and misses into
     /// `stats`.
     ///
     /// The memo is keyed by `workload_key`, not display name: display
@@ -210,30 +215,21 @@ impl GradientProposer {
     /// would serve one of them objectives compiled for the other's
     /// program.
     fn objectives_for<'a>(
-        objectives: &'a mut HashMap<String, Vec<Arc<SketchObjective>>>,
-        tape_cache: Option<&Arc<TapeCache>>,
+        objectives: &'a mut HashMap<String, Vec<SketchObjective>>,
         task: &SearchTask,
         pipeline: PipelineOptions,
         threads: usize,
         stats: &mut TunerStats,
-    ) -> &'a [Arc<SketchObjective>] {
+    ) -> &'a [SketchObjective] {
         if objectives.contains_key(&task.workload_key) {
             stats.cache_hits = task.sketches.len();
         } else {
             stats.cache_misses = task.sketches.len();
             let built = parallel_map(task.sketches.len(), threads, |i| {
                 let sk = &task.sketches[i];
-                let (program, feats) = (&sk.program, &sk.features.exprs[..]);
-                match tape_cache {
-                    Some(cache) => cache.objective(program, feats, pipeline),
-                    None => {
-                        (Arc::new(SketchObjective::build_with(program, feats, pipeline)), false)
-                    }
-                }
+                SketchObjective::build_with(&sk.program, &sk.features.exprs, pipeline)
             });
-            stats.tape_cache_hits = built.iter().filter(|(_, hit)| *hit).count();
-            let objs = built.into_iter().map(|(obj, _)| obj).collect();
-            objectives.insert(task.workload_key.clone(), objs);
+            objectives.insert(task.workload_key.clone(), built);
         }
         let objs = &objectives[&task.workload_key];
         for o in objs.iter() {
@@ -245,30 +241,18 @@ impl GradientProposer {
     }
 }
 
-/// Tape-evaluates and batch-predicts `cands`, in parallel chunks. Chunk
-/// results are concatenated in index order and every batch row is
-/// bit-identical to a scalar `predict`, so the scores do not depend on the
-/// thread count.
+/// [`SearchTask::score_candidates`] over `cands` in parallel chunks of
+/// [`SCORE_CHUNK`]. Chunk results are concatenated in index order and every
+/// row is bit-identical to a scalar `predict`, so the scores do not depend
+/// on the thread count.
 fn score_candidates(
     task: &SearchTask,
     model: &PackedMlp,
     threads: usize,
     cands: &[(usize, Vec<f64>)],
 ) -> Vec<f64> {
-    let n_chunks = cands.len().div_ceil(SCORE_CHUNK);
-    parallel_map(n_chunks, threads, |ci| {
-        let chunk = &cands[ci * SCORE_CHUNK..((ci + 1) * SCORE_CHUNK).min(cands.len())];
-        let mut scratch = Vec::new();
-        let feats: Vec<Vec<f64>> = chunk
-            .iter()
-            .map(|(sk, x)| {
-                let st = &task.sketches[*sk];
-                log_transform(&st.eval_features(x, &mut scratch))
-            })
-            .collect();
-        model.predict_batch(&feats)
-    })
-    .concat()
+    let chunks: Vec<&[(usize, Vec<f64>)]> = cands.chunks(SCORE_CHUNK).collect();
+    parallel_map(chunks.len(), threads, |ci| task.score_candidates(model, chunks[ci])).concat()
 }
 
 /// Runs `f` inside the per-sketch panic-isolation boundary; `false` means
@@ -321,7 +305,7 @@ fn restart_seed(
 /// depend on how the seeds were cut into items.
 #[allow(clippy::too_many_arguments)]
 fn descend_item(
-    objectives: &[Arc<SketchObjective>],
+    objectives: &[SketchObjective],
     task: &SearchTask,
     model: &PackedMlp,
     opts: &FelixOptions,
@@ -331,7 +315,7 @@ fn descend_item(
     item: &Item,
 ) -> ItemOut {
     let sketch = item.sketch;
-    let (obj, st) = (&*objectives[sketch], &task.sketches[sketch]);
+    let (obj, st) = (&objectives[sketch], &task.sketches[sketch]);
     let clip = if modes[sketch] == SketchMode::ClippedGradient {
         CLIPPED_GRAD_CLIP
     } else {
@@ -480,7 +464,6 @@ impl Proposer for GradientProposer {
         let mut stats = TunerStats { threads, ..TunerStats::default() };
         let objectives = Self::objectives_for(
             &mut self.objectives,
-            self.tape_cache.as_ref(),
             task,
             opts.pipeline,
             threads,
@@ -567,21 +550,18 @@ impl Proposer for GradientProposer {
             let (sketch, stream) = slots[j];
             let mut srng = StdRng::seed_from_u64(stream);
             let st = &task.sketches[sketch];
-            let cands: Vec<Vec<f64>> = (0..SEED_INIT_DRAWS)
-                .map(|_| felix_cost::random_schedule(&st.program, &st.rounding, &mut srng, 64))
+            let cands: Vec<(usize, Vec<f64>)> = (0..SEED_INIT_DRAWS)
+                .map(|_| {
+                    (sketch, felix_cost::random_schedule(&st.program, &st.rounding, &mut srng, 64))
+                })
                 .collect();
-            let mut scratch = Vec::new();
-            let feats: Vec<Vec<f64>> = cands
-                .iter()
-                .map(|x| log_transform(&st.eval_features(x, &mut scratch)))
-                .collect();
-            let scores = packed.predict_batch(&feats);
+            let scores = task.score_candidates(&packed, &cands);
             let best = scores
                 .iter()
                 .enumerate()
                 .max_by(|a, b| total_cmp_desc_nan_last(b.1, a.1))
                 .map_or(0, |(i, _)| i);
-            cands.into_iter().nth(best).expect("SEED_INIT_DRAWS >= 1")
+            cands.into_iter().nth(best).expect("SEED_INIT_DRAWS >= 1").1
         });
         clock.charge_batched_predictions(slots.len() * SEED_INIT_DRAWS, costs);
         for ((sketch, _), x) in slots.iter().zip(inits) {
@@ -679,7 +659,7 @@ impl Proposer for GradientProposer {
         cands.sort_by_cached_key(|(sk, x)| format!("{sk}:{x:?}"));
 
         // --- Rank by predicted performance on the exact features (line 21),
-        // via the compiled feature tapes, in parallel batches.
+        // in parallel batches.
         let cand_scores = score_candidates(task, &packed, threads, &cands);
         clock.charge_batched_predictions(cands.len(), costs);
         let mut ranked: Vec<(f64, usize, Vec<f64>)> = cand_scores

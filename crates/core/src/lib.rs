@@ -44,13 +44,11 @@ pub mod health;
 pub mod objective;
 pub mod parallel;
 pub mod persist;
-pub mod tape_cache;
 
 pub use api::{
     extract_subgraphs, pretrained_cost_model, CompiledModule, ModelQuality, Optimizer,
 };
 pub use cache::{structure_hash, CacheOutcome, ScheduleCache};
 pub use persist::{replay_records, CheckpointState, RecordLogSink};
-pub use tape_cache::TapeCache;
-pub use gd::{FelixOptions, GradientProposer};
+pub use gd::{FelixOptions, GradientProposer, TapeCache};
 pub use objective::{EvalScratch, SketchObjective};

@@ -95,8 +95,8 @@ pub struct SketchObjective {
 }
 
 /// Reusable buffers for tape-based objective evaluation. One scratch per
-/// worker (or per sketch group) makes the steady-state descent loop
-/// allocation-free: every buffer grows once and is then rewritten in place.
+/// descent work item makes the steady-state descent loop allocation-free:
+/// every buffer grows once and is then rewritten in place.
 #[derive(Clone, Debug, Default)]
 pub struct EvalScratch {
     /// Variable values, variable-major: `vars[v * batch + lane]`.
@@ -369,11 +369,11 @@ impl SketchObjective {
 
     /// Extracts every lane's log-feature vector (the MLP input) at once,
     /// into a feature-major destination: lane `l`'s feature `k` lands in
-    /// `dst_t[k * n_total + cols[l]]`. Feature roots run outer and lanes
-    /// inner, so the tape-value reads are contiguous rows — and when
-    /// `cols` is a contiguous ascending run, each root row is one straight
-    /// block copy. This is the layout the batched cost-model call takes
-    /// its inputs in (see `PackedMlp::input_gradient_batch_cols`).
+    /// `dst_t[k * n_total + cols[l]]`, where `cols` must be one contiguous
+    /// ascending run (asserted). Feature roots run outer and lanes inner,
+    /// so each root row is one straight block copy. This is the layout the
+    /// batched cost-model call takes its inputs in (see
+    /// `PackedMlp::input_gradient_batch_cols`).
     /// `finite(lane, ok)` reports whether every feature of the lane is
     /// finite; the check rides the extraction loop (the values are already
     /// in hand), so the supervisor's per-step feature-root NaN/Inf
@@ -388,10 +388,8 @@ impl SketchObjective {
     ) {
         let b = scratch.batch;
         let nf = self.log_feat_roots.len();
-        assert_eq!(cols.len(), b, "one destination column per lane");
+        let c0 = contiguous_run(cols, b, n_total);
         assert!(dst_t.len() >= nf * n_total, "feature-major buffer too small");
-        let contiguous = cols.windows(2).all(|w| w[1] == w[0] + 1)
-            && cols.first().is_none_or(|&c| c + b <= n_total);
         let EvalScratch { vals, feat_fin, .. } = scratch;
         feat_fin.clear();
         feat_fin.resize(b, 0.0);
@@ -402,18 +400,10 @@ impl SketchObjective {
             // accumulator ends at `±0.0` iff every feature was finite —
             // a pure f64 sweep that vectorizes with the copy, equivalent
             // to `is_finite` on every element.
-            if contiguous {
-                let c0 = cols.first().copied().unwrap_or(0);
-                let dst = &mut dst_t[k * n_total + c0..k * n_total + c0 + b];
-                for ((d, &v), acc) in dst.iter_mut().zip(vrow).zip(feat_fin.iter_mut()) {
-                    *d = v;
-                    *acc += v * 0.0;
-                }
-            } else {
-                for ((&v, &c), acc) in vrow.iter().zip(cols).zip(feat_fin.iter_mut()) {
-                    dst_t[k * n_total + c] = v;
-                    *acc += v * 0.0;
-                }
+            let dst = &mut dst_t[k * n_total + c0..k * n_total + c0 + b];
+            for ((d, &v), acc) in dst.iter_mut().zip(vrow).zip(feat_fin.iter_mut()) {
+                *d = v;
+                *acc += v * 0.0;
             }
         }
         for (lane, &acc) in feat_fin.iter().enumerate() {
@@ -424,11 +414,11 @@ impl SketchObjective {
     /// Seeds every lane's feature-root adjoints with its MLP input
     /// gradient, negated (the objective maximizes score), from a
     /// feature-major gradient buffer (`src_t[k * n_total + cols[lane]]`, the
-    /// layout [`felix_cost::PackedMlp::input_gradient_batch_cols`] emits):
-    /// feature roots outer, lanes inner, so when `cols` is a contiguous run
-    /// both the source reads and the seed writes are pure row sweeps — no
-    /// strided access on either side. Must run after
-    /// [`SketchObjective::forward_batch`].
+    /// layout [`felix_cost::PackedMlp::input_gradient_batch_cols`] emits;
+    /// `cols` one contiguous run, as for
+    /// [`SketchObjective::write_feats_cols`]): feature roots outer, lanes
+    /// inner, so both the source reads and the seed writes are pure row
+    /// sweeps. Must run after [`SketchObjective::forward_batch`].
     pub fn seed_feats_cols(
         &self,
         scratch: &mut EvalScratch,
@@ -438,21 +428,12 @@ impl SketchObjective {
     ) {
         let b = scratch.batch;
         let nf = self.log_feat_roots.len();
-        assert_eq!(cols.len(), b, "one source column per lane");
+        let c0 = contiguous_run(cols, b, n_total);
         assert!(src_t.len() >= nf * n_total, "feature-major gradient buffer too small");
-        let contiguous = cols.windows(2).all(|w| w[1] == w[0] + 1)
-            && cols.first().is_none_or(|&c| c + b <= n_total);
         for (k, srow) in scratch.seeds[..nf * b].chunks_exact_mut(b).enumerate() {
-            if contiguous {
-                let c0 = cols.first().copied().unwrap_or(0);
-                let grow = &src_t[k * n_total + c0..k * n_total + c0 + b];
-                for (s, &g) in srow.iter_mut().zip(grow) {
-                    *s = -g;
-                }
-            } else {
-                for (s, &c) in srow.iter_mut().zip(cols) {
-                    *s = -src_t[k * n_total + c];
-                }
+            let grow = &src_t[k * n_total + c0..k * n_total + c0 + b];
+            for (s, &g) in srow.iter_mut().zip(grow) {
+                *s = -g;
             }
         }
     }
@@ -556,6 +537,23 @@ impl SketchObjective {
         self.grad_lane(&scratch, 0, &mut grad);
         (-score + penalty, score, grad)
     }
+}
+
+/// The first column of `cols`, one destination column per lane of a
+/// `batch`-lane sweep.
+///
+/// # Panics
+///
+/// Panics unless `cols` is `c0, c0 + 1, …, c0 + batch - 1` with
+/// `c0 + batch <= n_total`.
+fn contiguous_run(cols: &[usize], batch: usize, n_total: usize) -> usize {
+    assert_eq!(cols.len(), batch, "one column per lane");
+    let c0 = cols.first().copied().unwrap_or(0);
+    assert!(
+        cols.iter().enumerate().all(|(l, &c)| c == c0 + l) && c0 + batch <= n_total,
+        "columns must be one contiguous run inside the buffer"
+    );
+    c0
 }
 
 #[cfg(test)]
@@ -680,9 +678,7 @@ mod tests {
             vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
         ];
         let batch = points.len();
-        // Reversed columns: the non-contiguous branch of the cols route
-        // (batch-of-one and the descent loop take the contiguous one).
-        let cols: Vec<usize> = (0..batch).rev().collect();
+        let cols: Vec<usize> = (0..batch).collect();
         let mut scratch = EvalScratch::default();
         obj.begin_batch(&mut scratch, batch);
         for (lane, y) in points.iter().enumerate() {

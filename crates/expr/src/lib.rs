@@ -473,7 +473,19 @@ impl ExprPool {
     ///
     /// Panics if a variable's index is out of bounds of `var_values`.
     pub fn eval_all(&self, var_values: &[f64]) -> Vec<f64> {
-        let mut out: Vec<f64> = Vec::with_capacity(self.nodes.len());
+        let mut out = Vec::with_capacity(self.nodes.len());
+        self.eval_all_into(var_values, &mut out);
+        out
+    }
+
+    /// [`ExprPool::eval_all`] into a caller-owned buffer (cleared first), so
+    /// a loop over many points allocates nothing per point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a variable's index is out of bounds of `var_values`.
+    pub fn eval_all_into(&self, var_values: &[f64], out: &mut Vec<f64>) {
+        out.clear();
         for node in &self.nodes {
             let v = match *node {
                 ENode::Const(b) => f64::from_bits(b),
@@ -525,7 +537,6 @@ impl ExprPool {
             };
             out.push(v);
         }
-        out
     }
 
     /// Evaluates a single root expression (convenience over

@@ -41,8 +41,8 @@ use crate::autodiff::GradError;
 use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, UnOp, VarId};
 
 /// Lane count of one batched sweep, for a kernel instantiated at `W`. The
-/// widths the descent loop hands the tape most often (2/4/8/16 seeds of one
-/// sketch in a worker chunk) are compile-time constants, so the kernels'
+/// widths the descent loop hands the tape most often (a work item of 2, 4,
+/// 8 or 16 seeds of one sketch) are compile-time constants, so the kernels'
 /// per-row lane loops unroll into packed vector code; `W = 0` reads the
 /// count from `batch` at run time and serves every other width, 1 included,
 /// through the *same* kernel bodies. Lanes run across *samples* of the SoA
@@ -650,12 +650,6 @@ impl CompiledGradTape {
         &vals[r * batch..(r + 1) * batch]
     }
 
-    /// Copies one lane's root values (in root order) into `out`.
-    pub fn write_roots(&self, vals: &[f64], batch: usize, lane: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.roots.iter().map(|&r| vals[r as usize * batch + lane]));
-    }
-
     /// True when every root of `lane` in a [`Self::forward_batch`] result
     /// is finite. The descent supervisor calls this per seed per step to
     /// catch NaN/Inf at the tape level — before a poisoned feature vector
@@ -863,20 +857,11 @@ impl CompiledGradTape {
         Ok(())
     }
 
-    /// Single-point forward pass (batch of one): writes every slot value
-    /// into `vals` and returns nothing; read roots with
-    /// [`Self::write_roots`] or [`Self::root_value`].
-    pub fn forward(&self, var_values: &[f64], vals: &mut Vec<f64>) {
-        self.forward_batch(var_values, 1, vals);
-    }
-
     /// Single-point convenience: evaluates all roots into a fresh vector.
     pub fn eval(&self, var_values: &[f64]) -> Vec<f64> {
         let mut vals = Vec::new();
-        self.forward(var_values, &mut vals);
-        let mut out = Vec::with_capacity(self.roots.len());
-        self.write_roots(&vals, 1, 0, &mut out);
-        out
+        self.forward_batch(var_values, 1, &mut vals);
+        self.roots.iter().map(|&r| vals[r as usize]).collect()
     }
 
     /// Single-point gradient convenience: seeds every root and returns the
@@ -893,7 +878,7 @@ impl CompiledGradTape {
         subgradient: bool,
     ) -> Result<Vec<f64>, GradError> {
         let mut vals = Vec::new();
-        self.forward(var_values, &mut vals);
+        self.forward_batch(var_values, 1, &mut vals);
         let (mut adj, mut grad) = (Vec::new(), Vec::new());
         self.backward_batch(seeds, 1, &vals, n_vars, &mut adj, &mut grad, subgradient)?;
         Ok(grad)
@@ -966,13 +951,9 @@ mod tests {
     fn forward_matches_pool_bitwise() {
         let (p, roots, _) = example_pool();
         let tape = CompiledGradTape::compile(&p, &roots);
-        // One scratch and one output buffer across every point, as feature
-        // scoring loops reuse them: `write_roots` must clear stale roots.
-        let (mut vals, mut out) = (Vec::new(), Vec::new());
         for at in [[2.0, 3.0], [0.5, 7.0], [9.0, 0.25]] {
             let full = p.eval_all(&at);
-            tape.forward(&at, &mut vals);
-            tape.write_roots(&vals, 1, 0, &mut out);
+            let out = tape.eval(&at);
             assert_eq!(out.len(), roots.len());
             for (k, &r) in roots.iter().enumerate() {
                 assert_eq!(out[k].to_bits(), full[r.index()].to_bits());

@@ -136,8 +136,24 @@ pub struct FeatureSet {
 impl FeatureSet {
     /// Evaluates the raw feature values at a variable assignment.
     pub fn eval(&self, p: &Program, values: &[f64]) -> Vec<f64> {
-        let vals = p.pool.eval_all(values);
-        self.exprs.iter().map(|e| vals[e.index()]).collect()
+        let mut out = Vec::with_capacity(self.exprs.len());
+        self.eval_into(p, values, &mut Vec::with_capacity(p.pool.len()), &mut out);
+        out
+    }
+
+    /// [`FeatureSet::eval`] into caller-owned buffers (both cleared first):
+    /// `nodes` takes every pool node's value, `out` the feature values.
+    /// With both reused, a scoring loop allocates nothing per schedule.
+    pub fn eval_into(
+        &self,
+        p: &Program,
+        values: &[f64],
+        nodes: &mut Vec<f64>,
+        out: &mut Vec<f64>,
+    ) {
+        p.pool.eval_all_into(values, nodes);
+        out.clear();
+        out.extend(self.exprs.iter().map(|e| nodes[e.index()]));
     }
 }
 

@@ -2,11 +2,13 @@
 # CI gate: release build, the tier-1 line (`cargo test -q` at the root runs
 # the root package's 14 integration tests only), clippy and rustdoc with
 # warnings denied, then every crate's own suite under a time budget, the
-# ledger smoke and the non-test line count. Nothing here writes a tracked
-# file: `git status` stays clean.
+# ledger smoke and the non-test line count. Nothing here may write a
+# tracked file or leave an unignored one: `git status` must read the same
+# at the end as at the start, or the script fails and prints the change.
 # Everything is offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+status_before=$(git status --porcelain)
 
 cargo build --release
 cargo test -q
@@ -58,3 +60,10 @@ find crates -name '*.rs' -not -path '*/tests/*' -print0 \
                     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
                     !in_tests { n++ }
                     END { print "non-test lines under crates/: " n }'
+
+status_after=$(git status --porcelain)
+if [ "$status_after" != "$status_before" ]; then
+    echo "FAIL: the run changed git status (< before, > after):" >&2
+    diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after") >&2 || true
+    exit 1
+fi
