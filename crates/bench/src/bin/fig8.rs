@@ -99,10 +99,18 @@ fn main() {
         println!("    early (n≈512):  Felix best {:.3} / p64 {:.3}   Ansor best {:.3} / p64 {:.3}", fe.1, fe.2, ae.1, ae.2);
         println!("    final (n={:>5}): Felix best {:.3} / p64 {:.3}", fl.0, fl.1, fl.2);
         println!("    final (n={:>5}): Ansor best {:.3} / p64 {:.3}", al.0, al.1, al.2);
+        // The paper compares the populations at equal search effort, so the
+        // spread is taken with both traces cut to the shorter one's length.
+        let n_eq = frun.prediction_trace.len().min(arun.prediction_trace.len());
+        let spread = |run: &felix_bench::SingleTaskRun| {
+            running_stats(&run.prediction_trace[..n_eq])
+                .last()
+                .map_or(f64::NAN, |&(_, best, p64)| best - p64)
+        };
         println!(
-            "    spread (best − p64): Felix {:.3} vs Ansor {:.3}  (smaller = tighter population)",
-            fl.1 - fl.2,
-            al.1 - al.2
+            "    spread (best − p64) at equal n={n_eq}: Felix {:.3} vs Ansor {:.3}  (smaller = tighter population)",
+            spread(&frun),
+            spread(&arun)
         );
     }
     write_result("fig8_population.csv", &csv);

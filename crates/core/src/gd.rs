@@ -359,8 +359,8 @@ fn descend_item(
                 }
                 obj.forward_batch(&mut scratch);
                 // Feature extraction transposed over all lanes (roots
-                // outer, lanes inner) — per lane the values
-                // `eval_feats_pool` computes.
+                // outer, lanes inner) — per lane the values the batch-of-one
+                // `SketchObjective::cost_and_grad` reads.
                 obj.write_feats_cols(&mut scratch, &cols, lanes, &mut feats_t, |lane, ok| {
                     feat_ok[lane] = ok;
                 });
@@ -381,8 +381,8 @@ fn descend_item(
             let ok = run_guarded(|| {
                 // Feature seeding straight from the feature-major MLP
                 // gradient buffer, then penalty seeding batched the same
-                // way — per lane the seeds `grad_from_dscore_pool` builds,
-                // in its root order.
+                // way — per lane the seeds `SketchObjective::cost_and_grad`
+                // sets, in its root order.
                 obj.seed_feats_cols(&mut scratch, &cols, lanes, &mlp_grads);
                 obj.seed_penalties_all(&mut scratch, LAMBDA, |lane, p, ok| {
                     pen[lane] = p;

@@ -52,3 +52,11 @@ pub use cache::{structure_hash, CacheOutcome, ScheduleCache};
 pub use persist::{replay_records, CheckpointState, RecordLogSink};
 pub use gd::{FelixOptions, GradientProposer, TapeCache};
 pub use objective::{EvalScratch, SketchObjective};
+
+// The test-only reference under `tests/reference/` names this crate by its
+// external path, so the unit tests include it as well.
+#[cfg(test)]
+extern crate self as felix;
+#[cfg(test)]
+#[path = "../tests/reference/objective_pool.rs"]
+mod objective_pool;

@@ -8,20 +8,19 @@
 //! 3. substitute `x = e^y` for every schedule variable (the pool's smart
 //!    constructors cancel any directly nested `log∘exp` as it is built),
 //! 4. keep the validity constraints as penalty expressions `g(y)`,
-//! 5. compile the live feature and penalty sub-DAG into one gradient tape
-//!    (dead-code elimination, constant folding, CSE).
+//! 5. compile the feature and penalty sub-DAG the roots reach into one
+//!    gradient tape.
 //!
 //! [`SketchObjective::cost_and_grad`] then composes the MLP cost model with
-//! the feature DAG: the MLP's input gradient seeds one reverse-mode sweep
-//! over the expression pool, yielding `∂O/∂y` for every seed in a single
-//! pass — exactly the AutoDiff step of Algorithm 1.
+//! the feature DAG: the MLP's input gradient seeds the tape's reverse sweep,
+//! yielding `∂O/∂y` in a single pass — exactly the AutoDiff step of
+//! Algorithm 1. The descent loop runs the same sweep for every seed of a
+//! sketch at once through the batched calls below.
 
 use felix_cost::Mlp;
-use felix_expr::autodiff::GradOptions;
 use felix_expr::subst::exp_substitution;
 use felix_expr::{smooth_all, CompiledGradTape, ExprId, VarId};
 use felix_tir::Program;
-use std::collections::HashMap;
 
 /// Which stages of the differentiable-rewriting pipeline to apply — all on
 /// by default; individual stages can be disabled for the ablation studies
@@ -46,10 +45,10 @@ impl Default for PipelineOptions {
 }
 
 /// Clamp bound on the log-space variables `y` before they reach the tape
-/// (both the compiled path and the pool oracle — the two must stay
-/// bit-identical). `x = e^y` makes every feature a polynomial in `e^y`, so
-/// one saturated tile variable at `y ≈ 700` turns into `x = Inf` and
-/// poisons the whole SoA sweep. `e^30 ≈ 1e13` is already ~9 orders of
+/// (the test-only pool-walking reference applies the same clamp, so the
+/// two stay bit-identical). `x = e^y` makes every feature a polynomial in
+/// `e^y`, so one saturated tile variable at `y ≈ 700` turns into `x = Inf`
+/// and poisons the whole SoA sweep. `e^30 ≈ 1e13` is already ~9 orders of
 /// magnitude beyond the largest legal tile extent (≤ 4096, `y ≈ 8.3`),
 /// while products of every schedule variable and the squared penalty terms
 /// stay comfortably inside `f64` range. Healthy descent never gets near
@@ -72,16 +71,13 @@ pub struct SketchObjective {
     pub log_feat_roots: Vec<ExprId>,
     /// Penalty expressions `g_r(y)` (legal iff `g_r <= 0`).
     pub penalty_roots: Vec<ExprId>,
-    /// Mapping from original variable `x` to its log-space variable `y`.
-    pub x_to_y: HashMap<VarId, VarId>,
     /// Optimization variables, in the order of the original schedule vars.
     pub y_vars: Vec<VarId>,
     /// The original `x` variable behind each optimization slot (aligned
     /// with `y_vars`), precomputed so x↔y conversions need no map scans.
     y_to_x: Vec<VarId>,
     /// Compiled forward+reverse tape over the live feature and penalty
-    /// sub-DAG (the hot path of every Adam step); the pool-walking methods
-    /// remain as the reference oracle.
+    /// sub-DAG (the hot path of every Adam step).
     pub tape: CompiledGradTape,
     /// Seconds spent compiling the tape.
     pub tape_compile_s: f64,
@@ -172,7 +168,6 @@ impl SketchObjective {
             program,
             log_feat_roots,
             penalty_roots,
-            x_to_y,
             y_to_x: xs,
             y_vars,
             tape,
@@ -236,90 +231,6 @@ impl SketchObjective {
         yv.clamp(-Y_CLAMP, Y_CLAMP)
     }
 
-    /// Assembles the full variable-value vector for pool evaluation,
-    /// clamping each `y` exactly as [`SketchObjective::set_lane`] does so
-    /// the pool oracle stays bit-identical to the tape path.
-    fn full_values(&self, y: &[f64]) -> Vec<f64> {
-        let mut vals = vec![1.0; self.program.vars.len()];
-        for (i, &yv) in self.y_vars.iter().enumerate() {
-            vals[yv.index()] = Self::clamp_y(y[i]);
-        }
-        vals
-    }
-
-    /// Stage 1 of the **pool-walking reference oracle**: one forward sweep
-    /// of the *entire* expression pool. Returns every node's value plus the
-    /// extracted log-feature vector — the MLP input. The production path is
-    /// the compiled tape ([`SketchObjective::cost_and_grad`] and the batched
-    /// API); this sweep pays for the whole rewrite history and exists to
-    /// check the tape against and for ablation debugging.
-    pub fn eval_feats_pool(&self, y: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let vals = self.full_values(y);
-        let node_vals = self.program.pool.eval_all(&vals);
-        let feats: Vec<f64> = self
-            .log_feat_roots
-            .iter()
-            .map(|e| node_vals[e.index()])
-            .collect();
-        (node_vals, feats)
-    }
-
-    /// Stage 2 of the pool-walking reference oracle: given the pool values
-    /// from [`SketchObjective::eval_feats_pool`] and the MLP's
-    /// `(score, ∂C/∂feat)` for this point, applies the penalty terms and
-    /// runs the reverse-mode sweep over the full pool. Returns
-    /// `(objective, predicted_score, gradient)`.
-    pub fn grad_from_dscore_pool(
-        &self,
-        node_vals: Vec<f64>,
-        score: f64,
-        dscore: &[f64],
-        lambda: f64,
-    ) -> (f64, f64, Vec<f64>) {
-        // Seeds: features get −∂C/∂feat; penalties get λ·2·max(g,0)
-        // (the analytic derivative of max(g,0)², which is differentiable).
-        let mut seeds: Vec<(ExprId, f64)> = self
-            .log_feat_roots
-            .iter()
-            .zip(dscore)
-            .map(|(&e, &d)| (e, -d))
-            .collect();
-        let mut penalty_val = 0.0;
-        for &g in &self.penalty_roots {
-            let gv = node_vals[g.index()].min(PENALTY_CLAMP);
-            if gv > 0.0 {
-                penalty_val += lambda * gv * gv;
-                seeds.push((g, lambda * 2.0 * gv));
-            }
-        }
-        let grads = self
-            .program
-            .pool
-            .grad_multi_with_values(
-                &seeds,
-                node_vals,
-                self.program.vars.len(),
-                GradOptions { subgradient: !self.pipeline.smoothing },
-            )
-            .expect("objective DAG is smooth by construction");
-        let grad: Vec<f64> = self.y_vars.iter().map(|&v| grads.var(v)).collect();
-        let objective = -score + penalty_val;
-        (objective, score, grad)
-    }
-
-    /// Full pool-walking `cost_and_grad`: the reference oracle the tape
-    /// path is checked against (`tape_oracle.rs` and the unit tests).
-    pub fn cost_and_grad_pool(
-        &self,
-        model: &Mlp,
-        lambda: f64,
-        y: &[f64],
-    ) -> (f64, f64, Vec<f64>) {
-        let (node_vals, feats) = self.eval_feats_pool(y);
-        let (score, dscore) = model.input_gradient(&feats);
-        self.grad_from_dscore_pool(node_vals, score, &dscore, lambda)
-    }
-
     // ------------------------------------------------------------------
     // Batched tape evaluation. The descent loop sweeps every live seed of
     // a sketch through the tape in one structure-of-arrays pass, mirroring
@@ -329,12 +240,11 @@ impl SketchObjective {
     // `backward_batch`/`grad_lane`. Batch width only changes memory
     // layout, never accumulation order, so every lane is bit-identical to
     // a batch-of-one evaluation — which is how `cost_and_grad` runs, and
-    // what the pool-walking `*_pool` reference is compared against.
+    // what the test-only pool-walking reference is compared against.
     // ------------------------------------------------------------------
 
     /// Starts a batched evaluation of `batch` seeds, sizing `scratch`'s
-    /// variable block (non-schedule variables default to 1.0, as in the
-    /// pool path).
+    /// variable block (non-schedule variables default to 1.0).
     pub fn begin_batch(&self, scratch: &mut EvalScratch, batch: usize) {
         scratch.batch = batch;
         scratch.vars.clear();
@@ -471,8 +381,7 @@ impl SketchObjective {
             let lanes = vrow.iter().zip(srow).zip(pen_acc.iter_mut().zip(pen_fin.iter_mut()));
             for ((&raw, s), (acc, fin)) in lanes {
                 *fin &= raw.is_finite();
-                // Clamped identically to the pool oracle; see
-                // [`PENALTY_CLAMP`].
+                // See [`PENALTY_CLAMP`].
                 let gv = raw.min(PENALTY_CLAMP);
                 if gv > 0.0 {
                     *acc += lambda * gv * gv;
@@ -559,6 +468,7 @@ fn contiguous_run(cols: &[usize], batch: usize, n_total: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective_pool::{cost_and_grad_pool, full_values};
     use felix_features::extract_features;
     use felix_graph::lower::lower_subgraph;
     use felix_graph::{Op, Subgraph};
@@ -597,7 +507,7 @@ mod tests {
         let x = vec![2.0, 16.0, 4.0, 2.0, 16.0, 4.0, 8.0, 64.0];
         let exact = fs.eval(&program, &x);
         let y: Vec<f64> = x.iter().map(|v| v.ln()).collect();
-        let vals = obj.full_values(&y);
+        let vals = full_values(&obj, &y);
         let node_vals = obj.program.pool.eval_all(&vals);
         let mut close = 0;
         for (k, &root) in obj.log_feat_roots.iter().enumerate() {
@@ -656,7 +566,7 @@ mod tests {
         ];
         for y in &points {
             let (c_tape, s_tape, g_tape) = obj.cost_and_grad(&model, 1.0, y);
-            let (c_pool, s_pool, g_pool) = obj.cost_and_grad_pool(&model, 1.0, y);
+            let (c_pool, s_pool, g_pool) = cost_and_grad_pool(&obj, &model, 1.0, y);
             assert_eq!(c_tape.to_bits(), c_pool.to_bits());
             assert_eq!(s_tape.to_bits(), s_pool.to_bits());
             assert_eq!(g_tape.len(), g_pool.len());
@@ -741,7 +651,7 @@ mod tests {
         let model = Mlp::new(&mut rng);
         let saturated = vec![700.0, 2.3, 1.1, 0.4, 2.0, 1.3, 1.9, -900.0];
         let (c_tape, s_tape, g_tape) = obj.cost_and_grad(&model, 1.0, &saturated);
-        let (c_pool, s_pool, g_pool) = obj.cost_and_grad_pool(&model, 1.0, &saturated);
+        let (c_pool, s_pool, g_pool) = cost_and_grad_pool(&obj, &model, 1.0, &saturated);
         assert_eq!(c_tape.to_bits(), c_pool.to_bits());
         assert_eq!(s_tape.to_bits(), s_pool.to_bits());
         for (a, b) in g_tape.iter().zip(&g_pool) {

@@ -1,7 +1,8 @@
 //! The compiled tape against the pool-walking oracle over every distinct
 //! sketch of the six batch-1 networks: the default objective's tape path
-//! must reproduce `cost_and_grad_pool` bit for bit, batch-of-one and lane by
-//! lane at batch widths 1, 7, 8, 9, 16 and 17 — the compile-time lane
+//! must reproduce the pool walk in `reference/objective_pool.rs` bit for
+//! bit, batch-of-one and lane by lane at batch widths 1, 7, 8, 9, 16 and
+//! 17 — the compile-time lane
 //! counts 8 and 16, the run-time ones around them, and one full chunk plus
 //! a partial one. No `log∘exp` or `exp∘log` pair may be reachable from a
 //! root: with no simplifier in the pipeline, nothing later would cancel it.
@@ -16,6 +17,9 @@ use felix_sim::{DeviceConfig, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+
+#[path = "reference/objective_pool.rs"]
+mod objective_pool;
 
 /// Batch widths checked lane by lane against the pool oracle.
 const WIDTHS: [usize; 6] = [1, 7, 8, 9, 16, 17];
@@ -80,7 +84,7 @@ fn assert_lanes_match_pool(obj: &SketchObjective, model: &Mlp, points: &[Vec<f64
     let mut grad = Vec::new();
     for (lane, y) in points.iter().enumerate() {
         obj.grad_lane(&scratch, lane, &mut grad);
-        let (c_pool, s_pool, g_pool) = obj.cost_and_grad_pool(model, LAMBDA, y);
+        let (c_pool, s_pool, g_pool) = objective_pool::cost_and_grad_pool(obj, model, LAMBDA, y);
         let (c_one, s_one, g_one) = obj.cost_and_grad(model, LAMBDA, y);
         assert_eq!(c_one.to_bits(), c_pool.to_bits(), "{sketch}: batch-of-one objective");
         assert_eq!(s_one.to_bits(), s_pool.to_bits(), "{sketch}: batch-of-one score");

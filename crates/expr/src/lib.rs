@@ -8,15 +8,15 @@
 //! - [`ExprPool`]: a hash-consed expression DAG with smart constructors that
 //!   fold constants and algebraic identities on the fly,
 //! - evaluation of the whole pool in one pass ([`ExprPool::eval_all`]),
-//! - reverse-mode automatic differentiation ([`autodiff`]),
 //! - smoothing of non-differentiable operators ([`smooth`], paper Fig. 4),
 //! - variable substitution, used for the `x = e^y` stabilization ([`subst`]),
-//! - compiled forward+reverse gradient tapes with dead-code elimination,
-//!   constant folding and common-subexpression sharing ([`tape`]),
+//! - reverse-mode automatic differentiation through compiled
+//!   forward+reverse gradient tapes over the live sub-DAG ([`tape`]),
 //! - integer factor utilities for rounding tile sizes ([`factor`]).
 //!
-//! There is no separate rewriting pass: the smart constructors and the tape
-//! compiler are the only simplifiers (`rewrite` keeps an identity shim).
+//! There is no separate rewriting pass: the smart constructors are the only
+//! simplifier, and the tape compiler only drops what the roots do not reach
+//! (`rewrite` keeps an identity shim).
 //!
 //! # Example
 //!
@@ -33,7 +33,6 @@
 //! assert_eq!(vals[f.index()], 32.0);
 //! ```
 
-pub mod autodiff;
 pub mod display;
 pub mod factor;
 pub mod rewrite;
@@ -41,8 +40,7 @@ pub mod smooth;
 pub mod subst;
 pub mod tape;
 
-pub use autodiff::{GradError, Gradients};
-pub use tape::CompiledGradTape;
+pub use tape::{CompiledGradTape, GradError};
 pub use display::DisplayExpr;
 pub use factor::factors;
 pub use smooth::{is_smooth, smooth_all, smooth_expr};
@@ -582,6 +580,17 @@ impl ExprPool {
     }
 }
 
+// The test-only references under `tests/reference/` name this crate by its
+// external path, so the unit tests include them as well.
+#[cfg(test)]
+extern crate self as felix_expr;
+#[cfg(test)]
+#[path = "../tests/reference/pool_grad.rs"]
+mod pool_grad;
+#[cfg(test)]
+#[path = "../tests/reference/tape_point.rs"]
+mod tape_point;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,15 +603,69 @@ mod tests {
 
     #[test]
     fn constants_fold() {
+        // Every constructor folds all-constant operands to a `Const`, so no
+        // pool node has only constant operands. The tape compiler relies on
+        // this: it runs no folding of its own.
         let mut p = ExprPool::new();
         let a = p.constf(2.0);
         let b = p.constf(3.0);
-        let c = p.add(a, b);
-        assert_eq!(p.as_const(c), Some(5.0));
-        let d = p.mul(a, b);
-        assert_eq!(p.as_const(d), Some(6.0));
-        let e = p.pow(a, b);
-        assert_eq!(p.as_const(e), Some(8.0));
+        type Bin = fn(&mut ExprPool, ExprId, ExprId) -> ExprId;
+        let binary: [(Bin, f64); 7] = [
+            (ExprPool::add, 5.0),
+            (ExprPool::sub, -1.0),
+            (ExprPool::mul, 6.0),
+            (ExprPool::div, 2.0 / 3.0),
+            (ExprPool::pow, 8.0),
+            (ExprPool::min, 2.0),
+            (ExprPool::max, 3.0),
+        ];
+        for (op, want) in binary {
+            let e = op(&mut p, a, b);
+            assert_eq!(p.as_const(e), Some(want));
+        }
+        let m = p.constf(-2.0);
+        type Un = fn(&mut ExprPool, ExprId) -> ExprId;
+        let unary: [(Un, ExprId, f64); 6] = [
+            (ExprPool::neg, a, -2.0),
+            (ExprPool::log, a, 2f64.ln()),
+            (ExprPool::exp, a, 2f64.exp()),
+            (ExprPool::sqrt, a, 2f64.sqrt()),
+            (ExprPool::abs, m, 2.0),
+            (ExprPool::abs, a, 2.0),
+        ];
+        for (op, x, want) in unary {
+            let e = op(&mut p, x);
+            assert_eq!(p.as_const(e), Some(want));
+        }
+        // (op, 2 op 3, 2 op 2)
+        let cmps = [
+            (CmpOp::Lt, 1.0, 0.0),
+            (CmpOp::Le, 1.0, 1.0),
+            (CmpOp::Gt, 0.0, 0.0),
+            (CmpOp::Ge, 0.0, 1.0),
+            (CmpOp::Eq, 0.0, 1.0),
+        ];
+        for (op, a_b, a_a) in cmps {
+            let e = p.cmp(op, a, b);
+            assert_eq!(p.as_const(e), Some(a_b), "{op:?}");
+            let e = p.cmp(op, a, a);
+            assert_eq!(p.as_const(e), Some(a_a), "{op:?}");
+        }
+        let (one, zero) = (p.constf(1.0), p.constf(0.0));
+        let e = p.select(one, a, b);
+        assert_eq!(p.as_const(e), Some(2.0));
+        let e = p.select(zero, a, b);
+        assert_eq!(p.as_const(e), Some(3.0));
+        assert!(
+            p.nodes().iter().all(|n| matches!(n, ENode::Const(_))),
+            "a constant-only expression left a non-constant node"
+        );
+        // A constant condition picks its branch outright, constant or not.
+        let mut vars = VarTable::new();
+        let x = p.var(vars.fresh("x"));
+        let y = p.var(vars.fresh("y"));
+        assert_eq!(p.select(one, x, y), x);
+        assert_eq!(p.select(zero, x, y), y);
     }
 
     #[test]

@@ -8,18 +8,11 @@
 //! dead intermediate sub-DAGs behind — while only
 //! the final feature and penalty roots are live.
 //!
-//! [`CompiledGradTape`] extracts the sub-DAG reachable from a fixed set of
-//! roots into a compact instruction tape:
-//!
-//! - **dead-code elimination**: only nodes reachable from the roots are
-//!   compiled (the pool's rewrite debris is skipped entirely),
-//! - **constant folding**: an instruction whose operands are all constants
-//!   is evaluated at compile time (a no-op for pools built through the
-//!   smart constructors, which already fold — kept as a guard for directly
-//!   interned nodes),
-//! - **hash-cons CSE**: structurally identical instructions are merged
-//!   (again a no-op for hash-consed pools; folding can create new
-//!   duplicates).
+//! [`CompiledGradTape`] compiles exactly the sub-DAG reachable from a fixed
+//! set of roots (dead-code elimination), one instruction per pool node, in
+//! pool order. It needs no folding or sharing pass of its own: the pool's
+//! smart constructors already fold all-constant operands and hash-cons
+//! identical nodes.
 //!
 //! The tape then supports a fused forward-value pass and a reverse adjoint
 //! pass, both in a **batched structure-of-arrays mode**: values are laid
@@ -30,15 +23,37 @@
 //!
 //! Tape slots preserve the pool's topological construction order, lanes are
 //! fully independent, and a lane's adjoint contributions accumulate in
-//! reverse slot order exactly like [`ExprPool::grad_multi_with_values`]
-//! walks the pool. Zero adjoints are skipped per lane (as the pool sweep
-//! skips zero-adjoint nodes), so no `0 · ∞ → NaN` artifacts appear in
-//! batched mode either. Consequently every value and gradient is
-//! **bit-identical** to the pool-walking reference and independent of the
+//! reverse slot order, exactly as a reverse sweep over the whole pool would
+//! visit them. Zero adjoints are skipped per lane (as that sweep skips
+//! zero-adjoint nodes), so no `0 · ∞ → NaN` artifacts appear in batched
+//! mode either. Consequently every value and gradient is **bit-identical**
+//! to the pool-walking reverse mode (kept as a test reference in
+//! `crates/expr/tests/reference/pool_grad.rs`) and independent of the
 //! batch width — batch 1 and batch 64 produce the same bits per lane.
 
-use crate::autodiff::GradError;
 use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, UnOp, VarId};
+use std::fmt;
+
+/// Error returned when a non-differentiable operator receives a nonzero
+/// adjoint and subgradients are not enabled.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct GradError {
+    /// The offending node. From the tape, its operands are tape slots, not
+    /// pool ids.
+    pub node: ENode,
+}
+
+impl fmt::Display for GradError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "expression contains non-differentiable operator {:?}; run the smoothing pass first or enable subgradients",
+            self.node
+        )
+    }
+}
+
+impl std::error::Error for GradError {}
 
 /// Lane count of one batched sweep, for a kernel instantiated at `W`. The
 /// widths the descent loop hands the tape most often (a work item of 2, 4,
@@ -75,30 +90,7 @@ pub(crate) enum Instr {
     Select(u32, u32, u32),
 }
 
-/// Hashable identity of an instruction (constants compare by bit pattern),
-/// used for compile-time common-subexpression elimination.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum InstrKey {
-    Const(u64),
-    Var(u32),
-    Un(UnOp, u32),
-    Bin(BinOp, u32, u32),
-    Cmp(CmpOp, u32, u32),
-    Select(u32, u32, u32),
-}
-
 impl Instr {
-    fn key(&self) -> InstrKey {
-        match *self {
-            Instr::Const(c) => InstrKey::Const(c.to_bits()),
-            Instr::Var(v) => InstrKey::Var(v),
-            Instr::Un(op, a) => InstrKey::Un(op, a),
-            Instr::Bin(op, a, b) => InstrKey::Bin(op, a, b),
-            Instr::Cmp(op, a, b) => InstrKey::Cmp(op, a, b),
-            Instr::Select(c, t, e) => InstrKey::Select(c, t, e),
-        }
-    }
-
     /// Small dense opcode tag (operation identity without operands): what
     /// both kernels dispatch on, and what groups the forward stream into
     /// same-opcode runs.
@@ -151,8 +143,6 @@ impl Instr {
 pub struct CompiledGradTape {
     instrs: Vec<Instr>,
     roots: Vec<u32>,
-    /// Number of pool nodes that were reachable before folding/CSE.
-    source_nodes: usize,
     /// 1 + the highest variable index read by any `Var` instruction.
     min_var_values: usize,
     /// Forward schedule: compute instructions regrouped by (DAG level,
@@ -326,8 +316,8 @@ fn sub_rows(dst: &mut [f64], adj: &[f64]) {
 }
 
 impl CompiledGradTape {
-    /// Compiles the sub-DAG reachable from `roots` out of `pool`, applying
-    /// dead-code elimination, constant folding, and hash-cons CSE.
+    /// Compiles the sub-DAG reachable from `roots` out of `pool`: one
+    /// instruction per reachable node, in pool order.
     pub fn compile(pool: &ExprPool, roots: &[ExprId]) -> Self {
         // DCE: mark the nodes reachable from the roots.
         let mut needed = vec![false; pool.len()];
@@ -343,43 +333,11 @@ impl CompiledGradTape {
         // the tape's reverse order matches the pool's reverse sweep.
         let mut remap = vec![u32::MAX; pool.len()];
         let mut instrs: Vec<Instr> = Vec::new();
-        let mut memo: std::collections::HashMap<InstrKey, u32> =
-            std::collections::HashMap::new();
-        let mut source_nodes = 0usize;
         let mut min_var_values = 0usize;
-        let mut intern = |instrs: &mut Vec<Instr>, instr: Instr| -> u32 {
-            // Constant folding: all-constant operands evaluate now. The
-            // arithmetic is the same f64 operation the forward pass would
-            // run, so folded values are bit-identical.
-            let cv = |s: u32| match instrs[s as usize] {
-                Instr::Const(c) => Some(c),
-                _ => None,
-            };
-            let folded = match instr {
-                Instr::Un(op, a) => cv(a).map(|a| eval_un(op, a)),
-                Instr::Bin(op, a, b) => {
-                    cv(a).zip(cv(b)).map(|(a, b)| eval_bin(op, a, b))
-                }
-                Instr::Cmp(op, a, b) => {
-                    cv(a).zip(cv(b)).map(|(a, b)| eval_cmp(op, a, b))
-                }
-                Instr::Select(c, t, e) => {
-                    cv(c).map(|c| if c != 0.0 { t } else { e }).and_then(cv)
-                }
-                Instr::Const(_) | Instr::Var(_) => None,
-            };
-            let instr = folded.map_or(instr, Instr::Const);
-            // Hash-cons CSE: reuse an existing slot for identical instrs.
-            *memo.entry(instr.key()).or_insert_with(|| {
-                instrs.push(instr);
-                (instrs.len() - 1) as u32
-            })
-        };
         for (idx, node) in pool.nodes().iter().enumerate() {
             if !needed[idx] {
                 continue;
             }
-            source_nodes += 1;
             let r = |e: ExprId| remap[e.index()];
             let instr = match *node {
                 ENode::Const(b) => Instr::Const(f64::from_bits(b)),
@@ -392,14 +350,15 @@ impl CompiledGradTape {
                 ENode::Cmp(op, a, b) => Instr::Cmp(op, r(a), r(b)),
                 ENode::Select(c, t, e) => Instr::Select(r(c), r(t), r(e)),
             };
-            remap[idx] = intern(&mut instrs, instr);
+            remap[idx] = instrs.len() as u32;
+            instrs.push(instr);
         }
         let roots: Vec<u32> = roots.iter().map(|r| remap[r.index()]).collect();
         // Validate the slot invariants the unchecked SIMD kernels rely on:
         // every operand references a strictly earlier slot, every Var index
         // fits `min_var_values`, and every root is a live slot. These hold
-        // by construction (topological emission + CSE returning earlier
-        // slots); the check makes the unsafe blocks below locally auditable.
+        // by construction (topological emission); the check makes the
+        // unsafe blocks below locally auditable.
         for (i, instr) in instrs.iter().enumerate() {
             let lt = |s: u32| (s as usize) < i;
             let ok = match *instr {
@@ -490,7 +449,6 @@ impl CompiledGradTape {
         CompiledGradTape {
             instrs,
             roots,
-            source_nodes,
             min_var_values,
             fwd_ops,
             fwd_runs,
@@ -501,7 +459,7 @@ impl CompiledGradTape {
         }
     }
 
-    /// Number of tape instructions after folding and CSE.
+    /// Number of tape instructions: the nodes reachable from the roots.
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
@@ -514,11 +472,6 @@ impl CompiledGradTape {
     /// Number of roots the tape evaluates.
     pub fn n_roots(&self) -> usize {
         self.roots.len()
-    }
-
-    /// Reachable pool nodes before folding/CSE (for observability).
-    pub fn source_nodes(&self) -> usize {
-        self.source_nodes
     }
 
     /// Minimum length the variable-value vector must have.
@@ -636,11 +589,6 @@ impl CompiledGradTape {
         }
     }
 
-    /// Value of root `k` in lane `lane` of a [`Self::forward_batch`] result.
-    pub fn root_value(&self, vals: &[f64], batch: usize, k: usize, lane: usize) -> f64 {
-        vals[self.roots[k] as usize * batch + lane]
-    }
-
     /// One root's value row — all lanes of root `k`, contiguous — in a
     /// [`Self::forward_batch`] result. Lets batched consumers walk roots
     /// outer and lanes inner (sequential reads) instead of per-lane strided
@@ -669,8 +617,8 @@ impl CompiledGradTape {
     /// across calls without reallocation.
     ///
     /// Per lane, adjoints accumulate in reverse slot order with zero
-    /// adjoints skipped — bit-identical to
-    /// [`ExprPool::grad_multi_with_values`] and independent of `batch`.
+    /// adjoints skipped — bit-identical to the pool-walking reference (see
+    /// the [module docs](self)) and independent of `batch`.
     ///
     /// # Errors
     ///
@@ -856,55 +804,6 @@ impl CompiledGradTape {
         }
         Ok(())
     }
-
-    /// Single-point convenience: evaluates all roots into a fresh vector.
-    pub fn eval(&self, var_values: &[f64]) -> Vec<f64> {
-        let mut vals = Vec::new();
-        self.forward_batch(var_values, 1, &mut vals);
-        self.roots.iter().map(|&r| vals[r as usize]).collect()
-    }
-
-    /// Single-point gradient convenience: seeds every root and returns the
-    /// per-variable gradient (`n_vars` entries).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GradError`] as described on [`Self::backward_batch`].
-    pub fn grad(
-        &self,
-        seeds: &[f64],
-        var_values: &[f64],
-        n_vars: usize,
-        subgradient: bool,
-    ) -> Result<Vec<f64>, GradError> {
-        let mut vals = Vec::new();
-        self.forward_batch(var_values, 1, &mut vals);
-        let (mut adj, mut grad) = (Vec::new(), Vec::new());
-        self.backward_batch(seeds, 1, &vals, n_vars, &mut adj, &mut grad, subgradient)?;
-        Ok(grad)
-    }
-}
-
-fn eval_un(op: UnOp, a: f64) -> f64 {
-    match op {
-        UnOp::Neg => -a,
-        UnOp::Log => a.ln(),
-        UnOp::Exp => a.exp(),
-        UnOp::Sqrt => a.sqrt(),
-        UnOp::Abs => a.abs(),
-    }
-}
-
-fn eval_bin(op: BinOp, a: f64, b: f64) -> f64 {
-    match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        BinOp::Pow => a.powf(b),
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
-    }
 }
 
 fn eval_cmp(op: CmpOp, a: f64, b: f64) -> f64 {
@@ -925,8 +824,8 @@ fn eval_cmp(op: CmpOp, a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::autodiff::GradOptions;
-    use crate::VarTable;
+    use crate::pool_grad::{self, GradOptions};
+    use crate::{tape_point, VarTable};
 
     fn example_pool() -> (ExprPool, Vec<ExprId>, usize) {
         // f0 = log1p(x*y), f1 = sqrt(x) * exp(y/3), shared subterm x*y.
@@ -953,7 +852,7 @@ mod tests {
         let tape = CompiledGradTape::compile(&p, &roots);
         for at in [[2.0, 3.0], [0.5, 7.0], [9.0, 0.25]] {
             let full = p.eval_all(&at);
-            let out = tape.eval(&at);
+            let out = tape_point::eval(&tape, &at);
             assert_eq!(out.len(), roots.len());
             for (k, &r) in roots.iter().enumerate() {
                 assert_eq!(out[k].to_bits(), full[r.index()].to_bits());
@@ -989,10 +888,9 @@ mod tests {
         let seeds = [0.7, -1.3, 0.25];
         let outputs: Vec<(ExprId, f64)> =
             roots.iter().copied().zip(seeds.iter().copied()).collect();
-        let reference = p
-            .grad_multi(&outputs, &at, n_vars, GradOptions::default())
-            .unwrap();
-        let grad = tape.grad(&seeds, &at, n_vars, false).unwrap();
+        let reference =
+            pool_grad::grad_multi(&p, &outputs, &at, n_vars, GradOptions::default()).unwrap();
+        let grad = tape_point::grad(&tape, &seeds, &at, n_vars, false).unwrap();
         for (g, r) in grad.iter().zip(&reference.wrt_var) {
             assert_eq!(g.to_bits(), r.to_bits());
         }
@@ -1042,12 +940,12 @@ mod tests {
                         roots.iter().enumerate().map(|(k, &r)| (r, seed(k, lane))).collect();
                     let full = p.eval_all(&point(lane));
                     for (k, &r) in roots.iter().enumerate() {
-                        let v = tape.root_value(&vals, batch, k, lane);
+                        let v = tape_point::root_value(&tape, &vals, batch, k, lane);
                         assert_eq!(v.to_bits(), full[r.index()].to_bits());
                     }
-                    let reference = p
-                        .grad_multi_with_values(&outputs, full, 2, GradOptions { subgradient: true })
-                        .unwrap();
+                    let opts = GradOptions { subgradient: true };
+                    let reference =
+                        pool_grad::grad_multi_with_values(&p, &outputs, &full, 2, opts).unwrap();
                     for (v, r) in reference.wrt_var.iter().enumerate() {
                         assert_eq!(
                             grad[v * batch + lane].to_bits(),
@@ -1061,7 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn dce_and_cse_shrink_the_tape() {
+    fn dce_compiles_exactly_the_reachable_nodes() {
         let mut vars = VarTable::new();
         let vx = vars.fresh("x");
         let mut p = ExprPool::new();
@@ -1073,18 +971,21 @@ mod tests {
         }
         let live = p.mul(x, x);
         let tape = CompiledGradTape::compile(&p, &[live]);
-        assert!(tape.len() <= 2, "tape kept {} instrs", tape.len());
-        assert_eq!(tape.source_nodes(), tape.len());
         assert!(p.len() > 200);
-        assert_eq!(tape.eval(&[3.0]), vec![9.0]);
+        assert_eq!(tape.len(), 2, "x and x·x");
+        assert_eq!(tape.len(), p.reachable_count(&[live]));
+        assert_eq!(tape_point::eval(&tape, &[3.0]), vec![9.0]);
 
-        // A subterm shared by two roots is one instruction: x, exp, add,
-        // mul.
+        // A subterm shared by two roots is one instruction — x, exp, add,
+        // mul — because the pool hash-conses it into one node: building it
+        // again returns the same id, and the tape compiles node by node.
         let e = p.exp(x);
+        assert_eq!(p.exp(x), e);
         let (a, b) = (p.add(e, e), p.mul(e, e));
         let tape = CompiledGradTape::compile(&p, &[a, b]);
         assert_eq!(tape.len(), 4);
-        assert_eq!(tape.eval(&[0.0]), vec![2.0, 1.0]);
+        assert_eq!(tape.len(), p.reachable_count(&[a, b]));
+        assert_eq!(tape_point::eval(&tape, &[0.0]), vec![2.0, 1.0]);
     }
 
     #[test]
@@ -1098,15 +999,15 @@ mod tests {
         let sq = p.mul(x, x);
         let tape = CompiledGradTape::compile(&p, &[m, sq]);
         // Seeding only the smooth root succeeds (max's adjoint stays zero)…
-        let g = tape.grad(&[0.0, 1.0], &[3.0], 1, false).unwrap();
+        let g = tape_point::grad(&tape, &[0.0, 1.0], &[3.0], 1, false).unwrap();
         assert_eq!(g[0], 6.0);
         // …while seeding the max errors without subgradients,
-        let err = tape.grad(&[1.0, 0.0], &[3.0], 1, false);
+        let err = tape_point::grad(&tape, &[1.0, 0.0], &[3.0], 1, false);
         assert!(format!("{}", err.unwrap_err()).contains("non-differentiable"));
         // and routes to the active branch with them.
-        let g = tape.grad(&[1.0, 0.0], &[3.0], 1, true).unwrap();
+        let g = tape_point::grad(&tape, &[1.0, 0.0], &[3.0], 1, true).unwrap();
         assert_eq!(g[0], 1.0);
-        let g = tape.grad(&[1.0, 0.0], &[-3.0], 1, true).unwrap();
+        let g = tape_point::grad(&tape, &[1.0, 0.0], &[-3.0], 1, true).unwrap();
         assert_eq!(g[0], 0.0);
     }
 
@@ -1119,7 +1020,7 @@ mod tests {
         let sq = p.mul(x, x);
         let tape = CompiledGradTape::compile(&p, &[sq, sq]);
         assert_eq!(tape.n_roots(), 2);
-        let g = tape.grad(&[1.0, 2.0], &[5.0], 1, false).unwrap();
+        let g = tape_point::grad(&tape, &[1.0, 2.0], &[5.0], 1, false).unwrap();
         assert_eq!(g[0], 30.0); // (1+2) * 2x
     }
 
@@ -1134,6 +1035,6 @@ mod tests {
         let f = p.mul(x, x);
         let tape = CompiledGradTape::compile(&p, &[f]);
         assert_eq!(tape.min_var_values(), 3);
-        assert_eq!(tape.eval(&[0.0, 0.0, 4.0]), vec![16.0]);
+        assert_eq!(tape_point::eval(&tape, &[0.0, 0.0, 4.0]), vec![16.0]);
     }
 }

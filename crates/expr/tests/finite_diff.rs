@@ -1,13 +1,16 @@
-//! Finite-difference property tests for the reverse-mode sweep in
-//! `autodiff.rs`: on seeded random expression trees, the analytic gradient
-//! must match central differences. Random cases come from fixed `StdRng`
-//! streams (no external property-testing crate), so every run checks the
-//! identical case set.
+//! Tests of the pool-walking reverse mode in `reference/pool_grad.rs`, the
+//! reference the compiled tape is held to: hand-checked gradients, and on
+//! seeded random expression trees, agreement with central differences.
+//! Random cases come from fixed `StdRng` streams (no external
+//! property-testing crate), so every run checks the identical case set.
 
-use felix_expr::autodiff::GradOptions;
-use felix_expr::{ExprId, ExprPool, VarTable};
+use felix_expr::{ExprId, ExprPool, VarId, VarTable};
+use pool_grad::{grad, grad_multi, grad_numeric, GradOptions};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "reference/pool_grad.rs"]
+mod pool_grad;
 
 const N_VARS: usize = 3;
 
@@ -91,10 +94,9 @@ fn analytic_gradient_matches_central_differences_on_random_trees() {
         if !val.is_finite() || val.abs() > 1e7 {
             continue; // deep exp/pow chains can overflow; skip those draws
         }
-        let g = p
-            .grad(root, &at, N_VARS, GradOptions::default())
+        let g = grad(&p, root, &at, N_VARS, GradOptions::default())
             .expect("smooth tree must differentiate without subgradients");
-        let fd = p.grad_numeric(root, &at, 1e-5);
+        let fd = grad_numeric(&p, root, &at, 1e-5);
         for (i, &d) in fd.iter().enumerate() {
             if d.abs() > 1e5 {
                 continue; // FD itself is unreliable at steep points
@@ -130,10 +132,15 @@ fn weighted_multi_output_gradient_matches_sum_of_parts() {
         if !p.eval(combined, &at).is_finite() {
             continue;
         }
-        let g = p
-            .grad_multi(&[(out_a, sa), (out_b, sb)], &at, N_VARS, GradOptions::default())
-            .expect("smooth");
-        let fd = p.grad_numeric(combined, &at, 1e-5);
+        let g = grad_multi(
+            &p,
+            &[(out_a, sa), (out_b, sb)],
+            &at,
+            N_VARS,
+            GradOptions::default(),
+        )
+        .expect("smooth");
+        let fd = grad_numeric(&p, combined, &at, 1e-5);
         for (i, &d) in fd.iter().enumerate() {
             if d.abs() > 1e5 {
                 continue;
@@ -177,8 +184,8 @@ fn subgradients_match_central_differences_away_from_breakpoints() {
             p.add(t, n)
         };
         let at = [a, b];
-        let g = p.grad(root, &at, 2, opts).expect("subgradients enabled");
-        let fd = p.grad_numeric(root, &at, 1e-6);
+        let g = grad(&p, root, &at, 2, opts).expect("subgradients enabled");
+        let fd = grad_numeric(&p, root, &at, 1e-6);
         for (i, &d) in fd.iter().enumerate() {
             assert_grad_close(g.wrt_var[i], d, &format!("case {case} var {i}"));
         }
@@ -193,6 +200,134 @@ fn non_smooth_operators_error_without_subgradients() {
     let x = p.var(vx);
     let c = p.constf(2.0);
     let m = p.max(x, c);
-    assert!(p.grad(m, &[1.0], 1, GradOptions::default()).is_err());
-    assert!(p.grad(m, &[1.0], 1, GradOptions { subgradient: true }).is_ok());
+    assert!(grad(&p, m, &[1.0], 1, GradOptions::default()).is_err());
+    assert!(grad(&p, m, &[1.0], 1, GradOptions { subgradient: true }).is_ok());
+}
+
+fn setup2() -> (ExprPool, VarId, VarId) {
+    let mut vars = VarTable::new();
+    let vx = vars.fresh("x");
+    let vy = vars.fresh("y");
+    (ExprPool::new(), vx, vy)
+}
+
+#[test]
+fn grad_of_product() {
+    let (mut p, vx, vy) = setup2();
+    let x = p.var(vx);
+    let y = p.var(vy);
+    let f = p.mul(x, y);
+    let g = grad(&p, f, &[3.0, 5.0], 2, GradOptions::default()).unwrap();
+    assert_eq!(g.var(vx), 5.0);
+    assert_eq!(g.var(vy), 3.0);
+}
+
+#[test]
+fn grad_matches_numeric_composite() {
+    // f = log(x*y + 1) + sqrt(x) * exp(y / 3)
+    let (mut p, vx, vy) = setup2();
+    let x = p.var(vx);
+    let y = p.var(vy);
+    let xy = p.mul(x, y);
+    let l = p.log1p(xy);
+    let sx = p.sqrt(x);
+    let c3 = p.constf(3.0);
+    let y3 = p.div(y, c3);
+    let ey = p.exp(y3);
+    let t = p.mul(sx, ey);
+    let f = p.add(l, t);
+    let at = [2.0, 1.5];
+    let g = grad(&p, f, &at, 2, GradOptions::default()).unwrap();
+    let num = grad_numeric(&p, f, &at, 1e-6);
+    assert!((g.var(vx) - num[0]).abs() < 1e-5, "{} vs {}", g.var(vx), num[0]);
+    assert!((g.var(vy) - num[1]).abs() < 1e-5, "{} vs {}", g.var(vy), num[1]);
+}
+
+#[test]
+fn grad_pow_both_args() {
+    let (mut p, vx, vy) = setup2();
+    let x = p.var(vx);
+    let y = p.var(vy);
+    let f = p.pow(x, y);
+    let at = [2.0, 3.0];
+    let g = grad(&p, f, &at, 2, GradOptions::default()).unwrap();
+    let num = grad_numeric(&p, f, &at, 1e-6);
+    assert!((g.var(vx) - num[0]).abs() < 1e-4);
+    assert!((g.var(vy) - num[1]).abs() < 1e-4);
+}
+
+#[test]
+fn grad_shared_subexpression() {
+    // f = (x + y)^2 computed as t*t with shared t: checks adjoint
+    // accumulation through a shared node.
+    let (mut p, vx, vy) = setup2();
+    let x = p.var(vx);
+    let y = p.var(vy);
+    let t = p.add(x, y);
+    let f = p.mul(t, t);
+    let g = grad(&p, f, &[1.0, 2.0], 2, GradOptions::default()).unwrap();
+    assert_eq!(g.var(vx), 6.0); // 2 (x+y)
+    assert_eq!(g.var(vy), 6.0);
+}
+
+#[test]
+fn nondifferentiable_errors_without_subgradient() {
+    let (mut p, vx, _vy) = setup2();
+    let x = p.var(vx);
+    let c = p.constf(0.0);
+    let f = p.max(x, c);
+    let err = grad(&p, f, &[1.0, 0.0], 2, GradOptions::default());
+    assert!(err.is_err());
+    let msg = format!("{}", err.unwrap_err());
+    assert!(msg.contains("non-differentiable"));
+}
+
+#[test]
+fn subgradient_routes_max() {
+    let (mut p, vx, _vy) = setup2();
+    let x = p.var(vx);
+    let c = p.constf(0.0);
+    let f = p.max(x, c);
+    let opts = GradOptions { subgradient: true };
+    let g = grad(&p, f, &[2.0, 0.0], 2, opts).unwrap();
+    assert_eq!(g.var(vx), 1.0);
+    let g = grad(&p, f, &[-2.0, 0.0], 2, opts).unwrap();
+    assert_eq!(g.var(vx), 0.0);
+}
+
+#[test]
+fn multi_output_seeding_is_linear() {
+    // grad of 2*f + 3*g via seeds equals 2*grad(f) + 3*grad(g).
+    let (mut p, vx, vy) = setup2();
+    let x = p.var(vx);
+    let y = p.var(vy);
+    let f = p.mul(x, y);
+    let g_expr = p.add(x, y);
+    let at = [4.0, 7.0];
+    let combined = grad_multi(
+        &p,
+        &[(f, 2.0), (g_expr, 3.0)],
+        &at,
+        2,
+        GradOptions::default(),
+    )
+    .unwrap();
+    let gf = grad(&p, f, &at, 2, GradOptions::default()).unwrap();
+    let gg = grad(&p, g_expr, &at, 2, GradOptions::default()).unwrap();
+    for v in [vx, vy] {
+        let expect = 2.0 * gf.var(v) + 3.0 * gg.var(v);
+        assert!((combined.var(v) - expect).abs() < 1e-12);
+    }
+}
+
+#[test]
+fn unreached_nodes_do_not_contribute() {
+    let (mut p, vx, vy) = setup2();
+    let x = p.var(vx);
+    let y = p.var(vy);
+    let _dead = p.exp(y); // never part of the output
+    let f = p.mul(x, x);
+    let g = grad(&p, f, &[3.0, 100.0], 2, GradOptions::default()).unwrap();
+    assert_eq!(g.var(vy), 0.0);
+    assert_eq!(g.var(vx), 6.0);
 }

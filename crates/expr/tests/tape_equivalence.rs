@@ -1,14 +1,21 @@
 //! Property tests: the compiled gradient tape is bit-identical to the
-//! pool-walking reference (`eval_all` + `grad_multi_with_values`) on seeded
+//! pool-walking reference (`eval_all` + `pool_grad::grad_multi_with_values`,
+//! kept in `reference/`) on seeded
 //! random expression DAGs at batch 1 and lane by lane at every batch width,
 //! the batched structure-of-arrays mode matches the single-lane mode
 //! bitwise, and tape gradients agree with central finite differences on
 //! smooth DAGs.
 
-use felix_expr::autodiff::GradOptions;
 use felix_expr::{CompiledGradTape, ExprId, ExprPool, VarTable};
+use pool_grad::GradOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[allow(dead_code)] // this target calls `grad_multi_with_values` only
+#[path = "reference/pool_grad.rs"]
+mod pool_grad;
+#[path = "reference/tape_point.rs"]
+mod tape_point;
 
 /// Builds a random DAG through the pool's smart constructors and returns a
 /// few roots. `smooth_only` restricts to differentiable operators with
@@ -101,7 +108,7 @@ fn tape_matches_pool_bitwise_on_random_dags() {
             let at = random_point(&mut rng, n_vars);
             // Values: every root bit-identical to the full-pool sweep.
             let full = p.eval_all(&at);
-            let fast = tape.eval(&at);
+            let fast = tape_point::eval(&tape, &at);
             for (k, &r) in roots.iter().enumerate() {
                 assert_eq!(
                     fast[k].to_bits(),
@@ -109,16 +116,11 @@ fn tape_matches_pool_bitwise_on_random_dags() {
                     "case {case}: value of root {k} diverged"
                 );
             }
-            // Gradients: bit-identical to grad_multi_with_values.
-            let reference = p
-                .grad_multi_with_values(
-                    &outputs,
-                    full,
-                    n_vars,
-                    GradOptions { subgradient: true },
-                )
+            // Gradients: bit-identical to the pool walker.
+            let opts = GradOptions { subgradient: true };
+            let reference = pool_grad::grad_multi_with_values(&p, &outputs, &full, n_vars, opts)
                 .expect("subgradient mode never errors");
-            let grad = tape.grad(&seeds, &at, n_vars, true).expect("tape grad");
+            let grad = tape_point::grad(&tape, &seeds, &at, n_vars, true).expect("tape grad");
             for (v, (g, r)) in grad.iter().zip(&reference.wrt_var).enumerate() {
                 assert_eq!(
                     g.to_bits(),
@@ -165,16 +167,15 @@ fn batched_soa_matches_single_lane_bitwise() {
         tape.backward_batch(&seeds_soa, batch, &vals, n_vars, &mut adj, &mut grad, true)
             .expect("batched grad");
         for (lane, pt) in points.iter().enumerate() {
-            let single = tape.eval(pt);
+            let single = tape_point::eval(&tape, pt);
             for (k, sv) in single.iter().enumerate() {
                 assert_eq!(
-                    tape.root_value(&vals, batch, k, lane).to_bits(),
+                    tape_point::root_value(&tape, &vals, batch, k, lane).to_bits(),
                     sv.to_bits(),
                     "case {case}: batched value diverged in lane {lane}"
                 );
             }
-            let single_grad = tape
-                .grad(&per_lane_seeds[lane], pt, n_vars, true)
+            let single_grad = tape_point::grad(&tape, &per_lane_seeds[lane], pt, n_vars, true)
                 .expect("single grad");
             for (v, sg) in single_grad.iter().enumerate() {
                 assert_eq!(
@@ -273,7 +274,7 @@ fn every_width_matches_the_pool_oracle_lane_by_lane() {
                     let full = p.eval_all(pt);
                     for (k, &r) in roots.iter().enumerate() {
                         assert_eq!(
-                            tape.root_value(&vals, batch, k, lane).to_bits(),
+                            tape_point::root_value(&tape, &vals, batch, k, lane).to_bits(),
                             full[r.index()].to_bits(),
                             "{at}: value of root {k} diverged in lane {lane}"
                         );
@@ -283,14 +284,10 @@ fn every_width_matches_the_pool_oracle_lane_by_lane() {
                         .enumerate()
                         .map(|(k, &r)| (r, seeds_soa[k * batch + lane]))
                         .collect();
-                    let reference = p
-                        .grad_multi_with_values(
-                            &outputs,
-                            full,
-                            n_vars,
-                            GradOptions { subgradient: true },
-                        )
-                        .expect("subgradient mode never errors");
+                    let opts = GradOptions { subgradient: true };
+                    let reference =
+                        pool_grad::grad_multi_with_values(p, &outputs, &full, n_vars, opts)
+                            .expect("subgradient mode never errors");
                     for (v, r) in reference.wrt_var.iter().enumerate() {
                         assert_eq!(
                             grad[v * batch + lane].to_bits(),
@@ -327,12 +324,16 @@ fn tape_gradients_match_finite_differences() {
         // Skip degenerate draws where the combined output is enormous (the
         // finite difference itself becomes meaningless there).
         let combined = |pt: &[f64]| -> f64 {
-            tape.eval(pt).iter().zip(&seeds).map(|(v, s)| v * s).sum()
+            tape_point::eval(&tape, pt)
+                .iter()
+                .zip(&seeds)
+                .map(|(v, s)| v * s)
+                .sum()
         };
         if !combined(&at).is_finite() || combined(&at).abs() > 1e8 {
             continue;
         }
-        let grad = tape.grad(&seeds, &at, n_vars, false).expect("smooth DAG");
+        let grad = tape_point::grad(&tape, &seeds, &at, n_vars, false).expect("smooth DAG");
         let eps = 1e-6;
         for v in 0..n_vars {
             let mut hi = at.clone();

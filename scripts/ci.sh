@@ -20,8 +20,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # single crate's suite may exceed 60s of wall-clock, so a regression fails
 # CI rather than silently rotting back to multi-minute runs. Test binaries
 # are built first, so the loop measures execution, not compilation. Every
-# named scenario — chaos tuning, kill-and-resume, descent supervision, tape
-# and schedule caches, the serve crash/lifecycle harness (Unix-only,
+# named scenario — chaos tuning, kill-and-resume, descent supervision, the
+# schedule cache, the serve crash/lifecycle harness (Unix-only,
 # FELIX_SKIP_CRASH_TESTS=1 to skip) — runs here, once. The crate list is
 # every package manifest in the workspace (the root package plus
 # crates/*), so a new crate cannot slip past the budget.

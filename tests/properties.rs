@@ -4,7 +4,6 @@
 //! run covers the identical case set.
 
 use felix_repro::cost::random_schedule;
-use felix_repro::expr::autodiff::GradOptions;
 use felix_repro::expr::factor::factors;
 use felix_repro::expr::{smooth_expr, ExprPool, VarTable};
 use felix_repro::features::extract_features;
@@ -15,9 +14,14 @@ use felix_repro::tir::sketch::{
     generate_sketches, round_to_valid, HardwareParams, RoundingPlan, SchedVarKind,
 };
 use felix_repro::tir::Program;
+use pool_grad::GradOptions;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+
+#[allow(dead_code)] // this target calls `grad` and `grad_numeric` only
+#[path = "../crates/expr/tests/reference/pool_grad.rs"]
+mod pool_grad;
 
 #[test]
 fn factors_divide_and_cover() {
@@ -134,7 +138,7 @@ fn smoothing_preserves_values_away_from_breakpoints() {
             assert!((smooth - exact).abs() < 0.05, "a={a} b={b}");
         }
         // The smooth version is differentiable everywhere.
-        let g = p.grad(sm, &[a], 1, GradOptions::default());
+        let g = pool_grad::grad(&p, sm, &[a], 1, GradOptions::default());
         assert!(g.is_ok(), "a={a} b={b}");
     }
 }
@@ -180,8 +184,8 @@ fn autodiff_matches_numeric_on_random_smooth_exprs() {
         if !(val.is_finite() && val.abs() < 1e8) {
             continue;
         }
-        let g = p.grad(cur, &at, 2, GradOptions::default()).unwrap();
-        let num = p.grad_numeric(cur, &at, 1e-6);
+        let g = pool_grad::grad(&p, cur, &at, 2, GradOptions::default()).unwrap();
+        let num = pool_grad::grad_numeric(&p, cur, &at, 1e-6);
         for (i, &nd) in num.iter().enumerate() {
             if nd.abs() >= 1e6 {
                 continue;
