@@ -204,7 +204,7 @@ impl Proposer for EvolutionaryProposer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{tune_task_round, TuneOptions};
+    use crate::{tune_task_round_with_sink, TuneOptions};
     use felix_graph::{Op, Subgraph, Task};
     use felix_sim::{DeviceConfig, Simulator};
     use rand::SeedableRng;
@@ -321,8 +321,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut evo = EvolutionaryProposer::new(small_cfg());
         for _ in 0..3 {
-            tune_task_round(
-                &mut task, &mut evo, &mut model, &sim, &mut clock, &costs, &opts, &mut rng,
+            tune_task_round_with_sink(
+                &mut task, &mut evo, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
             );
         }
         let evo_best = task.best_latency_ms;
@@ -337,8 +337,8 @@ mod tests {
         let mut rnd = crate::RandomProposer;
         let mut clock2 = TuningClock::new();
         for _ in 0..3 {
-            tune_task_round(
-                &mut task2, &mut rnd, &mut model, &sim, &mut clock2, &costs, &opts, &mut rng,
+            tune_task_round_with_sink(
+                &mut task2, &mut rnd, &mut model, &sim, &mut clock2, &costs, &opts, &mut rng, None,
             );
         }
         // Cost-model-guided search should find at least as good a schedule.

@@ -690,8 +690,8 @@ fn backoff_for(retry: usize) -> f64 {
     0.5 * 2.0f64.powi(retry as i32)
 }
 
-/// What one call of [`tune_task_round`] did with its measurement budget,
-/// plus the descent supervisor's health report for the round.
+/// What one call of [`tune_task_round_with_sink`] did with its measurement
+/// budget, plus the descent supervisor's health report for the round.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundReport {
     /// Candidates measured successfully.
@@ -736,24 +736,9 @@ impl Default for TuneOptions {
 
 /// Runs one tuning round on a task: propose → measure (with retry/backoff
 /// on transient faults) → update model (Algorithm 1). Returns what happened
-/// to the measurement budget.
-#[allow(clippy::too_many_arguments)]
-pub fn tune_task_round(
-    task: &mut SearchTask,
-    proposer: &mut dyn Proposer,
-    model: &mut Mlp,
-    sim: &Simulator,
-    clock: &mut TuningClock,
-    costs: &ClockCosts,
-    opts: &TuneOptions,
-    rng: &mut StdRng,
-) -> RoundReport {
-    tune_task_round_with_sink(task, proposer, model, sim, clock, costs, opts, rng, None)
-}
-
-/// [`tune_task_round`] with an optional [`MeasurementSink`] receiving every
-/// finished measurement. With `None` (or a sink attached) the search state,
-/// RNG stream, and clock evolve identically — the sink is a pure observer.
+/// to the measurement budget. `sink`, when attached, receives every finished
+/// measurement; it is a pure observer, so the search state, RNG stream and
+/// clock evolve identically with or without it.
 #[allow(clippy::too_many_arguments)]
 pub fn tune_task_round_with_sink(
     task: &mut SearchTask,
@@ -899,10 +884,9 @@ pub struct CurvePoint {
 /// Result of tuning a whole network.
 #[derive(Clone, Debug)]
 pub struct NetworkTuneResult {
-    /// Best-latency-so-far curve, one point per round.
+    /// Best-latency-so-far curve: one point per round that ended with every
+    /// task measured.
     pub curve: Vec<CurvePoint>,
-    /// Final per-task best latencies (ms).
-    pub task_latencies: Vec<f64>,
     /// Final end-to-end latency (ms).
     pub final_latency_ms: f64,
     /// Per-round measurement reports, in execution order.
@@ -910,6 +894,28 @@ pub struct NetworkTuneResult {
     /// Tasks that ended the run without a single successful measurement
     /// (their best latency is still infinite, so `final_latency_ms` is too).
     pub unmeasured_tasks: usize,
+}
+
+impl NetworkTuneResult {
+    /// The result of zero rounds over `tasks`: no curve, no reports, and the
+    /// tasks' latency as it stands.
+    pub fn new(tasks: &[SearchTask]) -> Self {
+        NetworkTuneResult {
+            curve: Vec::new(),
+            final_latency_ms: network_latency(tasks),
+            round_reports: Vec::new(),
+            unmeasured_tasks: tasks.iter().filter(|t| t.best_latency_ms.is_infinite()).count(),
+        }
+    }
+
+    /// Appends a later result over the same tasks: its curve and reports
+    /// follow this one's, and its final state replaces this one's.
+    pub fn append(&mut self, later: NetworkTuneResult) {
+        self.curve.extend(later.curve);
+        self.round_reports.extend(later.round_reports);
+        self.final_latency_ms = later.final_latency_ms;
+        self.unmeasured_tasks = later.unmeasured_tasks;
+    }
 }
 
 /// End-to-end latency = Σ weight × best task latency (+ launch gaps folded
@@ -996,24 +1002,8 @@ pub fn select_next_task(tasks: &[SearchTask]) -> usize {
 }
 
 /// Tunes a whole network for `n_rounds` rounds (Algorithm 2), producing the
-/// time-vs-latency curve.
-#[allow(clippy::too_many_arguments)]
-pub fn tune_network(
-    tasks: &mut [SearchTask],
-    proposer: &mut dyn Proposer,
-    model: &mut Mlp,
-    sim: &Simulator,
-    clock: &mut TuningClock,
-    costs: &ClockCosts,
-    opts: &TuneOptions,
-    n_rounds: usize,
-    rng: &mut StdRng,
-) -> NetworkTuneResult {
-    tune_network_with_sink(tasks, proposer, model, sim, clock, costs, opts, n_rounds, rng, None)
-}
-
-/// [`tune_network`] with an optional [`MeasurementSink`] observing every
-/// measurement across all tasks, in execution order.
+/// time-vs-latency curve. `sink`, when attached, observes every measurement
+/// across all tasks, in execution order.
 #[allow(clippy::too_many_arguments)]
 pub fn tune_network_with_sink(
     tasks: &mut [SearchTask],
@@ -1027,8 +1017,7 @@ pub fn tune_network_with_sink(
     rng: &mut StdRng,
     mut sink: Option<&mut (dyn MeasurementSink + '_)>,
 ) -> NetworkTuneResult {
-    let mut curve = Vec::with_capacity(n_rounds);
-    let mut round_reports = Vec::with_capacity(n_rounds);
+    let mut result = NetworkTuneResult::new(tasks);
     for _ in 0..n_rounds {
         let next = select_next_task(tasks);
         let report = tune_task_round_with_sink(
@@ -1042,19 +1031,17 @@ pub fn tune_network_with_sink(
             rng,
             sink.as_deref_mut(),
         );
-        round_reports.push(report);
-        if tasks.iter().all(|t| t.best_latency_ms.is_finite()) {
-            curve.push(CurvePoint { time_s: clock.now_s(), latency_ms: network_latency(tasks) });
+        // The tasks as they stand after the round; a curve point once every
+        // task is measured.
+        let now = NetworkTuneResult::new(tasks);
+        if now.unmeasured_tasks == 0 {
+            let point = CurvePoint { time_s: clock.now_s(), latency_ms: now.final_latency_ms };
+            result.curve.push(point);
         }
+        result.round_reports.push(report);
+        result.append(now);
     }
-    let task_latencies = tasks.iter().map(|t| t.best_latency_ms).collect();
-    NetworkTuneResult {
-        final_latency_ms: network_latency(tasks),
-        curve,
-        task_latencies,
-        round_reports,
-        unmeasured_tasks: tasks.iter().filter(|t| t.best_latency_ms.is_infinite()).count(),
-    }
+    result
 }
 
 /// A trivial proposer measuring random valid schedules (sanity baseline and
@@ -1134,11 +1121,15 @@ mod tests {
         let opts = TuneOptions { measurements_per_round: 8, update_model: false, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(1);
         let mut proposer = RandomProposer;
-        tune_task_round(&mut task, &mut proposer, &mut model, &sim, &mut clock, &costs, &opts, &mut rng);
+        tune_task_round_with_sink(
+            &mut task, &mut proposer, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+        );
         let after_one = task.best_latency_ms;
         assert!(after_one.is_finite());
         for _ in 0..5 {
-            tune_task_round(&mut task, &mut proposer, &mut model, &sim, &mut clock, &costs, &opts, &mut rng);
+            tune_task_round_with_sink(
+                &mut task, &mut proposer, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+            );
         }
         assert!(task.best_latency_ms <= after_one);
         assert!(clock.now_s() > 0.0);
@@ -1268,9 +1259,9 @@ mod tests {
         let mut without = SearchTask::from_task(&dense_task(), &sim);
         let mut clock2 = TuningClock::new();
         let mut rng2 = StdRng::seed_from_u64(3);
-        tune_task_round(
+        tune_task_round_with_sink(
             &mut without, &mut RandomProposer, &mut model, &sim, &mut clock2, &costs,
-            &opts, &mut rng2,
+            &opts, &mut rng2, None,
         );
         assert_eq!(without.measured, with_sink.measured);
         assert_eq!(without.best_latency_ms.to_bits(), with_sink.best_latency_ms.to_bits());
@@ -1420,9 +1411,9 @@ mod tests {
         let opts = TuneOptions { measurements_per_round: 6, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..2 {
-            tune_task_round(
+            tune_task_round_with_sink(
                 &mut task, &mut RandomProposer, &mut model, &sim, &mut clock, &costs,
-                &opts, &mut rng,
+                &opts, &mut rng, None,
             );
         }
         task.record_failure(0, vec![999.0, 999.0], FaultKind::Timeout);

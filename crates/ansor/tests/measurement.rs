@@ -3,7 +3,7 @@
 //! hygiene, and evolution-baseline determinism.
 
 use felix_ansor::{
-    evolution::EvolutionConfig, select_next_task, tune_task_round, EvolutionaryProposer,
+    evolution::EvolutionConfig, select_next_task, tune_task_round_with_sink, EvolutionaryProposer,
     Proposer, RandomProposer, RoundReport, SearchTask, TuneOptions, MAX_RETRIES,
 };
 use felix_cost::{random_schedule, Mlp};
@@ -91,7 +91,9 @@ fn stub_round_measures_everything_and_reports_back() {
     let opts = TuneOptions { measurements_per_round: 5, update_model: false, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(1);
     let report =
-        tune_task_round(&mut task, &mut stub, &mut model, &sim, &mut clock, &costs, &opts, &mut rng);
+        tune_task_round_with_sink(
+            &mut task, &mut stub, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+        );
     assert_eq!(report.measured, 5, "all stub candidates are valid and unique");
     assert_eq!(report.failed, 0);
     assert_eq!(report.retries, 0);
@@ -101,8 +103,8 @@ fn stub_round_measures_everything_and_reports_back() {
     assert_eq!(stub.reports, vec![report], "tuner reports the round to the proposer");
     // A second round with the same candidates measures nothing (dedup).
     let mut stub2 = StubProposer::new(vec![cands]);
-    let report2 = tune_task_round(
-        &mut task, &mut stub2, &mut model, &sim, &mut clock, &costs, &opts, &mut rng,
+    let report2 = tune_task_round_with_sink(
+        &mut task, &mut stub2, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
     );
     assert_eq!(report2.measured, 0, "already-measured candidates are skipped");
 }
@@ -129,8 +131,8 @@ fn zero_rate_plan_is_bit_identical_to_no_plan() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut reports = Vec::new();
         for _ in 0..3 {
-            reports.push(tune_task_round(
-                &mut task, &mut prop, &mut model, &sim, &mut clock, &costs, &opts, &mut rng,
+            reports.push(tune_task_round_with_sink(
+                &mut task, &mut prop, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
             ));
         }
         runs.push((task.measured.clone(), clock.now_s().to_bits(), reports));
@@ -164,8 +166,8 @@ fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut total = RoundReport::default();
     for _ in 0..4 {
-        let r = tune_task_round(
-            &mut task, &mut prop, &mut model, &sim, &mut clock, &costs, &opts, &mut rng,
+        let r = tune_task_round_with_sink(
+            &mut task, &mut prop, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
         );
         // Per round: every retry is charged to a candidate that was
         // attempted, and no candidate retries more than the bound.
@@ -205,8 +207,8 @@ fn build_errors_fail_fast_without_retry() {
     let mut stub = StubProposer::new(vec![valid_candidates(&task, 6, 3)]);
     let mut clock = TuningClock::new();
     let mut rng = StdRng::seed_from_u64(2);
-    let report = tune_task_round(
-        &mut task, &mut stub, &mut model, &sim, &mut clock, &costs, &opts, &mut rng,
+    let report = tune_task_round_with_sink(
+        &mut task, &mut stub, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
     );
     assert_eq!(report.measured, 0);
     assert_eq!(report.failed, 6);

@@ -11,13 +11,10 @@
 
 use felix::objective::PipelineOptions;
 use felix::{FelixOptions, GradientProposer};
-use felix_ansor::{tune_task_round, SearchTask, TuneOptions};
-use felix_bench::{cached_model, write_result, Scale};
+use felix_ansor::TuneOptions;
+use felix_bench::{cached_model, tune_single_task, write_result, Scale};
 use felix_graph::{Op, Subgraph, Task};
-use felix_sim::clock::ClockCosts;
-use felix_sim::{DeviceConfig, Simulator, TuningClock};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use felix_sim::DeviceConfig;
 
 struct Variant {
     name: &'static str,
@@ -57,8 +54,7 @@ fn main() {
     felix_bench::out_dir_from_args();
     let scale = Scale::from_env();
     let dev = DeviceConfig::a5000();
-    let model0 = cached_model(&dev, scale);
-    let sim = Simulator::new(dev);
+    let model = cached_model(&dev, scale);
     let workloads = [
         (
             "conv2d",
@@ -70,7 +66,6 @@ fn main() {
         ("bmm", Subgraph { ops: vec![Op::BatchMatmul { b: 12, m: 50, k: 64, n: 50 }] }),
     ];
     let rounds = if scale == Scale::Fast { 2 } else { 5 };
-    let costs = ClockCosts::default();
 
     println!("Ablations: best latency (ms) after {rounds} rounds x 16 measurements, A5000");
     print!("{:<14}", "variant");
@@ -83,29 +78,20 @@ fn main() {
         print!("{:<14}", v.name);
         let mut total_search = 0.0;
         for (wname, sg) in &workloads {
-            let task0 = Task { subgraph: sg.clone(), weight: 1 };
-            let mut task = SearchTask::from_task(&task0, &sim);
-            let mut model = model0.clone();
+            let task = Task { subgraph: sg.clone(), weight: 1 };
             let mut prop = GradientProposer::new(v.options);
-            let mut clock = TuningClock::new();
             let opts = TuneOptions {
                 measurements_per_round: 16,
                 update_model: v.update_model,
                 ..Default::default()
             };
-            let mut rng = StdRng::seed_from_u64(42);
-            for _ in 0..rounds {
-                tune_task_round(
-                    &mut task, &mut prop, &mut model, &sim, &mut clock, &costs, &opts,
-                    &mut rng,
-                );
-            }
-            print!(" {:>10.5}", task.best_latency_ms);
+            let run = tune_single_task(&task, &dev, &model, &mut prop, &opts, rounds, 42);
+            print!(" {:>10.5}", run.task.best_latency_ms);
             csv.push_str(&format!(
                 "{},{},{:.6},{:.2}\n",
-                v.name, wname, task.best_latency_ms, clock.now_s()
+                v.name, wname, run.task.best_latency_ms, run.time_s
             ));
-            total_search += clock.now_s();
+            total_search += run.time_s;
         }
         println!("  {total_search:>9.0}");
     }

@@ -5,8 +5,8 @@
 //! milestone speedups.
 
 use felix_bench::{
-    cached_model, curves_to_csv, geomean, milestone_speedup, networks_no_llama,
-    run_ansor, run_felix, write_result, Scale,
+    cached_model, curves_to_csv, geomean_cells, milestone_cells, networks_no_llama, run_ansor,
+    run_felix, write_result, Scale,
 };
 use felix_sim::DeviceConfig;
 
@@ -16,29 +16,14 @@ fn main() {
     let dev = DeviceConfig::a5000();
     let model = cached_model(&dev, scale);
     let mut rows = Vec::new();
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    let pcts = [90.0, 95.0, 99.0];
+    let mut speedups: [Vec<f64>; 3] = Default::default();
     println!("Figure 10 / Table 2b: batch size 16 on RTX A5000");
     println!("{:<18} {:>7} {:>7} {:>7}", "network", "90%", "95%", "99%");
     let mut table = String::from("network,s90,s95,s99\n");
     for g in networks_no_llama(16) {
         let f = run_felix(&g, &dev, &model, scale, 1);
         let a = run_ansor(&g, &dev, &model, scale, 1);
-        let ansor_best = a
-            .curve
-            .iter()
-            .map(|p| p.latency_ms)
-            .fold(f64::INFINITY, f64::min);
-        let mut cells = Vec::new();
-        for (i, &pct) in pcts.iter().enumerate() {
-            match milestone_speedup(&f.curve, &a.curve, ansor_best, pct) {
-                Some(s) => {
-                    speedups[i].push(s);
-                    cells.push(format!("{s:>6.1}x"));
-                }
-                None => cells.push("     —".to_string()),
-            }
-        }
+        let cells = milestone_cells(&f.curve, &a.curve, &mut speedups);
         println!("{:<18} {}", g.name, cells.join(" "));
         table.push_str(&format!(
             "{},{}\n",
@@ -48,13 +33,7 @@ fn main() {
         rows.push((dev.name.to_string(), g.name.clone(), "Felix".to_string(), 1u64, f.curve));
         rows.push((dev.name.to_string(), g.name.clone(), "Ansor-TenSet".to_string(), 1u64, a.curve));
     }
-    let gm: Vec<String> = speedups
-        .iter()
-        .map(|v| match geomean(v) {
-            Some(g) => format!("{g:>6.1}x"),
-            None => "     —".into(),
-        })
-        .collect();
+    let gm = geomean_cells(&speedups);
     println!("{:<18} {}", "GEOMEAN", gm.join(" "));
     table.push_str(&format!("GEOMEAN,{}\n", gm.join(",").replace(' ', "")));
     write_result("fig10_batch16.csv", &curves_to_csv(&rows));

@@ -7,8 +7,8 @@
 //! paper's plot is performance normalized to the best framework per network.
 
 use felix_bench::{
-    cached_model, curves_from_csv, geomean, networks, networks_no_llama, read_result,
-    run_felix, write_result, Scale,
+    cached_model, curves_from_csv, final_latency_label, geomean, networks, networks_no_llama,
+    read_result, run_felix, write_result, Scale,
 };
 use felix_graph::partition;
 use felix_sim::vendor::{vendor_network_latency, Vendor};
@@ -52,7 +52,7 @@ fn main() {
                             "  [fig6] {} on {}: {} — skipping",
                             g.name,
                             dev.name,
-                            run.final_latency_label()
+                            final_latency_label(&run)
                         );
                         continue;
                     }

@@ -7,8 +7,8 @@
 //! A5000.
 
 use felix_bench::{
-    cached_model, curves_to_csv, networks, networks_no_llama, run_ansor, run_felix,
-    write_result, Scale,
+    cached_model, curves_to_csv, final_latency_label, networks, networks_no_llama, run_ansor,
+    run_felix, write_result, Scale,
 };
 use felix_sim::DeviceConfig;
 
@@ -34,13 +34,13 @@ fn main() {
                     "  {:<10} {:<18} seed {seed}: Felix {:>12} in {:>7.0} s | Ansor {:>12} in {:>7.0} s",
                     dev.name,
                     g.name,
-                    f.final_latency_label(),
+                    final_latency_label(&f),
                     f.curve.last().map(|p| p.time_s).unwrap_or(0.0),
-                    a.final_latency_label(),
+                    final_latency_label(&a),
                     a.curve.last().map(|p| p.time_s).unwrap_or(0.0),
                 );
-                rows.push((dev.name.to_string(), g.name.clone(), f.tool.to_string(), seed, f.curve));
-                rows.push((dev.name.to_string(), g.name.clone(), a.tool.to_string(), seed, a.curve));
+                rows.push((dev.name.to_string(), g.name.clone(), "Felix".to_string(), seed, f.curve));
+                rows.push((dev.name.to_string(), g.name.clone(), "Ansor-TenSet".to_string(), seed, a.curve));
             }
         }
     }

@@ -6,10 +6,7 @@
 //! search examines; the plotted series are the running best and the running
 //! 64th-best prediction vs. the number of schedules searched.
 
-use felix::GradientProposer;
-use felix_ansor::evolution::EvolutionConfig;
-use felix_ansor::EvolutionaryProposer;
-use felix_bench::{cached_model, tune_single_task, write_result, Scale};
+use felix_bench::{ansor_tool, cached_model, felix_tool, tune_single_task, write_result, Scale};
 use felix_graph::{Op, Subgraph, Task};
 use felix_sim::DeviceConfig;
 
@@ -18,7 +15,7 @@ fn running_stats(trace: &[f64]) -> Vec<(usize, f64, f64)> {
     let mut sorted: Vec<f64> = Vec::new();
     let mut out = Vec::new();
     for (i, &p) in trace.iter().enumerate() {
-        let pos = sorted.partial_point(p);
+        let pos = sorted.partition_point(|&v| v < p);
         sorted.insert(pos, p);
         if (i + 1) % 64 == 0 || i + 1 == trace.len() {
             let best = sorted.last().copied().unwrap_or(f64::NAN);
@@ -31,16 +28,6 @@ fn running_stats(trace: &[f64]) -> Vec<(usize, f64, f64)> {
         }
     }
     out
-}
-
-trait PartialPoint {
-    fn partial_point(&self, x: f64) -> usize;
-}
-
-impl PartialPoint for Vec<f64> {
-    fn partial_point(&self, x: f64) -> usize {
-        self.partition_point(|&v| v < x)
-    }
 }
 
 fn main() {
@@ -68,13 +55,10 @@ fn main() {
     println!("Figure 8: predicted performance of the search population (A5000)");
     for (name, sg) in subgraphs {
         let task = Task { subgraph: sg, weight: 1 };
-        let mut felix = GradientProposer::new(scale.felix_options());
-        let frun = tune_single_task(&task, &dev, &model, &mut felix, 16, rounds, 11);
-        let mut ansor = EvolutionaryProposer::new(EvolutionConfig {
-            population: scale.ansor_population().min(1024),
-            generations: 4,
-        });
-        let arun = tune_single_task(&task, &dev, &model, &mut ansor, 64, rounds, 11);
+        let (mut felix, felix_opts) = felix_tool(scale);
+        let frun = tune_single_task(&task, &dev, &model, &mut felix, &felix_opts, rounds, 11);
+        let (mut ansor, ansor_opts) = ansor_tool(scale.ansor_population().min(1024));
+        let arun = tune_single_task(&task, &dev, &model, &mut ansor, &ansor_opts, rounds, 11);
         for (tool, run) in [("Felix", &frun), ("Ansor", &arun)] {
             for (n, best, p64) in running_stats(&run.prediction_trace) {
                 csv.push_str(&format!("{name},{tool},{n},{best:.5},{p64:.5}\n"));

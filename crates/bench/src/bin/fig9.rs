@@ -4,10 +4,7 @@
 //! Operators are taken from the evaluated networks: Conv2d, TConv2d,
 //! Conv3d, Dense, BatchMatmul, Softmax, MaxPool.
 
-use felix::GradientProposer;
-use felix_ansor::evolution::EvolutionConfig;
-use felix_ansor::EvolutionaryProposer;
-use felix_bench::{cached_model, tune_single_task, write_result, Scale};
+use felix_bench::{ansor_tool, cached_model, felix_tool, tune_single_task, write_result, Scale};
 use felix_graph::{Op, Subgraph, Task};
 use felix_sim::vendor::{vendor_task_latency, Vendor};
 use felix_sim::DeviceConfig;
@@ -58,15 +55,12 @@ fn main() {
         let task = Task { subgraph: sg.clone(), weight: 1 };
         let pt = vendor_task_latency(sg, Vendor::PyTorch, &dev);
         let tf = vendor_task_latency(sg, Vendor::TensorFlow, &dev);
-        let mut fprop = GradientProposer::new(scale.felix_options());
-        let felix = tune_single_task(&task, &dev, &model, &mut fprop, 16, rounds, 21)
+        let (mut fprop, felix_opts) = felix_tool(scale);
+        let felix = tune_single_task(&task, &dev, &model, &mut fprop, &felix_opts, rounds, 21)
             .task
             .best_latency_ms;
-        let mut aprop = EvolutionaryProposer::new(EvolutionConfig {
-            population: scale.ansor_population().min(1024),
-            generations: 4,
-        });
-        let ansor = tune_single_task(&task, &dev, &model, &mut aprop, 64, rounds, 21)
+        let (mut aprop, ansor_opts) = ansor_tool(scale.ansor_population().min(1024));
+        let ansor = tune_single_task(&task, &dev, &model, &mut aprop, &ansor_opts, rounds, 21)
             .task
             .best_latency_ms;
         let best = pt.min(tf).min(felix).min(ansor);

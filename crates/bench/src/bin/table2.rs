@@ -2,7 +2,7 @@
 //! ratio of times needed to converge to 90%/95%/99% of the best Ansor
 //! performance (batch 1). Reads the curves produced by the `fig7` binary.
 
-use felix_bench::{curves_from_csv, geomean, milestone_speedup, read_result, write_result};
+use felix_bench::{curves_from_csv, geomean_cells, milestone_cells, read_result, write_result};
 
 fn main() {
     felix_bench::out_dir_from_args();
@@ -12,12 +12,11 @@ fn main() {
     };
     let curves = curves_from_csv(&csv);
     let devices = ["RTX A5000", "A10G", "Xavier NX"];
-    let pcts = [90.0, 95.0, 99.0];
     let mut out = String::from("device,network,s90,s95,s99\n");
     println!("Table 2a: Felix tuning speedup over Ansor-TenSet (batch 1)");
     println!("{:<11} {:<18} {:>7} {:>7} {:>7}", "device", "network", "90%", "95%", "99%");
     for dev in devices {
-        let mut per_pct: Vec<Vec<f64>> = vec![Vec::new(); 3];
+        let mut per_pct: [Vec<f64>; 3] = Default::default();
         let nets: Vec<String> = {
             let mut v: Vec<String> = curves
                 .iter()
@@ -36,30 +35,14 @@ fn main() {
                 .iter()
                 .find(|(d, n, t, s, _)| d == dev && n == net && t == "Ansor-TenSet" && *s == 1);
             let (Some(f), Some(a)) = (felix, ansor) else { continue };
-            let ansor_best = a.4.iter().map(|p| p.latency_ms).fold(f64::INFINITY, f64::min);
-            let mut cells = Vec::new();
-            for (i, &pct) in pcts.iter().enumerate() {
-                match milestone_speedup(&f.4, &a.4, ansor_best, pct) {
-                    Some(s) => {
-                        per_pct[i].push(s);
-                        cells.push(format!("{s:>6.1}x"));
-                    }
-                    None => cells.push("     —".to_string()),
-                }
-            }
+            let cells = milestone_cells(&f.4, &a.4, &mut per_pct);
             println!("{dev:<11} {net:<18} {}", cells.join(" "));
             out.push_str(&format!(
                 "{dev},{net},{}\n",
                 cells.iter().map(|c| c.trim().to_string()).collect::<Vec<_>>().join(",")
             ));
         }
-        let gm: Vec<String> = per_pct
-            .iter()
-            .map(|v| match geomean(v) {
-                Some(g) => format!("{g:>6.1}x"),
-                None => "     —".into(),
-            })
-            .collect();
+        let gm = geomean_cells(&per_pct);
         println!("{dev:<11} {:<18} {}", "GEOMEAN", gm.join(" "));
         out.push_str(&format!("{dev},GEOMEAN,{}\n", gm.join(",").replace(' ', "")));
     }

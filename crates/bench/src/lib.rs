@@ -14,10 +14,10 @@ pub mod plot;
 use felix::{FelixOptions, GradientProposer};
 use felix_ansor::evolution::EvolutionConfig;
 use felix_ansor::{
-    tune_network, CurvePoint, EvolutionaryProposer, NetworkTuneResult, Proposer,
-    SearchTask, TuneOptions,
+    tune_network_with_sink, tune_task_round_with_sink, CurvePoint, EvolutionaryProposer,
+    NetworkTuneResult, Proposer, SearchTask, TuneOptions,
 };
-use felix_cost::{generate_dataset, pretrain, Mlp, TrainConfig};
+use felix_cost::{pretrain_for_device, Mlp};
 use felix_graph::{models, partition, Graph, Task};
 use felix_sim::clock::ClockCosts;
 use felix_sim::{DeviceConfig, Simulator, TuningClock};
@@ -127,11 +127,7 @@ pub fn cached_model(device: &DeviceConfig, scale: Scale) -> Mlp {
         }
     }
     eprintln!("[cost-model] training for {} ({n_workloads} workloads x {schedules})...", device.name);
-    let ds = generate_dataset(device, n_workloads, schedules, 0xFE11C5);
-    let (train, val) = ds.split(0);
-    let mut rng = StdRng::seed_from_u64(0xC0571);
-    let mut mlp = Mlp::new(&mut rng);
-    pretrain(&mut mlp, &train, &TrainConfig { epochs, batch_size: 128, lr: 7e-4, seed: 1, ..Default::default() });
+    let (mlp, val) = pretrain_for_device(device, n_workloads, schedules, epochs);
     let rho = felix_cost::trainer::rank_correlation(&mlp, &val);
     eprintln!("[cost-model] {}: validation rank correlation {rho:.3}", device.name);
     let f = std::fs::File::create(&path).expect("create model cache");
@@ -149,30 +145,29 @@ pub fn networks_no_llama(batch: i64) -> Vec<Graph> {
     networks(batch).into_iter().filter(|g| !g.name.starts_with("llama")).collect()
 }
 
-/// A completed tuning run.
-pub struct TuneRun {
-    /// Which tool produced it.
-    pub tool: &'static str,
-    /// Time-vs-latency curve.
-    pub curve: Vec<CurvePoint>,
-    /// Final end-to-end latency (ms).
-    pub final_latency_ms: f64,
-    /// Tasks that never produced a successful measurement (when nonzero,
-    /// `final_latency_ms` is infinite and reports should say why).
-    pub unmeasured_tasks: usize,
+/// Human-readable final latency of a run: the measured figure, or — when
+/// some tasks never produced a measurement and the sum would print as `inf`
+/// — how many tasks are missing.
+pub fn final_latency_label(run: &NetworkTuneResult) -> String {
+    if run.unmeasured_tasks > 0 {
+        format!("{} tasks unmeasured", run.unmeasured_tasks)
+    } else {
+        format!("{:.4} ms", run.final_latency_ms)
+    }
 }
 
-impl TuneRun {
-    /// Human-readable final latency: the measured figure, or — when some
-    /// tasks never produced a measurement and the sum would print as `inf` —
-    /// how many tasks are missing.
-    pub fn final_latency_label(&self) -> String {
-        if self.unmeasured_tasks > 0 {
-            format!("{} tasks unmeasured", self.unmeasured_tasks)
-        } else {
-            format!("{:.4} ms", self.final_latency_ms)
-        }
-    }
+/// Felix's proposer at `scale` and its round options (16 measurements per
+/// round, §5).
+pub fn felix_tool(scale: Scale) -> (GradientProposer, TuneOptions) {
+    let opts = TuneOptions { measurements_per_round: 16, ..Default::default() };
+    (GradientProposer::new(scale.felix_options()), opts)
+}
+
+/// Ansor-TenSet's evolutionary proposer with `population` schedules and its
+/// round options (64 measurements per round, §5).
+pub fn ansor_tool(population: usize) -> (EvolutionaryProposer, TuneOptions) {
+    let opts = TuneOptions { measurements_per_round: 64, ..Default::default() };
+    (EvolutionaryProposer::new(EvolutionConfig { population, generations: 4 }), opts)
 }
 
 fn run_with_proposer(
@@ -180,14 +175,13 @@ fn run_with_proposer(
     device: &DeviceConfig,
     model: &Mlp,
     proposer: &mut dyn Proposer,
-    measurements_per_round: usize,
+    opts: &TuneOptions,
     rounds_factor: usize,
     seed: u64,
 ) -> NetworkTuneResult {
     let sim = Simulator::new(*device);
-    let tasks: Vec<Task> = partition(graph);
     let mut search: Vec<SearchTask> =
-        tasks.iter().map(|t| SearchTask::from_task(t, &sim)).collect();
+        partition(graph).iter().map(|t| SearchTask::from_task(t, &sim)).collect();
     // The paper compares tools at equal *tuning time*, so the budget is a
     // wall-clock target: roughly `rounds_factor` Ansor-sized rounds per task
     // (one Ansor round ≈ 64 measurements ≈ 55 s). Felix fits ~4x more of
@@ -196,28 +190,21 @@ fn run_with_proposer(
     let round_cap = search.len() * rounds_factor * 8 + 16;
     let mut model = model.clone();
     let mut clock = TuningClock::new();
-    let costs = ClockCosts::default();
-    let opts = TuneOptions { measurements_per_round, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut result = NetworkTuneResult {
-        curve: Vec::new(),
-        task_latencies: Vec::new(),
-        final_latency_ms: f64::INFINITY,
-        round_reports: Vec::new(),
-        unmeasured_tasks: search.len(),
-    };
-    let mut rounds_done = 0;
-    while clock.now_s() < budget_s && rounds_done < round_cap {
-        let chunk = tune_network(
-            &mut search, proposer, &mut model, &sim, &mut clock, &costs, &opts, 1,
+    let mut result = NetworkTuneResult::new(&search);
+    while clock.now_s() < budget_s && result.round_reports.len() < round_cap {
+        result.append(tune_network_with_sink(
+            &mut search,
+            proposer,
+            &mut model,
+            &sim,
+            &mut clock,
+            &ClockCosts::default(),
+            opts,
+            1,
             &mut rng,
-        );
-        result.curve.extend(chunk.curve);
-        result.task_latencies = chunk.task_latencies;
-        result.final_latency_ms = chunk.final_latency_ms;
-        result.round_reports.extend(chunk.round_reports);
-        result.unmeasured_tasks = chunk.unmeasured_tasks;
-        rounds_done += 1;
+            None,
+        ));
     }
     result
 }
@@ -229,16 +216,9 @@ pub fn run_felix(
     model: &Mlp,
     scale: Scale,
     seed: u64,
-) -> TuneRun {
-    let mut proposer = GradientProposer::new(scale.felix_options());
-    let res =
-        run_with_proposer(graph, device, model, &mut proposer, 16, scale.rounds_factor(), seed);
-    TuneRun {
-        tool: "Felix",
-        curve: res.curve,
-        final_latency_ms: res.final_latency_ms,
-        unmeasured_tasks: res.unmeasured_tasks,
-    }
+) -> NetworkTuneResult {
+    let (mut proposer, opts) = felix_tool(scale);
+    run_with_proposer(graph, device, model, &mut proposer, &opts, scale.rounds_factor(), seed)
 }
 
 /// Tunes a network with Ansor-TenSet (evolutionary; 64 measurements/round).
@@ -248,19 +228,9 @@ pub fn run_ansor(
     model: &Mlp,
     scale: Scale,
     seed: u64,
-) -> TuneRun {
-    let mut proposer = EvolutionaryProposer::new(EvolutionConfig {
-        population: scale.ansor_population(),
-        generations: 4,
-    });
-    let res =
-        run_with_proposer(graph, device, model, &mut proposer, 64, scale.rounds_factor(), seed);
-    TuneRun {
-        tool: "Ansor-TenSet",
-        curve: res.curve,
-        final_latency_ms: res.final_latency_ms,
-        unmeasured_tasks: res.unmeasured_tasks,
-    }
+) -> NetworkTuneResult {
+    let (mut proposer, opts) = ansor_tool(scale.ansor_population());
+    run_with_proposer(graph, device, model, &mut proposer, &opts, scale.rounds_factor(), seed)
 }
 
 /// Outcome of tuning one subgraph in isolation (for Figs. 8 and 9).
@@ -274,13 +244,14 @@ pub struct SingleTaskRun {
     pub time_s: f64,
 }
 
-/// Tunes a single subgraph for `rounds` rounds with the given proposer.
+/// Tunes a single subgraph for `rounds` rounds with the given proposer and
+/// round options.
 pub fn tune_single_task(
     task: &Task,
     device: &DeviceConfig,
     model: &Mlp,
     proposer: &mut dyn Proposer,
-    measurements_per_round: usize,
+    opts: &TuneOptions,
     rounds: usize,
     seed: u64,
 ) -> SingleTaskRun {
@@ -288,17 +259,22 @@ pub fn tune_single_task(
     let mut search = SearchTask::from_task(task, &sim);
     let mut model = model.clone();
     let mut clock = TuningClock::new();
-    let costs = ClockCosts::default();
-    let opts = TuneOptions { measurements_per_round, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut trace = Vec::new();
     for _ in 0..rounds {
-        felix_ansor::tune_task_round(
-            &mut search, proposer, &mut model, &sim, &mut clock, &costs, &opts, &mut rng,
+        tune_task_round_with_sink(
+            &mut search,
+            proposer,
+            &mut model,
+            &sim,
+            &mut clock,
+            &ClockCosts::default(),
+            opts,
+            &mut rng,
+            None,
         );
-        trace.extend(proposer.take_prediction_trace());
     }
-    SingleTaskRun { task: search, prediction_trace: trace, time_s: clock.now_s() }
+    let prediction_trace = proposer.take_prediction_trace();
+    SingleTaskRun { task: search, prediction_trace, time_s: clock.now_s() }
 }
 
 /// First time (seconds) at which a curve reaches a latency `<= target`.
@@ -318,6 +294,38 @@ pub fn milestone_speedup(
     let tf = time_to_reach(felix, target)?;
     let ta = time_to_reach(ansor, target)?;
     Some(ta / tf.max(1e-9))
+}
+
+/// One network's Table 2 row: Felix's speedup over Ansor at 90/95/99% of
+/// Ansor's best performance, as printed (`—` where a curve never gets
+/// there). Each reached speedup is also pushed onto its milestone's list in
+/// `reached`, for [`geomean_cells`].
+pub fn milestone_cells(
+    felix: &[CurvePoint],
+    ansor: &[CurvePoint],
+    reached: &mut [Vec<f64>; 3],
+) -> Vec<String> {
+    let ansor_best = ansor.iter().map(|p| p.latency_ms).fold(f64::INFINITY, f64::min);
+    [90.0, 95.0, 99.0]
+        .into_iter()
+        .zip(reached.iter_mut())
+        .map(|(pct, reached)| match milestone_speedup(felix, ansor, ansor_best, pct) {
+            Some(s) => {
+                reached.push(s);
+                format!("{s:>6.1}x")
+            }
+            None => "     —".to_string(),
+        })
+        .collect()
+}
+
+/// Table 2's geometric-mean row over the speedups [`milestone_cells`]
+/// reached.
+pub fn geomean_cells(reached: &[Vec<f64>; 3]) -> Vec<String> {
+    reached
+        .iter()
+        .map(|v| geomean(v).map_or_else(|| "     —".to_string(), |g| format!("{g:>6.1}x")))
+        .collect()
 }
 
 /// Geometric mean of positive values; `None` when empty.

@@ -4,10 +4,10 @@ use crate::cache::ScheduleCache;
 use crate::gd::{FelixOptions, GradientProposer};
 use crate::persist::{self, CheckpointState, RecordLogSink};
 use felix_ansor::{
-    fine_tune_on_new_samples, network_latency, tune_network_with_sink, MeasurementSink,
-    NetworkTuneResult, Proposer, SearchTask, TuneOptions, TunerStats,
+    fine_tune_on_new_samples, tune_network_with_sink, MeasurementSink, NetworkTuneResult,
+    Proposer, SearchTask, TuneOptions, TunerStats,
 };
-use felix_cost::{generate_dataset, pretrain, Mlp, TrainConfig};
+use felix_cost::{pretrain_for_device, Mlp};
 use felix_graph::{partition, Graph, Task};
 use felix_sim::clock::ClockCosts;
 use felix_sim::{DeviceConfig, Simulator, TuningClock};
@@ -47,15 +47,7 @@ pub fn pretrained_cost_model(device: &DeviceConfig, quality: ModelQuality) -> Ml
         ModelQuality::Fast => (6, 12, 10),
         ModelQuality::Full => (120, 96, 40),
     };
-    let ds = generate_dataset(device, n_workloads, schedules, 0xFE11C5);
-    let mut rng = StdRng::seed_from_u64(0xC0571);
-    let mut mlp = Mlp::new(&mut rng);
-    let (train, _) = ds.split(0);
-    pretrain(
-        &mut mlp,
-        &train,
-        &TrainConfig { epochs, batch_size: 128, lr: 7e-4, seed: 1, ..Default::default() },
-    );
+    let (mlp, _) = pretrain_for_device(device, n_workloads, schedules, epochs);
     CACHE.lock().expect("model cache").push((key, mlp.clone()));
     mlp
 }
@@ -67,7 +59,6 @@ pub struct Optimizer {
     model: Mlp,
     sim: Simulator,
     clock: TuningClock,
-    costs: ClockCosts,
     proposer: GradientProposer,
     rng: StdRng,
     sink: Option<RecordLogSink>,
@@ -102,7 +93,6 @@ impl Optimizer {
             model: cost_model,
             sim,
             clock: TuningClock::new(),
-            costs: ClockCosts::default(),
             proposer: GradientProposer::new(options),
             rng: StdRng::seed_from_u64(0xF311),
             sink: None,
@@ -360,17 +350,7 @@ impl Optimizer {
             fault_plan: self.proposer.options.fault_plan,
             ..Default::default()
         };
-        let mut res = NetworkTuneResult {
-            curve: Vec::new(),
-            task_latencies: self.tasks.iter().map(|t| t.best_latency_ms).collect(),
-            final_latency_ms: network_latency(&self.tasks),
-            round_reports: Vec::new(),
-            unmeasured_tasks: self
-                .tasks
-                .iter()
-                .filter(|t| t.best_latency_ms.is_infinite())
-                .count(),
-        };
+        let mut res = NetworkTuneResult::new(&self.tasks);
         for i in 0..n_total_rounds {
             let round = tune_network_with_sink(
                 &mut self.tasks,
@@ -378,18 +358,14 @@ impl Optimizer {
                 &mut self.model,
                 &self.sim,
                 &mut self.clock,
-                &self.costs,
+                &ClockCosts::default(),
                 &opts,
                 1,
                 &mut self.rng,
                 self.sink.as_mut().map(|s| s as &mut dyn MeasurementSink),
             );
             self.history.extend(round.curve.iter().copied());
-            res.curve.extend(round.curve);
-            res.task_latencies = round.task_latencies;
-            res.final_latency_ms = round.final_latency_ms;
-            res.round_reports.extend(round.round_reports);
-            res.unmeasured_tasks = round.unmeasured_tasks;
+            res.append(round);
             self.rounds_done += 1;
             // Publish on the same boundary as the checkpoint so a killed
             // run leaves its incumbents in the store.

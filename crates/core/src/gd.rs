@@ -786,7 +786,7 @@ impl Proposer for GradientProposer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use felix_ansor::{tune_task_round, EvolutionaryProposer, TuneOptions};
+    use felix_ansor::{tune_task_round_with_sink, EvolutionaryProposer, TuneOptions};
     use felix_cost::{generate_dataset, pretrain, TrainConfig};
     use felix_graph::{Op, Subgraph, Task};
     use felix_sim::{DeviceConfig, Simulator};
@@ -1017,8 +1017,8 @@ mod tests {
         let mut felix = GradientProposer::new(quick_opts());
         let opts = TuneOptions { measurements_per_round: 8, ..Default::default() };
         for _ in 0..2 {
-            tune_task_round(
-                &mut task, &mut felix, &mut model, &sim, &mut clock, &costs, &opts, &mut rng,
+            tune_task_round_with_sink(
+                &mut task, &mut felix, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
             );
         }
         // 16 measurements must already land within 3x of a competent expert
@@ -1046,13 +1046,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut felix = GradientProposer::new(quick_opts());
         let mut fclock = TuningClock::new();
-        tune_task_round(
-            &mut ftask, &mut felix, &mut model, &sim, &mut fclock, &costs, &opts, &mut rng,
+        tune_task_round_with_sink(
+            &mut ftask, &mut felix, &mut model, &sim, &mut fclock, &costs, &opts, &mut rng, None,
         );
         let mut evo = EvolutionaryProposer::new(EvolutionConfig { population: 128, generations: 2 });
         let mut eclock = TuningClock::new();
-        tune_task_round(
-            &mut etask, &mut evo, &mut model, &sim, &mut eclock, &costs, &opts, &mut rng,
+        tune_task_round_with_sink(
+            &mut etask, &mut evo, &mut model, &sim, &mut eclock, &costs, &opts, &mut rng, None,
         );
         assert!(
             ftask.best_latency_ms <= etask.best_latency_ms * 2.0,

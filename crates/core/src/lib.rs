@@ -16,7 +16,7 @@
 //!    multiple seeds; visited points are rounded to valid integer schedules
 //!    and the best few are measured ([`gd`], Algorithm 1, §3.4);
 //! 5. a round-based task scheduler tunes the whole network
-//!    ([`felix_ansor::tune_network`], Algorithm 2, §3.5).
+//!    ([`felix_ansor::tune_network_with_sink`], Algorithm 2, §3.5).
 //!
 //! The high-level [`Optimizer`] API ([`api`]) mirrors the paper's Fig. 5.
 //!

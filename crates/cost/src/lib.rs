@@ -18,7 +18,8 @@ pub mod trainer;
 pub use dataset::{generate_dataset, ingest_sample, Dataset, Sample};
 pub use sampling::{crossover_schedules, mutate_schedule, random_schedule};
 pub use trainer::{
-    fine_tune, finite_sample_indices, nonfinite_sample_count, pretrain, TrainConfig,
+    fine_tune, finite_sample_indices, nonfinite_sample_count, pretrain, pretrain_for_device,
+    TrainConfig,
 };
 
 use felix_features::FEATURE_COUNT;

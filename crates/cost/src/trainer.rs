@@ -1,6 +1,7 @@
 //! Offline pretraining and online fine-tuning of the cost model.
 
-use crate::{AdamState, Mlp, Sample};
+use crate::{generate_dataset, AdamState, Mlp, Sample};
+use felix_sim::DeviceConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,6 +70,24 @@ pub fn pretrain(mlp: &mut Mlp, samples: &[Sample], cfg: &TrainConfig) -> Vec<f64
     mlp.fit_normalization(&inputs);
     let mut adam = AdamState::for_model(mlp);
     run_epochs(mlp, samples, cfg, &mut adam)
+}
+
+/// The one per-device pretraining recipe: `n_workloads` × `schedules`
+/// synthetic samples (dataset seed `0xFE11C5`), a 90/10 split (`split(0)`),
+/// weights drawn from seed `0xC0571`, then `epochs` epochs of [`pretrain`]
+/// at TenSet's batch size and learning rate. Returns the model and the
+/// held-out validation samples.
+pub fn pretrain_for_device(
+    device: &DeviceConfig,
+    n_workloads: usize,
+    schedules: usize,
+    epochs: usize,
+) -> (Mlp, Vec<Sample>) {
+    let ds = generate_dataset(device, n_workloads, schedules, 0xFE11C5);
+    let (train, val) = ds.split(0);
+    let mut mlp = Mlp::new(&mut StdRng::seed_from_u64(0xC0571));
+    pretrain(&mut mlp, &train, &TrainConfig { epochs, seed: 1, ..Default::default() });
+    (mlp, val)
 }
 
 /// Online fine-tuning on newly measured schedules (Algorithm 1 line 24):
