@@ -57,9 +57,8 @@ impl EvolutionaryProposer {
         model: &PackedMlp,
         pop: &[(usize, Vec<f64>)],
         clock: &mut TuningClock,
-        costs: &ClockCosts,
     ) -> Vec<f64> {
-        clock.charge_predictions(pop.len(), costs);
+        clock.charge_predictions(pop.len());
         let scores = task.score_candidates(model, pop);
         self.trace.extend_from_slice(&scores);
         scores
@@ -70,14 +69,12 @@ impl EvolutionaryProposer {
     /// sketches of a task through evolutionary search while healthy sketches
     /// keep their gradient budget. Returns an empty batch for an empty
     /// sketch list.
-    #[allow(clippy::too_many_arguments)]
     pub fn propose_for_sketches(
         &mut self,
         task: &SearchTask,
         model: &Mlp,
         n: usize,
         clock: &mut TuningClock,
-        costs: &ClockCosts,
         rng: &mut StdRng,
         sketches: &[usize],
     ) -> Vec<(usize, Vec<f64>)> {
@@ -107,12 +104,12 @@ impl EvolutionaryProposer {
             let vals = random_schedule(&st.program, &st.rounding, rng, 32);
             pop.push((sk, vals));
         }
-        clock.charge_evolution(cfg.population, costs);
+        clock.charge_evolution(cfg.population);
 
         // --- Generations --------------------------------------------------
         // One packed view of the model scores every generation.
         let packed = model.pack();
-        let mut scores = self.score_population(task, &packed, &pop, clock, costs);
+        let mut scores = self.score_population(task, &packed, &pop, clock);
         for _ in 0..cfg.generations {
             // Rank and keep the better half as parents.
             let mut order: Vec<usize> = (0..pop.len()).collect();
@@ -136,9 +133,9 @@ impl EvolutionaryProposer {
                 };
                 next.push((*sk, child));
             }
-            clock.charge_evolution(cfg.population, costs);
+            clock.charge_evolution(cfg.population);
             pop = next;
-            scores = self.score_population(task, &packed, &pop, clock, costs);
+            scores = self.score_population(task, &packed, &pop, clock);
         }
 
         // --- Pick the top-n unmeasured candidates -------------------------
@@ -185,7 +182,7 @@ impl Proposer for EvolutionaryProposer {
         model: &Mlp,
         n: usize,
         clock: &mut TuningClock,
-        costs: &ClockCosts,
+        _costs: &ClockCosts,
         rng: &mut StdRng,
     ) -> Vec<(usize, Vec<f64>)> {
         // Quarantined sketches (persistent measurement failures) are skipped
@@ -193,7 +190,7 @@ impl Proposer for EvolutionaryProposer {
         // active list is the identity permutation, so the RNG stream matches
         // the fault-unaware search exactly.
         let active = task.active_sketches();
-        self.propose_for_sketches(task, model, n, clock, costs, rng, &active)
+        self.propose_for_sketches(task, model, n, clock, rng, &active)
     }
 
     fn take_prediction_trace(&mut self) -> Vec<f64> {
@@ -247,9 +244,8 @@ mod tests {
         let (task, model, _sim) = setup();
         let mut prop = EvolutionaryProposer::new(small_cfg());
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let mut rng = StdRng::seed_from_u64(1);
-        let cands = prop.propose(&task, &model, 16, &mut clock, &costs, &mut rng);
+        let cands = prop.propose(&task, &model, 16, &mut clock, &ClockCosts, &mut rng);
         assert!(!cands.is_empty());
         let mut seen = std::collections::HashSet::new();
         for (sk, vals) in &cands {
@@ -264,9 +260,8 @@ mod tests {
         let (task, model, _sim) = setup();
         let mut prop = EvolutionaryProposer::new(small_cfg());
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let mut rng = StdRng::seed_from_u64(2);
-        prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
+        prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
         let trace = prop.take_prediction_trace();
         // population * (generations + 1) predictions.
         assert_eq!(trace.len(), 64 * 3);
@@ -303,8 +298,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let mut prop = EvolutionaryProposer::new(small_cfg());
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
-        let cands = prop.propose(&task, &nan_model, 8, &mut clock, &costs, &mut rng);
+        let cands = prop.propose(&task, &nan_model, 8, &mut clock, &ClockCosts, &mut rng);
         for (sk, vals) in &cands {
             assert!(task.sketches[*sk].program.constraints_ok(vals, 0.0));
         }
@@ -316,13 +310,13 @@ mod tests {
     fn evolution_beats_pure_random_on_average() {
         let (mut task, mut model, sim) = setup();
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let opts = TuneOptions { measurements_per_round: 12, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(3);
         let mut evo = EvolutionaryProposer::new(small_cfg());
         for _ in 0..3 {
             tune_task_round_with_sink(
-                &mut task, &mut evo, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+                &mut task, &mut evo, &mut model, &sim, &mut clock, &ClockCosts,
+                &opts, &mut rng, None,
             );
         }
         let evo_best = task.best_latency_ms;
@@ -338,7 +332,8 @@ mod tests {
         let mut clock2 = TuningClock::new();
         for _ in 0..3 {
             tune_task_round_with_sink(
-                &mut task2, &mut rnd, &mut model, &sim, &mut clock2, &costs, &opts, &mut rng, None,
+                &mut task2, &mut rnd, &mut model, &sim, &mut clock2, &ClockCosts,
+                &opts, &mut rng, None,
             );
         }
         // Cost-model-guided search should find at least as good a schedule.

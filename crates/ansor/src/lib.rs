@@ -537,9 +537,9 @@ pub struct TunerStats {
     /// Sketches running degraded (below [`SketchMode::Gradient`]) after
     /// this round: the supervisor's [`HealthReport::modes`] for the next.
     pub degraded_sketches: usize,
-    /// Always 0: there is no shared objective cache any more. Kept only
-    /// because the benchmark ledger (`benchmark/`) still reads it, until
-    /// ROADMAP item 1 step B deletes it there.
+    /// Always 0: there is no shared objective cache any more.
+    /// Pinned by the frozen ledger: `benchmark/` reads it until ROADMAP
+    /// item 1 step B deletes it there.
     pub tape_cache_hits: usize,
 }
 
@@ -593,14 +593,15 @@ pub trait Proposer {
     }
 
     /// Proposes up to `n` unmeasured candidates `(sketch_idx, values)` for
-    /// one round, charging its own search time to `clock`.
+    /// one round, charging its own search time to `clock`. `_costs` carries
+    /// nothing (see [`ClockCosts`]).
     fn propose(
         &mut self,
         task: &SearchTask,
         model: &Mlp,
         n: usize,
         clock: &mut TuningClock,
-        costs: &ClockCosts,
+        _costs: &ClockCosts,
         rng: &mut StdRng,
     ) -> Vec<(usize, Vec<f64>)>;
 
@@ -683,13 +684,6 @@ pub trait MeasurementSink {
 /// AutoTVM/MetaSchedule.
 pub const MAX_RETRIES: usize = 2;
 
-/// Simulated seconds of backoff before retry number `retry` (0-based):
-/// 0.5 s, doubling per retry.
-#[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-fn backoff_for(retry: usize) -> f64 {
-    0.5 * 2.0f64.powi(retry as i32)
-}
-
 /// What one call of [`tune_task_round_with_sink`] did with its measurement
 /// budget, plus the descent supervisor's health report for the round.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -738,7 +732,8 @@ impl Default for TuneOptions {
 /// on transient faults) → update model (Algorithm 1). Returns what happened
 /// to the measurement budget. `sink`, when attached, receives every finished
 /// measurement; it is a pure observer, so the search state, RNG stream and
-/// clock evolve identically with or without it.
+/// clock evolve identically with or without it. `_costs` carries nothing
+/// (see [`ClockCosts`]).
 #[allow(clippy::too_many_arguments)]
 pub fn tune_task_round_with_sink(
     task: &mut SearchTask,
@@ -746,12 +741,13 @@ pub fn tune_task_round_with_sink(
     model: &mut Mlp,
     sim: &Simulator,
     clock: &mut TuningClock,
-    costs: &ClockCosts,
+    _costs: &ClockCosts,
     opts: &TuneOptions,
     rng: &mut StdRng,
     mut sink: Option<&mut (dyn MeasurementSink + '_)>,
 ) -> RoundReport {
-    let candidates = proposer.propose(task, model, opts.measurements_per_round, clock, costs, rng);
+    let n = opts.measurements_per_round;
+    let candidates = proposer.propose(task, model, n, clock, &ClockCosts, rng);
     // Adopt the supervisor's modes before anything else consumes the
     // round: degradation takes effect from the next propose call, and the
     // decision is what the record log persists (so a replay restores the
@@ -798,16 +794,13 @@ pub fn tune_task_round_with_sink(
                 key,
                 attempt,
             );
+            clock.charge_measurement(outcome, sim.device.rpc);
             match outcome {
-                MeasureOutcome::Ok(latency) => {
-                    clock.charge_measurement(sim.device.rpc, costs);
-                    break Ok(latency);
-                }
+                MeasureOutcome::Ok(latency) => break Ok(latency),
                 MeasureOutcome::Fail(kind) => {
-                    clock.charge_failed_measurement(kind, sim.device.rpc, costs);
                     let retries_spent = attempt as usize;
                     if kind.retryable() && retries_spent < MAX_RETRIES {
-                        clock.advance(backoff_for(retries_spent));
+                        clock.charge_retry_backoff(retries_spent);
                         report.retries += 1;
                         task.retries += 1;
                         attempt += 1;
@@ -845,7 +838,7 @@ pub fn tune_task_round_with_sink(
         let n_new = new_samples.len();
         task.samples.extend(new_samples);
         fine_tune_on_new_samples(model, &task.samples, n_new, opts);
-        clock.charge_model_update(costs);
+        clock.charge_model_update();
     }
     task.rounds += 1;
     proposer.note_measurement(&report);
@@ -1003,7 +996,8 @@ pub fn select_next_task(tasks: &[SearchTask]) -> usize {
 
 /// Tunes a whole network for `n_rounds` rounds (Algorithm 2), producing the
 /// time-vs-latency curve. `sink`, when attached, observes every measurement
-/// across all tasks, in execution order.
+/// across all tasks, in execution order. `_costs` carries nothing (see
+/// [`ClockCosts`]).
 #[allow(clippy::too_many_arguments)]
 pub fn tune_network_with_sink(
     tasks: &mut [SearchTask],
@@ -1011,7 +1005,7 @@ pub fn tune_network_with_sink(
     model: &mut Mlp,
     sim: &Simulator,
     clock: &mut TuningClock,
-    costs: &ClockCosts,
+    _costs: &ClockCosts,
     opts: &TuneOptions,
     n_rounds: usize,
     rng: &mut StdRng,
@@ -1026,7 +1020,7 @@ pub fn tune_network_with_sink(
             model,
             sim,
             clock,
-            costs,
+            &ClockCosts,
             opts,
             rng,
             sink.as_deref_mut(),
@@ -1117,18 +1111,19 @@ mod tests {
         let mut task = SearchTask::from_task(&dense_task(), &sim);
         let mut model = quick_model();
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let opts = TuneOptions { measurements_per_round: 8, update_model: false, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(1);
         let mut proposer = RandomProposer;
         tune_task_round_with_sink(
-            &mut task, &mut proposer, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+            &mut task, &mut proposer, &mut model, &sim, &mut clock, &ClockCosts,
+            &opts, &mut rng, None,
         );
         let after_one = task.best_latency_ms;
         assert!(after_one.is_finite());
         for _ in 0..5 {
             tune_task_round_with_sink(
-                &mut task, &mut proposer, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+                &mut task, &mut proposer, &mut model, &sim, &mut clock, &ClockCosts,
+                &opts, &mut rng, None,
             );
         }
         assert!(task.best_latency_ms <= after_one);
@@ -1240,14 +1235,13 @@ mod tests {
         let sim = Simulator::new(DeviceConfig::a5000());
         let mut model = quick_model();
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let opts = TuneOptions { measurements_per_round: 6, update_model: false, ..Default::default() };
 
         let mut with_sink = SearchTask::from_task(&dense_task(), &sim);
         let mut capture = Capture::default();
         let mut rng = StdRng::seed_from_u64(3);
         let report = tune_task_round_with_sink(
-            &mut with_sink, &mut RandomProposer, &mut model, &sim, &mut clock, &costs,
+            &mut with_sink, &mut RandomProposer, &mut model, &sim, &mut clock, &ClockCosts,
             &opts, &mut rng, Some(&mut capture),
         );
         assert_eq!(capture.0.len(), report.measured + report.failed);
@@ -1260,7 +1254,7 @@ mod tests {
         let mut clock2 = TuningClock::new();
         let mut rng2 = StdRng::seed_from_u64(3);
         tune_task_round_with_sink(
-            &mut without, &mut RandomProposer, &mut model, &sim, &mut clock2, &costs,
+            &mut without, &mut RandomProposer, &mut model, &sim, &mut clock2, &ClockCosts,
             &opts, &mut rng2, None,
         );
         assert_eq!(without.measured, with_sink.measured);
@@ -1407,12 +1401,11 @@ mod tests {
         let mut task = SearchTask::from_task(&dense_task(), &sim);
         let mut model = quick_model();
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let opts = TuneOptions { measurements_per_round: 6, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..2 {
             tune_task_round_with_sink(
-                &mut task, &mut RandomProposer, &mut model, &sim, &mut clock, &costs,
+                &mut task, &mut RandomProposer, &mut model, &sim, &mut clock, &ClockCosts,
                 &opts, &mut rng, None,
             );
         }

@@ -8,7 +8,7 @@ use felix_ansor::{
 };
 use felix_cost::{random_schedule, Mlp};
 use felix_graph::{Op, Subgraph, Task};
-use felix_sim::clock::ClockCosts;
+use felix_sim::clock::{ClockCosts, COMPILE_S};
 use felix_sim::{DeviceConfig, FaultKind, FaultPlan, Simulator, TuningClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,12 +87,11 @@ fn stub_round_measures_everything_and_reports_back() {
     let cands = valid_candidates(&task, 5, 42);
     let mut stub = StubProposer::new(vec![cands.clone()]);
     let mut clock = TuningClock::new();
-    let costs = ClockCosts::default();
     let opts = TuneOptions { measurements_per_round: 5, update_model: false, ..Default::default() };
     let mut rng = StdRng::seed_from_u64(1);
     let report =
         tune_task_round_with_sink(
-            &mut task, &mut stub, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+            &mut task, &mut stub, &mut model, &sim, &mut clock, &ClockCosts, &opts, &mut rng, None,
         );
     assert_eq!(report.measured, 5, "all stub candidates are valid and unique");
     assert_eq!(report.failed, 0);
@@ -104,7 +103,7 @@ fn stub_round_measures_everything_and_reports_back() {
     // A second round with the same candidates measures nothing (dedup).
     let mut stub2 = StubProposer::new(vec![cands]);
     let report2 = tune_task_round_with_sink(
-        &mut task, &mut stub2, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+        &mut task, &mut stub2, &mut model, &sim, &mut clock, &ClockCosts, &opts, &mut rng, None,
     );
     assert_eq!(report2.measured, 0, "already-measured candidates are skipped");
 }
@@ -115,7 +114,6 @@ fn zero_rate_plan_is_bit_identical_to_no_plan() {
     // zero leaves the RNG stream, the clock, and every measured value
     // byte-identical to the default (fault-free) options.
     let (_, mut model, sim) = setup();
-    let costs = ClockCosts::default();
     let mut runs = Vec::new();
     for plan in [FaultPlan::none(), FaultPlan::chaos(0xDEAD_BEEF, 0.0)] {
         assert!(plan.is_zero());
@@ -132,7 +130,8 @@ fn zero_rate_plan_is_bit_identical_to_no_plan() {
         let mut reports = Vec::new();
         for _ in 0..3 {
             reports.push(tune_task_round_with_sink(
-                &mut task, &mut prop, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+                &mut task, &mut prop, &mut model, &sim, &mut clock, &ClockCosts,
+                &opts, &mut rng, None,
             ));
         }
         runs.push((task.measured.clone(), clock.now_s().to_bits(), reports));
@@ -152,7 +151,6 @@ fn zero_rate_plan_is_bit_identical_to_no_plan() {
 #[test]
 fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
     let (mut task, mut model, sim) = setup();
-    let costs = ClockCosts::default();
     let plan = FaultPlan::chaos(0xC0FFEE, 0.3);
     let opts = TuneOptions {
         measurements_per_round: 8,
@@ -167,7 +165,7 @@ fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
     let mut total = RoundReport::default();
     for _ in 0..4 {
         let r = tune_task_round_with_sink(
-            &mut task, &mut prop, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+            &mut task, &mut prop, &mut model, &sim, &mut clock, &ClockCosts, &opts, &mut rng, None,
         );
         // Per round: every retry is charged to a candidate that was
         // attempted, and no candidate retries more than the bound.
@@ -192,7 +190,6 @@ fn chaos_rounds_respect_retry_budget_and_replay_hygiene() {
 #[test]
 fn build_errors_fail_fast_without_retry() {
     let (mut task, mut model, sim) = setup();
-    let costs = ClockCosts::default();
     let plan = FaultPlan {
         seed: 5,
         build_error_rate: 1.0,
@@ -208,7 +205,7 @@ fn build_errors_fail_fast_without_retry() {
     let mut clock = TuningClock::new();
     let mut rng = StdRng::seed_from_u64(2);
     let report = tune_task_round_with_sink(
-        &mut task, &mut stub, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+        &mut task, &mut stub, &mut model, &sim, &mut clock, &ClockCosts, &opts, &mut rng, None,
     );
     assert_eq!(report.measured, 0);
     assert_eq!(report.failed, 6);
@@ -218,7 +215,7 @@ fn build_errors_fail_fast_without_retry() {
     assert!(task.samples.is_empty());
     assert!(task.best_latency_ms.is_infinite());
     // Each failure still burns compile time on the clock.
-    assert!(clock.now_s() >= 6.0 * costs.compile_s);
+    assert!(clock.now_s() >= 6.0 * COMPILE_S);
 }
 
 #[test]
@@ -283,7 +280,6 @@ fn evolution_baseline_is_deterministic() {
     let sim = Simulator::new(DeviceConfig::a5000());
     let mut model_rng = StdRng::seed_from_u64(0);
     let model = Mlp::new(&mut model_rng);
-    let costs = ClockCosts::default();
     let cfg = EvolutionConfig { population: 48, generations: 2 };
     let mut runs = Vec::new();
     for _ in 0..2 {
@@ -291,7 +287,7 @@ fn evolution_baseline_is_deterministic() {
         let mut prop = EvolutionaryProposer::new(cfg);
         let mut clock = TuningClock::new();
         let mut rng = StdRng::seed_from_u64(9);
-        let cands = prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
+        let cands = prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
         runs.push((cands, clock.now_s().to_bits()));
     }
     assert_eq!(runs[0], runs[1], "same seed, same candidates, same clock");

@@ -199,7 +199,7 @@ fn run_with_proposer(
             &mut model,
             &sim,
             &mut clock,
-            &ClockCosts::default(),
+            &ClockCosts,
             opts,
             1,
             &mut rng,
@@ -267,7 +267,7 @@ pub fn tune_single_task(
             &mut model,
             &sim,
             &mut clock,
-            &ClockCosts::default(),
+            &ClockCosts,
             opts,
             &mut rng,
             None,

@@ -16,13 +16,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 
-/// How thoroughly to pretrain the cost model.
+/// How thoroughly to pretrain the cost model. Pinned by the frozen ledger:
+/// `benchmark/` names `ModelQuality::Fast`, the one setting, until ROADMAP
+/// item 1 step B deletes the type there.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ModelQuality {
-    /// Small corpus, few epochs — seconds; fine for tests and examples.
+    /// Small corpus, few epochs — seconds.
     Fast,
-    /// TenSet-scale corpus and epochs — the experiment-harness setting.
-    Full,
 }
 
 /// Extracts the tuning tasks (fused subgraphs) from a network, as
@@ -33,22 +33,19 @@ pub fn extract_subgraphs(graph: &Graph) -> Vec<Task> {
 
 /// Returns a cost model pretrained for the target device, as
 /// `felix.pretrained_cost_model` does in Fig. 5. Training is deterministic
-/// per device + quality, and the result is memoized per (device, quality)
-/// within a process — repeated calls (test suites, examples looping over
-/// devices) pay the pretraining cost once.
-pub fn pretrained_cost_model(device: &DeviceConfig, quality: ModelQuality) -> Mlp {
+/// per device, and the result is memoized per device within a process —
+/// repeated calls (test suites, examples looping over devices) pay the
+/// pretraining cost once.
+pub fn pretrained_cost_model(device: &DeviceConfig, _quality: ModelQuality) -> Mlp {
     use std::sync::Mutex;
-    static CACHE: Mutex<Vec<((&'static str, ModelQuality), Mlp)>> = Mutex::new(Vec::new());
-    let key = (device.name, quality);
-    if let Some((_, m)) = CACHE.lock().expect("model cache").iter().find(|(k, _)| *k == key) {
+    static CACHE: Mutex<Vec<(&'static str, Mlp)>> = Mutex::new(Vec::new());
+    let name = device.name;
+    if let Some((_, m)) = CACHE.lock().expect("model cache").iter().find(|(k, _)| *k == name) {
         return m.clone();
     }
-    let (n_workloads, schedules, epochs) = match quality {
-        ModelQuality::Fast => (6, 12, 10),
-        ModelQuality::Full => (120, 96, 40),
-    };
-    let (mlp, _) = pretrain_for_device(device, n_workloads, schedules, epochs);
-    CACHE.lock().expect("model cache").push((key, mlp.clone()));
+    // 6 workloads x 12 schedules, 10 epochs: seconds, not minutes.
+    let (mlp, _) = pretrain_for_device(device, 6, 12, 10);
+    CACHE.lock().expect("model cache").push((name, mlp.clone()));
     mlp
 }
 
@@ -358,7 +355,7 @@ impl Optimizer {
                 &mut self.model,
                 &self.sim,
                 &mut self.clock,
-                &ClockCosts::default(),
+                &ClockCosts,
                 &opts,
                 1,
                 &mut self.rng,

@@ -162,10 +162,9 @@ struct ItemOut {
 }
 
 /// An empty type. Each [`GradientProposer`]'s own memo is the only
-/// objective cache; this type and
-/// [`GradientProposer::with_shared_tape_cache`] are kept only because the
-/// benchmark ledger (`benchmark/`) still names them, until ROADMAP item 1
-/// step B deletes them there.
+/// objective cache. Pinned by the frozen ledger: `benchmark/` names this
+/// type and [`GradientProposer::with_shared_tape_cache`] until ROADMAP
+/// item 1 step B deletes them there.
 #[derive(Debug, Default)]
 pub struct TapeCache;
 
@@ -198,7 +197,8 @@ impl GradientProposer {
         }
     }
 
-    /// Returns `self` unchanged (see [`TapeCache`]).
+    /// Returns `self` unchanged. Pinned by the frozen ledger (see
+    /// [`TapeCache`]).
     #[must_use]
     pub fn with_shared_tape_cache(self, _cache: Arc<TapeCache>) -> Self {
         self
@@ -449,14 +449,13 @@ impl Proposer for GradientProposer {
         "felix-gradient"
     }
 
-    #[allow(clippy::too_many_lines)]
     fn propose(
         &mut self,
         task: &SearchTask,
         model: &Mlp,
         n: usize,
         clock: &mut TuningClock,
-        costs: &ClockCosts,
+        _costs: &ClockCosts,
         rng: &mut StdRng,
     ) -> Vec<(usize, Vec<f64>)> {
         let opts = self.options;
@@ -563,7 +562,7 @@ impl Proposer for GradientProposer {
                 .map_or(0, |(i, _)| i);
             cands.into_iter().nth(best).expect("SEED_INIT_DRAWS >= 1").1
         });
-        clock.charge_batched_predictions(slots.len() * SEED_INIT_DRAWS, costs);
+        clock.charge_batched_predictions(slots.len() * SEED_INIT_DRAWS);
         for ((sketch, _), x) in slots.iter().zip(inits) {
             starts.push((*sketch, objectives[*sketch].to_y_space(&x)));
         }
@@ -575,7 +574,7 @@ impl Proposer for GradientProposer {
         // wherever that share allows.
         let n_live = starts.len();
         for _ in 0..opts.n_steps {
-            clock.charge_gradient_step(n_live, costs);
+            clock.charge_gradient_step(n_live);
         }
         let salt = restart_salt(&task.name, task.rounds);
         let width = n_live.div_ceil(threads.min(n_live).max(1)).max(1);
@@ -661,7 +660,7 @@ impl Proposer for GradientProposer {
         // --- Rank by predicted performance on the exact features (line 21),
         // in parallel batches.
         let cand_scores = score_candidates(task, &packed, threads, &cands);
-        clock.charge_batched_predictions(cands.len(), costs);
+        clock.charge_batched_predictions(cands.len());
         let mut ranked: Vec<(f64, usize, Vec<f64>)> = cand_scores
             .into_iter()
             .zip(cands)
@@ -690,7 +689,7 @@ impl Proposer for GradientProposer {
             }
         }
         let nb_scores = score_candidates(task, &packed, threads, &neighbors);
-        clock.charge_batched_predictions(neighbors.len(), costs);
+        clock.charge_batched_predictions(neighbors.len());
         ranked.extend(
             nb_scores
                 .into_iter()
@@ -745,8 +744,7 @@ impl Proposer for GradientProposer {
         if n_evo > 0 {
             let mut evo =
                 EvolutionaryProposer::new(EvolutionConfig { population: 128, generations: 2 });
-            let evo_cands =
-                evo.propose_for_sketches(task, model, n_evo, clock, costs, rng, &evo_active);
+            let evo_cands = evo.propose_for_sketches(task, model, n_evo, clock, rng, &evo_active);
             for (sk, x) in evo_cands {
                 if out.len() >= n {
                     break;
@@ -829,9 +827,8 @@ mod tests {
         let (task, model, _sim) = setup();
         let mut prop = GradientProposer::new(quick_opts());
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let mut rng = StdRng::seed_from_u64(1);
-        let cands = prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
+        let cands = prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
         assert!(!cands.is_empty(), "gradient search must yield candidates");
         for (sk, vals) in &cands {
             assert!(
@@ -870,8 +867,7 @@ mod tests {
             ..Default::default()
         });
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
-        let cands = prop.propose(&task, &nan_model, 4, &mut clock, &costs, &mut rng);
+        let cands = prop.propose(&task, &nan_model, 4, &mut clock, &ClockCosts, &mut rng);
         for (sk, vals) in &cands {
             assert!(task.sketches[*sk].program.constraints_ok(vals, 1e-9));
         }
@@ -888,9 +884,8 @@ mod tests {
             ..Default::default()
         });
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let mut rng = StdRng::seed_from_u64(2);
-        prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
+        prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
         let trace = prop.take_prediction_trace();
         assert_eq!(trace.len(), 4 * 80);
         let early: f64 = trace[..40].iter().sum::<f64>() / 40.0;
@@ -906,10 +901,9 @@ mod tests {
         let (task, model, _sim) = setup();
         let mut prop = GradientProposer::new(quick_opts());
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let mut rng = StdRng::seed_from_u64(7);
-        prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
-        prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
+        prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
+        prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
         let stats = prop.take_stats();
         assert_eq!(stats.len(), 2);
         // First round builds every sketch objective, second reuses them.
@@ -939,9 +933,8 @@ mod tests {
         task.set_sketch_modes(&[SketchMode::ClippedGradient, SketchMode::Gradient]);
         let mut prop = GradientProposer::new(quick_opts());
         let mut clock = TuningClock::new();
-        let costs = ClockCosts::default();
         let mut rng = StdRng::seed_from_u64(2);
-        prop.propose(&task, &model, 8, &mut clock, &costs, &mut rng);
+        prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
         assert_eq!(prop.take_stats()[0].degraded_sketches, 0);
         let health = prop.take_health();
         assert!(health.is_clean(), "a healthy round: {health:?}");
@@ -957,13 +950,12 @@ mod tests {
     /// keyed by global seed index, and all master-RNG draws happen in a
     /// fixed serial order, so this holds exactly, not approximately.
     fn assert_thread_counts_agree(task: &SearchTask, opts: FelixOptions) {
-        let costs = ClockCosts::default();
         let mut runs = Vec::new();
         for threads in [1, 2, 3, 4, 16] {
             let mut prop = GradientProposer::new(FelixOptions { threads, ..opts });
             let mut clock = TuningClock::new();
             let mut rng = StdRng::seed_from_u64(5);
-            let cands = prop.propose(task, shared_model(), 8, &mut clock, &costs, &mut rng);
+            let cands = prop.propose(task, shared_model(), 8, &mut clock, &ClockCosts, &mut rng);
             let trace: Vec<u64> =
                 prop.take_prediction_trace().iter().map(|v| v.to_bits()).collect();
             let s = prop.take_stats()[0];
@@ -1011,14 +1003,14 @@ mod tests {
     #[test]
     fn felix_finds_good_schedules_with_few_measurements() {
         let (mut task, mut model, sim) = setup();
-        let costs = ClockCosts::default();
         let mut rng = StdRng::seed_from_u64(3);
         let mut clock = TuningClock::new();
         let mut felix = GradientProposer::new(quick_opts());
         let opts = TuneOptions { measurements_per_round: 8, ..Default::default() };
         for _ in 0..2 {
             tune_task_round_with_sink(
-                &mut task, &mut felix, &mut model, &sim, &mut clock, &costs, &opts, &mut rng, None,
+                &mut task, &mut felix, &mut model, &sim, &mut clock, &ClockCosts,
+                &opts, &mut rng, None,
             );
         }
         // 16 measurements must already land within 3x of a competent expert
@@ -1041,18 +1033,18 @@ mod tests {
         // at least competitive (paper: much better early).
         let (mut ftask, mut model, sim) = setup();
         let mut etask = ftask.clone();
-        let costs = ClockCosts::default();
         let opts = TuneOptions { measurements_per_round: 8, update_model: false, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(4);
         let mut felix = GradientProposer::new(quick_opts());
         let mut fclock = TuningClock::new();
         tune_task_round_with_sink(
-            &mut ftask, &mut felix, &mut model, &sim, &mut fclock, &costs, &opts, &mut rng, None,
+            &mut ftask, &mut felix, &mut model, &sim, &mut fclock, &ClockCosts,
+            &opts, &mut rng, None,
         );
         let mut evo = EvolutionaryProposer::new(EvolutionConfig { population: 128, generations: 2 });
         let mut eclock = TuningClock::new();
         tune_task_round_with_sink(
-            &mut etask, &mut evo, &mut model, &sim, &mut eclock, &costs, &opts, &mut rng, None,
+            &mut etask, &mut evo, &mut model, &sim, &mut eclock, &ClockCosts, &opts, &mut rng, None,
         );
         assert!(
             ftask.best_latency_ms <= etask.best_latency_ms * 2.0,

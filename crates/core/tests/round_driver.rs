@@ -79,7 +79,7 @@ fn optimize_all_result_is_the_round_driver_result() {
             &mut direct_model,
             &sim,
             &mut clock,
-            &ClockCosts::default(),
+            &ClockCosts,
             &opts,
             n,
             &mut rng,

@@ -234,7 +234,6 @@ fn access_transactions(p: &mut Program, stage: usize, access_idx: usize) -> Expr
 /// # Panics
 ///
 /// Panics if the program has no compute stage.
-#[allow(clippy::too_many_lines)]
 pub fn extract_features(p: &mut Program) -> FeatureSet {
     assert!(
         p.stages.iter().any(|s| s.kind == StageKind::Compute),

@@ -108,7 +108,6 @@ fn out_scope(has_epilogues: bool) -> MemScope {
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn lower_anchor(p: &mut Program, op: &Op, has_epilogues: bool) {
     let scope = out_scope(has_epilogues);
     match op {

@@ -84,7 +84,6 @@ impl Json {
     /// The node as a non-negative integer.
     pub fn as_usize(&self) -> Option<usize> {
         match self {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => Some(*v as usize),
             _ => None,
         }

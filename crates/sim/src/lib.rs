@@ -154,7 +154,6 @@ impl Simulator {
     }
 
     /// Latency in milliseconds from a raw feature vector.
-    #[allow(clippy::too_many_lines)]
     pub fn latency_from_features(&self, v: &[f64]) -> f64 {
         let f = |name: &str| v[feature_index(name)];
         let dev = &self.device;

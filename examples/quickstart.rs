@@ -22,8 +22,8 @@ fn main() {
         dnn.nodes.len(),
         graphs.len()
     );
-    // Get a pretrained cost model for the target device. `Fast` trains a
-    // small model in seconds; use `ModelQuality::Full` for experiments.
+    // Get a pretrained cost model for the target device: a small model,
+    // trained in seconds and memoized per device.
     let cost_model = pretrained_cost_model(&device, ModelQuality::Fast);
     // The Optimizer sets up the search space and the differentiable
     // objective for each subgraph.
