@@ -99,10 +99,6 @@ fn layer_dims() -> Vec<(usize, usize)> {
     LAYER_SIZES.windows(2).map(|w| (w[1], w[0])).collect()
 }
 
-/// Per-layer weight and bias gradients, `(gw, gb)`, shaped like the
-/// parameters.
-pub type ParamGrads = (Vec<Vec<f32>>, Vec<Vec<f32>>);
-
 /// Output neurons per forward panel: the packed weights store each layer as
 /// `out_dim / PANEL` input-major panels, and the forward kernel keeps one
 /// panel's accumulators in registers for a whole block of samples.
@@ -113,20 +109,24 @@ const PANEL: usize = 32;
 const SAMPLE_BLOCK: usize = 4;
 
 /// Reusable buffers for the batched MLP kernels, so the descent hot loop
-/// runs one `input_gradient` batch per step without allocating.
+/// runs one `input_gradient` batch per step, and a training call one
+/// minibatch step, without allocating.
 ///
-/// All buffers are sample-major: `acts[layer][s * dim + i]` for batch size
-/// `n`. Create once, pass to [`PackedMlp::input_gradient_batch_cols`] every
-/// step; buffers grow to the high-water mark and stay there.
+/// `acts` is sample-major: `acts[layer][s * dim + i]` for batch size `n`.
+/// The reverse sweeps overwrite each layer's activations with its gated
+/// gradient once nothing reads them, so a backward needs no gradient
+/// buffers of its own. Create once, pass to
+/// [`PackedMlp::input_gradient_batch_cols`] every step; buffers grow to the
+/// high-water mark and stay there.
 #[derive(Clone, Debug, Default)]
 pub struct MlpScratch {
-    /// Post-activation values per layer (layer 0 = normalized inputs).
+    /// Post-activation values per layer (layer 0 = normalized inputs), then
+    /// the backward's gradients at them.
     acts: Vec<Vec<f32>>,
-    /// Current backward gradient, `[n * out_dim]` for the layer in flight.
-    grad: Vec<f32>,
-    /// Next layer's input gradient being accumulated, `[n * in_dim]`.
-    gin: Vec<f32>,
-    /// One sample's live `(output row, gated gradient)` pairs.
+    /// One sample's input gradient being accumulated, `[in_dim]`.
+    row: Vec<f32>,
+    /// Live `(index, gradient)` pairs: one sample's output rows, or one
+    /// output row's samples.
     live: Vec<(u32, f32)>,
 }
 
@@ -227,22 +227,25 @@ impl Mlp {
     /// Builds the packed inference view of the current weights (one
     /// transpose of every weight matrix, panel by panel).
     pub fn pack(&self) -> PackedMlp<'_> {
-        let panels = self
-            .w
-            .iter()
-            .zip(&self.b)
-            .map(|(w, b)| {
-                let in_dim = w.len() / b.len();
-                let mut layer = Vec::with_capacity(w.len());
-                for rows in w.chunks_exact(in_dim * PANEL) {
-                    for i in 0..in_dim {
-                        // Input `i`'s weight in each of the panel's rows.
-                        layer.extend((0..PANEL).map(|l| rows[l * in_dim + i]));
-                    }
+        self.pack_into(Vec::new())
+    }
+
+    /// [`Mlp::pack`] into the per-layer buffers of an earlier pack
+    /// ([`PackedMlp::into_panels`]), so a training call repacks every
+    /// minibatch without allocating.
+    fn pack_into(&self, mut panels: Vec<Vec<f32>>) -> PackedMlp<'_> {
+        panels.resize_with(self.w.len(), Vec::new);
+        for ((layer, w), b) in panels.iter_mut().zip(&self.w).zip(&self.b) {
+            let in_dim = w.len() / b.len();
+            layer.clear();
+            layer.reserve(w.len());
+            for rows in w.chunks_exact(in_dim * PANEL) {
+                for i in 0..in_dim {
+                    // Input `i`'s weight in each of the panel's rows.
+                    layer.extend((0..PANEL).map(|l| rows[l * in_dim + i]));
                 }
-                layer
-            })
-            .collect();
+            }
+        }
         PackedMlp { mlp: self, panels }
     }
 
@@ -310,102 +313,107 @@ impl Mlp {
         (score, g)
     }
 
-    /// One packed batched forward over the minibatch; returns the scores
-    /// and the scratch holding every layer's activations for
-    /// [`Mlp::backprop_with_seeds`].
-    fn forward_minibatch(&self, inputs: &[Vec<f64>]) -> (Vec<f64>, MlpScratch) {
-        let mut scratch = MlpScratch::default();
-        let mut scores = Vec::new();
-        self.pack().forward_rows(inputs, &mut scratch, &mut scores);
-        (scores, scratch)
-    }
-
-    /// One training forward+backward on a minibatch with MSE loss; returns
-    /// the loss and the parameter gradients `(gw, gb)`.
-    pub fn loss_and_param_grads(&self, inputs: &[Vec<f64>], targets: &[f64]) -> (f64, ParamGrads) {
-        let (scores, scratch) = self.forward_minibatch(inputs);
-        let (loss, seeds) = mse_seeds(&scores, targets);
-        (loss, self.backprop_with_seeds(&scratch.acts, &seeds))
-    }
-
-    /// Pairwise logistic ranking loss over the minibatch (TenSet's ranking
-    /// objective): for every pair where `target_i > target_j`, penalize
-    /// `log(1 + exp(−(score_i − score_j)))`. Returns the mean pair loss and
-    /// the parameter gradients (all zero when no pair is strictly ordered).
-    pub fn rank_loss_and_param_grads(
+    /// The minibatch backward: per-sample output seeds (`∂loss/∂score`)
+    /// into the weight and bias gradients `gw`/`gb`, zeroed here in place,
+    /// from the activations a batched forward ([`PackedMlp::forward_rows`])
+    /// left in `scratch`, which it consumes. Byte-identical to
+    /// backpropagating one sample at a time in ascending order:
+    ///
+    /// - each output row `o` of a layer stays hot while its live samples
+    ///   (gate open and gradient nonzero, so a zero seed of either sign
+    ///   drops its sample) are added in ascending order, so every
+    ///   `gw[o][i]` and `gb[o]` is the per-sample path's chain;
+    /// - the gradient passes down a layer through the descent's
+    ///   live-compacted sweep ([`Mlp::input_gradient_sweep`]); layer 0's
+    ///   input gradient, which nothing reads, is never formed.
+    fn param_grads(
         &self,
-        inputs: &[Vec<f64>],
-        targets: &[f64],
-    ) -> (f64, ParamGrads) {
-        let (scores, scratch) = self.forward_minibatch(inputs);
-        match rank_seeds(&scores, targets) {
-            Some((loss, seeds)) => (loss, self.backprop_with_seeds(&scratch.acts, &seeds)),
-            None => (0.0, self.zero_grads()),
-        }
-    }
-
-    /// Backpropagates per-sample output seeds into parameter gradients,
-    /// from the sample-major activations (`acts[layer][s * dim + i]`) a
-    /// forward pass kept.
-    fn backprop_with_seeds(&self, acts: &[Vec<f32>], seeds: &[f32]) -> ParamGrads {
-        // Allocated only now, after the forward pass dropped its packed
-        // weights: the two weight-sized buffers are never live together.
-        let (mut gw, mut gb) = self.zero_grads();
+        seeds: &[f32],
+        scratch: &mut MlpScratch,
+        gw: &mut Vec<Vec<f32>>,
+        gb: &mut Vec<Vec<f32>>,
+    ) {
+        let n = seeds.len();
         let n_layers = self.w.len();
-        for (s, &seed) in seeds.iter().enumerate() {
-            if seed == 0.0 {
-                continue;
+        scratch.acts[n_layers].copy_from_slice(seeds);
+        gw.resize_with(n_layers, Vec::new);
+        gb.resize_with(n_layers, Vec::new);
+        for li in (0..n_layers).rev() {
+            let out_dim = self.b[li].len();
+            let in_dim = self.w[li].len() / out_dim;
+            let MlpScratch { acts, live, .. } = scratch;
+            // The layer's inputs, and the gated gradients at its outputs.
+            let (inp, grad) = (&acts[li], &acts[li + 1]);
+            let (gw, gb) = (&mut gw[li], &mut gb[li]);
+            gw.clear();
+            gw.resize(out_dim * in_dim, 0.0);
+            gb.clear();
+            gb.resize(out_dim, 0.0);
+            live.resize(live.len().max(n), (0, 0.0));
+            for (o, (row, bias)) in gw.chunks_exact_mut(in_dim).zip(gb.iter_mut()).enumerate() {
+                let mut n_live = 0;
+                for s in 0..n {
+                    let gv = grad[s * out_dim + o];
+                    live[n_live] = (s as u32, gv);
+                    n_live += usize::from(gv != 0.0);
+                }
+                for &(_, g) in &live[..n_live] {
+                    *bias += g;
+                }
+                add_scaled_rows(row, &live[..n_live], inp);
             }
-            let mut grad = vec![seed];
-            for li in (0..n_layers).rev() {
-                let out_dim = self.b[li].len();
-                let in_dim = self.w[li].len() / out_dim;
-                let inp = &acts[li][s * in_dim..(s + 1) * in_dim];
-                let out = &acts[li + 1][s * out_dim..(s + 1) * out_dim];
-                let gated: Vec<f32> = if li + 1 < n_layers {
-                    (0..out_dim)
-                        .map(|o| if out[o] > 0.0 { grad[o] } else { 0.0 })
-                        .collect()
-                } else {
-                    grad.clone()
-                };
-                for o in 0..out_dim {
-                    if gated[o] == 0.0 {
-                        continue;
-                    }
-                    gb[li][o] += gated[o];
-                    let row = &mut gw[li][o * in_dim..(o + 1) * in_dim];
-                    for i in 0..in_dim {
-                        row[i] += gated[o] * inp[i];
-                    }
-                }
-                let w = &self.w[li];
-                let mut gin = vec![0.0f32; in_dim];
-                for o in 0..out_dim {
-                    if gated[o] == 0.0 {
-                        continue;
-                    }
-                    let row = &w[o * in_dim..(o + 1) * in_dim];
-                    for i in 0..in_dim {
-                        gin[i] += gated[o] * row[i];
-                    }
-                }
-                grad = gin;
+            if li > 0 {
+                self.input_gradient_sweep(li, n, scratch);
             }
         }
-        (gw, gb)
     }
 
-    /// Zero-shaped gradient buffers matching the parameters.
-    pub fn zero_grads(&self) -> ParamGrads {
-        (
-            self.w.iter().map(|w| vec![0.0; w.len()]).collect(),
-            self.b.iter().map(|b| vec![0.0; b.len()]).collect(),
-        )
+    /// One layer's reverse sweep, shared by the descent's input gradient
+    /// and the training backward: from the `n` samples' gated gradients at
+    /// layer `li`'s output (`acts[li + 1]`), overwrites the layer's input
+    /// activations `acts[li]` with the gradients at them, gated by those
+    /// same activations' ReLU (`act > 0`, so a NaN activation gates shut)
+    /// — except at the network input, which has no gate.
+    ///
+    /// Per sample, the live output rows — gated gradient nonzero, exactly
+    /// the rows the scalar paths do not skip — are compacted first, then
+    /// each adds `g · w[o][..]` into the sample's input-gradient row with
+    /// lanes across the inputs. Every `(input, sample)` accumulator is one
+    /// sequential chain over ascending live `o`, and a dead row is never
+    /// multiplied, so a non-finite weight behind a shut gate stays as
+    /// invisible as it is to the scalar paths.
+    fn input_gradient_sweep(&self, li: usize, n: usize, scratch: &mut MlpScratch) {
+        let w = &self.w[li];
+        let out_dim = self.b[li].len();
+        let in_dim = w.len() / out_dim;
+        let MlpScratch { acts, row, live } = scratch;
+        let (head, tail) = acts.split_at_mut(li + 1);
+        let (inp, grad) = (&mut head[li], &tail[0]);
+        debug_assert_eq!(grad.len(), out_dim * n);
+        row.resize(in_dim, 0.0);
+        live.resize(live.len().max(out_dim), (0, 0.0));
+        for (x, g) in inp.chunks_exact_mut(in_dim).zip(grad.chunks_exact(out_dim)) {
+            // Branch-free compaction: the gate pattern is data, not a
+            // predictable branch.
+            let mut n_live = 0;
+            for (o, &gv) in g.iter().enumerate() {
+                live[n_live] = (o as u32, gv);
+                n_live += usize::from(gv != 0.0);
+            }
+            row.fill(0.0);
+            add_scaled_rows(row, &live[..n_live], w);
+            if li > 0 {
+                for (a, &r) in x.iter_mut().zip(row.iter()) {
+                    *a = if *a > 0.0 { r } else { 0.0 };
+                }
+            } else {
+                x.copy_from_slice(row);
+            }
+        }
     }
 
     /// Applies an Adam update given gradient buffers.
-    pub fn apply_adam(
+    fn apply_adam(
         &mut self,
         gw: &[Vec<f32>],
         gb: &[Vec<f32>],
@@ -536,16 +544,30 @@ impl PackedMlp<'_> {
 
     /// Batched forward over sample-major rows, keeping every layer's
     /// activations in `scratch` (training backpropagates from them).
-    fn forward_rows(&self, logfeats: &[Vec<f64>], scratch: &mut MlpScratch, scores: &mut Vec<f64>) {
+    fn forward_rows<'r>(
+        &self,
+        rows: impl ExactSizeIterator<Item = &'r [f64]>,
+        scratch: &mut MlpScratch,
+        scores: &mut Vec<f64>,
+    ) {
         let m = self.mlp;
-        let x0 = self.input_rows(logfeats.len(), scratch);
-        for (dst, f) in x0.chunks_exact_mut(FEATURE_COUNT).zip(logfeats) {
+        let n = rows.len();
+        let x0 = self.input_rows(n, scratch);
+        for (dst, f) in x0.chunks_exact_mut(FEATURE_COUNT).zip(rows) {
             assert_eq!(f.len(), FEATURE_COUNT, "feature vector length");
             for (i, (d, &x)) in dst.iter_mut().zip(f).enumerate() {
                 *d = (x as f32 - m.input_mean[i]) / m.input_std[i];
             }
         }
-        self.forward_layers(logfeats.len(), scratch, scores);
+        self.forward_layers(n, scratch, scores);
+    }
+
+    /// Releases the model borrow and hands the packed buffers back for
+    /// [`Mlp::pack_into`] — or, in a training step, for the weight
+    /// gradients, which are the same size and never needed while the pack
+    /// is.
+    fn into_panels(self) -> Vec<Vec<f32>> {
+        self.panels
     }
 
     /// Batch prediction; row `i` is bit-identical to
@@ -553,7 +575,7 @@ impl PackedMlp<'_> {
     pub fn predict_batch(&self, logfeats: &[Vec<f64>]) -> Vec<f64> {
         let mut scratch = MlpScratch::default();
         let mut scores = Vec::new();
-        self.forward_rows(logfeats, &mut scratch, &mut scores);
+        self.forward_rows(logfeats.iter().map(Vec::as_slice), &mut scratch, &mut scores);
         scores
     }
 
@@ -595,57 +617,48 @@ impl PackedMlp<'_> {
             for (s, d) in col.iter_mut().enumerate() {
                 // Undo normalization in f32 (as the scalar path does), then
                 // widen.
-                *d = (scratch.grad[s * FEATURE_COUNT + k] / sd) as f64;
+                *d = (scratch.acts[0][s * FEATURE_COUNT + k] / sd) as f64;
             }
         }
     }
 
-    /// The reverse sweeps; assumes a forward pass has filled
-    /// `scratch.acts`. Leaves the raw sample-major input gradients
-    /// (pre-normalization-unscale, `f32`) in `scratch.grad`.
-    ///
-    /// Per sample, the live output rows — ReLU gate open (`act > 0`, so a
-    /// NaN activation gates shut) and gradient nonzero, exactly the rows
-    /// [`Mlp::input_gradient`] does not skip — are compacted first, then
-    /// each adds `g · w[o][..]` into the sample's input-gradient row with
-    /// lanes across the inputs. Every `(input, sample)` accumulator is one
-    /// sequential chain over ascending live `o`, and a dead row is never
-    /// multiplied, so a non-finite weight behind a shut gate stays as
-    /// invisible as it is to the scalar path.
+    /// The reverse sweeps of [`Mlp::input_gradient`], one
+    /// [`Mlp::input_gradient_sweep`] per layer from d(score)/d(out) = 1;
+    /// assumes a forward pass has filled `scratch.acts`. Leaves the raw
+    /// sample-major input gradients (pre-normalization-unscale, `f32`) in
+    /// `scratch.acts[0]`.
     fn backward_input_gradients(&self, n: usize, scratch: &mut MlpScratch) {
         let n_layers = self.mlp.w.len();
-        // d(score)/d(out) = 1 for the single output unit.
-        scratch.grad.clear();
-        scratch.grad.resize(n, 1.0);
+        scratch.acts[n_layers].fill(1.0);
         for li in (0..n_layers).rev() {
-            let w = &self.mlp.w[li];
-            let out_dim = self.mlp.b[li].len();
-            let in_dim = w.len() / out_dim;
-            let relu = li + 1 < n_layers;
-            let MlpScratch { acts, grad, gin, live } = scratch;
-            debug_assert_eq!(grad.len(), out_dim * n);
-            gin.clear();
-            gin.resize(in_dim * n, 0.0);
-            live.resize(out_dim, (0, 0.0));
-            for (s, dst) in gin.chunks_exact_mut(in_dim).enumerate() {
-                let g = &grad[s * out_dim..(s + 1) * out_dim];
-                let a = &acts[li + 1][s * out_dim..(s + 1) * out_dim];
-                // Branch-free compaction: the gate pattern is data, not a
-                // predictable branch.
-                let mut n_live = 0;
-                for (o, (&gv, &av)) in g.iter().zip(a).enumerate() {
-                    let gated = if !relu || av > 0.0 { gv } else { 0.0 };
-                    live[n_live] = (o as u32, gated);
-                    n_live += usize::from(gated != 0.0);
-                }
-                for &(o, gv) in &live[..n_live] {
-                    let row = &w[o as usize * in_dim..][..in_dim];
-                    for (d, &wv) in dst.iter_mut().zip(row) {
-                        *d += gv * wv;
-                    }
-                }
-            }
-            std::mem::swap(&mut scratch.grad, &mut scratch.gin);
+            self.mlp.input_gradient_sweep(li, n, scratch);
+        }
+    }
+}
+
+/// `dst[i] += g · src[k * len + i]` for each `(k, g)` of `terms` in order,
+/// `len = dst.len()`: per element one sequential chain, a multiply then an
+/// add per term, exactly the one-term-at-a-time loop's. Four terms share
+/// each pass over `dst`, so it is loaded and stored once per four rows.
+fn add_scaled_rows(dst: &mut [f32], terms: &[(u32, f32)], src: &[f32]) {
+    let len = dst.len();
+    let row = |k: u32| &src[k as usize * len..][..len];
+    let mut quads = terms.chunks_exact(4);
+    for q in &mut quads {
+        let [(k0, g0), (k1, g1), (k2, g2), (k3, g3)] = [q[0], q[1], q[2], q[3]];
+        let rows = row(k0).iter().zip(row(k1)).zip(row(k2)).zip(row(k3));
+        for (d, (((&a, &b), &c), &e)) in dst.iter_mut().zip(rows) {
+            let mut v = *d;
+            v += g0 * a;
+            v += g1 * b;
+            v += g2 * c;
+            v += g3 * e;
+            *d = v;
+        }
+    }
+    for &(k, g) in quads.remainder() {
+        for (d, &v) in dst.iter_mut().zip(row(k)) {
+            *d += g * v;
         }
     }
 }
@@ -724,50 +737,6 @@ impl Mlp {
     }
 }
 
-/// MSE loss over a minibatch and its per-sample output seeds.
-fn mse_seeds(scores: &[f64], targets: &[f64]) -> (f64, Vec<f32>) {
-    let bs = scores.len() as f64;
-    let mut loss = 0.0;
-    let seeds = scores
-        .iter()
-        .zip(targets)
-        .map(|(s, t)| {
-            let err = s - t;
-            loss += err * err;
-            (2.0 * err / bs) as f32
-        })
-        .collect();
-    (loss / bs, seeds)
-}
-
-/// Mean pairwise logistic ranking loss and its per-sample output seeds;
-/// `None` when no pair is strictly ordered.
-fn rank_seeds(scores: &[f64], targets: &[f64]) -> Option<(f64, Vec<f32>)> {
-    let n = scores.len();
-    let mut seeds = vec![0.0f64; n];
-    let mut loss = 0.0;
-    let mut pairs = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            if targets[i] <= targets[j] {
-                continue;
-            }
-            let d = scores[i] - scores[j];
-            loss += (1.0 + (-d).exp()).ln();
-            // dL/dd = -sigmoid(-d).
-            let g = -1.0 / (1.0 + d.exp());
-            seeds[i] += g;
-            seeds[j] -= g;
-            pairs += 1;
-        }
-    }
-    if pairs == 0 {
-        return None;
-    }
-    let seeds = seeds.iter().map(|s| (*s / pairs as f64) as f32).collect();
-    Some((loss / pairs as f64, seeds))
-}
-
 /// Adam optimizer state over a flat parameter vector.
 #[derive(Clone, Debug)]
 pub struct AdamState {
@@ -837,6 +806,10 @@ fn b1f(b: f64, t: u64) -> f64 {
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/scalar_backprop.rs"]
+mod scalar_backprop;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -875,28 +848,78 @@ mod tests {
 
     #[test]
     fn training_reduces_loss_on_toy_function() {
-        // Learn score = sum of first 4 log-features.
+        // Learn score = sum of first 4 log-features, one full-batch step per
+        // epoch.
         let mut rng = StdRng::seed_from_u64(2);
         let mut mlp = Mlp::new(&mut rng);
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
-        for _ in 0..96 {
-            let x: Vec<f64> = (0..FEATURE_COUNT).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            targets.push(x[0] + x[1] + x[2] + x[3]);
-            inputs.push(x);
-        }
-        mlp.fit_normalization(&inputs);
-        let mut adam = AdamState::for_model(&mlp);
-        let (first_loss, _) = mlp.loss_and_param_grads(&inputs, &targets);
-        for _ in 0..40 {
-            let (_, (gw, gb)) = mlp.loss_and_param_grads(&inputs, &targets);
-            mlp.apply_adam(&gw, &gb, &mut adam, 1e-3);
-        }
-        let (final_loss, _) = mlp.loss_and_param_grads(&inputs, &targets);
+        let samples: Vec<Sample> = (0..96)
+            .map(|_| {
+                let logfeats: Vec<f64> = (0..FEATURE_COUNT).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                Sample { score: logfeats[..4].iter().sum(), logfeats }
+            })
+            .collect();
+        let cfg = TrainConfig { epochs: 41, batch_size: 96, lr: 1e-3, ..Default::default() };
+        let losses = pretrain(&mut mlp, &samples, &cfg);
+        let (first_loss, final_loss) = (losses[0], losses[40]);
         assert!(
             final_loss < first_loss * 0.5,
             "loss {first_loss} -> {final_loss}"
         );
+    }
+
+    /// Asserts that the batched training backward over `rows` with `seeds`
+    /// gives the scalar reference's gradients bit for bit, reusing the
+    /// caller's buffers the way a training call does.
+    fn assert_param_grads_match_reference(
+        mlp: &Mlp,
+        rows: &[Vec<f64>],
+        seeds: &[f32],
+        scratch: &mut MlpScratch,
+        gw: &mut Vec<Vec<f32>>,
+        gb: &mut Vec<Vec<f32>>,
+    ) {
+        let packed = mlp.pack_into(std::mem::take(gw));
+        let mut scores = Vec::new();
+        packed.forward_rows(rows.iter().map(Vec::as_slice), scratch, &mut scores);
+        *gw = packed.into_panels();
+        mlp.param_grads(seeds, scratch, gw, gb);
+        let slices: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let acts = scalar_backprop::scalar_acts(mlp, &slices);
+        let (rw, rb) = scalar_backprop::backprop_with_seeds(mlp, &acts, seeds);
+        let bits = |v: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            v.iter().map(|l| l.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let n = rows.len();
+        assert!(bits(gw) == bits(&rw), "n={n}: weight gradients differ");
+        assert!(bits(gb) == bits(&rb), "n={n}: bias gradients differ");
+    }
+
+    #[test]
+    fn batched_backward_matches_scalar_reference() {
+        // Every batch width of the forward's sample blocks, signed zero,
+        // non-finite and tiny seeds, a trained model's real dead-ReLU
+        // patterns, and one set of buffers reused across growing and
+        // shrinking batches.
+        let ds = generate_dataset(&felix_sim::DeviceConfig::a5000(), 4, 8, 11);
+        let mut mlp = Mlp::new(&mut StdRng::seed_from_u64(14));
+        let cfg = TrainConfig { epochs: 2, batch_size: 32, lr: 1e-3, seed: 2, ..Default::default() };
+        pretrain(&mut mlp, &ds.samples, &cfg);
+        let rows: Vec<Vec<f64>> = ds.samples.iter().take(64).map(|s| s.logfeats.clone()).collect();
+        assert_eq!(rows.len(), 64);
+        let specials = [0.0, -0.0, 1.0, -0.5, 0.0, f32::MIN_POSITIVE, -1e-30, 3.0, -0.0];
+        let seeds: Vec<f32> = (0..64).map(|s| specials[s % specials.len()] * (1.0 + s as f32 / 7.0)).collect();
+        let (mut scratch, mut gw, mut gb) = (MlpScratch::default(), Vec::new(), Vec::new());
+        for n in [64, 1, 33, 2, 17, 3].into_iter().chain(4..=9).chain([48, 64]) {
+            assert_param_grads_match_reference(&mlp, &rows[..n], &seeds[..n], &mut scratch, &mut gw, &mut gb);
+        }
+        // A NaN seed propagates identically.
+        let mut nan_seeds = seeds[..5].to_vec();
+        nan_seeds[2] = f32::NAN;
+        assert_param_grads_match_reference(&mlp, &rows[..5], &nan_seeds, &mut scratch, &mut gw, &mut gb);
+        // All-zero seeds (of either sign) give all-zero gradients.
+        let zeros = [0.0, -0.0, 0.0, -0.0];
+        assert_param_grads_match_reference(&mlp, &rows[..4], &zeros, &mut scratch, &mut gw, &mut gb);
+        assert!(gw.iter().chain(&gb).flatten().all(|g| g.to_bits() == 0), "zero seeds, zero gradients");
     }
 
     /// Asserts that the batched kernels over `rows` equal the scalar
@@ -978,7 +1001,7 @@ mod tests {
 
     #[test]
     fn zero_gated_row_with_non_finite_weight_matches_scalar() {
-        // The scalar reference skips a zero-gated row; a batched kernel
+        // The scalar references skip a zero-gated row; a batched kernel
         // that multiplies it instead turns `0 * inf` into NaN gradients.
         let mut rng = StdRng::seed_from_u64(12);
         let base = Mlp::new(&mut rng);
@@ -990,7 +1013,12 @@ mod tests {
         assert_eq!(mlp.forward_cached(&mlp.normalize(&x)).0[2][7], 0.0);
         let (_, grad) = mlp.input_gradient(&x);
         assert!(grad.iter().all(|g| g.is_finite()), "scalar reference stays finite");
-        assert_batched_matches_scalar(&mlp, &[x.clone(), x], &mut MlpScratch::default());
+        assert_batched_matches_scalar(&mlp, &[x.clone(), x.clone()], &mut MlpScratch::default());
+        // The training backward skips the dead row the same way.
+        let rows = [x.clone(), x.clone(), x];
+        let (mut scratch, mut gw, mut gb) = (MlpScratch::default(), Vec::new(), Vec::new());
+        assert_param_grads_match_reference(&mlp, &rows, &[0.5, -0.25, 2.0], &mut scratch, &mut gw, &mut gb);
+        assert!(gw.iter().chain(&gb).flatten().all(|g| g.is_finite()), "parameter gradients stay finite");
     }
 
     #[test]

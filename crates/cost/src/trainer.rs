@@ -1,6 +1,11 @@
 //! Offline pretraining and online fine-tuning of the cost model.
+//!
+//! Both run the one training step, `TrainStep::run`: a packed batched
+//! forward over the minibatch, the loss's per-sample output seeds, the
+//! batched backward into the parameter gradients, and one Adam update —
+//! all from buffers that live for the whole call.
 
-use crate::{generate_dataset, AdamState, Mlp, Sample};
+use crate::{generate_dataset, AdamState, Mlp, MlpScratch, Sample};
 use felix_sim::DeviceConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,8 +73,7 @@ pub fn pretrain(mlp: &mut Mlp, samples: &[Sample], cfg: &TrainConfig) -> Vec<f64
     assert!(!keep.is_empty(), "cannot train: every sample is non-finite");
     let inputs: Vec<Vec<f64>> = keep.iter().map(|&i| samples[i].logfeats.clone()).collect();
     mlp.fit_normalization(&inputs);
-    let mut adam = AdamState::for_model(mlp);
-    run_epochs(mlp, samples, cfg, &mut adam)
+    run_epochs(mlp, samples, cfg)
 }
 
 /// The one per-device pretraining recipe: `n_workloads` × `schedules`
@@ -112,17 +116,16 @@ pub fn fine_tune(mlp: &mut Mlp, samples: &[Sample], epochs: usize, lr: f32) -> f
         seed: 1,
         loss: LossKind::PairwiseRank,
     };
-    let mut adam = AdamState::for_model(mlp);
-    let losses = run_epochs(mlp, samples, &cfg, &mut adam);
+    let losses = run_epochs(mlp, samples, &cfg);
     *losses.last().unwrap_or(&0.0)
 }
 
-fn run_epochs(
-    mlp: &mut Mlp,
-    samples: &[Sample],
-    cfg: &TrainConfig,
-    adam: &mut AdamState,
-) -> Vec<f64> {
+/// `cfg.epochs` shuffled passes of [`TrainStep::run`] over the finite
+/// samples, from a fresh Adam state; returns each epoch's mean minibatch
+/// loss.
+fn run_epochs(mlp: &mut Mlp, samples: &[Sample], cfg: &TrainConfig) -> Vec<f64> {
+    let mut adam = AdamState::for_model(mlp);
+    let mut step = TrainStep::default();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     // Train only on finite samples; with an all-finite set this is the
     // identity order and the shuffle/batch walk is byte-identical to the
@@ -136,21 +139,112 @@ fn run_epochs(
         }
         let mut total = 0.0;
         let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size) {
-            let inputs: Vec<Vec<f64>> =
-                chunk.iter().map(|&i| samples[i].logfeats.clone()).collect();
-            let targets: Vec<f64> = chunk.iter().map(|&i| samples[i].score).collect();
-            let (loss, (gw, gb)) = match cfg.loss {
-                LossKind::Mse => mlp.loss_and_param_grads(&inputs, &targets),
-                LossKind::PairwiseRank => mlp.rank_loss_and_param_grads(&inputs, &targets),
-            };
-            mlp.apply_adam(&gw, &gb, adam, cfg.lr);
-            total += loss;
+        for batch in order.chunks(cfg.batch_size) {
+            total += step.run(mlp, samples, batch, cfg, &mut adam);
             batches += 1;
         }
         epoch_losses.push(total / batches.max(1) as f64);
     }
     epoch_losses
+}
+
+/// The buffers one training call reuses across its minibatches, so every
+/// step after the first allocates nothing.
+///
+/// The fine-tune step is the process's resident-memory peak, so the
+/// weight-sized buffers are budgeted: `wbuf` holds the packed weights
+/// during a minibatch's forward and, once the pack is released, the weight
+/// gradients during its backward. A pack and a gradient are never resident
+/// together.
+#[derive(Default)]
+struct TrainStep {
+    /// The forward's activations, then the backward's gradient rows.
+    scratch: MlpScratch,
+    /// Per layer: the packed panels, then the weight gradient.
+    wbuf: Vec<Vec<f32>>,
+    /// Per layer: the bias gradient.
+    gb: Vec<Vec<f32>>,
+    scores: Vec<f64>,
+    targets: Vec<f64>,
+    /// Per-sample `∂loss/∂score`.
+    seeds: Vec<f32>,
+    /// The rank loss's `f64` seed accumulators.
+    seed_acc: Vec<f64>,
+}
+
+impl TrainStep {
+    /// One forward, backward and Adam update on the samples `batch` indexes
+    /// (rows are read in place, not copied); returns the minibatch loss.
+    fn run(
+        &mut self,
+        mlp: &mut Mlp,
+        samples: &[Sample],
+        batch: &[usize],
+        cfg: &TrainConfig,
+        adam: &mut AdamState,
+    ) -> f64 {
+        let packed = mlp.pack_into(std::mem::take(&mut self.wbuf));
+        let rows = batch.iter().map(|&i| samples[i].logfeats.as_slice());
+        packed.forward_rows(rows, &mut self.scratch, &mut self.scores);
+        self.wbuf = packed.into_panels();
+        self.targets.clear();
+        self.targets.extend(batch.iter().map(|&i| samples[i].score));
+        let (scores, targets, seeds) = (&self.scores, &self.targets, &mut self.seeds);
+        let loss = match cfg.loss {
+            LossKind::Mse => mse_seeds(scores, targets, seeds),
+            LossKind::PairwiseRank => rank_seeds(scores, targets, &mut self.seed_acc, seeds),
+        };
+        mlp.param_grads(&self.seeds, &mut self.scratch, &mut self.wbuf, &mut self.gb);
+        mlp.apply_adam(&self.wbuf, &self.gb, adam, cfg.lr);
+        loss
+    }
+}
+
+/// MSE loss over a minibatch; writes its per-sample output seeds.
+fn mse_seeds(scores: &[f64], targets: &[f64], seeds: &mut Vec<f32>) -> f64 {
+    let bs = scores.len() as f64;
+    let mut loss = 0.0;
+    seeds.clear();
+    seeds.extend(scores.iter().zip(targets).map(|(s, t)| {
+        let err = s - t;
+        loss += err * err;
+        (2.0 * err / bs) as f32
+    }));
+    loss / bs
+}
+
+/// Pairwise logistic ranking loss (TenSet's ranking objective): for every
+/// pair where `target_i > target_j`, `log(1 + exp(−(score_i − score_j)))`.
+/// Returns the mean pair loss and writes the per-sample output seeds
+/// (accumulated in `acc`). With no strictly ordered pair the loss and
+/// every seed are zero, so the step is a zero-gradient Adam step.
+fn rank_seeds(scores: &[f64], targets: &[f64], acc: &mut Vec<f64>, seeds: &mut Vec<f32>) -> f64 {
+    let n = scores.len();
+    acc.clear();
+    acc.resize(n, 0.0);
+    let mut loss = 0.0;
+    let mut pairs = 0usize;
+    for i in 0..n {
+        for j in 0..n {
+            if targets[i] <= targets[j] {
+                continue;
+            }
+            let d = scores[i] - scores[j];
+            loss += (1.0 + (-d).exp()).ln();
+            // dL/dd = -sigmoid(-d).
+            let g = -1.0 / (1.0 + d.exp());
+            acc[i] += g;
+            acc[j] -= g;
+            pairs += 1;
+        }
+    }
+    seeds.clear();
+    if pairs == 0 {
+        seeds.resize(n, 0.0);
+        return 0.0;
+    }
+    seeds.extend(acc.iter().map(|s| (*s / pairs as f64) as f32));
+    loss / pairs as f64
 }
 
 /// Spearman-style rank correlation between predictions and targets — the
@@ -196,10 +290,7 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate_dataset, Dataset};
-    use felix_sim::DeviceConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::{scalar_backprop, Dataset};
     use std::sync::OnceLock;
 
     /// One small corpus shared by every trainer test in this binary:
@@ -311,15 +402,17 @@ mod tests {
         assert_eq!(b0, b1, "model untouched");
     }
 
-    /// `run_epochs` as it ran before the batched forward, on a fresh Adam
-    /// state: scores from one scalar `predict` per sample, backprop from
-    /// the activations of a second scalar forward per sample. All samples
-    /// must be finite.
+    /// `run_epochs` as it ran before the batched kernels, on a fresh Adam
+    /// state: scores from one scalar `predict` per sample, then the test-only
+    /// per-sample backward from the activations of a second scalar forward
+    /// per sample. Shares only the loss seeds and the Adam update with the
+    /// product step. All samples must be finite.
     fn scalar_run_epochs(mlp: &mut Mlp, samples: &[Sample], cfg: &TrainConfig) -> Vec<f64> {
         let mut adam = AdamState::for_model(mlp);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..samples.len()).collect();
         let mut epoch_losses = Vec::new();
+        let (mut seeds, mut acc) = (Vec::new(), Vec::new());
         for _ in 0..cfg.epochs {
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.gen_range(0..=i));
@@ -327,24 +420,15 @@ mod tests {
             let mut total = 0.0;
             let batches = order.chunks(cfg.batch_size).len();
             for chunk in order.chunks(cfg.batch_size) {
-                let scores: Vec<f64> =
-                    chunk.iter().map(|&i| mlp.predict(&samples[i].logfeats)).collect();
+                let rows: Vec<&[f64]> = chunk.iter().map(|&i| samples[i].logfeats.as_slice()).collect();
+                let scores: Vec<f64> = rows.iter().map(|x| mlp.predict(x)).collect();
                 let targets: Vec<f64> = chunk.iter().map(|&i| samples[i].score).collect();
-                let (loss, seeds) = match cfg.loss {
-                    LossKind::Mse => crate::mse_seeds(&scores, &targets),
-                    LossKind::PairwiseRank => {
-                        crate::rank_seeds(&scores, &targets).unwrap_or((0.0, Vec::new()))
-                    }
+                let loss = match cfg.loss {
+                    LossKind::Mse => mse_seeds(&scores, &targets, &mut seeds),
+                    LossKind::PairwiseRank => rank_seeds(&scores, &targets, &mut acc, &mut seeds),
                 };
-                // Sample-major activations, one scalar forward per sample.
-                let mut acts = vec![Vec::new(); crate::LAYER_SIZES.len()];
-                for &i in chunk {
-                    let (a, _) = mlp.forward_cached(&mlp.normalize(&samples[i].logfeats));
-                    for (dst, layer) in acts.iter_mut().zip(&a) {
-                        dst.extend_from_slice(layer);
-                    }
-                }
-                let (gw, gb) = mlp.backprop_with_seeds(&acts, &seeds);
+                let acts = scalar_backprop::scalar_acts(mlp, &rows);
+                let (gw, gb) = scalar_backprop::backprop_with_seeds(mlp, &acts, &seeds);
                 mlp.apply_adam(&gw, &gb, &mut adam, cfg.lr);
                 total += loss;
             }
@@ -353,13 +437,31 @@ mod tests {
         epoch_losses
     }
 
+    fn save(m: &Mlp) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        m.save(&mut bytes).expect("save");
+        bytes
+    }
+
+    /// Asserts that `fine_tune` on `window` leaves `base` exactly where the
+    /// scalar reference does, loss included.
+    fn assert_fine_tune_matches_scalar(base: &Mlp, window: &[Sample], epochs: usize, lr: f32) {
+        let n = window.len();
+        let mut batched = base.clone();
+        let last = fine_tune(&mut batched, window, epochs, lr);
+        let mut scalar = base.clone();
+        let ft = TrainConfig { epochs, batch_size: n.min(64), lr, seed: 1, loss: LossKind::PairwiseRank };
+        let ref_last = *scalar_run_epochs(&mut scalar, window, &ft).last().expect("epochs");
+        assert_eq!(last.to_bits(), ref_last.to_bits(), "window {n}: fine-tune loss");
+        assert!(save(&batched) == save(&scalar), "window {n}: fine-tuned weights differ");
+    }
+
     #[test]
     fn batched_training_forward_is_byte_identical_to_scalar_path() {
-        // Training runs one packed batched forward per minibatch and
-        // backpropagates from its activations; the weights `pretrain` +
-        // `fine_tune` produce must be the bytes the scalar
-        // two-forwards-per-sample path produces, through both losses and a
-        // ragged last minibatch.
+        // Training runs one packed batched forward and one batched backward
+        // per minibatch; the weights `pretrain` + `fine_tune` produce must be
+        // the bytes the scalar two-forwards-and-a-per-sample-backward path
+        // produces, through both losses and a ragged last minibatch.
         let (train, _) = shared_dataset().split(4);
         assert_eq!(nonfinite_sample_count(&train), 0);
         let cfg = TrainConfig { epochs: 2, batch_size: 48, lr: 1e-3, seed: 6, ..Default::default() };
@@ -367,22 +469,105 @@ mod tests {
         let mut scalar = batched.clone();
 
         let losses = pretrain(&mut batched, &train, &cfg);
-        let last = fine_tune(&mut batched, &train[..20], 5, 3e-4);
-
         let inputs: Vec<Vec<f64>> = train.iter().map(|s| s.logfeats.clone()).collect();
         scalar.fit_normalization(&inputs);
         let ref_losses = scalar_run_epochs(&mut scalar, &train, &cfg);
-        let ft = TrainConfig { epochs: 5, batch_size: 20, lr: 3e-4, seed: 1, loss: LossKind::PairwiseRank };
-        let ref_last = *scalar_run_epochs(&mut scalar, &train[..20], &ft).last().expect("epochs");
-
         assert_eq!(losses, ref_losses, "pretrain epoch losses");
-        assert_eq!(last.to_bits(), ref_last.to_bits(), "fine-tune loss");
-        let save = |m: &Mlp| {
-            let mut bytes = Vec::new();
-            m.save(&mut bytes).expect("save");
-            bytes
-        };
-        assert!(save(&batched) == save(&scalar), "saved weights differ");
+        assert!(save(&batched) == save(&scalar), "pretrained weights differ");
+        assert_fine_tune_matches_scalar(&batched, &train[..20], 5, 3e-4);
+    }
+
+    /// The ledger's cost model: [`pretrain_for_device`]'s recipe at its
+    /// fast size (one minibatch of every training sample per epoch, since
+    /// the batch of 128 exceeds the set), by the product step and by the
+    /// scalar reference. Returns the product model and the dataset.
+    fn ledger_recipe_models() -> (Mlp, Mlp, Dataset) {
+        let ds = generate_dataset(&DeviceConfig::a5000(), 6, 12, 0xFE11C5);
+        let (train, _) = ds.split(0);
+        let cfg = TrainConfig { epochs: 10, seed: 1, ..Default::default() };
+        assert!(cfg.batch_size > train.len(), "{} samples", train.len());
+        let mut batched = Mlp::new(&mut StdRng::seed_from_u64(0xC0571));
+        let mut scalar = batched.clone();
+        let losses = pretrain(&mut batched, &train, &cfg);
+        let inputs: Vec<Vec<f64>> = train.iter().map(|s| s.logfeats.clone()).collect();
+        scalar.fit_normalization(&inputs);
+        assert_eq!(losses, scalar_run_epochs(&mut scalar, &train, &cfg), "pretrain losses");
+        (batched, scalar, ds)
+    }
+
+    #[test]
+    fn training_matches_scalar_reference_at_product_shapes() {
+        // The shapes the product trains at: the ledger's pretraining recipe,
+        // then round fine-tunes over windows of 1-3 minibatches of at most
+        // 64 (ragged tails included) at the round driver's 2 epochs and
+        // learning rate.
+        let (base, scalar, ds) = ledger_recipe_models();
+        assert!(save(&base) == save(&scalar), "pretrained weights differ");
+        let library = pretrain_for_device(&DeviceConfig::a5000(), 6, 12, 10).0;
+        assert!(save(&base) == save(&library), "the recipe is the library's");
+        let pool: Vec<Sample> = ds.samples.iter().chain(&shared_dataset().samples).cloned().collect();
+        for n in [16, 32, 48, 64, 80, 192] {
+            assert_fine_tune_matches_scalar(&base, &pool[..n], 2, 4e-4);
+        }
+    }
+
+    #[test]
+    fn training_edge_cases_match_scalar_reference() {
+        let (train, _) = shared_dataset().split(5);
+        let mut base = Mlp::new(&mut StdRng::seed_from_u64(13));
+        pretrain(&mut base, &train, &TrainConfig { epochs: 2, batch_size: 64, lr: 1e-3, seed: 7, ..Default::default() });
+
+        // All-equal targets: no strictly ordered pair, so every step is a
+        // zero-gradient Adam step, which leaves the weights in place.
+        let flat: Vec<Sample> = train[..24].iter().map(|s| Sample { score: 1.5, ..s.clone() }).collect();
+        assert!(flat.iter().all(|s| s.score == 1.5));
+        assert_fine_tune_matches_scalar(&base, &flat, 3, 4e-4);
+        let mut m = base.clone();
+        assert_eq!(fine_tune(&mut m, &flat, 3, 4e-4), 0.0);
+        assert!(save(&m) == save(&base), "zero-gradient steps moved the weights");
+
+        // Ties beside ordered pairs: samples whose only pairs are ties get a
+        // zero seed and drop out of the backward.
+        let mut tied: Vec<Sample> = train[..24].to_vec();
+        for s in &mut tied[..12] {
+            s.score = 0.25;
+        }
+        assert_fine_tune_matches_scalar(&base, &tied, 2, 4e-4);
+
+        // MSE on targets equal to the model's own predictions: every seed
+        // of the first step is exactly zero.
+        let exact: Vec<Sample> =
+            train[..20].iter().map(|s| Sample { score: base.predict(&s.logfeats), ..s.clone() }).collect();
+        let cfg = TrainConfig { epochs: 2, batch_size: 8, lr: 4e-4, seed: 3, loss: LossKind::Mse };
+        let (mut batched, mut scalar) = (base.clone(), base.clone());
+        assert_eq!(run_epochs(&mut batched, &exact, &cfg), scalar_run_epochs(&mut scalar, &exact, &cfg));
+        assert!(save(&batched) == save(&scalar), "zero-seed MSE weights differ");
+    }
+
+    #[test]
+    fn training_workspace_carries_nothing_across_calls() {
+        // Window 192 (three full minibatches), then 16 (one small one),
+        // then 192 again, one after another on one thread: each call must
+        // leave exactly the weights the same call leaves on a fresh clone
+        // in a fresh thread, so no buffer carries data across minibatches
+        // or calls.
+        let (base, _, ds) = ledger_recipe_models();
+        let pool: Vec<Sample> = ds.samples.iter().chain(&shared_dataset().samples).cloned().collect();
+        let mut m = base;
+        for (n, lr) in [(192, 4e-4), (16, 4e-4), (192, 3e-4)] {
+            let fresh = m.clone();
+            let window = pool[..n].to_vec();
+            let loss = fine_tune(&mut m, &pool[..n], 2, lr);
+            let (ref_loss, reference) = std::thread::spawn(move || {
+                let mut fresh = fresh;
+                let loss = fine_tune(&mut fresh, &window, 2, lr);
+                (loss, save(&fresh))
+            })
+            .join()
+            .expect("fresh thread");
+            assert_eq!(loss.to_bits(), ref_loss.to_bits(), "window {n}: loss");
+            assert!(save(&m) == reference, "window {n}: weights differ from a fresh call");
+        }
     }
 
     #[test]
