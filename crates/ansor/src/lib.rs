@@ -350,11 +350,6 @@ impl SearchTask {
         }
     }
 
-    /// The degradation-ladder rung of one sketch.
-    pub fn sketch_mode(&self, sketch: usize) -> SketchMode {
-        self.sketch_modes.get(sketch).copied().unwrap_or_default()
-    }
-
     /// Per-sketch degradation-ladder rungs.
     pub fn sketch_modes(&self) -> &[SketchMode] {
         &self.sketch_modes
@@ -1310,7 +1305,7 @@ mod tests {
         let mut fresh = SearchTask::from_task(&dense_task(), &sim);
         fresh.restore(snap).expect("same task");
         assert_eq!(fresh.sketch_modes(), task.sketch_modes());
-        assert_eq!(fresh.sketch_mode(1), SketchMode::Evolutionary);
+        assert_eq!(fresh.sketch_modes()[1], SketchMode::Evolutionary);
     }
 
     /// The dense task with a copy of its second sketch appended: three

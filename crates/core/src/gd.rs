@@ -939,7 +939,7 @@ mod tests {
         let health = prop.take_health();
         assert!(health.is_clean(), "a healthy round: {health:?}");
         assert!(task.apply_health(&health));
-        assert_eq!(task.sketch_mode(0), SketchMode::Gradient);
+        assert_eq!(task.sketch_modes()[0], SketchMode::Gradient);
     }
 
     /// The determinism guarantee: with the same RNG seed, the proposer
@@ -1013,16 +1013,15 @@ mod tests {
                 &opts, &mut rng, None,
             );
         }
-        // 16 measurements must already land within 3x of a competent expert
-        // schedule (the vendor baseline without the vendor factor).
-        let expert = {
-            let st = &task.sketches[1];
-            let vals = felix_sim::vendor::expert_values(&st.program, "multi-level-tiling");
-            sim.latency_ms(&st.program, &st.features, &vals)
-        };
+        // 16 measurements must already land within 3x of the PyTorch
+        // vendor kernel: the best of the hand-schedule portfolio, scaled by
+        // the library's efficiency factor.
+        let sg = Subgraph { ops: vec![Op::Dense { m: 512, k: 512, n: 512 }] };
+        let vendor =
+            felix_sim::vendor_task_latency(&sg, felix_sim::Vendor::PyTorch, &sim.device);
         assert!(
-            task.best_latency_ms < expert * 3.0,
-            "felix best {} vs expert {expert}",
+            task.best_latency_ms < vendor * 3.0,
+            "felix best {} vs PyTorch {vendor}",
             task.best_latency_ms
         );
     }

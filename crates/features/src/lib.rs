@@ -709,6 +709,10 @@ pub fn extract_features(p: &mut Program) -> FeatureSet {
 }
 
 #[cfg(test)]
+#[path = "../../expr/tests/reference/free_vars.rs"]
+mod free_vars;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use felix_tir::sketch::{
@@ -825,7 +829,7 @@ mod tests {
         let sk = multi_level_tiling_sketch(&p0, &HardwareParams::default());
         let mut p = sk.program;
         let fs = extract_features(&mut p);
-        let free = p.pool.free_vars(&fs.exprs);
+        let free = crate::free_vars::free_vars(&p.pool, &fs.exprs);
         assert!(
             free.len() >= 6,
             "features must depend on schedule variables, got {free:?}"

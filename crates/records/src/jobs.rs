@@ -5,9 +5,9 @@
 //! acknowledgment, and every terminal transition is appended with the
 //! job's result document inside it. Because the WAL is the only
 //! authority on queue membership, a worker killed at any instant recovers
-//! the exact queue by replaying the log — claims are observability-only
-//! and carry no recovery weight (a claimed-but-incomplete job is simply
-//! still pending).
+//! the exact queue by replaying the log: a job that was running when the
+//! worker died has no terminal line, so it is simply still pending.
+//! Which shard runs a job is not durable state and is not logged.
 //!
 //! ## Job lifecycle
 //!
@@ -44,10 +44,14 @@
 //! The wire format follows the crate's house rules: JSONL with one record
 //! per line, an append is in the OS before it returns, torn tails are
 //! skipped on read, and every fractional number is encoded as a
-//! 16-hex-digit bit pattern so replay is bit-exact. Compaction atomically
-//! rewrites the log to its canonical minimal form (one submit line plus at
-//! most cancel/crash/terminal lines per job), so terminal jobs stop
-//! costing startup time and disk.
+//! 16-hex-digit bit pattern so replay is bit-exact. A line of an unknown
+//! `job-*` kind (such as the `job-claim` lines older daemons wrote) is
+//! skipped like a foreign one. Compaction atomically rewrites the log to
+//! its canonical minimal form: per job, one submit line, then either its
+//! terminal line or its standing cancel request and crash count. A
+//! terminal line thus supersedes the job's cancel and crash lines, and
+//! duplicates collapse, so finished jobs stop costing startup time and
+//! disk.
 
 use crate::log::{self, Log};
 use crate::Json;
@@ -131,16 +135,6 @@ pub enum JobRecord {
         /// arithmetic only — it never feeds the deterministic tuning state.
         submitted_at_ms: u64,
     },
-    /// A worker shard picked the job up. Observability only: replay
-    /// ignores claims for recovery, so a crash between claim and
-    /// completion leaves the job pending, exactly as required — and
-    /// compaction drops claim lines entirely.
-    Claimed {
-        /// The claimed job.
-        job_id: u64,
-        /// Claiming worker shard index.
-        shard: usize,
-    },
     /// A cancel request was durably accepted. The job stays pending until
     /// a worker honors the request between ticks and appends the
     /// [`JobOutcome::Cancelled`] terminal line; a crash in between leaves
@@ -177,17 +171,10 @@ pub enum JobRecord {
 }
 
 impl JobRecord {
-    /// A [`JobOutcome::Done`] terminal record (the common completion
-    /// path).
-    pub fn done(job_id: u64, rounds: usize, latency_ms: f64, result: Json) -> JobRecord {
-        JobRecord::Finished { job_id, outcome: JobOutcome::Done, rounds, latency_ms, result }
-    }
-
     /// The record's job id.
     pub fn job_id(&self) -> u64 {
         match *self {
             JobRecord::Submitted { job_id, .. }
-            | JobRecord::Claimed { job_id, .. }
             | JobRecord::CancelRequested { job_id }
             | JobRecord::CrashCounted { job_id, .. }
             | JobRecord::Finished { job_id, .. } => job_id,
@@ -204,13 +191,6 @@ impl JobRecord {
                     ("tenant", Json::Str(tenant.clone())),
                     ("spec", spec.clone()),
                     ("at_ms", Json::u64_hex(*submitted_at_ms)),
-                ],
-            ),
-            JobRecord::Claimed { job_id, shard } => (
-                "job-claim",
-                vec![
-                    ("job", Json::u64_hex(*job_id)),
-                    ("shard", Json::Num(*shard as f64)),
                 ],
             ),
             JobRecord::CancelRequested { job_id } => {
@@ -242,7 +222,8 @@ impl JobRecord {
     }
 
     /// Decodes a job record parsed from one WAL line. Returns `None` for
-    /// non-job lines and for lines of another format version.
+    /// non-job lines, unknown `job-*` kinds and lines of another format
+    /// version.
     pub fn from_json(doc: &Json) -> Option<JobRecord> {
         let kind = doc.get("kind")?.as_str()?;
         if !kind.starts_with("job-") {
@@ -267,10 +248,6 @@ impl JobRecord {
                 tenant: doc.get("tenant")?.as_str()?.to_string(),
                 spec: doc.get("spec")?.clone(),
                 submitted_at_ms: doc.get("at_ms")?.as_u64_hex()?,
-            }),
-            "job-claim" => Some(JobRecord::Claimed {
-                job_id,
-                shard: doc.get("shard")?.as_usize()?,
             }),
             "job-cancel" => Some(JobRecord::CancelRequested { job_id }),
             "job-crash" => Some(JobRecord::CrashCounted {
@@ -317,8 +294,8 @@ impl JobWal {
     /// `state` (see [`QueueState::canonical_records`]): a reader (or a
     /// crash) concurrent with the compaction sees either the old log or
     /// the compacted one, never a torn mix, and both replay to the same
-    /// recovery state. Claim lines are dropped (they carry no recovery
-    /// weight), duplicate and superseded lines collapse to one line each.
+    /// state. Duplicate lines collapse to one, and a terminal line
+    /// supersedes the job's cancel request and crash count.
     /// Returns the number of lines written.
     ///
     /// # Errors
@@ -374,17 +351,13 @@ pub struct TerminalJob {
 }
 
 /// The queue state a WAL replays to. Deterministic: the same record
-/// sequence always yields the same state, and claims never affect
-/// recovery. The fields are readable by anyone; the only writers are
+/// sequence always yields the same state. The fields are readable by anyone; the only writers are
 /// [`QueueState::apply`] and, for a live daemon, [`JobQueue`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueState {
     /// Every submitted job, in WAL (= acknowledgment) order, including
     /// terminal ones. Duplicate submit lines for one id keep the first.
     pub submitted: Vec<SubmittedJob>,
-    /// Last observed claim per job (observability only; dropped by
-    /// compaction).
-    pub claims: BTreeMap<u64, usize>,
     /// Live jobs with a standing cancel request — the worker honors these
     /// between ticks (or at adoption after a restart).
     pub cancel_requested: BTreeSet<u64>,
@@ -407,7 +380,7 @@ impl QueueState {
     /// terminal record, and a terminal record clears the job's request and
     /// count — its story ended, one way or another. So replaying a log and
     /// replaying its [`QueueState::canonical_records`] compaction yield the
-    /// same state (claims aside, which compaction drops).
+    /// same state.
     pub fn apply(&mut self, record: &JobRecord) {
         let id = record.job_id();
         match record {
@@ -420,9 +393,6 @@ impl QueueState {
                         submitted_at_ms: *submitted_at_ms,
                     });
                 }
-            }
-            JobRecord::Claimed { shard, .. } => {
-                self.claims.insert(id, *shard);
             }
             // Duplicate terminal lines, and requests against finished or
             // never-submitted jobs.
@@ -507,8 +477,7 @@ impl QueueState {
     /// The canonical minimal record sequence that replays to this state:
     /// per job, in submission order — its submit line, then (live jobs
     /// only) its cancel request and crash count if any, then its terminal
-    /// line if any. Claims are omitted; they carry no recovery weight.
-    /// This is what [`JobWal::compact`] writes.
+    /// line if any. This is what [`JobWal::compact`] writes.
     pub fn canonical_records(&self) -> Vec<JobRecord> {
         let mut out = Vec::new();
         for job in &self.submitted {
@@ -599,16 +568,13 @@ impl JobQueue {
     }
 
     /// Compacts the WAL to the state's canonical records (see
-    /// [`JobWal::compact`]) and forgets the claims the canonical form
-    /// drops, so the state keeps equalling the replay of the file.
+    /// [`JobWal::compact`]); the state already equals their replay.
     ///
     /// # Errors
     ///
-    /// Returns any I/O error from the rewrite; the state is then unchanged.
+    /// Returns any I/O error from the rewrite.
     pub fn compact(&mut self) -> std::io::Result<()> {
-        self.wal.compact(&self.state)?;
-        self.state.claims.clear();
-        Ok(())
+        self.wal.compact(&self.state).map(drop)
     }
 }
 
@@ -633,7 +599,6 @@ mod tests {
                 spec: Json::obj(vec![("rounds", Json::Num(3.0))]),
                 submitted_at_ms: 1_700_000_000_456,
             },
-            JobRecord::Claimed { job_id: 0, shard: 1 },
             JobRecord::Finished {
                 job_id: 0,
                 outcome: JobOutcome::Done,
@@ -704,13 +669,12 @@ mod tests {
     }
 
     #[test]
-    fn replay_ignores_claims_and_orders_pending() {
+    fn replay_orders_pending() {
         let state = QueueState::replay(&sample_records());
         assert_eq!(state.submitted.len(), 2);
-        assert_eq!(state.claims.get(&0), Some(&1));
         assert!(state.terminal.contains_key(&0));
         let pending = state.pending();
-        assert_eq!(pending.len(), 1, "claimed-but-incomplete stays pending");
+        assert_eq!(pending.len(), 1, "a job without a terminal line stays pending");
         assert_eq!(pending[0].job_id, 1);
         assert_eq!(pending[0].tenant, "globex");
         assert_eq!(state.next_job_id(), 2);
@@ -745,10 +709,9 @@ mod tests {
     fn replay_is_idempotent_under_duplicates() {
         let mut records = lifecycle_records();
         // A crash between finalizing and the terminal append re-finalizes:
-        // the WAL can hold the same terminal (and claim, cancel, crash)
-        // line twice.
-        records.push(JobRecord::Claimed { job_id: 0, shard: 1 });
-        records.push(records[3].clone());
+        // the WAL can hold the same terminal (and cancel, crash) line
+        // twice.
+        records.push(records[2].clone());
         records.push(records[0].clone());
         records.push(JobRecord::CancelRequested { job_id: 5 });
         records.push(JobRecord::CrashCounted { job_id: 3, count: 1 });
@@ -804,11 +767,14 @@ mod tests {
     fn compaction_is_idempotent() {
         let path = tmp_path("compact-idem");
         let mut wal = JobWal::open(&path).expect("open");
-        for r in lifecycle_records() {
-            wal.append(&r).expect("append");
+        let records = lifecycle_records();
+        for r in &records {
+            wal.append(r).expect("append");
         }
         let state = QueueState::replay(&read_job_records(&path).expect("read"));
-        wal.compact(&state).expect("compact");
+        // The first rewrite runs: job 1's cancel request, job 3's first
+        // crash count and job 4's count are superseded.
+        assert_eq!(wal.compact(&state).expect("compact"), records.len() - 3);
         let once = std::fs::read(&path).expect("read");
         let state = QueueState::replay(&read_job_records(&path).expect("read"));
         wal.compact(&state).expect("compact again");
@@ -839,8 +805,7 @@ mod tests {
                 spec: Json::Num((next() % 4) as f64),
                 submitted_at_ms: 1_700_000_000_000 + next() % 1000,
             },
-            2 => JobRecord::Claimed { job_id, shard: (next() % 2) as usize },
-            3 => JobRecord::CancelRequested { job_id },
+            2 | 3 => JobRecord::CancelRequested { job_id },
             4 | 5 => JobRecord::CrashCounted { job_id, count: (next() % 4) as u32 },
             _ => JobRecord::Finished {
                 job_id,
@@ -866,19 +831,21 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
+        let mut dropped = 0;
         for case in 0..8 {
             let path = tmp_path("fold");
             let mut queue = JobQueue::open(&path).expect("open");
             for step in 0..60 {
                 queue.commit(&random_record(&mut next)).expect("commit");
                 if next().is_multiple_of(10) {
-                    // Compaction keeps the recovery state, drops the claims
-                    // (observability only), and leaves the canonical log.
-                    let mut kept = queue.state().clone();
-                    kept.claims.clear();
+                    // Compaction keeps the state and leaves the canonical
+                    // log.
+                    let kept = queue.state().clone();
+                    let before = queue.wal_lines();
                     queue.compact().expect("compact");
                     assert_eq!(queue.state(), &kept);
                     assert_eq!(queue.wal_lines(), kept.canonical_len());
+                    dropped += before - queue.wal_lines();
                     assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
                 }
                 let records = read_job_records(&path).expect("read");
@@ -891,6 +858,52 @@ mod tests {
             assert_eq!(reopened.wal_lines(), queue.wal_lines());
             std::fs::remove_file(&path).ok();
         }
+        assert!(dropped > 0, "no compaction had a superseded line to drop");
+    }
+
+    /// A WAL as older daemons wrote it, with a `job-claim` line each time
+    /// a shard adopted a job: before job 0 finished, before each of job
+    /// 3's crashes, and for job 5, still pending. Replay skips them as an
+    /// unknown kind, so the log reads as if they were never written, and
+    /// the first compaction drops them.
+    #[test]
+    fn claim_lines_from_older_daemons_are_skipped_and_compacted_away() {
+        let claim = |job_id: u64| {
+            Json::obj(vec![
+                ("kind", Json::Str("job-claim".to_string())),
+                ("v", Json::Num(JOB_RECORD_VERSION as f64)),
+                ("job", Json::u64_hex(job_id)),
+                ("shard", Json::Num(0.0)),
+            ])
+        };
+        let records = lifecycle_records();
+        let mut lines = Vec::new();
+        for record in &records {
+            if matches!(
+                record,
+                JobRecord::Finished { job_id: 0, .. } | JobRecord::CrashCounted { job_id: 3, .. }
+            ) {
+                lines.push(claim(record.job_id()));
+            }
+            lines.push(record.to_json());
+        }
+        lines.push(claim(5));
+        assert_eq!(lines.len() - records.len(), 4);
+        let path = tmp_path("claims");
+        let text: String = lines.iter().map(|doc| doc.write() + "\n").collect();
+        std::fs::write(&path, text).expect("write");
+
+        let without = QueueState::replay(&records);
+        assert_eq!(QueueState::replay(&read_job_records(&path).expect("read")), without);
+        let mut queue = JobQueue::open(&path).expect("open");
+        assert_eq!(queue.state(), &without);
+        assert_eq!(queue.wal_lines(), lines.len(), "claim lines are intact lines");
+        queue.compact().expect("compact");
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(!text.contains("job-claim"), "compaction kept a claim line:\n{text}");
+        assert_eq!(queue.wal_lines(), without.canonical_len());
+        assert_eq!(QueueState::replay(&read_job_records(&path).expect("read")), without);
+        std::fs::remove_file(&path).ok();
     }
 
     /// The append-failure half of the rule: a commit whose append fails
@@ -914,10 +927,15 @@ mod tests {
                 spec: Json::Null,
                 submitted_at_ms: 1,
             },
-            JobRecord::Claimed { job_id: live, shard: 0 },
             JobRecord::CancelRequested { job_id: live },
             JobRecord::CrashCounted { job_id: live, count: 9 },
-            JobRecord::done(live, 1, 1.0, Json::Null),
+            JobRecord::Finished {
+                job_id: live,
+                outcome: JobOutcome::Done,
+                rounds: 1,
+                latency_ms: 1.0,
+                result: Json::Null,
+            },
         ] {
             assert!(queue.commit(&record).is_err(), "ENOSPC must surface: {record:?}");
             assert_eq!(queue.state(), &before, "state advanced past a failed append");

@@ -5,9 +5,10 @@
 //! - an **accept loop** takes connections and spawns one handler thread
 //!   per client (the protocol is synchronous request/response, so a slow
 //!   client costs one parked thread and nothing else);
-//! - `n_shards` **worker threads** each run a [`Shard`]: claim pending
-//!   jobs by `job_id % n_shards`, tick them under the fairness policy,
-//!   honor cancels/deadlines between ticks, and append terminal records;
+//! - `shards` **worker threads** each run a [`Shard`]: adopt the pending
+//!   jobs with `job_id % shards` equal to its index, tick them under the
+//!   fairness policy, honor cancels/deadlines between ticks, and append
+//!   terminal records;
 //! - all durable state funnels through one mutex-guarded `State`,
 //!   whose [`JobQueue`] is the WAL plus the state it replays to. The only
 //!   way to change that state is to `commit` a record — append first,
@@ -20,14 +21,15 @@
 //! client hears `cancelling`, so a cancel survives any crash too. Every
 //! terminal transition (`done`, `cancelled`, `expired`, `quarantined`)
 //! is one WAL line that carries the job's result document, so a terminal
-//! line is the servable result; there is no other copy. Claims are
-//! logged for observability only. Workers killed mid-job restart from
-//! the per-job checkpoints; see [`crate::worker`] for why the replay is
+//! line is the servable result; there is no other copy. Adoption writes
+//! nothing: a job with no terminal line is pending, whether or not a
+//! shard was running it. Workers killed mid-job restart from the per-job
+//! checkpoints; see [`crate::worker`] for why the replay is
 //! byte-identical.
 //!
 //! A commit whose append fails (full disk) changes nothing: a submit or
-//! cancel answers the client with the error; a claim, terminal or
-//! crash-count record leaves the job pending — the idempotent
+//! cancel answers the client with the error; a terminal or crash-count
+//! record leaves the job pending — the idempotent
 //! re-finalization path picks it up after a restart — and starts a drain,
 //! so a daemon that can no longer log admits and runs nothing more.
 //!
@@ -127,13 +129,12 @@ impl State {
 struct Shared {
     state: Mutex<State>,
     work: Condvar,
-    data_dir: PathBuf,
-    n_shards: usize,
+    /// The configuration the daemon started with, `shards` and
+    /// `max_active_per_shard` raised to at least 1.
+    config: ServeConfig,
+    /// The bound listen address (`config.addr` with the ephemeral port
+    /// resolved).
     addr: SocketAddr,
-    max_queue_depth: usize,
-    tenant_quota: usize,
-    max_active_per_shard: usize,
-    compact_slack: usize,
 }
 
 impl Shared {
@@ -176,6 +177,11 @@ impl Server {
     ///
     /// Returns any I/O error from the data directory, WAL, or socket.
     pub fn start(config: &ServeConfig) -> std::io::Result<Server> {
+        let config = ServeConfig {
+            shards: config.shards.max(1),
+            max_active_per_shard: config.max_active_per_shard.max(1),
+            ..config.clone()
+        };
         std::fs::create_dir_all(&config.data_dir)?;
         let queue = JobQueue::open(config.data_dir.join(WAL_FILE))?;
         let mut state =
@@ -186,19 +192,10 @@ impl Server {
         state.compact_if_oversized(0);
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            state: Mutex::new(state),
-            work: Condvar::new(),
-            data_dir: config.data_dir.clone(),
-            n_shards: config.shards.max(1),
-            addr,
-            max_queue_depth: config.max_queue_depth,
-            tenant_quota: config.tenant_quota,
-            max_active_per_shard: config.max_active_per_shard.max(1),
-            compact_slack: config.compact_slack,
-        });
+        let shared =
+            Arc::new(Shared { state: Mutex::new(state), work: Condvar::new(), config, addr });
         let mut threads = Vec::new();
-        for index in 0..shared.n_shards {
+        for index in 0..shared.config.shards {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || worker_loop(&shared, index)));
         }
@@ -270,50 +267,40 @@ fn job_deadline_ms(job: &SubmittedJob) -> Option<u64> {
     job.spec.get("deadline_ms")?.as_usize().map(|d| d as u64)
 }
 
-/// Why a pending job must be finalized instead of (or before) running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Disposal {
-    /// Crash count at threshold: park it without touching its optimizer.
-    Quarantine(u32),
-    /// A durable cancel request stands.
-    Cancel,
-    /// Its wall-clock deadline elapsed.
-    Expire,
-}
-
-/// The lifecycle verdict for a non-terminal job, from durable state plus
-/// the clock. Quarantine outranks cancel — both are terminal, and the
-/// quarantine path is the only one guaranteed never to touch the job's
-/// crash-prone optimizer.
-fn disposal_for(queue: &QueueState, job: &SubmittedJob, now_ms: u64) -> Option<Disposal> {
-    if let Some(&crashes) = queue.crash_counts.get(&job.job_id) {
-        if crashes >= QUARANTINE_CRASHES {
-            return Some(Disposal::Quarantine(crashes));
-        }
+/// The terminal state a non-terminal job must be finalized into instead
+/// of (or before) running, from durable state plus the clock: quarantined
+/// once its crash count reaches the threshold, cancelled on a standing
+/// cancel request, expired past its deadline. Quarantine outranks cancel —
+/// both are terminal, and the quarantine path is the only one guaranteed
+/// never to touch the job's crash-prone optimizer.
+fn disposal_for(queue: &QueueState, job: &SubmittedJob, now_ms: u64) -> Option<JobOutcome> {
+    if crash_count(queue, job.job_id) >= QUARANTINE_CRASHES {
+        return Some(JobOutcome::Quarantined);
     }
     if queue.cancel_requested.contains(&job.job_id) {
-        return Some(Disposal::Cancel);
+        return Some(JobOutcome::Cancelled);
     }
     let deadline = job_deadline_ms(job)?;
-    if now_ms.saturating_sub(job.submitted_at_ms) >= deadline {
-        return Some(Disposal::Expire);
-    }
-    None
+    (now_ms.saturating_sub(job.submitted_at_ms) >= deadline).then_some(JobOutcome::Expired)
+}
+
+fn crash_count(queue: &QueueState, job_id: u64) -> u32 {
+    queue.crash_counts.get(&job_id).copied().unwrap_or(0)
 }
 
 /// One iteration's marching orders for a shard, computed under the state
 /// lock and executed outside it.
 struct Plan {
-    /// Fresh pending jobs to adopt (capacity-gated, claims logged).
+    /// Fresh pending jobs to adopt (capacity-gated).
     adopt: Vec<SubmittedJob>,
-    /// Pending jobs to finalize without running.
-    dispose: Vec<(SubmittedJob, Disposal)>,
+    /// Pending jobs to finalize without running, with their crash counts.
+    dispose: Vec<(SubmittedJob, JobOutcome, u32)>,
     /// Active jobs to finalize between ticks (cancel/expire only).
     sweep: BTreeMap<u64, JobOutcome>,
 }
 
 fn worker_loop(shared: &Arc<Shared>, index: usize) {
-    let mut shard = Shard::new(index, shared.n_shards, &shared.data_dir);
+    let mut shard = Shard::new(index, shared.config.shards, &shared.config.data_dir);
     loop {
         let plan = {
             let mut st = shared.lock();
@@ -323,7 +310,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                 }
                 let now = now_ms();
                 let mut capacity =
-                    shared.max_active_per_shard.saturating_sub(shard.active_len());
+                    shared.config.max_active_per_shard.saturating_sub(shard.active_len());
                 let mut plan = Plan {
                     adopt: Vec::new(),
                     dispose: Vec::new(),
@@ -336,25 +323,21 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                         continue;
                     }
                     watch_deadline |= job_deadline_ms(job).is_some();
+                    let disposal = disposal_for(queue, job, now);
                     if shard.is_active(job.job_id) {
-                        match disposal_for(queue, job, now) {
-                            Some(Disposal::Cancel) => {
-                                plan.sweep.insert(job.job_id, JobOutcome::Cancelled);
-                            }
-                            Some(Disposal::Expire) => {
-                                plan.sweep.insert(job.job_id, JobOutcome::Expired);
-                            }
-                            // An active job cannot be at the quarantine
-                            // threshold: its last crash removed it.
-                            _ => {}
+                        // Cancelled or expired: an active job is below the
+                        // quarantine threshold, since a crash removes a job
+                        // from its shard and adoption needs no verdict.
+                        if let Some(outcome) = disposal {
+                            plan.sweep.insert(job.job_id, outcome);
                         }
                         continue;
                     }
-                    if st.running.contains(&job.job_id) {
-                        continue;
-                    }
-                    match disposal_for(queue, job, now) {
-                        Some(d) => plan.dispose.push((job.clone(), d)),
+                    match disposal {
+                        Some(outcome) => {
+                            let crashes = crash_count(queue, job.job_id);
+                            plan.dispose.push((job.clone(), outcome, crashes));
+                        }
                         None if capacity > 0 => {
                             capacity -= 1;
                             plan.adopt.push(job.clone());
@@ -367,15 +350,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                     || !plan.sweep.is_empty()
                     || shard.has_active();
                 if busy {
-                    // An unclaimed job is not adopted: it stays pending.
-                    plan.adopt.retain(|job| {
-                        let claim = JobRecord::Claimed { job_id: job.job_id, shard: index };
-                        let claimed = commit_or_drain(shared, &mut st, "claim", &claim);
-                        if claimed {
-                            st.running.insert(job.job_id);
-                        }
-                        claimed
-                    });
+                    st.running.extend(plan.adopt.iter().map(|job| job.job_id));
                     break plan;
                 }
                 // Park. Deadlines expire on the clock, not on a condvar
@@ -391,13 +366,8 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                 }
             }
         };
-        for (job, disposal) in &plan.dispose {
-            let (outcome, crashes) = match disposal {
-                Disposal::Quarantine(n) => (JobOutcome::Quarantined, *n),
-                Disposal::Cancel => (JobOutcome::Cancelled, 0),
-                Disposal::Expire => (JobOutcome::Expired, 0),
-            };
-            match catch_unwind(AssertUnwindSafe(|| shard.dispose(job, outcome, crashes))) {
+        for (job, outcome, crashes) in &plan.dispose {
+            match catch_unwind(AssertUnwindSafe(|| shard.dispose(job, *outcome, *crashes))) {
                 Ok(record) => complete(shared, record),
                 Err(_) => record_crash(shared, job.job_id),
             }
@@ -420,7 +390,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
     }
 }
 
-/// Commits a worker-side transition (claim, terminal, crash count).
+/// Commits a worker-side transition (terminal, crash count).
 /// There is no client to hand a failure to, so the append-failure policy
 /// lives here: report it, leave the job where it was, and start a drain —
 /// a daemon that cannot log must not admit or run anything more. Returns
@@ -442,7 +412,7 @@ fn complete(shared: &Shared, record: JobRecord) {
     let mut st = shared.lock();
     commit_or_drain(shared, &mut st, "terminal", &record);
     st.running.remove(&record.job_id());
-    st.compact_if_oversized(shared.compact_slack);
+    st.compact_if_oversized(shared.config.compact_slack);
 }
 
 /// Durably attributes one worker crash to a job: the cumulative count is
@@ -450,7 +420,7 @@ fn complete(shared: &Shared, record: JobRecord) {
 /// it reaches the quarantine threshold.
 fn record_crash(shared: &Shared, job_id: u64) {
     let mut st = shared.lock();
-    let count = st.queue.state().crash_counts.get(&job_id).copied().unwrap_or(0) + 1;
+    let count = crash_count(st.queue.state(), job_id) + 1;
     let record = JobRecord::CrashCounted { job_id, count };
     if commit_or_drain(shared, &mut st, "crash-count", &record) {
         eprintln!(
@@ -519,18 +489,18 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
             }
             let queue = st.queue.state();
             let live = queue.live();
-            if live >= shared.max_queue_depth {
+            if live >= shared.config.max_queue_depth {
                 return Response::Busy {
                     live: live as u64,
-                    limit: shared.max_queue_depth as u64,
+                    limit: shared.config.max_queue_depth as u64,
                 };
             }
             let tenant_live = queue.tenant_live(&tenant);
-            if tenant_live >= shared.tenant_quota {
+            if tenant_live >= shared.config.tenant_quota {
                 return Response::QuotaExceeded {
                     tenant,
                     live: tenant_live as u64,
-                    limit: shared.tenant_quota as u64,
+                    limit: shared.config.tenant_quota as u64,
                 };
             }
             let job_id = queue.next_job_id();

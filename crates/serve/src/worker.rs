@@ -3,12 +3,17 @@
 //! Each shard owns the jobs whose id hashes to it (`job_id % n_shards`),
 //! holds one live [`Optimizer`] per active job, and advances them one
 //! tuning round at a time under a deterministic cross-tenant fairness
-//! policy. Jobs never share tuning state while running (stores are read
-//! at start and written at finalize only), so each job's result depends
-//! on its spec alone — never on how ticks interleave. That independence,
-//! plus per-round checkpoints and the WAL'd pending set, is why a shard
-//! killed at any instant finishes every job byte-identically after
-//! restart, whatever the scheduler did around the kill.
+//! policy. Jobs never share tuning state while running: a `warm_cache`
+//! job reads its tenant's schedule store once, when it first starts, and
+//! never again. Stores are written at finalize, and a `warm_cache` job
+//! also publishes at the end of every round (its optimizer carries the
+//! store, and `Optimizer::optimize_all` publishes on each checkpoint
+//! boundary), but no running job reads those writes. So each job's
+//! result depends on its spec and its start alone — never on how ticks
+//! interleave. That independence, plus per-round checkpoints and the
+//! WAL'd pending set, is why a shard killed at any instant finishes every
+//! job byte-identically after restart, whatever the scheduler did around
+//! the kill.
 //!
 //! ## Fairness
 //!
@@ -141,7 +146,7 @@ impl Shard {
     pub fn adopt(&mut self, job: &SubmittedJob) -> Option<JobRecord> {
         match self.try_adopt(job) {
             Ok(done) => done,
-            Err(msg) => Some(self.finalize_error(job, &msg)),
+            Err(msg) => Some(self.finalize_error(JobOutcome::Done, job, &msg)),
         }
     }
 
@@ -211,11 +216,11 @@ impl Shard {
             let message = format!(
                 "quarantined after {crashes} worker crashes (threshold {QUARANTINE_CRASHES})"
             );
-            return self.finalize_error_with(JobOutcome::Quarantined, job, &message);
+            return self.finalize_error(JobOutcome::Quarantined, job, &message);
         }
         match self.open_job(job, false) {
             Ok(mut active) => self.finalize_with(outcome, &mut active),
-            Err(msg) => self.finalize_error_with(outcome, job, &msg),
+            Err(msg) => self.finalize_error(outcome, job, &msg),
         }
     }
 
@@ -330,20 +335,10 @@ impl Shard {
         }
     }
 
-    /// An unrunnable job completes immediately with the error as its
-    /// result document.
-    fn finalize_error(&self, job: &SubmittedJob, message: &str) -> JobRecord {
-        self.finalize_error_with(JobOutcome::Done, job, message)
-    }
-
     /// The terminal record for `outcome` with an error report as its
-    /// result document, built without touching the job's optimizer.
-    fn finalize_error_with(
-        &self,
-        outcome: JobOutcome,
-        job: &SubmittedJob,
-        message: &str,
-    ) -> JobRecord {
+    /// result document, built without touching the job's optimizer. An
+    /// unrunnable job completes this way as [`JobOutcome::Done`].
+    fn finalize_error(&self, outcome: JobOutcome, job: &SubmittedJob, message: &str) -> JobRecord {
         JobRecord::Finished {
             job_id: job.job_id,
             outcome,

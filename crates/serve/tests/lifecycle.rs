@@ -135,12 +135,30 @@ fn mix(seed: u64) -> u64 {
     h
 }
 
+/// What one [`lifecycle_run`] left behind.
+struct LifecycleRun {
+    jobs: Vec<u64>,
+    states: Vec<String>,
+    /// Each job's terminal WAL document — what a `result` request serves.
+    result_bytes: Vec<String>,
+    /// Kills that left a WAL longer than its canonical form, which the
+    /// restart's startup compaction must rewrite.
+    oversized_kills: usize,
+    /// Whether the final WAL is in canonical form.
+    canonical: bool,
+}
+
+/// Whether the WAL's line count exceeds that of the canonical log its
+/// replay compacts to.
+fn wal_oversized(dir: &Path) -> bool {
+    let records = read_job_records(dir.join("wal.jsonl")).expect("read wal");
+    records.len() > QueueState::replay(&records).canonical_len()
+}
+
 /// One lifecycle scenario run: job A completes (3 rounds), job B is
 /// cancelled before it ever runs (the `--max-active 1` gate keeps it
-/// queued behind A), job C expires on a zero deadline. Returns
-/// `(job_ids, terminal_states, result_bytes)`, the result bytes being each
-/// job's terminal WAL document — what a `result` request serves.
-fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> (Vec<u64>, Vec<String>, Vec<String>) {
+/// queued behind A), job C expires on a zero deadline.
+fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> LifecycleRun {
     let extra = &["--max-active", "1"];
     let daemon = Daemon::spawn(dir, extra);
     let jobs = {
@@ -161,9 +179,11 @@ fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> (Vec<u64>, Vec<String>, 
     };
 
     let mut daemon = daemon;
+    let mut oversized_kills = 0;
     for &delay_ms in kill_delays_ms {
         std::thread::sleep(Duration::from_millis(delay_ms));
         daemon.kill();
+        oversized_kills += usize::from(wal_oversized(dir));
         daemon = Daemon::spawn(dir, extra);
     }
 
@@ -175,8 +195,9 @@ fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> (Vec<u64>, Vec<String>, 
     }
     daemon.shutdown();
     let queue = QueueState::replay(&read_job_records(dir.join("wal.jsonl")).expect("read wal"));
-    let bytes = jobs.iter().map(|j| queue.terminal[j].result.write()).collect();
-    (jobs, states, bytes)
+    let result_bytes = jobs.iter().map(|j| queue.terminal[j].result.write()).collect();
+    let canonical = !wal_oversized(dir);
+    LifecycleRun { jobs, states, result_bytes, oversized_kills, canonical }
 }
 
 #[test]
@@ -190,8 +211,11 @@ fn chaos_sweep_cancel_expiry_and_completion_are_byte_deterministic() {
         .unwrap_or(0xfe11);
 
     let ref_dir = tmp_dir("sweep-ref");
-    let (ref_jobs, ref_states, ref_bytes) = lifecycle_run(&ref_dir, &[]);
-    assert_eq!(ref_states, ["done", "cancelled", "expired"]);
+    let reference = lifecycle_run(&ref_dir, &[]);
+    assert_eq!(reference.states, ["done", "cancelled", "expired"]);
+    // B's terminal line supersedes its cancel request, and no restart
+    // compacted the reference's log: it keeps the superseded line.
+    assert!(!reference.canonical, "the reference WAL has no superseded line");
 
     for round in 0..5u64 {
         // Two kills per run: one at a seeded instant mid-scenario, one
@@ -203,15 +227,29 @@ fn chaos_sweep_cancel_expiry_and_completion_are_byte_deterministic() {
             "chaos round {round}: kills after {delays:?}ms (FELIX_CRASH_SEED={seed})"
         );
         let dir = tmp_dir(&format!("sweep-{round}"));
-        let (jobs, states, bytes) = lifecycle_run(&dir, &delays);
-        assert_eq!(jobs, ref_jobs, "job ids must line up for the comparison");
+        let run = lifecycle_run(&dir, &delays);
+        let jobs = run.jobs;
+        assert_eq!(jobs, reference.jobs, "job ids must line up for the comparison");
         assert_eq!(
-            states, ref_states,
+            run.states, reference.states,
             "terminal states diverged in round {round} (FELIX_CRASH_SEED={seed})"
         );
         assert_eq!(
-            bytes, ref_bytes,
+            run.result_bytes, reference.result_bytes,
             "result bytes diverged in round {round} (FELIX_CRASH_SEED={seed})"
+        );
+        // A kill after B's terminal line landed leaves B's cancel request
+        // superseded; the restart's startup compaction drops it, and
+        // nothing later supersedes a line. So the final log is canonical
+        // exactly when some kill left a log to rewrite.
+        eprintln!(
+            "chaos round {round}: {} of 2 kills left a log to rewrite",
+            run.oversized_kills
+        );
+        assert_eq!(
+            run.canonical,
+            run.oversized_kills > 0,
+            "startup compaction did not rewrite an oversized WAL in round {round}"
         );
 
         // The surviving WAL replays to the same terminal picture.
@@ -377,41 +415,47 @@ fn compaction_shrinks_the_wal_to_canonical_form_and_keeps_results_served() {
         return;
     }
     let dir = tmp_dir("compact");
-    // Slack 0: compact whenever the log exceeds its canonical size, so
-    // claim lines are guaranteed to be rewritten away within the test.
+    // Slack 0: compact whenever the log exceeds its canonical size. The
+    // poison job crashes its worker three times and is quarantined, so its
+    // terminal line supersedes three crash-count lines.
     let daemon = Daemon::spawn(&dir, &["--compact-slack", "0"]);
     let mut client = daemon.client();
+    let mut poison = tiny_spec(1);
+    poison.fault_panic_round = Some(0);
     let jobs = [
         client.submit("tenant-a", &tiny_spec(1)).expect("submit 1"),
-        client.submit("tenant-b", &tiny_spec(1)).expect("submit 2"),
+        client.submit("tenant-b", &poison).expect("submit 2"),
     ];
     let mut results = Vec::new();
-    for &job in &jobs {
-        let (state, result) = client.wait_done(job, WAIT).expect("job done");
-        assert_eq!(state, "done");
+    for (&job, expected) in jobs.iter().zip(["done", "quarantined"]) {
+        let (state, result) = client.wait_done(job, WAIT).expect("job terminal");
+        assert_eq!(state, expected);
         results.push(result);
     }
     daemon.shutdown();
 
+    // Seven lines were appended: two submits, three crash counts and two
+    // terminal lines. The rewrites left the four canonical ones.
     let records = read_job_records(dir.join("wal.jsonl")).expect("read wal");
     let queue = QueueState::replay(&records);
+    assert_eq!(queue.canonical_len(), 4);
     assert_eq!(
         records.len(),
         queue.canonical_len(),
-        "WAL kept non-canonical lines past the zero-slack trigger"
+        "WAL kept superseded lines past the zero-slack trigger: {records:?}"
     );
     assert!(
         records
             .iter()
             .all(|r| matches!(r, JobRecord::Submitted { .. } | JobRecord::Finished { .. })),
-        "compaction left claim lines behind: {records:?}"
+        "compaction left crash-count lines behind: {records:?}"
     );
 
     // A restart on the compacted log serves the same results.
     let daemon = Daemon::spawn(&dir, &[]);
     let mut client = daemon.client();
-    for (&job, expected) in jobs.iter().zip(&results) {
-        assert_eq!(client.status(job).expect("status"), "done");
+    for ((&job, expected), state) in jobs.iter().zip(&results).zip(["done", "quarantined"]) {
+        assert_eq!(client.status(job).expect("status"), state);
         let served = client.result(job).expect("result");
         assert_eq!(served.write(), expected.write(), "result changed across compaction");
     }

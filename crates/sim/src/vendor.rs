@@ -153,13 +153,6 @@ fn template_values(p: &Program, sketch_name: &str, t: &ExpertTemplate) -> Vec<f6
     round_to_valid(p, &raw)
 }
 
-/// A fixed, competent hand-schedule for a sketch (the portfolio's default
-/// template), rounded to validity. Kept for tests/diagnostics; the vendor
-/// latency uses the whole portfolio.
-pub fn expert_values(p: &Program, sketch_name: &str) -> Vec<f64> {
-    template_values(p, sketch_name, &expert_portfolio()[1])
-}
-
 /// Kernel-efficiency factor of a vendor for an anchor operator class: the
 /// latency multiplier over the best *generic template* kernel of the
 /// portfolio. Hand-written cuDNN/cuBLAS kernels beat generic templates
@@ -350,7 +343,8 @@ mod tests {
         let p0 = lower_subgraph(&sg);
         let hw = hardware_params(&DeviceConfig::a5000());
         for sk in generate_sketches(&p0, &hw) {
-            let vals = expert_values(&sk.program, sk.name);
+            // The portfolio's default template.
+            let vals = template_values(&sk.program, sk.name, &expert_portfolio()[1]);
             assert!(
                 sk.program.constraints_ok(&vals, 0.0),
                 "expert schedule violates {:?} for {}",

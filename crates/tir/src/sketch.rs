@@ -82,16 +82,6 @@ pub struct SchedVarInfo {
     pub kind: SchedVarKind,
 }
 
-impl SchedVarInfo {
-    /// Upper bound of the variable's valid range (lower bound is 1).
-    pub fn upper_bound(&self) -> i64 {
-        match self.kind {
-            SchedVarKind::Split { extent, .. } => extent,
-            SchedVarKind::Unroll { max } => max,
-        }
-    }
-}
-
 /// A generated symbolic schedule: the transformed symbolic program plus the
 /// step list that produced it (kept for inspection / printing).
 #[derive(Clone, Debug)]
@@ -948,7 +938,11 @@ mod tests {
                 for sv in &s.program.sched_vars {
                     let v = once[sv.var.index()];
                     assert_eq!(v.fract(), 0.0);
-                    assert!(v >= 1.0 && v <= sv.upper_bound() as f64);
+                    let max = match sv.kind {
+                        SchedVarKind::Split { extent, .. } => extent,
+                        SchedVarKind::Unroll { max } => max,
+                    };
+                    assert!(v >= 1.0 && v <= max as f64);
                 }
             }
         }
