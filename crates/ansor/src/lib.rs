@@ -73,7 +73,7 @@ pub enum SketchMode {
 }
 
 impl SketchMode {
-    /// Stable wire label (persisted in health records and checkpoints).
+    /// Stable wire label (persisted in health records).
     pub fn label(self) -> &'static str {
         match self {
             SketchMode::Gradient => "gd",
@@ -273,14 +273,6 @@ impl SearchTask {
         self.measured_keys.contains(&schedule_key(sketch, vals))
     }
 
-    /// Whether sketch `sketch` exists and `vals` assigns each of its
-    /// variables — the shape feature and constraint evaluation index by.
-    fn shaped_for(&self, sketch: usize, vals: &[f64]) -> bool {
-        self.sketches
-            .get(sketch)
-            .is_some_and(|st| st.program.vars.len() == vals.len())
-    }
-
     /// Whether `(sketch, vals)` is a valid schedule of this task: the
     /// sketch exists, `vals` assigns each of its variables, and the
     /// assignment satisfies its constraints. The one check a schedule
@@ -288,24 +280,21 @@ impl SearchTask {
     /// descended from as a warm hint —
     /// `Program::constraints_ok` alone panics on a short slice.
     pub fn fits(&self, sketch: usize, vals: &[f64]) -> bool {
-        self.shaped_for(sketch, vals) && self.sketches[sketch].program.constraints_ok(vals, 1e-9)
+        self.sketches.get(sketch).is_some_and(|st| {
+            st.program.vars.len() == vals.len() && st.program.constraints_ok(vals, 1e-9)
+        })
     }
 
-    /// The incumbent rule: a latency strictly below the best so far takes
-    /// over (ties keep the earlier schedule; NaN never wins).
-    fn offer_incumbent(&mut self, sketch: usize, vals: &[f64], latency_ms: f64) {
-        if latency_ms < self.best_latency_ms {
-            self.best_latency_ms = latency_ms;
-            self.best_schedule = Some((sketch, vals.to_vec()));
-        }
-    }
-
-    /// Records a measurement, updating the incumbent. A success also clears
-    /// the sketch's failure streak, lifting any quarantine (the fault was
-    /// evidently transient).
+    /// Records a measurement, updating the incumbent: a latency strictly
+    /// below the best so far takes over (ties keep the earlier schedule;
+    /// NaN never wins). A success also clears the sketch's failure streak,
+    /// lifting any quarantine (the fault was evidently transient).
     pub fn record(&mut self, sketch: usize, vals: Vec<f64>, latency_ms: f64) {
         self.measured_keys.insert(schedule_key(sketch, &vals));
-        self.offer_incumbent(sketch, &vals, latency_ms);
+        if latency_ms < self.best_latency_ms {
+            self.best_latency_ms = latency_ms;
+            self.best_schedule = Some((sketch, vals.clone()));
+        }
         if let Some(streak) = self.fail_streak.get_mut(sketch) {
             *streak = 0;
         }
@@ -375,110 +364,6 @@ impl SearchTask {
         }
         changed
     }
-
-    /// Captures the mutable search state a checkpoint persists: everything
-    /// [`SearchTask::restore`] cannot recompute.
-    ///
-    /// `fail_streak` is copied rather than replayed: the interleaving of
-    /// `measured` and `failed` (which a success-resets-the-streak replay
-    /// would need) is not recoverable from the two separate vectors.
-    pub fn snapshot(&self) -> TaskSnapshot {
-        TaskSnapshot {
-            workload_key: self.workload_key.clone(),
-            measured: self.measured.clone(),
-            failed: self.failed.clone(),
-            retries: self.retries,
-            fail_streak: self.fail_streak.clone(),
-            sketch_modes: self.sketch_modes.clone(),
-            warm_hints: self.warm_hints.clone(),
-            rounds: self.rounds,
-        }
-    }
-
-    /// Restores a snapshot into a freshly built task (same subgraph and
-    /// device, so the same sketches) and recomputes the rest: the
-    /// incumbent by folding `measured` through [`SearchTask::record`]'s
-    /// rule in order, the dedup set, and the replay-buffer samples —
-    /// features are closed-form functions of the schedule values, so
-    /// re-evaluating them reproduces every sample bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// Leaves the task untouched and says why when the snapshot does not
-    /// fit it: another workload key (a checkpoint of a different network
-    /// or task order), per-sketch vectors of another length, a sketch
-    /// index this task does not have, or a schedule whose length differs
-    /// from its sketch's variable count.
-    pub fn restore(&mut self, snap: TaskSnapshot) -> Result<(), &'static str> {
-        let n = self.sketches.len();
-        if snap.workload_key != self.workload_key {
-            return Err("checkpoint task does not match the network");
-        }
-        if snap.fail_streak.len() != n || snap.sketch_modes.len() != n {
-            return Err("checkpoint sketch count does not match the task");
-        }
-        let mut schedules = snap
-            .measured
-            .iter()
-            .map(|(sk, vals, _)| (*sk, vals))
-            .chain(snap.warm_hints.iter().map(|(sk, vals)| (*sk, vals)));
-        if !schedules.all(|(sk, vals)| self.shaped_for(sk, vals))
-            || snap.failed.iter().any(|(sk, _, _)| *sk >= n)
-        {
-            return Err("checkpoint schedule does not fit the task's sketches");
-        }
-        self.best_latency_ms = f64::INFINITY;
-        self.best_schedule = None;
-        for (sk, vals, latency) in &snap.measured {
-            self.offer_incumbent(*sk, vals, *latency);
-        }
-        self.retries = snap.retries;
-        self.fail_streak = snap.fail_streak;
-        self.sketch_modes = snap.sketch_modes;
-        self.warm_hints = snap.warm_hints;
-        self.rounds = snap.rounds;
-        self.measured_keys = snap
-            .measured
-            .iter()
-            .map(|(sk, vals, _)| schedule_key(*sk, vals))
-            .chain(snap.failed.iter().map(|(sk, vals, _)| schedule_key(*sk, vals)))
-            .collect();
-        self.samples = snap
-            .measured
-            .iter()
-            .map(|(sk, vals, latency)| {
-                let st = &self.sketches[*sk];
-                ingest_sample(&st.program, &st.features, vals, *latency)
-            })
-            .collect();
-        self.measured = snap.measured;
-        self.failed = snap.failed;
-        Ok(())
-    }
-}
-
-/// The mutable search state of a [`SearchTask`] that cannot be recomputed,
-/// detached from the (deterministically rebuildable) sketches — what a
-/// checkpoint persists. The incumbent, the per-kind fault counts, the
-/// quarantine flags, the dedup set and the samples all follow from it.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TaskSnapshot {
-    /// [`SearchTask::workload_key`], verified on restore.
-    pub workload_key: String,
-    /// All successful measurements in order.
-    pub measured: Vec<(usize, Vec<f64>, f64)>,
-    /// All exhausted-retry failures in order.
-    pub failed: Vec<(usize, Vec<f64>, FaultKind)>,
-    /// [`SearchTask::retries`].
-    pub retries: usize,
-    /// Per-sketch consecutive-failure streaks.
-    pub fail_streak: Vec<usize>,
-    /// Per-sketch degradation-ladder rungs.
-    pub sketch_modes: Vec<SketchMode>,
-    /// Cached warm-start hints (schedule-store transfers).
-    pub warm_hints: Vec<(usize, Vec<f64>)>,
-    /// Rounds spent on the task.
-    pub rounds: usize,
 }
 
 /// Per-round observability counters of a proposer, drained via
@@ -1294,136 +1179,5 @@ mod tests {
         let clipped = vec![SketchMode::ClippedGradient; 2];
         a.merge(&HealthReport { modes: clipped.clone(), ..Default::default() });
         assert_eq!(a.modes, clipped, "the later decision wins");
-    }
-
-    #[test]
-    fn degraded_sketch_modes_survive_snapshot_restore() {
-        let sim = Simulator::new(DeviceConfig::a5000());
-        let mut task = SearchTask::from_task(&dense_task(), &sim);
-        task.set_sketch_modes(&[SketchMode::Gradient, SketchMode::Evolutionary]);
-        let snap = task.snapshot();
-        let mut fresh = SearchTask::from_task(&dense_task(), &sim);
-        fresh.restore(snap).expect("same task");
-        assert_eq!(fresh.sketch_modes(), task.sketch_modes());
-        assert_eq!(fresh.sketch_modes()[1], SketchMode::Evolutionary);
-    }
-
-    /// The dense task with a copy of its second sketch appended: three
-    /// sketches for interleaving properties (no operator lowers to more
-    /// than two).
-    fn three_sketch_task(sim: &Simulator) -> SearchTask {
-        let mut task = SearchTask::from_task(&dense_task(), sim);
-        task.sketches.push(task.sketches[1].clone());
-        task.fail_streak.push(0);
-        task.sketch_modes.push(SketchMode::Gradient);
-        task
-    }
-
-    fn sample_bits(samples: &[Sample]) -> Vec<(u64, Vec<u64>)> {
-        samples
-            .iter()
-            .map(|s| (s.score.to_bits(), s.logfeats.iter().map(|v| v.to_bits()).collect()))
-            .collect()
-    }
-
-    #[test]
-    fn restore_recomputes_what_the_snapshot_drops_after_every_step() {
-        // Seeded interleavings of successes and failures over three
-        // sketches: a scripted opening drives sketch 0 past the quarantine
-        // streak, lifts it with one success, then quarantines every sketch
-        // at once; random traffic follows. Latencies repeat (ties keep the
-        // earlier incumbent) and include +inf and NaN (never incumbents).
-        let sim = Simulator::new(DeviceConfig::a5000());
-        let fresh = three_sketch_task(&sim);
-        let mut live = fresh.clone();
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let latencies = [2.5, 2.5, 1.25, 1.25, 4.0, f64::INFINITY, f64::NAN];
-        let kinds = [FaultKind::BuildError, FaultKind::Timeout, FaultKind::DeviceError];
-        let histogram = |t: &SearchTask| kinds.map(|k| t.failed.iter().filter(|f| f.2 == k).count());
-        let streak = SearchTask::QUARANTINE_STREAK;
-        let mut script: Vec<(usize, bool)> = vec![(0, true); streak + 1];
-        script.push((0, false));
-        for _ in 0..streak {
-            script.extend([(0, true), (1, true), (2, true)]);
-        }
-        let (mut quarantined_all, mut lifted) = (false, false);
-        for step in 0..script.len() + 160 {
-            let (sk, fail) = script
-                .get(step)
-                .copied()
-                .unwrap_or_else(|| (rng.gen_range(0..3), rng.gen_bool(0.6)));
-            let was_quarantined = live.is_quarantined(sk);
-            let st = &live.sketches[sk];
-            let vals = felix_cost::random_schedule(&st.program, &st.rounding, &mut rng, 64);
-            if fail {
-                live.record_failure(sk, vals, kinds[rng.gen_range(0..kinds.len())]);
-                live.retries += rng.gen_range(0..=MAX_RETRIES);
-            } else {
-                let latency = latencies[rng.gen_range(0..latencies.len())];
-                let st = &live.sketches[sk];
-                live.samples.push(ingest_sample(&st.program, &st.features, &vals, latency));
-                live.record(sk, vals, latency);
-                lifted |= was_quarantined;
-            }
-            quarantined_all |= (0..3).all(|i| live.is_quarantined(i));
-
-            let mut back = fresh.clone();
-            back.restore(live.snapshot()).expect("a task's own snapshot fits it");
-            assert_eq!(back.best_latency_ms.to_bits(), live.best_latency_ms.to_bits(), "step {step}");
-            assert_eq!(back.best_schedule, live.best_schedule, "step {step}");
-            for i in 0..3 {
-                assert_eq!(back.is_quarantined(i), live.is_quarantined(i), "step {step}");
-            }
-            assert_eq!(back.active_sketches(), live.active_sketches(), "step {step}");
-            assert_eq!(histogram(&back), histogram(&live), "step {step}");
-            assert_eq!(back.wasted_attempts(), live.wasted_attempts(), "step {step}");
-            for (sk, vals, _) in &live.measured {
-                assert!(back.already_measured(*sk, vals), "step {step}");
-            }
-            for (sk, vals, _) in &live.failed {
-                assert!(back.already_measured(*sk, vals), "step {step}");
-            }
-            assert_eq!(sample_bits(&back.samples), sample_bits(&live.samples), "step {step}");
-        }
-        assert!(lifted, "a success must lift a quarantine");
-        assert!(quarantined_all, "every sketch must be quarantined at once");
-        assert!(live.best_latency_ms.is_finite());
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_search_state() {
-        let sim = Simulator::new(DeviceConfig::a5000());
-        let mut task = SearchTask::from_task(&dense_task(), &sim);
-        let mut model = quick_model();
-        let mut clock = TuningClock::new();
-        let opts = TuneOptions { measurements_per_round: 6, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..2 {
-            tune_task_round_with_sink(
-                &mut task, &mut RandomProposer, &mut model, &sim, &mut clock, &ClockCosts,
-                &opts, &mut rng, None,
-            );
-        }
-        task.record_failure(0, vec![999.0, 999.0], FaultKind::Timeout);
-
-        let snap = task.snapshot();
-        let mut fresh = SearchTask::from_task(&dense_task(), &sim);
-        fresh.restore(snap).expect("same task");
-        assert_eq!(fresh.measured, task.measured);
-        assert_eq!(fresh.failed, task.failed);
-        assert_eq!(fresh.best_latency_ms.to_bits(), task.best_latency_ms.to_bits());
-        assert_eq!(fresh.best_schedule, task.best_schedule);
-        assert_eq!(fresh.retries, task.retries);
-        assert_eq!(fresh.rounds, task.rounds);
-        assert!(fresh.already_measured(0, &[999.0, 999.0]), "dedup set rebuilt");
-        // Replay-buffer samples rebuild bit-exactly from the measurements.
-        assert_eq!(fresh.samples.len(), task.samples.len());
-        for (a, b) in fresh.samples.iter().zip(&task.samples) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-            assert_eq!(
-                a.logfeats.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.logfeats.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            );
-        }
     }
 }

@@ -1,14 +1,15 @@
 //! The user-facing programming interface, mirroring the paper's Fig. 5.
 
-use crate::cache::ScheduleCache;
+use crate::cache::{CacheOutcome, ScheduleCache};
 use crate::gd::{FelixOptions, GradientProposer};
-use crate::persist::{self, CheckpointState, RecordLogSink};
+use crate::persist::{self, AttachedState, CheckpointState, RecordLogSink};
 use felix_ansor::{
-    fine_tune_on_new_samples, tune_network_with_sink, MeasurementSink, NetworkTuneResult,
-    Proposer, SearchTask, TuneOptions, TunerStats,
+    fine_tune_on_new_samples, select_next_task, tune_network_with_sink, CurvePoint,
+    MeasurementSink, NetworkTuneResult, Proposer, SearchTask, TuneOptions, TunerStats,
 };
 use felix_cost::{pretrain_for_device, Mlp};
 use felix_graph::{partition, Graph, Task};
+use felix_records::{task_key, LogLine};
 use felix_sim::clock::ClockCosts;
 use felix_sim::{DeviceConfig, Simulator, TuningClock};
 use felix_tir::sketch::{generator_hash, generator_is_current};
@@ -60,8 +61,12 @@ pub struct Optimizer {
     rng: StdRng,
     sink: Option<RecordLogSink>,
     schedule_store: Option<ScheduleCache>,
+    /// What each task got from the schedule store when it was attached.
+    attached: Vec<AttachedState>,
+    /// Where the first round writes the checkpoint's base, until it does.
     checkpoint_dir: Option<PathBuf>,
-    checkpoint_every: usize,
+    /// Whether each round commits to the record log.
+    committing: bool,
     rounds_done: usize,
     /// Curve of (time, latency) across all rounds run so far.
     pub history: Vec<felix_ansor::CurvePoint>,
@@ -84,8 +89,9 @@ impl Optimizer {
         options: FelixOptions,
     ) -> Self {
         let sim = Simulator::new(device);
-        let tasks = graphs.iter().map(|t| SearchTask::from_task(t, &sim)).collect();
+        let tasks: Vec<_> = graphs.iter().map(|t| SearchTask::from_task(t, &sim)).collect();
         Optimizer {
+            attached: vec![AttachedState::default(); tasks.len()],
             tasks,
             model: cost_model,
             sim,
@@ -95,7 +101,7 @@ impl Optimizer {
             sink: None,
             schedule_store: None,
             checkpoint_dir: None,
-            checkpoint_every: 1,
+            committing: false,
             rounds_done: 0,
             history: Vec::new(),
             stats: Vec::new(),
@@ -106,22 +112,24 @@ impl Optimizer {
     /// matching this optimizer's tasks (by workload key + device) are
     /// replayed into the search state first — rebuilding each task's
     /// incumbent, dedup set, fault statistics, supervision modes, and
-    /// replay buffer — and the
-    /// cost model is warm-started on the replayed measurements with the same
-    /// fine-tuning hyperparameters a live round uses. New measurements are
-    /// then appended to the log as they finish.
+    /// replay buffer — and the cost model is warm-started on the replayed
+    /// measurements with the same fine-tuning hyperparameters a live round
+    /// uses. New measurements and supervisor decisions are then appended to
+    /// the log as they finish, and, with [`Optimizer::with_checkpointing`],
+    /// each round's commit after them: the log is the run's durable history.
     ///
     /// Replay touches neither the tuning clock nor the master RNG, and the
     /// attached sink is a pure observer, so with an *empty* log this is
-    /// bit-identical to a run without persistence.
+    /// bit-identical to a run without persistence. Attach the log before
+    /// the first round: a checkpoint records where its run starts in it.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from reading or opening the log.
     pub fn with_record_log(mut self, path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let path = path.as_ref();
-        let records = felix_records::read_all_records(path)?;
         let device = self.sim.device.name;
+        let (sink, lines) = RecordLogSink::replay(path, device)?;
+        let records: Vec<_> = lines.into_iter().filter_map(LogLine::into_record).collect();
         for task in &mut self.tasks {
             let n_new = persist::replay_records(task, &records, device);
             if n_new > 0 {
@@ -133,7 +141,7 @@ impl Optimizer {
                 );
             }
         }
-        self.sink = Some(RecordLogSink::open(path, device)?);
+        self.sink = Some(sink);
         Ok(self)
     }
 
@@ -182,126 +190,205 @@ impl Optimizer {
     ) -> std::io::Result<Self> {
         let mut cache = ScheduleCache::open(path)?.with_namespace(ns);
         let device = self.sim.device.name;
-        for task in &mut self.tasks {
-            cache.apply(task, device);
+        for (task, attached) in self.tasks.iter_mut().zip(&mut self.attached) {
+            let hit = cache.apply(task, device) == CacheOutcome::Hit;
+            attached.hit = if hit { task.measured.last().cloned() } else { None };
+            attached.warm_hints.clone_from(&task.warm_hints);
         }
         self.schedule_store = Some(cache);
         Ok(self)
     }
 
-    /// Enables checkpointing: after every `every_rounds` tuning rounds (and
-    /// at the end of each `optimize_all` call) the full tuner state — task
-    /// snapshots, cost-model weights, clock, and RNG position — is written
-    /// atomically under `dir`. [`Optimizer::resume_from_checkpoint`] then
-    /// continues the run byte-identically.
-    pub fn with_checkpointing(mut self, dir: impl AsRef<Path>, every_rounds: usize) -> Self {
+    /// Enables checkpointing under `dir`: the first round writes the base
+    /// cost model ([`persist::MODEL_FILE`]) and a small header
+    /// ([`persist::STATE_FILE`]) there, once, and every round then commits
+    /// by appending one round record to the record log after its own lines
+    /// (to [`persist::LOG_FILE`] in `dir` if no log is attached).
+    /// [`Optimizer::resume_from_checkpoint`] continues the run
+    /// byte-identically from the last commit. Enable it before the first
+    /// round. The round count is ignored, since every round commits.
+    /// Pinned by the frozen ledger: `benchmark/` passes that count.
+    pub fn with_checkpointing(mut self, dir: impl AsRef<Path>, _every_rounds: usize) -> Self {
         self.checkpoint_dir = Some(dir.as_ref().to_path_buf());
-        self.checkpoint_every = every_rounds.max(1);
         self
     }
 
-    /// Writes a checkpoint now (no-op without [`Optimizer::with_checkpointing`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the state or model files.
-    pub fn save_checkpoint(&self) -> std::io::Result<()> {
-        let Some(dir) = &self.checkpoint_dir else { return Ok(()) };
+    /// Writes the checkpoint's base model and header, opening the
+    /// directory's own log if none is attached.
+    fn write_checkpoint_base(&mut self, dir: &Path) -> std::io::Result<()> {
+        if self.rounds_done > 0 {
+            return Err(std::io::Error::other("checkpointing must start before the first round"));
+        }
         std::fs::create_dir_all(dir)?;
         let mut model_bytes = Vec::new();
         self.model.save(&mut model_bytes)?;
         felix_records::write_atomic(dir.join(persist::MODEL_FILE), &model_bytes)?;
+        let record_log = self.sink.as_ref().map(|s| s.path().display().to_string());
+        let sink = match self.sink.take() {
+            Some(sink) => sink,
+            // Opened without reading it, so it must hold no other run's lines.
+            None if std::fs::metadata(dir.join(persist::LOG_FILE)).is_ok_and(|m| m.len() > 0) => {
+                return Err(std::io::Error::other("the checkpoint directory holds another log"));
+            }
+            None => RecordLogSink::open(dir.join(persist::LOG_FILE), self.sim.device.name)?,
+        };
+        let cache = self.schedule_store.as_ref();
         let state = CheckpointState {
             device_name: self.sim.device.name.to_string(),
             generator: generator_hash(),
-            clock_s: self.clock.now_s(),
-            rng_state: self.rng.state(),
-            rounds_done: self.rounds_done,
-            checkpoint_every: self.checkpoint_every,
-            record_log: self.sink.as_ref().map(|s| s.path().display().to_string()),
-            schedule_store: self
-                .schedule_store
-                .as_ref()
-                .map(|s| s.path().display().to_string()),
-            schedule_ns: self
-                .schedule_store
-                .as_ref()
-                .and_then(|s| s.namespace().map(str::to_string)),
-            history: self.history.clone(),
-            tasks: self.tasks.iter().map(SearchTask::snapshot).collect(),
+            record_log,
+            log_start: sink.start,
+            schedule_store: cache.map(|c| c.path().display().to_string()),
+            schedule_ns: cache.and_then(|c| c.namespace().map(str::to_string)),
+            tasks: self.attached.clone(),
         };
+        self.sink = Some(sink);
         felix_records::write_document(
             dir.join(persist::STATE_FILE),
             &persist::checkpoint_to_json(&state),
         )
     }
 
-    /// Rebuilds an optimizer from a checkpoint directory written by
-    /// [`Optimizer::save_checkpoint`], restoring the cost model, every
-    /// task's search state, the tuning clock, and the master RNG position.
-    /// Continuing with `optimize_all` reproduces the exact time-vs-latency
-    /// curve the uninterrupted run would have produced, byte for byte.
-    ///
-    /// `graphs`, `device` and `options` must be the ones the checkpointed
-    /// run used (the tasks are rebuilt and each snapshot is checked against
-    /// its task before it is restored; the options carry the search knobs
-    /// and the fault plan). A record log attached to the original run is
-    /// reattached for appending; re-run rounds may append duplicate records,
-    /// which replay skips.
+    /// A no-op when every round run so far is committed — each round
+    /// commits itself — and without [`Optimizer::with_checkpointing`].
     ///
     /// # Errors
     ///
-    /// Returns `InvalidData` on a malformed or mismatched checkpoint —
-    /// including a parseable one whose snapshots name sketches or carry
-    /// schedules the rebuilt tasks do not have — plus any underlying I/O
-    /// error.
+    /// Returns an error when a failed record-log append stopped the
+    /// commits, so later rounds would not survive a restart.
+    pub fn save_checkpoint(&self) -> std::io::Result<()> {
+        match &self.sink {
+            Some(sink) if self.committing && sink.failed => {
+                Err(std::io::Error::other("a record-log append failed; later rounds are lost"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Rebuilds an optimizer from a checkpoint directory written under
+    /// [`Optimizer::with_checkpointing`]: loads the base model, reapplies
+    /// the header's schedule-store hits and warm hints, replays the log's
+    /// lines before the run's start as [`Optimizer::with_record_log`] did,
+    /// then replays each committed round in order — its lines through the
+    /// [`persist::replay_records`] fold, then its fine-tune — and takes the
+    /// RNG, clock and curve from the commits. Lines no commit claims (a
+    /// killed round's, a torn tail) are skipped. Continuing with
+    /// `optimize_all` reproduces the uninterrupted run byte for byte.
+    ///
+    /// `graphs`, `device` and `options` must be the ones the checkpointed
+    /// run used (the options carry the search knobs and the fault plan).
+    /// The log is reattached for appending and the store for publishing.
+    ///
+    /// # Errors
+    ///
+    /// Returns `InvalidData` on a header of another version, device,
+    /// generator or task count, or a log whose commits do not fit the
+    /// rebuilt tasks, plus any underlying I/O error.
     pub fn resume_from_checkpoint(
         graphs: Vec<Task>,
         device: DeviceConfig,
         options: FelixOptions,
         dir: impl AsRef<Path>,
     ) -> std::io::Result<Optimizer> {
-        use std::io::{Error, ErrorKind};
-        let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
         let dir = dir.as_ref();
         let doc = felix_records::read_document(dir.join(persist::STATE_FILE))?;
         let state = persist::checkpoint_from_json(&doc)
-            .ok_or_else(|| bad("malformed or incompatible checkpoint document"))?;
+            .ok_or_else(|| invalid("malformed or incompatible checkpoint header"))?;
         if state.device_name != device.name {
-            return Err(bad("checkpoint was written for a different device"));
+            return Err(invalid("checkpoint was written for a different device"));
         }
         if !generator_is_current(state.generator) {
-            return Err(bad("checkpoint was written by a different sketch generator"));
+            return Err(invalid("checkpoint was written by a different sketch generator"));
         }
         let model = Mlp::load(std::io::BufReader::new(std::fs::File::open(
             dir.join(persist::MODEL_FILE),
         )?))?;
         let mut opt = Optimizer::with_options(graphs, model, device, options);
         if state.tasks.len() != opt.tasks.len() {
-            return Err(bad("checkpoint task count does not match the network"));
+            return Err(invalid("checkpoint task count does not match the network"));
         }
-        for (task, snap) in opt.tasks.iter_mut().zip(state.tasks) {
-            task.restore(snap).map_err(bad)?;
+        // Hits go in before the warm-start prefix: the store serves only
+        // tasks the log left empty, so this rebuilds either attach order.
+        for (task, attached) in opt.tasks.iter_mut().zip(&state.tasks) {
+            if let Some((sk, vals, latency)) = &attached.hit {
+                if !task.fits(*sk, vals) {
+                    return Err(invalid("checkpoint schedule does not fit the task's sketches"));
+                }
+                task.record(*sk, vals.clone(), *latency);
+            }
+            task.warm_hints.clone_from(&attached.warm_hints);
         }
-        // `new() + advance(x)` is `0.0 + x`, which is bit-exact.
-        opt.clock.advance(state.clock_s);
-        opt.rng = StdRng::from_state(state.rng_state);
-        opt.rounds_done = state.rounds_done;
-        opt.history = state.history;
-        opt.checkpoint_dir = Some(dir.to_path_buf());
-        opt.checkpoint_every = state.checkpoint_every;
-        if let Some(log_path) = state.record_log {
-            opt.sink = Some(RecordLogSink::open(log_path, device.name)?);
+        let log_path =
+            state.record_log.as_ref().map_or_else(|| dir.join(persist::LOG_FILE), PathBuf::from);
+        let (sink, lines) = RecordLogSink::replay(log_path, device.name)?;
+        let (prefix, run) = lines
+            .split_at_checked(state.log_start)
+            .ok_or_else(|| invalid("the record log ends before the checkpointed run starts"))?;
+        if state.record_log.is_some() {
+            let records: Vec<_> = prefix.iter().cloned().filter_map(LogLine::into_record).collect();
+            for task in &mut opt.tasks {
+                persist::replay_records(task, &records, device.name);
+            }
         }
+        opt.replay_commits(run)?;
+        opt.attached = state.tasks;
+        opt.sink = Some(sink);
+        opt.committing = true;
         if let Some(store_path) = state.schedule_store {
-            // Reattached for publishing only: every task carries restored
-            // state, so `apply` would skip it anyway, and warm hints travel
-            // in the task snapshots.
+            // Reattached for publishing only: hits and warm hints came from
+            // the header above.
             let cache = ScheduleCache::open(store_path)?
                 .with_namespace(state.schedule_ns.as_deref().unwrap_or(""));
             opt.schedule_store = Some(cache);
         }
         Ok(opt)
+    }
+
+    /// Replays the round commits among `lines` in order: each commit's
+    /// claimed lines apply to its task, then the round's fine-tune re-runs
+    /// and the round counter, RNG, clock and curve point follow. Lines no
+    /// commit claims are skipped.
+    fn replay_commits(&mut self, lines: &[LogLine]) -> std::io::Result<()> {
+        let mut uncommitted = Vec::new();
+        for line in lines {
+            let LogLine::Round(round) = line else {
+                uncommitted.push(line);
+                continue;
+            };
+            if round.round != self.rounds_done {
+                return Err(invalid("the record log's round commits are out of sequence"));
+            }
+            let from = uncommitted.len().checked_sub(round.lines);
+            let (Some(from), Some(task)) = (from, self.tasks.get_mut(round.task)) else {
+                return Err(invalid("a round commit claims unwritten lines or a missing task"));
+            };
+            let key = task_key(&task.workload_key, self.sim.device.name);
+            let n_before = task.measured.len();
+            for line in uncommitted.drain(..).skip(from) {
+                match line {
+                    LogLine::Record(record) if persist::apply_record(task, record, key) => {}
+                    _ => return Err(invalid("a committed line does not fit its task")),
+                }
+            }
+            let n_new = persist::push_samples(task, n_before);
+            if n_new > 0 {
+                let opts = TuneOptions::default();
+                fine_tune_on_new_samples(&mut self.model, &task.samples, n_new, &opts);
+            }
+            task.rounds += 1;
+            // The round's curve point, as the round driver computes it.
+            let now = NetworkTuneResult::new(&self.tasks);
+            if now.unmeasured_tasks == 0 {
+                let latency_ms = now.final_latency_ms;
+                self.history.push(CurvePoint { time_s: round.clock_s, latency_ms });
+            }
+            // `new() + advance(x)` is `0.0 + x`, which is bit-exact.
+            self.clock = TuningClock::new();
+            self.clock.advance(round.clock_s);
+            self.rng = StdRng::from_state(round.rng);
+            self.rounds_done += 1;
+        }
+        Ok(())
     }
 
     /// Total tuning rounds completed (across resumes).
@@ -336,7 +423,7 @@ impl Optimizer {
     ///
     /// The rounds run one at a time (the scheduler and round pipeline carry
     /// no cross-call state), so with checkpointing enabled every publish
-    /// and checkpoint lands on a round boundary.
+    /// and commit lands on a round boundary.
     pub fn optimize_all(
         &mut self,
         n_total_rounds: usize,
@@ -347,8 +434,15 @@ impl Optimizer {
             fault_plan: self.proposer.options.fault_plan,
             ..Default::default()
         };
+        if let Some(dir) = self.checkpoint_dir.take() {
+            match self.write_checkpoint_base(&dir) {
+                Ok(()) => self.committing = true,
+                Err(e) => eprintln!("[felix] checkpoint write failed: {e}; checkpointing is off"),
+            }
+        }
         let mut res = NetworkTuneResult::new(&self.tasks);
-        for i in 0..n_total_rounds {
+        for _ in 0..n_total_rounds {
+            let task = select_next_task(&self.tasks);
             let round = tune_network_with_sink(
                 &mut self.tasks,
                 &mut self.proposer,
@@ -363,18 +457,17 @@ impl Optimizer {
             );
             self.history.extend(round.curve.iter().copied());
             res.append(round);
-            self.rounds_done += 1;
-            // Publish on the same boundary as the checkpoint so a killed
-            // run leaves its incumbents in the store.
-            if let (Some(_), Some(cache)) = (&self.checkpoint_dir, &mut self.schedule_store) {
-                cache.publish(&self.tasks, self.sim.device.name);
-            }
-            // (`save_checkpoint` is a no-op without `with_checkpointing`.)
-            if (i + 1) % self.checkpoint_every == 0 || i + 1 == n_total_rounds {
-                if let Err(e) = self.save_checkpoint() {
-                    eprintln!("[felix] checkpoint write failed: {e}");
+            if self.committing {
+                // Publish on the commit boundary so a killed run leaves its
+                // incumbents in the store.
+                if let Some(cache) = &mut self.schedule_store {
+                    cache.publish(&self.tasks, self.sim.device.name);
+                }
+                if let Some(sink) = &mut self.sink {
+                    sink.commit(self.rounds_done, task, self.rng.state(), self.clock.now_s());
                 }
             }
+            self.rounds_done += 1;
         }
         self.stats.extend(self.proposer.take_stats());
         if let Some(cache) = &mut self.schedule_store {
@@ -420,6 +513,11 @@ impl Optimizer {
         }
         CompiledModule { device: self.sim.device, kernels }
     }
+}
+
+/// An `InvalidData` error: a checkpoint that does not fit what resumes it.
+fn invalid(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
 /// One tuned kernel of a compiled module.

@@ -141,10 +141,10 @@ impl ScheduleCache {
 
     /// Applies the store to one *fresh* task (no measurements yet): exact
     /// hit → record the cached schedule; structural near-miss → set warm
-    /// hints. Tasks that already carry state (replayed log, restored
-    /// checkpoint) are left untouched — their own history dominates
-    /// anything the cache could add, and skipping them keeps resume
-    /// byte-identity trivial.
+    /// hints. Tasks that already carry state (a replayed log) are left
+    /// untouched — their own history dominates anything the cache could
+    /// add. A resume never calls this: the checkpoint header carries what
+    /// it applied.
     ///
     /// This touches neither any RNG nor the tuning clock.
     pub fn apply(&mut self, task: &mut SearchTask, device_name: &str) -> CacheOutcome {

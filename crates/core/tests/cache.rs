@@ -49,7 +49,6 @@ fn empty_schedule_store_is_bit_identical_at_every_thread_count() {
         assert_tasks_bit_identical(&plain, &cached);
         // The run still published its incumbents for future sessions.
         assert_eq!(cache.store().len(), cached.tasks().len());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -93,7 +92,6 @@ fn exact_hit_serves_schedule_without_rng_or_clock() {
     let module = hit.compile_with_best_configs();
     assert_eq!(module.kernels.len(), n_tasks);
     assert!((module.latency_ms() - tuned.compile_with_best_configs().latency_ms()).abs() < 1e-12);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -143,7 +141,6 @@ fn warm_start_from_structural_near_miss_is_deterministic() {
     assert_eq!(a.rng_state(), b.rng_state());
     assert_tasks_bit_identical(&a, &b);
     assert!(felix_ansor::network_latency(a.tasks()).is_finite());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -213,7 +210,6 @@ fn stale_generator_entries_are_clean_misses_and_retuned() {
     let cache = third.schedule_cache().expect("attached");
     assert!(cache.hits > 0, "re-published entries serve again");
     assert_eq!(cache.stale, 0);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -252,7 +248,6 @@ fn tenant_namespaces_isolate_schedule_lookups() {
         .with_schedule_store_namespaced(&store, "tenant-a")
         .expect("reopen store as tenant-a");
     assert_eq!(again.schedule_cache().expect("attached").hits, n_tasks);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -311,6 +306,4 @@ fn kill_and_resume_with_store_attached_stays_byte_identical() {
     let base_entries = entries(&base);
     assert_eq!(base_entries.len(), base.tasks().len());
     assert_eq!(base_entries, entries(&resumed));
-    std::fs::remove_dir_all(&base_dir).ok();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,9 @@
 
 use felix::{extract_subgraphs, FelixOptions, Optimizer};
 use felix_graph::models;
-use std::path::PathBuf;
+use std::io::ErrorKind;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub fn tiny_network() -> Vec<felix_graph::Task> {
@@ -22,15 +24,45 @@ pub fn quick_options(threads: usize) -> FelixOptions {
     FelixOptions { n_seeds: 2, n_steps: 15, threads, ..Default::default() }
 }
 
-/// A unique scratch directory per call (tests in one binary may run in
-/// parallel; directories must not collide).
-pub fn tmp_dir(tag: &str) -> PathBuf {
+/// A scratch directory this call created, so no earlier run's files can be
+/// in it: `create_dir` fails on an existing name, and the next counter
+/// value is tried instead. Removed on drop unless the test is panicking,
+/// so a failed test leaves its files behind to read.
+pub struct TmpDir(PathBuf);
+
+impl Deref for TmpDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TmpDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+}
+
+pub fn tmp_dir(tag: &str) -> TmpDir {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir =
-        std::env::temp_dir().join(format!("felix-core-test-{}-{n}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    loop {
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("felix-core-test-{}-{n}-{tag}", std::process::id()));
+        match std::fs::create_dir(&dir) {
+            Ok(()) => return TmpDir(dir),
+            Err(e) if e.kind() == ErrorKind::AlreadyExists => {}
+            Err(e) => panic!("create scratch dir {}: {e}", dir.display()),
+        }
+    }
 }
 
 pub fn history_bits(opt: &Optimizer) -> Vec<(u64, u64)> {

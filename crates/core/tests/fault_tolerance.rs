@@ -165,6 +165,5 @@ fn chaos_run_resumes_byte_identically_from_its_options_alone() {
         assert_eq!(history_bits(&resumed), history_bits(&base), "{threads} threads");
         assert_eq!(resumed.tuning_time_s().to_bits(), base.tuning_time_s().to_bits());
         assert_tasks_bit_identical(&base, &resumed);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

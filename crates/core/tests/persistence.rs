@@ -1,8 +1,10 @@
 //! End-to-end tests of the durable tuning-record store and crash-safe
 //! checkpoint/resume: resuming a killed run reproduces the uninterrupted
-//! time-vs-latency curve byte for byte, replaying a record log warm-starts
-//! a fresh optimizer, and — with the store disabled or the log empty — the
-//! persistence layer perturbs nothing at any thread count.
+//! time-vs-latency curve byte for byte — from a clean round boundary, from
+//! a log cut inside a round or its commit, and from a log whose appends
+//! started failing — replaying a record log warm-starts a fresh optimizer,
+//! and — with the store disabled or the log empty — the persistence layer
+//! perturbs nothing at any thread count.
 
 mod common;
 
@@ -12,6 +14,7 @@ use felix_ansor::SearchTask;
 use felix_graph::models;
 use felix_records::Json;
 use felix_sim::{DeviceConfig, FaultPlan};
+use std::path::Path;
 
 #[test]
 fn resume_from_checkpoint_matches_uninterrupted_curve() {
@@ -47,31 +50,79 @@ fn resume_from_checkpoint_matches_uninterrupted_curve() {
         assert_eq!(history_bits(&resumed), history_bits(&base), "{threads} threads");
         assert_eq!(resumed.tuning_time_s().to_bits(), base.tuning_time_s().to_bits());
         assert_tasks_bit_identical(&base, &resumed);
-        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A checkpointed optimizer over the tiny network, not yet run.
+fn checkpointed(dir: &Path, threads: usize) -> Optimizer {
+    let device = DeviceConfig::a5000();
+    let model = pretrained_cost_model(&device, ModelQuality::Fast);
+    Optimizer::with_options(tiny_network(), model, device, quick_options(threads))
+        .with_checkpointing(dir, 1)
+}
+
+fn resume(dir: &Path, threads: usize) -> std::io::Result<Optimizer> {
+    let device = DeviceConfig::a5000();
+    Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(threads), dir)
+}
+
+/// Resumes from `dir`, checks the resume stands at round `at`, finishes the
+/// run to `base`'s length and holds it to `base` bit for bit.
+fn assert_resumes_at(dir: &Path, at: usize, base: &Optimizer, threads: usize) {
+    let mut resumed = resume(dir, threads).expect("resume from checkpoint");
+    assert_eq!(resumed.rounds_done(), at);
+    resumed.optimize_all(base.rounds_done() - at, 4);
+    assert_eq!(history_bits(&resumed), history_bits(base), "{threads} threads");
+    assert_eq!(resumed.tuning_time_s().to_bits(), base.tuning_time_s().to_bits());
+    assert_eq!(resumed.rng_state(), base.rng_state());
+    assert_tasks_bit_identical(base, &resumed);
+}
+
+/// An uninterrupted run without persistence: the reference of every resume.
+fn uninterrupted(threads: usize) -> Optimizer {
+    let device = DeviceConfig::a5000();
+    let model = pretrained_cost_model(&device, ModelQuality::Fast);
+    let mut base = Optimizer::with_options(tiny_network(), model, device, quick_options(threads));
+    base.optimize_all(base.tasks().len() + 2, 4);
+    base
+}
+
+/// The line `line` (one JSON document) with `edit` applied to its field
+/// `key`.
+fn edit_field(line: &str, key: &str, edit: impl FnOnce(&mut Json)) -> String {
+    let Json::Obj(mut fields) = Json::parse(line).expect("parse line") else {
+        panic!("a log line is an object")
+    };
+    edit(&mut fields.iter_mut().find(|(k, _)| k == key).expect("field present").1);
+    Json::Obj(fields).write()
+}
+
+fn is_commit(line: &str) -> bool {
+    line.contains("\"kind\":\"round\"")
 }
 
 #[test]
 fn resume_rejects_mismatched_checkpoints() {
-    let device = DeviceConfig::a5000();
-    let model = pretrained_cost_model(&device, ModelQuality::Fast);
     let dir = tmp_dir("mismatch");
-    let mut opt = Optimizer::with_options(tiny_network(), model, device, quick_options(1))
-        .with_checkpointing(&dir, 1);
-    opt.optimize_all(1, 4);
+    checkpointed(&dir, 1).optimize_all(2, 4);
+    let device = DeviceConfig::a5000();
+    let refused = |what: &str| {
+        let err = resume(&dir, 1).err().unwrap_or_else(|| panic!("{what} must be refused"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+    };
     // Wrong device.
     let err = Optimizer::resume_from_checkpoint(
         tiny_network(),
         DeviceConfig::xavier_nx(),
         quick_options(1),
-        &dir,
+        &*dir,
     );
     assert!(err.is_err(), "device mismatch must be rejected");
     // Wrong network (different task set).
     let other = extract_subgraphs(&models::dcgan(1));
-    let err = Optimizer::resume_from_checkpoint(other, device, quick_options(1), &dir);
+    let err = Optimizer::resume_from_checkpoint(other, device, quick_options(1), &*dir);
     assert!(err.is_err(), "network mismatch must be rejected");
-    // Wrong sketch generator: the snapshots' sketch indices and variable
+    // Wrong sketch generator: the log's sketch indices and variable
     // vectors mean nothing under a generator that numbers sketches anew.
     let state = dir.join(felix::persist::STATE_FILE);
     let live = felix_tir::sketch::generator_hash();
@@ -80,61 +131,154 @@ fn resume_rejects_mismatched_checkpoints() {
         &format!("\"gen\":\"{live:016x}\""),
         &format!("\"gen\":\"{:016x}\"", !live),
     );
-    assert!(text != stale, "the checkpoint carries the live generator stamp");
+    assert!(text != stale, "the header carries the live generator stamp");
     std::fs::write(&state, stale).expect("rewrite state");
-    let err = Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
-        .err()
-        .expect("generator mismatch must be rejected");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    // Parseable checkpoints that do not fit the rebuilt tasks: a sketch
-    // index past the sketch count, a short `modes` array, a schedule one
-    // value short. Each is an error result, not a panic in the restore.
-    let doc = Json::parse(text.trim_end()).expect("parse state");
-    let good = felix::persist::checkpoint_from_json(&doc).expect("decode state");
-    let tuned = good.tasks.iter().position(|t| !t.measured.is_empty()).expect("a measured task");
-    let mut corrupt = [good.clone(), good.clone(), good];
-    corrupt[0].tasks[tuned].measured[0].0 = 99;
-    corrupt[1].tasks[tuned].sketch_modes.pop();
-    corrupt[2].tasks[tuned].measured[0].1.pop();
-    for state_doc in &corrupt {
-        let json = felix::persist::checkpoint_to_json(state_doc);
-        felix_records::write_document(&state, &json).expect("rewrite state");
-        let err = Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
-            .err()
-            .expect("an ill-fitting checkpoint must be rejected");
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    refused("a generator mismatch");
+    // A version-6 document, whatever it holds, is refused, not half-read.
+    let v6 = edit_field(text.trim_end(), "version", |v| *v = Json::Num(6.0));
+    std::fs::write(&state, v6).expect("write v6 state");
+    refused("a version-6 checkpoint");
+    std::fs::write(&state, &text).expect("restore state");
+
+    // Logs whose commits do not fit the rebuilt tasks: a round naming a
+    // task the network does not have, and a committed measurement one
+    // value short of its sketch. Each is an error result, not a panic in
+    // the replay.
+    let log = dir.join(felix::persist::LOG_FILE);
+    let good = std::fs::read_to_string(&log).expect("read log");
+    let lines: Vec<&str> = good.lines().collect();
+    let commit = lines.iter().position(|l| is_commit(l)).expect("a committed round");
+    assert!(commit > 0, "round 0 measured something");
+    let corrupt = [
+        (commit, edit_field(lines[commit], "task", |t| *t = Json::Num(99.0))),
+        (commit - 1, edit_field(lines[commit - 1], "values", |v| {
+            let Json::Arr(values) = v else { panic!("values is an array") };
+            values.pop();
+        })),
+    ];
+    for (at, line) in corrupt {
+        let mut bad = lines.clone();
+        bad[at] = &line;
+        std::fs::write(&log, bad.join("\n") + "\n").expect("rewrite log");
+        refused(&format!("a corrupt line {at}"));
     }
-    // A version-5 document: this state plus the per-task fields version 6
-    // recomputes on restore instead of storing. Refused, not half-read.
-    let Json::Obj(mut fields) = doc else { panic!("state is an object") };
-    for (key, value) in &mut fields {
-        match (key.as_str(), value) {
-            ("version", value) => *value = Json::Num(5.0),
-            ("tasks", Json::Arr(tasks)) => {
-                for task in tasks {
-                    let Json::Obj(task) = task else { panic!("task is an object") };
-                    let counts = ["build_errors", "timeouts", "device_errors", "retries"]
-                        .map(|k| (k, Json::Num(0.0)));
-                    task.extend([
-                        ("best_latency_ms".into(), Json::f64_bits(f64::INFINITY)),
-                        ("best_schedule".into(), Json::Null),
-                        ("fault_stats".into(), Json::obj(counts.to_vec())),
-                        ("quarantined".into(), Json::Arr(Vec::new())),
-                    ]);
+    std::fs::write(&log, &good).expect("restore log");
+    resume(&dir, 1).expect("the untouched checkpoint resumes");
+}
+
+#[test]
+fn model_file_is_the_base_model_written_once() {
+    let dir = tmp_dir("model-once");
+    let device = DeviceConfig::a5000();
+    let mut base_bytes = Vec::new();
+    pretrained_cost_model(&device, ModelQuality::Fast).save(&mut base_bytes).expect("save");
+    let mut opt = checkpointed(&dir, 1);
+    let model_file = dir.join(felix::persist::MODEL_FILE);
+    opt.optimize_all(1, 4);
+    assert_eq!(std::fs::read(&model_file).expect("read model"), base_bytes);
+    let modified = std::fs::metadata(&model_file).and_then(|m| m.modified()).expect("mtime");
+    opt.optimize_all(opt.tasks().len() + 1, 4);
+    assert_eq!(std::fs::read(&model_file).expect("read model"), base_bytes);
+    assert_eq!(std::fs::metadata(&model_file).and_then(|m| m.modified()).expect("mtime"), modified);
+    opt.save_checkpoint().expect("every round is committed: a no-op");
+}
+
+#[test]
+fn uncommitted_and_torn_rounds_resume_to_the_last_commit() {
+    // The kill windows, made deterministic: a log ending in a round's
+    // lines without their commit, and one ending in half a commit. Each
+    // resumes to the round before, continues byte-identically, and leaves
+    // the dropped lines in the log, where a second resume skips them.
+    let threads = 2;
+    let base = uninterrupted(threads);
+    let m = base.rounds_done() / 2;
+    for torn in [false, true] {
+        let dir = tmp_dir("kill-window");
+        checkpointed(&dir, threads).optimize_all(m + 1, 4);
+        let log = dir.join(felix::persist::LOG_FILE);
+        let bytes = std::fs::read(&log).expect("read log");
+        let text = String::from_utf8(bytes.clone()).expect("utf-8 log");
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(is_commit(lines[lines.len() - 1]) && !is_commit(lines[lines.len() - 2]));
+        let commit_start = bytes.len() - lines[lines.len() - 1].len() - 1;
+        let cut = if torn { commit_start + lines[lines.len() - 1].len() / 2 } else { commit_start };
+        std::fs::write(&log, &bytes[..cut]).expect("cut the log");
+        assert_resumes_at(&dir, m, &base, threads);
+        let after = std::fs::read(&log).expect("read log");
+        assert_eq!(&after[..cut], &bytes[..cut], "the log is only ever appended to");
+        assert_resumes_at(&dir, base.rounds_done(), &base, threads);
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn failed_append_resumes_to_the_last_round_whose_lines_landed() {
+    // The log is a FIFO whose reader keeps what lands, then closes its end
+    // after round m's commit: every later append fails with `EPIPE`. The
+    // run goes on unperturbed but commits nothing more, and the landed
+    // lines resume to round m.
+    use std::io::{BufRead, Write};
+    let threads = 1;
+    let base = uninterrupted(threads);
+    let m = base.rounds_done() / 2;
+    let dir = tmp_dir("closed-fifo");
+    let log = dir.join(felix::persist::LOG_FILE);
+    let landed = dir.join("landed.jsonl");
+    let made = std::process::Command::new("mkfifo").arg(&log).status().expect("run mkfifo");
+    assert!(made.success());
+    let reader = {
+        let (log, landed) = (log.clone(), landed.clone());
+        std::thread::spawn(move || {
+            let fifo = std::io::BufReader::new(std::fs::File::open(log).expect("open read end"));
+            let mut out = std::fs::File::create(landed).expect("create copy");
+            let mut commits = 0;
+            for line in fifo.lines() {
+                let line = line.expect("read fifo");
+                writeln!(out, "{line}").expect("copy line");
+                commits += usize::from(is_commit(&line));
+                if commits == m {
+                    break;
                 }
             }
-            _ => {}
-        }
-    }
-    felix_records::write_document(&state, &Json::Obj(fields)).expect("write v5 state");
-    let err = Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
-        .err()
-        .expect("a version-5 checkpoint must be rejected");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    std::fs::write(&state, text).expect("restore state");
-    Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(1), &dir)
-        .expect("the untouched checkpoint resumes");
-    std::fs::remove_dir_all(&dir).ok();
+        })
+    };
+    let mut opt = checkpointed(&dir, threads);
+    opt.optimize_all(m, 4);
+    reader.join().expect("reader thread");
+    opt.save_checkpoint().expect("every round so far is committed");
+    opt.optimize_all(base.rounds_done() - m, 4);
+    assert!(opt.save_checkpoint().is_err(), "the failed append is reported");
+    assert_eq!(history_bits(&opt), history_bits(&base), "a failed log perturbs nothing");
+    assert_tasks_bit_identical(&base, &opt);
+    std::fs::rename(&landed, &log).expect("the landed lines become the log");
+    assert_resumes_at(&dir, m, &base, threads);
+}
+
+#[test]
+fn resume_replays_the_warm_start_prefix() {
+    // A checkpointed run that started from an existing log: resume replays
+    // the lines before the run's start as the warm start did, then the
+    // run's own commits.
+    let device = DeviceConfig::a5000();
+    let model = pretrained_cost_model(&device, ModelQuality::Fast);
+    let dir = tmp_dir("warm-prefix");
+    let log = dir.join("shared.jsonl");
+    let mut earlier =
+        Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(1))
+            .with_record_log(&log)
+            .expect("open record log");
+    earlier.optimize_all(3, 4);
+    let mut warm = Optimizer::with_options(tiny_network(), model, device, quick_options(1))
+        .with_record_log(&log)
+        .expect("replay record log")
+        .with_checkpointing(dir.join("ckpt"), 1);
+    warm.optimize_all(4, 4);
+    let resumed = resume(&dir.join("ckpt"), 1).expect("resume from checkpoint");
+    assert_eq!(resumed.rounds_done(), 4);
+    assert_eq!(history_bits(&resumed), history_bits(&warm));
+    assert_eq!(resumed.rng_state(), warm.rng_state());
+    assert_eq!(resumed.tuning_time_s().to_bits(), warm.tuning_time_s().to_bits());
+    assert_tasks_bit_identical(&warm, &resumed);
 }
 
 #[test]
@@ -168,7 +312,6 @@ fn empty_record_log_is_bit_identical_at_every_thread_count() {
         let outcomes: usize =
             logged.tasks().iter().map(|t| t.measured.len() + t.failed.len()).sum();
         assert_eq!(measurements, outcomes);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -192,7 +335,6 @@ fn record_log_replay_warm_starts_a_fresh_optimizer() {
         .with_record_log(&log)
         .expect("replay record log");
     assert_tasks_bit_identical(&tuned, &replayed);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -222,5 +364,4 @@ fn chaos_record_log_replay_restores_fault_state() {
             assert_eq!(ta.is_quarantined(sketch), tb.is_quarantined(sketch));
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

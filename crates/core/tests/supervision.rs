@@ -177,7 +177,6 @@ fn assert_degraded_run_thread_parity(tag: &str, model: &Mlp, options: FelixOptio
         assert!(log == serial_log, "record log differs at {threads} threads");
         assert_eq!(counters(opt), counters(serial), "stats differ at {threads} threads");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -252,7 +251,6 @@ fn killed_degraded_run_resumes_byte_identically() {
         uninterrupted.tuning_time_s().to_bits()
     );
     assert_tasks_bit_identical(&uninterrupted, &resumed);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -291,5 +289,4 @@ fn health_records_replay_restores_degradation_state() {
     for (ta, tb) in tuned.tasks().iter().zip(replayed.tasks()) {
         assert_eq!(ta.sketch_modes(), tb.sketch_modes(), "modes replay from the log");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

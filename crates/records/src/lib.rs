@@ -6,13 +6,14 @@
 //! same property with two primitives:
 //!
 //! - [`RecordLog`] — an append-only JSONL log of every hardware measurement
-//!   (one [`TuningRecord`] per line). A crash loses at most the record
-//!   being written; the reader recovers the intact prefix of a truncated
-//!   log without error.
+//!   (one [`TuningRecord`] per line), supervisor decision ([`HealthRecord`])
+//!   and, for a checkpointed run, round commit ([`RoundRecord`]). A crash
+//!   loses at most the record being written; the reader recovers the
+//!   intact prefix of a truncated log without error.
 //! - [`write_document`] / [`read_document`] — crash-safe whole-document
-//!   persistence for checkpoints: the document is written to a temporary
-//!   file, fsynced, and renamed into place, so a reader never observes a
-//!   torn checkpoint.
+//!   persistence for a checkpoint's header: the document is written to a
+//!   temporary file, fsynced, and renamed into place, so a reader never
+//!   observes a torn one.
 //!
 //! [`RecordLog`], [`ScheduleStore`] and [`JobWal`]/[`JobQueue`] are typed
 //! faces over one private JSONL engine (`log.rs`), which alone knows the
@@ -227,6 +228,92 @@ pub enum Record {
     Health(HealthRecord),
 }
 
+/// Version of the round-record wire format; readers skip other versions.
+pub const ROUND_RECORD_VERSION: usize = 1;
+
+/// A checkpointed run's commit of one tuning round, appended after the
+/// round's lines: it claims the `lines` intact lines right before it, and
+/// carries the RNG and clock the lines cannot. Lines no commit claims (a
+/// killed round's, a torn tail) are not part of the run.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RoundRecord {
+    /// Round number, 0-based across resumes.
+    pub round: usize,
+    /// Index of the task the round tuned.
+    pub task: usize,
+    /// Lines the round appended before this one.
+    pub lines: usize,
+    /// Master RNG state after the round (xoshiro256++ words).
+    pub rng: [u64; 4],
+    /// Simulated tuning-clock seconds after the round.
+    pub clock_s: f64,
+}
+
+impl RoundRecord {
+    /// Serializes the record as a single JSON line (no newline).
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("kind", Json::Str("round".to_string())),
+            ("v", Json::Num(ROUND_RECORD_VERSION as f64)),
+            ("round", Json::Num(self.round as f64)),
+            ("task", Json::Num(self.task as f64)),
+            ("lines", Json::Num(self.lines as f64)),
+            ("rng", Json::Arr(self.rng.iter().map(|&w| Json::u64_hex(w)).collect())),
+            ("clock_s", Json::f64_bits(self.clock_s)),
+        ])
+    }
+
+    /// Decodes a round record; `None` for other lines and other versions.
+    pub fn from_json(doc: &Json) -> Option<RoundRecord> {
+        let version = doc.get("v")?.as_usize()?;
+        if doc.get("kind")?.as_str()? != "round" || version != ROUND_RECORD_VERSION {
+            return None;
+        }
+        let rng = doc.get("rng")?.as_arr()?.iter().map(Json::as_u64_hex);
+        Some(RoundRecord {
+            round: doc.get("round")?.as_usize()?,
+            task: doc.get("task")?.as_usize()?,
+            lines: doc.get("lines")?.as_usize()?,
+            rng: rng.collect::<Option<Vec<u64>>>()?.try_into().ok()?,
+            clock_s: doc.get("clock_s")?.as_f64_bits()?,
+        })
+    }
+}
+
+/// One intact line of a record log. Every line counts toward a round
+/// commit's claim, whatever it holds.
+#[derive(Clone, Debug, PartialEq)]
+pub enum LogLine {
+    /// A measurement or health line.
+    Record(Record),
+    /// A round commit.
+    Round(RoundRecord),
+    /// A line of no known kind or version.
+    Unknown,
+}
+
+impl LogLine {
+    /// Measurement lines carry no `kind` field; any line *with* a kind is
+    /// dispatched on it, so a future kind is skipped rather than misparsed
+    /// as a measurement.
+    fn decode(doc: &Json) -> LogLine {
+        let line = match doc.get("kind").map(Json::as_str) {
+            None => TuningRecord::from_json(doc).map(|r| LogLine::Record(Record::Measurement(r))),
+            Some(Some("round")) => RoundRecord::from_json(doc).map(LogLine::Round),
+            Some(_) => HealthRecord::from_json(doc).map(|r| LogLine::Record(Record::Health(r))),
+        };
+        line.unwrap_or(LogLine::Unknown)
+    }
+
+    /// The measurement or health record on this line, if any.
+    pub fn into_record(self) -> Option<Record> {
+        match self {
+            LogLine::Record(record) => Some(record),
+            LogLine::Round(_) | LogLine::Unknown => None,
+        }
+    }
+}
+
 /// The 64-bit FNV-1a offset basis: the `h` a fresh [`fnv1a`] hash starts
 /// from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -295,29 +382,40 @@ impl RecordLog {
     pub fn append_health(&mut self, record: &HealthRecord) -> std::io::Result<()> {
         self.log.append(&record.to_json())
     }
+
+    /// Appends one round commit, with the same durability as
+    /// [`RecordLog::append`].
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from writing.
+    pub fn append_round(&mut self, record: &RoundRecord) -> std::io::Result<()> {
+        self.log.append(&record.to_json())
+    }
 }
 
 /// Reads every intact line of a mixed log at `path` — measurements and
 /// health reports, in append order, including lines appended by earlier
 /// processes. A missing file reads as an empty log. A truncated or corrupt
-/// tail is ignored; torn middle lines (e.g. from concurrent writers) and
-/// unknown-kind lines are skipped line-wise the same way.
+/// tail is ignored; torn middle lines (e.g. from concurrent writers),
+/// round commits and unknown-kind lines are skipped line-wise the same way.
 ///
 /// # Errors
 ///
 /// Returns I/O errors other than the file not existing.
 pub fn read_all_records(path: impl AsRef<Path>) -> std::io::Result<Vec<Record>> {
+    Ok(read_log(path)?.into_iter().filter_map(LogLine::into_record).collect())
+}
+
+/// Reads every intact line of the log at `path` in append order, by
+/// [`read_all_records`]' rules, each decoded as a [`LogLine`].
+///
+/// # Errors
+///
+/// Returns I/O errors other than the file not existing.
+pub fn read_log(path: impl AsRef<Path>) -> std::io::Result<Vec<LogLine>> {
     let mut out = Vec::new();
-    // Measurement lines carry no `kind` field; any line *with* a kind is
-    // dispatched on it, so a future kind is skipped rather than misparsed
-    // as a measurement.
-    log::read(path.as_ref(), |doc| {
-        let rec = match doc.get("kind") {
-            None => TuningRecord::from_json(doc).map(Record::Measurement),
-            Some(_) => HealthRecord::from_json(doc).map(Record::Health),
-        };
-        out.extend(rec);
-    })?;
+    log::read(path.as_ref(), |doc| out.push(LogLine::decode(doc)))?;
     Ok(out)
 }
 
@@ -426,27 +524,67 @@ mod tests {
         }
     }
 
+    fn sample_round(round: usize) -> RoundRecord {
+        RoundRecord {
+            round,
+            task: round % 3,
+            lines: round + 1,
+            rng: [1, u64::MAX, 0xDEAD_BEEF, round as u64],
+            clock_s: 0.1 + 0.2 * round as f64,
+        }
+    }
+
     #[test]
     fn record_log_recovers_the_intact_prefix_at_every_truncation() {
-        let records: Vec<Record> = (0..9)
+        let lines: Vec<LogLine> = (0..9)
             .map(|i| match i % 3 {
-                2 => Record::Health(sample_health(i)),
-                _ => Record::Measurement(sample_record(i)),
+                0 => LogLine::Record(Record::Measurement(sample_record(i))),
+                1 => LogLine::Record(Record::Health(sample_health(i))),
+                _ => LogLine::Round(sample_round(i)),
             })
             .collect();
         every_truncation_recovers_the_intact_prefix(
             8,
             |path, i| {
                 let mut log = RecordLog::open(path).expect("open");
-                match &records[i] {
-                    Record::Measurement(m) => log.append(m),
-                    Record::Health(h) => log.append_health(h),
+                match &lines[i] {
+                    LogLine::Record(Record::Measurement(m)) => log.append(m),
+                    LogLine::Record(Record::Health(h)) => log.append_health(h),
+                    LogLine::Round(r) => log.append_round(r),
+                    LogLine::Unknown => unreachable!("no unknown lines are written"),
                 }
                 .expect("append");
             },
-            |path| read_all_records(path).expect("read"),
-            |survivors| survivors.iter().map(|&i| records[i].clone()).collect(),
+            |path| read_log(path).expect("read"),
+            |survivors| survivors.iter().map(|&i| lines[i].clone()).collect(),
         );
+    }
+
+    #[test]
+    fn round_records_round_trip_bit_exactly_and_stay_out_of_the_records() {
+        let path = tmp_path("rounds");
+        let mut log = RecordLog::open(&path).expect("open");
+        log.append(&sample_record(1)).expect("append");
+        log.append_round(&sample_round(0)).expect("append");
+        log.append_round(&sample_round(1)).expect("append");
+        let mut other = sample_round(2).to_json();
+        let Json::Obj(fields) = &mut other else { panic!("obj") };
+        fields[1].1 = Json::Num((ROUND_RECORD_VERSION + 1) as f64);
+        log.log.append(&other).expect("append");
+        assert_eq!(
+            read_log(&path).expect("read"),
+            vec![
+                LogLine::Record(Record::Measurement(sample_record(1))),
+                LogLine::Round(sample_round(0)),
+                LogLine::Round(sample_round(1)),
+                LogLine::Unknown,
+            ]
+        );
+        assert_eq!(
+            read_all_records(&path).expect("read"),
+            vec![Record::Measurement(sample_record(1))]
+        );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! 1. every job is WAL-logged (flushed) before it is acknowledged, so the
 //!    pending set survives any crash;
-//! 2. workers checkpoint after every round and derive all scheduling
-//!    decisions from durable state only;
+//! 2. every round of a job commits one line to the job's record log, a
+//!    restart resumes the job by replaying its committed rounds, and
+//!    workers derive all scheduling decisions from durable state only;
 //! 3. a job's result travels in its terminal WAL record, and finalization
 //!    is idempotent.
 //!

@@ -7,13 +7,16 @@
 //! job reads its tenant's schedule store once, when it first starts, and
 //! never again. Stores are written at finalize, and a `warm_cache` job
 //! also publishes at the end of every round (its optimizer carries the
-//! store, and `Optimizer::optimize_all` publishes on each checkpoint
-//! boundary), but no running job reads those writes. So each job's
-//! result depends on its spec and its start alone — never on how ticks
-//! interleave. That independence, plus per-round checkpoints and the
-//! WAL'd pending set, is why a shard killed at any instant finishes every
-//! job byte-identically after restart, whatever the scheduler did around
-//! the kill.
+//! store, and `Optimizer::optimize_all` publishes on each round commit),
+//! but no running job reads those writes. So each job's result depends on
+//! its spec and its start alone — never on how ticks interleave. That
+//! independence, plus the WAL'd pending set and each job's checkpoint, is
+//! why a shard killed at any instant finishes every job byte-identically
+//! after restart, whatever the scheduler did around the kill. A job's
+//! checkpoint is its directory's record log: every round ends with a
+//! commit line, and a restart replays the committed rounds onto the base
+//! model written before the first one, dropping the lines of a round the
+//! kill cut short.
 //!
 //! ## Fairness
 //!
@@ -84,8 +87,8 @@ pub enum StepOutcome {
     /// document, is ready for the WAL.
     Finished(JobRecord),
     /// The job's tick panicked. The job was dropped from the shard (its
-    /// in-memory optimizer state is suspect; the on-disk checkpoint from
-    /// the last round boundary is not) and stays pending — the caller
+    /// in-memory optimizer state is suspect; the rounds its log committed
+    /// are not) and stays pending — the caller
     /// must count the crash durably so a repeat offender quarantines.
     Crashed(u64),
 }
@@ -163,9 +166,9 @@ impl Shard {
     /// Builds a job's optimizer at its last durable round boundary: the
     /// checkpoint resumed if one exists, a fresh optimizer otherwise.
     /// `to_run` says the job is about to tick, so a fresh optimizer gets
-    /// per-round checkpointing and (for `warm_cache` specs) the tenant's
-    /// schedule store; without it the optimizer is only read for its result
-    /// document, which must depend on the checkpoint alone.
+    /// checkpointing (every round commits) and (for `warm_cache` specs) the
+    /// tenant's schedule store; without it the optimizer is only read for
+    /// its result document, which must depend on the checkpoint alone.
     fn open_job(&self, job: &SubmittedJob, to_run: bool) -> Result<ActiveJob, String> {
         let spec = JobSpec::from_json(&job.spec)?;
         let device = spec.resolve_device()?;
@@ -226,7 +229,7 @@ impl Shard {
 
     /// Finalizes any active jobs named in `verdicts` (cancel/expire,
     /// honored between ticks) from their current in-memory state — which
-    /// equals their last checkpoint, since checkpoints land every round.
+    /// equals their checkpoint, since every round commits.
     /// Returns the terminal records, in active (adoption) order.
     pub fn sweep_active(&mut self, verdicts: &BTreeMap<u64, JobOutcome>) -> Vec<JobRecord> {
         let mut out = Vec::new();

@@ -7,6 +7,9 @@
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
+use common::tmp_dir;
 use felix_records::JobRecord;
 use felix_serve::JobSpec;
 use std::fs::{File, OpenOptions};
@@ -19,13 +22,12 @@ fn failed_worker_commit_is_reported_and_drains_the_daemon() {
     if std::env::var("FELIX_SKIP_CRASH_TESTS").is_ok() {
         return;
     }
-    let dir = std::env::temp_dir().join(format!("felix-serve-epipe-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let dir = tmp_dir("epipe");
     let wal = dir.join("wal.jsonl");
     assert!(Command::new("mkfifo").arg(&wal).status().expect("run mkfifo").success());
     let mut child = Command::new(env!("CARGO_BIN_EXE_felix-served"))
         .arg("--data-dir")
-        .arg(&dir)
+        .arg(&*dir)
         .args(["--addr", "127.0.0.1:0", "--shards", "1"])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -61,5 +63,4 @@ fn failed_worker_commit_is_reported_and_drains_the_daemon() {
     child.stderr.take().expect("child stderr").read_to_string(&mut log).expect("read stderr");
     assert!(status.success(), "drain must be a clean exit: {status:?}\n{log}");
     assert!(log.contains("append for job 0000000000000000 failed, draining"), "{log}");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,12 +11,14 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::tmp_dir;
 use felix_records::{read_job_records, Json, QueueState};
 use felix_serve::{Client, JobSpec, WAL_FILE};
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const DEVICE: &str = "RTX A5000";
@@ -29,18 +31,6 @@ fn skip() -> bool {
         return true;
     }
     false
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "felix-serve-crash-{}-{}-{tag}",
-        std::process::id(),
-        n
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
 }
 
 struct Daemon {

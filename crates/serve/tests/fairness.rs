@@ -2,29 +2,19 @@
 //! tenant with many, and a shard serving a single job is bit-identical
 //! to calling the in-process `optimize_all` path directly.
 
+mod common;
+
+use common::tmp_dir;
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::network_latency;
 use felix_graph::models;
 use felix_records::jobs::SubmittedJob;
 use felix_records::{read_job_records, JobRecord, JobWal, Json, QueueState};
 use felix_serve::{JobSpec, Shard, StepOutcome, WAL_FILE};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 
 const DEVICE: &str = "RTX A5000";
 const LLAMA_TINY: [i64; 6] = [1, 16, 128, 4, 344, 2];
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "felix-serve-fair-{}-{}-{tag}",
-        std::process::id(),
-        n
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
 
 fn submitted(job_id: u64, tenant: &str, rounds: usize) -> SubmittedJob {
     SubmittedJob {

@@ -7,22 +7,25 @@
 //! five seeded chaos runs of the same three-job scenario (one job that
 //! completes, one that is cancelled before it ever runs, one that
 //! expires on a zero deadline), each chaos run SIGKILLed twice at
-//! seeded-random instants — including immediately after a restart, which
-//! lands inside the startup WAL-compaction/replay window. Every run must
-//! reach the same terminal states with **byte-identical** result
-//! documents.
+//! seeded-random instants — including immediately after a restart's
+//! listening banner, which prints once `Server::start` has returned, so
+//! after the startup WAL compaction and replay, while the first jobs are
+//! being adopted and resumed. Every run must reach the same terminal
+//! states with **byte-identical** result documents.
 //!
 //! Unix-only and skippable with `FELIX_SKIP_CRASH_TESTS=1`, like
 //! crash_resume.
 
 #![cfg(unix)]
 
+mod common;
+
+use common::tmp_dir;
 use felix_records::{read_job_records, JobOutcome, JobRecord, JobWal, Json, QueueState};
 use felix_serve::{Client, ClientError, JobSpec};
 use std::io::{BufRead, BufReader};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const DEVICE: &str = "RTX A5000";
@@ -35,18 +38,6 @@ fn skip() -> bool {
         return true;
     }
     false
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "felix-serve-life-{}-{}-{tag}",
-        std::process::id(),
-        n
-    ));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
 }
 
 fn tiny_spec(rounds: usize) -> JobSpec {

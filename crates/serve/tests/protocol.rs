@@ -4,6 +4,9 @@
 //! panic, never a hang — and a spec asking for more than the `MAX_*` bounds
 //! is refused at decode, before the daemon writes anything.
 
+mod common;
+
+use common::tmp_dir;
 use felix_records::Json;
 use felix_serve::{
     read_frame, write_frame, Client, ClientError, FrameError, JobRow, JobSpec, Request,
@@ -310,8 +313,8 @@ fn specs_over_a_limit_are_rejected_at_decode() {
 
 #[test]
 fn an_over_limit_submit_is_refused_before_the_wal() {
-    let dir = std::env::temp_dir().join(format!("felix-serve-overlimit-{}", std::process::id()));
-    let server = Server::start(&ServeConfig::new("127.0.0.1:0", &dir, 1)).expect("start");
+    let dir = tmp_dir("overlimit");
+    let server = Server::start(&ServeConfig::new("127.0.0.1:0", &*dir, 1)).expect("start");
     let wal = dir.join(WAL_FILE);
     let before = std::fs::read(&wal).expect("wal exists after start");
     let mut client = Client::connect(server.addr).expect("connect");
@@ -327,5 +330,4 @@ fn an_over_limit_submit_is_refused_before_the_wal() {
     assert!(client.list().expect("list").is_empty(), "nothing was queued");
     assert_eq!(std::fs::read(&wal).expect("wal"), before, "the WAL was touched");
     server.shutdown_and_wait();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI gate: release build, the tier-1 line (`cargo test -q` at the root runs
-# the root package's 14 integration tests only), clippy and rustdoc with
-# warnings denied, then every crate's own suite under a time budget, the
-# ledger smoke, the non-test line count, the `too_many_arguments` allow
-# count and the count of items kept only for the frozen ledger. Nothing
+# CI gate: release build, clippy and rustdoc with warnings denied, then the
+# tier-1 line — `cargo test -q` at the root, which runs every crate's suite
+# (the root manifest's `default-members` lists them all) — one crate at a
+# time under a time budget, so each suite runs once. Then the ledger smoke,
+# the non-test line count, the `too_many_arguments` allow count and the
+# count of items kept only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
 # must read the same at the end as at the start, or the script fails and
 # prints the change.
@@ -13,20 +14,20 @@ cd "$(dirname "$0")/.."
 status_before=$(git status --porcelain)
 
 cargo build --release
-cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 # Broken or private intra-doc links fail here, not in a reader's browser.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# The full suite, one crate at a time, each under a test-time budget: no
+# The tier-1 suites, one crate at a time, each under a test-time budget: no
 # single crate's suite may exceed 60s of wall-clock, so a regression fails
-# CI rather than silently rotting back to multi-minute runs. Test binaries
-# are built first, so the loop measures execution, not compilation. Every
-# named scenario — chaos tuning, kill-and-resume, descent supervision, the
-# schedule cache, the serve crash/lifecycle harness (Unix-only,
-# FELIX_SKIP_CRASH_TESTS=1 to skip) — runs here, once. The crate list is
-# every package manifest in the workspace (the root package plus
-# crates/*), so a new crate cannot slip past the budget.
+# CI rather than silently rotting back to multi-minute runs. Together they
+# are exactly what `cargo test -q` runs. Test binaries are built first, so
+# the loop measures execution, not compilation. Every named scenario —
+# chaos tuning, kill-and-resume, descent supervision, the schedule cache,
+# the serve crash/lifecycle harness (Unix-only, FELIX_SKIP_CRASH_TESTS=1
+# to skip) — runs here, once. The crate list is every package manifest in
+# the workspace (the root package plus crates/*), so a new crate cannot
+# slip past the budget.
 cargo test -q --workspace --no-run
 BUDGET_S=60
 for manifest in Cargo.toml crates/*/Cargo.toml; do
