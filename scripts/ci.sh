@@ -2,7 +2,8 @@
 # CI gate: release build, clippy and rustdoc with warnings denied, then the
 # tier-1 line — `cargo test -q` at the root, which runs every crate's suite
 # (the root manifest's `default-members` lists them all) — one crate at a
-# time under a time budget, so each suite runs once. Then the ledger smoke,
+# time under a time budget, so each suite runs once. Then the pinned golden
+# run under the release profile, the ledger smoke,
 # the non-test line count, the `too_many_arguments` allow count and the
 # count of items kept only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
@@ -47,6 +48,11 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
         exit 1
     fi
 done
+
+# The pinned golden run once more under the release profile. Tests build
+# five numeric crates at opt-level 2 and the rest at 0, the ledger builds
+# everything at release; the pinned hashes must hold in both.
+cargo test -q --release --test golden_run
 
 # Ledger smoke: every benchmark workload, untraced then traced, CI-sized.
 # Gates on the ledger's output checks only (`correct: true`, no failed
