@@ -29,11 +29,6 @@ use felix_records::{fnv1a, task_key, ScheduleStore, StoredSchedule, FNV_OFFSET};
 use felix_tir::sketch::{generator_hash, generator_is_current, round_to_valid};
 use std::path::Path;
 
-/// Separator between a tenant namespace and the workload key in stored
-/// entries: the ASCII unit separator, which no workload key contains, so
-/// scoped and unscoped keys can never collide.
-const NS_SEP: char = '\u{1f}';
-
 /// Hash of a task's sketch *structure*: the sketch names and schedule
 /// variable counts, in order — deliberately excluding loop extents, so two
 /// instances of the same operator class at different sizes collide (that
@@ -65,10 +60,6 @@ pub enum CacheOutcome {
 #[derive(Debug)]
 pub struct ScheduleCache {
     store: ScheduleStore,
-    /// Tenant namespace scoping every lookup and publish (see
-    /// [`ScheduleCache::with_namespace`]); `None` = the unscoped global
-    /// namespace used by single-tenant runs.
-    namespace: Option<String>,
     /// Tasks served an exact cached schedule at attach time.
     pub hits: usize,
     /// Tasks seeded with a structural warm-start hint at attach time.
@@ -88,26 +79,10 @@ impl ScheduleCache {
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<ScheduleCache> {
         Ok(ScheduleCache {
             store: ScheduleStore::open(path)?,
-            namespace: None,
             hits: 0,
             warm_starts: 0,
             stale: 0,
         })
-    }
-
-    /// Scopes every lookup and publish to tenant namespace `ns`: entries
-    /// are keyed under `"{ns}\u{1f}{workload_key}"`, so tenants sharing a
-    /// store file can neither hit nor warm-start from each other's
-    /// schedules. An empty `ns` means the unscoped global namespace.
-    #[must_use]
-    pub fn with_namespace(mut self, ns: &str) -> ScheduleCache {
-        self.namespace = if ns.is_empty() { None } else { Some(ns.to_string()) };
-        self
-    }
-
-    /// The tenant namespace, if any.
-    pub fn namespace(&self) -> Option<&str> {
-        self.namespace.as_deref()
     }
 
     /// The store's path.
@@ -118,25 +93,6 @@ impl ScheduleCache {
     /// The underlying store.
     pub fn store(&self) -> &ScheduleStore {
         &self.store
-    }
-
-    /// The stored (possibly namespace-scoped) workload key for a task.
-    fn scoped(&self, workload_key: &str) -> String {
-        match &self.namespace {
-            Some(ns) => format!("{ns}{NS_SEP}{workload_key}"),
-            None => workload_key.to_string(),
-        }
-    }
-
-    /// Whether a stored entry belongs to this cache's namespace.
-    fn in_namespace(&self, entry: &StoredSchedule) -> bool {
-        match &self.namespace {
-            Some(ns) => entry
-                .workload_key
-                .strip_prefix(ns.as_str())
-                .is_some_and(|rest| rest.starts_with(NS_SEP)),
-            None => !entry.workload_key.contains(NS_SEP),
-        }
     }
 
     /// Applies the store to one *fresh* task (no measurements yet): exact
@@ -151,14 +107,13 @@ impl ScheduleCache {
         if !task.measured.is_empty() || !task.failed.is_empty() {
             return CacheOutcome::Miss;
         }
-        let scoped = self.scoped(&task.workload_key);
-        let key = task_key(&scoped, device_name);
+        let key = task_key(&task.workload_key, device_name);
         // At most one stale increment per task: the counter means "this
         // task missed cleanly because of a generator mismatch", however
         // many individual entries were rejected along the way.
         let mut saw_stale = false;
         if let Some(entry) = self.store.get(key) {
-            if entry.workload_key == scoped
+            if entry.workload_key == task.workload_key
                 && entry.device == device_name
                 && task.sketches.get(entry.sketch).is_some_and(|st| st.name == entry.sketch_name)
                 && task.fits(entry.sketch, &entry.values)
@@ -177,16 +132,15 @@ impl ScheduleCache {
         }
         let hash = structure_hash(task);
         // The donor scan: lowest latency, ties toward the smaller task key
-        // (the store iterates in key order), filtered by namespace and
-        // generator fingerprint — tuning semantics the dumb store layer
-        // deliberately doesn't know about.
+        // (the store iterates in key order), filtered by generator
+        // fingerprint — tuning semantics the dumb store layer deliberately
+        // doesn't know about.
         let mut donor: Option<&StoredSchedule> = None;
         for entry in self.store.entries() {
             if entry.structure_hash != hash
                 || entry.device != device_name
                 || entry.task_key == key
                 || !entry.latency_ms.is_finite()
-                || !self.in_namespace(entry)
             {
                 continue;
             }
@@ -233,10 +187,9 @@ impl ScheduleCache {
         for task in tasks {
             let Some((sketch, vals)) = &task.best_schedule else { continue };
             let Some(st) = task.sketches.get(*sketch) else { continue };
-            let scoped = self.scoped(&task.workload_key);
             let entry = StoredSchedule {
-                task_key: task_key(&scoped, device_name),
-                workload_key: scoped,
+                task_key: task_key(&task.workload_key, device_name),
+                workload_key: task.workload_key.clone(),
                 device: device_name.to_string(),
                 structure_hash: structure_hash(task),
                 sketch: *sketch,

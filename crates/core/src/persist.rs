@@ -29,8 +29,10 @@ use std::path::Path;
 /// Checkpoint header version, bumped on incompatible format changes.
 /// Version 7 cut the header down to what precedes the run's first round;
 /// the task states, weights, clock, RNG and curve of earlier versions are
-/// now the record log's round commits. Other versions are refused.
-const CHECKPOINT_VERSION: f64 = 7.0;
+/// now the record log's round commits. Version 8 dropped the store's
+/// tenant namespace: a tenant is its own store file. Other versions are
+/// refused.
+const CHECKPOINT_VERSION: f64 = 8.0;
 
 /// A [`MeasurementSink`] appending every measurement to a durable
 /// [`RecordLog`]. Write errors are reported once to stderr and then disable
@@ -250,8 +252,6 @@ pub struct CheckpointState {
     /// The attached schedule store, if any, reattached on resume for
     /// publishing only.
     pub schedule_store: Option<String>,
-    /// The store's tenant namespace, if any.
-    pub schedule_ns: Option<String>,
     /// Per-task schedule-store state, in task order.
     pub tasks: Vec<AttachedState>,
 }
@@ -315,7 +315,6 @@ pub fn checkpoint_to_json(state: &CheckpointState) -> Json {
         ("record_log", path_to_json(&state.record_log)),
         ("log_start", Json::Num(state.log_start as f64)),
         ("schedule_store", path_to_json(&state.schedule_store)),
-        ("schedule_ns", path_to_json(&state.schedule_ns)),
         ("tasks", Json::Arr(state.tasks.iter().map(attached_to_json).collect())),
     ])
 }
@@ -334,7 +333,6 @@ pub fn checkpoint_from_json(doc: &Json) -> Option<CheckpointState> {
         record_log: path("record_log")?,
         log_start: doc.get("log_start")?.as_usize()?,
         schedule_store: path("schedule_store")?,
-        schedule_ns: path("schedule_ns")?,
         tasks: tasks.collect::<Option<_>>()?,
     })
 }
@@ -358,7 +356,6 @@ mod tests {
             record_log: Some("/tmp/records.jsonl".to_string()),
             log_start: 12,
             schedule_store: Some("/tmp/schedules.jsonl".to_string()),
-            schedule_ns: Some("tenant-a".to_string()),
             tasks: vec![
                 AttachedState {
                     hit: Some((1, vec![2.0, 16.0, -0.0], f64::INFINITY)),
@@ -382,7 +379,7 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_other_versions() {
-        for version in [6.0, 99.0] {
+        for version in [6.0, 7.0, 99.0] {
             let mut doc = checkpoint_to_json(&sample_state());
             let Json::Obj(fields) = &mut doc else { panic!("obj") };
             fields[0].1 = Json::Num(version);
@@ -395,7 +392,6 @@ mod tests {
         let mut state = sample_state();
         state.record_log = None;
         state.schedule_store = None;
-        state.schedule_ns = None;
         let back = checkpoint_from_json(&checkpoint_to_json(&state)).expect("decode");
         assert_eq!(back, state);
     }

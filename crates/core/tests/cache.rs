@@ -213,44 +213,6 @@ fn stale_generator_entries_are_clean_misses_and_retuned() {
 }
 
 #[test]
-fn tenant_namespaces_isolate_schedule_lookups() {
-    // Two tenants share one store file: tenant A tunes and publishes;
-    // tenant B attaching the same file must see neither exact hits nor
-    // warm starts from A's entries, while A re-attaching sees full hits.
-    // The unscoped global namespace is likewise invisible to both.
-    let device = DeviceConfig::a5000();
-    let model = pretrained_cost_model(&device, ModelQuality::Fast);
-    let dir = tmp_dir("ns");
-    let store = dir.join("schedules.jsonl");
-
-    let mut tenant_a =
-        Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(1))
-            .with_schedule_store_namespaced(&store, "tenant-a")
-            .expect("open store");
-    let n_tasks = tenant_a.tasks().len();
-    tenant_a.optimize_all(n_tasks + 1, 4);
-
-    let tenant_b = Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(1))
-        .with_schedule_store_namespaced(&store, "tenant-b")
-        .expect("open store as tenant-b");
-    let cache_b = tenant_b.schedule_cache().expect("attached");
-    assert_eq!(cache_b.hits, 0, "cross-tenant exact hits forbidden");
-    assert_eq!(cache_b.warm_starts, 0, "cross-tenant warm starts forbidden");
-    assert_eq!(cache_b.stale, 0);
-
-    let global = Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(1))
-        .with_schedule_store(&store)
-        .expect("open store unscoped");
-    let cache_g = global.schedule_cache().expect("attached");
-    assert_eq!(cache_g.hits + cache_g.warm_starts, 0, "scoped entries invisible globally");
-
-    let again = Optimizer::with_options(tiny_network(), model, device, quick_options(1))
-        .with_schedule_store_namespaced(&store, "tenant-a")
-        .expect("reopen store as tenant-a");
-    assert_eq!(again.schedule_cache().expect("attached").hits, n_tasks);
-}
-
-#[test]
 fn kill_and_resume_with_store_attached_stays_byte_identical() {
     // The store composes with checkpointing: checkpoint every round, kill
     // halfway, resume (which reattaches the store for publishing), finish.
