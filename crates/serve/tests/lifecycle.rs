@@ -1,5 +1,6 @@
 //! Job-lifecycle end-to-end tests: cancellation, deadlines, admission
-//! control, poison-job quarantine, graceful drain, and WAL compaction —
+//! control, poison-job quarantine, graceful drain, WAL compaction, and the
+//! removal of finished jobs' directories —
 //! each exercised under the same SIGKILL chaos the crash_resume suite
 //! applies to plain completion.
 //!
@@ -22,7 +23,7 @@ mod common;
 
 use common::tmp_dir;
 use felix_records::{read_job_records, JobOutcome, JobRecord, JobWal, Json, QueueState};
-use felix_serve::{Client, ClientError, JobSpec};
+use felix_serve::{job_dir, Client, ClientError, JobSpec};
 use std::io::{BufRead, BufReader};
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
@@ -451,6 +452,51 @@ fn compaction_shrinks_the_wal_to_canonical_form_and_keeps_results_served() {
         assert_eq!(served.write(), expected.write(), "result changed across compaction");
     }
     daemon.shutdown();
+}
+
+#[test]
+fn terminal_jobs_leave_no_directory_behind() {
+    if skip() {
+        return;
+    }
+    let dir = tmp_dir("job-dirs");
+    let daemon = Daemon::spawn(&dir, &[]);
+    let mut client = daemon.client();
+    // Every job but the completing one has a checkpoint on disk before it
+    // ends: the long job is cancelled once its first round is committed,
+    // the expiring one runs until its deadline, and the poison job commits
+    // round 0 and then crashes on round 1 until it is quarantined.
+    let cancelled = client.submit("tenant-a", &tiny_spec(10_000)).expect("submit cancelled");
+    let mut expiring = tiny_spec(10_000);
+    expiring.deadline_ms = Some(1_000);
+    let expired = client.submit("tenant-b", &expiring).expect("submit expiring");
+    let mut poison = tiny_spec(3);
+    poison.fault_panic_round = Some(1);
+    let quarantined = client.submit("tenant-c", &poison).expect("submit poison");
+    let done = client.submit("tenant-d", &tiny_spec(2)).expect("submit done");
+    let deadline = Instant::now() + WAIT;
+    while !job_dir(&dir, cancelled).join("state.json").exists() {
+        assert!(Instant::now() < deadline, "the long job never checkpointed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    client.cancel(cancelled).expect("cancel");
+    let jobs = [cancelled, expired, quarantined, done];
+    for (&job, expected) in jobs.iter().zip(["cancelled", "expired", "quarantined", "done"]) {
+        let (state, _) = client.wait_done(job, WAIT).expect("terminal state");
+        assert_eq!(state, expected);
+    }
+    daemon.shutdown();
+    for job in jobs {
+        assert!(!job_dir(&dir, job).exists(), "job {job:016x} left its directory behind");
+    }
+
+    // A kill between a terminal line and the removal leaves the directory
+    // behind; the next start removes it.
+    let planted = job_dir(&dir, done);
+    std::fs::create_dir_all(&planted).expect("plant a job directory");
+    std::fs::write(planted.join("records.jsonl"), "{}\n").expect("plant a record log");
+    Daemon::spawn(&dir, &[]).shutdown();
+    assert!(!planted.exists(), "a restart kept a terminal job's directory");
 }
 
 #[test]
