@@ -126,7 +126,8 @@ pub enum JobRecord {
     Submitted {
         /// Queue-wide job identity, assigned by the frontend.
         job_id: u64,
-        /// Owning tenant (namespaces the schedule store and fairness).
+        /// Owning tenant: names its schedule-store file and its fairness
+        /// share.
         tenant: String,
         /// Opaque job spec, interpreted by the serving tier.
         spec: Json,

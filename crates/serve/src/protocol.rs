@@ -23,7 +23,8 @@ pub enum Request {
     /// Submit a tuning job. `spec` is the [`crate::spec::JobSpec`]
     /// document; it travels opaquely here and is validated by the server.
     Submit {
-        /// Owning tenant (namespaces the schedule store and fairness).
+        /// Owning tenant: names its schedule-store file and its fairness
+        /// share. The server admits 1 to 32 bytes of `[A-Za-z0-9_-]`.
         tenant: String,
         /// The job spec document.
         spec: Json,

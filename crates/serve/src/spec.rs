@@ -48,10 +48,13 @@ pub struct JobSpec {
     /// Gradient-descent steps per round.
     pub n_steps: usize,
     /// Opt-in: warm-start from the tenant's schedule store at job start.
-    /// Off by default because a job killed before its first checkpoint
-    /// restarts from scratch and would re-read a store that meanwhile
-    /// absorbed the killed attempt's publishes — warm-cached jobs trade
-    /// the byte-identical-under-crash guarantee for faster convergence.
+    /// Off by default because warm-cached jobs trade the
+    /// byte-identical-under-crash guarantee for faster convergence: a job
+    /// killed before its checkpoint header lands restarts from scratch and
+    /// re-reads the store, which may since hold what the tenant's other
+    /// jobs published after the first adoption. The killed attempt itself
+    /// published nothing (it publishes only after a round), and a job
+    /// killed later resumes with the hits and hints its header recorded.
     pub warm_cache: bool,
     /// Optional wall-clock budget in milliseconds, measured from the
     /// durable submission timestamp (so it keeps counting across daemon

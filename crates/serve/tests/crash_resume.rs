@@ -236,8 +236,10 @@ fn warm_cache_jobs_survive_kills_with_an_uncorrupted_store() {
         return;
     }
     // `warm_cache` jobs opt out of the byte-identical-under-crash
-    // guarantee (the spec documents why: a restart re-reads a store that
-    // may have absorbed the killed attempt's publishes). What they keep
+    // guarantee (the spec documents why: a job killed before its
+    // checkpoint header lands re-reads its tenant's store on restart, and
+    // the tenant's other jobs may have published to it since the first
+    // adoption; the killed attempt published nothing). What they keep
     // is everything else: kills mid-flight must still converge to `done`
     // with full round counts, finite latencies, and a schedule store
     // that parses cleanly afterwards.
