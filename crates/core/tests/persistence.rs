@@ -134,10 +134,13 @@ fn resume_rejects_mismatched_checkpoints() {
     assert!(text != stale, "the header carries the live generator stamp");
     std::fs::write(&state, stale).expect("rewrite state");
     refused("a generator mismatch");
-    // A version-6 document, whatever it holds, is refused, not half-read.
-    let v6 = edit_field(text.trim_end(), "version", |v| *v = Json::Num(6.0));
-    std::fs::write(&state, v6).expect("write v6 state");
-    refused("a version-6 checkpoint");
+    // A version-6 or version-7 document, whatever it holds, is refused,
+    // not half-read.
+    for version in [6.0, 7.0] {
+        let old = edit_field(text.trim_end(), "version", |v| *v = Json::Num(version));
+        std::fs::write(&state, old).expect("write an old state");
+        refused(&format!("a version-{version} checkpoint"));
+    }
     std::fs::write(&state, &text).expect("restore state");
 
     // Logs whose commits do not fit the rebuilt tasks: a round naming a
