@@ -181,24 +181,6 @@ fn root_of(p: &Program, mut stage: usize) -> usize {
     stage
 }
 
-/// Index of the anchor: the root compute stage with the most work.
-fn anchor_of(p: &Program) -> usize {
-    let mut best = 0;
-    let mut best_work = -1.0;
-    for (i, st) in p.stages.iter().enumerate() {
-        if st.kind != StageKind::Compute || st.compute_at.is_some() {
-            continue;
-        }
-        let iters: f64 = st.axes.iter().map(|a| a.extent as f64).product();
-        let work = iters * st.op_counts.flops().max(0.5);
-        if work > best_work {
-            best_work = work;
-            best = i;
-        }
-    }
-    best
-}
-
 /// Memory operations *issued* by one access over a stage's execution.
 ///
 /// A loop multiplies the issue count when it indexes the access, or when it
@@ -239,7 +221,7 @@ pub fn extract_features(p: &mut Program) -> FeatureSet {
         p.stages.iter().any(|s| s.kind == StageKind::Compute),
         "program must have a compute stage"
     );
-    let anchor = anchor_of(p);
+    let anchor = felix_tir::sketch::anchor_stage(p);
     let one = p.pool.constf(1.0);
 
     // ---- Arithmetic totals over all compute stages -------------------

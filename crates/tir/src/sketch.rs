@@ -260,12 +260,13 @@ fn nearest_in_log(cands: impl Iterator<Item = (u64, f64)>, lx: f64) -> u64 {
     best
 }
 
-/// Index of the anchor stage: the compute stage with the most work.
+/// Index of the anchor stage: the root compute stage (not `compute_at`
+/// another) with the most work.
 pub fn anchor_stage(p: &Program) -> usize {
     let mut best = 0;
     let mut best_work = -1.0;
     for (i, st) in p.stages.iter().enumerate() {
-        if st.kind != StageKind::Compute {
+        if st.kind != StageKind::Compute || st.compute_at.is_some() {
             continue;
         }
         let iters: f64 = st.axes.iter().map(|a| a.extent as f64).product();
