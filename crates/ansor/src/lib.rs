@@ -485,8 +485,9 @@ pub trait Proposer {
         rng: &mut StdRng,
     ) -> Vec<(usize, Vec<f64>)>;
 
-    /// Chronological predicted scores of every candidate examined in the
-    /// last `propose` call (for the paper's Fig. 8); drained on read.
+    /// Chronological predicted scores of every candidate examined since the
+    /// last drain, across however many `propose` calls (the paper's Fig. 8
+    /// reads one whole tuning run at once); drained on read.
     fn take_prediction_trace(&mut self) -> Vec<f64> {
         Vec::new()
     }

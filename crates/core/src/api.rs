@@ -454,6 +454,9 @@ impl Optimizer {
             self.rounds_done += 1;
         }
         self.stats.extend(self.proposer.take_stats());
+        // Nothing here reads the Fig. 8 trace; draining it keeps a long job
+        // from holding every examined score until it ends.
+        self.proposer.take_prediction_trace();
         if let Some(cache) = &mut self.schedule_store {
             cache.publish(&self.tasks, self.sim.device.name);
         }
@@ -596,6 +599,22 @@ mod tests {
         // One stats record per proposer round, drained from the proposer.
         assert_eq!(opt.stats.len(), n_tasks + 2);
         assert!(opt.stats.iter().all(|s| s.grad_steps > 0 && s.threads >= 1));
+    }
+
+    #[test]
+    fn optimize_all_leaves_the_prediction_trace_empty() {
+        let device = DeviceConfig::a5000();
+        let graphs = extract_subgraphs(&models::dcgan(1));
+        let cost_model = pretrained_cost_model(&device, ModelQuality::Fast);
+        let mut opt = Optimizer::with_options(
+            graphs,
+            cost_model,
+            device,
+            FelixOptions { n_seeds: 2, n_steps: 5, ..Default::default() },
+        );
+        opt.optimize_all(2, 2);
+        assert!(opt.stats.iter().all(|s| s.grad_steps > 0), "the rounds descended");
+        assert!(opt.proposer.take_prediction_trace().is_empty());
     }
 
     #[test]
