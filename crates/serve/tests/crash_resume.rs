@@ -13,13 +13,11 @@
 
 mod common;
 
-use common::tmp_dir;
+use common::{tmp_dir, Daemon};
 use felix_records::{read_job_records, Json, QueueState};
-use felix_serve::{Client, JobSpec, WAL_FILE};
-use std::io::{BufRead, BufReader};
+use felix_serve::{JobSpec, WAL_FILE};
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const DEVICE: &str = "RTX A5000";
 const LLAMA_TINY: [i64; 6] = [1, 16, 128, 4, 344, 2];
@@ -31,59 +29,6 @@ fn skip() -> bool {
         return true;
     }
     false
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    /// Spawns `felix-served` on `data_dir` and parses the listening line
-    /// for the ephemeral port.
-    fn spawn(data_dir: &Path) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_felix-served"))
-            .args(["--data-dir"])
-            .arg(data_dir)
-            .args(["--addr", "127.0.0.1:0", "--shards", "1"])
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn felix-served");
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("listening line");
-        let addr = line
-            .trim()
-            .strip_prefix("felix-served listening on ")
-            .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-            .to_string();
-        Daemon { child, addr }
-    }
-
-    fn client(&self) -> Client {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match Client::connect(&self.addr) {
-                Ok(c) => return c,
-                Err(e) if Instant::now() < deadline => {
-                    eprintln!("connect retry: {e}");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("daemon never came up: {e}"),
-            }
-        }
-    }
-
-    /// SIGKILL — the process gets no chance to flush or clean up.
-    fn kill(mut self) {
-        self.child.kill().expect("kill daemon");
-        self.child.wait().expect("reap daemon");
-    }
-
-    fn shutdown(mut self) {
-        self.client().shutdown().expect("shutdown");
-        self.child.wait().expect("reap daemon");
-    }
 }
 
 fn submit_two_tenants(daemon: &Daemon) -> Vec<u64> {
@@ -125,7 +70,7 @@ fn result_bytes(data_dir: &Path, jobs: &[u64]) -> Vec<String> {
 /// The reference run: same two jobs, never interrupted.
 fn uninterrupted_results(jobs_hint: &[u64]) -> Vec<String> {
     let dir = tmp_dir("reference");
-    let daemon = Daemon::spawn(&dir);
+    let daemon = Daemon::spawn(&dir, &[]);
     let jobs = submit_two_tenants(&daemon);
     assert_eq!(jobs, jobs_hint, "job ids must line up for the comparison");
     wait_all_done(&daemon, &jobs);
@@ -139,7 +84,7 @@ fn sigkill_mid_job_then_restart_is_byte_identical() {
         return;
     }
     let dir = tmp_dir("chaos");
-    let daemon = Daemon::spawn(&dir);
+    let daemon = Daemon::spawn(&dir, &[]);
     let jobs = submit_two_tenants(&daemon);
 
     // Seeded-but-randomized kill point: the seed perturbs the delay so
@@ -168,7 +113,7 @@ fn sigkill_mid_job_then_restart_is_byte_identical() {
     }
 
     // Restart on the same directory; unfinished jobs resume and finish.
-    let daemon = Daemon::spawn(&dir);
+    let daemon = Daemon::spawn(&dir, &[]);
     let served = wait_all_done(&daemon, &jobs);
     daemon.shutdown();
 
@@ -206,17 +151,17 @@ fn kill_storm_converges_to_the_same_bytes() {
     // then let the survivor finish. However many times the daemon dies,
     // the results must equal the uninterrupted run's bytes.
     let dir = tmp_dir("storm");
-    let daemon = Daemon::spawn(&dir);
+    let daemon = Daemon::spawn(&dir, &[]);
     let jobs = submit_two_tenants(&daemon);
     daemon.kill(); // immediately: likely before any round completes
 
     for delay_ms in [25u64, 75, 150] {
-        let daemon = Daemon::spawn(&dir);
+        let daemon = Daemon::spawn(&dir, &[]);
         std::thread::sleep(Duration::from_millis(delay_ms));
         daemon.kill();
     }
 
-    let daemon = Daemon::spawn(&dir);
+    let daemon = Daemon::spawn(&dir, &[]);
     wait_all_done(&daemon, &jobs);
     // Status and listing survive the storm too.
     let mut client = daemon.client();
@@ -244,7 +189,7 @@ fn warm_cache_jobs_survive_kills_with_an_uncorrupted_store() {
     // with full round counts, finite latencies, and a schedule store
     // that parses cleanly afterwards.
     let dir = tmp_dir("warm");
-    let daemon = Daemon::spawn(&dir);
+    let daemon = Daemon::spawn(&dir, &[]);
     let jobs = {
         let mut client = daemon.client();
         let mut spec = JobSpec::quick("llama", LLAMA_TINY.to_vec(), DEVICE, ROUNDS);
@@ -260,12 +205,12 @@ fn warm_cache_jobs_survive_kills_with_an_uncorrupted_store() {
     std::thread::sleep(Duration::from_millis(120));
     daemon.kill();
     for delay_ms in [40u64, 90] {
-        let daemon = Daemon::spawn(&dir);
+        let daemon = Daemon::spawn(&dir, &[]);
         std::thread::sleep(Duration::from_millis(delay_ms));
         daemon.kill();
     }
 
-    let daemon = Daemon::spawn(&dir);
+    let daemon = Daemon::spawn(&dir, &[]);
     wait_all_done(&daemon, &jobs);
     daemon.shutdown();
 

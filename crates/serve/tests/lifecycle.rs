@@ -21,12 +21,10 @@
 
 mod common;
 
-use common::tmp_dir;
+use common::{tmp_dir, Daemon};
 use felix_records::{read_job_records, JobOutcome, JobRecord, JobWal, Json, QueueState};
 use felix_serve::{job_dir, Client, ClientError, JobSpec};
-use std::io::{BufRead, BufReader};
 use std::path::Path;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const DEVICE: &str = "RTX A5000";
@@ -43,78 +41,6 @@ fn skip() -> bool {
 
 fn tiny_spec(rounds: usize) -> JobSpec {
     JobSpec::quick("llama", LLAMA_TINY.to_vec(), DEVICE, rounds)
-}
-
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    /// Spawns `felix-served` on `data_dir` with one shard plus the given
-    /// extra flags, and parses the listening banner for the port.
-    fn spawn(data_dir: &Path, extra: &[&str]) -> Daemon {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_felix-served"))
-            .args(["--data-dir"])
-            .arg(data_dir)
-            .args(["--addr", "127.0.0.1:0", "--shards", "1"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .spawn()
-            .expect("spawn felix-served");
-        let stdout = child.stdout.take().expect("child stdout");
-        let mut line = String::new();
-        BufReader::new(stdout).read_line(&mut line).expect("listening line");
-        let addr = line
-            .trim()
-            .strip_prefix("felix-served listening on ")
-            .unwrap_or_else(|| panic!("unexpected banner {line:?}"))
-            .to_string();
-        Daemon { child, addr }
-    }
-
-    fn client(&self) -> Client {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match Client::connect(&self.addr) {
-                Ok(c) => return c,
-                Err(e) if Instant::now() < deadline => {
-                    eprintln!("connect retry: {e}");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => panic!("daemon never came up: {e}"),
-            }
-        }
-    }
-
-    /// SIGKILL — no chance to flush or clean up.
-    fn kill(mut self) {
-        self.child.kill().expect("kill daemon");
-        self.child.wait().expect("reap daemon");
-    }
-
-    /// SIGTERM, then the exit status once the drain finishes.
-    fn sigterm_and_wait(mut self) -> std::process::ExitStatus {
-        let pid = self.child.id().to_string();
-        let sent = Command::new("kill")
-            .args(["-TERM", &pid])
-            .status()
-            .expect("run kill -TERM");
-        assert!(sent.success(), "kill -TERM failed");
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if let Some(status) = self.child.try_wait().expect("try_wait daemon") {
-                return status;
-            }
-            assert!(Instant::now() < deadline, "daemon ignored SIGTERM for 30s");
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-
-    fn shutdown(mut self) {
-        self.client().shutdown().expect("shutdown");
-        self.child.wait().expect("reap daemon");
-    }
 }
 
 /// Seeded splitmix-style mixer, so chaos instants are reproducible from
