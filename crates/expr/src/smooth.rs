@@ -14,8 +14,7 @@
 //! only differentiable primitives; [`is_smooth`] checks the invariant that
 //! the gradient tape ([`crate::tape`]) relies on without subgradients.
 
-use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, UnOp};
-use std::collections::HashMap;
+use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, Memo, UnOp};
 
 /// Smooth step `(1 + z/√(1+z²))/2`: 0 at −∞, ½ at 0, 1 at +∞.
 pub fn smooth_step(z: f64) -> f64 {
@@ -106,13 +105,13 @@ impl ExprPool {
 /// indicators of the comparison margin; other conditions are interpreted as
 /// booleans and smoothed around `1/2`.
 pub fn smooth_expr(pool: &mut ExprPool, root: ExprId) -> ExprId {
-    let mut memo: HashMap<ExprId, ExprId> = HashMap::new();
+    let mut memo: Memo<ExprId, ExprId> = Memo::default();
     smooth_rec(pool, root, &mut memo)
 }
 
 /// Smooths many roots sharing one memo table (preserves DAG sharing).
 pub fn smooth_all(pool: &mut ExprPool, roots: &[ExprId]) -> Vec<ExprId> {
-    let mut memo: HashMap<ExprId, ExprId> = HashMap::new();
+    let mut memo: Memo<ExprId, ExprId> = Memo::default();
     roots
         .iter()
         .map(|&r| smooth_rec(pool, r, &mut memo))
@@ -122,7 +121,7 @@ pub fn smooth_all(pool: &mut ExprPool, roots: &[ExprId]) -> Vec<ExprId> {
 fn smooth_rec(
     pool: &mut ExprPool,
     id: ExprId,
-    memo: &mut HashMap<ExprId, ExprId>,
+    memo: &mut Memo<ExprId, ExprId>,
 ) -> ExprId {
     if let Some(&done) = memo.get(&id) {
         return done;

@@ -1,7 +1,7 @@
 //! Variable substitution, including the `x = e^y` exponential substitution
 //! Felix uses for gradient stability (paper §3.3).
 
-use crate::{ENode, ExprId, ExprPool, VarId, VarTable};
+use crate::{ENode, ExprId, ExprPool, Memo, VarId, VarTable};
 use std::collections::HashMap;
 
 /// Rewrites `roots`, replacing each variable `v` by `replace(v)` when it
@@ -11,7 +11,7 @@ pub fn substitute(
     roots: &[ExprId],
     replace: &dyn Fn(VarId) -> Option<ExprId>,
 ) -> Vec<ExprId> {
-    let mut memo: HashMap<ExprId, ExprId> = HashMap::new();
+    let mut memo: Memo<ExprId, ExprId> = Memo::default();
     roots
         .iter()
         .map(|&r| subst_rec(pool, r, replace, &mut memo))
@@ -22,7 +22,7 @@ fn subst_rec(
     pool: &mut ExprPool,
     id: ExprId,
     replace: &dyn Fn(VarId) -> Option<ExprId>,
-    memo: &mut HashMap<ExprId, ExprId>,
+    memo: &mut Memo<ExprId, ExprId>,
 ) -> ExprId {
     if let Some(&done) = memo.get(&id) {
         return done;

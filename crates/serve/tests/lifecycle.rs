@@ -256,9 +256,10 @@ fn admission_control_rejects_without_touching_the_wal() {
     let dir = tmp_dir("backpressure");
     let daemon = Daemon::spawn(&dir, &["--max-queue", "2", "--tenant-quota", "1"]);
     let mut client = daemon.client();
-    // Long enough that both accepted jobs are still live while the
-    // rejections are provoked.
-    let spec = tiny_spec(6);
+    // Far longer than the test: both accepted jobs must still be live
+    // while the rejections and the bounded wait below are provoked, however
+    // fast the daemon runs.
+    let spec = tiny_spec(10_000);
     let first = client.submit("tenant-a", &spec).expect("first submit");
 
     // Per-tenant quota: tenant-a already has one live job.

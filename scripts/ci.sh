@@ -2,8 +2,10 @@
 # CI gate: release build, clippy and rustdoc with warnings denied, then the
 # tier-1 line — `cargo test -q` at the root, which runs every crate's suite
 # (the root manifest's `default-members` lists them all) — one crate at a
-# time under a time budget, so each suite runs once. Then the pinned golden
-# run under the release profile, the ledger smoke,
+# time under a time budget, so each suite runs once. Then the serve
+# lifecycle suite again at one test thread, so a test that passes only
+# while its siblings slow the daemon fails; the pinned golden run under the
+# release profile, the ledger smoke,
 # the non-test line count, the `too_many_arguments` allow count and the
 # count of items kept only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
@@ -48,6 +50,15 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
         exit 1
     fi
 done
+
+# The serve lifecycle suite once more, one test at a time: a test that
+# passes only while sibling tests load the machine and slow the daemon (a job
+# that must still be live after a fixed wait) fails here.
+if ! out=$(cargo test -q -p felix-serve --test lifecycle -- --test-threads=1); then
+    printf '%s\n' "$out"
+    echo "FAIL: felix-serve lifecycle suite failed at one test thread" >&2
+    exit 1
+fi
 
 # The pinned golden run once more under the release profile. Tests build
 # five numeric crates at opt-level 2 and the rest at 0, the ledger builds
