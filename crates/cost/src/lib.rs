@@ -671,12 +671,13 @@ impl Mlp {
     ///
     /// Returns any I/O error from the writer.
     pub fn save<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        let write_vec = |w: &mut W, v: &[f32]| -> std::io::Result<()> {
-            w.write_all(&(v.len() as u64).to_le_bytes())?;
-            for x in v {
-                w.write_all(&x.to_le_bytes())?;
-            }
-            Ok(())
+        // One buffer and one write per vector, not one call per float.
+        let mut buf = Vec::new();
+        let mut write_vec = |w: &mut W, v: &[f32]| -> std::io::Result<()> {
+            buf.clear();
+            buf.extend_from_slice(&(v.len() as u64).to_le_bytes());
+            buf.extend(v.iter().flat_map(|x| x.to_le_bytes()));
+            w.write_all(&buf)
         };
         w.write_all(b"FELIXMLP")?;
         w.write_all(&(self.w.len() as u64).to_le_bytes())?;
@@ -695,7 +696,7 @@ impl Mlp {
     ///
     /// Returns an I/O error on truncated or mismatched data.
     pub fn load<R: std::io::Read>(mut r: R) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
+        use std::io::{Error, ErrorKind, Read};
         let read_u64 = |r: &mut R| -> std::io::Result<u64> {
             let mut b = [0u8; 8];
             r.read_exact(&mut b)?;
@@ -706,13 +707,15 @@ impl Mlp {
             if n > 100_000_000 {
                 return Err(Error::new(ErrorKind::InvalidData, "vector too large"));
             }
-            let mut out = Vec::with_capacity(n);
-            let mut b = [0u8; 4];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                out.push(f32::from_le_bytes(b));
+            // One read per vector. `take` grows the buffer only as bytes
+            // arrive, so a corrupt length cannot allocate up front.
+            let mut bytes = Vec::new();
+            r.by_ref().take(4 * n as u64).read_to_end(&mut bytes)?;
+            if bytes.len() != 4 * n {
+                return Err(Error::new(ErrorKind::UnexpectedEof, "truncated vector"));
             }
-            Ok(out)
+            let floats = bytes.chunks_exact(4).map(|b| [b[0], b[1], b[2], b[3]]);
+            Ok(floats.map(f32::from_le_bytes).collect())
         };
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -1097,6 +1100,12 @@ mod tests {
         let x: Vec<f64> = (0..FEATURE_COUNT).map(|i| (i as f64).sin()).collect();
         assert_eq!(mlp.predict(&x), loaded.predict(&x));
         assert_eq!(loaded.num_params(), mlp.num_params());
+        let mut again = Vec::new();
+        loaded.save(&mut again).expect("save to vec");
+        assert!(again == buf, "a loaded model saves to the bytes it was loaded from");
+        for cut in [16, 23, 24, 25, buf.len() / 2, buf.len() - 1] {
+            assert!(Mlp::load(&buf[..cut]).is_err(), "a model cut at byte {cut} loaded");
+        }
     }
 
     #[test]
