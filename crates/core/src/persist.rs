@@ -13,10 +13,12 @@
 //!   failure streaks, and replay-buffer samples are reproduced exactly as a
 //!   live run would have built them, because records apply through the same
 //!   `record`/`record_failure` path in log order.
-//! - A checkpoint directory holds the base model ([`MODEL_FILE`]) and a
-//!   header ([`STATE_FILE`], a [`CheckpointState`]), both written once
-//!   before the first round; the rest of the run is its log's round
-//!   commits, which a resume replays round by round.
+//! - A checkpoint directory holds a header ([`STATE_FILE`], a
+//!   [`CheckpointState`]) written once before the first round, and the
+//!   run's base model beside it ([`MODEL_FILE`]) unless the header names
+//!   the device's pretrained model by hash (`Optimizer::pretrained`, what
+//!   every serve job starts from). The rest of the run is its log's round
+//!   commits, which a resume replays round by round onto that base.
 
 use felix_ansor::{HealthEvent, MeasurementEvent, MeasurementSink, SearchTask, SketchMode};
 use felix_records::{
@@ -30,9 +32,10 @@ use std::path::Path;
 /// Version 7 cut the header down to what precedes the run's first round;
 /// the task states, weights, clock, RNG and curve of earlier versions are
 /// now the record log's round commits. Version 8 dropped the store's
-/// tenant namespace: a tenant is its own store file. Other versions are
-/// refused.
-const CHECKPOINT_VERSION: f64 = 8.0;
+/// tenant namespace: a tenant is its own store file. Version 9 added the
+/// pretrained base's hash, which replaces [`MODEL_FILE`] when present.
+/// Other versions are refused.
+const CHECKPOINT_VERSION: f64 = 9.0;
 
 /// A [`MeasurementSink`] appending every measurement to a durable
 /// [`RecordLog`]. Write errors are reported once to stderr and then disable
@@ -243,6 +246,11 @@ pub struct CheckpointState {
     /// log's records refer to (`felix_tir::sketch::generator_hash`),
     /// verified on resume.
     pub generator: u64,
+    /// The FNV-1a hash of the saved bytes of the device's pretrained model
+    /// when the run started from it unchanged: resume rebuilds that model
+    /// and checks the hash, and the directory holds no [`MODEL_FILE`].
+    /// `None` when [`MODEL_FILE`] holds the base.
+    pub base: Option<u64>,
     /// The log attached with `with_record_log`, whose lines before
     /// `log_start` were replayed into the tasks; `None` when checkpointing
     /// opened [`LOG_FILE`] in the checkpoint directory.
@@ -312,6 +320,7 @@ pub fn checkpoint_to_json(state: &CheckpointState) -> Json {
         ("version", Json::Num(CHECKPOINT_VERSION)),
         ("device", Json::Str(state.device_name.clone())),
         ("gen", Json::u64_hex(state.generator)),
+        ("base", state.base.map_or(Json::Null, Json::u64_hex)),
         ("record_log", path_to_json(&state.record_log)),
         ("log_start", Json::Num(state.log_start as f64)),
         ("schedule_store", path_to_json(&state.schedule_store)),
@@ -330,6 +339,10 @@ pub fn checkpoint_from_json(doc: &Json) -> Option<CheckpointState> {
     Some(CheckpointState {
         device_name: doc.get("device")?.as_str()?.to_string(),
         generator: doc.get("gen")?.as_u64_hex()?,
+        base: match doc.get("base")? {
+            Json::Null => None,
+            hash => Some(hash.as_u64_hex()?),
+        },
         record_log: path("record_log")?,
         log_start: doc.get("log_start")?.as_usize()?,
         schedule_store: path("schedule_store")?,
@@ -339,7 +352,8 @@ pub fn checkpoint_from_json(doc: &Json) -> Option<CheckpointState> {
 
 /// Header filename inside a checkpoint directory.
 pub const STATE_FILE: &str = "state.json";
-/// Base cost-model filename inside a checkpoint directory.
+/// Base cost-model filename inside a checkpoint directory. Absent when
+/// the header names a pretrained base ([`CheckpointState::base`]).
 pub const MODEL_FILE: &str = "model.bin";
 /// Record-log filename inside a checkpoint directory, used when no log is
 /// attached.
@@ -353,6 +367,7 @@ mod tests {
         CheckpointState {
             device_name: "RTX A5000".to_string(),
             generator: 0x5EED_FACE,
+            base: Some(0xBA5E_F00D_0000_0001),
             record_log: Some("/tmp/records.jsonl".to_string()),
             log_start: 12,
             schedule_store: Some("/tmp/schedules.jsonl".to_string()),
@@ -379,7 +394,7 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_other_versions() {
-        for version in [6.0, 7.0, 99.0] {
+        for version in [6.0, 7.0, 8.0, 99.0] {
             let mut doc = checkpoint_to_json(&sample_state());
             let Json::Obj(fields) = &mut doc else { panic!("obj") };
             fields[0].1 = Json::Num(version);
@@ -390,6 +405,7 @@ mod tests {
     #[test]
     fn absent_paths_round_trip_as_null() {
         let mut state = sample_state();
+        state.base = None;
         state.record_log = None;
         state.schedule_store = None;
         let back = checkpoint_from_json(&checkpoint_to_json(&state)).expect("decode");

@@ -2,17 +2,19 @@
 //! checkpoint/resume: resuming a killed run reproduces the uninterrupted
 //! time-vs-latency curve byte for byte — from a clean round boundary, from
 //! a log cut inside a round or its commit, and from a log whose appends
-//! started failing — replaying a record log warm-starts a fresh optimizer,
+//! started failing, whether the checkpoint copies its base model or names
+//! the pretrained one — replaying a record log warm-starts a fresh optimizer,
 //! and — with the store disabled or the log empty — the persistence layer
 //! perturbs nothing at any thread count.
 
 mod common;
 
 use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_network, tmp_dir};
+use felix::persist::{checkpoint_from_json, CheckpointState, LOG_FILE, MODEL_FILE, STATE_FILE};
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::SearchTask;
 use felix_graph::models;
-use felix_records::Json;
+use felix_records::{fnv1a, Json, FNV_OFFSET};
 use felix_sim::{DeviceConfig, FaultPlan};
 use std::path::Path;
 
@@ -22,43 +24,52 @@ fn resume_from_checkpoint_matches_uninterrupted_curve() {
     // halfway (drop the optimizer), resume from disk, and finish. The
     // concatenated time-vs-latency curve — and the final task states —
     // must be byte-identical to a run that was never interrupted (and
-    // never persisted anything), at 1 and 4 tuner threads.
-    for threads in [1usize, 4] {
-        let device = DeviceConfig::a5000();
-        let model = pretrained_cost_model(&device, ModelQuality::Fast);
-        let mut base =
-            Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(threads));
-        let n_rounds = base.tasks().len() + 2;
-        base.optimize_all(n_rounds, 4);
-
-        let dir = tmp_dir("resume");
-        let m = n_rounds / 2;
-        {
-            let mut first =
-                Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(threads))
-                    .with_checkpointing(&dir, 1);
-            first.optimize_all(m, 4);
-            assert_eq!(first.rounds_done(), m);
-            // Dropped here: the "crash".
+    // never persisted anything), at 1, 2 and 4 tuner threads, from either
+    // kind of base model.
+    for threads in [1usize, 2, 4] {
+        let base = uninterrupted(threads);
+        let m = base.rounds_done() / 2;
+        for kind in BASES {
+            let dir = tmp_dir("resume");
+            {
+                let mut first = checkpointed(&dir, threads, kind);
+                first.optimize_all(m, 4);
+                assert_eq!(first.rounds_done(), m);
+                // Dropped here: the "crash".
+            }
+            assert_resumes_at(&dir, m, &base, threads);
         }
-        let mut resumed =
-            Optimizer::resume_from_checkpoint(tiny_network(), device, quick_options(threads), &dir)
-                .expect("resume from checkpoint");
-        assert_eq!(resumed.rounds_done(), m);
-        resumed.optimize_all(n_rounds - m, 4);
+    }
+}
 
-        assert_eq!(history_bits(&resumed), history_bits(&base), "{threads} threads");
-        assert_eq!(resumed.tuning_time_s().to_bits(), base.tuning_time_s().to_bits());
-        assert_tasks_bit_identical(&base, &resumed);
+/// Where a checkpoint's base model comes from.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Base {
+    /// A caller's model (`Optimizer::with_options`), copied into
+    /// `MODEL_FILE`.
+    Supplied,
+    /// `Optimizer::pretrained`, named in the header by its hash.
+    Pretrained,
+}
+
+const BASES: [Base; 2] = [Base::Supplied, Base::Pretrained];
+
+/// An optimizer over the tiny network from `kind` of base, not yet run.
+/// Both kinds start from the same model bytes.
+fn fresh(kind: Base, threads: usize) -> Optimizer {
+    let device = DeviceConfig::a5000();
+    match kind {
+        Base::Supplied => {
+            let model = pretrained_cost_model(&device, ModelQuality::Fast);
+            Optimizer::with_options(tiny_network(), model, device, quick_options(threads))
+        }
+        Base::Pretrained => Optimizer::pretrained(tiny_network(), device, quick_options(threads)),
     }
 }
 
 /// A checkpointed optimizer over the tiny network, not yet run.
-fn checkpointed(dir: &Path, threads: usize) -> Optimizer {
-    let device = DeviceConfig::a5000();
-    let model = pretrained_cost_model(&device, ModelQuality::Fast);
-    Optimizer::with_options(tiny_network(), model, device, quick_options(threads))
-        .with_checkpointing(dir, 1)
+fn checkpointed(dir: &Path, threads: usize, kind: Base) -> Optimizer {
+    fresh(kind, threads).with_checkpointing(dir, 1)
 }
 
 fn resume(dir: &Path, threads: usize) -> std::io::Result<Optimizer> {
@@ -80,11 +91,23 @@ fn assert_resumes_at(dir: &Path, at: usize, base: &Optimizer, threads: usize) {
 
 /// An uninterrupted run without persistence: the reference of every resume.
 fn uninterrupted(threads: usize) -> Optimizer {
-    let device = DeviceConfig::a5000();
-    let model = pretrained_cost_model(&device, ModelQuality::Fast);
-    let mut base = Optimizer::with_options(tiny_network(), model, device, quick_options(threads));
+    let mut base = fresh(Base::Supplied, threads);
     base.optimize_all(base.tasks().len() + 2, 4);
     base
+}
+
+/// The checkpoint header in `dir`.
+fn header(dir: &Path) -> CheckpointState {
+    let doc = felix_records::read_document(dir.join(STATE_FILE)).expect("read header");
+    checkpoint_from_json(&doc).expect("decode header")
+}
+
+/// FNV-1a over the saved bytes of the device's pretrained model.
+fn pretrained_hash() -> u64 {
+    let mut bytes = Vec::new();
+    let model = pretrained_cost_model(&DeviceConfig::a5000(), ModelQuality::Fast);
+    model.save(&mut bytes).expect("save");
+    fnv1a(FNV_OFFSET, &bytes)
 }
 
 /// The line `line` (one JSON document) with `edit` applied to its field
@@ -104,7 +127,7 @@ fn is_commit(line: &str) -> bool {
 #[test]
 fn resume_rejects_mismatched_checkpoints() {
     let dir = tmp_dir("mismatch");
-    checkpointed(&dir, 1).optimize_all(2, 4);
+    checkpointed(&dir, 1, Base::Pretrained).optimize_all(2, 4);
     let device = DeviceConfig::a5000();
     let refused = |what: &str| {
         let err = resume(&dir, 1).err().unwrap_or_else(|| panic!("{what} must be refused"));
@@ -124,7 +147,7 @@ fn resume_rejects_mismatched_checkpoints() {
     assert!(err.is_err(), "network mismatch must be rejected");
     // Wrong sketch generator: the log's sketch indices and variable
     // vectors mean nothing under a generator that numbers sketches anew.
-    let state = dir.join(felix::persist::STATE_FILE);
+    let state = dir.join(STATE_FILE);
     let live = felix_tir::sketch::generator_hash();
     let text = std::fs::read_to_string(&state).expect("read state");
     let stale = text.replace(
@@ -134,20 +157,28 @@ fn resume_rejects_mismatched_checkpoints() {
     assert!(text != stale, "the header carries the live generator stamp");
     std::fs::write(&state, stale).expect("rewrite state");
     refused("a generator mismatch");
-    // A version-6 or version-7 document, whatever it holds, is refused,
-    // not half-read.
-    for version in [6.0, 7.0] {
+    // A version-6, -7 or -8 document, whatever it holds, is refused, not
+    // half-read.
+    for version in [6.0, 7.0, 8.0] {
         let old = edit_field(text.trim_end(), "version", |v| *v = Json::Num(version));
         std::fs::write(&state, old).expect("write an old state");
         refused(&format!("a version-{version} checkpoint"));
     }
+    // A header naming another pretrained base: the model this build
+    // pretrains is not the one the run started from.
+    std::fs::write(&state, &text).expect("restore state");
+    let live = pretrained_hash();
+    assert_eq!(header(&dir).base, Some(live), "the header names the pretrained base");
+    let other = edit_field(text.trim_end(), "base", |b| *b = Json::u64_hex(live ^ 1));
+    std::fs::write(&state, other).expect("write another base's state");
+    refused("another pretrained base");
     std::fs::write(&state, &text).expect("restore state");
 
     // Logs whose commits do not fit the rebuilt tasks: a round naming a
     // task the network does not have, and a committed measurement one
     // value short of its sketch. Each is an error result, not a panic in
     // the replay.
-    let log = dir.join(felix::persist::LOG_FILE);
+    let log = dir.join(LOG_FILE);
     let good = std::fs::read_to_string(&log).expect("read log");
     let lines: Vec<&str> = good.lines().collect();
     let commit = lines.iter().position(|l| is_commit(l)).expect("a committed round");
@@ -171,19 +202,32 @@ fn resume_rejects_mismatched_checkpoints() {
 
 #[test]
 fn model_file_is_the_base_model_written_once() {
-    let dir = tmp_dir("model-once");
+    // A supplied base is copied into `MODEL_FILE` once, before the first
+    // round; a pretrained one is named in the header and never copied.
     let device = DeviceConfig::a5000();
     let mut base_bytes = Vec::new();
     pretrained_cost_model(&device, ModelQuality::Fast).save(&mut base_bytes).expect("save");
-    let mut opt = checkpointed(&dir, 1);
-    let model_file = dir.join(felix::persist::MODEL_FILE);
-    opt.optimize_all(1, 4);
-    assert_eq!(std::fs::read(&model_file).expect("read model"), base_bytes);
-    let modified = std::fs::metadata(&model_file).and_then(|m| m.modified()).expect("mtime");
-    opt.optimize_all(opt.tasks().len() + 1, 4);
-    assert_eq!(std::fs::read(&model_file).expect("read model"), base_bytes);
-    assert_eq!(std::fs::metadata(&model_file).and_then(|m| m.modified()).expect("mtime"), modified);
-    opt.save_checkpoint().expect("every round is committed: a no-op");
+    for kind in BASES {
+        let dir = tmp_dir("model-once");
+        let mut opt = checkpointed(&dir, 1, kind);
+        let model_file = dir.join(MODEL_FILE);
+        opt.optimize_all(1, 4);
+        if kind == Base::Pretrained {
+            assert!(!model_file.exists(), "a pretrained base was copied");
+            assert_eq!(header(&dir).base, Some(fnv1a(FNV_OFFSET, &base_bytes)));
+            opt.optimize_all(opt.tasks().len() + 1, 4);
+            assert!(!model_file.exists(), "a later round copied the base");
+        } else {
+            assert_eq!(header(&dir).base, None);
+            assert_eq!(std::fs::read(&model_file).expect("read model"), base_bytes);
+            let modified = std::fs::metadata(&model_file).and_then(|m| m.modified());
+            opt.optimize_all(opt.tasks().len() + 1, 4);
+            assert_eq!(std::fs::read(&model_file).expect("read model"), base_bytes);
+            let again = std::fs::metadata(&model_file).and_then(|m| m.modified());
+            assert_eq!(again.expect("mtime"), modified.expect("mtime"));
+        }
+        opt.save_checkpoint().expect("every round is committed: a no-op");
+    }
 }
 
 #[test]
@@ -192,24 +236,26 @@ fn uncommitted_and_torn_rounds_resume_to_the_last_commit() {
     // lines without their commit, and one ending in half a commit. Each
     // resumes to the round before, continues byte-identically, and leaves
     // the dropped lines in the log, where a second resume skips them.
-    let threads = 2;
-    let base = uninterrupted(threads);
-    let m = base.rounds_done() / 2;
-    for torn in [false, true] {
-        let dir = tmp_dir("kill-window");
-        checkpointed(&dir, threads).optimize_all(m + 1, 4);
-        let log = dir.join(felix::persist::LOG_FILE);
-        let bytes = std::fs::read(&log).expect("read log");
-        let text = String::from_utf8(bytes.clone()).expect("utf-8 log");
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(is_commit(lines[lines.len() - 1]) && !is_commit(lines[lines.len() - 2]));
-        let commit_start = bytes.len() - lines[lines.len() - 1].len() - 1;
-        let cut = if torn { commit_start + lines[lines.len() - 1].len() / 2 } else { commit_start };
-        std::fs::write(&log, &bytes[..cut]).expect("cut the log");
-        assert_resumes_at(&dir, m, &base, threads);
-        let after = std::fs::read(&log).expect("read log");
-        assert_eq!(&after[..cut], &bytes[..cut], "the log is only ever appended to");
-        assert_resumes_at(&dir, base.rounds_done(), &base, threads);
+    for threads in [1, 2] {
+        let base = uninterrupted(threads);
+        let m = base.rounds_done() / 2;
+        for (kind, torn) in BASES.into_iter().flat_map(|kind| [(kind, false), (kind, true)]) {
+            let dir = tmp_dir("kill-window");
+            checkpointed(&dir, threads, kind).optimize_all(m + 1, 4);
+            let log = dir.join(LOG_FILE);
+            let bytes = std::fs::read(&log).expect("read log");
+            let text = String::from_utf8(bytes.clone()).expect("utf-8 log");
+            let lines: Vec<&str> = text.lines().collect();
+            assert!(is_commit(lines[lines.len() - 1]) && !is_commit(lines[lines.len() - 2]));
+            let commit = lines[lines.len() - 1].len();
+            let commit_start = bytes.len() - commit - 1;
+            let cut = if torn { commit_start + commit / 2 } else { commit_start };
+            std::fs::write(&log, &bytes[..cut]).expect("cut the log");
+            assert_resumes_at(&dir, m, &base, threads);
+            let after = std::fs::read(&log).expect("read log");
+            assert_eq!(&after[..cut], &bytes[..cut], "the log is only ever appended to");
+            assert_resumes_at(&dir, base.rounds_done(), &base, threads);
+        }
     }
 }
 
@@ -224,64 +270,72 @@ fn failed_append_resumes_to_the_last_round_whose_lines_landed() {
     let threads = 1;
     let base = uninterrupted(threads);
     let m = base.rounds_done() / 2;
-    let dir = tmp_dir("closed-fifo");
-    let log = dir.join(felix::persist::LOG_FILE);
-    let landed = dir.join("landed.jsonl");
-    let made = std::process::Command::new("mkfifo").arg(&log).status().expect("run mkfifo");
-    assert!(made.success());
-    let reader = {
-        let (log, landed) = (log.clone(), landed.clone());
-        std::thread::spawn(move || {
-            let fifo = std::io::BufReader::new(std::fs::File::open(log).expect("open read end"));
-            let mut out = std::fs::File::create(landed).expect("create copy");
-            let mut commits = 0;
-            for line in fifo.lines() {
-                let line = line.expect("read fifo");
-                writeln!(out, "{line}").expect("copy line");
-                commits += usize::from(is_commit(&line));
-                if commits == m {
-                    break;
+    for kind in BASES {
+        let dir = tmp_dir("closed-fifo");
+        let log = dir.join(LOG_FILE);
+        let landed = dir.join("landed.jsonl");
+        let made = std::process::Command::new("mkfifo").arg(&log).status().expect("run mkfifo");
+        assert!(made.success());
+        let reader = {
+            let (log, landed) = (log.clone(), landed.clone());
+            std::thread::spawn(move || {
+                let fifo = std::fs::File::open(log).expect("open read end");
+                let fifo = std::io::BufReader::new(fifo);
+                let mut out = std::fs::File::create(landed).expect("create copy");
+                let mut commits = 0;
+                for line in fifo.lines() {
+                    let line = line.expect("read fifo");
+                    writeln!(out, "{line}").expect("copy line");
+                    commits += usize::from(is_commit(&line));
+                    if commits == m {
+                        break;
+                    }
                 }
-            }
-        })
-    };
-    let mut opt = checkpointed(&dir, threads);
-    opt.optimize_all(m, 4);
-    reader.join().expect("reader thread");
-    opt.save_checkpoint().expect("every round so far is committed");
-    opt.optimize_all(base.rounds_done() - m, 4);
-    assert!(opt.save_checkpoint().is_err(), "the failed append is reported");
-    assert_eq!(history_bits(&opt), history_bits(&base), "a failed log perturbs nothing");
-    assert_tasks_bit_identical(&base, &opt);
-    std::fs::rename(&landed, &log).expect("the landed lines become the log");
-    assert_resumes_at(&dir, m, &base, threads);
+            })
+        };
+        let mut opt = checkpointed(&dir, threads, kind);
+        opt.optimize_all(m, 4);
+        reader.join().expect("reader thread");
+        opt.save_checkpoint().expect("every round so far is committed");
+        opt.optimize_all(base.rounds_done() - m, 4);
+        assert!(opt.save_checkpoint().is_err(), "the failed append is reported");
+        assert_eq!(history_bits(&opt), history_bits(&base), "a failed log perturbs nothing");
+        assert_tasks_bit_identical(&base, &opt);
+        std::fs::rename(&landed, &log).expect("the landed lines become the log");
+        assert_resumes_at(&dir, m, &base, threads);
+    }
 }
 
 #[test]
 fn resume_replays_the_warm_start_prefix() {
     // A checkpointed run that started from an existing log: resume replays
     // the lines before the run's start as the warm start did, then the
-    // run's own commits.
+    // run's own commits. The warm start fine-tuned the model, so the
+    // checkpoint copies it whichever kind of base the run started from.
     let device = DeviceConfig::a5000();
     let model = pretrained_cost_model(&device, ModelQuality::Fast);
     let dir = tmp_dir("warm-prefix");
     let log = dir.join("shared.jsonl");
-    let mut earlier =
-        Optimizer::with_options(tiny_network(), model.clone(), device, quick_options(1))
-            .with_record_log(&log)
-            .expect("open record log");
-    earlier.optimize_all(3, 4);
-    let mut warm = Optimizer::with_options(tiny_network(), model, device, quick_options(1))
+    let mut earlier = Optimizer::with_options(tiny_network(), model, device, quick_options(1))
         .with_record_log(&log)
-        .expect("replay record log")
-        .with_checkpointing(dir.join("ckpt"), 1);
-    warm.optimize_all(4, 4);
-    let resumed = resume(&dir.join("ckpt"), 1).expect("resume from checkpoint");
-    assert_eq!(resumed.rounds_done(), 4);
-    assert_eq!(history_bits(&resumed), history_bits(&warm));
-    assert_eq!(resumed.rng_state(), warm.rng_state());
-    assert_eq!(resumed.tuning_time_s().to_bits(), warm.tuning_time_s().to_bits());
-    assert_tasks_bit_identical(&warm, &resumed);
+        .expect("open record log");
+    earlier.optimize_all(3, 4);
+    for kind in BASES {
+        let ckpt = dir.join(format!("ckpt-{kind:?}"));
+        let mut warm = fresh(kind, 1)
+            .with_record_log(&log)
+            .expect("replay record log")
+            .with_checkpointing(&ckpt, 1);
+        warm.optimize_all(4, 4);
+        assert!(ckpt.join(MODEL_FILE).exists(), "{kind:?}: a fine-tuned base was not copied");
+        assert_eq!(header(&ckpt).base, None);
+        let resumed = resume(&ckpt, 1).expect("resume from checkpoint");
+        assert_eq!(resumed.rounds_done(), 4);
+        assert_eq!(history_bits(&resumed), history_bits(&warm));
+        assert_eq!(resumed.rng_state(), warm.rng_state());
+        assert_eq!(resumed.tuning_time_s().to_bits(), warm.tuning_time_s().to_bits());
+        assert_tasks_bit_identical(&warm, &resumed);
+    }
 }
 
 #[test]

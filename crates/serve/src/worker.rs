@@ -15,8 +15,11 @@
 //! after restart, whatever the scheduler did around the kill. A job's
 //! checkpoint is its directory's record log: every round ends with a
 //! commit line, and a restart replays the committed rounds onto the base
-//! model written before the first one, dropping the lines of a round the
-//! kill cut short.
+//! model, dropping the lines of a round the kill cut short. Every job
+//! starts from the device's pretrained model ([`Optimizer::pretrained`]),
+//! so the header written before the first round names that model by hash
+//! and the directory holds no copy of it: a restart rebuilds it through
+//! the process's memo and checks the hash.
 //!
 //! ## Fairness
 //!
@@ -35,7 +38,7 @@
 use crate::spec::JobSpec;
 use felix::cache::ScheduleCache;
 use felix::persist::STATE_FILE;
-use felix::{extract_subgraphs, pretrained_cost_model, ModelQuality, Optimizer};
+use felix::{extract_subgraphs, Optimizer};
 use felix_ansor::{job_priority, network_latency};
 use felix_records::jobs::{JobOutcome, SubmittedJob};
 use felix_records::{fnv1a, JobRecord, Json, FNV_OFFSET};
@@ -180,8 +183,7 @@ impl Shard {
             Optimizer::resume_from_checkpoint(graphs, device, options, &dir)
                 .map_err(|e| format!("resume failed: {e}"))?
         } else {
-            let model = pretrained_cost_model(&device, ModelQuality::Fast);
-            let mut opt = Optimizer::with_options(graphs, model, device, options);
+            let mut opt = Optimizer::pretrained(graphs, device, options);
             if to_run {
                 std::fs::create_dir_all(&dir).map_err(|e| format!("job dir: {e}"))?;
                 if spec.warm_cache {

@@ -1,6 +1,7 @@
 //! Job-lifecycle end-to-end tests: cancellation, deadlines, admission
-//! control, poison-job quarantine, graceful drain, WAL compaction, and the
-//! removal of finished jobs' directories —
+//! control, poison-job quarantine, graceful drain, WAL compaction, job
+//! directories that hold no model file, and the removal of finished jobs'
+//! directories —
 //! each exercised under the same SIGKILL chaos the crash_resume suite
 //! applies to plain completion.
 //!
@@ -22,6 +23,7 @@
 mod common;
 
 use common::{tmp_dir, Daemon};
+use felix::persist::{MODEL_FILE, STATE_FILE};
 use felix_records::{read_job_records, JobOutcome, JobRecord, JobWal, Json, QueueState};
 use felix_serve::{job_dir, Client, ClientError, JobSpec};
 use std::path::Path;
@@ -402,10 +404,12 @@ fn terminal_jobs_leave_no_directory_behind() {
     let quarantined = client.submit("tenant-c", &poison).expect("submit poison");
     let done = client.submit("tenant-d", &tiny_spec(2)).expect("submit done");
     let deadline = Instant::now() + WAIT;
-    while !job_dir(&dir, cancelled).join("state.json").exists() {
+    while !job_dir(&dir, cancelled).join(STATE_FILE).exists() {
         assert!(Instant::now() < deadline, "the long job never checkpointed");
         std::thread::sleep(Duration::from_millis(10));
     }
+    // The header names the pretrained base model; no copy is written.
+    assert!(!job_dir(&dir, cancelled).join(MODEL_FILE).exists(), "a job wrote its base model");
     client.cancel(cancelled).expect("cancel");
     let jobs = [cancelled, expired, quarantined, done];
     for (&job, expected) in jobs.iter().zip(["cancelled", "expired", "quarantined", "done"]) {
