@@ -4,8 +4,8 @@
 # (the root manifest's `default-members` lists them all) — one crate at a
 # time under a time budget, so each suite runs once. Then the serve
 # lifecycle suite again at one test thread, so a test that passes only
-# while its siblings slow the daemon fails; the pinned golden run under the
-# release profile, the ledger smoke,
+# while its siblings slow the daemon fails; the pinned golden run and the
+# pinned serve results under the release profile, the ledger smoke,
 # the non-test line count, the `too_many_arguments` allow count and the
 # count of items kept only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
@@ -60,10 +60,14 @@ if ! out=$(cargo test -q -p felix-serve --test lifecycle -- --test-threads=1); t
     exit 1
 fi
 
-# The pinned golden run once more under the release profile. Tests build
-# five numeric crates at opt-level 2 and the rest at 0, the ledger builds
-# everything at release; the pinned hashes must hold in both.
+# The pinned golden run and the pinned serve results once more under the
+# release profile. Tests build five numeric crates at opt-level 2 and the
+# rest at 0, the ledger builds everything at release; the pinned hashes
+# must hold in both. A resumed serve job pretrains its base model again
+# instead of loading a copy, so both profiles must agree on every byte of
+# a result.
 cargo test -q --release --test golden_run
+cargo test -q --release -p felix-serve --test pinned_results
 
 # Ledger smoke: every benchmark workload, untraced then traced, CI-sized.
 # Gates on the ledger's output checks only (`correct: true`, no failed
