@@ -2,11 +2,11 @@
 //! round-based multi-task tuning loop (paper §5, Zheng et al. OSDI '20).
 //!
 //! This crate also hosts the *shared* tuning infrastructure — [`SearchTask`]
-//! states, the [`Proposer`] abstraction, per-round measurement/fine-tuning,
-//! and the task scheduler — because the paper keeps everything except the
-//! candidate-proposal algorithm identical between Ansor and Felix for a fair
-//! comparison (§3.5: Felix adopts Ansor's round-based tuning and task
-//! scheduler).
+//! states over shared [`SearchSpace`]s, the [`Proposer`] abstraction,
+//! per-round measurement/fine-tuning, and the task scheduler — because the
+//! paper keeps everything except the candidate-proposal algorithm identical
+//! between Ansor and Felix for a fair comparison (§3.5: Felix adopts Ansor's
+//! round-based tuning and task scheduler).
 
 pub mod evolution;
 
@@ -19,11 +19,13 @@ use felix_graph::Task;
 use felix_sim::clock::ClockCosts;
 use felix_sim::vendor::hardware_params;
 use felix_sim::{candidate_key, FaultKind, FaultPlan, MeasureOutcome, Simulator, TuningClock};
-use felix_tir::sketch::{generate_sketches, RoundingPlan};
+use felix_tir::sketch::{generate_sketches, generator_hash, HardwareParams, RoundingPlan};
 use felix_tir::Program;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::HashSet;
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// One symbolic sketch of a task, with its extracted feature formulas.
 #[derive(Clone, Debug)]
@@ -163,7 +165,92 @@ pub fn schedule_key(sketch: usize, vals: &[f64]) -> ScheduleKey {
     (sketch, bits)
 }
 
-/// Search state of one tuning task (fused subgraph).
+/// What a [`SearchSpace`] is a pure function of: the workload, the
+/// device's hardware limits and the sketch generator. Two tasks with equal
+/// keys have equal spaces, so a process memo may hand them one.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SpaceKey {
+    /// [`felix_graph::Subgraph::workload_key`] of the task.
+    pub workload_key: String,
+    /// The device's hardware limits, which shape the sketches.
+    pub hardware: HardwareParams,
+    /// [`felix_tir::sketch::generator_hash`] of the generator that built it.
+    pub generator: u64,
+}
+
+impl SpaceKey {
+    /// The key of `task`'s space on a device with `hardware` limits.
+    pub fn new(task: &Task, hardware: HardwareParams) -> SpaceKey {
+        SpaceKey {
+            workload_key: task.subgraph.workload_key(),
+            hardware,
+            generator: generator_hash(),
+        }
+    }
+}
+
+/// The immutable half of a task's search: every sketch's program, symbolic
+/// features and rounding plan. Built once per [`SpaceKey`] and shared
+/// behind an `Arc` by every task, optimizer and proposer that tunes the
+/// workload; what a tune accumulates lives in its [`SearchTask`].
+#[derive(Debug)]
+pub struct SearchSpace {
+    /// What the space was built from.
+    pub key: SpaceKey,
+    /// The generated sketches.
+    pub sketches: Vec<SketchState>,
+}
+
+impl SearchSpace {
+    /// Lowers `task`, generates its sketches for `key.hardware` and
+    /// extracts each sketch's features and rounding plan.
+    pub fn build(task: &Task, key: SpaceKey) -> SearchSpace {
+        let p0 = lower_subgraph(&task.subgraph);
+        let sketches = generate_sketches(&p0, &key.hardware)
+            .into_iter()
+            .map(|sk| {
+                let mut program = sk.program;
+                let features = extract_features(&mut program);
+                let rounding = RoundingPlan::new(&program);
+                SketchState { name: sk.name, program, features, rounding }
+            })
+            .collect();
+        SearchSpace { key, sketches }
+    }
+}
+
+/// A task's sketches: a shared handle on its [`SearchSpace`] that reads as
+/// a slice of [`SketchState`]s. Cloning it clones the `Arc`.
+#[derive(Clone, Debug)]
+pub struct Sketches(Arc<SearchSpace>);
+
+impl Sketches {
+    /// The space the sketches belong to.
+    pub fn space(&self) -> &Arc<SearchSpace> {
+        &self.0
+    }
+}
+
+impl Deref for Sketches {
+    type Target = [SketchState];
+
+    fn deref(&self) -> &[SketchState] {
+        &self.0.sketches
+    }
+}
+
+impl<'a> IntoIterator for &'a Sketches {
+    type Item = &'a SketchState;
+    type IntoIter = std::slice::Iter<'a, SketchState>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.sketches.iter()
+    }
+}
+
+/// Search state of one tuning task (fused subgraph): a shared
+/// [`SearchSpace`] plus what this tune has accumulated on it. Cloning a
+/// task copies its progress and shares its space.
 #[derive(Clone, Debug)]
 pub struct SearchTask {
     /// Display name.
@@ -175,8 +262,9 @@ pub struct SearchTask {
     pub workload_key: String,
     /// Occurrences in the network.
     pub weight: usize,
-    /// The generated sketches.
-    pub sketches: Vec<SketchState>,
+    /// The generated sketches, shared with every task of the same
+    /// [`SpaceKey`] that was given the same space.
+    pub sketches: Sketches,
     /// Best measured latency so far (ms), `INFINITY` before any measurement.
     pub best_latency_ms: f64,
     /// Best (sketch, values) found.
@@ -213,25 +301,24 @@ pub struct SearchTask {
 }
 
 impl SearchTask {
-    /// Builds the search state for a fused subgraph on a device.
+    /// Builds the search state for a fused subgraph on a device, with a
+    /// space of its own ([`SearchSpace::build`]). The `felix` optimizer
+    /// takes its spaces from a process memo instead, through
+    /// [`SearchTask::new`].
     pub fn from_task(task: &Task, sim: &Simulator) -> Self {
-        let hw = hardware_params(&sim.device);
-        let p0 = lower_subgraph(&task.subgraph);
-        let sketches: Vec<SketchState> = generate_sketches(&p0, &hw)
-            .into_iter()
-            .map(|sk| {
-                let mut program = sk.program;
-                let features = extract_features(&mut program);
-                let rounding = RoundingPlan::new(&program);
-                SketchState { name: sk.name, program, features, rounding }
-            })
-            .collect();
-        let n_sketches = sketches.len();
+        let key = SpaceKey::new(task, hardware_params(&sim.device));
+        SearchTask::new(task, Arc::new(SearchSpace::build(task, key)))
+    }
+
+    /// A fresh tune of `task` over `space`, which must be `task`'s space
+    /// (built under its [`SpaceKey`]).
+    pub fn new(task: &Task, space: Arc<SearchSpace>) -> Self {
+        let n_sketches = space.sketches.len();
         SearchTask {
             name: task.subgraph.name(),
-            workload_key: task.subgraph.workload_key(),
+            workload_key: space.key.workload_key.clone(),
             weight: task.weight,
-            sketches,
+            sketches: Sketches(space),
             best_latency_ms: f64::INFINITY,
             best_schedule: None,
             measured: Vec::new(),
@@ -387,10 +474,11 @@ pub struct TunerStats {
     /// point or of an already-measured schedule (rounding collapsed distinct
     /// relaxed points onto one lattice point).
     pub rounding_rejection_rate: f64,
-    /// Compiled-objective cache hits (sketch objectives reused from an
-    /// earlier round on the same task).
+    /// Compiled-objective memo hits: sketch objectives reused from the
+    /// process memo, built by an earlier round of any task or optimizer
+    /// on the same space.
     pub cache_hits: usize,
-    /// Compiled-objective cache misses (objectives built this round).
+    /// Compiled-objective memo misses (objectives built this round).
     pub cache_misses: usize,
     /// Worker threads the round ran on (1 = serial).
     pub threads: usize,
@@ -417,9 +505,9 @@ pub struct TunerStats {
     /// Sketches running degraded (below [`SketchMode::Gradient`]) after
     /// this round: the supervisor's [`HealthReport::modes`] for the next.
     pub degraded_sketches: usize,
-    /// Always 0: there is no shared objective cache any more.
-    /// Pinned by the frozen ledger: `benchmark/` reads it until ROADMAP
-    /// item 1 step B deletes it there.
+    /// Always 0: this counter's cache is gone (the objective memo reports
+    /// in [`Self::cache_hits`]). Pinned by the frozen ledger: `benchmark/`
+    /// reads it until ROADMAP item 1 step B deletes it there.
     pub tape_cache_hits: usize,
 }
 

@@ -3,6 +3,7 @@
 use crate::cache::{CacheOutcome, ScheduleCache};
 use crate::gd::{FelixOptions, GradientProposer};
 use crate::persist::{self, AttachedState, CheckpointState, RecordLogSink};
+use crate::spaces::SPACES;
 use felix_ansor::{
     fine_tune_on_new_samples, select_next_task, tune_network_with_sink, CurvePoint,
     MeasurementSink, NetworkTuneResult, Proposer, SearchTask, TuneOptions, TunerStats,
@@ -11,6 +12,7 @@ use felix_cost::{pretrain_for_device, Mlp};
 use felix_graph::{partition, Graph, Task};
 use felix_records::{fnv1a, task_key, LogLine, FNV_OFFSET};
 use felix_sim::clock::ClockCosts;
+use felix_sim::vendor::hardware_params;
 use felix_sim::{DeviceConfig, Simulator, TuningClock};
 use felix_tir::sketch::{generator_hash, generator_is_current};
 use rand::rngs::StdRng;
@@ -127,7 +129,10 @@ impl Optimizer {
         Self::with_options(graphs, cost_model, device, FelixOptions::default())
     }
 
-    /// [`Optimizer::new`] with explicit search hyperparameters.
+    /// [`Optimizer::new`] with explicit search hyperparameters. Each
+    /// task's search space comes from the process memo, which builds a
+    /// workload's space once for the device's hardware limits and shares
+    /// it, with its compiled objectives, with every later optimizer.
     pub fn with_options(
         graphs: Vec<Task>,
         cost_model: Mlp,
@@ -135,7 +140,9 @@ impl Optimizer {
         options: FelixOptions,
     ) -> Self {
         let sim = Simulator::new(device);
-        let tasks: Vec<_> = graphs.iter().map(|t| SearchTask::from_task(t, &sim)).collect();
+        let hardware = hardware_params(&sim.device);
+        let tasks: Vec<_> =
+            graphs.iter().map(|t| SearchTask::new(t, SPACES.space(t, hardware))).collect();
         Optimizer {
             attached: vec![AttachedState::default(); tasks.len()],
             tasks,

@@ -19,6 +19,16 @@
 //! and duplicate counts are still per point. Only the fresh distinct
 //! schedules are scored.
 //!
+//! # Objectives are compiled once per process
+//!
+//! A round's sketch objectives come from the process memo of search spaces
+//! (`spaces.rs`), keyed by the task's [`felix_ansor::SpaceKey`] and the
+//! [`PipelineOptions`]: the first descent on a space anywhere in the
+//! process compiles them, in parallel over sketches, and every later round
+//! of any task, optimizer or serve job on that key reuses them. A proposer
+//! keeps no objectives of its own; [`TunerStats::cache_hits`] and
+//! [`TunerStats::cache_misses`] count the memo's verdict per sketch.
+//!
 //! # Parallel, batched execution
 //!
 //! One work item is a run of one sketch's seeds: the round's seeds are
@@ -47,6 +57,7 @@
 use crate::health::{restart_salt, restart_stream, round_report, SeedHealth, SketchHealth};
 use crate::objective::{EvalScratch, PipelineOptions, SketchObjective};
 use crate::parallel::{effective_threads, parallel_map};
+use crate::spaces::{SpaceMemo, SPACES};
 use felix_ansor::evolution::EvolutionConfig;
 use felix_ansor::{
     schedule_key, EvolutionaryProposer, HealthReport, Proposer, ScheduleKey, SearchTask,
@@ -161,8 +172,8 @@ struct ItemOut {
     health: SketchHealth,
 }
 
-/// An empty type. Each [`GradientProposer`]'s own memo is the only
-/// objective cache. Pinned by the frozen ledger: `benchmark/` names this
+/// An empty type. The process memo of search spaces and their compiled
+/// objectives (`spaces.rs`) is the only objective cache. Pinned by the frozen ledger: `benchmark/` names this
 /// type and [`GradientProposer::with_shared_tape_cache`] until ROADMAP
 /// item 1 step B deletes them there.
 #[derive(Debug, Default)]
@@ -179,7 +190,9 @@ impl TapeCache {
 pub struct GradientProposer {
     /// Hyperparameters.
     pub options: FelixOptions,
-    objectives: HashMap<String, Vec<SketchObjective>>,
+    /// Where the compiled objectives come from: the process memo, except
+    /// in tests that need a memo of their own.
+    memo: &'static SpaceMemo,
     trace: Vec<f64>,
     stats: Vec<TunerStats>,
     health: HealthReport,
@@ -190,7 +203,7 @@ impl GradientProposer {
     pub fn new(options: FelixOptions) -> Self {
         GradientProposer {
             options,
-            objectives: HashMap::new(),
+            memo: &SPACES,
             trace: Vec::new(),
             stats: Vec::new(),
             health: HealthReport::default(),
@@ -202,42 +215,6 @@ impl GradientProposer {
     #[must_use]
     pub fn with_shared_tape_cache(self, _cache: Arc<TapeCache>) -> Self {
         self
-    }
-
-    /// Returns the compiled objectives for `task` from the memo, building
-    /// them (in parallel over sketches — each build is deterministic and
-    /// independent) on first sight. Reports memo hits and misses into
-    /// `stats`.
-    ///
-    /// The memo is keyed by `workload_key`, not display name: display
-    /// names can collide across tasks with different extents (two dense
-    /// layers differing only in the reduction size), and a name-keyed memo
-    /// would serve one of them objectives compiled for the other's
-    /// program.
-    fn objectives_for<'a>(
-        objectives: &'a mut HashMap<String, Vec<SketchObjective>>,
-        task: &SearchTask,
-        pipeline: PipelineOptions,
-        threads: usize,
-        stats: &mut TunerStats,
-    ) -> &'a [SketchObjective] {
-        if objectives.contains_key(&task.workload_key) {
-            stats.cache_hits = task.sketches.len();
-        } else {
-            stats.cache_misses = task.sketches.len();
-            let built = parallel_map(task.sketches.len(), threads, |i| {
-                let sk = &task.sketches[i];
-                SketchObjective::build_with(&sk.program, &sk.features.exprs, pipeline)
-            });
-            objectives.insert(task.workload_key.clone(), built);
-        }
-        let objs = &objectives[&task.workload_key];
-        for o in objs.iter() {
-            stats.pool_nodes += o.program.pool.len();
-            stats.tape_nodes += o.tape.len();
-            stats.tape_compile_s += o.tape_compile_s;
-        }
-        objs
     }
 }
 
@@ -461,13 +438,20 @@ impl Proposer for GradientProposer {
         let opts = self.options;
         let threads = effective_threads(opts.threads);
         let mut stats = TunerStats { threads, ..TunerStats::default() };
-        let objectives = Self::objectives_for(
-            &mut self.objectives,
-            task,
-            opts.pipeline,
-            threads,
-            &mut stats,
-        );
+        // The task's compiled objectives, from the process memo: built by
+        // the first descent on this space anywhere in the process.
+        let (objectives, built) = self.memo.objectives(task.sketches.space(), opts.pipeline, threads);
+        if built {
+            stats.cache_misses = objectives.len();
+        } else {
+            stats.cache_hits = objectives.len();
+        }
+        for o in objectives.iter() {
+            stats.pool_nodes += o.program.pool.len();
+            stats.tape_nodes += o.tape.len();
+            stats.tape_compile_s += o.tape_compile_s;
+        }
+        let objectives = &objectives[..];
         // One packed (transposed-weights) view of the model serves every
         // batched cost-model call of this round — seed-init scoring, the
         // descent workers, candidate ranking — and is dropped on return, so
@@ -896,9 +880,17 @@ mod tests {
         );
     }
 
+    /// A dense task whose space no other test in this binary builds, so
+    /// the process memo has never seen it.
+    fn unseen_task(sim: &Simulator) -> SearchTask {
+        let subgraph = Subgraph { ops: vec![Op::Dense { m: 96, k: 320, n: 160 }] };
+        SearchTask::from_task(&Task { subgraph, weight: 1 }, sim)
+    }
+
     #[test]
     fn stats_record_descent_and_cache_behaviour() {
-        let (task, model, _sim) = setup();
+        let (_task, model, sim) = setup();
+        let task = unseen_task(&sim);
         let mut prop = GradientProposer::new(quick_opts());
         let mut clock = TuningClock::new();
         let mut rng = StdRng::seed_from_u64(7);
@@ -906,7 +898,8 @@ mod tests {
         prop.propose(&task, &model, 8, &mut clock, &ClockCosts, &mut rng);
         let stats = prop.take_stats();
         assert_eq!(stats.len(), 2);
-        // First round builds every sketch objective, second reuses them.
+        // The first round builds every sketch objective into the process
+        // memo, the second reuses them.
         assert_eq!(stats[0].cache_misses, task.sketches.len());
         assert_eq!(stats[0].cache_hits, 0);
         assert_eq!(stats[1].cache_hits, task.sketches.len());
@@ -998,6 +991,86 @@ mod tests {
         }
         let opts = FelixOptions { n_seeds: 16, n_steps: 30, ..Default::default() };
         assert_thread_counts_agree(&task, opts);
+    }
+
+    /// What one `propose` returns and records, bit for bit: candidates,
+    /// prediction trace, simulated clock and health.
+    type ProposeRun = (Vec<(usize, Vec<f64>)>, Vec<u64>, u64, HealthReport);
+
+    /// One `propose` on `task` through `memo`; whether it built the
+    /// objectives rides along.
+    fn propose_via(memo: &'static SpaceMemo, task: &SearchTask, threads: usize) -> (ProposeRun, bool) {
+        let mut prop = GradientProposer::new(FelixOptions { threads, ..quick_opts() });
+        prop.memo = memo;
+        let mut clock = TuningClock::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let cands = prop.propose(task, shared_model(), 8, &mut clock, &ClockCosts, &mut rng);
+        let trace = prop.take_prediction_trace().iter().map(|v| v.to_bits()).collect();
+        let built = prop.take_stats()[0].cache_misses > 0;
+        ((cands, trace, clock.now_s().to_bits(), prop.take_health()), built)
+    }
+
+    #[test]
+    fn concurrent_callers_build_one_space_and_one_objective_set() {
+        let memo: &'static SpaceMemo = Box::leak(Box::new(SpaceMemo::new(4)));
+        let task = Task {
+            subgraph: Subgraph { ops: vec![Op::Dense { m: 64, k: 192, n: 320 }] },
+            weight: 1,
+        };
+        let hardware = felix_sim::vendor::hardware_params(&DeviceConfig::a5000());
+        let pipeline = PipelineOptions::default();
+        let calls: Vec<_> = std::thread::scope(|s| {
+            let calls: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let space = memo.space(&task, hardware);
+                        let (objectives, built) = memo.objectives(&space, pipeline, 1);
+                        (space, objectives, built)
+                    })
+                })
+                .collect();
+            calls.into_iter().map(|c| c.join().expect("memo call")).collect()
+        });
+        let (space, objectives, _) = &calls[0];
+        assert!(calls.iter().all(|c| Arc::ptr_eq(&c.0, space)), "one space per key");
+        assert!(calls.iter().all(|c| Arc::ptr_eq(&c.1, objectives)), "one objective set");
+        assert_eq!(calls.iter().filter(|c| c.2).count(), 1, "exactly one caller built them");
+    }
+
+    #[test]
+    fn cold_warm_and_evicted_memo_entries_propose_the_same() {
+        let sim = Simulator::new(DeviceConfig::a5000());
+        let task = SearchTask::from_task(
+            &Task {
+                subgraph: Subgraph { ops: vec![Op::Dense { m: 32, k: 448, n: 224 }] },
+                weight: 1,
+            },
+            &sim,
+        );
+        let other = SearchTask::from_task(
+            &Task {
+                subgraph: Subgraph { ops: vec![Op::BatchMatmul { b: 4, m: 48, k: 64, n: 80 }] },
+                weight: 1,
+            },
+            &sim,
+        );
+        let mut runs = Vec::new();
+        for threads in [1, 4] {
+            // One entry at most: the other task's propose evicts the first.
+            let memo: &'static SpaceMemo = Box::leak(Box::new(SpaceMemo::new(1)));
+            let (cold, built) = propose_via(memo, &task, threads);
+            assert!(built, "a fresh memo misses");
+            let (warm, built) = propose_via(memo, &task, threads);
+            assert!(!built, "the second propose hits");
+            assert!(propose_via(memo, &other, threads).1, "a second key misses");
+            let (rebuilt, built) = propose_via(memo, &task, threads);
+            assert!(built, "the first key was evicted and is rebuilt");
+            assert!(!cold.0.is_empty());
+            assert_eq!(warm, cold, "warm, {threads} threads");
+            assert_eq!(rebuilt, cold, "rebuilt, {threads} threads");
+            runs.push(cold);
+        }
+        assert_eq!(runs[0], runs[1], "1 thread vs 4");
     }
 
     #[test]

@@ -44,6 +44,7 @@ pub mod health;
 pub mod objective;
 pub mod parallel;
 pub mod persist;
+mod spaces;
 
 pub use api::{
     extract_subgraphs, pretrained_cost_model, CompiledModule, ModelQuality, Optimizer,

@@ -19,7 +19,11 @@
 //! starts from the device's pretrained model ([`Optimizer::pretrained`]),
 //! so the header written before the first round names that model by hash
 //! and the directory holds no copy of it: a restart rebuilds it through
-//! the process's memo and checks the hash.
+//! the process's memo and checks the hash. Jobs share what is immutable,
+//! though: every optimizer, fresh or resumed, takes its tasks' search
+//! spaces and compiled objectives from the `felix` crate's process memo,
+//! so only the first job on a workload builds them, and a job's result is
+//! the same whether it found the memo cold or warm.
 //!
 //! ## Fairness
 //!

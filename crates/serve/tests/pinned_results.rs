@@ -5,6 +5,10 @@
 //! constant. A change that moves any byte a finished job serves fails here
 //! and names the job that moved.
 //!
+//! The four jobs then run a second time in the same process, where the
+//! process memo already holds their search spaces and compiled objectives,
+//! and must serve the same bytes: a warm memo changes no result.
+//!
 //! A change that means to move a result re-pins its constant and says why
 //! in CHANGES.md, as with `tests/golden_run.rs` at the workspace root.
 
@@ -36,15 +40,19 @@ fn served_results_match_their_pinned_hashes() {
     let server = Server::start(&ServeConfig::new("127.0.0.1:0", &*dir, 2)).expect("start");
     let mut client = Client::connect(server.addr).expect("connect");
     let jobs = jobs();
-    let ids: Vec<u64> =
-        jobs.iter().map(|(_, spec, _)| client.submit("pinned", spec).expect("submit")).collect();
     let mut moved = Vec::new();
-    for ((name, _, pinned), id) in jobs.iter().zip(ids) {
-        let (state, result) = client.wait_done(id, Duration::from_secs(120)).expect("result");
-        assert_eq!(state, "done", "{name}: {}", result.write());
-        let got = fnv1a(FNV_OFFSET, result.write().as_bytes());
-        if got != *pinned {
-            moved.push(format!("{name}: {got:#018x} (pinned {pinned:#018x})"));
+    for pass in ["first run", "rerun on a warm memo"] {
+        let ids: Vec<u64> = jobs
+            .iter()
+            .map(|(_, spec, _)| client.submit("pinned", spec).expect("submit"))
+            .collect();
+        for ((name, _, pinned), id) in jobs.iter().zip(ids) {
+            let (state, result) = client.wait_done(id, Duration::from_secs(120)).expect("result");
+            assert_eq!(state, "done", "{name}, {pass}: {}", result.write());
+            let got = fnv1a(FNV_OFFSET, result.write().as_bytes());
+            if got != *pinned {
+                moved.push(format!("{name}, {pass}: {got:#018x} (pinned {pinned:#018x})"));
+            }
         }
     }
     server.shutdown_and_wait();

@@ -24,7 +24,7 @@ use crate::{AccessKind, AxisKind, Constraint, LoopKind, MemScope, Program, Stage
 use felix_expr::{ExprId, VarId};
 
 /// Hardware limits that shape the search space and its constraints.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HardwareParams {
     /// Maximum threads per block (CUDA limit, typically 1024).
     pub max_threads_per_block: i64,
