@@ -85,12 +85,12 @@ impl Scale {
 
 /// Directory for cached models and experiment outputs.
 ///
-/// Defaults to the repository's `results/`; override with the `--out-dir
-/// <path>` flag (every harness binary parses it via [`out_dir_from_args`]).
+/// Defaults to `results/` under the current working directory, resolved
+/// when the binary runs, so the repository's `results/` when run from its
+/// root; override with the `--out-dir <path>` flag (every harness binary
+/// parses it via [`out_dir_from_args`]).
 pub fn results_dir() -> PathBuf {
-    let root = OUT_DIR.get().cloned().unwrap_or_else(|| {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
-    });
+    let root = OUT_DIR.get().cloned().unwrap_or_else(|| PathBuf::from("results"));
     std::fs::create_dir_all(&root).expect("create results dir");
     root.canonicalize().expect("canonical results dir")
 }
