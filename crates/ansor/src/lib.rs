@@ -226,7 +226,7 @@ pub struct Sketches(Arc<SearchSpace>);
 
 impl Sketches {
     /// The space the sketches belong to.
-    pub fn space(&self) -> &Arc<SearchSpace> {
+    pub fn space(&self) -> &SearchSpace {
         &self.0
     }
 }

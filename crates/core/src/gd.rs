@@ -1019,10 +1019,12 @@ mod tests {
         };
         let hardware = felix_sim::vendor::hardware_params(&DeviceConfig::a5000());
         let pipeline = PipelineOptions::default();
+        let start = std::sync::Barrier::new(4);
         let calls: Vec<_> = std::thread::scope(|s| {
             let calls: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
+                        start.wait();
                         let space = memo.space(&task, hardware);
                         let (objectives, built) = memo.objectives(&space, pipeline, 1);
                         (space, objectives, built)

@@ -102,7 +102,7 @@ impl SpaceMemo {
     /// memo keeps no copy of a space nothing asked it for.
     pub(crate) fn objectives(
         &self,
-        space: &Arc<SearchSpace>,
+        space: &SearchSpace,
         pipeline: PipelineOptions,
         threads: usize,
     ) -> (Arc<[SketchObjective]>, bool) {
