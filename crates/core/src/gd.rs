@@ -173,9 +173,10 @@ struct ItemOut {
 }
 
 /// An empty type. The process memo of search spaces and their compiled
-/// objectives (`spaces.rs`) is the only objective cache. Pinned by the frozen ledger: `benchmark/` names this
-/// type and [`GradientProposer::with_shared_tape_cache`] until ROADMAP
-/// item 1 step B deletes them there.
+/// objectives (`spaces.rs`) is the only objective cache. Pinned by the
+/// frozen ledger: `benchmark/` names this type and
+/// [`GradientProposer::with_shared_tape_cache`] until ROADMAP item 1 step
+/// B deletes them there.
 #[derive(Debug, Default)]
 pub struct TapeCache;
 
@@ -438,9 +439,8 @@ impl Proposer for GradientProposer {
         let opts = self.options;
         let threads = effective_threads(opts.threads);
         let mut stats = TunerStats { threads, ..TunerStats::default() };
-        // The task's compiled objectives, from the process memo: built by
-        // the first descent on this space anywhere in the process.
-        let (objectives, built) = self.memo.objectives(task.sketches.space(), opts.pipeline, threads);
+        let (objectives, built) =
+            self.memo.objectives(task.sketches.space(), opts.pipeline, threads);
         if built {
             stats.cache_misses = objectives.len();
         } else {

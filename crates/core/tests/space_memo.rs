@@ -31,7 +31,12 @@ fn memoized_spaces_equal_fresh_builds() {
         let opts: Vec<Optimizer> = graphs
             .iter()
             .map(|g| {
-                Optimizer::with_options(partition(g), model.clone(), device, FelixOptions::default())
+                Optimizer::with_options(
+                    partition(g),
+                    model.clone(),
+                    device,
+                    FelixOptions::default(),
+                )
             })
             .collect();
         for (graph, opt) in graphs.iter().zip(&opts) {
