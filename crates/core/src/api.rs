@@ -302,10 +302,7 @@ impl Optimizer {
             tasks: self.attached.clone(),
         };
         self.sink = Some(sink);
-        felix_records::write_document(
-            dir.join(persist::STATE_FILE),
-            &persist::checkpoint_to_json(&state),
-        )
+        felix_records::write_document(dir.join(persist::STATE_FILE), &state.to_json())
     }
 
     /// A no-op when every round run so far is committed — each round
@@ -354,8 +351,8 @@ impl Optimizer {
     ) -> std::io::Result<Optimizer> {
         let dir = dir.as_ref();
         let doc = felix_records::read_document(dir.join(persist::STATE_FILE))?;
-        let state = persist::checkpoint_from_json(&doc)
-            .ok_or_else(|| invalid("malformed or incompatible checkpoint header"))?;
+        let state = CheckpointState::from_json(&doc)
+            .map_err(|e| invalid(&format!("malformed or incompatible checkpoint header: {e}")))?;
         if state.device_name != device.name {
             return Err(invalid("checkpoint was written for a different device"));
         }

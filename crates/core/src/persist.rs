@@ -21,9 +21,10 @@
 //!   commits, which a resume replays round by round onto that base.
 
 use felix_ansor::{HealthEvent, MeasurementEvent, MeasurementSink, SearchTask, SketchMode};
+use felix_records::schema::{Bits, Codec, Hex, List, Num, OrNull, Tag, Text};
 use felix_records::{
-    task_key, HealthRecord, Json, LogLine, Record, RecordLog, RecordOutcome, RoundRecord,
-    TuningRecord, HEALTH_RECORD_VERSION,
+    schema, task_key, HealthRecord, Json, LogLine, Record, RecordLog, RecordOutcome, RoundRecord,
+    TuningRecord,
 };
 use felix_sim::FaultKind;
 use std::path::Path;
@@ -35,7 +36,7 @@ use std::path::Path;
 /// tenant namespace: a tenant is its own store file. Version 9 added the
 /// pretrained base's hash, which replaces [`MODEL_FILE`] when present.
 /// Other versions are refused.
-const CHECKPOINT_VERSION: f64 = 9.0;
+const CHECKPOINT_VERSION: usize = 9;
 
 /// A [`MeasurementSink`] appending every measurement to a durable
 /// [`RecordLog`]. Write errors are reported once to stderr and then disable
@@ -139,7 +140,6 @@ impl MeasurementSink for RecordLogSink {
             return;
         }
         let record = HealthRecord {
-            version: HEALTH_RECORD_VERSION,
             task_key: task_key(event.workload_key, &self.device_name),
             round: event.round,
             nonfinite_events: event.report.nonfinite_events,
@@ -264,90 +264,40 @@ pub struct CheckpointState {
     pub tasks: Vec<AttachedState>,
 }
 
-fn values_to_json(values: &[f64]) -> Json {
-    Json::Arr(values.iter().map(|&v| Json::f64_bits(v)).collect())
-}
+schema!(struct CheckpointState {
+    ("version", Tag(CHECKPOINT_VERSION)), ("device", Text) => device_name,
+    ("gen", Hex) => generator, ("base", OrNull(Hex)) => base,
+    ("record_log", OrNull(Text)) => record_log, ("log_start", Num) => log_start,
+    ("schedule_store", OrNull(Text)) => schedule_store, ("tasks", List(Attached)) => tasks,
+});
 
-fn values_from_json(node: &Json) -> Option<Vec<f64>> {
-    node.as_arr()?.iter().map(Json::as_f64_bits).collect()
-}
+/// An [`AttachedState`] as the array `[hit, hints]`: the hit is `null` or
+/// `[sketch, values, latency_ms]`, a hint `[sketch, values]`, floats as bits.
+struct Attached;
 
-fn path_to_json(path: &Option<String>) -> Json {
-    path.as_ref().map_or(Json::Null, |p| Json::Str(p.clone()))
-}
-
-fn path_from_json(node: &Json) -> Option<Option<String>> {
-    match node {
-        Json::Null => Some(None),
-        node => Some(Some(node.as_str()?.to_string())),
+impl Codec<AttachedState> for Attached {
+    fn enc(&self, task: &AttachedState) -> Json {
+        let values = |vals: &Vec<f64>| List(Bits).enc(vals);
+        let hit = task.hit.as_ref().map_or(Json::Null, |(sk, vals, latency)| {
+            Json::Arr(vec![Num.enc(sk), values(vals), Bits.enc(latency)])
+        });
+        let hint = |(sk, vals): &(usize, Vec<f64>)| Json::Arr(vec![Num.enc(sk), values(vals)]);
+        Json::Arr(vec![hit, Json::Arr(task.warm_hints.iter().map(hint).collect())])
     }
-}
-
-fn attached_to_json(task: &AttachedState) -> Json {
-    let hit = match &task.hit {
-        Some((sk, vals, latency)) => {
-            Json::Arr(vec![Json::Num(*sk as f64), values_to_json(vals), Json::f64_bits(*latency)])
-        }
-        None => Json::Null,
-    };
-    let hint = |(sk, vals): &(usize, Vec<f64>)| {
-        Json::Arr(vec![Json::Num(*sk as f64), values_to_json(vals)])
-    };
-    Json::Arr(vec![hit, Json::Arr(task.warm_hints.iter().map(hint).collect())])
-}
-
-fn attached_from_json(doc: &Json) -> Option<AttachedState> {
-    let [hit, hints] = doc.as_arr()? else { return None };
-    let hit = match hit {
-        Json::Null => None,
-        hit => {
-            let [sk, vals, latency] = hit.as_arr()? else { return None };
-            Some((sk.as_usize()?, values_from_json(vals)?, latency.as_f64_bits()?))
-        }
-    };
-    let mut warm_hints = Vec::new();
-    for hint in hints.as_arr()? {
-        let [sk, vals] = hint.as_arr()? else { return None };
-        warm_hints.push((sk.as_usize()?, values_from_json(vals)?));
+    fn dec(&self, node: &Json) -> Option<AttachedState> {
+        let [hit, hints] = node.as_arr()? else { return None };
+        let hit = match (hit, hit.as_arr()) {
+            (Json::Null, _) => None,
+            (_, Some([sk, vals, l])) => Some((Num.dec(sk)?, List(Bits).dec(vals)?, Bits.dec(l)?)),
+            _ => return None,
+        };
+        let hint = |hint: &Json| match hint.as_arr()? {
+            [sk, vals] => Some((Num.dec(sk)?, List(Bits).dec(vals)?)),
+            _ => None,
+        };
+        let warm_hints = hints.as_arr()?.iter().map(hint).collect::<Option<_>>()?;
+        Some(AttachedState { hit, warm_hints })
     }
-    Some(AttachedState { hit, warm_hints })
-}
-
-/// Serializes the header as one JSON document, every float as an exact
-/// bit pattern ([`Json::f64_bits`]).
-pub fn checkpoint_to_json(state: &CheckpointState) -> Json {
-    Json::obj(vec![
-        ("version", Json::Num(CHECKPOINT_VERSION)),
-        ("device", Json::Str(state.device_name.clone())),
-        ("gen", Json::u64_hex(state.generator)),
-        ("base", state.base.map_or(Json::Null, Json::u64_hex)),
-        ("record_log", path_to_json(&state.record_log)),
-        ("log_start", Json::Num(state.log_start as f64)),
-        ("schedule_store", path_to_json(&state.schedule_store)),
-        ("tasks", Json::Arr(state.tasks.iter().map(attached_to_json).collect())),
-    ])
-}
-
-/// Decodes a header; `None` on any structural mismatch (including any
-/// other version).
-pub fn checkpoint_from_json(doc: &Json) -> Option<CheckpointState> {
-    if doc.get("version")?.as_f64()? != CHECKPOINT_VERSION {
-        return None;
-    }
-    let path = |key| path_from_json(doc.get(key)?);
-    let tasks = doc.get("tasks")?.as_arr()?.iter().map(attached_from_json);
-    Some(CheckpointState {
-        device_name: doc.get("device")?.as_str()?.to_string(),
-        generator: doc.get("gen")?.as_u64_hex()?,
-        base: match doc.get("base")? {
-            Json::Null => None,
-            hash => Some(hash.as_u64_hex()?),
-        },
-        record_log: path("record_log")?,
-        log_start: doc.get("log_start")?.as_usize()?,
-        schedule_store: path("schedule_store")?,
-        tasks: tasks.collect::<Option<_>>()?,
-    })
 }
 
 /// Header filename inside a checkpoint directory.
@@ -384,8 +334,8 @@ mod tests {
     #[test]
     fn checkpoint_round_trips_bit_exactly() {
         let state = sample_state();
-        let text = checkpoint_to_json(&state).write();
-        let back = checkpoint_from_json(&Json::parse(&text).expect("parse")).expect("decode");
+        let text = state.to_json().write();
+        let back = CheckpointState::from_json(&Json::parse(&text).expect("parse")).expect("decode");
         assert_eq!(back, state);
         let (_, vals, latency) = back.tasks[0].hit.as_ref().expect("hit");
         assert_eq!(latency.to_bits(), f64::INFINITY.to_bits(), "non-finite latency survives");
@@ -395,10 +345,10 @@ mod tests {
     #[test]
     fn checkpoint_rejects_other_versions() {
         for version in [6.0, 7.0, 8.0, 99.0] {
-            let mut doc = checkpoint_to_json(&sample_state());
+            let mut doc = sample_state().to_json();
             let Json::Obj(fields) = &mut doc else { panic!("obj") };
             fields[0].1 = Json::Num(version);
-            assert!(checkpoint_from_json(&doc).is_none(), "version {version}");
+            assert!(CheckpointState::from_json(&doc).is_err(), "version {version}");
         }
     }
 
@@ -408,7 +358,7 @@ mod tests {
         state.base = None;
         state.record_log = None;
         state.schedule_store = None;
-        let back = checkpoint_from_json(&checkpoint_to_json(&state)).expect("decode");
+        let back = CheckpointState::from_json(&state.to_json()).expect("decode");
         assert_eq!(back, state);
     }
 }

@@ -8,9 +8,11 @@
 //! perturbs nothing at any thread count.
 
 mod common;
+#[path = "../../records/tests/support/wire.rs"]
+mod wire;
 
 use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_network, tmp_dir};
-use felix::persist::{checkpoint_from_json, CheckpointState, LOG_FILE, MODEL_FILE, STATE_FILE};
+use felix::persist::{AttachedState, CheckpointState, LOG_FILE, MODEL_FILE, STATE_FILE};
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::SearchTask;
 use felix_graph::models;
@@ -99,7 +101,7 @@ fn uninterrupted(threads: usize) -> Optimizer {
 /// The checkpoint header in `dir`.
 fn header(dir: &Path) -> CheckpointState {
     let doc = felix_records::read_document(dir.join(STATE_FILE)).expect("read header");
-    checkpoint_from_json(&doc).expect("decode header")
+    CheckpointState::from_json(&doc).expect("decode header")
 }
 
 /// FNV-1a over the saved bytes of the device's pretrained model.
@@ -122,6 +124,35 @@ fn edit_field(line: &str, key: &str, edit: impl FnOnce(&mut Json)) -> String {
 
 fn is_commit(line: &str) -> bool {
     line.contains("\"kind\":\"round\"")
+}
+
+/// The header round-trips through its wire table bit for bit over seeded
+/// values, and a header missing any key is refused with an error naming it.
+#[test]
+fn checkpoint_header_round_trips_and_names_a_missing_field() {
+    let mut rng = wire::Rng(0x5eed_0005);
+    let path = |rng: &mut wire::Rng| rng.next().is_multiple_of(2).then(|| rng.text());
+    for _ in 0..300 {
+        let state = CheckpointState {
+            device_name: rng.text(),
+            generator: rng.hex(),
+            base: rng.next().is_multiple_of(2).then(|| rng.hex()),
+            record_log: path(&mut rng),
+            log_start: rng.count(),
+            schedule_store: path(&mut rng),
+            tasks: rng.list(|r| AttachedState {
+                hit: r
+                    .next()
+                    .is_multiple_of(2)
+                    .then(|| (r.count(), r.list(wire::Rng::bits), r.bits())),
+                warm_hints: r.list(|r| (r.count(), r.list(wire::Rng::bits))),
+            }),
+        };
+        let to_json = CheckpointState::to_json;
+        for (key, err) in wire::round_trips(&state, to_json, CheckpointState::from_json, &[]) {
+            assert!(err.contains(&format!("{key:?}")), "removing {key:?} gave {err:?}");
+        }
+    }
 }
 
 #[test]

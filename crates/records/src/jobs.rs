@@ -54,7 +54,8 @@
 //! disk.
 
 use crate::log::{self, Log};
-use crate::Json;
+use crate::schema::{Bits, Codec, Hex, Num, Raw, Tag, Text};
+use crate::{schema, Json};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
@@ -82,6 +83,9 @@ pub enum JobOutcome {
 }
 
 impl JobOutcome {
+    const ALL: [JobOutcome; 4] =
+        [JobOutcome::Done, JobOutcome::Cancelled, JobOutcome::Expired, JobOutcome::Quarantined];
+
     /// The WAL line kind for this terminal state.
     pub fn kind(self) -> &'static str {
         match self {
@@ -93,24 +97,9 @@ impl JobOutcome {
     }
 
     /// The client-facing state string (`"done"`, `"cancelled"`,
-    /// `"expired"`, `"quarantined"`).
+    /// `"expired"`, `"quarantined"`): the kind without its `job-` prefix.
     pub fn state(self) -> &'static str {
-        match self {
-            JobOutcome::Done => "done",
-            JobOutcome::Cancelled => "cancelled",
-            JobOutcome::Expired => "expired",
-            JobOutcome::Quarantined => "quarantined",
-        }
-    }
-
-    fn from_kind(kind: &str) -> Option<JobOutcome> {
-        Some(match kind {
-            "job-done" => JobOutcome::Done,
-            "job-cancelled" => JobOutcome::Cancelled,
-            "job-expired" => JobOutcome::Expired,
-            "job-quarantined" => JobOutcome::Quarantined,
-            _ => return None,
-        })
+        &self.kind()["job-".len()..]
     }
 }
 
@@ -181,82 +170,36 @@ impl JobRecord {
             | JobRecord::Finished { job_id, .. } => job_id,
         }
     }
+}
 
-    /// Serializes the record as a single JSON line (no newline).
-    pub fn to_json(&self) -> Json {
-        let (kind, mut fields) = match self {
-            JobRecord::Submitted { job_id, tenant, spec, submitted_at_ms } => (
-                "job-submit",
-                vec![
-                    ("job", Json::u64_hex(*job_id)),
-                    ("tenant", Json::Str(tenant.clone())),
-                    ("spec", spec.clone()),
-                    ("at_ms", Json::u64_hex(*submitted_at_ms)),
-                ],
-            ),
-            JobRecord::CancelRequested { job_id } => {
-                ("job-cancel", vec![("job", Json::u64_hex(*job_id))])
-            }
-            JobRecord::CrashCounted { job_id, count } => (
-                "job-crash",
-                vec![
-                    ("job", Json::u64_hex(*job_id)),
-                    ("count", Json::Num(f64::from(*count))),
-                ],
-            ),
-            JobRecord::Finished { job_id, outcome, rounds, latency_ms, result } => (
-                outcome.kind(),
-                vec![
-                    ("job", Json::u64_hex(*job_id)),
-                    ("rounds", Json::Num(*rounds as f64)),
-                    ("latency_ms", Json::f64_bits(*latency_ms)),
-                    ("result", result.clone()),
-                ],
-            ),
-        };
-        let mut all = vec![
-            ("kind", Json::Str(kind.to_string())),
-            ("v", Json::Num(JOB_RECORD_VERSION as f64)),
-        ];
-        all.append(&mut fields);
-        Json::obj(all)
+/// The `v` row every job line carries.
+const V: (&str, Tag<usize>) = ("v", Tag(JOB_RECORD_VERSION));
+
+// A terminal line's kind is its outcome's (`JobOutcome::kind`); a line of
+// any other `job-*` kind, or of another version, does not decode and is
+// skipped.
+schema!(enum JobRecord {
+    Submitted {
+        ("kind", Tag("job-submit")), V, ("job", Hex) => job_id, ("tenant", Text) => tenant,
+        ("spec", Raw) => spec, ("at_ms", Hex) => submitted_at_ms,
+    },
+    CancelRequested { ("kind", Tag("job-cancel")), V, ("job", Hex) => job_id },
+    CrashCounted { ("kind", Tag("job-crash")), V, ("job", Hex) => job_id, ("count", Num) => count },
+    Finished {
+        ("kind", Terminal) => outcome, V, ("job", Hex) => job_id, ("rounds", Num) => rounds,
+        ("latency_ms", Bits) => latency_ms, ("result", Raw) => result,
+    },
+});
+
+/// A terminal state as its line kind, [`JobOutcome::kind`].
+struct Terminal;
+
+impl Codec<JobOutcome> for Terminal {
+    fn enc(&self, v: &JobOutcome) -> Json {
+        Json::Str(v.kind().to_string())
     }
-
-    /// Decodes a job record parsed from one WAL line. Returns `None` for
-    /// non-job lines, unknown `job-*` kinds and lines of another format
-    /// version.
-    pub fn from_json(doc: &Json) -> Option<JobRecord> {
-        let kind = doc.get("kind")?.as_str()?;
-        if !kind.starts_with("job-") {
-            return None;
-        }
-        if doc.get("v")?.as_usize()? != JOB_RECORD_VERSION {
-            return None;
-        }
-        let job_id = doc.get("job")?.as_u64_hex()?;
-        if let Some(outcome) = JobOutcome::from_kind(kind) {
-            return Some(JobRecord::Finished {
-                job_id,
-                outcome,
-                rounds: doc.get("rounds")?.as_usize()?,
-                latency_ms: doc.get("latency_ms")?.as_f64_bits()?,
-                result: doc.get("result")?.clone(),
-            });
-        }
-        match kind {
-            "job-submit" => Some(JobRecord::Submitted {
-                job_id,
-                tenant: doc.get("tenant")?.as_str()?.to_string(),
-                spec: doc.get("spec")?.clone(),
-                submitted_at_ms: doc.get("at_ms")?.as_u64_hex()?,
-            }),
-            "job-cancel" => Some(JobRecord::CancelRequested { job_id }),
-            "job-crash" => Some(JobRecord::CrashCounted {
-                job_id,
-                count: u32::try_from(doc.get("count")?.as_usize()?).ok()?,
-            }),
-            _ => None,
-        }
+    fn dec(&self, node: &Json) -> Option<JobOutcome> {
+        JobOutcome::ALL.into_iter().find(|o| node.as_str() == Some(o.kind()))
     }
 }
 
@@ -537,7 +480,7 @@ impl JobQueue {
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<JobQueue> {
         let mut state = QueueState::default();
         let log = Log::replay(path.as_ref(), |doc| {
-            if let Some(record) = JobRecord::from_json(doc) {
+            if let Ok(record) = JobRecord::from_json(doc) {
                 state.apply(&record);
             }
         })?;

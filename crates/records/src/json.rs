@@ -11,6 +11,11 @@
 
 use std::fmt::Write as _;
 
+/// The deepest nesting [`Json::parse`] accepts. The program writes at most
+/// six levels; parsing recurses once per level, so a bound keeps hostile
+/// input (a request line of `[`s) from overflowing a thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON document node.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -165,11 +170,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a position-annotated message on malformed input.
+    /// Returns a position-annotated message on malformed input, including
+    /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -211,10 +217,14 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value, with `depth` more levels of nesting allowed.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'[' | b'{') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}"))
+        }
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -228,7 +238,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth - 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -253,7 +263,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth - 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -412,6 +422,22 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("1e999").is_err(), "overflow to inf rejected");
+    }
+
+    /// Each level of nesting is one recursive call, so without the bound a
+    /// line of `[`s overflows the stack and aborts the process (a release
+    /// build at 8 000 levels on a 2 MiB thread stack).
+    #[test]
+    fn nesting_beyond_the_bound_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(100_000);
+            let err = Json::parse(&deep).expect_err("100 000 levels parsed");
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        let over = format!("[{at_bound}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -27,6 +27,7 @@
 pub mod jobs;
 pub mod json;
 mod log;
+pub mod schema;
 pub mod store;
 
 pub use jobs::{
@@ -38,6 +39,7 @@ pub use log::write_atomic;
 pub use store::{ScheduleStore, StoredSchedule, SCHEDULE_STORE_VERSION};
 
 use log::Log;
+use schema::{Bits, Codec, Hex, List, Num, Tag, Text};
 use std::path::Path;
 
 /// How a logged measurement ended.
@@ -83,50 +85,35 @@ pub struct TuningRecord {
     pub time_s: f64,
 }
 
-impl TuningRecord {
-    /// Serializes the record as a single JSON line (no newline).
-    pub fn to_json(&self) -> Json {
-        let (latency, fault) = match &self.outcome {
-            RecordOutcome::Ok(l) => (Json::Num(*l), Json::Null),
-            RecordOutcome::Fault(kind) => (Json::Null, Json::Str(kind.clone())),
-        };
-        Json::obj(vec![
-            ("task", Json::u64_hex(self.task_key)),
-            ("name", Json::Str(self.task_name.clone())),
-            ("sketch", Json::Num(self.sketch as f64)),
-            ("sketch_name", Json::Str(self.sketch_name.clone())),
-            (
-                "values",
-                Json::Arr(self.values.iter().map(|&v| Json::Num(v)).collect()),
-            ),
-            ("latency_ms", latency),
-            ("fault", fault),
-            ("retries", Json::Num(self.retries as f64)),
-            ("time_s", Json::Num(self.time_s)),
-        ])
-    }
+// Measurement lines carry no kind and no version: they predate both, and
+// `LogLine::decode` reads every line without a kind as one.
+schema!(struct TuningRecord {
+    ("task", Hex) => task_key, ("name", Text) => task_name, ("sketch", Num) => sketch,
+    ("sketch_name", Text) => sketch_name, ("values", List(Num)) => values,
+    ("latency_ms", Outcome) => outcome, ("retries", Num) => retries, ("time_s", Num) => time_s,
+});
 
-    /// Decodes a record parsed from one log line.
-    pub fn from_json(doc: &Json) -> Option<TuningRecord> {
-        let outcome = match doc.get("latency_ms") {
-            Some(Json::Num(l)) => RecordOutcome::Ok(*l),
-            _ => RecordOutcome::Fault(doc.get("fault")?.as_str()?.to_string()),
+/// A measurement's outcome: its latency under the row's key (`null` on a
+/// fault) and, beside it, the fault label under `fault` (`null` on success).
+struct Outcome;
+
+impl Codec<RecordOutcome> for Outcome {
+    fn enc(&self, v: &RecordOutcome) -> Json {
+        v.latency_ms().map_or(Json::Null, Json::Num)
+    }
+    fn dec(&self, node: &Json) -> Option<RecordOutcome> {
+        node.as_f64().map(RecordOutcome::Ok)
+    }
+    fn put(&self, key: &str, v: &RecordOutcome, out: &mut Vec<(String, Json)>) {
+        let fault = match v {
+            RecordOutcome::Fault(kind) => Json::Str(kind.clone()),
+            RecordOutcome::Ok(_) => Json::Null,
         };
-        Some(TuningRecord {
-            task_key: doc.get("task")?.as_u64_hex()?,
-            task_name: doc.get("name")?.as_str()?.to_string(),
-            sketch: doc.get("sketch")?.as_usize()?,
-            sketch_name: doc.get("sketch_name")?.as_str()?.to_string(),
-            values: doc
-                .get("values")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_f64)
-                .collect::<Option<Vec<f64>>>()?,
-            outcome,
-            retries: doc.get("retries")?.as_usize()?,
-            time_s: doc.get("time_s")?.as_f64()?,
-        })
+        out.extend([(key.to_string(), self.enc(v)), ("fault".to_string(), fault)]);
+    }
+    fn take(&self, doc: &Json, key: &str) -> Option<RecordOutcome> {
+        let fault = || Some(RecordOutcome::Fault(doc.get("fault")?.as_str()?.to_string()));
+        doc.get(key).and_then(|node| self.dec(node)).or_else(fault)
     }
 }
 
@@ -142,8 +129,6 @@ pub const HEALTH_RECORD_VERSION: usize = 2;
 /// making the same proposer choices as the run that wrote the log.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HealthRecord {
-    /// Wire-format version ([`HEALTH_RECORD_VERSION`] when written).
-    pub version: usize,
     /// Canonical task identity: [`task_key`] of the workload key + device.
     pub task_key: u64,
     /// Tuning round (0-based) whose descent produced this report.
@@ -165,58 +150,13 @@ pub struct HealthRecord {
     pub time_s: f64,
 }
 
-impl HealthRecord {
-    /// Serializes the record as a single JSON line (no newline). The
-    /// `"kind":"health"` discriminator separates these lines from
-    /// measurement records, which predate kinds and carry none.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::Str("health".to_string())),
-            ("v", Json::Num(self.version as f64)),
-            ("task", Json::u64_hex(self.task_key)),
-            ("round", Json::Num(self.round as f64)),
-            ("nonfinite", Json::Num(self.nonfinite_events as f64)),
-            ("divergence", Json::Num(self.divergence_events as f64)),
-            ("restarts", Json::Num(self.seed_restarts as f64)),
-            ("grad_clips", Json::Num(self.grad_clips as f64)),
-            ("panics", Json::Num(self.panics_caught as f64)),
-            (
-                "modes",
-                Json::Arr(self.modes.iter().map(|m| Json::Str(m.clone())).collect()),
-            ),
-            ("time_s", Json::Num(self.time_s)),
-        ])
-    }
-
-    /// Decodes a health record parsed from one log line. Returns `None`
-    /// for non-health lines and for lines of another format version.
-    pub fn from_json(doc: &Json) -> Option<HealthRecord> {
-        if doc.get("kind")?.as_str()? != "health" {
-            return None;
-        }
-        let version = doc.get("v")?.as_usize()?;
-        if version != HEALTH_RECORD_VERSION {
-            return None;
-        }
-        Some(HealthRecord {
-            version,
-            task_key: doc.get("task")?.as_u64_hex()?,
-            round: doc.get("round")?.as_usize()?,
-            nonfinite_events: doc.get("nonfinite")?.as_usize()?,
-            divergence_events: doc.get("divergence")?.as_usize()?,
-            seed_restarts: doc.get("restarts")?.as_usize()?,
-            grad_clips: doc.get("grad_clips")?.as_usize()?,
-            panics_caught: doc.get("panics")?.as_usize()?,
-            modes: doc
-                .get("modes")?
-                .as_arr()?
-                .iter()
-                .map(|m| m.as_str().map(str::to_string))
-                .collect::<Option<Vec<String>>>()?,
-            time_s: doc.get("time_s")?.as_f64()?,
-        })
-    }
-}
+schema!(struct HealthRecord {
+    ("kind", Tag("health")), ("v", Tag(HEALTH_RECORD_VERSION)), ("task", Hex) => task_key,
+    ("round", Num) => round, ("nonfinite", Num) => nonfinite_events,
+    ("divergence", Num) => divergence_events, ("restarts", Num) => seed_restarts,
+    ("grad_clips", Num) => grad_clips, ("panics", Num) => panics_caught,
+    ("modes", List(Text)) => modes, ("time_s", Num) => time_s,
+});
 
 /// One line of a mixed record log: either a hardware measurement or a
 /// descent-supervisor health report.
@@ -249,36 +189,11 @@ pub struct RoundRecord {
     pub clock_s: f64,
 }
 
-impl RoundRecord {
-    /// Serializes the record as a single JSON line (no newline).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::Str("round".to_string())),
-            ("v", Json::Num(ROUND_RECORD_VERSION as f64)),
-            ("round", Json::Num(self.round as f64)),
-            ("task", Json::Num(self.task as f64)),
-            ("lines", Json::Num(self.lines as f64)),
-            ("rng", Json::Arr(self.rng.iter().map(|&w| Json::u64_hex(w)).collect())),
-            ("clock_s", Json::f64_bits(self.clock_s)),
-        ])
-    }
-
-    /// Decodes a round record; `None` for other lines and other versions.
-    pub fn from_json(doc: &Json) -> Option<RoundRecord> {
-        let version = doc.get("v")?.as_usize()?;
-        if doc.get("kind")?.as_str()? != "round" || version != ROUND_RECORD_VERSION {
-            return None;
-        }
-        let rng = doc.get("rng")?.as_arr()?.iter().map(Json::as_u64_hex);
-        Some(RoundRecord {
-            round: doc.get("round")?.as_usize()?,
-            task: doc.get("task")?.as_usize()?,
-            lines: doc.get("lines")?.as_usize()?,
-            rng: rng.collect::<Option<Vec<u64>>>()?.try_into().ok()?,
-            clock_s: doc.get("clock_s")?.as_f64_bits()?,
-        })
-    }
-}
+schema!(struct RoundRecord {
+    ("kind", Tag("round")), ("v", Tag(ROUND_RECORD_VERSION)), ("round", Num) => round,
+    ("task", Num) => task, ("lines", Num) => lines, ("rng", List(Hex)) => rng,
+    ("clock_s", Bits) => clock_s,
+});
 
 /// One intact line of a record log. Every line counts toward a round
 /// commit's claim, whatever it holds.
@@ -511,7 +426,6 @@ mod tests {
 
     fn sample_health(round: usize) -> HealthRecord {
         HealthRecord {
-            version: HEALTH_RECORD_VERSION,
             task_key: task_key("dense[256]", "RTX A5000"),
             round,
             nonfinite_events: 3 * round,
@@ -611,9 +525,10 @@ mod tests {
         let path = tmp_path("future");
         let mut log = RecordLog::open(&path).expect("open");
         for version in [HEALTH_RECORD_VERSION - 1, HEALTH_RECORD_VERSION + 1] {
-            let mut other = sample_health(1);
-            other.version = version;
-            log.append_health(&other).expect("append");
+            let mut other = sample_health(1).to_json();
+            let Json::Obj(fields) = &mut other else { panic!("obj") };
+            fields[1].1 = Json::Num(version as f64);
+            log.log.append(&other).expect("append");
         }
         drop(log);
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");

@@ -22,13 +22,14 @@
 //! one line per key, in deterministic (ascending task-key) order.
 //!
 //! All floats — schedule values and the latency incumbent — are encoded as
-//! 16-hex-digit bit patterns ([`Json::f64_bits`]), so a schedule read back
+//! 16-hex-digit bit patterns ([`schema::Bits`]), so a schedule read back
 //! from the store is bit-identical to the one the tuner measured. That is
 //! what lets a cache hit feed directly into the bit-reproducible search
 //! state without perturbing it.
 
-use crate::json::Json;
 use crate::log::Log;
+use crate::schema;
+use crate::schema::{Bits, Hex, List, Num, Tag, Text};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -72,54 +73,13 @@ pub struct StoredSchedule {
     pub latency_ms: f64,
 }
 
-impl StoredSchedule {
-    /// Serializes the entry as a single JSON line (no newline).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("kind", Json::Str("schedule".to_string())),
-            ("v", Json::Num(SCHEDULE_STORE_VERSION as f64)),
-            ("task", Json::u64_hex(self.task_key)),
-            ("workload", Json::Str(self.workload_key.clone())),
-            ("device", Json::Str(self.device.clone())),
-            ("structure", Json::u64_hex(self.structure_hash)),
-            ("sketch", Json::Num(self.sketch as f64)),
-            ("sketch_name", Json::Str(self.sketch_name.clone())),
-            ("gen", Json::u64_hex(self.generator)),
-            (
-                "values",
-                Json::Arr(self.values.iter().map(|&v| Json::f64_bits(v)).collect()),
-            ),
-            ("latency_ms", Json::f64_bits(self.latency_ms)),
-        ])
-    }
-
-    /// Decodes an entry parsed from one store line. Returns `None` for
-    /// non-schedule lines and for lines of another format version.
-    pub fn from_json(doc: &Json) -> Option<StoredSchedule> {
-        if doc.get("kind")?.as_str()? != "schedule" {
-            return None;
-        }
-        if doc.get("v")?.as_usize()? != SCHEDULE_STORE_VERSION {
-            return None;
-        }
-        Some(StoredSchedule {
-            task_key: doc.get("task")?.as_u64_hex()?,
-            workload_key: doc.get("workload")?.as_str()?.to_string(),
-            device: doc.get("device")?.as_str()?.to_string(),
-            structure_hash: doc.get("structure")?.as_u64_hex()?,
-            sketch: doc.get("sketch")?.as_usize()?,
-            sketch_name: doc.get("sketch_name")?.as_str()?.to_string(),
-            generator: doc.get("gen")?.as_u64_hex()?,
-            values: doc
-                .get("values")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_f64_bits)
-                .collect::<Option<Vec<f64>>>()?,
-            latency_ms: doc.get("latency_ms")?.as_f64_bits()?,
-        })
-    }
-}
+schema!(struct StoredSchedule {
+    ("kind", Tag("schedule")), ("v", Tag(SCHEDULE_STORE_VERSION)), ("task", Hex) => task_key,
+    ("workload", Text) => workload_key, ("device", Text) => device,
+    ("structure", Hex) => structure_hash, ("sketch", Num) => sketch,
+    ("sketch_name", Text) => sketch_name, ("gen", Hex) => generator,
+    ("values", List(Bits)) => values, ("latency_ms", Bits) => latency_ms,
+});
 
 /// A persistent map from task key to best known schedule.
 ///
@@ -144,7 +104,7 @@ impl ScheduleStore {
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<ScheduleStore> {
         let mut entries = BTreeMap::new();
         let log = Log::replay(path.as_ref(), |doc| {
-            if let Some(entry) = StoredSchedule::from_json(doc) {
+            if let Ok(entry) = StoredSchedule::from_json(doc) {
                 merge_entry(&mut entries, entry);
             }
         })?;
@@ -240,7 +200,7 @@ fn merge_entry(entries: &mut BTreeMap<u64, StoredSchedule>, entry: StoredSchedul
 mod tests {
     use super::*;
     use crate::log::tests::{every_truncation_recovers_the_intact_prefix, tmp_path};
-    use crate::task_key;
+    use crate::{task_key, Json};
     use std::fs::OpenOptions;
     use std::io::Write;
 
@@ -368,7 +328,11 @@ mod tests {
         let mut doc = sample_entry(2).to_json();
         let Json::Obj(fields) = &mut doc else { panic!("obj") };
         fields.retain(|(k, _)| k != "gen");
-        assert_eq!(StoredSchedule::from_json(&doc), None, "no fingerprint: rejected");
+        assert_eq!(
+            StoredSchedule::from_json(&doc),
+            Err("\"gen\" is missing or malformed".to_string()),
+            "no fingerprint: rejected"
+        );
         drop(f);
         let store = ScheduleStore::open(&path).expect("reopen");
         assert_eq!(store.entries().cloned().collect::<Vec<_>>(), vec![sample_entry(0)]);

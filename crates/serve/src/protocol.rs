@@ -7,6 +7,8 @@
 //! truncated, or malformed frame yields a decode error the server answers
 //! with [`Response::Error`] — never a panic, never a hang.
 
+use felix_records::schema;
+use felix_records::schema::{Doc, Hex, List, Raw, Tag, Text};
 use felix_records::Json;
 use std::io::{BufRead, Read};
 
@@ -57,63 +59,15 @@ pub enum Request {
     Shutdown,
 }
 
-impl Request {
-    /// Serializes the request as a single JSON line (no newline).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Ping => Json::obj(vec![("op", Json::Str("ping".to_string()))]),
-            Request::Submit { tenant, spec } => Json::obj(vec![
-                ("op", Json::Str("submit".to_string())),
-                ("tenant", Json::Str(tenant.clone())),
-                ("spec", spec.clone()),
-            ]),
-            Request::Status { job_id } => Json::obj(vec![
-                ("op", Json::Str("status".to_string())),
-                ("job", Json::u64_hex(*job_id)),
-            ]),
-            Request::Cancel { job_id } => Json::obj(vec![
-                ("op", Json::Str("cancel".to_string())),
-                ("job", Json::u64_hex(*job_id)),
-            ]),
-            Request::Result { job_id } => Json::obj(vec![
-                ("op", Json::Str("result".to_string())),
-                ("job", Json::u64_hex(*job_id)),
-            ]),
-            Request::List => Json::obj(vec![("op", Json::Str("list".to_string()))]),
-            Request::Shutdown => Json::obj(vec![("op", Json::Str("shutdown".to_string()))]),
-        }
-    }
-
-    /// Decodes a request document; `Err` carries a client-facing message.
-    pub fn from_json(doc: &Json) -> Result<Request, String> {
-        let op = doc
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("request has no \"op\" field")?;
-        let job = |doc: &Json| {
-            doc.get("job")
-                .and_then(Json::as_u64_hex)
-                .ok_or_else(|| format!("\"{op}\" needs a hex \"job\" field"))
-        };
-        match op {
-            "ping" => Ok(Request::Ping),
-            "submit" => Ok(Request::Submit {
-                tenant: doc
-                    .get("tenant")
-                    .and_then(Json::as_str)
-                    .ok_or("\"submit\" needs a \"tenant\" field")?
-                    .to_string(),
-                spec: doc.get("spec").ok_or("\"submit\" needs a \"spec\" field")?.clone(),
-            }),
-            "status" => Ok(Request::Status { job_id: job(doc)? }),
-            "cancel" => Ok(Request::Cancel { job_id: job(doc)? }),
-            "result" => Ok(Request::Result { job_id: job(doc)? }),
-            "list" => Ok(Request::List),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown op {other:?}")),
-        }
-    }
-}
+schema!(enum Request {
+    Ping { ("op", Tag("ping")) },
+    Submit { ("op", Tag("submit")), ("tenant", Text) => tenant, ("spec", Raw) => spec },
+    Status { ("op", Tag("status")), ("job", Hex) => job_id },
+    Cancel { ("op", Tag("cancel")), ("job", Hex) => job_id },
+    Result { ("op", Tag("result")), ("job", Hex) => job_id },
+    List { ("op", Tag("list")) },
+    Shutdown { ("op", Tag("shutdown")) },
+});
 
 /// One job's row in a [`Response::Jobs`] listing.
 #[derive(Clone, Debug, PartialEq)]
@@ -191,159 +145,28 @@ pub enum Response {
     },
 }
 
-impl Response {
-    /// Serializes the response as a single JSON line (no newline).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Pong => Json::obj(vec![("type", Json::Str("pong".to_string()))]),
-            Response::Ack { job_id } => Json::obj(vec![
-                ("type", Json::Str("ack".to_string())),
-                ("job", Json::u64_hex(*job_id)),
-            ]),
-            Response::JobStatus { job_id, tenant, state } => Json::obj(vec![
-                ("type", Json::Str("status".to_string())),
-                ("job", Json::u64_hex(*job_id)),
-                ("tenant", Json::Str(tenant.clone())),
-                ("state", Json::Str(state.clone())),
-            ]),
-            Response::JobResult { job_id, result } => Json::obj(vec![
-                ("type", Json::Str("result".to_string())),
-                ("job", Json::u64_hex(*job_id)),
-                ("result", result.clone()),
-            ]),
-            Response::Jobs { jobs } => Json::obj(vec![
-                ("type", Json::Str("jobs".to_string())),
-                (
-                    "jobs",
-                    Json::Arr(
-                        jobs.iter()
-                            .map(|r| {
-                                Json::obj(vec![
-                                    ("job", Json::u64_hex(r.job_id)),
-                                    ("tenant", Json::Str(r.tenant.clone())),
-                                    ("state", Json::Str(r.state.clone())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-            Response::Bye => Json::obj(vec![("type", Json::Str("bye".to_string()))]),
-            Response::Busy { live, limit } => Json::obj(vec![
-                ("type", Json::Str("busy".to_string())),
-                ("live", Json::u64_hex(*live)),
-                ("limit", Json::u64_hex(*limit)),
-            ]),
-            Response::QuotaExceeded { tenant, live, limit } => Json::obj(vec![
-                ("type", Json::Str("quota".to_string())),
-                ("tenant", Json::Str(tenant.clone())),
-                ("live", Json::u64_hex(*live)),
-                ("limit", Json::u64_hex(*limit)),
-            ]),
-            Response::Draining => {
-                Json::obj(vec![("type", Json::Str("draining".to_string()))])
-            }
-            Response::Error { message } => Json::obj(vec![
-                ("type", Json::Str("error".to_string())),
-                ("message", Json::Str(message.clone())),
-            ]),
-        }
-    }
+schema!(struct JobRow {
+    ("job", Hex) => job_id, ("tenant", Text) => tenant, ("state", Text) => state,
+});
 
-    /// Decodes a response document; `Err` on anything structurally off.
-    pub fn from_json(doc: &Json) -> Result<Response, String> {
-        let ty = doc
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("response has no \"type\" field")?;
-        let job = |doc: &Json| {
-            doc.get("job")
-                .and_then(Json::as_u64_hex)
-                .ok_or_else(|| format!("\"{ty}\" response needs a hex \"job\" field"))
-        };
-        match ty {
-            "pong" => Ok(Response::Pong),
-            "ack" => Ok(Response::Ack { job_id: job(doc)? }),
-            "status" => Ok(Response::JobStatus {
-                job_id: job(doc)?,
-                tenant: doc
-                    .get("tenant")
-                    .and_then(Json::as_str)
-                    .ok_or("\"status\" response needs \"tenant\"")?
-                    .to_string(),
-                state: doc
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .ok_or("\"status\" response needs \"state\"")?
-                    .to_string(),
-            }),
-            "result" => Ok(Response::JobResult {
-                job_id: job(doc)?,
-                result: doc.get("result").ok_or("\"result\" response needs \"result\"")?.clone(),
-            }),
-            "jobs" => {
-                let mut jobs = Vec::new();
-                for row in doc
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or("\"jobs\" response needs a \"jobs\" array")?
-                {
-                    jobs.push(JobRow {
-                        job_id: row
-                            .get("job")
-                            .and_then(Json::as_u64_hex)
-                            .ok_or("job row needs a hex \"job\"")?,
-                        tenant: row
-                            .get("tenant")
-                            .and_then(Json::as_str)
-                            .ok_or("job row needs \"tenant\"")?
-                            .to_string(),
-                        state: row
-                            .get("state")
-                            .and_then(Json::as_str)
-                            .ok_or("job row needs \"state\"")?
-                            .to_string(),
-                    });
-                }
-                Ok(Response::Jobs { jobs })
-            }
-            "bye" => Ok(Response::Bye),
-            "busy" => {
-                let field = |name: &str| {
-                    doc.get(name)
-                        .and_then(Json::as_u64_hex)
-                        .ok_or(format!("\"busy\" response needs \"{name}\""))
-                };
-                Ok(Response::Busy { live: field("live")?, limit: field("limit")? })
-            }
-            "quota" => {
-                let field = |name: &str| {
-                    doc.get(name)
-                        .and_then(Json::as_u64_hex)
-                        .ok_or(format!("\"quota\" response needs \"{name}\""))
-                };
-                Ok(Response::QuotaExceeded {
-                    tenant: doc
-                        .get("tenant")
-                        .and_then(Json::as_str)
-                        .ok_or("\"quota\" response needs \"tenant\"")?
-                        .to_string(),
-                    live: field("live")?,
-                    limit: field("limit")?,
-                })
-            }
-            "draining" => Ok(Response::Draining),
-            "error" => Ok(Response::Error {
-                message: doc
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .ok_or("\"error\" response needs \"message\"")?
-                    .to_string(),
-            }),
-            other => Err(format!("unknown response type {other:?}")),
-        }
-    }
-}
+schema!(enum Response {
+    Pong { ("type", Tag("pong")) },
+    Ack { ("type", Tag("ack")), ("job", Hex) => job_id },
+    JobStatus {
+        ("type", Tag("status")), ("job", Hex) => job_id, ("tenant", Text) => tenant,
+        ("state", Text) => state,
+    },
+    JobResult { ("type", Tag("result")), ("job", Hex) => job_id, ("result", Raw) => result },
+    Jobs { ("type", Tag("jobs")), ("jobs", List(Doc)) => jobs },
+    Bye { ("type", Tag("bye")) },
+    Busy { ("type", Tag("busy")), ("live", Hex) => live, ("limit", Hex) => limit },
+    QuotaExceeded {
+        ("type", Tag("quota")), ("tenant", Text) => tenant, ("live", Hex) => live,
+        ("limit", Hex) => limit,
+    },
+    Draining { ("type", Tag("draining")) },
+    Error { ("type", Tag("error")), ("message", Text) => message },
+});
 
 /// Why a frame could not be read.
 #[derive(Debug, PartialEq, Eq)]

@@ -45,7 +45,7 @@
 //! the configured slack.
 
 use crate::protocol::{read_frame, write_frame, FrameError, JobRow, Request, Response};
-use crate::spec::JobSpec;
+use crate::spec::{JobSpec, DEADLINE};
 use crate::worker::{job_dir, Shard, StepOutcome, QUARANTINE_CRASHES, WAL_FILE};
 use felix_records::jobs::{JobOutcome, SubmittedJob};
 use felix_records::{JobQueue, JobRecord, QueueState};
@@ -264,10 +264,10 @@ fn now_ms() -> u64 {
         .unwrap_or(0)
 }
 
-/// A pending job's deadline in milliseconds, read straight off the spec
-/// document (validated at submit time).
+/// A pending job's deadline in milliseconds, read through the spec table's
+/// `deadline_ms` row alone: a scheduler pass decodes no other field.
 fn job_deadline_ms(job: &SubmittedJob) -> Option<u64> {
-    job.spec.get("deadline_ms")?.as_usize().map(|d| d as u64)
+    felix_records::schema::take(&job.spec, &DEADLINE).ok().flatten()
 }
 
 /// The terminal state a non-terminal job must be finalized into instead

@@ -3,10 +3,12 @@
 //! A spec names a model (by the evaluation-network catalog in
 //! `felix_graph::models`), a target device, and the tuning budget. It
 //! round-trips through the wire codec losslessly (every field is an
-//! integer, string, or bool) and is validated *before* the job is
-//! acknowledged, so the WAL only ever holds runnable jobs.
+//! integer, string, or bool, and [`JobSpec::validate`] keeps every number
+//! below 2^53) and is validated *before* the job is acknowledged, so the
+//! WAL only ever holds runnable jobs.
 
-use felix_records::Json;
+use felix_records::schema;
+use felix_records::schema::{Flag, List, Num, Omit, OrNull, Text};
 use felix_sim::DeviceConfig;
 
 /// Upper bounds on what one spec may ask for. A spec is outside input and
@@ -25,6 +27,9 @@ pub const MAX_SEEDS: usize = 256;
 pub const MAX_STEPS: usize = 4_096;
 /// See [`MAX_ROUNDS`]; applies to every entry of [`JobSpec::params`].
 pub const MAX_PARAM: i64 = 65_536;
+/// See [`MAX_ROUNDS`]; bounds [`JobSpec::deadline_ms`] to a year, far below
+/// 2^53, so the deadline survives the wire's JSON number exactly.
+pub const MAX_DEADLINE_MS: u64 = 365 * 24 * 3_600_000;
 
 /// A validated tuning-job specification.
 #[derive(Clone, Debug, PartialEq)]
@@ -69,6 +74,18 @@ pub struct JobSpec {
     pub fault_panic_round: Option<usize>,
 }
 
+/// The `deadline_ms` row, which the scheduler also reads on its own.
+pub(crate) const DEADLINE: (&str, Omit<OrNull<Num>>) = ("deadline_ms", Omit(OrNull(Num)));
+
+// The lifecycle options are left out when unset, so specs that set none
+// keep the bytes they had before those options existed.
+schema!(struct JobSpec, checked by JobSpec::validate {
+    ("model", Text) => model, ("params", List(Num)) => params, ("device", Text) => device,
+    ("rounds", Num) => rounds, ("measures", Num) => measures, ("n_seeds", Num) => n_seeds,
+    ("n_steps", Num) => n_steps, ("warm_cache", Flag) => warm_cache, DEADLINE => deadline_ms,
+    ("fault_panic_round", Omit(OrNull(Num))) => fault_panic_round,
+});
+
 impl JobSpec {
     /// A small, fast default spec for `model` on `device` — the knobs the
     /// tests and the README example use.
@@ -87,93 +104,10 @@ impl JobSpec {
         }
     }
 
-    /// Serializes the spec as a JSON document. The optional lifecycle
-    /// fields are omitted when unset, so pre-lifecycle specs keep their
-    /// exact wire bytes.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("model", Json::Str(self.model.clone())),
-            (
-                "params",
-                Json::Arr(self.params.iter().map(|&p| Json::Num(p as f64)).collect()),
-            ),
-            ("device", Json::Str(self.device.clone())),
-            ("rounds", Json::Num(self.rounds as f64)),
-            ("measures", Json::Num(self.measures as f64)),
-            ("n_seeds", Json::Num(self.n_seeds as f64)),
-            ("n_steps", Json::Num(self.n_steps as f64)),
-            ("warm_cache", Json::Bool(self.warm_cache)),
-        ];
-        if let Some(d) = self.deadline_ms {
-            fields.push(("deadline_ms", Json::Num(d as f64)));
-        }
-        if let Some(r) = self.fault_panic_round {
-            fields.push(("fault_panic_round", Json::Num(r as f64)));
-        }
-        Json::obj(fields)
-    }
-
-    /// Decodes and validates a spec document; `Err` carries the
-    /// client-facing reason.
-    pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
-        let str_field = |name: &str| {
-            doc.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("spec needs a string \"{name}\""))
-        };
-        let usize_field = |name: &str| {
-            doc.get(name)
-                .and_then(Json::as_usize)
-                .ok_or_else(|| format!("spec needs a non-negative integer \"{name}\""))
-        };
-        let params = doc
-            .get("params")
-            .and_then(Json::as_arr)
-            .ok_or("spec needs a \"params\" array")?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .filter(|v| v.fract() == 0.0 && v.abs() < 2f64.powi(53))
-                    .map(|v| v as i64)
-            })
-            .collect::<Option<Vec<i64>>>()
-            .ok_or("\"params\" must hold integers")?;
-        let spec = JobSpec {
-            model: str_field("model")?,
-            params,
-            device: str_field("device")?,
-            rounds: usize_field("rounds")?,
-            measures: usize_field("measures")?,
-            n_seeds: usize_field("n_seeds")?,
-            n_steps: usize_field("n_steps")?,
-            warm_cache: doc
-                .get("warm_cache")
-                .and_then(Json::as_bool)
-                .ok_or("spec needs a bool \"warm_cache\"")?,
-            deadline_ms: match doc.get("deadline_ms") {
-                None | Some(Json::Null) => None,
-                Some(d) => Some(
-                    d.as_usize()
-                        .ok_or("\"deadline_ms\" must be a non-negative integer")?
-                        as u64,
-                ),
-            },
-            fault_panic_round: match doc.get("fault_panic_round") {
-                None | Some(Json::Null) => None,
-                Some(r) => Some(
-                    r.as_usize()
-                        .ok_or("\"fault_panic_round\" must be a non-negative integer")?,
-                ),
-            },
-        };
-        spec.validate()?;
-        Ok(spec)
-    }
-
     /// Checks the spec is runnable: known model, right parameter arity,
-    /// known device, and every budget, search knob and model parameter
-    /// between 1 and its `MAX_*` bound.
+    /// known device, every budget, search knob and model parameter between
+    /// 1 and its `MAX_*` bound, and the deadline and panic round under
+    /// theirs. [`JobSpec::from_json`] runs it on every decoded spec.
     pub fn validate(&self) -> Result<(), String> {
         let arity_ok = match self.model.as_str() {
             "llama" => self.params.len() == 1 || self.params.len() == 6,
@@ -203,6 +137,12 @@ impl JobSpec {
             if !(1..=max).contains(&value) {
                 return Err(format!("\"{name}\" must be in 1..={max}, got {value}"));
             }
+        }
+        if self.deadline_ms.is_some_and(|d| d > MAX_DEADLINE_MS) {
+            return Err(format!("\"deadline_ms\" must be at most {MAX_DEADLINE_MS}"));
+        }
+        if self.fault_panic_round.is_some_and(|r| r >= MAX_ROUNDS) {
+            return Err(format!("\"fault_panic_round\" must be below {MAX_ROUNDS}"));
         }
         Ok(())
     }

@@ -1,10 +1,13 @@
 //! Wire-protocol properties: every request/response variant round-trips
 //! bit-exactly through the framed codec, hostile input (malformed,
-//! truncated, oversized frames) yields a clean [`FrameError`] — never a
-//! panic, never a hang — and a spec asking for more than the `MAX_*` bounds
-//! is refused at decode, before the daemon writes anything.
+//! truncated, oversized or too deeply nested frames) yields a clean
+//! [`FrameError`] — never a panic, never a hang — and a spec asking for
+//! more than the `MAX_*` bounds is refused at decode, before the daemon
+//! writes anything.
 
 mod common;
+#[path = "../../records/tests/support/wire.rs"]
+mod wire;
 
 use common::tmp_dir;
 use felix_records::Json;
@@ -12,7 +15,8 @@ use felix_serve::{
     read_frame, write_frame, Client, ClientError, FrameError, JobRow, JobSpec, Request,
     Response, ServeConfig, Server, MAX_FRAME, WAL_FILE,
 };
-use std::io::BufReader;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 
 /// Deterministic xorshift64* generator so the "property" sweeps are
 /// reproducible from their literal seeds.
@@ -330,4 +334,90 @@ fn an_over_limit_submit_is_refused_before_the_wal() {
     assert!(client.list().expect("list").is_empty(), "nothing was queued");
     assert_eq!(std::fs::read(&wal).expect("wal"), before, "the WAL was touched");
     server.shutdown_and_wait();
+}
+
+/// A frame of 10 000 `[`s is 10 KB, far under [`MAX_FRAME`], and its parse
+/// recursed once per level on the connection's handler thread: the stack
+/// overflow aborted the whole daemon. Now the handler answers `error` and
+/// the daemon keeps serving.
+#[test]
+fn a_deeply_nested_frame_is_answered_with_an_error_and_the_daemon_lives() {
+    let dir = tmp_dir("deep");
+    let server = Server::start(&ServeConfig::new("127.0.0.1:0", &*dir, 1)).expect("start");
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    let mut frame = "[".repeat(10_000);
+    frame.push('\n');
+    stream.write_all(frame.as_bytes()).expect("send");
+    let doc = read_frame(&mut BufReader::new(&stream)).expect("an answer");
+    match Response::from_json(&doc) {
+        Ok(Response::Error { message }) => assert!(message.contains("nesting"), "{message}"),
+        other => panic!("a deeply nested frame answered {other:?}"),
+    }
+    drop(stream);
+    Client::connect(server.addr).expect("connect again").ping().expect("pong");
+    server.shutdown_and_wait();
+}
+
+/// Every `felix-serve` wire type round-trips bit for bit over seeded
+/// values, and a document missing any required key is refused with an
+/// error that names the key. Specs are drawn valid, since decoding one
+/// validates it; the lifecycle options reach their bounds.
+#[test]
+fn every_serve_wire_type_round_trips_and_names_a_missing_field() {
+    use felix_serve::spec::{MAX_DEADLINE_MS, MAX_ROUNDS};
+    let mut rng = wire::Rng(0x5eed_0004);
+    let check = |errors: Vec<(String, String)>| {
+        for (key, err) in errors {
+            assert!(err.contains(&format!("{key:?}")), "removing {key:?} gave {err:?}");
+        }
+    };
+    for _ in 0..300 {
+        let (model, params) = match rng.next() % 3 {
+            0 => ("llama", vec![1, 16, 64, 2, 128, 1 + (rng.next() % 4) as i64]),
+            1 => ("dcgan", vec![1 + (rng.next() % 64) as i64]),
+            _ => ("resnet50", vec![1]),
+        };
+        let spec = JobSpec {
+            deadline_ms: [None, Some(0), Some(MAX_DEADLINE_MS)][(rng.next() % 3) as usize],
+            fault_panic_round: [None, Some(0), Some(MAX_ROUNDS - 1)][(rng.next() % 3) as usize],
+            warm_cache: rng.next().is_multiple_of(2),
+            ..JobSpec::quick(model, params, "A10G", 1 + (rng.next() % 9) as usize)
+        };
+        let optional = ["deadline_ms", "fault_panic_round"];
+        check(wire::round_trips(&spec, JobSpec::to_json, JobSpec::from_json, &optional));
+
+        let row = JobRow { job_id: rng.hex(), tenant: rng.text(), state: rng.text() };
+        check(wire::round_trips(&row, JobRow::to_json, JobRow::from_json, &[]));
+
+        let doc = Json::obj(vec![("x", Json::Arr(Vec::new())), ("b", Json::f64_bits(rng.bits()))]);
+        let requests = [
+            Request::Ping,
+            Request::Submit { tenant: rng.text(), spec: doc.clone() },
+            Request::Status { job_id: rng.hex() },
+            Request::Cancel { job_id: rng.hex() },
+            Request::Result { job_id: rng.hex() },
+            Request::List,
+            Request::Shutdown,
+        ];
+        for request in &requests {
+            check(wire::round_trips(request, Request::to_json, Request::from_json, &[]));
+        }
+        let responses = [
+            Response::Pong,
+            Response::Ack { job_id: rng.hex() },
+            Response::JobStatus { job_id: rng.hex(), tenant: rng.text(), state: rng.text() },
+            Response::JobResult { job_id: rng.hex(), result: doc },
+            Response::Jobs {
+                jobs: rng.list(|r| JobRow { job_id: r.hex(), tenant: r.text(), state: r.text() }),
+            },
+            Response::Bye,
+            Response::Busy { live: rng.hex(), limit: rng.hex() },
+            Response::QuotaExceeded { tenant: rng.text(), live: rng.hex(), limit: rng.hex() },
+            Response::Draining,
+            Response::Error { message: rng.text() },
+        ];
+        for response in &responses {
+            check(wire::round_trips(response, Response::to_json, Response::from_json, &[]));
+        }
+    }
 }

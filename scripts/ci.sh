@@ -4,8 +4,9 @@
 # (the root manifest's `default-members` lists them all) — one crate at a
 # time under a time budget, so each suite runs once. Then the serve
 # lifecycle suite again at one test thread, so a test that passes only
-# while its siblings slow the daemon fails; the pinned golden run and the
-# pinned serve results under the release profile, the ledger smoke,
+# while its siblings slow the daemon fails; the pinned golden run, the
+# pinned serve results and the wire-protocol suite under the release
+# profile, the ledger smoke,
 # the non-test line count, the `too_many_arguments` allow count and the
 # count of items kept only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
@@ -65,9 +66,12 @@ fi
 # rest at 0, the ledger builds everything at release; the pinned hashes
 # must hold in both. A resumed serve job pretrains its base model again
 # instead of loading a copy, so both profiles must agree on every byte of
-# a result.
+# a result. The wire-protocol suite too: stack frames differ between
+# profiles, and so does the nesting depth at which a parse would overflow
+# a handler thread's stack, and the daemon ships in release.
 cargo test -q --release --test golden_run
 cargo test -q --release -p felix-serve --test pinned_results
+cargo test -q --release -p felix-serve --test protocol
 
 # Ledger smoke: every benchmark workload, untraced then traced, CI-sized.
 # Gates on the ledger's output checks only (`correct: true`, no failed
