@@ -511,43 +511,6 @@ pub struct TunerStats {
     pub tape_cache_hits: usize,
 }
 
-impl TunerStats {
-    /// One-line human-readable rendering for bench binaries and logs.
-    pub fn summary(&self) -> String {
-        let mut line = format!(
-            "steps {} ({:.0}/s, {} thr) cand {} ({} distinct) viol {:.0}% dup {:.0}% cache {}/{} tape {}/{} nodes ({:.1} ms compile) fail {} retry {}",
-            self.grad_steps,
-            self.steps_per_sec,
-            self.threads,
-            self.candidates,
-            self.distinct_candidates,
-            self.penalty_violation_rate * 100.0,
-            self.rounding_rejection_rate * 100.0,
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
-            self.tape_nodes,
-            self.pool_nodes,
-            self.tape_compile_s * 1e3,
-            self.measure_failures,
-            self.measure_retries,
-        );
-        if self.seed_restarts > 0
-            || self.nonfinite_events > 0
-            || self.panics_caught > 0
-            || self.degraded_sketches > 0
-        {
-            line.push_str(&format!(
-                " health[restart {} nonfinite {} panic {} degraded {}]",
-                self.seed_restarts,
-                self.nonfinite_events,
-                self.panics_caught,
-                self.degraded_sketches,
-            ));
-        }
-        line
-    }
-}
-
 /// A candidate-proposal algorithm: the only part that differs between Ansor
 /// (evolutionary) and Felix (gradient descent).
 pub trait Proposer {
@@ -870,6 +833,14 @@ impl NetworkTuneResult {
         }
     }
 
+    /// The curve point of a round that ended at `time_s` with the tasks
+    /// as this result holds them: none while any task is unmeasured.
+    /// The round driver and the checkpoint replay both add it.
+    pub fn curve_point(&self, time_s: f64) -> Option<CurvePoint> {
+        let latency_ms = self.final_latency_ms;
+        (self.unmeasured_tasks == 0).then_some(CurvePoint { time_s, latency_ms })
+    }
+
     /// Appends a later result over the same tasks: its curve and reports
     /// follow this one's, and its final state replaces this one's.
     pub fn append(&mut self, later: NetworkTuneResult) {
@@ -898,12 +869,8 @@ pub const SEED_RETRY_ROUNDS: usize = 3;
 /// its weighted latency headroom, decayed by rounds already spent and by
 /// the fraction of measurement attempts it wastes on faults. Tasks still
 /// without any measurement score below every healthy task (healthy scores
-/// are positive), ordered by fewest rounds first.
-///
-/// This is the exact scoring expression [`select_next_task`] applies (same
-/// floating-point operations, same order), extracted so higher layers —
-/// the serving tier's cross-tenant job ranking — can rank *groups* of
-/// tasks by the same yardstick the in-process scheduler uses.
+/// are positive), ordered by fewest rounds first. A fault-free task
+/// divides by exactly 1.0, so the schedule is the fault-unaware one.
 pub fn task_priority(t: &SearchTask) -> f64 {
     if t.best_latency_ms.is_infinite() {
         -(t.rounds as f64)
@@ -914,49 +881,63 @@ pub fn task_priority(t: &SearchTask) -> f64 {
     }
 }
 
-/// The marginal benefit of granting one more round to a whole *job* (a set
-/// of tasks tuned together): infinite while any task is still unseeded or
-/// inside its bounded [`SEED_RETRY_ROUNDS`] retries — mirroring the
-/// seeding precedence of [`select_next_task`] — and otherwise the best
-/// [`task_priority`] across the job's tasks (the next round goes to the
-/// highest-priority task, so that task's score *is* the round's payoff).
-pub fn job_priority(tasks: &[SearchTask]) -> f64 {
-    if tasks.iter().any(|t| {
-        t.rounds == 0 || (t.best_latency_ms.is_infinite() && t.rounds < SEED_RETRY_ROUNDS)
-    }) {
-        return f64::INFINITY;
-    }
-    tasks.iter().map(task_priority).fold(f64::NEG_INFINITY, f64::max)
+/// Where a task stands in the scheduler's order, the one rule both
+/// [`select_next_task`] and [`job_priority`] read. The derived order puts
+/// a never-tuned task first, then a task still unmeasured inside its
+/// [`SEED_RETRY_ROUNDS`] (its first round may have lost every candidate to
+/// faults; bounded, so an infinite incumbent cannot starve healthy tasks),
+/// then every other task by [`task_priority`].
+#[derive(Clone, Copy, Debug, PartialEq, PartialOrd)]
+enum TaskRank {
+    /// Seeded: ranked by [`task_priority`].
+    Scored(f64),
+    /// Tuned, never measured, and inside its bounded retries.
+    Retrying,
+    /// Never tuned.
+    Unseeded,
 }
 
-/// Ansor's task scheduler (simplified gradient allocation): after seeding
-/// every task once, repeatedly picks the task with the largest weighted
-/// latency headroom.
+impl TaskRank {
+    fn of(t: &SearchTask) -> TaskRank {
+        if t.rounds == 0 {
+            TaskRank::Unseeded
+        } else if t.best_latency_ms.is_infinite() && t.rounds < SEED_RETRY_ROUNDS {
+            TaskRank::Retrying
+        } else {
+            TaskRank::Scored(task_priority(t))
+        }
+    }
+}
+
+/// The marginal benefit of granting one more round to a whole *job* (a set
+/// of tasks tuned together): its best task rank, so infinite while any
+/// task is still unseeded or inside its bounded [`SEED_RETRY_ROUNDS`]
+/// retries, and otherwise the best [`task_priority`] (the next round goes
+/// to that task, so its score *is* the round's payoff). The serving tier
+/// ranks jobs by it.
+pub fn job_priority(tasks: &[SearchTask]) -> f64 {
+    let mut best = f64::NEG_INFINITY;
+    for t in tasks {
+        match TaskRank::of(t) {
+            TaskRank::Scored(score) => best = best.max(score),
+            TaskRank::Retrying | TaskRank::Unseeded => return f64::INFINITY,
+        }
+    }
+    best
+}
+
+/// Ansor's task scheduler (simplified gradient allocation): the task of
+/// greatest rank, the first one on a tie. So every task is seeded once, in
+/// order, a task that lost its seeding round to faults retries a bounded
+/// number of times, and then the task with the largest [`task_priority`]
+/// runs.
 pub fn select_next_task(tasks: &[SearchTask]) -> usize {
-    // First: any never-tuned task, in order.
-    if let Some(i) = tasks.iter().position(|t| t.rounds == 0) {
-        return i;
-    }
-    // A task whose incumbent is still infinite gets a few bounded retry
-    // rounds (its first round may have lost every candidate to faults), but
-    // only a few: an infinite `best_latency_ms` would otherwise make its
-    // headroom score infinite and the scheduler would pick it forever,
-    // starving every healthy task.
-    if let Some(i) = tasks
-        .iter()
-        .position(|t| t.best_latency_ms.is_infinite() && t.rounds < SEED_RETRY_ROUNDS)
-    {
-        return i;
-    }
-    // Then: the task with the biggest expected payoff — see
-    // [`task_priority`]. A fault-free task divides by exactly 1.0, keeping
-    // the schedule byte-identical to the fault-unaware scheduler.
     let mut best = 0;
-    let mut best_score = f64::NEG_INFINITY;
+    let mut best_rank = TaskRank::Scored(f64::NEG_INFINITY);
     for (i, t) in tasks.iter().enumerate() {
-        let score = task_priority(t);
-        if score > best_score {
-            best_score = score;
+        let rank = TaskRank::of(t);
+        if rank > best_rank {
+            best_rank = rank;
             best = i;
         }
     }
@@ -994,13 +975,9 @@ pub fn tune_network_with_sink(
             rng,
             sink.as_deref_mut(),
         );
-        // The tasks as they stand after the round; a curve point once every
-        // task is measured.
+        // The tasks as they stand after the round.
         let now = NetworkTuneResult::new(tasks);
-        if now.unmeasured_tasks == 0 {
-            let point = CurvePoint { time_s: clock.now_s(), latency_ms: now.final_latency_ms };
-            result.curve.push(point);
-        }
+        result.curve.extend(now.curve_point(clock.now_s()));
         result.round_reports.push(report);
         result.append(now);
     }

@@ -53,5 +53,4 @@ fn main() {
             vals[mx_smooth.index()],
         );
     }
-    println!("(full 101-point series in results/fig4_smoothing.csv)");
 }

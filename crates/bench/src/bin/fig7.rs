@@ -1,10 +1,10 @@
 //! Figure 7 (a/b/c): best network latency vs. tuning time for Felix and
 //! Ansor-TenSet on RTX A5000, A10G, and Xavier NX at batch size 1.
 //!
-//! Writes the full curves to `results/fig7_batch1.csv` (consumed by the
-//! `table1`, `table2`, and `fig6` binaries) and prints a per-network
-//! summary. `FELIX_FULL=1` adds the 5-seed min/max band of Fig. 7a on the
-//! A5000.
+//! Writes the full curves to `fig7_batch1.csv` in the results directory
+//! (consumed by the `table1`, `table2`, and `fig6` binaries) and prints a
+//! per-network summary. `FELIX_FULL=1` adds the 5-seed min/max band of
+//! Fig. 7a on the A5000.
 
 use felix_bench::{
     cached_model, curves_to_csv, final_latency_label, networks, networks_no_llama, run_ansor,
@@ -45,5 +45,4 @@ fn main() {
         }
     }
     write_result("fig7_batch1.csv", &curves_to_csv(&rows));
-    println!("curves written to results/fig7_batch1.csv");
 }

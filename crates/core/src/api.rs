@@ -117,7 +117,7 @@ pub struct Optimizer {
     committing: bool,
     rounds_done: usize,
     /// Curve of (time, latency) across all rounds run so far.
-    pub history: Vec<felix_ansor::CurvePoint>,
+    pub history: Vec<CurvePoint>,
     /// Per-round tuner observability records, accumulated across all
     /// `optimize_all` calls (one entry per `propose` round).
     pub stats: Vec<TunerStats>,
@@ -442,12 +442,7 @@ impl Optimizer {
                 fine_tune_on_new_samples(&mut self.model, &task.samples, n_new, &opts);
             }
             task.rounds += 1;
-            // The round's curve point, as the round driver computes it.
-            let now = NetworkTuneResult::new(&self.tasks);
-            if now.unmeasured_tasks == 0 {
-                let latency_ms = now.final_latency_ms;
-                self.history.push(CurvePoint { time_s: round.clock_s, latency_ms });
-            }
+            self.history.extend(NetworkTuneResult::new(&self.tasks).curve_point(round.clock_s));
             // `new() + advance(x)` is `0.0 + x`, which is bit-exact.
             self.clock = TuningClock::new();
             self.clock.advance(round.clock_s);

@@ -912,7 +912,6 @@ mod tests {
             assert!(s.threads >= 1);
             assert!((0.0..=1.0).contains(&s.penalty_violation_rate));
             assert!((0.0..=1.0).contains(&s.rounding_rejection_rate));
-            assert!(!s.summary().is_empty());
         }
         assert!(prop.take_stats().is_empty(), "stats drain");
     }

@@ -56,7 +56,7 @@
 use crate::log::{self, Log};
 use crate::schema::{Bits, Codec, Hex, Num, Raw, Tag, Text};
 use crate::{schema, Json};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// Version of the job-record wire format. Bumped whenever a field is
@@ -83,7 +83,8 @@ pub enum JobOutcome {
 }
 
 impl JobOutcome {
-    const ALL: [JobOutcome; 4] =
+    /// Every terminal state.
+    pub const ALL: [JobOutcome; 4] =
         [JobOutcome::Done, JobOutcome::Cancelled, JobOutcome::Expired, JobOutcome::Quarantined];
 
     /// The WAL line kind for this terminal state.
@@ -294,20 +295,37 @@ pub struct TerminalJob {
     pub result: Json,
 }
 
+/// A live job's standing requests, as its WAL lines left them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LiveJob {
+    /// A cancel request stands: the worker honors it between ticks (or at
+    /// adoption after a restart).
+    pub cancel_requested: bool,
+    /// The cumulative crash count, once a crash line names the job
+    /// (duplicate lines merge by maximum).
+    pub crash_count: Option<u32>,
+}
+
+impl LiveJob {
+    /// Crashes attributed to the job so far.
+    pub fn crashes(&self) -> u32 {
+        self.crash_count.unwrap_or(0)
+    }
+}
+
 /// The queue state a WAL replays to. Deterministic: the same record
-/// sequence always yields the same state. The fields are readable by anyone; the only writers are
-/// [`QueueState::apply`] and, for a live daemon, [`JobQueue`].
+/// sequence always yields the same state. The fields are readable by
+/// anyone; the only writers are [`QueueState::apply`] and, for a live
+/// daemon, [`JobQueue`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueState {
     /// Every submitted job, in WAL (= acknowledgment) order, including
     /// terminal ones. Duplicate submit lines for one id keep the first.
     pub submitted: Vec<SubmittedJob>,
-    /// Live jobs with a standing cancel request — the worker honors these
-    /// between ticks (or at adoption after a restart).
-    pub cancel_requested: BTreeSet<u64>,
-    /// Cumulative crash count per live job (duplicate lines merge by
-    /// maximum).
-    pub crash_counts: BTreeMap<u64, u32>,
+    /// Submitted, non-terminal jobs by id, each with its standing cancel
+    /// request and crash count. A job's terminal line moves it from here to
+    /// `terminal`, so only a live job holds either.
+    pub live_jobs: BTreeMap<u64, LiveJob>,
     /// Finished jobs by id, whatever their terminal state. Duplicate
     /// terminal lines for one id keep the first (re-finalization after a
     /// crash re-appends identically).
@@ -317,58 +335,49 @@ pub struct QueueState {
 impl QueueState {
     /// The queue's one transition function: folds one record into the
     /// state. Replay and the live daemon both go through here, which is
-    /// what keeps memory equal to the replay of the file.
-    ///
-    /// The state stays *normalized* after every step: only a submitted,
-    /// non-terminal job can take a cancel request, a crash count or a
-    /// terminal record, and a terminal record clears the job's request and
-    /// count — its story ended, one way or another. So replaying a log and
-    /// replaying its [`QueueState::canonical_records`] compaction yield the
-    /// same state.
+    /// what keeps memory equal to the replay of the file. A request or a
+    /// terminal line for a job that is not live (a duplicate, or a job
+    /// never submitted) changes nothing, so replaying a log and replaying
+    /// its [`QueueState::canonical_records`] compaction yield the same
+    /// state.
     pub fn apply(&mut self, record: &JobRecord) {
         let id = record.job_id();
         match record {
             JobRecord::Submitted { tenant, spec, submitted_at_ms, .. } => {
-                if self.job(id).is_none() {
+                if !self.live_jobs.contains_key(&id) && !self.terminal.contains_key(&id) {
                     self.submitted.push(SubmittedJob {
                         job_id: id,
                         tenant: tenant.clone(),
                         spec: spec.clone(),
                         submitted_at_ms: *submitted_at_ms,
                     });
+                    self.live_jobs.insert(id, LiveJob::default());
                 }
             }
-            // Duplicate terminal lines, and requests against finished or
-            // never-submitted jobs.
-            _ if !self.is_live(id) => {}
             JobRecord::CancelRequested { .. } => {
-                self.cancel_requested.insert(id);
+                if let Some(live) = self.live_jobs.get_mut(&id) {
+                    live.cancel_requested = true;
+                }
             }
             JobRecord::CrashCounted { count, .. } => {
-                let entry = self.crash_counts.entry(id).or_insert(0);
-                *entry = (*entry).max(*count);
+                if let Some(live) = self.live_jobs.get_mut(&id) {
+                    live.crash_count = Some(live.crashes().max(*count));
+                }
             }
             JobRecord::Finished { outcome, rounds, latency_ms, result, .. } => {
-                self.terminal.insert(
-                    id,
-                    TerminalJob {
-                        outcome: *outcome,
-                        rounds: *rounds,
-                        latency_ms: *latency_ms,
-                        result: result.clone(),
-                    },
-                );
-                self.cancel_requested.remove(&id);
-                self.crash_counts.remove(&id);
+                if self.live_jobs.remove(&id).is_some() {
+                    self.terminal.insert(
+                        id,
+                        TerminalJob {
+                            outcome: *outcome,
+                            rounds: *rounds,
+                            latency_ms: *latency_ms,
+                            result: result.clone(),
+                        },
+                    );
+                }
             }
         }
-    }
-
-    /// Submitted and not yet terminal. Live jobs sit near the tail of
-    /// `submitted`, hence the backward scan.
-    fn is_live(&self, job_id: u64) -> bool {
-        !self.terminal.contains_key(&job_id)
-            && self.submitted.iter().rev().any(|j| j.job_id == job_id)
     }
 
     /// Replays a record sequence (as read by [`read_job_records`]) into
@@ -386,16 +395,13 @@ impl QueueState {
     /// adopt it to checkpoint its partial result and write the terminal
     /// line.
     pub fn pending(&self) -> Vec<&SubmittedJob> {
-        self.submitted
-            .iter()
-            .filter(|j| !self.terminal.contains_key(&j.job_id))
-            .collect()
+        self.submitted.iter().filter(|j| self.live_jobs.contains_key(&j.job_id)).collect()
     }
 
     /// Number of live (non-terminal) jobs — the quantity admission
     /// control bounds.
     pub fn live(&self) -> usize {
-        self.submitted.len() - self.terminal.len()
+        self.live_jobs.len()
     }
 
     /// Number of live (non-terminal) jobs owned by `tenant` — the
@@ -403,7 +409,7 @@ impl QueueState {
     pub fn tenant_live(&self, tenant: &str) -> usize {
         self.submitted
             .iter()
-            .filter(|j| j.tenant == tenant && !self.terminal.contains_key(&j.job_id))
+            .filter(|j| j.tenant == tenant && self.live_jobs.contains_key(&j.job_id))
             .count()
     }
 
@@ -439,13 +445,13 @@ impl QueueState {
                     latency_ms: done.latency_ms,
                     result: done.result.clone(),
                 });
-                continue;
-            }
-            if self.cancel_requested.contains(&job.job_id) {
-                out.push(JobRecord::CancelRequested { job_id: job.job_id });
-            }
-            if let Some(&count) = self.crash_counts.get(&job.job_id) {
-                out.push(JobRecord::CrashCounted { job_id: job.job_id, count });
+            } else if let Some(live) = self.live_jobs.get(&job.job_id) {
+                if live.cancel_requested {
+                    out.push(JobRecord::CancelRequested { job_id: job.job_id });
+                }
+                if let Some(count) = live.crash_count {
+                    out.push(JobRecord::CrashCounted { job_id: job.job_id, count });
+                }
             }
         }
         out
@@ -453,13 +459,10 @@ impl QueueState {
 
     /// Number of lines [`QueueState::canonical_records`] would write —
     /// the lower bound a size-triggered compaction compares the actual
-    /// line count against. A sum, because the state is normalized: requests
-    /// and counts stand on live jobs only, terminals on submitted ones.
+    /// line count against.
     pub fn canonical_len(&self) -> usize {
-        self.submitted.len()
-            + self.terminal.len()
-            + self.cancel_requested.len()
-            + self.crash_counts.len()
+        let lines = |l: &LiveJob| usize::from(l.cancel_requested) + usize::from(l.crash_count.is_some());
+        self.submitted.len() + self.terminal.len() + self.live_jobs.values().map(lines).sum::<usize>()
     }
 }
 
@@ -636,12 +639,12 @@ mod tests {
         assert_eq!(state.terminal[&1].outcome, JobOutcome::Cancelled);
         assert_eq!(state.terminal[&2].outcome, JobOutcome::Expired);
         assert_eq!(state.terminal[&4].outcome, JobOutcome::Quarantined);
-        // Cancel/crash markers on terminal jobs are normalized away…
-        assert!(!state.cancel_requested.contains(&1));
-        assert!(!state.crash_counts.contains_key(&4));
-        // …but stand on live jobs (counts merge by maximum).
-        assert!(state.cancel_requested.contains(&5));
-        assert_eq!(state.crash_counts.get(&3), Some(&2));
+        // A terminal job is not live, so its cancel and crash lines are
+        // gone with it…
+        assert!(!state.live_jobs.contains_key(&1) && !state.live_jobs.contains_key(&4));
+        // …but they stand on live jobs (counts merge by maximum).
+        assert_eq!(state.live_jobs[&5], LiveJob { cancel_requested: true, crash_count: None });
+        assert_eq!(state.live_jobs[&3], LiveJob { cancel_requested: false, crash_count: Some(2) });
         // Pending = the two live jobs, in order; one is cancel-requested.
         let pending: Vec<u64> = state.pending().iter().map(|j| j.job_id).collect();
         assert_eq!(pending, vec![3, 5]);

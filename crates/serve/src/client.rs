@@ -14,7 +14,7 @@
 
 use crate::protocol::{read_frame, write_frame, FrameError, JobRow, Request, Response};
 use crate::spec::JobSpec;
-use felix_records::Json;
+use felix_records::{JobOutcome, Json};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -252,9 +252,9 @@ impl Client {
         }
     }
 
-    /// Polls until the job reaches **any** terminal state (`done`,
-    /// `cancelled`, `expired`, `quarantined`), then returns that state
-    /// and the job's result document.
+    /// Polls until the job reaches **any** terminal state (the
+    /// [`JobOutcome::state`] of one of [`JobOutcome::ALL`]), then returns
+    /// that state and the job's result document.
     ///
     /// # Errors
     ///
@@ -270,7 +270,7 @@ impl Client {
         let deadline = Instant::now() + timeout;
         loop {
             let state = self.status(job_id)?;
-            if matches!(state.as_str(), "done" | "cancelled" | "expired" | "quarantined") {
+            if JobOutcome::ALL.iter().any(|outcome| outcome.state() == state) {
                 let result = self.result(job_id)?;
                 return Ok((state, result));
             }

@@ -46,8 +46,10 @@
 
 use crate::protocol::{read_frame, write_frame, FrameError, JobRow, Request, Response};
 use crate::spec::{JobSpec, DEADLINE};
-use crate::worker::{job_dir, Shard, StepOutcome, QUARANTINE_CRASHES, WAL_FILE};
-use felix_records::jobs::{JobOutcome, SubmittedJob};
+use crate::worker::{
+    is_tenant_char, job_dir, Shard, StepOutcome, MAX_TENANT_LEN, QUARANTINE_CRASHES, WAL_FILE,
+};
+use felix_records::jobs::{JobOutcome, LiveJob, SubmittedJob};
 use felix_records::{JobQueue, JobRecord, QueueState};
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, ErrorKind};
@@ -270,25 +272,21 @@ fn job_deadline_ms(job: &SubmittedJob) -> Option<u64> {
     felix_records::schema::take(&job.spec, &DEADLINE).ok().flatten()
 }
 
-/// The terminal state a non-terminal job must be finalized into instead
-/// of (or before) running, from durable state plus the clock: quarantined
-/// once its crash count reaches the threshold, cancelled on a standing
-/// cancel request, expired past its deadline. Quarantine outranks cancel —
-/// both are terminal, and the quarantine path is the only one guaranteed
-/// never to touch the job's crash-prone optimizer.
-fn disposal_for(queue: &QueueState, job: &SubmittedJob, now_ms: u64) -> Option<JobOutcome> {
-    if crash_count(queue, job.job_id) >= QUARANTINE_CRASHES {
+/// The terminal state a live job must be finalized into instead of (or
+/// before) running, from durable state plus the clock: quarantined once
+/// its crash count reaches the threshold, cancelled on a standing cancel
+/// request, expired past its deadline. Quarantine outranks cancel — both
+/// are terminal, and the quarantine path is the only one guaranteed never
+/// to touch the job's crash-prone optimizer.
+fn disposal_for(job: &SubmittedJob, live: &LiveJob, now_ms: u64) -> Option<JobOutcome> {
+    if live.crashes() >= QUARANTINE_CRASHES {
         return Some(JobOutcome::Quarantined);
     }
-    if queue.cancel_requested.contains(&job.job_id) {
+    if live.cancel_requested {
         return Some(JobOutcome::Cancelled);
     }
     let deadline = job_deadline_ms(job)?;
     (now_ms.saturating_sub(job.submitted_at_ms) >= deadline).then_some(JobOutcome::Expired)
-}
-
-fn crash_count(queue: &QueueState, job_id: u64) -> u32 {
-    queue.crash_counts.get(&job_id).copied().unwrap_or(0)
 }
 
 /// One iteration's marching orders for a shard, computed under the state
@@ -326,7 +324,8 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                         continue;
                     }
                     watch_deadline |= job_deadline_ms(job).is_some();
-                    let disposal = disposal_for(queue, job, now);
+                    let live = &queue.live_jobs[&job.job_id];
+                    let disposal = disposal_for(job, live, now);
                     if shard.is_active(job.job_id) {
                         // Cancelled or expired: an active job is below the
                         // quarantine threshold, since a crash removes a job
@@ -337,10 +336,7 @@ fn worker_loop(shared: &Arc<Shared>, index: usize) {
                         continue;
                     }
                     match disposal {
-                        Some(outcome) => {
-                            let crashes = crash_count(queue, job.job_id);
-                            plan.dispose.push((job.clone(), outcome, crashes));
-                        }
+                        Some(outcome) => plan.dispose.push((job.clone(), outcome, live.crashes())),
                         None if capacity > 0 => {
                             capacity -= 1;
                             plan.adopt.push(job.clone());
@@ -452,7 +448,7 @@ fn remove_job_dir(dir: &Path) {
 /// it reaches the quarantine threshold.
 fn record_crash(shared: &Shared, job_id: u64) {
     let mut st = shared.lock();
-    let count = crash_count(st.queue.state(), job_id) + 1;
+    let count = st.queue.state().live_jobs.get(&job_id).map_or(0, LiveJob::crashes) + 1;
     let record = JobRecord::CrashCounted { job_id, count };
     if commit_or_drain(shared, &mut st, "crash-count", &record) {
         eprintln!(
@@ -568,8 +564,7 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
             // Idempotent: already-terminal and already-cancelling jobs
             // just report their state; only the first request hits the
             // WAL. Durability before acknowledgment, like submit.
-            if !queue.terminal.contains_key(&job_id) && !queue.cancel_requested.contains(&job_id)
-            {
+            if queue.live_jobs.get(&job_id).is_some_and(|live| !live.cancel_requested) {
                 if let Err(e) = st.queue.commit(&JobRecord::CancelRequested { job_id }) {
                     return Response::Error {
                         message: format!("cancel append failed: {e}"),
@@ -610,22 +605,23 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
     }
 }
 
-/// The tenant rule: 1 to 32 bytes of `[A-Za-z0-9_-]`. The schedule-store
-/// file name ([`crate::store_path`]) keeps such a name whole, so each
-/// admitted tenant has a store file of its own.
+/// The tenant rule: 1 to [`MAX_TENANT_LEN`] bytes of the tenant charset.
+/// The schedule-store file name ([`crate::store_path`]) keeps such a name
+/// whole, so each admitted tenant has a store file of its own.
 fn check_tenant(tenant: &str) -> Result<(), String> {
-    let allowed = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'-';
-    if (1..=32).contains(&tenant.len()) && tenant.bytes().all(allowed) {
+    if (1..=MAX_TENANT_LEN).contains(&tenant.len()) && tenant.chars().all(is_tenant_char) {
         return Ok(());
     }
-    Err(format!("tenant {tenant:?} must be 1 to 32 bytes of [A-Za-z0-9_-]"))
+    Err(format!("tenant {tenant:?} must be 1 to {MAX_TENANT_LEN} bytes of [A-Za-z0-9_-]"))
 }
 
+/// A submitted job's client-facing state: its terminal state's
+/// [`JobOutcome::state`], or `cancelling`, `running` or `pending`.
 fn job_state(st: &State, job_id: u64) -> &'static str {
     let queue = st.queue.state();
     if let Some(done) = queue.terminal.get(&job_id) {
         done.outcome.state()
-    } else if queue.cancel_requested.contains(&job_id) {
+    } else if queue.live_jobs.get(&job_id).is_some_and(|live| live.cancel_requested) {
         "cancelling"
     } else if st.running.contains(&job_id) {
         "running"

@@ -7,6 +7,7 @@
 //! below 2^53) and is validated *before* the job is acknowledged, so the
 //! WAL only ever holds runnable jobs.
 
+use felix_graph::{models, Graph};
 use felix_records::schema;
 use felix_records::schema::{Flag, List, Num, Omit, OrNull, Text};
 use felix_sim::DeviceConfig;
@@ -30,6 +31,28 @@ pub const MAX_PARAM: i64 = 65_536;
 /// See [`MAX_ROUNDS`]; bounds [`JobSpec::deadline_ms`] to a year, far below
 /// 2^53, so the deadline survives the wire's JSON number exactly.
 pub const MAX_DEADLINE_MS: u64 = 365 * 24 * 3_600_000;
+
+/// A catalog entry: the model's name, the parameter lists it takes (one
+/// per accepted length) and its builder.
+type Model = (&'static str, &'static [&'static str], fn(&[i64]) -> Graph);
+
+const BATCH: &[&str] = &["[batch]"];
+
+/// The models a spec can name: what [`JobSpec::validate`] checks and
+/// [`JobSpec::resolve_graph`] builds.
+static MODELS: [Model; 6] = [
+    ("llama", &["[batch]", "[batch, seq, hidden, heads, ffn, layers]"], |p| match *p {
+        [b, seq, hidden, heads, ffn, layers] => {
+            models::llama_with_config(b, seq, hidden, heads, ffn, layers as usize)
+        }
+        _ => models::llama(p[0]),
+    }),
+    ("resnet50", BATCH, |p| models::resnet50(p[0])),
+    ("mobilenet_v2", BATCH, |p| models::mobilenet_v2(p[0])),
+    ("r3d18", BATCH, |p| models::r3d18(p[0])),
+    ("dcgan", BATCH, |p| models::dcgan(p[0])),
+    ("vit_b32", BATCH, |p| models::vit_b32(p[0])),
+];
 
 /// A validated tuning-job specification.
 #[derive(Clone, Debug, PartialEq)]
@@ -109,18 +132,12 @@ impl JobSpec {
     /// 1 and its `MAX_*` bound, and the deadline and panic round under
     /// theirs. [`JobSpec::from_json`] runs it on every decoded spec.
     pub fn validate(&self) -> Result<(), String> {
-        let arity_ok = match self.model.as_str() {
-            "llama" => self.params.len() == 1 || self.params.len() == 6,
-            "resnet50" | "mobilenet_v2" | "r3d18" | "dcgan" | "vit_b32" => {
-                self.params.len() == 1
-            }
-            other => return Err(format!("unknown model {other:?}")),
-        };
-        if !arity_ok {
+        let (_, takes, _) = self.catalog_entry()?;
+        if !takes.iter().any(|list| list.split(',').count() == self.params.len()) {
             return Err(format!(
-                "model {:?} takes [batch]{} — got {} params",
+                "model {:?} takes {} — got {} params",
                 self.model,
-                if self.model == "llama" { " or [batch, seq, hidden, heads, ffn, layers]" } else { "" },
+                takes.join(" or "),
                 self.params.len()
             ));
         }
@@ -164,22 +181,17 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns the [`JobSpec::validate`] error for an unrunnable spec.
-    pub fn resolve_graph(&self) -> Result<felix_graph::Graph, String> {
+    pub fn resolve_graph(&self) -> Result<Graph, String> {
         self.validate()?;
-        use felix_graph::models;
-        let p = &self.params;
-        Ok(match self.model.as_str() {
-            "llama" if p.len() == 6 => {
-                models::llama_with_config(p[0], p[1], p[2], p[3], p[4], p[5] as usize)
-            }
-            "llama" => models::llama(p[0]),
-            "resnet50" => models::resnet50(p[0]),
-            "mobilenet_v2" => models::mobilenet_v2(p[0]),
-            "r3d18" => models::r3d18(p[0]),
-            "dcgan" => models::dcgan(p[0]),
-            "vit_b32" => models::vit_b32(p[0]),
-            other => return Err(format!("unknown model {other:?}")),
-        })
+        Ok((self.catalog_entry()?.2)(&self.params))
+    }
+
+    /// The spec's model in the catalog.
+    fn catalog_entry(&self) -> Result<&'static Model, String> {
+        MODELS
+            .iter()
+            .find(|(name, ..)| *name == self.model)
+            .ok_or_else(|| format!("unknown model {:?}", self.model))
     }
 
     /// Looks up the target device.

@@ -66,15 +66,25 @@ pub fn job_dir(data_dir: &Path, job_id: u64) -> PathBuf {
     data_dir.join("jobs").join(format!("{job_id:016x}"))
 }
 
-/// The tenant's schedule-store file: a sanitized prefix of the name and
-/// an FNV-1a hash of it. Every tenant admission lets in is its own whole
-/// prefix, so each admitted tenant has a file of its own.
+/// The tenant rule, which admission checks and [`store_path`] keeps: 1 to
+/// `MAX_TENANT_LEN` bytes, each one that [`is_tenant_char`] accepts.
+pub(crate) const MAX_TENANT_LEN: usize = 32;
+
+/// The tenant charset, `[A-Za-z0-9_-]` (see [`MAX_TENANT_LEN`]).
+pub(crate) fn is_tenant_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_' || c == '-'
+}
+
+/// The tenant's schedule-store file: the name's first `MAX_TENANT_LEN`
+/// characters, each outside the tenant charset (`is_tenant_char`) replaced
+/// by `_`, and an FNV-1a hash of the whole name. An admitted name passes
+/// through whole, so each admitted tenant has a file of its own.
 pub fn store_path(data_dir: &Path, tenant: &str) -> PathBuf {
     let h = fnv1a(FNV_OFFSET, tenant.as_bytes());
     let prefix: String = tenant
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' { c } else { '_' })
-        .take(32)
+        .map(|c| if is_tenant_char(c) { c } else { '_' })
+        .take(MAX_TENANT_LEN)
         .collect();
     data_dir.join("schedules").join(format!("{prefix}-{h:016x}.jsonl"))
 }

@@ -316,6 +316,26 @@ fn specs_over_a_limit_are_rejected_at_decode() {
 }
 
 #[test]
+fn the_model_catalog_takes_each_model_with_its_parameter_lists() {
+    let check = |model: &str, params| JobSpec::quick(model, params, "RTX A5000", 1).validate();
+    for model in ["llama", "resnet50", "mobilenet_v2", "r3d18", "dcgan", "vit_b32"] {
+        assert_eq!(check(model, vec![1]), Ok(()), "{model}");
+    }
+    assert_eq!(check("llama", vec![1, 16, 128, 4, 344, 2]), Ok(()));
+    assert_eq!(check("alexnet", vec![1]), Err("unknown model \"alexnet\"".to_string()));
+    assert_eq!(
+        check("resnet50", vec![1, 2]),
+        Err("model \"resnet50\" takes [batch] — got 2 params".to_string())
+    );
+    assert_eq!(
+        check("llama", vec![1, 2]),
+        Err("model \"llama\" takes [batch] or [batch, seq, hidden, heads, ffn, layers] — got 2 \
+             params"
+            .to_string())
+    );
+}
+
+#[test]
 fn an_over_limit_submit_is_refused_before_the_wal() {
     let dir = tmp_dir("overlimit");
     let server = Server::start(&ServeConfig::new("127.0.0.1:0", &*dir, 1)).expect("start");
