@@ -8,17 +8,18 @@
 //! ```
 
 use felix_bench::plot::{render, Series};
-use felix_bench::{curves_from_csv, read_result};
+use felix_bench::{curves_from_csv, read_result, results_dir};
 
 fn main() {
     felix_bench::out_dir_from_args();
     let which = std::env::args().nth(1).unwrap_or_else(|| "fig7".into());
-    let file = match which.as_str() {
-        "fig10" => "fig10_batch16.csv",
-        _ => "fig7_batch1.csv",
+    let (file, bin) = match which.as_str() {
+        "fig10" => ("fig10_batch16.csv", "fig10"),
+        _ => ("fig7_batch1.csv", "fig7"),
     };
     let Some(csv) = read_result(file) else {
-        eprintln!("results/{file} missing — run the {which} binary first");
+        let path = results_dir().join(file);
+        eprintln!("{} missing — run the {bin} binary first", path.display());
         std::process::exit(1);
     };
     let curves = curves_from_csv(&csv);

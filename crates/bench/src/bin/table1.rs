@@ -5,7 +5,7 @@
 //! The paper's table covers ResNet-50, MobileNet-v2, DCGAN, ViT, and LLaMA
 //! (R3D-18 is excluded because Felix does not beat the 3-D-conv libraries).
 
-use felix_bench::{curves_from_csv, read_result, time_to_reach, write_result};
+use felix_bench::{curves_from_csv, read_result, results_dir, time_to_reach, write_result};
 use felix_graph::{models, partition};
 use felix_sim::vendor::{vendor_network_latency, Vendor};
 use felix_sim::DeviceConfig;
@@ -13,7 +13,8 @@ use felix_sim::DeviceConfig;
 fn main() {
     felix_bench::out_dir_from_args();
     let Some(csv) = read_result("fig7_batch1.csv") else {
-        eprintln!("results/fig7_batch1.csv missing — run the fig7 binary first");
+        let path = results_dir().join("fig7_batch1.csv");
+        eprintln!("{} missing — run the fig7 binary first", path.display());
         std::process::exit(1);
     };
     let curves = curves_from_csv(&csv);

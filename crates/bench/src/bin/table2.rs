@@ -2,12 +2,15 @@
 //! ratio of times needed to converge to 90%/95%/99% of the best Ansor
 //! performance (batch 1). Reads the curves produced by the `fig7` binary.
 
-use felix_bench::{curves_from_csv, geomean_cells, milestone_cells, read_result, write_result};
+use felix_bench::{
+    curves_from_csv, geomean_cells, milestone_cells, read_result, results_dir, write_result,
+};
 
 fn main() {
     felix_bench::out_dir_from_args();
     let Some(csv) = read_result("fig7_batch1.csv") else {
-        eprintln!("results/fig7_batch1.csv missing — run the fig7 binary first");
+        let path = results_dir().join("fig7_batch1.csv");
+        eprintln!("{} missing — run the fig7 binary first", path.display());
         std::process::exit(1);
     };
     let curves = curves_from_csv(&csv);

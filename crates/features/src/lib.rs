@@ -9,9 +9,23 @@
 //!
 //! The same formulas serve both tools: Felix differentiates them after
 //! smoothing; Ansor evaluates them at integer points to feed its cost model.
+//!
+//! Five columns repeat another column's formula by construction, so the
+//! cost model sees 77 distinct formulas. They stay: dropping a column
+//! changes the model's input, which is a cost-math change.
+//!
+//! | Column | Same formula as |
+//! |---|---|
+//! | `work_per_thread` | `flops_per_thread` |
+//! | `launch_overhead_const` | `num_stages` |
+//! | `sync_points_est` | `shared_load_rounds` |
+//! | `local_acc_elems_per_thread` | `thread_tile_spatial` |
+//! | `epilogue_stage_count` | `num_fused_epilogues` |
 
 use felix_expr::{CmpOp, ExprId};
-use felix_tir::{AccessKind, AxisKind, LoopKind, MemScope, Program, StageKind};
+use felix_tir::{
+    AccessKind, AccessPattern, AxisId, AxisKind, Loop, LoopKind, MemScope, Program, StageKind,
+};
 
 /// Number of features extracted per program.
 pub const FEATURE_COUNT: usize = 82;
@@ -163,14 +177,18 @@ fn enclosing_iters(p: &mut Program, stage: usize) -> ExprId {
         None => p.pool.constf(1.0),
         Some((target, pos)) => {
             let outer = enclosing_iters(p, target);
-            let exts: Vec<ExprId> = p.stages[target].loops[..=pos.min(p.stages[target].loops.len().saturating_sub(1))]
-                .iter()
-                .map(|l| l.extent)
-                .collect();
-            let prod = p.pool.product(&exts);
+            let prod = p.loop_product(target, &|q, _, _| q <= pos);
             p.pool.mul(outer, prod)
         }
     }
+}
+
+/// Executions of a stage's innermost body: its own loops times the nests
+/// enclosing it.
+fn executions(p: &mut Program, stage: usize) -> ExprId {
+    let enc = enclosing_iters(p, stage);
+    let own = p.loop_product(stage, &|_, _, _| true);
+    p.pool.mul(enc, own)
 }
 
 /// The root (grid-launching) stage of a `compute_at` chain.
@@ -179,6 +197,30 @@ fn root_of(p: &Program, mut stage: usize) -> usize {
         stage = t;
     }
     stage
+}
+
+/// Serially iterated loops (not bound to the GPU or parallelized).
+fn is_serial(l: &Loop) -> bool {
+    matches!(l.kind, LoopKind::Serial | LoopKind::Unroll | LoopKind::Vectorize)
+}
+
+/// The axes that index an access.
+fn indexing_axes(access: &AccessPattern) -> Vec<AxisId> {
+    access.dims.iter().flatten().map(|&(a, _)| a).collect()
+}
+
+/// `(stage, access, kind)` of every access of `stages` to a buffer in
+/// `scope`, in program order.
+fn accesses(p: &Program, stages: &[usize], scope: MemScope) -> Vec<(usize, usize, AccessKind)> {
+    let mut out = Vec::new();
+    for &s in stages {
+        for (a, acc) in p.stages[s].accesses.iter().enumerate() {
+            if p.buffers[acc.buffer.0 as usize].scope == scope {
+                out.push((s, a, acc.kind));
+            }
+        }
+    }
+    out
 }
 
 /// Memory operations *issued* by one access over a stage's execution.
@@ -190,25 +232,58 @@ fn root_of(p: &Program, mut stage: usize) -> usize {
 /// distinction is what makes untiled schedules pay for their lack of reuse.
 fn access_transactions(p: &mut Program, stage: usize, access_idx: usize) -> ExprId {
     let enc = enclosing_iters(p, stage);
-    let access_axes: Vec<felix_tir::AxisId> = p.stages[stage].accesses[access_idx]
-        .dims
-        .iter()
-        .flatten()
-        .map(|&(a, _)| a)
-        .collect();
-    let is_read = p.stages[stage].accesses[access_idx].kind == AccessKind::Read;
-    let exts: Vec<ExprId> = p.stages[stage]
-        .loops
-        .iter()
-        .filter(|l| {
-            access_axes.contains(&l.axis)
-                || (is_read
-                    && (l.kind.is_gpu_binding() || l.kind == LoopKind::Parallel))
-        })
-        .map(|l| l.extent)
-        .collect();
-    let own = p.pool.product(&exts);
+    let access = &p.stages[stage].accesses[access_idx];
+    let axes = indexing_axes(access);
+    let is_read = access.kind == AccessKind::Read;
+    let own = p.loop_product(stage, &|_, l, _| {
+        axes.contains(&l.axis)
+            || (is_read && (l.kind.is_gpu_binding() || l.kind == LoopKind::Parallel))
+    });
     p.pool.mul(enc, own)
+}
+
+/// Σ [`access_transactions`] over the accesses of `stages` to `scope`.
+fn transactions(p: &mut Program, stages: &[usize], scope: MemScope) -> ExprId {
+    let mut total = p.pool.constf(0.0);
+    for (s, a, _) in accesses(p, stages, scope) {
+        let tx = access_transactions(p, s, a);
+        total = p.pool.add(total, tx);
+    }
+    total
+}
+
+/// `num / (den + c)`: a ratio kept finite where `den` reaches zero.
+fn ratio(p: &mut Program, num: ExprId, den: ExprId, c: f64) -> ExprId {
+    let c = p.pool.constf(c);
+    let d = p.pool.add(den, c);
+    p.pool.div(num, d)
+}
+
+/// Tile, reuse distance and coalescing stride of read access `a` of the
+/// anchor (features `read{0,1}_*`).
+fn read_detail(p: &mut Program, anchor: usize, a: usize) -> [ExprId; 3] {
+    let tile = p.footprint_elems(anchor, a, &|_, l| is_serial(l));
+    // Reuse distance: iterations between consecutive touches of the same
+    // element ≈ the serial iterations not indexed by this access.
+    let axes = indexing_axes(&p.stages[anchor].accesses[a]);
+    let reuse = p.loop_product(anchor, &|_, l, _| is_serial(l) && !axes.contains(&l.axis));
+    // Coalescing: stride of the innermost thread loop in the access's last
+    // dimension; 0 (a broadcast, the best case) when it does not index it.
+    let st = &p.stages[anchor];
+    let thread = st.loops.iter().rev().find(|l| l.kind == LoopKind::ThreadIdx).map(|l| {
+        let last_dim = st.accesses[a].dims.last().into_iter().flatten();
+        let contrib: i64 = last_dim.filter(|(ax, _)| *ax == l.axis).map(|(_, s)| s.abs()).sum();
+        (l.mult, contrib)
+    });
+    let stride = match thread {
+        None => p.pool.constf(1.0),
+        Some((_, 0)) => p.pool.constf(0.0),
+        Some((mult, contrib)) => {
+            let c = p.pool.consti(contrib);
+            p.pool.mul(mult, c)
+        }
+    };
+    [tile, reuse, stride]
 }
 
 /// Extracts the 82 feature formulas from a (symbolic) program.
@@ -223,161 +298,82 @@ pub fn extract_features(p: &mut Program) -> FeatureSet {
     );
     let anchor = felix_tir::sketch::anchor_stage(p);
     let one = p.pool.constf(1.0);
+    let zero = p.pool.constf(0.0);
+    let compute: Vec<usize> =
+        (0..p.stages.len()).filter(|&s| p.stages[s].kind == StageKind::Compute).collect();
+    let epilogues: Vec<usize> =
+        compute.iter().copied().filter(|&s| p.stages[s].compute_at.is_some()).collect();
 
     // ---- Arithmetic totals over all compute stages -------------------
-    let mut fadd = p.pool.constf(0.0);
-    let mut fmul = p.pool.constf(0.0);
-    let mut fdiv = p.pool.constf(0.0);
-    let mut fspecial = p.pool.constf(0.0);
-    let mut fcmp = p.pool.constf(0.0);
-    let mut iops = p.pool.constf(0.0);
-    for s in 0..p.stages.len() {
-        if p.stages[s].kind != StageKind::Compute {
-            continue;
-        }
-        let enc = enclosing_iters(p, s);
-        let own = {
-            let exts: Vec<ExprId> = p.stages[s].loops.iter().map(|l| l.extent).collect();
-            p.pool.product(&exts)
-        };
-        let execs = p.pool.mul(enc, own);
+    let mut ops = [zero; 6];
+    for &s in &compute {
+        let execs = executions(p, s);
         let oc = p.stages[s].op_counts;
-        let terms = [
-            (oc.fadd, &mut fadd),
-            (oc.fmul, &mut fmul),
-            (oc.fdiv, &mut fdiv),
-            (oc.fspecial, &mut fspecial),
-            (oc.fcmp, &mut fcmp),
-            (oc.iops, &mut iops),
-        ];
-        for (count, acc) in terms {
+        let counts = [oc.fadd, oc.fmul, oc.fdiv, oc.fspecial, oc.fcmp, oc.iops];
+        for (count, total) in counts.into_iter().zip(&mut ops) {
             if count != 0.0 {
                 let c = p.pool.constf(count);
                 let t = p.pool.mul(execs, c);
-                *acc = p.pool.add(*acc, t);
+                *total = p.pool.add(*total, t);
             }
         }
     }
-    let mut flops = p.pool.add(fadd, fmul);
-    flops = p.pool.add(flops, fdiv);
-    flops = p.pool.add(flops, fspecial);
-    flops = p.pool.add(flops, fcmp);
+    let [fadd, fmul, fdiv, fspecial, fcmp, iops] = ops;
+    let flops = p.pool.sum(&[fadd, fmul, fdiv, fspecial, fcmp]);
 
     // ---- Parallelism structure of the anchor -------------------------
-    let blocks = p.extent_product(anchor, LoopKind::BlockIdx);
-    let threads = p.extent_product(anchor, LoopKind::ThreadIdx);
-    let vthreads = p.extent_product(anchor, LoopKind::VThread);
+    let blocks = p.loop_product(anchor, &|_, l, _| l.kind == LoopKind::BlockIdx);
+    let threads = p.loop_product(anchor, &|_, l, _| l.kind == LoopKind::ThreadIdx);
+    let vthreads = p.loop_product(anchor, &|_, l, _| l.kind == LoopKind::VThread);
     let total_threads = p.pool.mul(blocks, threads);
     let total_par = p.pool.mul(total_threads, vthreads);
     let c32 = p.pool.constf(32.0);
     let warps = p.pool.div(threads, c32);
     let flops_per_block = p.pool.div(flops, blocks);
     let flops_per_thread = p.pool.div(flops, total_threads);
-    let serial_kinds = [LoopKind::Serial, LoopKind::Unroll, LoopKind::Vectorize];
-    let serial_exts: Vec<ExprId> = p.stages[anchor]
-        .loops
-        .iter()
-        .filter(|l| serial_kinds.contains(&l.kind))
-        .map(|l| l.extent)
-        .collect();
-    let serial_iters = p.pool.product(&serial_exts);
-    let innermost = p.stages[anchor]
-        .loops
-        .last()
-        .map(|l| l.extent)
-        .unwrap_or(one);
+    let serial_iters = p.loop_product(anchor, &|_, l, _| is_serial(l));
+    let innermost = p.stages[anchor].loops.last().map_or(one, |l| l.extent);
     let unroll = p.stages[anchor].unroll_max_step.unwrap_or(one);
     let unrolled_iters = p.pool.min(serial_iters, unroll);
-    let vec_lanes = p.extent_product(anchor, LoopKind::Vectorize);
+    let vec_lanes = p.loop_product(anchor, &|_, l, _| l.kind == LoopKind::Vectorize);
 
     // ---- Structure ----------------------------------------------------
     let loop_depth = p.pool.consti(p.stages[anchor].loops.len() as i64);
     let num_stages = p.pool.consti(p.stages.len() as i64);
-    let n_cache = p
-        .stages
-        .iter()
-        .filter(|s| s.kind == StageKind::CacheRead)
-        .count();
+    let n_cache = p.stages.iter().filter(|s| s.kind == StageKind::CacheRead).count();
     let num_cache = p.pool.consti(n_cache as i64);
-    let n_epilogues = p
-        .stages
-        .iter()
-        .filter(|s| s.kind == StageKind::Compute && s.compute_at.is_some())
-        .count();
-    let num_epilogues = p.pool.consti(n_epilogues as i64);
-    let n_red = p.stages[anchor]
-        .axes
-        .iter()
-        .filter(|a| a.kind == AxisKind::Reduction)
-        .count();
+    let num_epilogues = p.pool.consti(epilogues.len() as i64);
+    let n_red = p.stages[anchor].axes.iter().filter(|a| a.kind == AxisKind::Reduction).count();
     let n_spa = p.stages[anchor].axes.len() - n_red;
     let n_red_e = p.pool.consti(n_red as i64);
     let n_spa_e = p.pool.consti(n_spa as i64);
-    let red_exts: Vec<ExprId> = p.stages[anchor]
-        .loops
-        .iter()
-        .filter(|l| p.stages[anchor].axis(l.axis).kind == AxisKind::Reduction)
-        .map(|l| l.extent)
-        .collect();
-    let reduction_iters = p.pool.product(&red_exts);
-    let spa_exts: Vec<ExprId> = p.stages[anchor]
-        .loops
-        .iter()
-        .filter(|l| p.stages[anchor].axis(l.axis).kind == AxisKind::Spatial)
-        .map(|l| l.extent)
-        .collect();
-    let spatial_iters = p.pool.product(&spa_exts);
-    // Outer reduction levels have a non-unit (symbolic) multiplier.
-    let kout_exts: Vec<ExprId> = p.stages[anchor]
-        .loops
-        .iter()
-        .filter(|l| {
-            p.stages[anchor].axis(l.axis).kind == AxisKind::Reduction
-                && p.pool.as_const(l.mult) != Some(1.0)
-        })
-        .map(|l| l.extent)
-        .collect();
-    let k_outer = p.pool.product(&kout_exts);
+    let reduction_iters = p.loop_product(anchor, &|_, _, a| a == AxisKind::Reduction);
+    let spatial_iters = p.loop_product(anchor, &|_, _, a| a == AxisKind::Spatial);
+    // Outer reduction levels have a non-unit (symbolic) multiplier; the
+    // pool interns constants, so "is the constant 1" is `== one`.
+    let k_outer = p.loop_product(anchor, &|_, l, a| a == AxisKind::Reduction && l.mult != one);
     let k_inner = p.pool.div(reduction_iters, k_outer);
 
     // ---- Global memory -------------------------------------------------
-    let mut g_read_tx = p.pool.constf(0.0);
-    let mut g_write_tx = p.pool.constf(0.0);
-    let mut g_read_unique = p.pool.constf(0.0);
-    let mut g_write_unique = p.pool.constf(0.0);
-    for s in 0..p.stages.len() {
-        if p.stages[s].kind != StageKind::Compute {
-            continue;
-        }
-        for a in 0..p.stages[s].accesses.len() {
-            let buf = p.stages[s].accesses[a].buffer;
-            if p.buffers[buf.0 as usize].scope != MemScope::Global {
-                continue;
-            }
-            let tx = access_transactions(p, s, a);
-            let enc = enclosing_iters(p, s);
-            let fp = p.footprint_elems(s, a, &|_, _| true);
-            let unique = p.pool.mul(enc, fp);
-            match p.stages[s].accesses[a].kind {
-                AccessKind::Read => {
-                    g_read_tx = p.pool.add(g_read_tx, tx);
-                    g_read_unique = p.pool.add(g_read_unique, unique);
-                }
-                AccessKind::Write => {
-                    g_write_tx = p.pool.add(g_write_tx, tx);
-                    g_write_unique = p.pool.add(g_write_unique, unique);
-                }
-            }
-        }
+    let (mut g_read_tx, mut g_write_tx) = (zero, zero);
+    let (mut g_read_unique, mut g_write_unique) = (zero, zero);
+    for (s, a, kind) in accesses(p, &compute, MemScope::Global) {
+        let tx = access_transactions(p, s, a);
+        let enc = enclosing_iters(p, s);
+        let fp = p.footprint_elems(s, a, &|_, _| true);
+        let unique = p.pool.mul(enc, fp);
+        let (tx_total, unique_total) = match kind {
+            AccessKind::Read => (&mut g_read_tx, &mut g_read_unique),
+            AccessKind::Write => (&mut g_write_tx, &mut g_write_unique),
+        };
+        *tx_total = p.pool.add(*tx_total, tx);
+        *unique_total = p.pool.add(*unique_total, unique);
     }
     // Cache-read staging traffic (global → shared).
-    let mut shared_tile = p.pool.constf(0.0);
-    let mut shared_rounds = p.pool.constf(0.0);
-    let mut shared_traffic_elems = p.pool.constf(0.0);
+    let (mut shared_tile, mut shared_rounds, mut shared_traffic_elems) = (zero, zero, zero);
     for s in 0..p.stages.len() {
         let Some(info) = p.stages[s].cache else { continue };
-        let root = root_of(p, s);
-        let root_blocks = p.extent_product(root, LoopKind::BlockIdx);
+        let root_blocks = p.loop_product(root_of(p, s), &|_, l, _| l.kind == LoopKind::BlockIdx);
         let per_block = p.pool.mul(info.tile_elems, info.rounds);
         let total = p.pool.mul(per_block, root_blocks);
         shared_traffic_elems = p.pool.add(shared_traffic_elems, total);
@@ -391,204 +387,77 @@ pub fn extract_features(p: &mut Program) -> FeatureSet {
     let g_write_bytes = p.pool.mul(g_write_tx, four);
     let g_read_unique_bytes = p.pool.mul(g_read_unique, four);
     let g_write_unique_bytes = p.pool.mul(g_write_unique, four);
-    let ru_den = p.pool.add(g_read_unique, one);
-    let read_reuse = p.pool.div(g_read_tx, ru_den);
-    let wu_den = p.pool.add(g_write_unique, one);
-    let write_reuse = p.pool.div(g_write_tx, wu_den);
+    let read_reuse = ratio(p, g_read_tx, g_read_unique, 1.0);
+    let write_reuse = ratio(p, g_write_tx, g_write_unique, 1.0);
     let traffic = p.pool.add(g_read_bytes, g_write_bytes);
     let bytes_per_thread = p.pool.div(traffic, total_threads);
     let bytes_per_block = p.pool.div(traffic, blocks);
-    let fl_den = p.pool.add(flops, one);
-    let traffic_per_flop = p.pool.div(traffic, fl_den);
-    let tr_den = p.pool.add(traffic, one);
-    let arith_intensity = p.pool.div(flops, tr_den);
+    let traffic_per_flop = ratio(p, traffic, flops, 1.0);
+    let arith_intensity = ratio(p, flops, traffic, 1.0);
 
     // ---- Shared memory --------------------------------------------------
     let shared_bytes_per_block = p.pool.mul(shared_tile, four);
     let shared_traffic_bytes = p.pool.mul(shared_traffic_elems, four);
-    let mut shared_read_elems = p.pool.constf(0.0);
-    for s in 0..p.stages.len() {
-        if p.stages[s].kind != StageKind::Compute {
-            continue;
-        }
-        for a in 0..p.stages[s].accesses.len() {
-            let buf = p.stages[s].accesses[a].buffer;
-            if p.buffers[buf.0 as usize].scope != MemScope::Shared {
-                continue;
-            }
-            let tx = access_transactions(p, s, a);
-            shared_read_elems = p.pool.add(shared_read_elems, tx);
-        }
-    }
-    let th_den = p.pool.add(threads, one);
-    let shared_per_thread = p.pool.div(shared_bytes_per_block, th_den);
-    let sync_points = shared_rounds;
+    let shared_read_elems = transactions(p, &compute, MemScope::Shared);
+    let shared_per_thread = ratio(p, shared_bytes_per_block, threads, 1.0);
 
     // ---- Local / register tiles ----------------------------------------
-    let serial_spatial_exts: Vec<ExprId> = p.stages[anchor]
-        .loops
-        .iter()
-        .filter(|l| {
-            serial_kinds.contains(&l.kind)
-                && p.stages[anchor].axis(l.axis).kind == AxisKind::Spatial
-        })
-        .map(|l| l.extent)
-        .collect();
-    let thread_tile_spatial = p.pool.product(&serial_spatial_exts);
+    let thread_tile_spatial =
+        p.loop_product(anchor, &|_, l, a| is_serial(l) && a == AxisKind::Spatial);
     let block_tile_spatial = {
         let t = p.pool.mul(thread_tile_spatial, threads);
         p.pool.mul(t, vthreads)
     };
-    let mut local_traffic = p.pool.constf(0.0);
-    for s in 0..p.stages.len() {
-        if p.stages[s].kind != StageKind::Compute {
-            continue;
-        }
-        for a in 0..p.stages[s].accesses.len() {
-            let buf = p.stages[s].accesses[a].buffer;
-            if p.buffers[buf.0 as usize].scope != MemScope::Local {
-                continue;
-            }
-            let tx = access_transactions(p, s, a);
-            local_traffic = p.pool.add(local_traffic, tx);
-        }
-    }
-    let local_acc = thread_tile_spatial;
+    let local_traffic = transactions(p, &compute, MemScope::Local);
     // Register pressure: accumulator tile + one register per staged operand.
-    let n_reads = p.pool.consti(
-        p.stages[anchor]
-            .accesses
-            .iter()
-            .filter(|a| a.kind == AccessKind::Read)
-            .count() as i64,
-    );
+    let reads: Vec<usize> = (0..p.stages[anchor].accesses.len())
+        .filter(|&a| p.stages[anchor].accesses[a].kind == AccessKind::Read)
+        .collect();
+    let n_reads = p.pool.consti(reads.len() as i64);
     let extra = p.pool.mul(n_reads, innermost);
-    let reg_pressure = p.pool.add(local_acc, extra);
+    let reg_pressure = p.pool.add(thread_tile_spatial, extra);
 
     // ---- Anchor access detail -------------------------------------------
-    let serial_filter = |_: usize, l: &felix_tir::Loop| {
-        matches!(l.kind, LoopKind::Serial | LoopKind::Unroll | LoopKind::Vectorize)
-    };
-    let read_idxs: Vec<usize> = p.stages[anchor]
-        .accesses
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.kind == AccessKind::Read)
-        .map(|(i, _)| i)
-        .collect();
-    let mut read_stats = Vec::new();
-    for slot in 0..2usize {
-        match read_idxs.get(slot) {
-            Some(&a) => {
-                let tile = p.footprint_elems(anchor, a, &serial_filter);
-                // Reuse distance: iterations between consecutive touches of
-                // the same element ≈ the serial iterations not indexed by
-                // this access.
-                let tx_axes: Vec<felix_tir::AxisId> = p.stages[anchor].accesses[a]
-                    .dims
-                    .iter()
-                    .flatten()
-                    .map(|&(ax, _)| ax)
-                    .collect();
-                let non_contrib: Vec<ExprId> = p.stages[anchor]
-                    .loops
-                    .iter()
-                    .filter(|l| {
-                        serial_kinds.contains(&l.kind) && !tx_axes.contains(&l.axis)
-                    })
-                    .map(|l| l.extent)
-                    .collect();
-                let reuse = p.pool.product(&non_contrib);
-                // Coalescing: stride of the innermost thread loop in the
-                // access's last dimension.
-                let stride = {
-                    let tpos = p.stages[anchor].loops_of_kind(LoopKind::ThreadIdx);
-                    match tpos.last() {
-                        Some(&tp) => {
-                            let l = p.stages[anchor].loops[tp].clone();
-                            let last_dim = p.stages[anchor].accesses[a]
-                                .dims
-                                .last()
-                                .cloned()
-                                .unwrap_or_default();
-                            let contrib: i64 = last_dim
-                                .iter()
-                                .filter(|(ax, _)| *ax == l.axis)
-                                .map(|(_, s)| s.abs())
-                                .sum();
-                            if contrib == 0 {
-                                // Not indexed by the thread: broadcast (good).
-                                p.pool.constf(0.0)
-                            } else {
-                                let c = p.pool.consti(contrib);
-                                p.pool.mul(l.mult, c)
-                            }
-                        }
-                        None => one,
-                    }
-                };
-                read_stats.push((tile, reuse, stride));
-            }
-            None => {
-                let zero = p.pool.constf(0.0);
-                read_stats.push((zero, one, zero));
-            }
-        }
-    }
-    let write_idx = p.stages[anchor]
-        .accesses
-        .iter()
-        .position(|a| a.kind == AccessKind::Write);
-    let write_tile = match write_idx {
-        Some(a) => p.footprint_elems(anchor, a, &serial_filter),
+    let [read0, read1] = [0, 1].map(|slot| match reads.get(slot) {
+        Some(&a) => read_detail(p, anchor, a),
+        None => [zero, one, zero],
+    });
+    let write = p.stages[anchor].accesses.iter().position(|a| a.kind == AccessKind::Write);
+    let write_tile = match write {
+        Some(a) => p.footprint_elems(anchor, a, &|_, l| is_serial(l)),
         None => one,
     };
-    let block_filter =
-        |_: usize, l: &felix_tir::Loop| l.kind != LoopKind::BlockIdx;
-    let mut unique_per_block = p.pool.constf(0.0);
+    let mut unique_per_block = zero;
     for a in 0..p.stages[anchor].accesses.len() {
-        let fp = p.footprint_elems(anchor, a, &block_filter);
+        let fp = p.footprint_elems(anchor, a, &|_, l| l.kind != LoopKind::BlockIdx);
         unique_per_block = p.pool.add(unique_per_block, fp);
     }
 
     // ---- Epilogues --------------------------------------------------------
-    let mut epi_iters = p.pool.constf(0.0);
-    let mut epi_reads = p.pool.constf(0.0);
-    let mut epi_flops = p.pool.constf(0.0);
-    let mut epi_param_bytes = p.pool.constf(0.0);
-    for s in 0..p.stages.len() {
-        if p.stages[s].kind != StageKind::Compute || p.stages[s].compute_at.is_none() {
-            continue;
-        }
-        let enc = enclosing_iters(p, s);
-        let exts: Vec<ExprId> = p.stages[s].loops.iter().map(|l| l.extent).collect();
-        let own = p.pool.product(&exts);
-        let execs = p.pool.mul(enc, own);
+    let (mut epi_iters, mut epi_reads, mut epi_flops) = (zero, zero, zero);
+    let mut epi_param_bytes = zero;
+    for &s in &epilogues {
+        let execs = executions(p, s);
         epi_iters = p.pool.add(epi_iters, execs);
         let fl = p.pool.constf(p.stages[s].op_counts.flops());
         let f = p.pool.mul(execs, fl);
         epi_flops = p.pool.add(epi_flops, f);
-        for a in 0..p.stages[s].accesses.len() {
-            let acc_kind = p.stages[s].accesses[a].kind;
-            let buf_id = p.stages[s].accesses[a].buffer.0 as usize;
-            let (scope, ndims, bytes) = {
-                let buf = &p.buffers[buf_id];
-                (buf.scope, buf.dims.len(), buf.bytes())
-            };
-            if acc_kind == AccessKind::Read && scope == MemScope::Global {
-                let tx = access_transactions(p, s, a);
-                epi_reads = p.pool.add(epi_reads, tx);
-                if ndims == 1 {
-                    let b = p.pool.consti(bytes);
-                    epi_param_bytes = p.pool.add(epi_param_bytes, b);
-                }
+        for (_, a, kind) in accesses(p, &[s], MemScope::Global) {
+            if kind != AccessKind::Read {
+                continue;
+            }
+            let tx = access_transactions(p, s, a);
+            epi_reads = p.pool.add(epi_reads, tx);
+            let buf = &p.buffers[p.stages[s].accesses[a].buffer.0 as usize];
+            if buf.dims.len() == 1 {
+                let b = p.pool.consti(buf.bytes());
+                epi_param_bytes = p.pool.add(epi_param_bytes, b);
             }
         }
     }
-    let epi_count = num_epilogues;
 
     // ---- Discrete proxies (contain select; smoothed downstream) -----------
-    let mut loop_overhead = p.pool.constf(0.0);
+    let mut loop_overhead = zero;
     let mut cum = one;
     for l in p.stages[anchor].loops.clone() {
         cum = p.pool.mul(cum, l.extent);
@@ -604,53 +473,36 @@ pub fn extract_features(p: &mut Program) -> FeatureSet {
     }
     let branch_selects = {
         let cond = p.pool.cmp(CmpOp::Gt, k_inner, one);
-        let t = reduction_iters;
-        p.pool.select(cond, t, one)
+        p.pool.select(cond, reduction_iters, one)
     };
-    let c16 = p.pool.constf(16.0);
-    let wu_d = p.pool.add(threads, c16);
-    let warp_util = p.pool.div(threads, wu_d);
-    let c4096 = p.pool.constf(4096.0);
-    let oc_d = p.pool.add(total_threads, c4096);
-    let occupancy = p.pool.div(total_threads, oc_d);
-    let c80 = p.pool.constf(80.0);
-    let te_d = p.pool.add(blocks, c80);
-    let tail = p.pool.div(blocks, te_d);
+    let warp_util = ratio(p, threads, threads, 16.0);
+    let occupancy = ratio(p, total_threads, total_threads, 4096.0);
+    let tail = ratio(p, blocks, blocks, 80.0);
     let two = p.pool.constf(2.0);
     let strides_sum = {
-        let s = p.pool.add(read_stats[0].2, read_stats[1].2);
+        let s = p.pool.add(read0[2], read1[2]);
         p.pool.add(two, s)
     };
     let coalescing = p.pool.div(two, strides_sum);
-    let launch_overhead = num_stages;
-    let ub_d = p.pool.add(serial_iters, one);
-    let unroll_benefit = p.pool.div(unrolled_iters, ub_d);
+    let unroll_benefit = ratio(p, unrolled_iters, serial_iters, 1.0);
 
     // ---- Extent statistics --------------------------------------------------
     let mut max_extent = one;
     for l in p.stages[anchor].loops.clone() {
         max_extent = p.pool.max(max_extent, l.extent);
     }
-    let total_iters = p.total_iters(anchor);
+    let total_iters = p.loop_product(anchor, &|_, _, _| true);
     let nl = p.stages[anchor].loops.len().max(1);
     let inv = p.pool.constf(1.0 / nl as f64);
     let geo_mean = p.pool.pow(total_iters, inv);
     let num_loops = p.pool.consti(nl as i64);
-    let num_serial = p.pool.consti(
-        p.stages[anchor]
-            .loops
-            .iter()
-            .filter(|l| serial_kinds.contains(&l.kind))
-            .count() as i64,
-    );
-    let num_bound = p.pool.consti(
-        p.stages[anchor]
-            .loops
-            .iter()
-            .filter(|l| l.kind.is_gpu_binding())
-            .count() as i64,
-    );
+    let loops = &p.stages[anchor].loops;
+    let n_serial = loops.iter().filter(|l| is_serial(l)).count();
+    let n_bound = loops.iter().filter(|l| l.kind.is_gpu_binding()).count();
+    let num_serial = p.pool.consti(n_serial as i64);
+    let num_bound = p.pool.consti(n_bound as i64);
 
+    // The repeated entries are the aliases of the module docs.
     let exprs = vec![
         // A
         fadd, fmul, fdiv, fspecial, fcmp, iops, flops,
@@ -670,19 +522,18 @@ pub fn extract_features(p: &mut Program) -> FeatureSet {
         // F
         shared_bytes_per_block, shared_rounds, shared_tile,
         shared_traffic_bytes, shared_read_elems, shared_per_thread,
-        sync_points,
+        shared_rounds,
         // G
-        local_acc, local_traffic, reg_pressure, thread_tile_spatial,
+        thread_tile_spatial, local_traffic, reg_pressure, thread_tile_spatial,
         block_tile_spatial,
         // H
-        read_stats[0].0, read_stats[0].1, read_stats[0].2,
-        read_stats[1].0, read_stats[1].1, read_stats[1].2,
+        read0[0], read0[1], read0[2], read1[0], read1[1], read1[2],
         write_tile, unique_per_block,
         // I
-        epi_iters, epi_reads, epi_flops, epi_param_bytes, epi_count,
+        epi_iters, epi_reads, epi_flops, epi_param_bytes, num_epilogues,
         // J
         loop_overhead, branch_selects, warp_util, occupancy, tail,
-        coalescing, launch_overhead, unroll_benefit,
+        coalescing, num_stages, unroll_benefit,
         // K
         max_extent, geo_mean, num_loops, num_serial, num_bound,
     ];
@@ -735,6 +586,25 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), FEATURE_COUNT);
+    }
+
+    #[test]
+    fn documented_aliases_repeat_their_formula() {
+        let aliases = [
+            ("work_per_thread", "flops_per_thread"),
+            ("launch_overhead_const", "num_stages"),
+            ("sync_points_est", "shared_load_rounds"),
+            ("local_acc_elems_per_thread", "thread_tile_spatial"),
+            ("epilogue_stage_count", "num_fused_epilogues"),
+        ];
+        let p0 = dense(256, 256, 256);
+        for sk in generate_sketches(&p0, &HardwareParams::default()) {
+            let mut p = sk.program;
+            let fs = extract_features(&mut p);
+            for (alias, of) in aliases {
+                assert_eq!(fs.exprs[feature_index(alias)], fs.exprs[feature_index(of)], "{alias}");
+            }
+        }
     }
 
     #[test]

@@ -331,7 +331,7 @@ mod tests {
         ];
         for op in ops {
             let mut p = lower_subgraph(&Subgraph { ops: vec![op.clone()] });
-            let total = p.total_iters(0);
+            let total = p.loop_product(0, &|_, _, _| true);
             // 2 flops per iteration (MAC) must equal op.flops().
             assert_eq!(p.pool.eval(total, &[]) * 2.0, op.flops(), "{op}");
         }

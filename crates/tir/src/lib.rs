@@ -245,15 +245,16 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// Returns the axis metadata for `id`.
+    /// Returns the axis metadata for `id`. An axis id is its position in
+    /// [`Stage::axes`], as [`Program::add_stage`] numbers them.
     ///
     /// # Panics
     ///
     /// Panics if the axis does not belong to this stage.
     pub fn axis(&self, id: AxisId) -> &Axis {
         self.axes
-            .iter()
-            .find(|a| a.id == id)
+            .get(id.0 as usize)
+            .filter(|a| a.id == id)
             .expect("axis id not in stage")
     }
 
@@ -374,19 +375,21 @@ impl Program {
             .map(|a| a.buffer)
     }
 
-    /// Symbolic product of all loop extents of a stage (total iterations).
-    pub fn total_iters(&mut self, stage: usize) -> ExprId {
-        let exts: Vec<ExprId> = self.stages[stage].loops.iter().map(|l| l.extent).collect();
-        self.pool.product(&exts)
-    }
-
-    /// Symbolic product of extents of loops with the given kind.
-    pub fn extent_product(&mut self, stage: usize, kind: LoopKind) -> ExprId {
-        let exts: Vec<ExprId> = self.stages[stage]
+    /// Symbolic product of the extents of a stage's loops that
+    /// `keep(position, loop, axis kind)` admits, outer → inner (`1` when it
+    /// admits none).
+    pub fn loop_product(
+        &mut self,
+        stage: usize,
+        keep: &dyn Fn(usize, &Loop, AxisKind) -> bool,
+    ) -> ExprId {
+        let st = &self.stages[stage];
+        let exts: Vec<ExprId> = st
             .loops
             .iter()
-            .filter(|l| l.kind == kind)
-            .map(|l| l.extent)
+            .enumerate()
+            .filter(|&(pos, l)| keep(pos, l, st.axis(l.axis).kind))
+            .map(|(_, l)| l.extent)
             .collect();
         self.pool.product(&exts)
     }
@@ -508,7 +511,7 @@ mod tests {
     #[test]
     fn total_iters_of_naive_dense() {
         let mut p = dense_program(64, 128, 256);
-        let t = p.total_iters(0);
+        let t = p.loop_product(0, &|_, _, _| true);
         assert_eq!(p.pool.eval(t, &[]), (64 * 128 * 256) as f64);
     }
 
@@ -573,9 +576,9 @@ mod tests {
     fn extent_product_by_kind() {
         let mut p = dense_program(64, 128, 256);
         // All loops serial: serial product = everything, blockIdx product = 1.
-        let s = p.extent_product(0, LoopKind::Serial);
+        let s = p.loop_product(0, &|_, l, _| l.kind == LoopKind::Serial);
         assert_eq!(p.pool.eval(s, &[]), (64 * 128 * 256) as f64);
-        let b = p.extent_product(0, LoopKind::BlockIdx);
+        let b = p.loop_product(0, &|_, l, _| l.kind == LoopKind::BlockIdx);
         assert_eq!(p.pool.eval(b, &[]), 1.0);
     }
 }

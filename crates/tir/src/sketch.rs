@@ -20,7 +20,9 @@
 //!   paper's schedule `s*₂` (Fig. 3).
 
 use crate::steps::{apply, axis_loop_positions, Step};
-use crate::{AccessKind, AxisKind, Constraint, LoopKind, MemScope, Program, StageKind};
+use crate::{
+    AccessKind, AxisId, AxisKind, Constraint, LoopKind, MemScope, Program, Stage, StageKind,
+};
 use felix_expr::{ExprId, VarId};
 
 /// Hardware limits that shape the search space and its constraints.
@@ -60,7 +62,7 @@ pub enum SchedVarKind {
         /// Stage the split belongs to.
         stage: usize,
         /// Axis id within that stage.
-        axis: crate::AxisId,
+        axis: AxisId,
         /// The axis extent being split.
         extent: i64,
         /// Level index among this axis's split variables (outer → inner).
@@ -94,42 +96,33 @@ pub struct Sketch {
     pub steps: Vec<Step>,
 }
 
-fn fresh_split_var(
-    p: &mut Program,
-    name: String,
-    stage: usize,
-    axis: crate::AxisId,
-    extent: i64,
-    level: u32,
-) -> ExprId {
-    let v = p.vars.fresh(name);
-    p.sched_vars.push(SchedVarInfo {
-        var: v,
-        kind: SchedVarKind::Split { stage, axis, extent, level },
-    });
-    let x = p.pool.var(v);
-    // Range constraints 1 <= x <= extent, expressed as `expr <= 0`.
-    let one = p.pool.constf(1.0);
-    let lo = p.pool.sub(one, x);
-    let ext = p.pool.consti(extent);
-    let hi = p.pool.sub(x, ext);
-    let vname = p.vars.name(v).to_owned();
-    p.constraints.push(Constraint { expr: lo, desc: format!("1 <= {vname}") });
-    p.constraints.push(Constraint { expr: hi, desc: format!("{vname} <= {extent}") });
-    x
+/// Applies `step` to `p` and records it in the sketch's step list.
+fn record(p: &mut Program, steps: &mut Vec<Step>, step: Step) {
+    apply(p, &step);
+    steps.push(step);
 }
 
-fn fresh_unroll_var(p: &mut Program, name: String, max: i64) -> ExprId {
+/// Records the validity constraint `a <= b` as `a - b <= 0`.
+fn at_most(p: &mut Program, a: ExprId, b: ExprId, desc: String) {
+    let expr = p.pool.sub(a, b);
+    p.constraints.push(Constraint { expr, desc });
+}
+
+/// A fresh schedule variable of `kind` with its range constraints
+/// `1 <= x <= max`, `max` being the split axis's extent or the unroll bound.
+fn fresh_var(p: &mut Program, name: String, kind: SchedVarKind) -> ExprId {
     let v = p.vars.fresh(name);
-    p.sched_vars.push(SchedVarInfo { var: v, kind: SchedVarKind::Unroll { max } });
+    p.sched_vars.push(SchedVarInfo { var: v, kind });
     let x = p.pool.var(v);
-    let one = p.pool.constf(1.0);
-    let lo = p.pool.sub(one, x);
-    let mx = p.pool.consti(max);
-    let hi = p.pool.sub(x, mx);
+    let max = match kind {
+        SchedVarKind::Split { extent, .. } => extent,
+        SchedVarKind::Unroll { max } => max,
+    };
     let vname = p.vars.name(v).to_owned();
-    p.constraints.push(Constraint { expr: lo, desc: format!("1 <= {vname}") });
-    p.constraints.push(Constraint { expr: hi, desc: format!("{vname} <= {max}") });
+    let one = p.pool.constf(1.0);
+    at_most(p, one, x, format!("1 <= {vname}"));
+    let max_e = p.pool.consti(max);
+    at_most(p, x, max_e, format!("{vname} <= {max}"));
     x
 }
 
@@ -195,7 +188,7 @@ impl RoundingPlan {
             .into_iter()
             .map(|((stage, axis), mut vars)| {
                 vars.sort_by_key(|&(level, _)| level);
-                let extent = program.stages[stage].axis(crate::AxisId(axis)).extent as u64;
+                let extent = program.stages[stage].axis(AxisId(axis)).extent as u64;
                 SplitGroup {
                     vars: vars.into_iter().map(|(_, v)| v).collect(),
                     factors: felix_expr::factor::factors(extent.max(1))
@@ -349,6 +342,65 @@ pub fn generate_sketches(init: &Program, hw: &HardwareParams) -> Vec<Sketch> {
     out
 }
 
+/// The ids of a stage's axes of `kind`, in declaration order.
+fn axes_of(st: &Stage, kind: AxisKind) -> Vec<AxisId> {
+    st.axes.iter().filter(|a| a.kind == kind).map(|a| a.id).collect()
+}
+
+/// Splits the loop of `axis` into a derived outer loop and one level per
+/// name (outer → inner), each a fresh split variable.
+fn tile(p: &mut Program, steps: &mut Vec<Step>, stage: usize, axis: AxisId, names: Vec<String>) {
+    let extent = p.stages[stage].axis(axis).extent;
+    let factors = (0..)
+        .zip(names)
+        .map(|(level, name)| fresh_var(p, name, SchedVarKind::Split { stage, axis, extent, level }))
+        .collect();
+    record(p, steps, Step::Tile { stage, axis, factors });
+}
+
+/// Tiles every `kind` axis of `stage` with extent at least `min_extent`
+/// into `levels` named levels (`TI1`, `TI2`, ... for axis `i`); returns how
+/// many axes it tiled.
+fn tile_axes(
+    p: &mut Program,
+    steps: &mut Vec<Step>,
+    stage: usize,
+    kind: AxisKind,
+    min_extent: i64,
+    levels: u32,
+) -> usize {
+    let mut tiled = 0;
+    for axis in axes_of(&p.stages[stage], kind) {
+        let ax = p.stages[stage].axis(axis);
+        if ax.extent < min_extent {
+            continue;
+        }
+        let name = ax.name.to_uppercase();
+        tile(p, steps, stage, axis, (1..=levels).map(|l| format!("T{name}{l}")).collect());
+        tiled += 1;
+    }
+    tiled
+}
+
+/// The rules every sketch ends with: an unroll pragma on the anchor, the
+/// epilogues fused at loop `fuse_pos` of it, and the per-block thread
+/// limit. Returns the threads-per-block expression.
+fn finish(
+    p: &mut Program,
+    steps: &mut Vec<Step>,
+    anchor: usize,
+    fuse_pos: usize,
+    hw: &HardwareParams,
+) -> ExprId {
+    let max_step = fresh_var(p, "UNROLL0".into(), SchedVarKind::Unroll { max: hw.max_unroll });
+    record(p, steps, Step::UnrollPragma { stage: anchor, max_step });
+    fuse_epilogues(p, steps, anchor, fuse_pos);
+    let threads = p.loop_product(anchor, &|_, l, _| l.kind == LoopKind::ThreadIdx);
+    let max = p.pool.consti(hw.max_threads_per_block);
+    at_most(p, threads, max, format!("threads <= {}", hw.max_threads_per_block));
+    threads
+}
+
 /// The simple sketch: bind spatial loops to the GPU grid, split the
 /// innermost spatial axis into thread/vector levels, unroll pragma.
 pub fn thread_bind_sketch(init: &Program, hw: &HardwareParams) -> Sketch {
@@ -356,30 +408,20 @@ pub fn thread_bind_sketch(init: &Program, hw: &HardwareParams) -> Sketch {
     let mut steps = Vec::new();
     let anchor = anchor_stage(&p);
 
-    let spatial: Vec<crate::AxisId> = p.stages[anchor]
-        .axes
-        .iter()
-        .filter(|a| a.kind == AxisKind::Spatial)
-        .map(|a| a.id)
-        .collect();
-    assert!(!spatial.is_empty(), "stage must have a spatial axis");
     // Split the last spatial axis (typically the contiguous one) into
     // [thread, vector] levels.
-    let last = *spatial.last().expect("non-empty");
-    let extent = p.stages[anchor].axis(last).extent;
-    let t = fresh_split_var(&mut p, "TILE0".into(), anchor, last, extent, 0);
-    let vlanes = fresh_split_var(&mut p, "VEC0".into(), anchor, last, extent, 1);
-    let step = Step::Tile { stage: anchor, axis: last, factors: vec![t, vlanes] };
-    apply(&mut p, &step);
-    steps.push(step);
+    let last = *axes_of(&p.stages[anchor], AxisKind::Spatial)
+        .last()
+        .expect("stage must have a spatial axis");
+    tile(&mut p, &mut steps, anchor, last, vec!["TILE0".into(), "VEC0".into()]);
 
     // Bind: all spatial loops except the two new inner levels → blockIdx;
     // the thread level → threadIdx; the vector level → vectorize.
     let positions = axis_loop_positions(&p.stages[anchor], last);
     let (thread_pos, vec_pos) = (positions[1], positions[2]);
-    for (pos, l) in p.stages[anchor].loops.clone().iter().enumerate() {
-        let is_spatial = p.stages[anchor].axis(l.axis).kind == AxisKind::Spatial;
-        if !is_spatial {
+    for pos in 0..p.stages[anchor].loops.len() {
+        let st = &p.stages[anchor];
+        if st.axis(st.loops[pos].axis).kind != AxisKind::Spatial {
             continue;
         }
         let kind = if pos == thread_pos {
@@ -389,35 +431,15 @@ pub fn thread_bind_sketch(init: &Program, hw: &HardwareParams) -> Sketch {
         } else {
             LoopKind::BlockIdx
         };
-        let step = Step::Bind { stage: anchor, pos, kind };
-        apply(&mut p, &step);
-        steps.push(step);
+        record(&mut p, &mut steps, Step::Bind { stage: anchor, pos, kind });
     }
 
-    // Unroll pragma over the remaining serial (reduction) loops.
-    let u = fresh_unroll_var(&mut p, "UNROLL0".into(), hw.max_unroll);
-    let step = Step::UnrollPragma { stage: anchor, max_step: u };
-    apply(&mut p, &step);
-    steps.push(step);
-
-    // Fuse epilogue stages at the thread level.
-    fuse_epilogues(&mut p, &mut steps, anchor, thread_pos);
-
-    // Constraints: thread count and vector width limits.
-    let threads = p.extent_product(anchor, LoopKind::ThreadIdx);
-    let maxt = p.pool.consti(hw.max_threads_per_block);
-    let c = p.pool.sub(threads, maxt);
-    p.constraints.push(Constraint {
-        expr: c,
-        desc: format!("threads <= {}", hw.max_threads_per_block),
-    });
-    let lanes = p.extent_product(anchor, LoopKind::Vectorize);
-    let maxl = p.pool.consti(hw.max_vector_lanes);
-    let c = p.pool.sub(lanes, maxl);
-    p.constraints.push(Constraint {
-        expr: c,
-        desc: format!("vector lanes <= {}", hw.max_vector_lanes),
-    });
+    // Unroll the remaining serial (reduction) loops, fuse the epilogues at
+    // the thread level, and bound the vector width.
+    finish(&mut p, &mut steps, anchor, thread_pos, hw);
+    let lanes = p.loop_product(anchor, &|_, l, _| l.kind == LoopKind::Vectorize);
+    let max = p.pool.consti(hw.max_vector_lanes);
+    at_most(&mut p, lanes, max, format!("vector lanes <= {}", hw.max_vector_lanes));
 
     Sketch { name: "thread-bind", program: p, steps }
 }
@@ -428,235 +450,102 @@ pub fn multi_level_tiling_sketch(init: &Program, hw: &HardwareParams) -> Sketch 
     let mut steps = Vec::new();
     let anchor = anchor_stage(&p);
 
-    let spatial: Vec<crate::AxisId> = p.stages[anchor]
-        .axes
-        .iter()
-        .filter(|a| a.kind == AxisKind::Spatial)
-        .map(|a| a.id)
-        .collect();
-    let reductions: Vec<crate::AxisId> = p.stages[anchor]
-        .axes
-        .iter()
-        .filter(|a| a.kind == AxisKind::Reduction)
-        .map(|a| a.id)
-        .collect();
+    // Spatial axes get [vthread, thread, inner] levels (size-1 axes stay
+    // whole); sizeable reduction axes get one inner level.
+    let n_spatial = axes_of(&p.stages[anchor], AxisKind::Spatial).len();
+    let n_tiled = tile_axes(&mut p, &mut steps, anchor, AxisKind::Spatial, 2, 3);
+    let n_r0 = tile_axes(&mut p, &mut steps, anchor, AxisKind::Reduction, 4, 1);
 
-    // Tile spatial axes with [vthread, thread, inner] (skip size-1 axes).
-    let mut tiled_spatial = Vec::new();
-    for &ax in &spatial {
-        let extent = p.stages[anchor].axis(ax).extent;
-        if extent <= 1 {
-            continue;
-        }
-        let nm = p.stages[anchor].axis(ax).name.clone();
-        let v1 = fresh_split_var(&mut p, format!("T{}1", nm.to_uppercase()), anchor, ax, extent, 0);
-        let v2 = fresh_split_var(&mut p, format!("T{}2", nm.to_uppercase()), anchor, ax, extent, 1);
-        let v3 = fresh_split_var(&mut p, format!("T{}3", nm.to_uppercase()), anchor, ax, extent, 2);
-        let step = Step::Tile { stage: anchor, axis: ax, factors: vec![v1, v2, v3] };
-        apply(&mut p, &step);
-        steps.push(step);
-        tiled_spatial.push(ax);
-    }
-    // Tile sizeable reduction axes into two levels.
-    let mut tiled_reduction = Vec::new();
-    for &ax in &reductions {
-        let extent = p.stages[anchor].axis(ax).extent;
-        if extent < 4 {
-            continue;
-        }
-        let nm = p.stages[anchor].axis(ax).name.clone();
-        let r1 = fresh_split_var(&mut p, format!("T{}1", nm.to_uppercase()), anchor, ax, extent, 0);
-        let step = Step::Tile { stage: anchor, axis: ax, factors: vec![r1] };
-        apply(&mut p, &step);
-        steps.push(step);
-        tiled_reduction.push(ax);
-    }
-
-    // Reorder into SSSRRSRS: [S0][S1][S2][R0][R1 + small reductions][S3].
-    let level_of = |p: &Program, pos: usize| -> (u32, bool) {
-        let st = &p.stages[anchor];
+    // Reorder into S0 S1 S2 R0 R1 S3: spatial levels 0-2, the outer
+    // (level-0) reduction loops, the inner reduction levels, the innermost
+    // spatial level. The sort is stable, so each bucket keeps nest order.
+    let st = &p.stages[anchor];
+    let bucket = |pos: usize| {
         let l = &st.loops[pos];
-        let group = axis_loop_positions(st, l.axis);
-        let level = group.iter().position(|&q| q == pos).expect("member") as u32;
-        let is_red = st.axis(l.axis).kind == AxisKind::Reduction;
-        (level, is_red)
+        let level = st.loops[..pos].iter().filter(|m| m.axis == l.axis).count();
+        match (st.axis(l.axis).kind, level) {
+            (AxisKind::Spatial, 0..=2) => level,
+            (AxisKind::Reduction, 0) => 3,
+            (AxisKind::Reduction, _) => 4,
+            (AxisKind::Spatial, _) => 5,
+        }
     };
-    let n = p.stages[anchor].loops.len();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let buckets: [(u32, bool); 3] = [(0, false), (1, false), (2, false)];
-    for &(lvl, red) in &buckets {
-        for pos in 0..n {
-            let (l, r) = level_of(&p, pos);
-            // Untiled spatial axes (extent 1) have a single level-0 loop.
-            if r == red && l == lvl && !order.contains(&pos) {
-                order.push(pos);
-            }
-        }
-    }
-    // Reduction outer (level 0 of tiled reductions), then all remaining
-    // reduction loops, then remaining spatial (level 3).
-    for pos in 0..n {
-        let (l, r) = level_of(&p, pos);
-        if r && l == 0 && !order.contains(&pos) {
-            order.push(pos);
-        }
-    }
-    for pos in 0..n {
-        let (_, r) = level_of(&p, pos);
-        if r && !order.contains(&pos) {
-            order.push(pos);
-        }
-    }
-    for pos in 0..n {
-        if !order.contains(&pos) {
-            order.push(pos);
-        }
-    }
-    let step = Step::Reorder { stage: anchor, order: order.clone() };
-    apply(&mut p, &step);
-    steps.push(step);
+    let mut order: Vec<usize> = (0..st.loops.len()).collect();
+    order.sort_by_key(|&pos| bucket(pos));
+    record(&mut p, &mut steps, Step::Reorder { stage: anchor, order });
 
     // Bind levels: S0 → blockIdx, S1 → vthread, S2 → threadIdx.
-    let n_s = tiled_spatial.len() + spatial.len() - tiled_spatial.len(); // = spatial.len()
-    let n_tiled = tiled_spatial.len();
-    let mut pos = 0usize;
-    for _ in 0..n_s {
-        let step = Step::Bind { stage: anchor, pos, kind: LoopKind::BlockIdx };
-        apply(&mut p, &step);
-        steps.push(step);
-        pos += 1;
-    }
-    for _ in 0..n_tiled {
-        let step = Step::Bind { stage: anchor, pos, kind: LoopKind::VThread };
-        apply(&mut p, &step);
-        steps.push(step);
-        pos += 1;
-    }
-    for _ in 0..n_tiled {
-        let step = Step::Bind { stage: anchor, pos, kind: LoopKind::ThreadIdx };
-        apply(&mut p, &step);
-        steps.push(step);
-        pos += 1;
+    let mut pos = 0;
+    let levels = [
+        (n_spatial, LoopKind::BlockIdx),
+        (n_tiled, LoopKind::VThread),
+        (n_tiled, LoopKind::ThreadIdx),
+    ];
+    for (count, kind) in levels {
+        for _ in 0..count {
+            record(&mut p, &mut steps, Step::Bind { stage: anchor, pos, kind });
+            pos += 1;
+        }
     }
     let last_thread_pos = pos - 1;
-    let n_r0 = tiled_reduction.len();
-    let r0_positions: Vec<usize> = (pos..pos + n_r0).collect();
 
     // Cache-read staging of the anchor's global reads into shared memory.
-    // Reload rounds = product of R0 extents; the staged tile covers every
-    // non-block loop except those R0 loops.
-    let rounds_exprs: Vec<ExprId> = r0_positions
-        .iter()
-        .map(|&q| p.stages[anchor].loops[q].extent)
-        .collect();
-    let rounds = p.pool.product(&rounds_exprs);
-    let read_accesses: Vec<usize> = p.stages[anchor]
-        .accesses
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            a.kind == AccessKind::Read
-                && p.buffers[a.buffer.0 as usize].scope == MemScope::Global
+    // Reload rounds = product of the R0 extents; the staged tile covers
+    // every non-block loop except those R0 loops.
+    let r0 = pos..pos + n_r0;
+    let rounds = p.loop_product(anchor, &|q, _, _| r0.contains(&q));
+    let reads: Vec<usize> = (0..p.stages[anchor].accesses.len())
+        .filter(|&a| {
+            let acc = &p.stages[anchor].accesses[a];
+            let scope = p.buffers[acc.buffer.0 as usize].scope;
+            acc.kind == AccessKind::Read && scope == MemScope::Global
         })
-        .map(|(i, _)| i)
         .collect();
     let mut shared_tiles = Vec::new();
-    // Collect tile expressions first (they reference the anchor pre-insert).
-    let mut cache_steps = Vec::new();
-    for &acc in &read_accesses {
-        let r0 = r0_positions.clone();
-        let tile = p.footprint_elems(anchor, acc, &{
-            let r0 = r0.clone();
-            move |q, l| l.kind != LoopKind::BlockIdx && !r0.contains(&q)
+    for (inserted, access_idx) in reads.into_iter().enumerate() {
+        // Each insertion shifts the anchor index by one.
+        let consumer = anchor + inserted;
+        let tile_elems = p.footprint_elems(consumer, access_idx, &|q, l| {
+            l.kind != LoopKind::BlockIdx && !r0.contains(&q)
         });
-        shared_tiles.push(tile);
-        cache_steps.push(Step::CacheRead {
-            consumer: anchor,
-            access_idx: acc,
-            tile_elems: tile,
-            rounds,
-        });
+        shared_tiles.push(tile_elems);
+        record(&mut p, &mut steps, Step::CacheRead { consumer, access_idx, tile_elems, rounds });
     }
-    // Apply cache reads; each insertion shifts the anchor index by one.
-    let mut anchor_now = anchor;
-    for mut step in cache_steps {
-        if let Step::CacheRead { consumer, .. } = &mut step {
-            *consumer = anchor_now;
-        }
-        apply(&mut p, &step);
-        steps.push(step);
-        anchor_now += 1;
-    }
+    let anchor = anchor + shared_tiles.len();
 
-    // Unroll pragma on the anchor.
-    let u = fresh_unroll_var(&mut p, "UNROLL0".into(), hw.max_unroll);
-    let step = Step::UnrollPragma { stage: anchor_now, max_step: u };
-    apply(&mut p, &step);
-    steps.push(step);
-
-    // Fuse epilogues at the last threadIdx loop of the anchor.
-    fuse_epilogues(&mut p, &mut steps, anchor_now, last_thread_pos);
-
-    // Constraints: threads per block within [16, max]; vthreads; shared mem.
-    let threads = p.extent_product(anchor_now, LoopKind::ThreadIdx);
-    let maxt = p.pool.consti(hw.max_threads_per_block);
-    let hi = p.pool.sub(threads, maxt);
-    p.constraints.push(Constraint {
-        expr: hi,
-        desc: format!("threads <= {}", hw.max_threads_per_block),
-    });
-    let mint = p.pool.consti(16);
-    let lo = p.pool.sub(mint, threads);
-    p.constraints.push(Constraint { expr: lo, desc: "threads >= 16".into() });
-    let vthreads = p.extent_product(anchor_now, LoopKind::VThread);
-    let maxv = p.pool.consti(hw.max_vthread * hw.max_vthread.max(1));
-    let c = p.pool.sub(vthreads, maxv);
-    p.constraints.push(Constraint {
-        expr: c,
-        desc: format!("vthreads <= {}", hw.max_vthread * hw.max_vthread),
-    });
+    // Unroll pragma, epilogues fused at the last threadIdx loop, and the
+    // limits: threads per block within [16, max], vthreads, shared memory.
+    let threads = finish(&mut p, &mut steps, anchor, last_thread_pos, hw);
+    let min = p.pool.consti(16);
+    at_most(&mut p, min, threads, "threads >= 16".into());
+    let vthreads = p.loop_product(anchor, &|_, l, _| l.kind == LoopKind::VThread);
+    let max = p.pool.consti(hw.max_vthread * hw.max_vthread.max(1));
+    at_most(&mut p, vthreads, max, format!("vthreads <= {}", hw.max_vthread * hw.max_vthread));
     if !shared_tiles.is_empty() {
-        let dtype = 4i64;
         let total_tiles = p.pool.sum(&shared_tiles);
-        let d = p.pool.consti(dtype);
-        let bytes = p.pool.mul(total_tiles, d);
-        let cap = p.pool.consti(hw.max_shared_bytes);
-        let c = p.pool.sub(bytes, cap);
-        p.constraints.push(Constraint {
-            expr: c,
-            desc: format!("shared memory <= {}", hw.max_shared_bytes),
-        });
+        let dtype = p.pool.consti(4);
+        let bytes = p.pool.mul(total_tiles, dtype);
+        let max = p.pool.consti(hw.max_shared_bytes);
+        at_most(&mut p, bytes, max, format!("shared memory <= {}", hw.max_shared_bytes));
     }
 
     Sketch { name: "multi-level-tiling", program: p, steps }
 }
 
-/// Computes every non-anchor compute stage at `pos` of the anchor (greedy
-/// epilogue fusion, as Ansor/TVM apply it).
+/// Computes every other root compute stage with as many spatial axes as
+/// the anchor at loop `pos` of the anchor (greedy epilogue fusion, as
+/// Ansor/TVM apply it).
 fn fuse_epilogues(p: &mut Program, steps: &mut Vec<Step>, anchor: usize, pos: usize) {
-    let n_spatial_anchor = p.stages[anchor]
-        .axes
-        .iter()
-        .filter(|a| a.kind == AxisKind::Spatial)
-        .count();
+    let n_spatial = axes_of(&p.stages[anchor], AxisKind::Spatial).len();
     for s in 0..p.stages.len() {
-        if s == anchor || p.stages[s].kind != StageKind::Compute {
-            continue;
+        let st = &p.stages[s];
+        if s != anchor
+            && st.kind == StageKind::Compute
+            && st.compute_at.is_none()
+            && axes_of(st, AxisKind::Spatial).len() == n_spatial
+        {
+            record(p, steps, Step::ComputeAt { stage: s, target: anchor, pos });
         }
-        if p.stages[s].compute_at.is_some() {
-            continue;
-        }
-        let n_spatial = p.stages[s]
-            .axes
-            .iter()
-            .filter(|a| a.kind == AxisKind::Spatial)
-            .count();
-        if n_spatial != n_spatial_anchor {
-            continue;
-        }
-        let step = Step::ComputeAt { stage: s, target: anchor, pos };
-        apply(p, &step);
-        steps.push(step);
     }
 }
 

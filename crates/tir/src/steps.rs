@@ -329,7 +329,7 @@ mod tests {
         let t1 = p.vars.fresh("T1");
         let x1 = p.pool.var(t1);
         apply(&mut p, &Step::Tile { stage: 0, axis: AxisId(2), factors: vec![x1] });
-        let total = p.total_iters(0);
+        let total = p.loop_product(0, &|_, _, _| true);
         // For any divisor value the total iteration count is unchanged.
         for v in [1.0, 4.0, 16.0, 256.0] {
             assert_eq!(p.pool.eval(total, &[v]), (64 * 128 * 256) as f64);

@@ -53,7 +53,7 @@ fn tiling_then_reorder_preserves_iteration_space() {
     apply(&mut p, &Step::Tile { stage: 0, axis: AxisId(2), factors: vec![x2] });
     // loops: k.0 k.1 p rc.0 rc.1 -> reorder to k.0 p rc.0 k.1 rc.1
     apply(&mut p, &Step::Reorder { stage: 0, order: vec![0, 2, 3, 1, 4] });
-    let total = p.total_iters(0);
+    let total = p.loop_product(0, &|_, _, _| true);
     for (a, b) in [(4.0, 8.0), (8.0, 2.0), (128.0, 64.0)] {
         assert_eq!(p.pool.eval(total, &[a, b]), (128 * 64 * 64) as f64);
     }
@@ -99,8 +99,8 @@ fn binds_are_reflected_in_extent_products() {
     apply(&mut p, &Step::Bind { stage: 0, pos: 0, kind: LoopKind::BlockIdx });
     apply(&mut p, &Step::Bind { stage: 0, pos: 1, kind: LoopKind::BlockIdx });
     apply(&mut p, &Step::Bind { stage: 0, pos: 2, kind: LoopKind::ThreadIdx });
-    let blocks = p.extent_product(0, LoopKind::BlockIdx);
-    let threads = p.extent_product(0, LoopKind::ThreadIdx);
+    let blocks = p.loop_product(0, &|_, l, _| l.kind == LoopKind::BlockIdx);
+    let threads = p.loop_product(0, &|_, l, _| l.kind == LoopKind::ThreadIdx);
     assert_eq!(p.pool.eval(blocks, &[16.0]), 128.0 * (64.0 / 16.0));
     assert_eq!(p.pool.eval(threads, &[16.0]), 16.0);
 }

@@ -4,7 +4,7 @@
 # tracked or unignored file, as it stands) against PARENT (default HEAD):
 #
 #   - traced ledger runs at seeds 1001-1003 on tune_resnet50, cold_ops and
-#     persist_cycle, printed side by side on the nine standing-rule
+#     persist_cycle, printed side by side on the eleven standing-rule
 #     quantities (and each run's `correct` flag);
 #   - the CSVs that FELIX_FAST=1 fig8, fig9 and ablations write into fresh
 #     output directories, compared with cmp.
@@ -41,8 +41,9 @@ done
 unset CARGO_TARGET_DIR
 
 quantities=(correct sim.tuning_clock_s ansor.final_latency_ms core.candidates
-    sim.measurements expr.tape_nodes core.seed_restarts core.nonfinite_events
-    records.store_bytes records.log_bytes_per_round)
+    sim.measurements expr.tape_nodes expr.pool_nodes tir.sketches
+    core.seed_restarts core.nonfinite_events records.store_bytes
+    records.log_bytes_per_round)
 status=0
 
 # One line per (workload, seed, quantity): "workload seed quantity value".
