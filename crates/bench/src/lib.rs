@@ -17,7 +17,7 @@ use felix_ansor::{
     tune_network_with_sink, tune_task_round_with_sink, CurvePoint, EvolutionaryProposer,
     NetworkTuneResult, Proposer, SearchTask, TuneOptions,
 };
-use felix_cost::{pretrain_for_device, Mlp};
+use felix_cost::{pretrain_for_device, Mlp, COST_MATH_VERSION};
 use felix_graph::{models, partition, Graph, Task};
 use felix_sim::clock::{ClockCosts, RPC_S};
 use felix_sim::{DeviceConfig, Simulator, TuningClock};
@@ -115,11 +115,14 @@ pub fn out_dir_from_args() {
 static OUT_DIR: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
 
 /// Loads (or trains and caches) the pretrained cost model for a device.
+/// The file name carries the cost model's arithmetic, so a model trained
+/// by a build that computed differently is retrained, not loaded.
 pub fn cached_model(device: &DeviceConfig, scale: Scale) -> Mlp {
     let (n_workloads, schedules, epochs) = scale.model_config();
     let path = results_dir().join(format!(
-        "model-{}-{n_workloads}x{schedules}.bin",
-        device.name.replace(' ', "_")
+        "model-{}-{n_workloads}x{schedules}-{}.bin",
+        device.name.replace(' ', "_"),
+        COST_MATH_VERSION
     ));
     if let Ok(f) = std::fs::File::open(&path) {
         if let Ok(m) = Mlp::load(std::io::BufReader::new(f)) {

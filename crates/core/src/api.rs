@@ -8,7 +8,7 @@ use felix_ansor::{
     fine_tune_on_new_samples, select_next_task, tune_network_with_sink, CurvePoint,
     MeasurementSink, NetworkTuneResult, Proposer, SearchTask, TuneOptions, TunerStats,
 };
-use felix_cost::{pretrain_for_device, Mlp};
+use felix_cost::{pretrain_for_device, Mlp, COST_MATH_VERSION};
 use felix_graph::{partition, Graph, Task};
 use felix_records::{fnv1a, task_key, LogLine, FNV_OFFSET};
 use felix_sim::clock::ClockCosts;
@@ -295,6 +295,7 @@ impl Optimizer {
         let state = CheckpointState {
             device_name: self.sim.device.name.to_string(),
             generator: generator_hash(),
+            math: COST_MATH_VERSION.to_string(),
             base: self.base_hash,
             record_log,
             log_start: sink.start,
@@ -341,8 +342,9 @@ impl Optimizer {
     /// # Errors
     ///
     /// Returns `InvalidData` on a header of another version, device,
-    /// generator, pretrained-base hash or task count, or a log whose
-    /// commits do not fit the rebuilt tasks, plus any underlying I/O error.
+    /// generator, cost-model arithmetic, pretrained-base hash or task
+    /// count, or a log whose commits do not fit the rebuilt tasks, plus any
+    /// underlying I/O error.
     pub fn resume_from_checkpoint(
         graphs: Vec<Task>,
         device: DeviceConfig,
@@ -358,6 +360,9 @@ impl Optimizer {
         }
         if !generator_is_current(state.generator) {
             return Err(invalid("checkpoint was written by a different sketch generator"));
+        }
+        if state.math != COST_MATH_VERSION {
+            return Err(invalid("checkpoint's fine-tunes ran under other cost-model arithmetic"));
         }
         let model = match state.base {
             Some(hash) => {

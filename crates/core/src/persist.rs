@@ -35,8 +35,11 @@ use std::path::Path;
 /// now the record log's round commits. Version 8 dropped the store's
 /// tenant namespace: a tenant is its own store file. Version 9 added the
 /// pretrained base's hash, which replaces [`MODEL_FILE`] when present.
-/// Other versions are refused.
-const CHECKPOINT_VERSION: usize = 9;
+/// Version 10 added the cost model's arithmetic
+/// ([`felix_cost::COST_MATH_VERSION`]): a version-9 run's fine-tunes
+/// multiplied then added, and replaying them fused would resume into other
+/// weights. Other versions are refused.
+const CHECKPOINT_VERSION: usize = 10;
 
 /// A [`MeasurementSink`] appending every measurement to a durable
 /// [`RecordLog`]. Write errors are reported once to stderr and then disable
@@ -246,6 +249,10 @@ pub struct CheckpointState {
     /// log's records refer to (`felix_tir::sketch::generator_hash`),
     /// verified on resume.
     pub generator: u64,
+    /// The cost model's arithmetic the run's fine-tunes ran under
+    /// ([`felix_cost::COST_MATH_VERSION`]), verified on resume, since a
+    /// resume replays them.
+    pub math: String,
     /// The FNV-1a hash of the saved bytes of the device's pretrained model
     /// when the run started from it unchanged: resume rebuilds that model
     /// and checks the hash, and the directory holds no [`MODEL_FILE`].
@@ -266,7 +273,7 @@ pub struct CheckpointState {
 
 schema!(struct CheckpointState {
     ("version", Tag(CHECKPOINT_VERSION)), ("device", Text) => device_name,
-    ("gen", Hex) => generator, ("base", OrNull(Hex)) => base,
+    ("gen", Hex) => generator, ("math", Text) => math, ("base", OrNull(Hex)) => base,
     ("record_log", OrNull(Text)) => record_log, ("log_start", Num) => log_start,
     ("schedule_store", OrNull(Text)) => schedule_store, ("tasks", List(Attached)) => tasks,
 });
@@ -317,6 +324,7 @@ mod tests {
         CheckpointState {
             device_name: "RTX A5000".to_string(),
             generator: 0x5EED_FACE,
+            math: felix_cost::COST_MATH_VERSION.to_string(),
             base: Some(0xBA5E_F00D_0000_0001),
             record_log: Some("/tmp/records.jsonl".to_string()),
             log_start: 12,
@@ -344,7 +352,7 @@ mod tests {
 
     #[test]
     fn checkpoint_rejects_other_versions() {
-        for version in [6.0, 7.0, 8.0, 99.0] {
+        for version in [6.0, 7.0, 8.0, 9.0, 99.0] {
             let mut doc = sample_state().to_json();
             let Json::Obj(fields) = &mut doc else { panic!("obj") };
             fields[0].1 = Json::Num(version);

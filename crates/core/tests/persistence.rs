@@ -15,6 +15,7 @@ use common::{assert_tasks_bit_identical, history_bits, quick_options, tiny_netwo
 use felix::persist::{AttachedState, CheckpointState, LOG_FILE, MODEL_FILE, STATE_FILE};
 use felix::{extract_subgraphs, pretrained_cost_model, FelixOptions, ModelQuality, Optimizer};
 use felix_ansor::SearchTask;
+use felix_cost::COST_MATH_VERSION;
 use felix_graph::models;
 use felix_records::{fnv1a, Json, FNV_OFFSET};
 use felix_sim::{DeviceConfig, FaultPlan};
@@ -136,6 +137,7 @@ fn checkpoint_header_round_trips_and_names_a_missing_field() {
         let state = CheckpointState {
             device_name: rng.text(),
             generator: rng.hex(),
+            math: rng.text(),
             base: rng.next().is_multiple_of(2).then(|| rng.hex()),
             record_log: path(&mut rng),
             log_start: rng.count(),
@@ -203,6 +205,21 @@ fn resume_rejects_mismatched_checkpoints() {
     let other = edit_field(text.trim_end(), "base", |b| *b = Json::u64_hex(live ^ 1));
     std::fs::write(&state, other).expect("write another base's state");
     refused("another pretrained base");
+    std::fs::write(&state, &text).expect("restore state");
+    // Other cost-model arithmetic: replaying the run's fine-tunes would
+    // resume into other weights. A version-9 header is what builds that
+    // multiplied then added wrote, with no arithmetic named at all.
+    assert_eq!(header(&dir).math, COST_MATH_VERSION, "the header names the live arithmetic");
+    let other_math = edit_field(text.trim_end(), "math", |m| *m = Json::Str("unfused".into()));
+    std::fs::write(&state, other_math).expect("write another arithmetic's state");
+    refused("another cost-model arithmetic");
+    let Json::Obj(mut fields) = Json::parse(text.trim_end()).expect("parse header") else {
+        panic!("the header is an object")
+    };
+    fields.retain(|(k, _)| k != "math");
+    fields[0].1 = Json::Num(9.0);
+    std::fs::write(&state, Json::Obj(fields).write()).expect("write an unfused-build state");
+    refused("a checkpoint written under the unfused arithmetic");
     std::fs::write(&state, &text).expect("restore state");
 
     // Logs whose commits do not fit the rebuilt tasks: a round naming a

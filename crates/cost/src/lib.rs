@@ -10,6 +10,14 @@
 //! respect to the inputs** ([`Mlp::input_gradient`]) are implemented from
 //! scratch, because Felix chains `∂score/∂feature` into the reverse-mode
 //! sweep over the symbolic feature formulas.
+//!
+//! Every multiply-accumulate of the MLP — the scalar references, the
+//! batched forward and the shared input- and weight-gradient sweeps — is one
+//! `f32::mul_add`, rounded once, in the same chain order on every path, so
+//! batched equals scalar bit for bit. `mul_add` is correctly rounded with or
+//! without an FMA instruction, so results never depend on build flags; only
+//! speed does (without FMA enabled at compile time every MAC is a libm
+//! `fmaf` call). [`COST_MATH_VERSION`] names this arithmetic in checkpoints.
 
 pub mod dataset;
 pub mod sampling;
@@ -24,6 +32,15 @@ pub use trainer::{
 
 use felix_features::FEATURE_COUNT;
 use rand::Rng;
+
+/// The cost model's arithmetic, stamped on every checkpoint beside the
+/// sketch generator's fingerprint (a resume replays the run's fine-tunes,
+/// and weights trained under other arithmetic, such as the unfused multiply
+/// then add of earlier builds, would diverge from the run being continued)
+/// and named by the figure bins' cached model files. Change it with any
+/// change to what the model computes: its shape, its kernels' rounding, its
+/// training step.
+pub const COST_MATH_VERSION: &str = "mlp-fused-mac-v1";
 
 /// The layer widths of the cost model (4 linear layers, as in TenSet).
 pub const LAYER_SIZES: [usize; 5] = [FEATURE_COUNT, 256, 256, 256, 1];
@@ -200,8 +217,8 @@ impl Mlp {
             for o in 0..out_dim {
                 let row = &w[o * in_dim..(o + 1) * in_dim];
                 let mut acc = b[o];
-                for (r, i) in row.iter().zip(inp.iter()) {
-                    acc += r * i;
+                for (&r, &i) in row.iter().zip(inp.iter()) {
+                    acc = r.mul_add(i, acc);
                 }
                 // ReLU on hidden layers only.
                 out[o] = if li + 1 < n_layers { acc.max(0.0) } else { acc };
@@ -294,7 +311,7 @@ impl Mlp {
                 }
                 let row = &w[o * in_dim..(o + 1) * in_dim];
                 for i in 0..in_dim {
-                    gin[i] += gated[o] * row[i];
+                    gin[i] = gated[o].mul_add(row[i], gin[i]);
                 }
             }
             grad = gin;
@@ -451,8 +468,8 @@ impl Mlp {
 /// `S * in_dim` inputs, `out` their `S * out_dim` outputs). Lanes run
 /// across the `PANEL` neurons of a panel; every `(neuron, sample)`
 /// accumulator is one sequential chain in [`Mlp::forward_cached`]'s order —
-/// bias first, then ascending input index, a multiply then an add — so each
-/// output is bit-identical to the scalar path.
+/// bias first, then ascending input index, one fused multiply-add per term —
+/// so each output is bit-identical to the scalar path.
 fn forward_block<const S: usize>(
     w: &[f32],
     b: &[f32],
@@ -473,7 +490,7 @@ fn forward_block<const S: usize>(
             for (s, a) in acc.iter_mut().enumerate() {
                 let xv = x[s * in_dim + i];
                 for (av, &wv) in a.iter_mut().zip(wt) {
-                    *av += wv * xv;
+                    *av = wv.mul_add(xv, *av);
                 }
             }
         }
@@ -490,7 +507,7 @@ fn forward_block<const S: usize>(
         let mut acc = [b[o]; S];
         for (i, &wv) in w[o * in_dim..(o + 1) * in_dim].iter().enumerate() {
             for (s, a) in acc.iter_mut().enumerate() {
-                *a += wv * x[s * in_dim + i];
+                *a = wv.mul_add(x[s * in_dim + i], *a);
             }
         }
         for (s, &a) in acc.iter().enumerate() {
@@ -638,9 +655,9 @@ impl PackedMlp<'_> {
 }
 
 /// `dst[i] += g · src[k * len + i]` for each `(k, g)` of `terms` in order,
-/// `len = dst.len()`: per element one sequential chain, a multiply then an
-/// add per term, exactly the one-term-at-a-time loop's. Four terms share
-/// each pass over `dst`, so it is loaded and stored once per four rows.
+/// `len = dst.len()`: per element one sequential chain, one fused
+/// multiply-add per term, exactly the one-term-at-a-time loop's. Four terms
+/// share each pass over `dst`, so it is loaded and stored once per four rows.
 fn add_scaled_rows(dst: &mut [f32], terms: &[(u32, f32)], src: &[f32]) {
     let len = dst.len();
     let row = |k: u32| &src[k as usize * len..][..len];
@@ -650,16 +667,16 @@ fn add_scaled_rows(dst: &mut [f32], terms: &[(u32, f32)], src: &[f32]) {
         let rows = row(k0).iter().zip(row(k1)).zip(row(k2)).zip(row(k3));
         for (d, (((&a, &b), &c), &e)) in dst.iter_mut().zip(rows) {
             let mut v = *d;
-            v += g0 * a;
-            v += g1 * b;
-            v += g2 * c;
-            v += g3 * e;
+            v = g0.mul_add(a, v);
+            v = g1.mul_add(b, v);
+            v = g2.mul_add(c, v);
+            v = g3.mul_add(e, v);
             *d = v;
         }
     }
     for &(k, g) in quads.remainder() {
         for (d, &v) in dst.iter_mut().zip(row(k)) {
-            *d += g * v;
+            *d = g.mul_add(v, *d);
         }
     }
 }
@@ -1027,6 +1044,35 @@ mod tests {
         let (mut scratch, mut gw, mut gb) = (MlpScratch::default(), Vec::new(), Vec::new());
         assert_param_grads_match_reference(&mlp, &rows, &[0.5, -0.25, 2.0], &mut scratch, &mut gw, &mut gb);
         assert!(gw.iter().chain(&gb).flatten().all(|g| g.is_finite()), "parameter gradients stay finite");
+    }
+
+    #[test]
+    fn every_mac_is_one_fused_multiply_add() {
+        // Batched ≡ scalar holds for any arithmetic both paths share; this
+        // pins which one. The forward equals a test-local chain of fused
+        // multiply-adds and differs from the same chain multiplied then
+        // added, so reverting every site at once still fails here. (The
+        // backward sweeps are held to the fused `scalar_backprop`
+        // reference by the training parity tests.)
+        let mlp = Mlp::new(&mut StdRng::seed_from_u64(21));
+        let x: Vec<f64> = (0..FEATURE_COUNT).map(|i| (i as f64 * 0.53).sin() * 2.0).collect();
+        let chain = |mac: fn(f32, f32, f32) -> f32| -> f64 {
+            let mut a = mlp.normalize(&x);
+            for (li, (w, b)) in mlp.w.iter().zip(&mlp.b).enumerate() {
+                let relu = li + 1 < mlp.w.len();
+                let neuron = |row: &[f32], bias: f32| {
+                    row.iter().zip(&a).fold(bias, |acc, (&r, &i)| mac(r, i, acc))
+                };
+                a = (w.chunks_exact(a.len()).zip(b))
+                    .map(|(row, &bias)| neuron(row, bias))
+                    .map(|v| if relu { v.max(0.0) } else { v })
+                    .collect();
+            }
+            f64::from(a[0])
+        };
+        let score = mlp.predict(&x).to_bits();
+        assert_eq!(score, chain(f32::mul_add).to_bits(), "the forward is the fused chain");
+        assert_ne!(score, chain(|r, i, acc| acc + r * i).to_bits(), "unfused gives other bits");
     }
 
     #[test]

@@ -20,37 +20,52 @@ pub fn random_schedule(
     rng: &mut impl Rng,
     max_tries: usize,
 ) -> Vec<f64> {
+    // What a draw reads of the program, once per call: each schedule
+    // variable's index and its choices.
+    let choices: Vec<(usize, Choices)> = p
+        .sched_vars
+        .iter()
+        .map(|sv| {
+            let choices = match sv.kind {
+                SchedVarKind::Split { extent, .. } => Choices::Factors(factors(extent as u64)),
+                SchedVarKind::Unroll { max } => {
+                    Choices::PowersOfTwo((max as f64).log2().floor() as u32)
+                }
+            };
+            (sv.var.index(), choices)
+        })
+        .collect();
+    // Every try overwrites every schedule variable, and rounding writes no
+    // other, so the other entries stay 1.0 across tries.
+    let mut vals = vec![1.0; p.vars.len()];
+    let mut evals = Vec::new();
     let mut best: Option<(usize, Vec<f64>)> = None;
     for _ in 0..max_tries {
-        let raw = draw(p, rng);
-        let vals = plan.round(&raw);
-        let violations = p.violated_constraints(&vals, 0.0).len();
+        for (v, choices) in &choices {
+            vals[*v] = match choices {
+                Choices::Factors(fs) => fs[rng.gen_range(0..fs.len())] as f64,
+                Choices::PowersOfTwo(max_pow) => (1u64 << rng.gen_range(0..=*max_pow)) as f64,
+            };
+        }
+        plan.round_in_place(&mut vals);
+        p.pool.eval_all_into(&vals, &mut evals);
+        let violations = p.constraints.iter().filter(|c| evals[c.expr.index()] > 0.0).count();
         if violations == 0 {
             return vals;
         }
         if best.as_ref().is_none_or(|(v, _)| violations < *v) {
-            best = Some((violations, vals));
+            best = Some((violations, vals.clone()));
         }
     }
     best.map(|(_, v)| v)
         .unwrap_or_else(|| plan.round(&vec![1.0; p.vars.len()]))
 }
 
-fn draw(p: &Program, rng: &mut impl Rng) -> Vec<f64> {
-    let mut raw = vec![1.0; p.vars.len()];
-    for sv in &p.sched_vars {
-        raw[sv.var.index()] = match sv.kind {
-            SchedVarKind::Split { extent, .. } => {
-                let fs = factors(extent as u64);
-                fs[rng.gen_range(0..fs.len())] as f64
-            }
-            SchedVarKind::Unroll { max } => {
-                let max_pow = (max as f64).log2().floor() as u32;
-                (1u64 << rng.gen_range(0..=max_pow)) as f64
-            }
-        };
-    }
-    raw
+/// A schedule variable's draw: a split takes a uniform pick of its axis
+/// extent's factors, an unroll `2^k` for a uniform `k` up to its bound.
+enum Choices {
+    Factors(Vec<u64>),
+    PowersOfTwo(u32),
 }
 
 /// Mutates a valid schedule into a nearby valid one (used by evolutionary

@@ -4,10 +4,10 @@
 //! One sample at a time, from its output seed down to layer 0: gate by the
 //! ReLU (`act > 0`), skip every zero-gated output row, add the live rows
 //! into the weight and bias gradients, then push the gradient one layer
-//! down. This is how training ran before its batched backward, and it
-//! exists only to check that kernel against. The crate's unit tests include
-//! this file by `#[path]`; it reads the model's private weights, so no other
-//! target can.
+//! down, one fused multiply-add per term as in the product's kernels. This
+//! is how training ran before its batched backward, and it exists only to
+//! check that kernel against. The crate's unit tests include this file by
+//! `#[path]`; it reads the model's private weights, so no other target can.
 
 use crate::Mlp;
 
@@ -45,7 +45,7 @@ pub fn backprop_with_seeds(mlp: &Mlp, acts: &[Vec<f32>], seeds: &[f32]) -> Param
                 gb[li][o] += gated[o];
                 let row = &mut gw[li][o * in_dim..(o + 1) * in_dim];
                 for i in 0..in_dim {
-                    row[i] += gated[o] * inp[i];
+                    row[i] = gated[o].mul_add(inp[i], row[i]);
                 }
             }
             let w = &mlp.w[li];
@@ -56,7 +56,7 @@ pub fn backprop_with_seeds(mlp: &Mlp, acts: &[Vec<f32>], seeds: &[f32]) -> Param
                 }
                 let row = &w[o * in_dim..(o + 1) * in_dim];
                 for i in 0..in_dim {
-                    gin[i] += gated[o] * row[i];
+                    gin[i] = gated[o].mul_add(row[i], gin[i]);
                 }
             }
             grad = gin;

@@ -30,7 +30,7 @@ fn jobs() -> [(&'static str, JobSpec, u64); 4] {
         ("llama, 1 round", llama(1), 0x9042_61f9_53ca_dcea),
         ("llama, 2 rounds", llama(2), 0x0137_e6d3_6368_1fdf),
         ("dcgan, 1 round", dcgan(1), 0x27f4_8144_08e4_de9f),
-        ("dcgan, 2 rounds", dcgan(2), 0xa7d9_0dec_1809_a266),
+        ("dcgan, 2 rounds", dcgan(2), 0xf989_4461_ef48_4ce0),
     ]
 }
 

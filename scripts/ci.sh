@@ -6,7 +6,8 @@
 # lifecycle suite again at one test thread, so a test that passes only
 # while its siblings slow the daemon fails; the pinned golden run, the
 # pinned serve results and the wire-protocol suite under the release
-# profile, the ledger smoke,
+# profile, the ledger smoke, a check that no release binary calls libm
+# `fmaf`,
 # the non-test line count, the `too_many_arguments` allow count and the
 # count of items kept only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
@@ -79,6 +80,21 @@ cargo test -q --release -p felix-serve --test protocol
 # `resume_then_rounds_equals_uninterrupted`, WAL replay, ...); timings are
 # printed, never compared here.
 bash benchmark/run.sh --smoke
+
+# Every multiply-accumulate of the cost model is an `f32::mul_add`: one
+# instruction where FMA is on at compile time, a call into libm's `fmaf`
+# (several times slower, and skewing the ledger's machine-speed
+# calibration) where it is not. The root `.cargo/config.toml`
+# (`target-cpu=native`) turns it on, but only for cargo run from inside the
+# checkout, so no release binary built here may carry the call.
+for bin in $(find "${CARGO_TARGET_DIR:-target}/release" -maxdepth 1 -type f -perm -u+x); do
+    if nm "$bin" 2>/dev/null | grep -q fmaf; then
+        echo "FAIL: $bin calls libm fmaf: build with the root .cargo/config.toml" \
+            "(target-cpu=native) in effect, from inside the checkout; without FMA" \
+            "every multiply-accumulate of the product is a libm call" >&2
+        exit 1
+    fi
+done
 
 # Size of the product, for the next CHANGES.md entry to quote: lines of
 # every .rs file under crates/ up to its first `#[cfg(test)]`, `tests/`

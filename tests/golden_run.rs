@@ -10,7 +10,8 @@
 //!
 //! A change that means to move a part re-pins its constant and says why
 //! in CHANGES.md; a cost-math or search-policy change also bumps the
-//! version stamp next to `felix_tir::sketch::generator_hash`.
+//! version stamp next to `felix_tir::sketch::generator_hash` (the cost
+//! model's is `felix_cost::COST_MATH_VERSION`).
 //! `scripts/same_program.sh` stays the wide check over ledger quantities
 //! and figure CSVs.
 
@@ -33,7 +34,7 @@ const PINNED: [(&str, u64); 6] = [
     ("tuning_clock_s", 0x42ec_6689_ec1b_ef89),
     ("best_latency_ms", 0x147b_1b8d_adec_4384),
     ("record_log", 0xe91c_3956_059c_80de),
-    ("model", 0x1faa_b4d1_e6e1_4ab9),
+    ("model", 0xa513_e83f_c7d2_f1b8),
     ("schedule_store", 0x408b_139e_29b7_2ab6),
 ];
 
