@@ -1,14 +1,14 @@
-//! Shared infrastructure for the experiment harness.
-//!
-//! Each table and figure of the paper's evaluation has a binary under
-//! `src/bin/` (see DESIGN.md's experiment index); this library provides the
-//! pieces they share: per-device cost-model caching, network tuning runners
-//! for Felix and Ansor-TenSet, milestone computation, and result-file I/O.
+//! The experiment harness: [`experiments`] is the table of the paper's
+//! tables and figures behind `felix-bench <experiment>`; this library holds
+//! what they share: per-device cost-model caching, the Felix and
+//! Ansor-TenSet runners, milestone math and result-file I/O, all against an
+//! output directory the caller names.
 //!
 //! Scale control: set `FELIX_FAST=1` for smoke-test scale, or
 //! `FELIX_FULL=1` for the heaviest (multi-seed band) runs. The default is a
 //! faithful but single-seed configuration.
 
+pub mod experiments;
 pub mod plot;
 
 use felix::{FelixOptions, GradientProposer};
@@ -23,7 +23,7 @@ use felix_sim::clock::{ClockCosts, RPC_S};
 use felix_sim::{DeviceConfig, Simulator, TuningClock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::Path;
 
 /// Experiment scale, selected by environment variables.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -83,43 +83,12 @@ impl Scale {
     }
 }
 
-/// Directory for cached models and experiment outputs.
-///
-/// Defaults to `results/` under the current working directory, resolved
-/// when the binary runs, so the repository's `results/` when run from its
-/// root; override with the `--out-dir <path>` flag (every harness binary
-/// parses it via [`out_dir_from_args`]).
-pub fn results_dir() -> PathBuf {
-    let root = OUT_DIR.get().cloned().unwrap_or_else(|| PathBuf::from("results"));
-    std::fs::create_dir_all(&root).expect("create results dir");
-    root.canonicalize().expect("canonical results dir")
-}
-
-/// Selects the output directory for [`results_dir`] programmatically.
-/// First setter wins.
-pub fn set_out_dir(path: impl Into<PathBuf>) {
-    let _ = OUT_DIR.set(path.into());
-}
-
-/// Parses `--out-dir <path>` from the process arguments; every harness
-/// binary calls this at the top of `main` so result files land in one
-/// configurable place.
-pub fn out_dir_from_args() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--out-dir") {
-        let path = args.get(i + 1).expect("--out-dir requires a path");
-        set_out_dir(path.clone());
-    }
-}
-
-static OUT_DIR: std::sync::OnceLock<PathBuf> = std::sync::OnceLock::new();
-
-/// Loads (or trains and caches) the pretrained cost model for a device.
-/// The file name carries the cost model's arithmetic, so a model trained
-/// by a build that computed differently is retrained, not loaded.
-pub fn cached_model(device: &DeviceConfig, scale: Scale) -> Mlp {
+/// Loads (or trains and caches in `out`) the pretrained cost model for a
+/// device. The file name carries the cost model's arithmetic, so a model
+/// trained by a build that computed differently is retrained, not loaded.
+pub fn cached_model(out: &Path, device: &DeviceConfig, scale: Scale) -> Mlp {
     let (n_workloads, schedules, epochs) = scale.model_config();
-    let path = results_dir().join(format!(
+    let path = out.join(format!(
         "model-{}-{n_workloads}x{schedules}-{}.bin",
         device.name.replace(' ', "_"),
         COST_MATH_VERSION
@@ -138,50 +107,66 @@ pub fn cached_model(device: &DeviceConfig, scale: Scale) -> Mlp {
     mlp
 }
 
-/// The six evaluation networks at a batch size (paper §5).
-pub fn networks(batch: i64) -> Vec<Graph> {
-    models::all_models(batch)
+/// The evaluation networks (paper §5) tuned at `batch` on `device`: all
+/// six, less LLaMA where it does not fit, at batch 16 and on the RPC device
+/// (Xavier NX).
+pub fn networks(batch: i64, device: &DeviceConfig) -> Vec<Graph> {
+    let fits = |g: &Graph| (batch == 1 && !device.rpc) || !g.name.starts_with("llama");
+    models::all_models(batch).into_iter().filter(fits).collect()
 }
 
-/// The five networks that fit on Xavier NX / in batch-16 memory.
-pub fn networks_no_llama(batch: i64) -> Vec<Graph> {
-    networks(batch).into_iter().filter(|g| !g.name.starts_with("llama")).collect()
+/// The two tuners the evaluation compares.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Tool {
+    /// Felix: gradient descent, 16 measurements per round (§5).
+    Felix,
+    /// Ansor-TenSet: evolutionary search, 64 measurements per round (§5).
+    Ansor,
 }
 
-/// Human-readable final latency of a run: the measured figure, or — when
-/// some tasks never produced a measurement and the sum would print as `inf`
-/// — how many tasks are missing.
-pub fn final_latency_label(run: &NetworkTuneResult) -> String {
-    if run.unmeasured_tasks > 0 {
-        format!("{} tasks unmeasured", run.unmeasured_tasks)
-    } else {
-        format!("{:.4} ms", run.final_latency_ms)
+impl Tool {
+    /// Both tools, in the order every experiment runs them.
+    pub const BOTH: [Tool; 2] = [Tool::Felix, Tool::Ansor];
+
+    /// The tool's name in the curve CSVs.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tool::Felix => "Felix",
+            Tool::Ansor => "Ansor-TenSet",
+        }
+    }
+
+    /// The tool's proposer at `scale`, Ansor's population capped at
+    /// `max_population`, and its round options.
+    pub fn proposer(
+        self,
+        scale: Scale,
+        max_population: usize,
+    ) -> (Box<dyn Proposer>, TuneOptions) {
+        let (proposer, measurements_per_round): (Box<dyn Proposer>, _) = match self {
+            Tool::Felix => (Box::new(GradientProposer::new(scale.felix_options())), 16),
+            Tool::Ansor => {
+                let population = scale.ansor_population().min(max_population);
+                let config = EvolutionConfig { population, generations: 4 };
+                (Box::new(EvolutionaryProposer::new(config)), 64)
+            }
+        };
+        (proposer, TuneOptions { measurements_per_round, ..Default::default() })
     }
 }
 
-/// Felix's proposer at `scale` and its round options (16 measurements per
-/// round, §5).
-pub fn felix_tool(scale: Scale) -> (GradientProposer, TuneOptions) {
-    let opts = TuneOptions { measurements_per_round: 16, ..Default::default() };
-    (GradientProposer::new(scale.felix_options()), opts)
-}
-
-/// Ansor-TenSet's evolutionary proposer with `population` schedules and its
-/// round options (64 measurements per round, §5).
-pub fn ansor_tool(population: usize) -> (EvolutionaryProposer, TuneOptions) {
-    let opts = TuneOptions { measurements_per_round: 64, ..Default::default() };
-    (EvolutionaryProposer::new(EvolutionConfig { population, generations: 4 }), opts)
-}
-
-fn run_with_proposer(
+/// Tunes a network with `tool` from `seed`, for as long as
+/// [`Scale::rounds_factor`] Ansor rounds per task take.
+pub fn run_network(
+    tool: Tool,
     graph: &Graph,
     device: &DeviceConfig,
     model: &Mlp,
-    proposer: &mut dyn Proposer,
-    opts: &TuneOptions,
-    rounds_factor: usize,
+    scale: Scale,
     seed: u64,
 ) -> NetworkTuneResult {
+    let (mut proposer, opts) = tool.proposer(scale, usize::MAX);
+    let rounds_factor = scale.rounds_factor();
     let sim = Simulator::new(*device);
     let mut search: Vec<SearchTask> =
         partition(graph).iter().map(|t| SearchTask::from_task(t, &sim)).collect();
@@ -200,42 +185,18 @@ fn run_with_proposer(
     while clock.now_s() < budget_s && result.round_reports.len() < round_cap {
         result.append(tune_network_with_sink(
             &mut search,
-            proposer,
+            proposer.as_mut(),
             &mut model,
             &sim,
             &mut clock,
             &ClockCosts,
-            opts,
+            &opts,
             1,
             &mut rng,
             None,
         ));
     }
     result
-}
-
-/// Tunes a network with Felix (gradient descent; 16 measurements/round).
-pub fn run_felix(
-    graph: &Graph,
-    device: &DeviceConfig,
-    model: &Mlp,
-    scale: Scale,
-    seed: u64,
-) -> NetworkTuneResult {
-    let (mut proposer, opts) = felix_tool(scale);
-    run_with_proposer(graph, device, model, &mut proposer, &opts, scale.rounds_factor(), seed)
-}
-
-/// Tunes a network with Ansor-TenSet (evolutionary; 64 measurements/round).
-pub fn run_ansor(
-    graph: &Graph,
-    device: &DeviceConfig,
-    model: &Mlp,
-    scale: Scale,
-    seed: u64,
-) -> NetworkTuneResult {
-    let (mut proposer, opts) = ansor_tool(scale.ansor_population());
-    run_with_proposer(graph, device, model, &mut proposer, &opts, scale.rounds_factor(), seed)
 }
 
 /// Outcome of tuning one subgraph in isolation (for Figs. 8 and 9).
@@ -314,23 +275,23 @@ pub fn milestone_cells(
     [90.0, 95.0, 99.0]
         .into_iter()
         .zip(reached.iter_mut())
-        .map(|(pct, reached)| match milestone_speedup(felix, ansor, ansor_best, pct) {
-            Some(s) => {
-                reached.push(s);
-                format!("{s:>6.1}x")
-            }
-            None => "     —".to_string(),
+        .map(|(pct, reached)| {
+            let s = milestone_speedup(felix, ansor, ansor_best, pct);
+            reached.extend(s);
+            speedup_cell(s)
         })
         .collect()
+}
+
+/// A speedup as a table cell: `—` where none was reached.
+fn speedup_cell(s: Option<f64>) -> String {
+    s.map_or_else(|| "     —".to_string(), |s| format!("{s:>6.1}x"))
 }
 
 /// Table 2's geometric-mean row over the speedups [`milestone_cells`]
 /// reached.
 pub fn geomean_cells(reached: &[Vec<f64>; 3]) -> Vec<String> {
-    reached
-        .iter()
-        .map(|v| geomean(v).map_or_else(|| "     —".to_string(), |g| format!("{g:>6.1}x")))
-        .collect()
+    reached.iter().map(|v| speedup_cell(geomean(v))).collect()
 }
 
 /// Geometric mean of positive values; `None` when empty.
@@ -341,63 +302,109 @@ pub fn geomean(xs: &[f64]) -> Option<f64> {
     Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
 }
 
-/// Writes an experiment output under `results/` and echoes the path.
-pub fn write_result(name: &str, content: &str) {
-    let path = results_dir().join(name);
+/// Writes an experiment output into `out` and echoes the path.
+pub fn write_result(out: &Path, name: &str, content: &str) {
+    let path = out.join(name);
     std::fs::write(&path, content).expect("write result file");
     eprintln!("[results] wrote {}", path.display());
 }
 
-/// Reads a previously written result file, if present.
-pub fn read_result(name: &str) -> Option<String> {
-    std::fs::read_to_string(results_dir().join(name)).ok()
+/// One tuning curve of a curve CSV: a tool's best latency so far against
+/// simulated tuning time, for one device, network and seed.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Curve {
+    /// Device name, as in [`DeviceConfig::name`].
+    pub device: String,
+    /// Network name, as in [`Graph::name`].
+    pub network: String,
+    /// The tool, written as its [`Tool::name`].
+    pub tool: Tool,
+    /// Seed of the tuning run.
+    pub seed: u64,
+    /// The curve, in time order.
+    pub points: Vec<CurvePoint>,
+}
+
+impl Curve {
+    /// A curve of `tool`'s run on device `dev` and network `net` from `seed`.
+    pub fn new(dev: &str, net: &str, tool: Tool, seed: u64, points: Vec<CurvePoint>) -> Self {
+        Curve { device: dev.into(), network: net.into(), tool, seed, points }
+    }
+}
+
+const CURVE_HEADER: &str = "device,network,tool,seed,time_s,latency_ms";
+
+/// The curve of `tool` on `device` and `network` at seed 1: the run every
+/// table and chart reads (further seeds only form Fig. 7a's band).
+pub fn seed_one<'a>(
+    curves: &'a [Curve],
+    device: &str,
+    network: &str,
+    tool: Tool,
+) -> Option<&'a [CurvePoint]> {
+    curves
+        .iter()
+        .filter(|c| c.device == device && c.network == network)
+        .find(|c| c.tool == tool && c.seed == 1)
+        .map(|c| c.points.as_slice())
 }
 
 /// Serializes curves in a simple CSV: `device,network,tool,seed,time_s,latency_ms`.
-pub fn curves_to_csv(
-    rows: &[(String, String, String, u64, Vec<CurvePoint>)],
-) -> String {
-    let mut out = String::from("device,network,tool,seed,time_s,latency_ms\n");
-    for (dev, net, tool, seed, curve) in rows {
-        for p in curve {
+pub fn curves_to_csv(curves: &[Curve]) -> String {
+    let mut out = format!("{CURVE_HEADER}\n");
+    for c in curves {
+        for p in &c.points {
             out.push_str(&format!(
-                "{dev},{net},{tool},{seed},{:.3},{:.6}\n",
-                p.time_s, p.latency_ms
+                "{},{},{},{},{:.3},{:.6}\n",
+                c.device, c.network, c.tool.name(), c.seed, p.time_s, p.latency_ms
             ));
         }
     }
     out
 }
 
-/// Parses the CSV produced by [`curves_to_csv`].
-#[allow(clippy::type_complexity)]
-pub fn curves_from_csv(
-    csv: &str,
-) -> Vec<(String, String, String, u64, Vec<CurvePoint>)> {
-    let mut out: Vec<(String, String, String, u64, Vec<CurvePoint>)> = Vec::new();
-    for line in csv.lines().skip(1) {
-        let parts: Vec<&str> = line.split(',').collect();
-        if parts.len() != 6 {
-            continue;
-        }
-        let key = (
-            parts[0].to_string(),
-            parts[1].to_string(),
-            parts[2].to_string(),
-            parts[3].parse::<u64>().unwrap_or(0),
-        );
-        let point = CurvePoint {
-            time_s: parts[4].parse().unwrap_or(0.0),
-            latency_ms: parts[5].parse().unwrap_or(f64::NAN),
+/// Parses the CSV produced by [`curves_to_csv`], read from `path`. A wrong
+/// header, a row without six fields or a malformed row (an unknown tool, a
+/// seed that is not an integer, a time that is not finite and non-negative,
+/// a latency that is NaN or not positive) is an error naming the file and
+/// line.
+pub fn curves_from_csv(csv: &str, path: &Path) -> Result<Vec<Curve>, String> {
+    let mut lines = csv.lines().zip(1..);
+    let bad = |line: usize, what: String| format!("{}:{line}: {what}", path.display());
+    if lines.next().map(|(header, _)| header) != Some(CURVE_HEADER) {
+        return Err(bad(1, format!("expected the header {CURVE_HEADER:?}")));
+    }
+    let mut out: Vec<Curve> = Vec::new();
+    for (line, n) in lines {
+        let fields: Vec<&str> = line.split(',').collect();
+        let [device, network, tool, seed, time_s, latency_ms] = fields[..] else {
+            return Err(bad(n, format!("expected 6 fields, found {}", fields.len())));
         };
-        match out.iter_mut().find(|(d, n, t, s, _)| {
-            (*d == key.0) && (*n == key.1) && (*t == key.2) && (*s == key.3)
+        let tool = Tool::BOTH.into_iter().find(|t| t.name() == tool);
+        let (tool, seed, point) = match (tool, seed.parse(), time_s.parse(), latency_ms.parse()) {
+            (Some(tool), Ok(seed), Ok(t), Ok(l)) if f64::is_finite(t) && t >= 0.0 && l > 0.0 => {
+                (tool, seed, CurvePoint { time_s: t, latency_ms: l })
+            }
+            _ => return Err(bad(n, format!("malformed row {line:?}"))),
+        };
+        match out.iter_mut().find(|c| {
+            c.device == device && c.network == network && c.tool == tool && c.seed == seed
         }) {
-            Some((_, _, _, _, c)) => c.push(point),
-            None => out.push((key.0, key.1, key.2, key.3, vec![point])),
+            Some(c) => c.points.push(point),
+            None => out.push(Curve::new(device, network, tool, seed, vec![point])),
         }
     }
-    out
+    Ok(out)
+}
+
+/// Loads the curves that experiment `writer` left in `out/<file>`; an
+/// absent file is an error that names the experiment to run first.
+pub fn read_curves(out: &Path, file: &str, writer: &str) -> Result<Vec<Curve>, String> {
+    let path = out.join(file);
+    let csv = std::fs::read_to_string(&path).map_err(|e| {
+        format!("cannot read {} ({e}) — run `felix-bench {writer}` first", path.display())
+    })?;
+    curves_from_csv(&csv, &path)
 }
 
 #[cfg(test)]
@@ -421,22 +428,41 @@ mod tests {
 
     #[test]
     fn csv_round_trips() {
-        let rows = vec![(
-            "A5000".to_string(),
-            "resnet50-b1".to_string(),
-            "Felix".to_string(),
-            7u64,
-            vec![
-                CurvePoint { time_s: 1.0, latency_ms: 5.0 },
-                CurvePoint { time_s: 2.0, latency_ms: 4.0 },
-            ],
-        )];
-        let csv = curves_to_csv(&rows);
-        let parsed = curves_from_csv(&csv);
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].4.len(), 2);
-        assert_eq!(parsed[0].1, "resnet50-b1");
-        assert_eq!(parsed[0].4[1].latency_ms, 4.0);
+        let points = vec![
+            CurvePoint { time_s: 1.0, latency_ms: 5.0 },
+            CurvePoint { time_s: 2.0, latency_ms: 4.0 },
+        ];
+        let curves = vec![Curve::new("A5000", "resnet50-b1", Tool::Felix, 7, points)];
+        let csv = curves_to_csv(&curves);
+        assert_eq!(curves_from_csv(&csv, Path::new("c.csv")), Ok(curves));
+    }
+
+    /// A corrupt row is refused with its file and line, not read as a
+    /// time-0 point, a seed-0 curve or a NaN latency.
+    #[test]
+    fn csv_refuses_bad_rows() {
+        let good = "A5000,resnet50-b1,Felix,1,1.000,5.000000";
+        for (row, what) in [
+            ("A5000,resnet50-b1,Felix,1,1.000", "expected 6 fields, found 5"),
+            ("A5000,resnet50-b1,Ansor,1,1.000,5.000000", "malformed row"),
+            ("A5000,resnet50-b1,Felix,x,1.000,5.000000", "malformed row"),
+            ("A5000,resnet50-b1,Felix,-1,1.000,5.000000", "malformed row"),
+            ("A5000,resnet50-b1,Felix,1,,5.000000", "malformed row"),
+            ("A5000,resnet50-b1,Felix,1,-1.000,5.000000", "malformed row"),
+            ("A5000,resnet50-b1,Felix,1,inf,5.000000", "malformed row"),
+            ("A5000,resnet50-b1,Felix,1,2.000,NaN", "malformed row"),
+            ("A5000,resnet50-b1,Felix,1,2.000,0.000000", "malformed row"),
+            ("A5000,resnet50-b1,Felix,1,2.000,abc", "malformed row"),
+        ] {
+            let csv = format!("{CURVE_HEADER}\n{good}\n{row}\n");
+            let err = curves_from_csv(&csv, Path::new("r/c.csv")).expect_err(row);
+            assert!(err.starts_with("r/c.csv:3: ") && err.contains(what), "{row}: {err}");
+        }
+        let err = curves_from_csv(&format!("{good}\n"), Path::new("c.csv")).unwrap_err();
+        assert!(err.starts_with("c.csv:1: expected the header"), "{err}");
+        let err = read_curves(Path::new("/nonexistent-dir"), "f.csv", "fig7").unwrap_err();
+        assert!(err.contains("/nonexistent-dir/f.csv"), "{err}");
+        assert!(err.ends_with("run `felix-bench fig7` first"), "{err}");
     }
 
     #[test]
@@ -454,12 +480,8 @@ mod tests {
         let model = felix::pretrained_cost_model(&nx, felix::ModelQuality::Fast);
         let graph = models::mobilenet_v2(1);
         assert!(partition(&graph).len() >= 6);
-        let felix = run_felix(&graph, &nx, &model, Scale::Fast, 1);
-        let ansor = run_ansor(&graph, &nx, &model, Scale::Fast, 1);
-        assert_eq!(
-            (felix.unmeasured_tasks, ansor.unmeasured_tasks),
-            (0, 0),
-            "tasks left unmeasured (Felix, Ansor)"
-        );
+        let run = |tool| run_network(tool, &graph, &nx, &model, Scale::Fast, 1);
+        let unmeasured = Tool::BOTH.map(|tool| run(tool).unmeasured_tasks);
+        assert_eq!(unmeasured, [0, 0], "tasks left unmeasured (Felix, Ansor)");
     }
 }

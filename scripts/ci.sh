@@ -8,7 +8,8 @@
 # pinned serve results and the wire-protocol suite under the release
 # profile, the ledger smoke, a check that no release binary calls libm
 # `fmaf`,
-# the non-test line count, the `too_many_arguments` allow count and the
+# the CSV-reading half of the experiment harness against its committed
+# outputs, the non-test line count, the `too_many_arguments` allow count and the
 # count of items kept only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
 # must read the same at the end as at the start, or the script fails and
@@ -80,6 +81,30 @@ cargo test -q --release -p felix-serve --test protocol
 # `resume_then_rounds_equals_uninterrupted`, WAL replay, ...); timings are
 # printed, never compared here.
 bash benchmark/run.sh --smoke
+
+# The experiments that read the committed Fig. 7 curves (and Fig. 4, which
+# reads nothing) must rewrite their committed CSVs byte for byte. They run
+# in a scratch output directory holding only a copy of those curves; Fig. 6
+# finds every Felix number there, so it must pretrain no cost model.
+harness_dir=$(mktemp -d)
+trap 'rm -rf "$harness_dir"' EXIT
+cp results/fig7_batch1.csv "$harness_dir/"
+bench="${CARGO_TARGET_DIR:-target}/release/felix-bench"
+for experiment in fig4 table1 table2; do
+    "$bench" "$experiment" --out-dir "$harness_dir" >/dev/null
+done
+FELIX_FAST=1 "$bench" fig6 --out-dir "$harness_dir" >/dev/null
+for csv in fig4_smoothing.csv table1_time_to_beat_vendors.csv table2a_speedups.csv \
+    fig6_frameworks.csv; do
+    if ! cmp "$harness_dir/$csv" "results/$csv"; then
+        echo "FAIL: felix-bench rewrote results/$csv differently" >&2
+        exit 1
+    fi
+done
+if compgen -G "$harness_dir/model-*.bin" >/dev/null; then
+    echo "FAIL: fig6 pretrained a cost model although every Felix curve was present" >&2
+    exit 1
+fi
 
 # Every multiply-accumulate of the cost model is an `f32::mul_add`: one
 # instruction where FMA is on at compile time, a call into libm's `fmaf`

@@ -6,12 +6,12 @@
 #   - traced ledger runs at seeds 1001-1003 on tune_resnet50, cold_ops and
 #     persist_cycle, printed side by side on the eleven standing-rule
 #     quantities (and each run's `correct` flag);
-#   - the CSVs that FELIX_FAST=1 fig8, fig9 and ablations write into fresh
-#     output directories, compared with cmp.
+#   - the CSVs that `FELIX_FAST=1 felix-bench fig8|fig9|ablations` write into
+#     fresh output directories, compared with cmp.
 #
 #   scripts/same_program.sh [PARENT]
 #
-# Both trees are copied, built (the ledger and the felix-bench figure bins)
+# Both trees are copied, built (the ledger and the felix-bench binary)
 # and run under one temporary directory, removed on exit; nothing under the
 # repository is written. Exits 1 on any difference. Takes several minutes,
 # so scripts/ci.sh does not run it.
@@ -36,7 +36,7 @@ for side in "${sides[@]}"; do
     export CARGO_TARGET_DIR="$tmp/$side-target"
     cargo build --release --offline --quiet --manifest-path "$tmp/$side/benchmark/Cargo.toml"
     cargo build --release --offline --quiet --manifest-path "$tmp/$side/Cargo.toml" \
-        -p felix-bench --bin fig8 --bin fig9 --bin ablations
+        -p felix-bench --bin felix-bench
 done
 unset CARGO_TARGET_DIR
 
@@ -71,10 +71,10 @@ paste "$tmp/parent.tsv" "$tmp/work.tsv" | awk -F'\t' '
     END { exit bad }' || status=1
 
 for side in "${sides[@]}"; do
-    for bin in fig8 fig9 ablations; do
-        echo "figures: $side $bin" >&2
-        (cd "$tmp/$side" && FELIX_FAST=1 "$tmp/$side-target/release/$bin" \
-            --out-dir "$tmp/$side-figures" >/dev/null)
+    for experiment in fig8 fig9 ablations; do
+        echo "figures: $side $experiment" >&2
+        (cd "$tmp/$side" && FELIX_FAST=1 "$tmp/$side-target/release/felix-bench" \
+            "$experiment" --out-dir "$tmp/$side-figures" >/dev/null)
     done
 done
 csvs=$(find "$tmp/parent-figures" "$tmp/work-figures" -name '*.csv' -printf '%f\n' | sort -u)
