@@ -5,12 +5,12 @@
 # time under a time budget, so each suite runs once. Then the serve
 # lifecycle suite again at one test thread, so a test that passes only
 # while its siblings slow the daemon fails; the pinned golden run, the
-# pinned serve results and the wire-protocol suite under the release
-# profile, the ledger smoke, a check that no release binary calls libm
-# `fmaf`,
-# the CSV-reading half of the experiment harness against its committed
-# outputs, the non-test line count, the `too_many_arguments` allow count and the
-# count of items kept only for the frozen ledger. Nothing
+# pinned objectives, the pinned serve results and the wire-protocol suite
+# under the release profile, the ledger smoke, a check that no release
+# binary calls libm `fmaf`, the CSV-reading half of the experiment harness
+# against its committed outputs, the non-test line count, the
+# `too_many_arguments` allow count and the count of items kept only for the
+# frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
 # must read the same at the end as at the start, or the script fails and
 # prints the change.
@@ -63,15 +63,20 @@ if ! out=$(cargo test -q -p felix-serve --test lifecycle -- --test-threads=1); t
     exit 1
 fi
 
-# The pinned golden run and the pinned serve results once more under the
-# release profile. Tests build five numeric crates at opt-level 2 and the
-# rest at 0, the ledger builds everything at release; the pinned hashes
-# must hold in both. A resumed serve job pretrains its base model again
-# instead of loading a copy, so both profiles must agree on every byte of
-# a result. The wire-protocol suite too: stack frames differ between
+# The pinned golden run, the pinned objectives and the pinned serve results
+# once more under the release profile. Tests build five numeric crates
+# (felix-expr among them) at opt-level 2 and the rest at 0, the ledger
+# builds everything at release (opt-level 3); the pinned hashes must hold
+# in both. The objective pin hashes every pool node the expression crate's
+# constructors, smoothing and substitution build, and `cost_and_grad`'s
+# bits through the tape kernels, so it holds those kernels to one result
+# at both optimization levels. A resumed serve job pretrains its base
+# model again instead of loading a copy, so both profiles must agree on
+# every byte of a result. The wire-protocol suite too: stack frames differ between
 # profiles, and so does the nesting depth at which a parse would overflow
 # a handler thread's stack, and the daemon ships in release.
 cargo test -q --release --test golden_run
+cargo test -q --release -p felix --test pinned_objectives
 cargo test -q --release -p felix-serve --test pinned_results
 cargo test -q --release -p felix-serve --test protocol
 
