@@ -206,7 +206,7 @@ fn fig4(out: &Path, _: Option<&str>) -> Result<(), String> {
 /// summary. `FELIX_FULL=1` adds the 5-seed min/max band of Fig. 7a on the
 /// A5000.
 fn fig7(out: &Path, _: Option<&str>) -> Result<(), String> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     let mut curves = Vec::new();
     println!("Figure 7: Felix vs Ansor-TenSet tuning curves (batch 1)");
     for dev in DeviceConfig::all() {
@@ -319,7 +319,7 @@ fn felix_final(curves: &[Curve], device: &str, network: &str) -> Option<f64> {
 /// paper's y-axis is performance normalized to the best framework per
 /// network.
 fn fig6(out: &Path, _: Option<&str>) -> Result<(), String> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     let curves =
         if out.join(FIG7_CSV).exists() { read_curves(out, FIG7_CSV, "fig7")? } else { Vec::new() };
     let mut csv = String::from("device,network,pytorch_ms,tensorflow_ms,tensorrt_ms,felix_ms\n");
@@ -395,7 +395,7 @@ fn running_stats(trace: &[f64]) -> Vec<(usize, f64, f64)> {
 /// running best and the running 64th-best prediction vs. the number of
 /// schedules searched.
 fn fig8(out: &Path, _: Option<&str>) -> Result<(), String> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     let dev = DeviceConfig::a5000();
     let model = cached_model(out, &dev, scale);
     let conv3d = Op::Conv3d { n: 1, c: 64, k: 64, d: 8, h: 28, r: 3, stride: 1, pad: 1 };
@@ -444,7 +444,7 @@ fn fig8(out: &Path, _: Option<&str>) -> Result<(), String> {
 /// TensorFlow on RTX A5000, normalized to the best framework per operator.
 /// The operators come from the evaluated networks.
 fn fig9(out: &Path, _: Option<&str>) -> Result<(), String> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     let dev = DeviceConfig::a5000();
     let model = cached_model(out, &dev, scale);
     let ops = [
@@ -491,7 +491,7 @@ fn fig9(out: &Path, _: Option<&str>) -> Result<(), String> {
 /// RTX A5000 (LLaMA excluded — it does not fit at batch 16, §6.4). Writes
 /// the curves and the Table 2b milestone speedups.
 fn fig10(out: &Path, _: Option<&str>) -> Result<(), String> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     let dev = DeviceConfig::a5000();
     let model = cached_model(out, &dev, scale);
     let mut curves = Vec::new();
@@ -523,7 +523,7 @@ fn fig10(out: &Path, _: Option<&str>) -> Result<(), String> {
 /// measurements); `seeds-1`/`seeds-16` and `steps-50`/`steps-400`
 /// (search-budget sweeps).
 fn ablations(out: &Path, _: Option<&str>) -> Result<(), String> {
-    let scale = Scale::from_env();
+    let scale = Scale::from_env()?;
     let dev = DeviceConfig::a5000();
     let model = cached_model(out, &dev, scale);
     let base = FelixOptions::default();

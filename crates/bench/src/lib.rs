@@ -6,7 +6,8 @@
 //!
 //! Scale control: set `FELIX_FAST=1` for smoke-test scale, or
 //! `FELIX_FULL=1` for the heaviest (multi-seed band) runs. The default is a
-//! faithful but single-seed configuration.
+//! faithful but single-seed configuration; `0` is the same as unset, and
+//! any other value, or both set to `1`, is an error.
 
 pub mod experiments;
 pub mod plot;
@@ -37,14 +38,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment.
-    pub fn from_env() -> Scale {
-        if std::env::var("FELIX_FAST").is_ok() {
-            Scale::Fast
-        } else if std::env::var("FELIX_FULL").is_ok() {
-            Scale::Full
-        } else {
-            Scale::Default
+    /// Reads the scale from `FELIX_FAST` and `FELIX_FULL`: `1` selects that
+    /// scale, `0` or unset does not.
+    ///
+    /// # Errors
+    ///
+    /// Either variable set to anything but `0` or `1`, or both set to `1`.
+    pub fn from_env() -> Result<Scale, String> {
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Scale::from_values(var("FELIX_FAST").as_deref(), var("FELIX_FULL").as_deref())
+    }
+
+    /// [`Scale::from_env`] over the two variables' values.
+    fn from_values(fast: Option<&str>, full: Option<&str>) -> Result<Scale, String> {
+        let on = |name: &str, value: Option<&str>| match value {
+            None | Some("0") => Ok(false),
+            Some("1") => Ok(true),
+            Some(other) => Err(format!("{name}={other:?}: expected 1 or 0")),
+        };
+        match (on("FELIX_FAST", fast)?, on("FELIX_FULL", full)?) {
+            (true, true) => Err("FELIX_FAST=1 and FELIX_FULL=1 select two scales".to_string()),
+            (true, false) => Ok(Scale::Fast),
+            (false, true) => Ok(Scale::Full),
+            (false, false) => Ok(Scale::Default),
         }
     }
 
@@ -463,6 +479,29 @@ mod tests {
         let err = read_curves(Path::new("/nonexistent-dir"), "f.csv", "fig7").unwrap_err();
         assert!(err.contains("/nonexistent-dir/f.csv"), "{err}");
         assert!(err.ends_with("run `felix-bench fig7` first"), "{err}");
+    }
+
+    #[test]
+    fn scale_reads_one_or_zero_and_refuses_anything_else() {
+        for (fast, full, want) in [
+            (None, None, Scale::Default),
+            (Some("0"), Some("0"), Scale::Default),
+            (Some("1"), None, Scale::Fast),
+            (Some("1"), Some("0"), Scale::Fast),
+            (Some("0"), Some("1"), Scale::Full),
+            (None, Some("1"), Scale::Full),
+        ] {
+            assert_eq!(Scale::from_values(fast, full), Ok(want), "{fast:?} {full:?}");
+        }
+        for (fast, full, want) in [
+            (Some("yes"), None, "FELIX_FAST=\"yes\": expected 1 or 0"),
+            (Some(""), None, "FELIX_FAST=\"\": expected 1 or 0"),
+            (None, Some("2"), "FELIX_FULL=\"2\": expected 1 or 0"),
+            (Some("1"), Some("true"), "FELIX_FULL=\"true\": expected 1 or 0"),
+            (Some("1"), Some("1"), "FELIX_FAST=1 and FELIX_FULL=1 select two scales"),
+        ] {
+            assert_eq!(Scale::from_values(fast, full), Err(want.to_string()), "{fast:?} {full:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Pretty-printing of expressions with variable names.
 
-use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, UnOp, VarTable};
+use crate::{BinOp, ENode, ExprId, ExprPool, UnOp, VarTable};
 use std::fmt;
 
 /// Displays an expression with variable names from a [`VarTable`].
@@ -61,61 +61,35 @@ fn write_expr(
             }
         }
         ENode::Var(v) => write!(f, "{}", vars.name(v))?,
-        ENode::Un(op, a) => {
-            let name = match op {
-                UnOp::Neg => "-",
-                UnOp::Log => "log",
-                UnOp::Exp => "exp",
-                UnOp::Sqrt => "sqrt",
-                UnOp::Abs => "abs",
-            };
-            if op == UnOp::Neg {
-                write!(f, "-")?;
-                write_expr(f, pool, vars, a, prec)?;
-            } else {
-                write!(f, "{name}(")?;
-                write_expr(f, pool, vars, a, 0)?;
-                write!(f, ")")?;
-            }
+        ENode::Un(UnOp::Neg, a) => {
+            write!(f, "-")?;
+            write_expr(f, pool, vars, a, prec)?;
         }
-        ENode::Bin(op, a, b) => match op {
-            BinOp::Min | BinOp::Max => {
-                let name = if op == BinOp::Min { "min" } else { "max" };
-                write!(f, "{name}(")?;
-                write_expr(f, pool, vars, a, 0)?;
-                write!(f, ", ")?;
-                write_expr(f, pool, vars, b, 0)?;
-                write!(f, ")")?;
-            }
-            _ => {
-                let sym = match op {
-                    BinOp::Add => " + ",
-                    BinOp::Sub => " - ",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                    BinOp::Pow => "^",
-                    _ => unreachable!(),
-                };
-                write_expr(f, pool, vars, a, prec)?;
-                write!(f, "{sym}")?;
-                // Right operand binds one tighter for non-commutative ops.
-                let rp = match op {
-                    BinOp::Sub | BinOp::Div | BinOp::Pow => prec + 1,
-                    _ => prec,
-                };
-                write_expr(f, pool, vars, b, rp)?;
-            }
-        },
-        ENode::Cmp(op, a, b) => {
-            let sym = match op {
-                CmpOp::Lt => " < ",
-                CmpOp::Le => " <= ",
-                CmpOp::Gt => " > ",
-                CmpOp::Ge => " >= ",
-                CmpOp::Eq => " == ",
+        ENode::Un(op, a) => {
+            write!(f, "{}(", op.name())?;
+            write_expr(f, pool, vars, a, 0)?;
+            write!(f, ")")?;
+        }
+        ENode::Bin(op @ (BinOp::Min | BinOp::Max), a, b) => {
+            write!(f, "{}(", op.name())?;
+            write_expr(f, pool, vars, a, 0)?;
+            write!(f, ", ")?;
+            write_expr(f, pool, vars, b, 0)?;
+            write!(f, ")")?;
+        }
+        ENode::Bin(op, a, b) => {
+            write_expr(f, pool, vars, a, prec)?;
+            write!(f, "{}", op.name())?;
+            // Right operand binds one tighter for non-commutative ops.
+            let rp = match op {
+                BinOp::Sub | BinOp::Div | BinOp::Pow => prec + 1,
+                _ => prec,
             };
+            write_expr(f, pool, vars, b, rp)?;
+        }
+        ENode::Cmp(op, a, b) => {
             write_expr(f, pool, vars, a, prec + 1)?;
-            write!(f, "{sym}")?;
+            write!(f, "{}", op.name())?;
             write_expr(f, pool, vars, b, prec + 1)?;
         }
         ENode::Select(c, t, e) => {
@@ -137,6 +111,7 @@ fn write_expr(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CmpOp;
 
     #[test]
     fn displays_feature_like_formula() {

@@ -18,6 +18,20 @@
 //! simplifier, and the tape compiler only drops what the roots do not reach
 //! (`rewrite` keeps an identity shim).
 //!
+//! Each operator rule is stated once:
+//!
+//! - its value and printed name on the operator (`apply` and `name` of
+//!   [`UnOp`], [`BinOp`] and [`CmpOp`]), read by constant folding,
+//!   [`ExprPool::eval_all`], the tape's forward kernel and [`display`];
+//! - its folding in the constructor of its node kind ([`ExprPool::un`],
+//!   [`ExprPool::bin`], [`ExprPool::cmp`], [`ExprPool::select`]);
+//! - whether it is smooth in `ENode::is_smooth`, read by [`is_smooth`]
+//!   and the tape's subgradient check; its smooth replacement in
+//!   [`smooth`];
+//! - how to rebuild a node a rewrite leaves alone in `ExprPool::build`,
+//!   shared by [`subst`] and [`smooth`];
+//! - its derivative only in the tape's backward kernel ([`tape`]).
+//!
 //! # Example
 //!
 //! ```
@@ -189,6 +203,32 @@ pub enum UnOp {
     Abs,
 }
 
+impl UnOp {
+    /// The operator's value: the one statement that constant folding,
+    /// [`ExprPool::eval_all`] and the tape's forward kernel all read.
+    #[inline(always)]
+    pub(crate) fn apply(self, a: f64) -> f64 {
+        match self {
+            UnOp::Neg => -a,
+            UnOp::Log => a.ln(),
+            UnOp::Exp => a.exp(),
+            UnOp::Sqrt => a.sqrt(),
+            UnOp::Abs => a.abs(),
+        }
+    }
+
+    /// The operator's name as [`DisplayExpr`] writes it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            UnOp::Neg => "-",
+            UnOp::Log => "log",
+            UnOp::Exp => "exp",
+            UnOp::Sqrt => "sqrt",
+            UnOp::Abs => "abs",
+        }
+    }
+}
+
 /// Binary operators.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum BinOp {
@@ -208,6 +248,36 @@ pub enum BinOp {
     Max,
 }
 
+impl BinOp {
+    /// The operator's value (see [`UnOp::apply`]).
+    #[inline(always)]
+    pub(crate) fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            BinOp::Div => a / b,
+            BinOp::Pow => a.powf(b),
+            BinOp::Min => a.min(b),
+            BinOp::Max => a.max(b),
+        }
+    }
+
+    /// The operator's name as [`DisplayExpr`] writes it: an infix symbol
+    /// with its spacing, or a function name for `min`/`max`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            BinOp::Add => " + ",
+            BinOp::Sub => " - ",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Pow => "^",
+            BinOp::Min => "min",
+            BinOp::Max => "max",
+        }
+    }
+}
+
 /// Comparison operators, evaluating to `1.0` (true) or `0.0` (false).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum CmpOp {
@@ -221,6 +291,40 @@ pub enum CmpOp {
     Ge,
     /// `a == b`
     Eq,
+}
+
+impl CmpOp {
+    /// Every comparison, in declaration order: `ALL[op as usize] == op`.
+    pub(crate) const ALL: [CmpOp; 5] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq];
+
+    /// The comparison's value, `1.0` or `0.0` (see [`UnOp::apply`]).
+    #[inline(always)]
+    pub(crate) fn apply(self, a: f64, b: f64) -> f64 {
+        let holds = match self {
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+            CmpOp::Eq => a == b,
+        };
+        if holds {
+            1.0
+        } else {
+            0.0
+        }
+    }
+
+    /// The comparison's infix symbol, with its spacing, as [`DisplayExpr`]
+    /// writes it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            CmpOp::Lt => " < ",
+            CmpOp::Le => " <= ",
+            CmpOp::Gt => " > ",
+            CmpOp::Ge => " >= ",
+            CmpOp::Eq => " == ",
+        }
+    }
 }
 
 /// An expression node. Children are [`ExprId`]s into the same pool.
@@ -242,31 +346,58 @@ pub enum ENode {
 
 impl ENode {
     /// Children of this node in evaluation order.
-    pub fn children(&self) -> Vec<ExprId> {
-        match *self {
-            ENode::Const(_) | ENode::Var(_) => vec![],
-            ENode::Un(_, a) => vec![a],
-            ENode::Bin(_, a, b) | ENode::Cmp(_, a, b) => vec![a, b],
-            ENode::Select(c, t, e) => vec![c, t, e],
+    pub fn children(&self) -> impl Iterator<Item = ExprId> {
+        let (n, ids) = match *self {
+            ENode::Const(_) | ENode::Var(_) => (0, [ExprId(0); 3]),
+            ENode::Un(_, a) => (1, [a; 3]),
+            ENode::Bin(_, a, b) | ENode::Cmp(_, a, b) => (2, [a, b, b]),
+            ENode::Select(c, t, e) => (3, [c, t, e]),
+        };
+        ids.into_iter().take(n)
+    }
+
+    /// The same operator over `f` of each child, called in evaluation
+    /// order.
+    pub(crate) fn map(self, mut f: impl FnMut(ExprId) -> ExprId) -> ENode {
+        // Call arguments evaluate left to right.
+        match self {
+            ENode::Const(_) | ENode::Var(_) => self,
+            ENode::Un(op, a) => ENode::Un(op, f(a)),
+            ENode::Bin(op, a, b) => ENode::Bin(op, f(a), f(b)),
+            ENode::Cmp(op, a, b) => ENode::Cmp(op, f(a), f(b)),
+            ENode::Select(c, t, e) => ENode::Select(f(c), f(t), f(e)),
         }
+    }
+
+    /// False for the operators without a derivative everywhere: `abs`,
+    /// `min`, `max`, comparisons and `select`. The one statement of the
+    /// non-smooth set: [`smooth`] rewrites exactly these, [`is_smooth`]
+    /// checks for them, and the tape's backward sweep refuses them a
+    /// nonzero adjoint unless subgradients are on.
+    pub(crate) fn is_smooth(&self) -> bool {
+        !matches!(
+            self,
+            ENode::Un(UnOp::Abs, _)
+                | ENode::Bin(BinOp::Min | BinOp::Max, ..)
+                | ENode::Cmp(..)
+                | ENode::Select(..)
+        )
     }
 }
 
 /// A hash-consed expression DAG.
 ///
-/// Nodes are created through smart constructors ([`ExprPool::add`],
-/// [`ExprPool::mul`], ...) which fold constants (`2+3 → 5`) and algebraic
-/// identities (`x*1 → x`, `x+0 → x`, `log(exp x) → x`, ...). Node order is
-/// topological by construction: children always precede parents, which makes
-/// single-pass evaluation and reverse-mode AD straightforward.
+/// Nodes are created through smart constructors ([`ExprPool::un`],
+/// [`ExprPool::bin`], [`ExprPool::cmp`], [`ExprPool::select`] and the named
+/// one-line forms [`ExprPool::add`], [`ExprPool::mul`], ...) which fold
+/// constants (`2+3 → 5`) and algebraic identities (`x*1 → x`, `x+0 → x`,
+/// `log(exp x) → x`, ...). Node order is topological by construction:
+/// children always precede parents, which makes single-pass evaluation and
+/// reverse-mode AD straightforward.
 #[derive(Clone, Debug, Default)]
 pub struct ExprPool {
     nodes: Vec<ENode>,
     memo: Memo<ENode, ExprId>,
-}
-
-const fn bits(x: f64) -> u64 {
-    x.to_bits()
 }
 
 impl ExprPool {
@@ -316,7 +447,7 @@ impl ExprPool {
     pub fn constf(&mut self, v: f64) -> ExprId {
         // Normalize -0.0 to 0.0 so hashing is stable.
         let v = if v == 0.0 { 0.0 } else { v };
-        self.intern(ENode::Const(bits(v)))
+        self.intern(ENode::Const(v.to_bits()))
     }
 
     /// An integer constant.
@@ -329,160 +460,137 @@ impl ExprPool {
         self.intern(ENode::Var(v))
     }
 
-    /// `a + b` with folding (`0 + x → x`, const-const folds).
+    /// `op(a)`, folded: a constant operand folds to its value, and
+    /// `log(exp x)` and `exp(log x)` cancel to `x`.
+    pub fn un(&mut self, op: UnOp, a: ExprId) -> ExprId {
+        if let Some(x) = self.as_const(a) {
+            return self.constf(op.apply(x));
+        }
+        match (op, self.node(a)) {
+            (UnOp::Log, ENode::Un(UnOp::Exp, x)) | (UnOp::Exp, ENode::Un(UnOp::Log, x)) => x,
+            _ => self.intern(ENode::Un(op, a)),
+        }
+    }
+
+    /// `op(a, b)`, folded: `x - x → 0`, `x / x → 1` and `min`/`max(x, x) → x`
+    /// first, then two constants fold to their value, then the identities
+    /// of one constant operand: `0 + x`, `x + 0`, `x - 0`, `1 * x`, `x * 1`,
+    /// `x / 1`, `x ^ 1 → x`; `0 * x`, `x * 0`, `0 / x → 0`; `x ^ 0 → 1`.
+    // Inlined into each named constructor, which then tests only its own
+    // operator's rules, as a hand-written one would.
+    #[inline(always)]
+    pub fn bin(&mut self, op: BinOp, a: ExprId, b: ExprId) -> ExprId {
+        use BinOp::*;
+        if a == b {
+            match op {
+                Sub => return self.constf(0.0),
+                Div => return self.constf(1.0),
+                Min | Max => return a,
+                Add | Mul | Pow => {}
+            }
+        }
+        match (op, self.as_const(a), self.as_const(b)) {
+            (_, Some(x), Some(y)) => self.constf(op.apply(x, y)),
+            (Add, Some(0.0), _) | (Mul, Some(1.0), _) => b,
+            (Add | Sub, _, Some(0.0)) | (Mul | Div | Pow, _, Some(1.0)) => a,
+            (Mul, Some(0.0), _) | (Mul, _, Some(0.0)) | (Div, Some(0.0), _) => self.constf(0.0),
+            (Pow, _, Some(0.0)) => self.constf(1.0),
+            _ => self.intern(ENode::Bin(op, a, b)),
+        }
+    }
+
+    /// `a + b` (see [`ExprPool::bin`]).
     pub fn add(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => self.constf(x + y),
-            (Some(0.0), None) => b,
-            (None, Some(0.0)) => a,
-            _ => self.intern(ENode::Bin(BinOp::Add, a, b)),
-        }
+        self.bin(BinOp::Add, a, b)
     }
 
-    /// `a - b` with folding (`x - 0 → x`, `x - x → 0`).
+    /// `a - b` (see [`ExprPool::bin`]).
     pub fn sub(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        if a == b {
-            return self.constf(0.0);
-        }
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => self.constf(x - y),
-            (None, Some(0.0)) => a,
-            _ => self.intern(ENode::Bin(BinOp::Sub, a, b)),
-        }
+        self.bin(BinOp::Sub, a, b)
     }
 
-    /// `a * b` with folding (`1 * x → x`, `0 * x → 0`).
+    /// `a * b` (see [`ExprPool::bin`]).
     pub fn mul(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => self.constf(x * y),
-            (Some(1.0), None) => b,
-            (Some(0.0), None) => self.constf(0.0),
-            (None, Some(1.0)) => a,
-            (None, Some(0.0)) => self.constf(0.0),
-            _ => self.intern(ENode::Bin(BinOp::Mul, a, b)),
-        }
+        self.bin(BinOp::Mul, a, b)
     }
 
-    /// `a / b` with folding (`x / 1 → x`, `x / x → 1`).
+    /// `a / b` (see [`ExprPool::bin`]).
     pub fn div(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        if a == b {
-            return self.constf(1.0);
-        }
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => self.constf(x / y),
-            (None, Some(1.0)) => a,
-            (Some(0.0), None) => self.constf(0.0),
-            _ => self.intern(ENode::Bin(BinOp::Div, a, b)),
-        }
+        self.bin(BinOp::Div, a, b)
     }
 
-    /// `a ^ b` with folding (`x^1 → x`, `x^0 → 1`).
+    /// `a ^ b` (see [`ExprPool::bin`]).
     pub fn pow(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => self.constf(x.powf(y)),
-            (None, Some(1.0)) => a,
-            (None, Some(0.0)) => self.constf(1.0),
-            _ => self.intern(ENode::Bin(BinOp::Pow, a, b)),
-        }
+        self.bin(BinOp::Pow, a, b)
     }
 
-    /// `min(a, b)` (non-smooth) with const folding.
+    /// `min(a, b)`, non-smooth (see [`ExprPool::bin`]).
     pub fn min(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        if a == b {
-            return a;
-        }
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => self.constf(x.min(y)),
-            _ => self.intern(ENode::Bin(BinOp::Min, a, b)),
-        }
+        self.bin(BinOp::Min, a, b)
     }
 
-    /// `max(a, b)` (non-smooth) with const folding.
+    /// `max(a, b)`, non-smooth (see [`ExprPool::bin`]).
     pub fn max(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        if a == b {
-            return a;
-        }
-        match (self.as_const(a), self.as_const(b)) {
-            (Some(x), Some(y)) => self.constf(x.max(y)),
-            _ => self.intern(ENode::Bin(BinOp::Max, a, b)),
-        }
+        self.bin(BinOp::Max, a, b)
     }
 
-    /// `-a` with folding.
+    /// `-a` (see [`ExprPool::un`]).
     pub fn neg(&mut self, a: ExprId) -> ExprId {
-        match self.as_const(a) {
-            Some(x) => self.constf(-x),
-            None => self.intern(ENode::Un(UnOp::Neg, a)),
-        }
+        self.un(UnOp::Neg, a)
     }
 
-    /// `ln(a)` with folding; `log(exp x) → x`.
+    /// `ln(a)` (see [`ExprPool::un`]).
     pub fn log(&mut self, a: ExprId) -> ExprId {
-        if let Some(x) = self.as_const(a) {
-            return self.constf(x.ln());
-        }
-        if let ENode::Un(UnOp::Exp, inner) = self.node(a) {
-            return inner;
-        }
-        self.intern(ENode::Un(UnOp::Log, a))
+        self.un(UnOp::Log, a)
     }
 
-    /// `exp(a)` with folding; `exp(log x) → x`.
+    /// `exp(a)` (see [`ExprPool::un`]).
     pub fn exp(&mut self, a: ExprId) -> ExprId {
-        if let Some(x) = self.as_const(a) {
-            return self.constf(x.exp());
-        }
-        if let ENode::Un(UnOp::Log, inner) = self.node(a) {
-            return inner;
-        }
-        self.intern(ENode::Un(UnOp::Exp, a))
+        self.un(UnOp::Exp, a)
     }
 
-    /// `sqrt(a)` with folding.
+    /// `sqrt(a)` (see [`ExprPool::un`]).
     pub fn sqrt(&mut self, a: ExprId) -> ExprId {
-        match self.as_const(a) {
-            Some(x) => self.constf(x.sqrt()),
-            None => self.intern(ENode::Un(UnOp::Sqrt, a)),
-        }
+        self.un(UnOp::Sqrt, a)
     }
 
-    /// `|a|` (non-smooth) with folding.
+    /// `|a|`, non-smooth (see [`ExprPool::un`]).
     pub fn abs(&mut self, a: ExprId) -> ExprId {
-        match self.as_const(a) {
-            Some(x) => self.constf(x.abs()),
-            None => self.intern(ENode::Un(UnOp::Abs, a)),
-        }
+        self.un(UnOp::Abs, a)
     }
 
-    /// Comparison producing 0/1 (non-smooth) with const folding.
+    /// Comparison producing 0/1 (non-smooth); two constants fold to their
+    /// value.
     pub fn cmp(&mut self, op: CmpOp, a: ExprId, b: ExprId) -> ExprId {
-        if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
-            let r = match op {
-                CmpOp::Lt => x < y,
-                CmpOp::Le => x <= y,
-                CmpOp::Gt => x > y,
-                CmpOp::Ge => x >= y,
-                CmpOp::Eq => x == y,
-            };
-            return self.constf(if r { 1.0 } else { 0.0 });
+        match (self.as_const(a), self.as_const(b)) {
+            (Some(x), Some(y)) => self.constf(op.apply(x, y)),
+            _ => self.intern(ENode::Cmp(op, a, b)),
         }
-        self.intern(ENode::Cmp(op, a, b))
     }
 
-    /// `select(cond, then, else)` (non-smooth) with const folding.
+    /// `select(cond, then, else)` (non-smooth); equal branches fold to the
+    /// branch, and a constant condition picks its branch.
     pub fn select(&mut self, cond: ExprId, then: ExprId, els: ExprId) -> ExprId {
         if then == els {
             return then;
         }
         match self.as_const(cond) {
-            Some(c) => {
-                if c != 0.0 {
-                    then
-                } else {
-                    els
-                }
-            }
+            Some(c) if c != 0.0 => then,
+            Some(_) => els,
             None => self.intern(ENode::Select(cond, then, els)),
+        }
+    }
+
+    /// `node` through its constructor, with that constructor's folding: the
+    /// one dispatch by which substitution and smoothing rebuild every node
+    /// they do not rewrite.
+    pub(crate) fn build(&mut self, node: ENode) -> ExprId {
+        match node {
+            ENode::Const(_) | ENode::Var(_) => self.intern(node),
+            ENode::Un(op, a) => self.un(op, a),
+            ENode::Bin(op, a, b) => self.bin(op, a, b),
+            ENode::Cmp(op, a, b) => self.cmp(op, a, b),
+            ENode::Select(c, t, e) => self.select(c, t, e),
         }
     }
 
@@ -535,43 +643,9 @@ impl ExprPool {
             let v = match *node {
                 ENode::Const(b) => f64::from_bits(b),
                 ENode::Var(v) => var_values[v.index()],
-                ENode::Un(op, a) => {
-                    let a = out[a.index()];
-                    match op {
-                        UnOp::Neg => -a,
-                        UnOp::Log => a.ln(),
-                        UnOp::Exp => a.exp(),
-                        UnOp::Sqrt => a.sqrt(),
-                        UnOp::Abs => a.abs(),
-                    }
-                }
-                ENode::Bin(op, a, b) => {
-                    let (a, b) = (out[a.index()], out[b.index()]);
-                    match op {
-                        BinOp::Add => a + b,
-                        BinOp::Sub => a - b,
-                        BinOp::Mul => a * b,
-                        BinOp::Div => a / b,
-                        BinOp::Pow => a.powf(b),
-                        BinOp::Min => a.min(b),
-                        BinOp::Max => a.max(b),
-                    }
-                }
-                ENode::Cmp(op, a, b) => {
-                    let (a, b) = (out[a.index()], out[b.index()]);
-                    let r = match op {
-                        CmpOp::Lt => a < b,
-                        CmpOp::Le => a <= b,
-                        CmpOp::Gt => a > b,
-                        CmpOp::Ge => a >= b,
-                        CmpOp::Eq => a == b,
-                    };
-                    if r {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
+                ENode::Un(op, a) => op.apply(out[a.index()]),
+                ENode::Bin(op, a, b) => op.apply(out[a.index()], out[b.index()]),
+                ENode::Cmp(op, a, b) => op.apply(out[a.index()], out[b.index()]),
                 ENode::Select(c, t, e) => {
                     if out[c.index()] != 0.0 {
                         out[t.index()]
@@ -590,20 +664,21 @@ impl ExprPool {
         self.eval_all(var_values)[root.index()]
     }
 
-    /// Number of nodes reachable from `roots`.
-    pub fn reachable_count(&self, roots: &[ExprId]) -> usize {
+    /// Which nodes `roots` reach, indexed by [`ExprId::index`].
+    pub(crate) fn reachable(&self, roots: &[ExprId]) -> Vec<bool> {
         let mut seen = vec![false; self.nodes.len()];
         let mut stack: Vec<ExprId> = roots.to_vec();
-        let mut count = 0;
         while let Some(id) = stack.pop() {
-            if seen[id.index()] {
-                continue;
+            if !std::mem::replace(&mut seen[id.index()], true) {
+                stack.extend(self.node(id).children());
             }
-            seen[id.index()] = true;
-            count += 1;
-            stack.extend(self.node(id).children());
         }
-        count
+        seen
+    }
+
+    /// Number of nodes reachable from `roots`.
+    pub fn reachable_count(&self, roots: &[ExprId]) -> usize {
+        self.reachable(roots).into_iter().filter(|&r| r).count()
     }
 }
 
@@ -750,7 +825,7 @@ mod tests {
         use std::hash::{BuildHasher, BuildHasherDefault};
         let build = BuildHasherDefault::<MemoHasher>::default();
         let buckets: std::collections::HashSet<u64> =
-            (0..4096).map(|i| build.hash_one(ENode::Const(bits(i as f64))) & 0x1fff).collect();
+            (0..4096).map(|i| build.hash_one(ENode::Const((i as f64).to_bits())) & 0x1fff).collect();
         assert!(buckets.len() > 2800, "{} of 8192 buckets used", buckets.len());
     }
 

@@ -26,23 +26,13 @@ pub fn smooth_relu(x: f64) -> f64 {
     0.5 * (x + (x * x + 1.0).sqrt())
 }
 
-/// Smooth `max(a, b)`.
-pub fn smooth_max(a: f64, b: f64) -> f64 {
-    0.5 * (a + b + ((a - b) * (a - b) + 1.0).sqrt())
-}
-
-/// Smooth `min(a, b)`.
-pub fn smooth_min(a: f64, b: f64) -> f64 {
-    0.5 * (a + b - ((a - b) * (a - b) + 1.0).sqrt())
-}
-
 /// Smooth `select(z > 0, t, e)` (left panel of paper Fig. 4 uses `t=5, e=2`).
 pub fn smooth_select(z: f64, t: f64, e: f64) -> f64 {
     e + (t - e) * smooth_step(z)
 }
 
 impl ExprPool {
-    /// Smooth step as an expression: `(1 + z/√(1+z²)))/2`.
+    /// Smooth step as an expression: `(1 + z/√(1+z²))/2`.
     pub fn sstep(&mut self, z: ExprId) -> ExprId {
         let one = self.constf(1.0);
         let half = self.constf(0.5);
@@ -62,7 +52,9 @@ impl ExprPool {
         self.div(one, d)
     }
 
-    fn smooth_max_expr(&mut self, a: ExprId, b: ExprId) -> ExprId {
+    /// Smooth `max(a, b)` or `min(a, b)` as an expression:
+    /// `(a + b ± √((a−b)² + 1)) / 2`, `+` for [`BinOp::Max`].
+    fn smooth_min_max(&mut self, op: BinOp, a: ExprId, b: ExprId) -> ExprId {
         let half = self.constf(0.5);
         let one = self.constf(1.0);
         let s = self.add(a, b);
@@ -70,30 +62,23 @@ impl ExprPool {
         let d2 = self.mul(d, d);
         let rad = self.add(d2, one);
         let sq = self.sqrt(rad);
-        let inner = self.add(s, sq);
+        let inner = self.bin(if op == BinOp::Max { BinOp::Add } else { BinOp::Sub }, s, sq);
         self.mul(half, inner)
     }
 
-    fn smooth_min_expr(&mut self, a: ExprId, b: ExprId) -> ExprId {
-        let half = self.constf(0.5);
-        let one = self.constf(1.0);
-        let s = self.add(a, b);
-        let d = self.sub(a, b);
-        let d2 = self.mul(d, d);
-        let rad = self.add(d2, one);
-        let sq = self.sqrt(rad);
-        let inner = self.sub(s, sq);
-        self.mul(half, inner)
-    }
-
-    /// The signed margin `z` such that a comparison holds iff `z > 0`
-    /// (approximately, treating `<` and `<=` alike, which is exact after the
-    /// smoothing convolution). `Eq` is handled separately by the caller.
-    fn cmp_margin(&mut self, op: CmpOp, a: ExprId, b: ExprId) -> ExprId {
-        match op {
-            CmpOp::Gt | CmpOp::Ge => self.sub(a, b),
+    /// Smooth 0/1 weight of `a op b`: the equality indicator of `a − b` for
+    /// `Eq`, otherwise the smooth step of the signed margin that is positive
+    /// where the comparison holds (`<` and `<=` alike, which is exact after
+    /// the smoothing convolution).
+    fn smooth_cmp(&mut self, op: CmpOp, a: ExprId, b: ExprId) -> ExprId {
+        let z = match op {
             CmpOp::Lt | CmpOp::Le => self.sub(b, a),
-            CmpOp::Eq => unreachable!("Eq handled by caller"),
+            CmpOp::Gt | CmpOp::Ge | CmpOp::Eq => self.sub(a, b),
+        };
+        if op == CmpOp::Eq {
+            self.seq_indicator(z)
+        } else {
+            self.sstep(z)
         }
     }
 }
@@ -128,75 +113,44 @@ fn smooth_rec(
     }
     let out = match pool.node(id) {
         ENode::Const(_) | ENode::Var(_) => id,
-        ENode::Un(op, a) => {
+        ENode::Un(UnOp::Abs, a) => {
+            // smooth max(a, -a) = sqrt(a^2 + 1/4).
             let a = smooth_rec(pool, a, memo);
-            match op {
-                UnOp::Abs => {
-                    // smooth max(a, -a) = sqrt(a^2 + 1/4).
-                    let q = pool.constf(0.25);
-                    let a2 = pool.mul(a, a);
-                    let rad = pool.add(a2, q);
-                    pool.sqrt(rad)
-                }
-                UnOp::Neg => pool.neg(a),
-                UnOp::Log => pool.log(a),
-                UnOp::Exp => pool.exp(a),
-                UnOp::Sqrt => pool.sqrt(a),
-            }
+            let q = pool.constf(0.25);
+            let a2 = pool.mul(a, a);
+            let rad = pool.add(a2, q);
+            pool.sqrt(rad)
         }
-        ENode::Bin(op, a, b) => {
+        ENode::Bin(op @ (BinOp::Min | BinOp::Max), a, b) => {
             let a = smooth_rec(pool, a, memo);
             let b = smooth_rec(pool, b, memo);
-            match op {
-                BinOp::Min => pool.smooth_min_expr(a, b),
-                BinOp::Max => pool.smooth_max_expr(a, b),
-                BinOp::Add => pool.add(a, b),
-                BinOp::Sub => pool.sub(a, b),
-                BinOp::Mul => pool.mul(a, b),
-                BinOp::Div => pool.div(a, b),
-                BinOp::Pow => pool.pow(a, b),
-            }
+            pool.smooth_min_max(op, a, b)
         }
         ENode::Cmp(op, a, b) => {
             let a = smooth_rec(pool, a, memo);
             let b = smooth_rec(pool, b, memo);
-            if op == CmpOp::Eq {
-                let z = pool.sub(a, b);
-                pool.seq_indicator(z)
-            } else {
-                let z = pool.cmp_margin(op, a, b);
-                pool.sstep(z)
-            }
+            pool.smooth_cmp(op, a, b)
         }
         ENode::Select(c, t, e) => {
             let t = smooth_rec(pool, t, memo);
             let e = smooth_rec(pool, e, memo);
-            // Build the blend weight from the *raw* condition when it is a
-            // comparison (so the margin, not a 0/1 step of it, drives the
-            // smoothing); otherwise smooth the condition value around 1/2.
-            let w = match pool.node(c) {
-                ENode::Cmp(op, a, b) => {
-                    let a = smooth_rec(pool, a, memo);
-                    let b = smooth_rec(pool, b, memo);
-                    if op == CmpOp::Eq {
-                        let z = pool.sub(a, b);
-                        pool.seq_indicator(z)
-                    } else {
-                        let z = pool.cmp_margin(op, a, b);
-                        pool.sstep(z)
-                    }
-                }
-                _ => {
-                    let c = smooth_rec(pool, c, memo);
-                    let half = pool.constf(0.5);
-                    let z = pool.sub(c, half);
-                    pool.sstep(z)
-                }
-            };
+            // A comparison condition smooths to its blend weight, so the
+            // margin, not a 0/1 step of it, drives the blend; any other
+            // condition is a boolean value, smoothed around 1/2.
+            let mut w = smooth_rec(pool, c, memo);
+            if !matches!(pool.node(c), ENode::Cmp(..)) {
+                let half = pool.constf(0.5);
+                let z = pool.sub(w, half);
+                w = pool.sstep(z);
+            }
             // e + (t - e) * w
             let d = pool.sub(t, e);
             let dw = pool.mul(d, w);
             pool.add(e, dw)
+        }
+        node => {
+            let node = node.map(|c| smooth_rec(pool, c, memo));
+            pool.build(node)
         }
     };
     memo.insert(id, out);
@@ -204,23 +158,9 @@ fn smooth_rec(
 }
 
 /// True if the DAG reachable from `root` contains only differentiable
-/// primitives (no `min`/`max`/`abs`/`select`/comparison).
+/// primitives (no node that `ENode::is_smooth` refuses).
 pub fn is_smooth(pool: &ExprPool, root: ExprId) -> bool {
-    let mut seen = vec![false; pool.len()];
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if seen[id.index()] {
-            continue;
-        }
-        seen[id.index()] = true;
-        match pool.node(id) {
-            ENode::Cmp(..) | ENode::Select(..) => return false,
-            ENode::Un(UnOp::Abs, _) => return false,
-            ENode::Bin(BinOp::Min | BinOp::Max, ..) => return false,
-            n => stack.extend(n.children()),
-        }
-    }
-    true
+    pool.reachable(&[root]).into_iter().zip(pool.nodes()).all(|(r, n)| !r || n.is_smooth())
 }
 
 #[cfg(test)]
@@ -249,9 +189,14 @@ mod tests {
 
     #[test]
     fn smooth_max_min_bounds() {
+        let mut vars = VarTable::new();
+        let mut p = ExprPool::new();
+        let (x, y) = (p.var(vars.fresh("a")), p.var(vars.fresh("b")));
+        let (max, min) = (p.max(x, y), p.min(x, y));
+        let roots = smooth_all(&mut p, &[max, min]);
         for (a, b) in [(1.0, 3.0), (-2.0, 5.0), (4.0, 4.0), (10.0, -10.0)] {
-            let mx = smooth_max(a, b);
-            let mn = smooth_min(a, b);
+            let mx = p.eval(roots[0], &[a, b]);
+            let mn = p.eval(roots[1], &[a, b]);
             assert!(mx >= f64::max(a, b), "smooth max upper-bounds max");
             assert!(mn <= f64::min(a, b), "smooth min lower-bounds min");
             assert!((mx - f64::max(a, b)) <= 0.5 + 1e-12);

@@ -30,39 +30,9 @@ fn subst_rec(
     let out = match pool.node(id) {
         ENode::Const(_) => id,
         ENode::Var(v) => replace(v).unwrap_or(id),
-        ENode::Un(op, a) => {
-            let a = subst_rec(pool, a, replace, memo);
-            match op {
-                crate::UnOp::Neg => pool.neg(a),
-                crate::UnOp::Log => pool.log(a),
-                crate::UnOp::Exp => pool.exp(a),
-                crate::UnOp::Sqrt => pool.sqrt(a),
-                crate::UnOp::Abs => pool.abs(a),
-            }
-        }
-        ENode::Bin(op, a, b) => {
-            let a = subst_rec(pool, a, replace, memo);
-            let b = subst_rec(pool, b, replace, memo);
-            match op {
-                crate::BinOp::Add => pool.add(a, b),
-                crate::BinOp::Sub => pool.sub(a, b),
-                crate::BinOp::Mul => pool.mul(a, b),
-                crate::BinOp::Div => pool.div(a, b),
-                crate::BinOp::Pow => pool.pow(a, b),
-                crate::BinOp::Min => pool.min(a, b),
-                crate::BinOp::Max => pool.max(a, b),
-            }
-        }
-        ENode::Cmp(op, a, b) => {
-            let a = subst_rec(pool, a, replace, memo);
-            let b = subst_rec(pool, b, replace, memo);
-            pool.cmp(op, a, b)
-        }
-        ENode::Select(c, t, e) => {
-            let c = subst_rec(pool, c, replace, memo);
-            let t = subst_rec(pool, t, replace, memo);
-            let e = subst_rec(pool, e, replace, memo);
-            pool.select(c, t, e)
+        node => {
+            let node = node.map(|c| subst_rec(pool, c, replace, memo));
+            pool.build(node)
         }
     };
     memo.insert(id, out);

@@ -19,6 +19,13 @@
 //! out `[slot][lane]` so one pass sweeps every live seed of a sketch
 //! through the tape with unit-stride inner loops.
 //!
+//! An instruction is its pool node with tape slots for operands. The
+//! forward kernel takes each operator's value from the operator's `apply`,
+//! as folding and [`ExprPool::eval_all`] do, inside one monomorphic closure
+//! per opcode; the backward kernel holds the crate's only derivative rules,
+//! and refuses a nonzero adjoint to a node that `ENode::is_smooth` rejects
+//! unless subgradients are on.
+//!
 //! # Determinism contract
 //!
 //! Tape slots preserve the pool's topological construction order, lanes are
@@ -31,7 +38,7 @@
 //! `crates/expr/tests/reference/pool_grad.rs`) and independent of the
 //! batch width — batch 1 and batch 64 produce the same bits per lane.
 
-use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, UnOp, VarId};
+use crate::{BinOp, CmpOp, ENode, ExprId, ExprPool, UnOp};
 use std::fmt;
 
 /// Error returned when a non-differentiable operator receives a nonzero
@@ -73,65 +80,31 @@ fn lane_count<const W: usize>(batch: usize) -> usize {
     }
 }
 
-/// One tape instruction; operands are tape slot indices.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Instr {
-    /// A constant value.
-    Const(f64),
-    /// Read of a schedule variable (index into the caller's value vector).
-    Var(u32),
-    /// Unary application.
-    Un(UnOp, u32),
-    /// Binary application.
-    Bin(BinOp, u32, u32),
-    /// Comparison producing 0/1.
-    Cmp(CmpOp, u32, u32),
-    /// `select(cond, then, else)`.
-    Select(u32, u32, u32),
+/// Small dense opcode tag of a tape instruction (operation identity
+/// without operands): what both kernels dispatch on, and what groups the
+/// forward stream into same-opcode runs.
+fn opcode_tag(instr: &ENode) -> u8 {
+    match *instr {
+        ENode::Const(_) => T_CONST,
+        ENode::Var(_) => T_VAR,
+        ENode::Un(op, _) => 2 + op as u8,
+        ENode::Bin(op, _, _) => 8 + op as u8,
+        ENode::Cmp(..) => T_CMP,
+        ENode::Select(..) => T_SELECT,
+    }
 }
 
-impl Instr {
-    /// Small dense opcode tag (operation identity without operands): what
-    /// both kernels dispatch on, and what groups the forward stream into
-    /// same-opcode runs.
-    fn opcode_tag(&self) -> u8 {
-        match *self {
-            Instr::Const(_) => T_CONST,
-            Instr::Var(_) => T_VAR,
-            Instr::Un(op, _) => 2 + op as u8,
-            Instr::Bin(op, _, _) => 8 + op as u8,
-            Instr::Cmp(..) => T_CMP,
-            Instr::Select(..) => T_SELECT,
-        }
-    }
-
-    /// The instruction at `slot` as a packed `[out, a, b, c]` stream row:
-    /// operand slots in `a`/`b` (`Select`: cond/then/else in `a`/`b`/`c`),
-    /// the variable index in `a` for `Var`, the comparison op in `c` for
-    /// `Cmp`.
-    fn packed(&self, slot: u32) -> [u32; 4] {
-        match *self {
-            Instr::Const(_) => [slot, 0, 0, 0],
-            Instr::Var(v) => [slot, v, 0, 0],
-            Instr::Un(_, a) => [slot, a, 0, 0],
-            Instr::Bin(_, a, b) => [slot, a, b, 0],
-            Instr::Cmp(op, a, b) => [slot, a, b, op as u32],
-            Instr::Select(c, t, e) => [slot, c, t, e],
-        }
-    }
-
-    /// Reconstructs an [`ENode`] (with tape slots standing in for pool ids)
-    /// for error reporting.
-    fn as_enode(&self) -> ENode {
-        let e = |s: u32| ExprId(s);
-        match *self {
-            Instr::Const(c) => ENode::Const(c.to_bits()),
-            Instr::Var(v) => ENode::Var(VarId(v)),
-            Instr::Un(op, a) => ENode::Un(op, e(a)),
-            Instr::Bin(op, a, b) => ENode::Bin(op, e(a), e(b)),
-            Instr::Cmp(op, a, b) => ENode::Cmp(op, e(a), e(b)),
-            Instr::Select(c, t, el) => ENode::Select(e(c), e(t), e(el)),
-        }
+/// The instruction at `slot` as a packed `[out, a, b, c]` stream row:
+/// operand slots in `a`/`b` (`Select`: cond/then/else in `a`/`b`/`c`), the
+/// variable index in `a` for `Var`, the comparison op in `c` for `Cmp`.
+fn packed(instr: &ENode, slot: u32) -> [u32; 4] {
+    match *instr {
+        ENode::Const(_) => [slot, 0, 0, 0],
+        ENode::Var(v) => [slot, v.0, 0, 0],
+        ENode::Un(_, a) => [slot, a.0, 0, 0],
+        ENode::Bin(_, a, b) => [slot, a.0, b.0, 0],
+        ENode::Cmp(op, a, b) => [slot, a.0, b.0, op as u32],
+        ENode::Select(c, t, e) => [slot, c.0, t.0, e.0],
     }
 }
 
@@ -141,12 +114,14 @@ impl Instr {
 /// determinism contract the passes uphold.
 #[derive(Clone, Debug)]
 pub struct CompiledGradTape {
-    instrs: Vec<Instr>,
+    /// One instruction per live pool node, in pool order: the node with
+    /// tape slots standing in for its children's pool ids.
+    instrs: Vec<ENode>,
     roots: Vec<u32>,
     /// 1 + the highest variable index read by any `Var` instruction.
     min_var_values: usize,
     /// Forward schedule: compute instructions regrouped by (DAG level,
-    /// opcode), as [`Instr::packed`] rows. Per-slot values are independent
+    /// opcode), as [`packed`] rows. Per-slot values are independent
     /// of execution order (each slot is written once from already-final
     /// operands), so any topological order is bit-identical — grouping by
     /// opcode hoists the interpreter dispatch out of the per-instruction
@@ -166,11 +141,11 @@ pub struct CompiledGradTape {
     /// accumulations (`x * c` writes into `c`'s row), and the end-of-turn
     /// re-zero is what returns those rows to zero for the next sweep.
     bwd_tags: Vec<u8>,
-    /// [`Instr::packed`] rows for `bwd_tags`.
+    /// [`packed`] rows for `bwd_tags`.
     bwd_ops: Vec<[u32; 4]>,
 }
 
-// Dense opcode tags (see `Instr::opcode_tag`), named so the kernels can
+// Dense opcode tags (see `opcode_tag`), named so the kernels can
 // match on them as patterns.
 const T_CONST: u8 = 0;
 const T_VAR: u8 = 1;
@@ -188,16 +163,6 @@ const T_MIN: u8 = 8 + BinOp::Min as u8;
 const T_MAX: u8 = 8 + BinOp::Max as u8;
 const T_CMP: u8 = 16;
 const T_SELECT: u8 = 17;
-
-fn cmp_op_from_u32(v: u32) -> CmpOp {
-    match v {
-        0 => CmpOp::Lt,
-        1 => CmpOp::Le,
-        2 => CmpOp::Gt,
-        3 => CmpOp::Ge,
-        _ => CmpOp::Eq,
-    }
-}
 
 /// Row `slot` of a `[slot][lane]` buffer of `n`-lane rows.
 ///
@@ -319,37 +284,21 @@ impl CompiledGradTape {
     /// Compiles the sub-DAG reachable from `roots` out of `pool`: one
     /// instruction per reachable node, in pool order.
     pub fn compile(pool: &ExprPool, roots: &[ExprId]) -> Self {
-        // DCE: mark the nodes reachable from the roots.
-        let mut needed = vec![false; pool.len()];
-        let mut stack: Vec<ExprId> = roots.to_vec();
-        while let Some(id) = stack.pop() {
-            if needed[id.index()] {
-                continue;
-            }
-            needed[id.index()] = true;
-            stack.extend(pool.node(id).children());
-        }
+        // DCE: only the nodes the roots reach.
+        let needed = pool.reachable(roots);
         // Emit in pool (topological) order so children precede parents and
         // the tape's reverse order matches the pool's reverse sweep.
         let mut remap = vec![u32::MAX; pool.len()];
-        let mut instrs: Vec<Instr> = Vec::new();
+        let mut instrs: Vec<ENode> = Vec::new();
         let mut min_var_values = 0usize;
         for (idx, node) in pool.nodes().iter().enumerate() {
             if !needed[idx] {
                 continue;
             }
-            let r = |e: ExprId| remap[e.index()];
-            let instr = match *node {
-                ENode::Const(b) => Instr::Const(f64::from_bits(b)),
-                ENode::Var(v) => {
-                    min_var_values = min_var_values.max(v.index() + 1);
-                    Instr::Var(v.0)
-                }
-                ENode::Un(op, a) => Instr::Un(op, r(a)),
-                ENode::Bin(op, a, b) => Instr::Bin(op, r(a), r(b)),
-                ENode::Cmp(op, a, b) => Instr::Cmp(op, r(a), r(b)),
-                ENode::Select(c, t, e) => Instr::Select(r(c), r(t), r(e)),
-            };
+            if let ENode::Var(v) = node {
+                min_var_values = min_var_values.max(v.index() + 1);
+            }
+            let instr = node.map(|e| ExprId(remap[e.index()]));
             remap[idx] = instrs.len() as u32;
             instrs.push(instr);
         }
@@ -360,13 +309,9 @@ impl CompiledGradTape {
         // by construction (topological emission); the check makes the
         // unsafe blocks below locally auditable.
         for (i, instr) in instrs.iter().enumerate() {
-            let lt = |s: u32| (s as usize) < i;
             let ok = match *instr {
-                Instr::Const(_) => true,
-                Instr::Var(v) => (v as usize) < min_var_values,
-                Instr::Un(_, a) => lt(a),
-                Instr::Bin(_, a, b) | Instr::Cmp(_, a, b) => lt(a) && lt(b),
-                Instr::Select(c, t, e) => lt(c) && lt(t) && lt(e),
+                ENode::Var(v) => v.index() < min_var_values,
+                _ => instr.children().all(|s| s.index() < i),
             };
             assert!(ok, "tape slot invariant violated at instruction {i}");
         }
@@ -388,33 +333,22 @@ impl CompiledGradTape {
         let mut fwd_vars = Vec::new();
         let mut compute: Vec<u32> = Vec::new();
         for (i, instr) in instrs.iter().enumerate() {
-            let l = |s: u32| level[s as usize];
             match *instr {
-                Instr::Const(c) => fwd_consts.push((i as u32, c)),
-                Instr::Var(v) => fwd_vars.push((i as u32, v)),
-                Instr::Un(_, a) => {
-                    level[i] = l(a) + 1;
-                    compute.push(i as u32);
-                }
-                Instr::Bin(_, a, b) | Instr::Cmp(_, a, b) => {
-                    level[i] = l(a).max(l(b)) + 1;
-                    compute.push(i as u32);
-                }
-                Instr::Select(c, t, e) => {
-                    level[i] = l(c).max(l(t)).max(l(e)) + 1;
+                ENode::Const(c) => fwd_consts.push((i as u32, f64::from_bits(c))),
+                ENode::Var(v) => fwd_vars.push((i as u32, v.0)),
+                _ => {
+                    level[i] = instr.children().map(|s| level[s.index()]).max().unwrap_or(0) + 1;
                     compute.push(i as u32);
                 }
             }
         }
-        compute.sort_by_key(|&i| {
-            (level[i as usize], instrs[i as usize].opcode_tag(), i)
-        });
+        compute.sort_by_key(|&i| (level[i as usize], opcode_tag(&instrs[i as usize]), i));
         let mut fwd_ops: Vec<[u32; 4]> = Vec::with_capacity(compute.len());
         let mut fwd_runs: Vec<(u8, u32)> = Vec::new();
         for &i in &compute {
-            let instr = instrs[i as usize];
-            fwd_ops.push(instr.packed(i));
-            let tag = instr.opcode_tag();
+            let instr = &instrs[i as usize];
+            fwd_ops.push(packed(instr, i));
+            let tag = opcode_tag(instr);
             match fwd_runs.last_mut() {
                 Some((t, end)) if *t == tag => *end = fwd_ops.len() as u32,
                 _ => fwd_runs.push((tag, fwd_ops.len() as u32)),
@@ -429,13 +363,7 @@ impl CompiledGradTape {
         }
         for &i in &compute {
             let p = pos[i as usize];
-            let before = |s: u32| pos[s as usize] < p;
-            let ok = match instrs[i as usize] {
-                Instr::Un(_, a) => before(a),
-                Instr::Bin(_, a, b) | Instr::Cmp(_, a, b) => before(a) && before(b),
-                Instr::Select(c, t, e) => before(c) && before(t) && before(e),
-                Instr::Const(_) | Instr::Var(_) => false,
-            };
+            let ok = instrs[i as usize].children().all(|s| pos[s.index()] < p);
             assert!(ok, "forward schedule not topological at slot {i}");
         }
         // ---- Backward stream ----
@@ -444,7 +372,7 @@ impl CompiledGradTape {
             .iter()
             .enumerate()
             .rev()
-            .map(|(i, instr)| (instr.opcode_tag(), instr.packed(i as u32)))
+            .map(|(i, instr)| (opcode_tag(instr), packed(instr, i as u32)))
             .unzip();
         CompiledGradTape {
             instrs,
@@ -543,37 +471,39 @@ impl CompiledGradTape {
         for &(tag, end) in &self.fwd_runs {
             let ops = &self.fwd_ops[start..end as usize];
             start = end as usize;
+            // Each run applies one operator, a constant in its closure, so
+            // its value rule inlines into a monomorphic lane loop.
             macro_rules! un_run {
-                ($f:expr) => {
+                ($op:expr) => {
                     for &[o, a, _, _] in ops {
-                        map1(out(o), arg(a), $f);
+                        map1(out(o), arg(a), |x| $op.apply(x));
                     }
                 };
             }
             macro_rules! bin_run {
-                ($f:expr) => {
+                ($op:expr) => {
                     for &[o, a, b, _] in ops {
-                        map2(out(o), arg(a), arg(b), $f);
+                        map2(out(o), arg(a), arg(b), |x, y| $op.apply(x, y));
                     }
                 };
             }
             match tag {
-                T_NEG => un_run!(|x: f64| -x),
-                T_LOG => un_run!(f64::ln),
-                T_EXP => un_run!(f64::exp),
-                T_SQRT => un_run!(f64::sqrt),
-                T_ABS => un_run!(f64::abs),
-                T_ADD => bin_run!(|x: f64, y: f64| x + y),
-                T_SUB => bin_run!(|x: f64, y: f64| x - y),
-                T_MUL => bin_run!(|x: f64, y: f64| x * y),
-                T_DIV => bin_run!(|x: f64, y: f64| x / y),
-                T_POW => bin_run!(f64::powf),
-                T_MIN => bin_run!(f64::min),
-                T_MAX => bin_run!(f64::max),
+                T_NEG => un_run!(UnOp::Neg),
+                T_LOG => un_run!(UnOp::Log),
+                T_EXP => un_run!(UnOp::Exp),
+                T_SQRT => un_run!(UnOp::Sqrt),
+                T_ABS => un_run!(UnOp::Abs),
+                T_ADD => bin_run!(BinOp::Add),
+                T_SUB => bin_run!(BinOp::Sub),
+                T_MUL => bin_run!(BinOp::Mul),
+                T_DIV => bin_run!(BinOp::Div),
+                T_POW => bin_run!(BinOp::Pow),
+                T_MIN => bin_run!(BinOp::Min),
+                T_MAX => bin_run!(BinOp::Max),
                 T_CMP => {
                     for &[o, a, b, op] in ops {
-                        let op = cmp_op_from_u32(op);
-                        map2(out(o), arg(a), arg(b), |x, y| eval_cmp(op, x, y));
+                        let op = CmpOp::ALL[op as usize];
+                        map2(out(o), arg(a), arg(b), |x, y| op.apply(x, y));
                     }
                 }
                 T_SELECT => {
@@ -725,9 +655,8 @@ impl CompiledGradTape {
                 continue;
             }
             let dense = !any_zero;
-            let nonsmooth = matches!(tag, T_ABS | T_MIN | T_MAX | T_CMP | T_SELECT);
-            if nonsmooth && !subgradient {
-                return Err(GradError { node: self.instrs[i as usize].as_enode() });
+            if !subgradient && !self.instrs[i as usize].is_smooth() {
+                return Err(GradError { node: self.instrs[i as usize] });
             }
             match tag {
                 // No backward rule; the turn exists so the re-zero below
@@ -803,21 +732,6 @@ impl CompiledGradTape {
             acc(i).fill(0.0);
         }
         Ok(())
-    }
-}
-
-fn eval_cmp(op: CmpOp, a: f64, b: f64) -> f64 {
-    let r = match op {
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-        CmpOp::Eq => a == b,
-    };
-    if r {
-        1.0
-    } else {
-        0.0
     }
 }
 

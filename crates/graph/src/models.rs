@@ -13,21 +13,14 @@ fn ew(g: &mut Graph, kind: EwKind, shape: Vec<i64>, inputs: Vec<NodeId>) -> Node
     g.push(Op::Elementwise { kind, shape }, inputs)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `conv` (an `Op::Conv2d`), batch norm and an optional activation; returns
+/// the last node and the output height.
 fn conv_bn_act(
     g: &mut Graph,
     input: Option<NodeId>,
-    n: i64,
-    c: i64,
-    k: i64,
-    h: i64,
-    r: i64,
-    stride: i64,
-    pad: i64,
-    groups: i64,
+    conv: Op,
     act: Option<EwKind>,
 ) -> (NodeId, i64) {
-    let conv = Op::Conv2d { n, c, k, h, r, stride, pad, groups };
     let out_shape = conv.out_shape();
     let oh = out_shape[2];
     let id = g.push(conv, input.into_iter().collect());
@@ -44,7 +37,8 @@ pub fn resnet50(batch: i64) -> Graph {
     let mut g = Graph::new(format!("resnet50-b{batch}"));
     let n = batch;
     // Stem: 7x7/2 conv, BN, ReLU, 3x3/2 max-pool.
-    let (stem, h) = conv_bn_act(&mut g, None, n, 3, 64, 256, 7, 2, 3, 1, Some(EwKind::Relu));
+    let conv = Op::Conv2d { n, c: 3, k: 64, h: 256, r: 7, stride: 2, pad: 3, groups: 1 };
+    let (stem, h) = conv_bn_act(&mut g, None, conv, Some(EwKind::Relu));
     let pool = g.push(Op::MaxPool2d { n, c: 64, h, r: 3, stride: 2, pad: 1 }, vec![stem]);
     let mut h = (h + 2 - 3) / 2 + 1;
     let mut prev = pool;
@@ -55,12 +49,16 @@ pub fn resnet50(batch: i64) -> Graph {
         for b in 0..*blocks {
             let stride = if si > 0 && b == 0 { 2 } else { 1 };
             // Bottleneck: 1x1 -> 3x3(stride) -> 1x1, with projection shortcut.
-            let (c1, _) = conv_bn_act(&mut g, Some(prev), n, in_ch, *mid, h, 1, 1, 0, 1, Some(EwKind::Relu));
-            let (c2, oh) = conv_bn_act(&mut g, Some(c1), n, *mid, *mid, h, 3, stride, 1, 1, Some(EwKind::Relu));
-            let (c3, _) = conv_bn_act(&mut g, Some(c2), n, *mid, *out, oh, 1, 1, 0, 1, None);
+            let conv = Op::Conv2d { n, c: in_ch, k: *mid, h, r: 1, stride: 1, pad: 0, groups: 1 };
+            let (c1, _) = conv_bn_act(&mut g, Some(prev), conv, Some(EwKind::Relu));
+            let conv = Op::Conv2d { n, c: *mid, k: *mid, h, r: 3, stride, pad: 1, groups: 1 };
+            let (c2, oh) = conv_bn_act(&mut g, Some(c1), conv, Some(EwKind::Relu));
+            let conv =
+                Op::Conv2d { n, c: *mid, k: *out, h: oh, r: 1, stride: 1, pad: 0, groups: 1 };
+            let (c3, _) = conv_bn_act(&mut g, Some(c2), conv, None);
             let shortcut = if in_ch != *out || stride != 1 {
-                let (sc, _) =
-                    conv_bn_act(&mut g, Some(prev), n, in_ch, *out, h, 1, stride, 0, 1, None);
+                let conv = Op::Conv2d { n, c: in_ch, k: *out, h, r: 1, stride, pad: 0, groups: 1 };
+                let (sc, _) = conv_bn_act(&mut g, Some(prev), conv, None);
                 sc
             } else {
                 prev
@@ -81,8 +79,8 @@ pub fn resnet50(batch: i64) -> Graph {
 pub fn mobilenet_v2(batch: i64) -> Graph {
     let mut g = Graph::new(format!("mobilenet_v2-b{batch}"));
     let n = batch;
-    let (stem, mut h) =
-        conv_bn_act(&mut g, None, n, 3, 32, 224, 3, 2, 1, 1, Some(EwKind::Relu6));
+    let conv = Op::Conv2d { n, c: 3, k: 32, h: 224, r: 3, stride: 2, pad: 1, groups: 1 };
+    let (stem, mut h) = conv_bn_act(&mut g, None, conv, Some(EwKind::Relu6));
     let mut prev = stem;
     let mut in_ch = 32i64;
     // (expansion t, output channels c, repeats n, first stride s)
@@ -102,16 +100,18 @@ pub fn mobilenet_v2(batch: i64) -> Graph {
             let mut x = prev;
             let mut hh = h;
             if t != 1 {
-                let (e, oh) =
-                    conv_bn_act(&mut g, Some(prev), n, in_ch, exp_ch, h, 1, 1, 0, 1, Some(EwKind::Relu6));
+                let conv =
+                    Op::Conv2d { n, c: in_ch, k: exp_ch, h, r: 1, stride: 1, pad: 0, groups: 1 };
+                let (e, oh) = conv_bn_act(&mut g, Some(prev), conv, Some(EwKind::Relu6));
                 x = e;
                 hh = oh;
             }
-            let (dw, oh) = conv_bn_act(
-                &mut g, Some(x), n, exp_ch, exp_ch, hh, 3, stride, 1, exp_ch, Some(EwKind::Relu6),
-            );
-            let (proj, oh2) =
-                conv_bn_act(&mut g, Some(dw), n, exp_ch, c_out, oh, 1, 1, 0, 1, None);
+            let conv =
+                Op::Conv2d { n, c: exp_ch, k: exp_ch, h: hh, r: 3, stride, pad: 1, groups: exp_ch };
+            let (dw, oh) = conv_bn_act(&mut g, Some(x), conv, Some(EwKind::Relu6));
+            let conv =
+                Op::Conv2d { n, c: exp_ch, k: c_out, h: oh, r: 1, stride: 1, pad: 0, groups: 1 };
+            let (proj, oh2) = conv_bn_act(&mut g, Some(dw), conv, None);
             prev = if stride == 1 && in_ch == c_out {
                 ew(&mut g, EwKind::Add, vec![n, c_out, oh2, oh2], vec![proj, prev])
             } else {
@@ -121,8 +121,8 @@ pub fn mobilenet_v2(batch: i64) -> Graph {
             in_ch = c_out;
         }
     }
-    let (head, h) =
-        conv_bn_act(&mut g, Some(prev), n, 320, 1280, h, 1, 1, 0, 1, Some(EwKind::Relu6));
+    let conv = Op::Conv2d { n, c: 320, k: 1280, h, r: 1, stride: 1, pad: 0, groups: 1 };
+    let (head, h) = conv_bn_act(&mut g, Some(prev), conv, Some(EwKind::Relu6));
     let gap = g.push(Op::GlobalAvgPool { n, c: 1280, h }, vec![head]);
     let fc = g.push(Op::Dense { m: n, k: 1280, n: 1000 }, vec![gap]);
     ew(&mut g, EwKind::BiasAdd, vec![n, 1000], vec![fc]);
@@ -200,43 +200,58 @@ pub fn dcgan(batch: i64) -> Graph {
     g
 }
 
-/// One transformer encoder/decoder block shared by ViT and LLaMA.
-#[allow(clippy::too_many_arguments)]
-fn transformer_block(
-    g: &mut Graph,
-    prev: NodeId,
+/// Which network a transformer block belongs to: ViT's MLP is one GELU
+/// layer, LLaMA's a SiLU-gated pair of projections.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum BlockKind {
+    Vit,
+    Llama,
+}
+
+/// The shape of a network's transformer blocks: `batch` sequences of `seq`
+/// tokens, `hidden` wide, over `heads` attention heads and an `ffn`-wide
+/// MLP.
+struct Transformer {
+    kind: BlockKind,
+    batch: i64,
     seq: i64,
     hidden: i64,
     heads: i64,
     ffn: i64,
-    batch: i64,
-    gated_mlp: bool,
-    act: EwKind,
-) -> NodeId {
-    let m = batch * seq;
-    let head_dim = hidden / heads;
-    let b = batch * heads;
-    let ln1 = g.push(Op::LayerNorm { rows: m, cols: hidden }, vec![prev]);
-    let qkv = g.push(Op::Dense { m, k: hidden, n: 3 * hidden }, vec![ln1]);
-    let scores = g.push(Op::BatchMatmul { b, m: seq, k: head_dim, n: seq }, vec![qkv]);
-    let sm = g.push(Op::Softmax { rows: b * seq, cols: seq }, vec![scores]);
-    let ctx = g.push(Op::BatchMatmul { b, m: seq, k: seq, n: head_dim }, vec![sm, qkv]);
-    let proj = g.push(Op::Dense { m, k: hidden, n: hidden }, vec![ctx]);
-    let add1 = ew(g, EwKind::Add, vec![m, hidden], vec![proj, prev]);
-    let ln2 = g.push(Op::LayerNorm { rows: m, cols: hidden }, vec![add1]);
-    let mlp_out = if gated_mlp {
-        // LLaMA: gate & up projections, SiLU gate, elementwise product, down.
-        let gate = g.push(Op::Dense { m, k: hidden, n: ffn }, vec![ln2]);
-        let up = g.push(Op::Dense { m, k: hidden, n: ffn }, vec![ln2]);
-        let silu = ew(g, act, vec![m, ffn], vec![gate]);
-        let prod = ew(g, EwKind::Mul, vec![m, ffn], vec![silu, up]);
-        g.push(Op::Dense { m, k: ffn, n: hidden }, vec![prod])
-    } else {
-        let fc1 = g.push(Op::Dense { m, k: hidden, n: ffn }, vec![ln2]);
-        let a = ew(g, act, vec![m, ffn], vec![fc1]);
-        g.push(Op::Dense { m, k: ffn, n: hidden }, vec![a])
-    };
-    ew(g, EwKind::Add, vec![m, hidden], vec![mlp_out, add1])
+}
+
+impl Transformer {
+    /// One encoder/decoder block after `prev`.
+    fn block(&self, g: &mut Graph, prev: NodeId) -> NodeId {
+        let Transformer { kind, batch, seq, hidden, heads, ffn } = *self;
+        let m = batch * seq;
+        let head_dim = hidden / heads;
+        let b = batch * heads;
+        let ln1 = g.push(Op::LayerNorm { rows: m, cols: hidden }, vec![prev]);
+        let qkv = g.push(Op::Dense { m, k: hidden, n: 3 * hidden }, vec![ln1]);
+        let scores = g.push(Op::BatchMatmul { b, m: seq, k: head_dim, n: seq }, vec![qkv]);
+        let sm = g.push(Op::Softmax { rows: b * seq, cols: seq }, vec![scores]);
+        let ctx = g.push(Op::BatchMatmul { b, m: seq, k: seq, n: head_dim }, vec![sm, qkv]);
+        let proj = g.push(Op::Dense { m, k: hidden, n: hidden }, vec![ctx]);
+        let add1 = ew(g, EwKind::Add, vec![m, hidden], vec![proj, prev]);
+        let ln2 = g.push(Op::LayerNorm { rows: m, cols: hidden }, vec![add1]);
+        let mlp_out = match kind {
+            BlockKind::Llama => {
+                // Gate & up projections, SiLU gate, elementwise product, down.
+                let gate = g.push(Op::Dense { m, k: hidden, n: ffn }, vec![ln2]);
+                let up = g.push(Op::Dense { m, k: hidden, n: ffn }, vec![ln2]);
+                let silu = ew(g, EwKind::Silu, vec![m, ffn], vec![gate]);
+                let prod = ew(g, EwKind::Mul, vec![m, ffn], vec![silu, up]);
+                g.push(Op::Dense { m, k: ffn, n: hidden }, vec![prod])
+            }
+            BlockKind::Vit => {
+                let fc1 = g.push(Op::Dense { m, k: hidden, n: ffn }, vec![ln2]);
+                let a = ew(g, EwKind::Gelu, vec![m, ffn], vec![fc1]);
+                g.push(Op::Dense { m, k: ffn, n: hidden }, vec![a])
+            }
+        };
+        ew(g, EwKind::Add, vec![m, hidden], vec![mlp_out, add1])
+    }
 }
 
 /// ViT-B/32 for ImageNet at 224×224 input (49 patches + class token ≈ 50).
@@ -249,9 +264,10 @@ pub fn vit_b32(batch: i64) -> Graph {
         Op::Conv2d { n, c: 3, k: hidden, h: 224, r: 32, stride: 32, pad: 0, groups: 1 },
         vec![],
     );
+    let blocks = Transformer { kind: BlockKind::Vit, batch: n, seq, hidden, heads, ffn };
     let mut prev = patch;
     for _ in 0..layers {
-        prev = transformer_block(&mut g, prev, seq, hidden, heads, ffn, n, false, EwKind::Gelu);
+        prev = blocks.block(&mut g, prev);
     }
     let ln = g.push(Op::LayerNorm { rows: n * seq, cols: hidden }, vec![prev]);
     let fc = g.push(Op::Dense { m: n, k: hidden, n: 1000 }, vec![ln]);
@@ -276,9 +292,10 @@ pub fn llama_with_config(
     let mut g = Graph::new(format!("llama-b{batch}"));
     // Token embedding lookup is memory-bound gather; modelled element-wise.
     let embed = ew(&mut g, EwKind::Add, vec![batch * seq, hidden], vec![]);
+    let blocks = Transformer { kind: BlockKind::Llama, batch, seq, hidden, heads, ffn };
     let mut prev = embed;
     for _ in 0..layers {
-        prev = transformer_block(&mut g, prev, seq, hidden, heads, ffn, batch, true, EwKind::Silu);
+        prev = blocks.block(&mut g, prev);
     }
     let ln = g.push(Op::LayerNorm { rows: batch * seq, cols: hidden }, vec![prev]);
     let _lm_head = g.push(Op::Dense { m: batch * seq, k: hidden, n: 32000 }, vec![ln]);
