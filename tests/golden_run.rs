@@ -14,14 +14,20 @@
 //! model's is `felix_cost::COST_MATH_VERSION`).
 //! `scripts/same_program.sh` stays the wide check over ledger quantities
 //! and figure CSVs.
+//!
+//! A seventh part pins a degraded run of the same two tasks: chaos
+//! measurement faults quarantine at least one sketch, and an injected
+//! descent panic sends sketch 0 down to the evolutionary fallback, so the
+//! descent's routing of quarantined, degraded and gradient sketches is
+//! held to one constant too.
 
-use felix_repro::ansor::SearchTask;
+use felix_repro::ansor::{SearchTask, SketchMode};
 use felix_repro::felix::{
     pretrained_cost_model, FelixOptions, ModelQuality, Optimizer, ScheduleCache,
 };
 use felix_repro::graph::{Op, Subgraph, Task};
 use felix_repro::records::{fnv1a, read_log, LogLine, Record, FNV_OFFSET};
-use felix_repro::sim::{DeviceConfig, Simulator};
+use felix_repro::sim::{DeviceConfig, FaultPlan, Simulator};
 use rand::rngs::StdRng;
 use felix_repro::tir::sketch::SchedVarKind;
 use rand::SeedableRng;
@@ -38,9 +44,20 @@ const PINNED: [(&str, u64); 6] = [
     ("schedule_store", 0x408b_139e_29b7_2ab6),
 ];
 
+/// The pinned hash of the degraded run's measured candidates, clock and
+/// health lines, at every thread count.
+const PINNED_DEGRADED: u64 = 0xa95f_e0f3_e1e2_4a24;
+
 const ROUNDS: usize = 3;
 const RESUME_AFTER: usize = 2;
 const MEASUREMENTS: usize = 4;
+const DEGRADED_MEASUREMENTS: usize = 16;
+const DEGRADED_FAULT_SEED: u64 = 0x6011_de17;
+/// Twice the nominal ceiling, so persistent faults (build errors and a
+/// quarter of the run-time ones) fail most candidates outright and the
+/// dense task quarantines a sketch in its first round, which its second
+/// round then routes around.
+const DEGRADED_FAULT_RATE: f64 = 2.0;
 
 fn dense() -> Op {
     Op::Dense { m: 64, k: 256, n: 256 }
@@ -104,16 +121,7 @@ fn golden_run(dir: &Path, threads: usize) -> [u64; 6] {
     opt.optimize_all(ROUNDS - RESUME_AFTER, MEASUREMENTS);
     assert_eq!(opt.rounds_done(), ROUNDS);
 
-    let mut candidates = FNV_OFFSET;
-    for line in read_log(&log).expect("read log") {
-        if let LogLine::Record(Record::Measurement(r)) = line {
-            candidates = fnv1a(candidates, &r.task_key.to_le_bytes());
-            candidates = fnv1a(candidates, &(r.sketch as u64).to_le_bytes());
-            for v in &r.values {
-                candidates = fnv1a(candidates, &v.to_bits().to_le_bytes());
-            }
-        }
-    }
+    let candidates = measured_candidates(&log);
     let mut latency = FNV_OFFSET;
     for task in opt.tasks() {
         latency = fnv1a(latency, &task.best_latency_ms.to_bits().to_le_bytes());
@@ -129,6 +137,60 @@ fn golden_run(dir: &Path, threads: usize) -> [u64; 6] {
         fnv1a(FNV_OFFSET, &model),
         file(&store),
     ]
+}
+
+/// The hash of every measurement line's task, sketch and values in `log`.
+fn measured_candidates(log: &Path) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for line in read_log(log).expect("read log") {
+        if let LogLine::Record(Record::Measurement(r)) = line {
+            hash = fnv1a(hash, &r.task_key.to_le_bytes());
+            hash = fnv1a(hash, &(r.sketch as u64).to_le_bytes());
+            for v in &r.values {
+                hash = fnv1a(hash, &v.to_bits().to_le_bytes());
+            }
+        }
+    }
+    hash
+}
+
+/// The degraded run at `threads` tuner threads, in `dir`: chaos faults at
+/// [`DEGRADED_FAULT_RATE`] and a panic injected into sketch 0's descent.
+/// Asserts that some sketch ends the run quarantined and that sketch 0
+/// fell to the evolutionary fallback, then hashes the measured candidates,
+/// the clock and the log's health lines into one value.
+fn degraded_run(dir: &Path, threads: usize) -> u64 {
+    let device = DeviceConfig::a5000();
+    let log = dir.join("degraded.jsonl");
+    let options = FelixOptions {
+        fault_plan: FaultPlan::chaos(DEGRADED_FAULT_SEED, DEGRADED_FAULT_RATE),
+        inject_panic_sketch: Some(0),
+        ..options(threads)
+    };
+    let model = pretrained_cost_model(&device, ModelQuality::Fast);
+    let mut opt = Optimizer::with_options(tasks(), model, device, options)
+        .with_record_log(&log)
+        .expect("attach log");
+    opt.optimize_all(ROUNDS, DEGRADED_MEASUREMENTS);
+    let quarantined = opt
+        .tasks()
+        .iter()
+        .map(|t| (0..t.sketches.len()).filter(|&s| t.is_quarantined(s)).count())
+        .sum::<usize>();
+    assert!(quarantined > 0, "the chaos run quarantined no sketch");
+    assert!(
+        opt.tasks().iter().any(|t| t.sketch_modes()[0] == SketchMode::Evolutionary),
+        "the injected panic degraded no sketch 0"
+    );
+    let mut health = FNV_OFFSET;
+    for line in read_log(&log).expect("read log") {
+        if let LogLine::Record(Record::Health(h)) = line {
+            health = fnv1a(health, format!("{h:?}").as_bytes());
+        }
+    }
+    let mut hash = fnv1a(FNV_OFFSET, &measured_candidates(&log).to_le_bytes());
+    hash = fnv1a(hash, &opt.tuning_time_s().to_bits().to_le_bytes());
+    fnv1a(hash, &health.to_le_bytes())
 }
 
 /// A fresh scratch directory, removed by the caller once the run passes.
@@ -152,6 +214,11 @@ fn golden_run_matches_its_pinned_hashes() {
             .map(|(g, (part, p))| format!("{part}: {g:#018x} (pinned {p:#018x})"))
             .collect();
         assert!(moved.is_empty(), "at {threads} threads these parts moved:\n{}", moved.join("\n"));
+        let degraded = degraded_run(&dir, threads);
+        assert_eq!(
+            degraded, PINNED_DEGRADED,
+            "at {threads} threads the degraded run moved: {degraded:#018x} (pinned {PINNED_DEGRADED:#018x})"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
