@@ -488,10 +488,6 @@ pub struct TunerStats {
     /// Total compiled-tape instructions across this round's sketch
     /// objectives (what the fused forward+reverse passes actually touch).
     pub tape_nodes: usize,
-    /// Seconds spent compiling the gradient tapes behind this round's
-    /// objectives (paid once at objective build time; later rounds report
-    /// the same amortized figure for cached objectives).
-    pub tape_compile_s: f64,
     /// Candidates lost to measurement faults this round (after retries).
     pub measure_failures: usize,
     /// Measurement retry attempts spent this round.

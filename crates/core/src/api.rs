@@ -3,7 +3,7 @@
 use crate::cache::{CacheOutcome, ScheduleCache};
 use crate::gd::{FelixOptions, GradientProposer};
 use crate::persist::{self, AttachedState, CheckpointState, RecordLogSink};
-use crate::spaces::SPACES;
+use crate::spaces::{Memo, SPACES};
 use felix_ansor::{
     fine_tune_on_new_samples, select_next_task, tune_network_with_sink, CurvePoint,
     MeasurementSink, NetworkTuneResult, Proposer, SearchTask, TuneOptions, TunerStats,
@@ -18,7 +18,7 @@ use felix_tir::sketch::{generator_hash, generator_is_current};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// How thoroughly to pretrain the cost model. Pinned by the frozen ledger:
 /// `benchmark/` names `ModelQuality::Fast`, the one setting, until ROADMAP
@@ -59,32 +59,22 @@ impl PretrainedBase {
     }
 }
 
-/// The memo behind [`pretrained_cost_model`]: one cell per device, whose
-/// model is pretrained, and whose hash computed, at most once per process.
-/// A caller that finds its device's cell being
-/// built waits for it instead of pretraining again, while other devices'
-/// cells build in parallel.
-fn pretrained_base(device: &DeviceConfig) -> &'static PretrainedBase {
-    type Cell = &'static OnceLock<PretrainedBase>;
-    static MEMO: Mutex<Vec<(&'static str, Cell)>> = Mutex::new(Vec::new());
-    let cell = {
-        let mut memo = MEMO.lock().expect("model memo");
-        match memo.iter().find(|(name, _)| *name == device.name) {
-            Some(&(_, cell)) => cell,
-            None => {
-                // One cell per device name: the leak is bounded by the
-                // devices a process targets.
-                let cell: Cell = Box::leak(Box::default());
-                memo.push((device.name, cell));
-                cell
-            }
-        }
-    };
-    cell.get_or_init(|| {
+/// The memo behind [`pretrained_cost_model`]: one cell per device name,
+/// whose model is pretrained, and whose hash computed, at most once per
+/// process. A caller that finds its device's cell being built waits for it
+/// instead of pretraining again, while other devices' cells build in
+/// parallel. Its capacity is unbounded, so it never evicts a base: it holds
+/// one per device a process targets.
+static BASES: Memo<&'static str, OnceLock<Arc<PretrainedBase>>> = Memo::new(usize::MAX);
+
+/// `device`'s pretrained base, from [`BASES`].
+fn pretrained_base(device: &DeviceConfig) -> Arc<PretrainedBase> {
+    let cell = BASES.cell(&device.name);
+    Arc::clone(cell.get_or_init(|| {
         // 6 workloads x 12 schedules, 10 epochs: seconds, not minutes.
         let (model, _) = pretrain_for_device(device, 6, 12, 10);
-        PretrainedBase { model, hash: OnceLock::new() }
-    })
+        Arc::new(PretrainedBase { model, hash: OnceLock::new() })
+    }))
 }
 
 /// FNV-1a over the model's saved bytes.
@@ -707,11 +697,11 @@ mod tests {
     #[test]
     fn concurrent_callers_share_one_pretrained_base() {
         let device = DeviceConfig::a5000();
-        let bases: Vec<&'static PretrainedBase> = std::thread::scope(|s| {
+        let bases: Vec<Arc<PretrainedBase>> = std::thread::scope(|s| {
             let calls: Vec<_> = (0..4).map(|_| s.spawn(|| pretrained_base(&device))).collect();
             calls.into_iter().map(|c| c.join().expect("memo call")).collect()
         });
-        assert!(bases.iter().all(|b| std::ptr::eq(*b, bases[0])), "one memo entry per device");
+        assert!(bases.iter().all(|b| Arc::ptr_eq(b, &bases[0])), "one memo entry per device");
         let model = pretrained_cost_model(&device, ModelQuality::Fast);
         assert_eq!(bases[0].hash(), model_hash(&model));
     }

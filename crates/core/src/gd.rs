@@ -266,7 +266,8 @@ fn restart_seed(
 }
 
 /// Runs the full Adam descent of one work item, whose seeds start at
-/// `starts[g].1` for each global index `g` in `item.seeds`. Per step the
+/// `starts[g].1` for each global index `g` in `item.seeds`, under the
+/// gradient clip of its sketch's mode in `task`. Per step the
 /// item runs ONE batched forward tape sweep over its lanes, ONE
 /// matrix-shaped MLP call, ONE batched reverse sweep, then the per-seed
 /// Adam updates, and rounds every lane's new point through the sketch's
@@ -281,20 +282,18 @@ fn restart_seed(
 /// the trace keeps its shape — while every other item descends untouched.
 /// Restart substreams are keyed by global seed index, so they do not
 /// depend on how the seeds were cut into items.
-#[allow(clippy::too_many_arguments)]
 fn descend_item(
     objectives: &[SketchObjective],
     task: &SearchTask,
     model: &PackedMlp,
     opts: &FelixOptions,
-    modes: &[SketchMode],
     salt: u64,
     starts: &[(usize, Vec<f64>)],
     item: &Item,
 ) -> ItemOut {
     let sketch = item.sketch;
     let (obj, st) = (&objectives[sketch], &task.sketches[sketch]);
-    let clip = if modes[sketch] == SketchMode::ClippedGradient {
+    let clip = if task.sketch_modes()[sketch] == SketchMode::ClippedGradient {
         CLIPPED_GRAD_CLIP
     } else {
         GRAD_CLIP
@@ -449,7 +448,6 @@ impl Proposer for GradientProposer {
         for o in objectives.iter() {
             stats.pool_nodes += o.program.pool.len();
             stats.tape_nodes += o.tape.len();
-            stats.tape_compile_s += o.tape_compile_s;
         }
         let objectives = &objectives[..];
         // One packed (transposed-weights) view of the model serves every
@@ -465,11 +463,9 @@ impl Proposer for GradientProposer {
         // to the evolutionary fallback outright — descending them would only
         // burn the restart budget.
         let modes = task.sketch_modes();
-        let pathological: Vec<usize> = (0..objectives.len())
-            .filter(|&i| {
-                objectives[i].pathological
-                    && modes[i].uses_gradient()
-                    && !task.is_quarantined(i)
+        let pathological: Vec<bool> = (0..objectives.len())
+            .map(|i| {
+                objectives[i].pathological && modes[i].uses_gradient() && !task.is_quarantined(i)
             })
             .collect();
 
@@ -485,17 +481,10 @@ impl Proposer for GradientProposer {
         // skipped by warm starts and exploration slots. With nothing
         // quarantined or degraded the gradient-eligible list is the identity
         // permutation.
-        let active = task.active_sketches();
-        let gd_active: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|&s| modes[s].uses_gradient() && !pathological.contains(&s))
-            .collect();
-        let evo_active: Vec<usize> = active
-            .iter()
-            .copied()
-            .filter(|s| !gd_active.contains(s))
-            .collect();
+        let (gd_active, evo_active): (Vec<usize>, Vec<usize>) = task
+            .active_sketches()
+            .into_iter()
+            .partition(|&s| modes[s].uses_gradient() && !pathological[s]);
         let mut elites: Vec<&(usize, Vec<f64>, f64)> = task
             .measured
             .iter()
@@ -569,7 +558,7 @@ impl Proposer for GradientProposer {
         }
         let descent_start = std::time::Instant::now();
         let mut outs = parallel_map(items.len(), threads, |i| {
-            descend_item(objectives, task, &packed, &opts, modes, salt, &starts, &items[i])
+            descend_item(objectives, task, &packed, &opts, salt, &starts, &items[i])
         });
         let descent_s = descent_start.elapsed().as_secs_f64();
         stats.grad_steps = n_live * opts.n_steps;

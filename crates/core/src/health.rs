@@ -176,19 +176,19 @@ pub fn next_mode(mode: SketchMode, seen: Option<&SketchHealth>, pathological: bo
 /// The round's report: the summed item `counters` plus one caught panic per
 /// poisoned sketch, and, per sketch, the [`next_mode`] after `modes` (this
 /// round's), from `sketches` (indexed like `modes`; a sketch no seed
-/// descended has no lanes) and which sketches are `pathological`.
+/// descended has no lanes) and the `pathological` flag of each.
 pub fn round_report(
     counters: HealthReport,
     sketches: &[SketchHealth],
     modes: &[SketchMode],
-    pathological: &[usize],
+    pathological: &[bool],
 ) -> HealthReport {
     let modes = modes
         .iter()
         .zip(sketches)
-        .enumerate()
-        .map(|(i, (&mode, s))| {
-            next_mode(mode, Some(s).filter(|s| s.lanes > 0), pathological.contains(&i))
+        .zip(pathological)
+        .map(|((&mode, s), &pathological)| {
+            next_mode(mode, Some(s).filter(|s| s.lanes > 0), pathological)
         })
         .collect();
     let panics_caught = sketches.iter().filter(|s| s.poisoned).count();
@@ -304,7 +304,7 @@ mod tests {
             SketchMode::Gradient,
             SketchMode::ClippedGradient,
         ];
-        let report = round_report(counters, &sketches, &modes, &[1]);
+        let report = round_report(counters, &sketches, &modes, &[false, true, false, false]);
         assert_eq!(report.seed_restarts, 4);
         assert_eq!(report.panics_caught, 1, "one panic per poisoned sketch");
         assert_eq!(

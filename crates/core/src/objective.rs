@@ -5,8 +5,9 @@
 //!
 //! 1. log-transform every feature formula (`ln(1+f)`),
 //! 2. rewrite non-differentiable operators into smooth ones (Fig. 4),
-//! 3. substitute `x = e^y` for every schedule variable (the pool's smart
-//!    constructors cancel any directly nested `log∘exp` as it is built),
+//! 3. substitute `x = e^y` for every schedule variable (no `log` lands
+//!    directly on such an `exp`, and nothing would cancel one: the tape
+//!    oracle test checks that no `log∘exp` pair is reachable),
 //! 4. keep the validity constraints as penalty expressions `g(y)`,
 //! 5. compile the feature and penalty sub-DAG the roots reach into one
 //!    gradient tape.
@@ -79,8 +80,6 @@ pub struct SketchObjective {
     /// Compiled forward+reverse tape over the live feature and penalty
     /// sub-DAG (the hot path of every Adam step).
     pub tape: CompiledGradTape,
-    /// Seconds spent compiling the tape.
-    pub tape_compile_s: f64,
     /// Pipeline stages this objective was built with.
     pub pipeline: PipelineOptions,
     /// True when the compiled tape is non-finite at the build-time probe
@@ -161,9 +160,7 @@ impl SketchObjective {
         let penalty_roots = substituted[n_feats..].to_vec();
         let y_vars: Vec<VarId> = xs.iter().map(|x| x_to_y[x]).collect();
         // 5. compile the live sub-DAG.
-        let compile_start = std::time::Instant::now();
         let tape = CompiledGradTape::compile(&program.pool, &substituted);
-        let tape_compile_s = compile_start.elapsed().as_secs_f64();
         let mut obj = SketchObjective {
             program,
             log_feat_roots,
@@ -171,7 +168,6 @@ impl SketchObjective {
             y_to_x: xs,
             y_vars,
             tape,
-            tape_compile_s,
             pipeline,
             pathological: false,
         };
@@ -401,7 +397,6 @@ impl SketchObjective {
         self.tape
             .backward_batch(
                 &scratch.seeds,
-                scratch.batch,
                 &scratch.vals,
                 self.program.vars.len(),
                 &mut scratch.adj,
@@ -484,6 +479,16 @@ mod tests {
         let fs = extract_features(&mut program);
         let obj = SketchObjective::build(&program, &fs.exprs);
         (obj, program)
+    }
+
+    #[test]
+    fn an_objective_is_a_pure_function_of_its_sketch() {
+        // The process memo shares one build of each objective with every
+        // later caller, so two builds must agree in every field, timings
+        // included.
+        let (first, _) = build_dense_objective();
+        let (second, _) = build_dense_objective();
+        assert_eq!(format!("{second:?}"), format!("{first:?}"));
     }
 
     #[test]

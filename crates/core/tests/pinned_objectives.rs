@@ -11,11 +11,11 @@
 //! smoothing or substitution that moves any node, or any result bit, fails
 //! here.
 //!
-//! Some constructor rules never fire on the corpus (no feature takes a
-//! logarithm or an exponential, so `exp(log x) → x` has nothing to cancel),
-//! so a second pin runs every constructor over a grid of operands (variables,
-//! the folding constants, `log x`, `exp x`), then smooths and substitutes
-//! the result and hashes the pool and its values the same way.
+//! The corpus does not reach every constructor rule (no feature takes a
+//! logarithm or an exponential), so a second pin runs every constructor
+//! over a grid of operands (variables, the folding constants, `log x`,
+//! `exp x`), then smooths and substitutes the result and hashes the pool
+//! and its values the same way.
 
 use felix::objective::{PipelineOptions, SketchObjective};
 use felix_cost::Mlp;
@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const PINNED: u64 = 0x7bfc_1dd2_f7be_7ff6;
-const PINNED_GRID: u64 = 0x3167_4214_e7fb_5308;
+const PINNED_GRID: u64 = 0x862f_6048_c0fd_06f8;
 
 const PIPELINES: [PipelineOptions; 4] = [
     PipelineOptions { smoothing: true, exp_substitution: true },

@@ -131,14 +131,13 @@ fn injected_panic_poisons_only_that_sketch() {
     }
 }
 
-/// Every `TunerStats` counter of a run, with the timing fields (and the
+/// Every `TunerStats` counter of a run, with the descent rate (and the
 /// thread count itself) zeroed. The objective memo is the process's, so
 /// whether a lookup hit depends on what ran before in the process: only
 /// the number of lookups is the run's own.
 fn counters(opt: &Optimizer) -> Vec<TunerStats> {
     let untimed = |s: &TunerStats| TunerStats {
         steps_per_sec: 0.0,
-        tape_compile_s: 0.0,
         threads: 0,
         cache_hits: s.cache_hits + s.cache_misses,
         cache_misses: 0,

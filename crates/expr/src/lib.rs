@@ -390,8 +390,8 @@ impl ENode {
 /// Nodes are created through smart constructors ([`ExprPool::un`],
 /// [`ExprPool::bin`], [`ExprPool::cmp`], [`ExprPool::select`] and the named
 /// one-line forms [`ExprPool::add`], [`ExprPool::mul`], ...) which fold
-/// constants (`2+3 → 5`) and algebraic identities (`x*1 → x`, `x+0 → x`,
-/// `log(exp x) → x`, ...). Node order is topological by construction:
+/// constants (`2+3 → 5`, `exp 0 → 1`) and algebraic identities
+/// (`x*1 → x`, `x+0 → x`, `x-x → 0`, ...). Node order is topological by construction:
 /// children always precede parents, which makes single-pass evaluation and
 /// reverse-mode AD straightforward.
 #[derive(Clone, Debug, Default)]
@@ -460,15 +460,11 @@ impl ExprPool {
         self.intern(ENode::Var(v))
     }
 
-    /// `op(a)`, folded: a constant operand folds to its value, and
-    /// `log(exp x)` and `exp(log x)` cancel to `x`.
+    /// `op(a)`, folded: a constant operand folds to its value.
     pub fn un(&mut self, op: UnOp, a: ExprId) -> ExprId {
-        if let Some(x) = self.as_const(a) {
-            return self.constf(op.apply(x));
-        }
-        match (op, self.node(a)) {
-            (UnOp::Log, ENode::Un(UnOp::Exp, x)) | (UnOp::Exp, ENode::Un(UnOp::Log, x)) => x,
-            _ => self.intern(ENode::Un(op, a)),
+        match self.as_const(a) {
+            Some(x) => self.constf(op.apply(x)),
+            None => self.intern(ENode::Un(op, a)),
         }
     }
 
@@ -790,18 +786,6 @@ mod tests {
         assert_eq!(p.as_const(d), Some(1.0));
         let m = p.mul(x, zero);
         assert_eq!(p.as_const(m), Some(0.0));
-    }
-
-    #[test]
-    fn log_exp_cancel() {
-        let (mut p, _vars, v) = pool_with_var();
-        let x = p.var(v);
-        let e = p.exp(x);
-        let l = p.log(e);
-        assert_eq!(l, x);
-        let l2 = p.log(x);
-        let e2 = p.exp(l2);
-        assert_eq!(e2, x);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The former equality-saturation simplifier, now the identity.
 //!
-//! The pool's smart constructors already cancel `log∘exp`/`exp∘log` and
-//! fold constants, and the tape compiler eliminates dead code, folds
-//! constants and shares common subexpressions. Running an e-graph on top
-//! made tapes larger, not smaller, so the objective pipeline no longer
-//! simplifies. The function stays for the frozen benchmark, which calls it.
+//! The pool's smart constructors fold constants and algebraic identities
+//! and hash-cons every node, so common subexpressions are shared as they
+//! are built, and the tape compiler drops the nodes no root reaches.
+//! Running an e-graph on top made tapes larger, not smaller, so the
+//! objective pipeline no longer simplifies. The function stays for the
+//! frozen benchmark, which calls it.
 
 use crate::{ExprId, ExprPool};
 use felix_egraph::RunnerLimits;

@@ -48,8 +48,7 @@ fn subst_rec(
 /// After this substitution a product of tile sizes `x1·x2·x3` inside a `log`
 /// is `log(e^y1·e^y2·e^y3)`, evaluated as written: its value equals the
 /// paper's linear-growth form `y1+y2+y3`, but no pass distributes the
-/// logarithm. Only a directly nested `log(e^y)` folds to `y`, in
-/// [`ExprPool::log`].
+/// logarithm, and a directly nested `log(e^y)` stays as written too.
 pub fn exp_substitution(
     pool: &mut ExprPool,
     vars: &mut VarTable,

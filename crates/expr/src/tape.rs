@@ -538,7 +538,9 @@ impl CompiledGradTape {
             .all(|&r| vals[r as usize * batch + lane].is_finite())
     }
 
-    /// Reverse adjoint pass over a [`Self::forward_batch`] result.
+    /// Reverse adjoint pass over a [`Self::forward_batch`] result `vals`,
+    /// whose length fixes the lane count `batch` (`vals.len() / self.len()`;
+    /// an empty tape has no lanes).
     ///
     /// `seeds` holds the adjoint seed of every root, root-major
     /// (`seeds[k * batch + lane]`); `grad` is resized to
@@ -555,17 +557,16 @@ impl CompiledGradTape {
     /// Returns [`GradError`] when a non-smooth instruction receives a
     /// nonzero adjoint and `subgradient` is false (matching the pool
     /// sweep's behaviour exactly).
-    #[allow(clippy::too_many_arguments)]
     pub fn backward_batch(
         &self,
         seeds: &[f64],
-        batch: usize,
         vals: &[f64],
         n_vars: usize,
         adj: &mut Vec<f64>,
         grad: &mut Vec<f64>,
         subgradient: bool,
     ) -> Result<(), GradError> {
+        let batch = vals.len().checked_div(self.instrs.len()).unwrap_or(0);
         assert_eq!(vals.len(), self.instrs.len() * batch, "stale forward values");
         assert!(
             seeds.len() >= self.roots.len() * batch,
@@ -847,7 +848,7 @@ mod tests {
                     }
                 }
                 tape.forward_batch(&vars_soa, batch, &mut vals);
-                tape.backward_batch(&seeds, batch, &vals, 2, &mut adj, &mut grad, true)
+                tape.backward_batch(&seeds, &vals, 2, &mut adj, &mut grad, true)
                     .unwrap();
                 for lane in 0..batch {
                     let outputs: Vec<(ExprId, f64)> =

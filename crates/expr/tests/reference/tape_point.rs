@@ -29,7 +29,7 @@ pub fn grad(
     let mut vals = Vec::new();
     tape.forward_batch(var_values, 1, &mut vals);
     let (mut adj, mut grad) = (Vec::new(), Vec::new());
-    tape.backward_batch(seeds, 1, &vals, n_vars, &mut adj, &mut grad, subgradient)?;
+    tape.backward_batch(seeds, &vals, n_vars, &mut adj, &mut grad, subgradient)?;
     Ok(grad)
 }
 

@@ -164,7 +164,7 @@ fn batched_soa_matches_single_lane_bitwise() {
         let mut vals = Vec::new();
         tape.forward_batch(&vars_soa, batch, &mut vals);
         let (mut adj, mut grad) = (Vec::new(), Vec::new());
-        tape.backward_batch(&seeds_soa, batch, &vals, n_vars, &mut adj, &mut grad, true)
+        tape.backward_batch(&seeds_soa, &vals, n_vars, &mut adj, &mut grad, true)
             .expect("batched grad");
         for (lane, pt) in points.iter().enumerate() {
             let single = tape_point::eval(&tape, pt);
@@ -267,7 +267,7 @@ fn every_width_matches_the_pool_oracle_lane_by_lane() {
                     }
                 }
                 tape.forward_batch(&vars_soa, batch, &mut vals);
-                tape.backward_batch(&seeds_soa, batch, &vals, n_vars, &mut adj, &mut grad, true)
+                tape.backward_batch(&seeds_soa, &vals, n_vars, &mut adj, &mut grad, true)
                     .expect("batched grad");
                 let at = format!("case {case} batch {batch} zeros {with_zeros}");
                 for (lane, pt) in points.iter().enumerate() {

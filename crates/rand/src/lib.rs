@@ -3,8 +3,9 @@
 //! The workspace must build with no network access and no crates.io
 //! mirror, so this crate re-implements exactly the surface the repo uses:
 //! [`Rng::gen`], [`Rng::gen_range`] (half-open and inclusive integer and
-//! float ranges), [`Rng::gen_bool`], [`SeedableRng::seed_from_u64`],
-//! [`rngs::StdRng`], and [`thread_rng`]. The generator is xoshiro256++
+//! float ranges), [`Rng::gen_bool`], [`SeedableRng::seed_from_u64`] and
+//! [`rngs::StdRng`]. Every generator is seeded explicitly; there is no
+//! entropy-seeded one. The generator is xoshiro256++
 //! seeded through SplitMix64 — deterministic, `Clone`, and statistically
 //! solid for search/sampling workloads. Streams do **not** match upstream
 //! `rand`'s ChaCha-based `StdRng`; everything in this repo that relies on
@@ -243,20 +244,6 @@ pub mod rngs {
     }
 }
 
-/// A freshly seeded non-deterministic generator (time + process-local
-/// counter). Prefer [`SeedableRng::seed_from_u64`] anywhere reproducibility
-/// matters.
-pub fn thread_rng() -> rngs::StdRng {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let unique = COUNTER.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-    SeedableRng::seed_from_u64(nanos ^ unique.wrapping_mul(0x2545_F491_4F6C_DD1D))
-}
-
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
@@ -334,16 +321,5 @@ mod tests {
         let mut b = StdRng::from_state(snap);
         let resumed: Vec<u64> = (0..50).map(|_| b.gen::<u64>()).collect();
         assert_eq!(tail, resumed);
-    }
-
-    #[test]
-    fn thread_rng_produces_distinct_streams() {
-        let mut a = super::thread_rng();
-        let mut b = super::thread_rng();
-        // Distinct counter-derived seeds => (overwhelmingly) distinct output.
-        assert_ne!(
-            (0..4).map(|_| a.gen::<u64>()).collect::<Vec<_>>(),
-            (0..4).map(|_| b.gen::<u64>()).collect::<Vec<_>>()
-        );
     }
 }

@@ -233,9 +233,14 @@ impl LogLine {
 /// from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Folds `bytes` into the running 64-bit FNV-1a hash `h` — the one hash
-/// behind every on-disk key, cache fingerprint and RNG substream salt in
-/// the workspace. Chain calls to hash several fields.
+/// Folds `bytes` into the running 64-bit FNV-1a hash `h`: the hash behind
+/// the record log's task keys, the fingerprints of schedule-store entries
+/// and of a checkpoint's pretrained base, the descent's RNG substream salts
+/// and the serving tier's per-tenant store file names. Chain calls to hash
+/// several fields. Two hashes keep code of their own:
+/// `felix_tir::sketch::generator_hash`, the same FNV-1a in a crate this
+/// one does not depend on, and `felix_sim::candidate_key`, which folds
+/// whole 64-bit words instead of bytes.
 pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     bytes
         .iter()

@@ -4,10 +4,8 @@
 //! serves — are **byte-identical** to an uninterrupted run, and that the
 //! WAL replays to the same queue state.
 //!
-//! Unix-only (`Child::kill` must be an uncatchable SIGKILL for the chaos
-//! to mean anything) and skippable on constrained platforms with
-//! `FELIX_SKIP_CRASH_TESTS=1`, the same escape hatch pattern the bench
-//! smoke gates use.
+//! Unix-only: `Child::kill` must be an uncatchable SIGKILL for the chaos
+//! to mean anything.
 
 #![cfg(unix)]
 
@@ -22,14 +20,6 @@ use std::time::Duration;
 const DEVICE: &str = "RTX A5000";
 const LLAMA_TINY: [i64; 6] = [1, 16, 128, 4, 344, 2];
 const ROUNDS: usize = 4;
-
-fn skip() -> bool {
-    if std::env::var("FELIX_SKIP_CRASH_TESTS").is_ok() {
-        eprintln!("FELIX_SKIP_CRASH_TESTS set; skipping");
-        return true;
-    }
-    false
-}
 
 fn submit_two_tenants(daemon: &Daemon) -> Vec<u64> {
     let mut client = daemon.client();
@@ -80,9 +70,6 @@ fn uninterrupted_results(jobs_hint: &[u64]) -> Vec<String> {
 
 #[test]
 fn sigkill_mid_job_then_restart_is_byte_identical() {
-    if skip() {
-        return;
-    }
     let dir = tmp_dir("chaos");
     let daemon = Daemon::spawn(&dir, &[]);
     let jobs = submit_two_tenants(&daemon);
@@ -144,9 +131,6 @@ fn sigkill_mid_job_then_restart_is_byte_identical() {
 
 #[test]
 fn kill_storm_converges_to_the_same_bytes() {
-    if skip() {
-        return;
-    }
     // Harsher chaos: kill and restart repeatedly with shrinking delays,
     // then let the survivor finish. However many times the daemon dies,
     // the results must equal the uninterrupted run's bytes.
@@ -177,9 +161,6 @@ fn kill_storm_converges_to_the_same_bytes() {
 
 #[test]
 fn warm_cache_jobs_survive_kills_with_an_uncorrupted_store() {
-    if skip() {
-        return;
-    }
     // `warm_cache` jobs opt out of the byte-identical-under-crash
     // guarantee (the spec documents why: a job killed before its
     // checkpoint header lands re-reads its tenant's store on restart, and

@@ -15,8 +15,7 @@
 //! being adopted and resumed. Every run must reach the same terminal
 //! states with **byte-identical** result documents.
 //!
-//! Unix-only and skippable with `FELIX_SKIP_CRASH_TESTS=1`, like
-//! crash_resume.
+//! Unix-only, like crash_resume.
 
 #![cfg(unix)]
 
@@ -32,14 +31,6 @@ use std::time::{Duration, Instant};
 const DEVICE: &str = "RTX A5000";
 const LLAMA_TINY: [i64; 6] = [1, 16, 128, 4, 344, 2];
 const WAIT: Duration = Duration::from_secs(120);
-
-fn skip() -> bool {
-    if std::env::var("FELIX_SKIP_CRASH_TESTS").is_ok() {
-        eprintln!("FELIX_SKIP_CRASH_TESTS set; skipping");
-        return true;
-    }
-    false
-}
 
 fn tiny_spec(rounds: usize) -> JobSpec {
     JobSpec::quick("llama", LLAMA_TINY.to_vec(), DEVICE, rounds)
@@ -122,9 +113,6 @@ fn lifecycle_run(dir: &Path, kill_delays_ms: &[u64]) -> LifecycleRun {
 
 #[test]
 fn chaos_sweep_cancel_expiry_and_completion_are_byte_deterministic() {
-    if skip() {
-        return;
-    }
     let seed: u64 = std::env::var("FELIX_CRASH_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -190,9 +178,6 @@ fn chaos_sweep_cancel_expiry_and_completion_are_byte_deterministic() {
 
 #[test]
 fn poison_jobs_are_quarantined_while_healthy_tenants_keep_running() {
-    if skip() {
-        return;
-    }
     let dir = tmp_dir("quarantine");
     // Pre-seed the WAL with a job whose crash counter already sits at the
     // threshold — as if a previous daemon died three times running it.
@@ -252,9 +237,6 @@ fn poison_jobs_are_quarantined_while_healthy_tenants_keep_running() {
 
 #[test]
 fn admission_control_rejects_without_touching_the_wal() {
-    if skip() {
-        return;
-    }
     let dir = tmp_dir("backpressure");
     let daemon = Daemon::spawn(&dir, &["--max-queue", "2", "--tenant-quota", "1"]);
     let mut client = daemon.client();
@@ -305,9 +287,6 @@ fn admission_control_rejects_without_touching_the_wal() {
 
 #[test]
 fn sigterm_drains_gracefully_and_loses_no_accepted_job() {
-    if skip() {
-        return;
-    }
     let dir = tmp_dir("drain");
     let daemon = Daemon::spawn(&dir, &[]);
     let job = {
@@ -332,9 +311,6 @@ fn sigterm_drains_gracefully_and_loses_no_accepted_job() {
 
 #[test]
 fn compaction_shrinks_the_wal_to_canonical_form_and_keeps_results_served() {
-    if skip() {
-        return;
-    }
     let dir = tmp_dir("compact");
     // Slack 0: compact whenever the log exceeds its canonical size. The
     // poison job crashes its worker three times and is quarantined, so its
@@ -385,9 +361,6 @@ fn compaction_shrinks_the_wal_to_canonical_form_and_keeps_results_served() {
 
 #[test]
 fn terminal_jobs_leave_no_directory_behind() {
-    if skip() {
-        return;
-    }
     let dir = tmp_dir("job-dirs");
     let daemon = Daemon::spawn(&dir, &[]);
     let mut client = daemon.client();

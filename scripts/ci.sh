@@ -9,8 +9,8 @@
 # under the release profile, the ledger smoke, a check that no release
 # binary calls libm `fmaf`, the CSV-reading half of the experiment harness
 # against its committed outputs, the non-test line count, the
-# `too_many_arguments` allow count and the count of items kept only for the
-# frozen ledger. Nothing
+# `too_many_arguments` allow count (at most 3) and the count of items kept
+# only for the frozen ledger. Nothing
 # here may write a tracked file or leave an unignored one: `git status`
 # must read the same at the end as at the start, or the script fails and
 # prints the change.
@@ -30,8 +30,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # are exactly what `cargo test -q` runs. Test binaries are built first, so
 # the loop measures execution, not compilation. Every named scenario —
 # chaos tuning, kill-and-resume, descent supervision, the schedule cache,
-# the serve crash/lifecycle harness (Unix-only, FELIX_SKIP_CRASH_TESTS=1
-# to skip) — runs here, once. The crate list is every package manifest in
+# the serve crash/lifecycle harness (Unix-only) — runs here, once. The crate list is every package manifest in
 # the workspace (the root package plus crates/*), so a new crate cannot
 # slip past the budget.
 cargo test -q --workspace --no-run
@@ -134,9 +133,18 @@ find crates -name '*.rs' -not -path '*/tests/*' -print0 \
                     /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
                     !in_tests { n++ }
                     END { print "non-test lines under crates/: " n }'
-# Printed beside the size, not gated: how many functions under crates/*/src
-# still opt out of clippy's positional-argument limit.
-echo "too_many_arguments allows under crates/*/src: $(grep -rF '#[allow(clippy::too_many_arguments)]' crates/*/src | wc -l)"
+# Printed beside the size, and gated: how many functions under crates/*/src
+# still opt out of clippy's positional-argument limit. The three left are
+# `felix_ansor::tune_task_round_with_sink`, `felix_ansor::tune_network_with_sink`
+# and `felix_sim::Simulator::measure_outcome`, whose signatures the frozen
+# ledger calls; a new one fails here.
+MAX_ARG_ALLOWS=3
+arg_allows=$(grep -rF '#[allow(clippy::too_many_arguments)]' crates/*/src | wc -l)
+echo "too_many_arguments allows under crates/*/src: $arg_allows"
+if [ "$arg_allows" -gt "$MAX_ARG_ALLOWS" ]; then
+    echo "FAIL: $arg_allows too_many_arguments allows under crates/*/src (at most $MAX_ARG_ALLOWS)" >&2
+    exit 1
+fi
 # Also printed, not gated: how many items under crates/*/src are kept only
 # because the frozen benchmark ledger names them. Each carries the doc
 # phrase below, so ROADMAP item 1 step B starts from this list.
