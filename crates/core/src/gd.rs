@@ -80,9 +80,6 @@ use std::sync::Arc;
 /// basin of the multi-modal relaxed landscape).
 const SEED_INIT_DRAWS: usize = 8;
 
-/// Candidates per batched scoring chunk (one `predict_batch` call each).
-const SCORE_CHUNK: usize = 64;
-
 /// Constraint-penalty coefficient `λ` of the objective
 /// `O = −C + λ Σ max(g, 0)²` (Equation 4).
 const LAMBDA: f64 = 1.0;
@@ -219,17 +216,19 @@ impl GradientProposer {
     }
 }
 
-/// [`SearchTask::score_candidates`] over `cands` in parallel chunks of
-/// [`SCORE_CHUNK`]. Chunk results are concatenated in index order and every
-/// row is bit-identical to a scalar `predict`, so the scores do not depend
-/// on the thread count.
+/// [`SearchTask::score_candidates`] over `cands` in one chunk per worker:
+/// `threads` equal chunks, each a multiple of 8 rows (the forward kernel's
+/// widest sample block), so no worker idles on a short last chunk. Chunk
+/// results are concatenated in index order and every row is bit-identical
+/// to a scalar `predict`, so the scores do not depend on the thread count.
 fn score_candidates(
     task: &SearchTask,
     model: &PackedMlp,
     threads: usize,
     cands: &[(usize, Vec<f64>)],
 ) -> Vec<f64> {
-    let chunks: Vec<&[(usize, Vec<f64>)]> = cands.chunks(SCORE_CHUNK).collect();
+    let chunk = cands.len().div_ceil(threads.max(1)).next_multiple_of(8).max(8);
+    let chunks: Vec<&[(usize, Vec<f64>)]> = cands.chunks(chunk).collect();
     parallel_map(chunks.len(), threads, |ci| task.score_candidates(model, chunks[ci])).concat()
 }
 

@@ -9,12 +9,18 @@
 //! regardless of which worker ran which task.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Resolves a `threads` option: `0` means one worker per available core.
+/// The core count is read once per process: `available_parallelism`
+/// rereads the cgroup CPU quota files on every call (≈ 24 µs), and every
+/// `propose` resolves its option.
 pub fn effective_threads(threads: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
     if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        *CORES.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
     } else {
         threads
     }

@@ -18,6 +18,15 @@
 //! without an FMA instruction, so results never depend on build flags; only
 //! speed does (without FMA enabled at compile time every MAC is a libm
 //! `fmaf` call). [`COST_MATH_VERSION`] names this arithmetic in checkpoints.
+//!
+//! The batched forward behind [`PackedMlp`] has two kernels, chosen at build
+//! time. Where AVX-512F is enabled (`cfg(all(target_arch = "x86_64",
+//! target_feature = "avx512f"))`, which the workspace's `target-cpu=native`
+//! turns on for such a host) a 32-neuron panel is two 512-bit vectors and
+//! a block of 8 samples keeps its accumulators in registers; elsewhere a
+//! portable kernel runs blocks of 4. Both compute the same chains, so they
+//! give the same bits, and the portable one is compiled on every host so
+//! the parity tests hold it to the scalar path there too.
 
 pub mod dataset;
 pub mod sampling;
@@ -116,8 +125,8 @@ fn layer_dims() -> Vec<(usize, usize)> {
 /// panel's accumulators in registers for a whole block of samples.
 const PANEL: usize = 32;
 
-/// Samples per forward register block (a remainder runs as a block of 2,
-/// then one sample alone).
+/// Samples per register block of the portable forward kernel (a remainder
+/// runs as a block of 2, then one sample alone).
 const SAMPLE_BLOCK: usize = 4;
 
 /// Reusable buffers for the batched MLP kernels, so the descent hot loop
@@ -156,6 +165,9 @@ pub struct PackedMlp<'m> {
     /// `w[li][(p * PANEL + l) * in_dim + i]`. Neurons past the last full
     /// panel (the single output unit) are read from the row-major weights.
     panels: Vec<Vec<f32>>,
+    /// The layer kernel: [`NATIVE_FORWARD`] (tests swap in each kernel
+    /// this build compiles).
+    forward: LayerForward,
 }
 
 impl Mlp {
@@ -258,7 +270,7 @@ impl Mlp {
                 }
             }
         }
-        PackedMlp { mlp: self, panels }
+        PackedMlp { mlp: self, panels, forward: NATIVE_FORWARD }
     }
 
     /// Pack-then-call form of [`PackedMlp::predict_batch`]; row `i` is
@@ -464,12 +476,66 @@ impl Mlp {
     }
 }
 
-/// One layer's forward sweep for `S` consecutive samples (`x` holds their
-/// `S * in_dim` inputs, `out` their `S * out_dim` outputs). Lanes run
-/// across the `PANEL` neurons of a panel; every `(neuron, sample)`
-/// accumulator is one sequential chain in [`Mlp::forward_cached`]'s order —
-/// bias first, then ascending input index, one fused multiply-add per term —
-/// so each output is bit-identical to the scalar path.
+/// One layer's batched forward: `forward(w, b, panels, relu, x, out)` maps
+/// the `n` samples' inputs `x` (`n * in_dim`, sample-major) to their outputs
+/// `out` (`n * out_dim`), ReLU-gated when `relu`. Every kernel computes each
+/// `(neuron, sample)` output as one sequential chain in
+/// [`Mlp::forward_cached`]'s order — bias first, then ascending input index,
+/// one fused multiply-add per term — so every kernel is bit-identical to the
+/// scalar path.
+type LayerForward = fn(&[f32], &[f32], &[f32], bool, &[f32], &mut [f32]);
+
+/// The forward kernel of this build: 512-bit where AVX-512F is enabled at
+/// compile time (the root `.cargo/config.toml` builds for the host CPU),
+/// otherwise the portable one.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+const NATIVE_FORWARD: LayerForward = avx512::forward_layer;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+const NATIVE_FORWARD: LayerForward = forward_layer;
+
+/// `(first sample, width)` of each register block over `n` samples: blocks
+/// of `widest` (a power of two) while they fit, then the remainder in
+/// halving widths.
+fn sample_blocks(n: usize, widest: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut s = 0;
+    std::iter::from_fn(move || {
+        let width = widest.min(1 << (n - s).checked_ilog2()?);
+        s += width;
+        Some((s - width, width))
+    })
+}
+
+/// The portable [`LayerForward`], for hosts without AVX-512: blocks of
+/// [`SAMPLE_BLOCK`] samples, lanes across the neurons of a panel, left to
+/// the compiler's vectorizer. Compiled on every host: where the 512-bit
+/// kernel runs instead, the parity tests still hold this one to the scalar
+/// path.
+#[cfg_attr(all(target_arch = "x86_64", target_feature = "avx512f"), allow(dead_code))]
+fn forward_layer(w: &[f32], b: &[f32], panels: &[f32], relu: bool, x: &[f32], out: &mut [f32]) {
+    let out_dim = b.len();
+    let in_dim = w.len() / out_dim;
+    for (s, width) in sample_blocks(x.len() / in_dim, SAMPLE_BLOCK) {
+        let (x, y) = (&x[s * in_dim..], &mut out[s * out_dim..]);
+        match width {
+            4 => forward_block::<4>(w, b, panels, relu, x, y),
+            2 => forward_block::<2>(w, b, panels, relu, x, y),
+            _ => forward_block::<1>(w, b, panels, relu, x, y),
+        }
+    }
+}
+
+/// The ReLU of the forward paths, `v.max(0.0)` (a NaN gates to `0.0`).
+fn activate(relu: bool, v: f32) -> f32 {
+    if relu {
+        v.max(0.0)
+    } else {
+        v
+    }
+}
+
+/// The portable kernel's sweep for `S` consecutive samples (`x` holds their
+/// `S * in_dim` inputs, `out` their `S * out_dim` outputs), one panel's
+/// `S × PANEL` accumulators at a time.
 fn forward_block<const S: usize>(
     w: &[f32],
     b: &[f32],
@@ -480,7 +546,6 @@ fn forward_block<const S: usize>(
 ) {
     let out_dim = b.len();
     let in_dim = w.len() / out_dim;
-    let act = |v: f32| if relu { v.max(0.0) } else { v };
     for (p, panel) in panels.chunks_exact(in_dim * PANEL).enumerate() {
         let mut acc = [[0.0f32; PANEL]; S];
         for a in &mut acc {
@@ -497,12 +562,18 @@ fn forward_block<const S: usize>(
         for (s, a) in acc.iter().enumerate() {
             let dst = &mut out[s * out_dim + p * PANEL..][..PANEL];
             for (d, &av) in dst.iter_mut().zip(a) {
-                *d = act(av);
+                *d = activate(relu, av);
             }
         }
     }
-    // Neurons past the last full panel: the same chains, one neuron at a
-    // time over the row-major weights.
+    forward_tail::<S>(w, b, relu, x, out);
+}
+
+/// Neurons past the last full panel (the output unit), shared by every
+/// kernel: the same chains, one neuron at a time over the row-major weights.
+fn forward_tail<const S: usize>(w: &[f32], b: &[f32], relu: bool, x: &[f32], out: &mut [f32]) {
+    let out_dim = b.len();
+    let in_dim = w.len() / out_dim;
     for o in out_dim / PANEL * PANEL..out_dim {
         let mut acc = [b[o]; S];
         for (i, &wv) in w[o * in_dim..(o + 1) * in_dim].iter().enumerate() {
@@ -511,7 +582,138 @@ fn forward_block<const S: usize>(
             }
         }
         for (s, &a) in acc.iter().enumerate() {
-            out[s * out_dim + o] = act(a);
+            out[s * out_dim + o] = activate(relu, a);
+        }
+    }
+}
+
+/// The 512-bit [`LayerForward`]: a panel's 32 neurons are two 16-lane
+/// vectors, and a block of `S` samples sweeps `P` panels at once, `S × P =
+/// 8`, so every block keeps 16 accumulators in registers — enough
+/// independent chains to cover the `vfmadd` latency even for one sample.
+/// Samples run in blocks of 8 while they fit, then 4, 2 and 1. Each input
+/// broadcasts one sample's activation against the panels' weight rows, one
+/// `vfmadd` per vector, so every lane is one chain in
+/// [`Mlp::forward_cached`]'s order. The ReLU is `vmaxps(v, 0)`, which
+/// returns its second operand when the first is NaN or a zero: `+0.0` for
+/// NaN and `-0.0`, as the scalar path's `max(v, 0.0)` compiles to here.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512 {
+    use super::{forward_tail, sample_blocks, PANEL};
+    use std::arch::x86_64::{
+        __m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_storeu_ps,
+    };
+
+    /// Lanes of one vector.
+    const LANES: usize = 16;
+    const _: () = assert!(PANEL == 2 * LANES, "a panel is two vectors");
+
+    pub(super) fn forward_layer(
+        w: &[f32],
+        b: &[f32],
+        panels: &[f32],
+        relu: bool,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
+        let out_dim = b.len();
+        let in_dim = w.len() / out_dim;
+        for (s, width) in sample_blocks(x.len() / in_dim, 8) {
+            let (x, y) = (&x[s * in_dim..], &mut out[s * out_dim..]);
+            // SAFETY: this module is compiled only where AVX-512F is
+            // enabled at build time, so the CPU running it has the feature.
+            unsafe {
+                match width {
+                    8 => forward_block::<8, 1>(w, b, panels, relu, x, y),
+                    4 => forward_block::<4, 2>(w, b, panels, relu, x, y),
+                    2 => forward_block::<2, 4>(w, b, panels, relu, x, y),
+                    _ => forward_block::<1, 8>(w, b, panels, relu, x, y),
+                }
+            }
+        }
+    }
+
+    /// One block of `S` samples through the layer: its panels `P` at a
+    /// time, then the tail neurons.
+    #[target_feature(enable = "avx512f")]
+    fn forward_block<const S: usize, const P: usize>(
+        w: &[f32],
+        b: &[f32],
+        panels: &[f32],
+        relu: bool,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
+        let out_dim = b.len();
+        let in_dim = w.len() / out_dim;
+        let rows: [&[f32]; S] = std::array::from_fn(|s| &x[s * in_dim..][..in_dim]);
+        let (wts, _) = panels.as_chunks::<PANEL>();
+        let (biases, _) = b.as_chunks::<PANEL>();
+        // A hidden layer's 8 panels split evenly for every `P`.
+        assert_eq!(biases.len() % P, 0, "{} panels in groups of {P}", biases.len());
+        let groups = wts.chunks_exact(P * in_dim).zip(biases.chunks_exact(P));
+        for (g, (wts, biases)) in groups.enumerate() {
+            panel_group::<S, P>(wts, biases, &rows, relu, &mut out[g * P * PANEL..], out_dim);
+        }
+        forward_tail::<S>(w, b, relu, x, out);
+    }
+
+    /// `P` consecutive panels (`wts`: each panel's `in_dim` weight rows in
+    /// turn) for the `S` sample rows; output `s` of the group's first
+    /// neuron lands at `out[s * out_dim]`.
+    #[target_feature(enable = "avx512f")]
+    fn panel_group<const S: usize, const P: usize>(
+        wts: &[[f32; PANEL]],
+        biases: &[[f32; PANEL]],
+        rows: &[&[f32]; S],
+        relu: bool,
+        out: &mut [f32],
+        out_dim: usize,
+    ) {
+        let in_dim = wts.len() / P;
+        // Slices of length exactly `in_dim`, so indexing by `i < in_dim`
+        // needs no bounds check.
+        let wts: [&[[f32; PANEL]]; P] = std::array::from_fn(|p| &wts[p * in_dim..][..in_dim]);
+        let rows: [&[f32]; S] = std::array::from_fn(|s| &rows[s][..in_dim]);
+        let mut acc = [[[_mm512_setzero_ps(); 2]; P]; S];
+        for a in &mut acc {
+            for (ap, bias) in a.iter_mut().zip(biases) {
+                *ap = load(bias);
+            }
+        }
+        for i in 0..in_dim {
+            let wv = wts.map(|panel| load(&panel[i]));
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                let xv = _mm512_set1_ps(row[i]);
+                for (ap, [w0, w1]) in a.iter_mut().zip(wv) {
+                    ap[0] = _mm512_fmadd_ps(w0, xv, ap[0]);
+                    ap[1] = _mm512_fmadd_ps(w1, xv, ap[1]);
+                }
+            }
+        }
+        for (s, a) in acc.into_iter().enumerate() {
+            for (p, v) in a.into_iter().enumerate() {
+                let v = if relu { v.map(|v| _mm512_max_ps(v, _mm512_setzero_ps())) } else { v };
+                let dst = out[s * out_dim + p * PANEL..].first_chunk_mut::<PANEL>();
+                store(dst.expect("a panel of outputs"), v);
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn load(v: &[f32; PANEL]) -> [__m512; 2] {
+        // SAFETY: both halves of `v` are `LANES` in-bounds floats, and the
+        // loads are unaligned ones.
+        unsafe { [_mm512_loadu_ps(v.as_ptr()), _mm512_loadu_ps(v[LANES..].as_ptr())] }
+    }
+
+    #[target_feature(enable = "avx512f")]
+    fn store(dst: &mut [f32; PANEL], [v0, v1]: [__m512; 2]) {
+        // SAFETY: as in `load`, for stores.
+        unsafe {
+            _mm512_storeu_ps(dst.as_mut_ptr(), v0);
+            _mm512_storeu_ps(dst[LANES..].as_mut_ptr(), v1);
         }
     }
 }
@@ -532,20 +734,7 @@ impl PackedMlp<'_> {
             debug_assert_eq!(inp.len(), in_dim * n);
             out.clear();
             out.resize(out_dim * n, 0.0);
-            let panels = &self.panels[li];
-            let mut s = 0;
-            while s + SAMPLE_BLOCK <= n {
-                let (x, y) = (&inp[s * in_dim..], &mut out[s * out_dim..]);
-                forward_block::<SAMPLE_BLOCK>(w, b, panels, relu, x, y);
-                s += SAMPLE_BLOCK;
-            }
-            if s + 2 <= n {
-                forward_block::<2>(w, b, panels, relu, &inp[s * in_dim..], &mut out[s * out_dim..]);
-                s += 2;
-            }
-            if s < n {
-                forward_block::<1>(w, b, panels, relu, &inp[s * in_dim..], &mut out[s * out_dim..]);
-            }
+            (self.forward)(w, b, &self.panels[li], relu, inp, out);
         }
         scores.clear();
         scores.extend(scratch.acts[n_layers].iter().map(|&v| v as f64));
@@ -947,8 +1136,16 @@ mod tests {
         assert!(gw.iter().chain(&gb).flatten().all(|g| g.to_bits() == 0), "zero seeds, zero gradients");
     }
 
-    /// Asserts that the batched kernels over `rows` equal the scalar
-    /// reference bitwise, scores and gradients.
+    /// Every forward kernel this build compiles, by name: the portable one
+    /// on every host, and the 512-bit one where AVX-512F is enabled.
+    const KERNELS: &[(&str, LayerForward)] = &[
+        ("portable", forward_layer),
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        ("avx512", avx512::forward_layer),
+    ];
+
+    /// Asserts that the batched paths over `rows` equal the scalar
+    /// reference bitwise, scores and gradients, under every forward kernel.
     fn assert_batched_matches_scalar(mlp: &Mlp, rows: &[Vec<f64>], scratch: &mut MlpScratch) {
         let n = rows.len();
         let mut feats_t = vec![0.0; FEATURE_COUNT * n];
@@ -957,30 +1154,46 @@ mod tests {
                 feats_t[k * n + s] = v;
             }
         }
-        let packed = mlp.pack();
-        let scores = packed.predict_batch(rows);
-        let (mut gscores, mut grads_t) = (Vec::new(), Vec::new());
-        packed.input_gradient_batch_cols(&feats_t, n, scratch, &mut gscores, &mut grads_t);
-        assert_eq!((scores.len(), gscores.len(), grads_t.len()), (n, n, FEATURE_COUNT * n));
-        for (s, x) in rows.iter().enumerate() {
-            let (rs, rg) = mlp.input_gradient(x);
-            assert_eq!(scores[s].to_bits(), mlp.predict(x).to_bits(), "n={n} row {s} score");
-            assert_eq!(gscores[s].to_bits(), rs.to_bits(), "n={n} row {s} grad score");
-            for (k, b) in rg.iter().enumerate() {
-                assert_eq!(grads_t[k * n + s].to_bits(), b.to_bits(), "n={n} row {s} grad[{k}]");
+        let reference: Vec<(f64, f64, Vec<f64>)> = rows
+            .iter()
+            .map(|x| {
+                let (score, grad) = mlp.input_gradient(x);
+                (mlp.predict(x), score, grad)
+            })
+            .collect();
+        for &(kernel, forward) in KERNELS {
+            let packed = PackedMlp { forward, ..mlp.pack() };
+            let scores = packed.predict_batch(rows);
+            let (mut gscores, mut grads_t) = (Vec::new(), Vec::new());
+            packed.input_gradient_batch_cols(&feats_t, n, scratch, &mut gscores, &mut grads_t);
+            assert_eq!((scores.len(), gscores.len(), grads_t.len()), (n, n, FEATURE_COUNT * n));
+            for (s, (score, rs, rg)) in reference.iter().enumerate() {
+                assert_eq!(scores[s].to_bits(), score.to_bits(), "{kernel} n={n} row {s} score");
+                assert_eq!(gscores[s].to_bits(), rs.to_bits(), "{kernel} n={n} row {s} grad score");
+                for (k, b) in rg.iter().enumerate() {
+                    let got = grads_t[k * n + s].to_bits();
+                    assert_eq!(got, b.to_bits(), "{kernel} n={n} row {s} grad[{k}]");
+                }
             }
         }
     }
 
-    /// `mlp` with hidden weight `w[1][o][i]` byte-patched to `-inf` through
-    /// the serialized form, the way a diverged fine-tune would leave it.
-    fn with_neg_inf_hidden_weight(mlp: &Mlp, o: usize, i: usize) -> Mlp {
+    /// `mlp` with one parameter byte-patched to `v` through the serialized
+    /// form, the way a diverged fine-tune would leave it: `w[li][k]`, or
+    /// `b[li][k]` when `bias`.
+    fn with_patched_param(mlp: &Mlp, li: usize, bias: bool, k: usize, v: f32) -> Mlp {
         let mut bytes = Vec::new();
         mlp.save(&mut bytes).expect("save");
-        let layer0 = 8 + 4 * mlp.w[0].len() + 8 + 4 * mlp.b[0].len();
-        let off = 16 + layer0 + 8 + 4 * (o * LAYER_SIZES[1] + i);
-        bytes[off..off + 4].copy_from_slice(&f32::NEG_INFINITY.to_le_bytes());
+        let before: usize = (0..li).map(|l| 16 + 4 * (mlp.w[l].len() + mlp.b[l].len())).sum();
+        let skip = if bias { 4 * mlp.w[li].len() + 8 } else { 0 };
+        let off = 16 + before + 8 + skip + 4 * k;
+        bytes[off..off + 4].copy_from_slice(&v.to_le_bytes());
         Mlp::load(bytes.as_slice()).expect("load")
+    }
+
+    /// `mlp` with hidden weight `w[1][o][i]` patched to `-inf`.
+    fn with_neg_inf_hidden_weight(mlp: &Mlp, o: usize, i: usize) -> Mlp {
+        with_patched_param(mlp, 1, false, o * LAYER_SIZES[1] + i, f32::NEG_INFINITY)
     }
 
     #[test]
@@ -1022,6 +1235,53 @@ mod tests {
         let after = trained.pack().predict_batch(&real[..4]);
         assert_ne!(before, after, "fine-tune moved the weights");
         assert_batched_matches_scalar(&trained, &real[..4], &mut scratch);
+    }
+
+    #[test]
+    fn signed_zero_and_nan_pre_activations_match_scalar() {
+        // A fresh model normalizes with mean 0 and std 1, so a raw ±0.0
+        // feature reaches layer 0 as that same zero. With unit `z`'s bias
+        // patched to −0.0 and each feature's zero signed against unit `z`'s
+        // weight, every product is −0.0 and so is the pre-activation. Unit
+        // `q`'s bias is patched to NaN, which no product can cancel.
+        let base = Mlp::new(&mut StdRng::seed_from_u64(31));
+        let (z, q) = (5, 9);
+        let patched = with_patched_param(&base, 0, true, z, -0.0);
+        let mlp = with_patched_param(&patched, 0, true, q, f32::NAN);
+        let weights = &mlp.w[0][z * FEATURE_COUNT..][..FEATURE_COUNT];
+        let zeros: Vec<f64> = weights.iter().map(|&w| if w > 0.0 { -0.0 } else { 0.0 }).collect();
+        let xn = mlp.normalize(&zeros);
+        let pre = weights.iter().zip(&xn).fold(mlp.b[0][z], |acc, (&w, &x)| w.mul_add(x, acc));
+        assert_eq!(pre.to_bits(), (-0.0f32).to_bits(), "unit {z}'s pre-activation is -0.0");
+        let (acts, _) = mlp.forward_cached(&xn);
+        // The scalar ReLU's results, which every kernel must reproduce.
+        assert_eq!(acts[1][z].to_bits(), 0, "max(-0.0, 0.0) is +0.0 on the scalar path");
+        assert_eq!(acts[1][q].to_bits(), 0, "max(NaN, 0.0) is +0.0 on the scalar path");
+        // Every sample-block width, the special row among ordinary ones.
+        let rows: Vec<Vec<f64>> = (0..17)
+            .map(|s| match s % 3 {
+                0 => zeros.clone(),
+                _ => (0..FEATURE_COUNT).map(|i| ((s * 7 + i) as f64 * 0.29).sin()).collect(),
+            })
+            .collect();
+        let mut scratch = MlpScratch::default();
+        for n in [1, 2, 3, 4, 8, 9, 15, 17] {
+            let rows = &rows[..n];
+            assert_batched_matches_scalar(&mlp, rows, &mut scratch);
+            // Every layer's activations, not only the score they reach.
+            for &(kernel, forward) in KERNELS {
+                let packed = PackedMlp { forward, ..mlp.pack() };
+                packed.forward_rows(rows.iter().map(Vec::as_slice), &mut scratch, &mut Vec::new());
+                for (s, x) in rows.iter().enumerate() {
+                    let (acts, _) = mlp.forward_cached(&mlp.normalize(x));
+                    for (li, layer) in acts.iter().enumerate().skip(1) {
+                        let got = &scratch.acts[li][s * layer.len()..][..layer.len()];
+                        let bits = |v: &[f32]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(got), bits(layer), "{kernel} n={n} row {s} layer {li}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

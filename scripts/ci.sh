@@ -2,11 +2,13 @@
 # CI gate: release build, clippy and rustdoc with warnings denied, then the
 # tier-1 line — `cargo test -q` at the root, which runs every crate's suite
 # (the root manifest's `default-members` lists them all) — one crate at a
-# time under a time budget, so each suite runs once. Then the serve
-# lifecycle suite again at one test thread, so a test that passes only
-# while its siblings slow the daemon fails; the pinned golden run, the
-# pinned objectives, the pinned serve results and the wire-protocol suite
-# under the release profile, the ledger smoke, a check that no release
+# time under a time budget, so each suite runs once. Then felix-cost's
+# suite once more built without AVX-512 (x86-64 hosts), so its portable
+# forward kernel is the one under test; the serve lifecycle suite again at
+# one test thread, so a test that passes only while its siblings slow the
+# daemon fails; the pinned golden run, the pinned objectives, the pinned
+# serve results and the wire-protocol suite under the release profile, the
+# ledger smoke, a check that no release
 # binary calls libm `fmaf`, the CSV-reading half of the experiment harness
 # against its committed outputs, the non-test line count, the
 # `too_many_arguments` allow count (at most 3) and the count of items kept
@@ -52,6 +54,31 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
         exit 1
     fi
 done
+
+# The cost model's portable forward kernel, built as the only one: where
+# AVX-512F is on at compile time (the root `.cargo/config.toml` builds for
+# the host CPU) the product runs a 512-bit kernel, so felix-cost's parity
+# tests run once more for x86-64-v3 (AVX2 and FMA, no AVX-512), in their own
+# target directory so the native artifacts stay fresh. Timed against the
+# same per-crate budget, execution only.
+if [ "$(uname -m)" = x86_64 ]; then
+    portable_target="${CARGO_TARGET_DIR:-target}/x86-64-v3"
+    RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR="$portable_target" \
+        cargo test -q -p felix-cost --no-run
+    start=$SECONDS
+    if ! out=$(RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR="$portable_target" \
+        cargo test -q -p felix-cost); then
+        printf '%s\n' "$out"
+        echo "FAIL: felix-cost test suite failed for x86-64-v3" >&2
+        exit 1
+    fi
+    elapsed=$((SECONDS - start))
+    echo "test-time felix-cost (x86-64-v3): ${elapsed}s"
+    if [ "$elapsed" -gt "$BUDGET_S" ]; then
+        echo "FAIL: felix-cost suite for x86-64-v3 took ${elapsed}s (budget ${BUDGET_S}s)" >&2
+        exit 1
+    fi
+fi
 
 # The serve lifecycle suite once more, one test at a time: a test that
 # passes only while sibling tests load the machine and slow the daemon (a job
