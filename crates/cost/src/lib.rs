@@ -19,14 +19,21 @@
 //! speed does (without FMA enabled at compile time every MAC is a libm
 //! `fmaf` call). [`COST_MATH_VERSION`] names this arithmetic in checkpoints.
 //!
-//! The batched forward behind [`PackedMlp`] has two kernels, chosen at build
-//! time. Where AVX-512F is enabled (`cfg(all(target_arch = "x86_64",
-//! target_feature = "avx512f"))`, which the workspace's `target-cpu=native`
-//! turns on for such a host) a 32-neuron panel is two 512-bit vectors and
-//! a block of 8 samples keeps its accumulators in registers; elsewhere a
-//! portable kernel runs blocks of 4. Both compute the same chains, so they
-//! give the same bits, and the portable one is compiled on every host so
-//! the parity tests hold it to the scalar path there too.
+//! The batched forward behind [`PackedMlp`] and the reverse sweep shared by
+//! the descent's input gradient and training each have two kernels, chosen
+//! at build time. Where AVX-512F is enabled (`cfg(all(target_arch =
+//! "x86_64", target_feature = "avx512f"))`, which the workspace's
+//! `target-cpu=native` turns on for such a host) the forward keeps a block
+//! of 8 samples' accumulators for a 32-neuron panel (two 512-bit vectors) in
+//! registers, and the backward loads each weight row live for any sample of
+//! a block of 8 once for all of them; elsewhere portable kernels run blocks
+//! of 4 forward and one sample at a time backward. A backward row adds into
+//! a sample's chain only where it is live for that sample (gated gradient
+//! nonzero: the 512-bit kernel's fused multiply-add is masked off
+//! elsewhere), so a dead row's weights, non-finite ones included, never
+//! reach it. Every kernel computes the scalar path's chains, so all give
+//! the same bits, and the portable ones are compiled on every host so the
+//! parity tests hold them to the scalar path there too.
 
 pub mod dataset;
 pub mod sampling;
@@ -144,10 +151,20 @@ pub struct MlpScratch {
     /// Post-activation values per layer (layer 0 = normalized inputs), then
     /// the backward's gradients at them.
     acts: Vec<Vec<f32>>,
+    /// The reverse sweep's compaction buffers.
+    sweep: SweepBuffers,
+}
+
+/// The buffers a [`LayerBackward`] compacts live rows into, grown to the
+/// high-water mark and reused, so a sweep allocates nothing once warm.
+#[derive(Clone, Debug, Default)]
+struct SweepBuffers {
     /// One sample's input gradient being accumulated, `[in_dim]`.
     row: Vec<f32>,
     /// Live `(index, gradient)` pairs: one sample's output rows, or one
-    /// output row's samples.
+    /// output row's samples; or the indices of a sample block's union-live
+    /// output rows (the 512-bit kernel, which reads each sample's gradient
+    /// in place).
     live: Vec<(u32, f32)>,
 }
 
@@ -165,9 +182,10 @@ pub struct PackedMlp<'m> {
     /// `w[li][(p * PANEL + l) * in_dim + i]`. Neurons past the last full
     /// panel (the single output unit) are read from the row-major weights.
     panels: Vec<Vec<f32>>,
-    /// The layer kernel: [`NATIVE_FORWARD`] (tests swap in each kernel
-    /// this build compiles).
+    /// The layer kernels: [`NATIVE_FORWARD`] and [`NATIVE_BACKWARD`] (tests
+    /// swap in each kernel this build compiles).
     forward: LayerForward,
+    backward: LayerBackward,
 }
 
 impl Mlp {
@@ -270,7 +288,7 @@ impl Mlp {
                 }
             }
         }
-        PackedMlp { mlp: self, panels, forward: NATIVE_FORWARD }
+        PackedMlp { mlp: self, panels, forward: NATIVE_FORWARD, backward: NATIVE_BACKWARD }
     }
 
     /// Pack-then-call form of [`PackedMlp::predict_batch`]; row `i` is
@@ -347,11 +365,12 @@ impl Mlp {
     ///   (gate open and gradient nonzero, so a zero seed of either sign
     ///   drops its sample) are added in ascending order, so every
     ///   `gw[o][i]` and `gb[o]` is the per-sample path's chain;
-    /// - the gradient passes down a layer through the descent's
-    ///   live-compacted sweep ([`Mlp::input_gradient_sweep`]); layer 0's
-    ///   input gradient, which nothing reads, is never formed.
+    /// - the gradient passes down a layer through the descent's reverse
+    ///   sweep ([`Mlp::input_gradient_sweep`], kernel `backward`); layer
+    ///   0's input gradient, which nothing reads, is never formed.
     fn param_grads(
         &self,
+        backward: LayerBackward,
         seeds: &[f32],
         scratch: &mut MlpScratch,
         gw: &mut Vec<Vec<f32>>,
@@ -365,7 +384,7 @@ impl Mlp {
         for li in (0..n_layers).rev() {
             let out_dim = self.b[li].len();
             let in_dim = self.w[li].len() / out_dim;
-            let MlpScratch { acts, live, .. } = scratch;
+            let MlpScratch { acts, sweep: SweepBuffers { live, .. } } = scratch;
             // The layer's inputs, and the gated gradients at its outputs.
             let (inp, grad) = (&acts[li], &acts[li + 1]);
             let (gw, gb) = (&mut gw[li], &mut gb[li]);
@@ -387,53 +406,21 @@ impl Mlp {
                 add_scaled_rows(row, &live[..n_live], inp);
             }
             if li > 0 {
-                self.input_gradient_sweep(li, n, scratch);
+                self.input_gradient_sweep(backward, li, scratch);
             }
         }
     }
 
     /// One layer's reverse sweep, shared by the descent's input gradient
-    /// and the training backward: from the `n` samples' gated gradients at
+    /// and the training backward: from the samples' gated gradients at
     /// layer `li`'s output (`acts[li + 1]`), overwrites the layer's input
-    /// activations `acts[li]` with the gradients at them, gated by those
-    /// same activations' ReLU (`act > 0`, so a NaN activation gates shut)
-    /// — except at the network input, which has no gate.
-    ///
-    /// Per sample, the live output rows — gated gradient nonzero, exactly
-    /// the rows the scalar paths do not skip — are compacted first, then
-    /// each adds `g · w[o][..]` into the sample's input-gradient row with
-    /// lanes across the inputs. Every `(input, sample)` accumulator is one
-    /// sequential chain over ascending live `o`, and a dead row is never
-    /// multiplied, so a non-finite weight behind a shut gate stays as
-    /// invisible as it is to the scalar paths.
-    fn input_gradient_sweep(&self, li: usize, n: usize, scratch: &mut MlpScratch) {
-        let w = &self.w[li];
-        let out_dim = self.b[li].len();
-        let in_dim = w.len() / out_dim;
-        let MlpScratch { acts, row, live } = scratch;
+    /// activations `acts[li]` with the gradients at them through the
+    /// kernel `backward`, gated by those same activations' ReLU — except
+    /// at the network input, which has no gate.
+    fn input_gradient_sweep(&self, backward: LayerBackward, li: usize, scratch: &mut MlpScratch) {
+        let MlpScratch { acts, sweep } = scratch;
         let (head, tail) = acts.split_at_mut(li + 1);
-        let (inp, grad) = (&mut head[li], &tail[0]);
-        debug_assert_eq!(grad.len(), out_dim * n);
-        row.resize(in_dim, 0.0);
-        live.resize(live.len().max(out_dim), (0, 0.0));
-        for (x, g) in inp.chunks_exact_mut(in_dim).zip(grad.chunks_exact(out_dim)) {
-            // Branch-free compaction: the gate pattern is data, not a
-            // predictable branch.
-            let mut n_live = 0;
-            for (o, &gv) in g.iter().enumerate() {
-                live[n_live] = (o as u32, gv);
-                n_live += usize::from(gv != 0.0);
-            }
-            row.fill(0.0);
-            add_scaled_rows(row, &live[..n_live], w);
-            if li > 0 {
-                for (a, &r) in x.iter_mut().zip(row.iter()) {
-                    *a = if *a > 0.0 { r } else { 0.0 };
-                }
-            } else {
-                x.copy_from_slice(row);
-            }
-        }
+        backward(&self.w[li], self.b[li].len(), li > 0, &tail[0], &mut head[li], sweep);
     }
 
     /// Applies an Adam update given gradient buffers. A state without
@@ -492,6 +479,28 @@ type LayerForward = fn(&[f32], &[f32], &[f32], bool, &[f32], &mut [f32]);
 const NATIVE_FORWARD: LayerForward = avx512::forward_layer;
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 const NATIVE_FORWARD: LayerForward = forward_layer;
+
+/// One layer's reverse sweep: `backward(w, out_dim, gate, grad, inp, bufs)`
+/// maps the samples' gated gradients at the layer's outputs `grad`
+/// (`n * out_dim`, sample-major) to the gradients at its inputs, written
+/// over the input activations `inp` (`n * in_dim`) and, when `gate`,
+/// gated by them: `act > 0`, so a NaN activation gates shut to `+0.0`.
+///
+/// An output row is live for a sample when its gated gradient is nonzero
+/// (so a NaN is live, and a zero of either sign is not) — exactly the rows
+/// the scalar paths do not skip. Every kernel computes each `(input,
+/// sample)` gradient as one chain: `+0.0`, then one fused multiply-add
+/// `g · w[o][i]` per live `o` in ascending order. A dead row is never
+/// multiplied into a chain, so a non-finite weight behind a shut gate
+/// stays as invisible as it is to the scalar paths, and every kernel is
+/// bit-identical to them.
+type LayerBackward = fn(&[f32], usize, bool, &[f32], &mut [f32], &mut SweepBuffers);
+
+/// The backward kernel of this build, chosen as [`NATIVE_FORWARD`] is.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+const NATIVE_BACKWARD: LayerBackward = avx512::backward_layer;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+const NATIVE_BACKWARD: LayerBackward = backward_layer;
 
 /// `(first sample, width)` of each register block over `n` samples: blocks
 /// of `widest` (a power of two) while they fit, then the remainder in
@@ -587,28 +596,73 @@ fn forward_tail<const S: usize>(w: &[f32], b: &[f32], relu: bool, x: &[f32], out
     }
 }
 
-/// The 512-bit [`LayerForward`]: a panel's 32 neurons are two 16-lane
-/// vectors, and a block of `S` samples sweeps `P` panels at once, `S × P =
-/// 8`, so every block keeps 16 accumulators in registers — enough
-/// independent chains to cover the `vfmadd` latency even for one sample.
-/// Samples run in blocks of 8 while they fit, then 4, 2 and 1. Each input
-/// broadcasts one sample's activation against the panels' weight rows, one
-/// `vfmadd` per vector, so every lane is one chain in
-/// [`Mlp::forward_cached`]'s order. The ReLU is `vmaxps(v, 0)`, which
-/// returns its second operand when the first is NaN or a zero: `+0.0` for
-/// NaN and `-0.0`, as the scalar path's `max(v, 0.0)` compiles to here.
+/// The portable [`LayerBackward`]: one sample at a time
+/// ([`backward_sample`]). Compiled on every host, as [`forward_layer`] is.
+#[cfg_attr(all(target_arch = "x86_64", target_feature = "avx512f"), allow(dead_code))]
+fn backward_layer(
+    w: &[f32],
+    out_dim: usize,
+    gate: bool,
+    grad: &[f32],
+    inp: &mut [f32],
+    bufs: &mut SweepBuffers,
+) {
+    let in_dim = w.len() / out_dim;
+    for (g, x) in grad.chunks_exact(out_dim).zip(inp.chunks_exact_mut(in_dim)) {
+        backward_sample(w, gate, g, x, bufs);
+    }
+}
+
+/// One sample's sweep through a layer: its live output rows are compacted
+/// first, branch-free (the gate pattern is data, not a predictable branch),
+/// then each adds `g · w[o][..]` into the sample's input-gradient row, lanes
+/// across the inputs ([`add_scaled_rows`]).
+fn backward_sample(w: &[f32], gate: bool, g: &[f32], x: &mut [f32], bufs: &mut SweepBuffers) {
+    let SweepBuffers { row, live, .. } = bufs;
+    live.resize(live.len().max(g.len()), (0, 0.0));
+    let mut n_live = 0;
+    for (o, &gv) in g.iter().enumerate() {
+        live[n_live] = (o as u32, gv);
+        n_live += usize::from(gv != 0.0);
+    }
+    row.clear();
+    row.resize(x.len(), 0.0);
+    add_scaled_rows(row, &live[..n_live], w);
+    if gate {
+        for (a, &r) in x.iter_mut().zip(row.iter()) {
+            *a = if *a > 0.0 { r } else { 0.0 };
+        }
+    } else {
+        x.copy_from_slice(row);
+    }
+}
+
+/// The 512-bit kernels, compiled only where AVX-512F is enabled at build
+/// time: [`avx512::forward_layer`] and [`avx512::backward_layer`].
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod avx512 {
-    use super::{forward_tail, sample_blocks, PANEL};
+    use super::{backward_sample, forward_tail, sample_blocks, SweepBuffers, PANEL};
     use std::arch::x86_64::{
-        __m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_storeu_ps,
+        __m512, __mmask16, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_mask3_fmadd_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_maskz_mov_ps,
+        _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _CMP_GT_OQ, _CMP_NEQ_UQ,
     };
 
     /// Lanes of one vector.
     const LANES: usize = 16;
     const _: () = assert!(PANEL == 2 * LANES, "a panel is two vectors");
 
+    /// The 512-bit [`LayerForward`](super::LayerForward): a panel's 32
+    /// neurons are two 16-lane vectors, and a block of `S` samples sweeps
+    /// `P` panels at once, `S × P = 8`, so every block keeps 16
+    /// accumulators in registers — enough independent chains to cover the
+    /// `vfmadd` latency even for one sample. Samples run in blocks of 8
+    /// while they fit, then 4, 2 and 1. Each input broadcasts one sample's
+    /// activation against the panels' weight rows, one `vfmadd` per vector,
+    /// so every lane is one chain in `Mlp::forward_cached`'s order. The
+    /// ReLU is `vmaxps(v, 0)`, which returns its second operand when the
+    /// first is NaN or a zero: `+0.0` for NaN and `-0.0`, as the scalar
+    /// path's `max(v, 0.0)` compiles to here.
     pub(super) fn forward_layer(
         w: &[f32],
         b: &[f32],
@@ -716,6 +770,127 @@ mod avx512 {
             _mm512_storeu_ps(dst[LANES..].as_mut_ptr(), v1);
         }
     }
+
+    /// The 512-bit [`LayerBackward`](super::LayerBackward): samples run in
+    /// blocks of 8, 4 and 2, and a lone sample through the portable
+    /// kernel's compacted rows ([`backward_sample`]). A block first compacts
+    /// the output rows live for *any* of its samples; then, per tile of `C`
+    /// input vectors, it holds `S × C = 16` accumulators in registers and
+    /// loads each union-live row's `C` weight vectors once for all `S`
+    /// samples. Sample `s` adds them through `vfmadd` masked by `k_s`, all
+    /// ones exactly when the row is live for it (`g != 0`, `_CMP_NEQ_UQ` on
+    /// the broadcast gradient, so NaN is live): a masked-off lane keeps its
+    /// accumulator, so a dead row still never enters a chain, and every
+    /// `(input, sample)` chain is the scalar one. The gate is `act > 0`
+    /// (`_CMP_GT_OQ`, false for NaN) through a zeroing move, so a shut gate
+    /// gives `+0.0`. (A masked 1×16 tile for a lone sample measured slower
+    /// than the compacted rows.)
+    pub(super) fn backward_layer(
+        w: &[f32],
+        out_dim: usize,
+        gate: bool,
+        grad: &[f32],
+        inp: &mut [f32],
+        bufs: &mut SweepBuffers,
+    ) {
+        let in_dim = w.len() / out_dim;
+        for (s, width) in sample_blocks(grad.len() / out_dim, 8) {
+            let g = &grad[s * out_dim..][..width * out_dim];
+            let x = &mut inp[s * in_dim..][..width * in_dim];
+            // SAFETY: as in `forward_layer`.
+            unsafe {
+                match width {
+                    8 => backward_block::<8, 2>(w, gate, g, x, &mut bufs.live),
+                    4 => backward_block::<4, 4>(w, gate, g, x, &mut bufs.live),
+                    2 => backward_block::<2, 8>(w, gate, g, x, &mut bufs.live),
+                    _ => backward_sample(w, gate, g, x, bufs),
+                }
+            }
+        }
+    }
+
+    /// One block of `S` samples through the layer: `grad` holds their
+    /// `S * out_dim` gated gradients, `inp` their `S * in_dim` activations.
+    #[target_feature(enable = "avx512f")]
+    fn backward_block<const S: usize, const C: usize>(
+        w: &[f32],
+        gate: bool,
+        grad: &[f32],
+        inp: &mut [f32],
+        block: &mut Vec<(u32, f32)>,
+    ) {
+        let (out_dim, in_dim) = (grad.len() / S, inp.len() / S);
+        let grads: [&[f32]; S] = std::array::from_fn(|s| &grad[s * out_dim..][..out_dim]);
+        // Branch-free compaction, as in `backward_sample`.
+        block.resize(block.len().max(out_dim), (0, 0.0));
+        let mut n_live = 0;
+        for o in 0..out_dim {
+            block[n_live].0 = o as u32;
+            n_live += usize::from(grads.iter().fold(false, |live, g| live | (g[o] != 0.0)));
+        }
+        let live = &block[..n_live];
+        for first in (0..in_dim.div_ceil(LANES)).step_by(C) {
+            // Each vector's offset and lane mask: the last vector of a row
+            // may be partial, and one past the row's end reads and writes
+            // nothing, at offset 0.
+            let lanes: [(usize, __mmask16); C] = std::array::from_fn(|v| {
+                let i = (first + v) * LANES;
+                match in_dim.saturating_sub(i) {
+                    0 => (0, 0),
+                    left => (i, (1u32 << left.min(LANES)).wrapping_sub(1) as __mmask16),
+                }
+            });
+            let acc = tile::<S, C>(w, &grads, live, &lanes);
+            for (x, a) in inp.chunks_exact_mut(in_dim).zip(acc) {
+                for (&(i, m), v) in lanes.iter().zip(a) {
+                    // SAFETY: `i < in_dim = x.len()`, or `i == 0` with
+                    // every lane masked off, so the pointer is in bounds;
+                    // the masked load and store touch only the lanes of
+                    // `m`, which lie inside `x`.
+                    unsafe {
+                        let p = x.as_mut_ptr().add(i);
+                        let v = if gate {
+                            let act = _mm512_maskz_loadu_ps(m, p);
+                            let open = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(act, _mm512_setzero_ps());
+                            _mm512_maskz_mov_ps(open, v)
+                        } else {
+                            v
+                        };
+                        _mm512_mask_storeu_ps(p, m, v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One tile's `S × C` accumulators over the block's union-live rows
+    /// `live`, from the samples' gradients `grads`: `+0.0`, then per row in
+    /// ascending order one masked `vfmadd` per sample and vector.
+    #[target_feature(enable = "avx512f")]
+    fn tile<const S: usize, const C: usize>(
+        w: &[f32],
+        grads: &[&[f32]; S],
+        live: &[(u32, f32)],
+        lanes: &[(usize, __mmask16); C],
+    ) -> [[__m512; C]; S] {
+        let in_dim = w.len() / grads[0].len();
+        let mut acc = [[_mm512_setzero_ps(); C]; S];
+        for &(o, _) in live {
+            let o = o as usize;
+            let row = &w[o * in_dim..][..in_dim];
+            // SAFETY: as for the stores in `backward_block`, over `row`.
+            let wv = lanes.map(|(i, m)| unsafe { _mm512_maskz_loadu_ps(m, row.as_ptr().add(i)) });
+            for (a, g) in acc.iter_mut().zip(grads) {
+                let g = _mm512_set1_ps(g[o]);
+                // Live: `g != 0.0`, true for NaN.
+                let k = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(g, _mm512_setzero_ps());
+                for (av, &wv) in a.iter_mut().zip(&wv) {
+                    *av = _mm512_mask3_fmadd_ps(g, wv, *av, k);
+                }
+            }
+        }
+        acc
+    }
 }
 
 impl PackedMlp<'_> {
@@ -817,7 +992,7 @@ impl PackedMlp<'_> {
             }
         }
         self.forward_layers(n, scratch, scores);
-        self.backward_input_gradients(n, scratch);
+        self.backward_input_gradients(scratch);
         grads_t.resize(FEATURE_COUNT * n, 0.0);
         for (k, col) in grads_t.chunks_exact_mut(n).enumerate() {
             let sd = m.input_std[k];
@@ -834,11 +1009,11 @@ impl PackedMlp<'_> {
     /// assumes a forward pass has filled `scratch.acts`. Leaves the raw
     /// sample-major input gradients (pre-normalization-unscale, `f32`) in
     /// `scratch.acts[0]`.
-    fn backward_input_gradients(&self, n: usize, scratch: &mut MlpScratch) {
+    fn backward_input_gradients(&self, scratch: &mut MlpScratch) {
         let n_layers = self.mlp.w.len();
         scratch.acts[n_layers].fill(1.0);
         for li in (0..n_layers).rev() {
-            self.mlp.input_gradient_sweep(li, n, scratch);
+            self.mlp.input_gradient_sweep(self.backward, li, scratch);
         }
     }
 }
@@ -1082,8 +1257,9 @@ mod tests {
     }
 
     /// Asserts that the batched training backward over `rows` with `seeds`
-    /// gives the scalar reference's gradients bit for bit, reusing the
-    /// caller's buffers the way a training call does.
+    /// gives the scalar reference's gradients bit for bit under every
+    /// forward × backward kernel pair, reusing the caller's buffers the way
+    /// a training call does.
     fn assert_param_grads_match_reference(
         mlp: &Mlp,
         rows: &[Vec<f64>],
@@ -1092,11 +1268,6 @@ mod tests {
         gw: &mut Vec<Vec<f32>>,
         gb: &mut Vec<Vec<f32>>,
     ) {
-        let packed = mlp.pack_into(std::mem::take(gw));
-        let mut scores = Vec::new();
-        packed.forward_rows(rows.iter().map(Vec::as_slice), scratch, &mut scores);
-        *gw = packed.into_panels();
-        mlp.param_grads(seeds, scratch, gw, gb);
         let slices: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
         let acts = scalar_backprop::scalar_acts(mlp, &slices);
         let (rw, rb) = scalar_backprop::backprop_with_seeds(mlp, &acts, seeds);
@@ -1104,48 +1275,102 @@ mod tests {
             v.iter().map(|l| l.iter().map(|x| x.to_bits()).collect()).collect()
         };
         let n = rows.len();
-        assert!(bits(gw) == bits(&rw), "n={n}: weight gradients differ");
-        assert!(bits(gb) == bits(&rb), "n={n}: bias gradients differ");
+        for (kernels, forward, backward) in kernel_pairs() {
+            let packed = PackedMlp { forward, ..mlp.pack_into(std::mem::take(gw)) };
+            let mut scores = Vec::new();
+            packed.forward_rows(rows.iter().map(Vec::as_slice), scratch, &mut scores);
+            *gw = packed.into_panels();
+            mlp.param_grads(backward, seeds, scratch, gw, gb);
+            assert!(bits(gw) == bits(&rw), "{kernels} n={n}: weight gradients differ");
+            assert!(bits(gb) == bits(&rb), "{kernels} n={n}: bias gradients differ");
+        }
+    }
+
+    /// A model and the rows it is checked on.
+    type ParityCase = (Mlp, Vec<Vec<f64>>);
+
+    /// The parity tests' models, each with the rows it is checked on: a
+    /// He-initialised one on synthetic rows; a trained one (pretrained, then
+    /// fine-tuned) on 64 real dataset rows, with their dead-ReLU patterns;
+    /// and that one with a `-inf` hidden weight. Also the dataset.
+    fn parity_models() -> ([ParityCase; 3], Dataset) {
+        let he_init = Mlp::new(&mut StdRng::seed_from_u64(4));
+        let ds = generate_dataset(&felix_sim::DeviceConfig::a5000(), 4, 8, 11);
+        let mut trained = he_init.clone();
+        let cfg = TrainConfig { epochs: 2, batch_size: 64, lr: 1e-3, seed: 2, ..Default::default() };
+        pretrain(&mut trained, &ds.samples, &cfg);
+        fine_tune(&mut trained, &ds.samples[..16], 4, 3e-4);
+        let non_finite = with_neg_inf_hidden_weight(&trained, 3, 5);
+        let synthetic: Vec<Vec<f64>> = (0..64)
+            .map(|s| {
+                (0..FEATURE_COUNT)
+                    .map(|i| ((s * 31 + i) as f64 * 0.17).sin() * 3.0)
+                    .collect()
+            })
+            .collect();
+        let real: Vec<Vec<f64>> = ds.samples.iter().take(64).map(|s| s.logfeats.clone()).collect();
+        assert_eq!(real.len(), 64);
+        ([(he_init, synthetic), (trained, real.clone()), (non_finite, real)], ds)
+    }
+
+    /// Every batch width checked: each remainder of an 8-sample block, and
+    /// several whole blocks, in an order that shrinks and grows the buffers.
+    fn parity_widths() -> impl Iterator<Item = usize> {
+        [64, 33].into_iter().chain(1..=17).chain([48, 64])
     }
 
     #[test]
     fn batched_backward_matches_scalar_reference() {
-        // Every batch width of the forward's sample blocks, signed zero,
-        // non-finite and tiny seeds, a trained model's real dead-ReLU
-        // patterns, and one set of buffers reused across growing and
-        // shrinking batches.
-        let ds = generate_dataset(&felix_sim::DeviceConfig::a5000(), 4, 8, 11);
-        let mut mlp = Mlp::new(&mut StdRng::seed_from_u64(14));
-        let cfg = TrainConfig { epochs: 2, batch_size: 32, lr: 1e-3, seed: 2, ..Default::default() };
-        pretrain(&mut mlp, &ds.samples, &cfg);
-        let rows: Vec<Vec<f64>> = ds.samples.iter().take(64).map(|s| s.logfeats.clone()).collect();
-        assert_eq!(rows.len(), 64);
+        // Every batch width of the sample blocks, signed zero, non-finite
+        // and tiny seeds, real dead-ReLU patterns and a `-inf` weight, and
+        // one set of buffers reused across growing and shrinking batches.
+        let (models, _) = parity_models();
         let specials = [0.0, -0.0, 1.0, -0.5, 0.0, f32::MIN_POSITIVE, -1e-30, 3.0, -0.0];
         let seeds: Vec<f32> = (0..64).map(|s| specials[s % specials.len()] * (1.0 + s as f32 / 7.0)).collect();
         let (mut scratch, mut gw, mut gb) = (MlpScratch::default(), Vec::new(), Vec::new());
-        for n in [64, 1, 33, 2, 17, 3].into_iter().chain(4..=9).chain([48, 64]) {
-            assert_param_grads_match_reference(&mlp, &rows[..n], &seeds[..n], &mut scratch, &mut gw, &mut gb);
+        for (mlp, rows) in &models {
+            for n in parity_widths() {
+                assert_param_grads_match_reference(mlp, &rows[..n], &seeds[..n], &mut scratch, &mut gw, &mut gb);
+            }
         }
         // A NaN seed propagates identically.
+        let (trained, rows) = &models[1];
         let mut nan_seeds = seeds[..5].to_vec();
         nan_seeds[2] = f32::NAN;
-        assert_param_grads_match_reference(&mlp, &rows[..5], &nan_seeds, &mut scratch, &mut gw, &mut gb);
+        assert_param_grads_match_reference(trained, &rows[..5], &nan_seeds, &mut scratch, &mut gw, &mut gb);
         // All-zero seeds (of either sign) give all-zero gradients.
         let zeros = [0.0, -0.0, 0.0, -0.0];
-        assert_param_grads_match_reference(&mlp, &rows[..4], &zeros, &mut scratch, &mut gw, &mut gb);
+        assert_param_grads_match_reference(trained, &rows[..4], &zeros, &mut scratch, &mut gw, &mut gb);
         assert!(gw.iter().chain(&gb).flatten().all(|g| g.to_bits() == 0), "zero seeds, zero gradients");
     }
 
     /// Every forward kernel this build compiles, by name: the portable one
     /// on every host, and the 512-bit one where AVX-512F is enabled.
-    const KERNELS: &[(&str, LayerForward)] = &[
+    const FORWARD_KERNELS: &[(&str, LayerForward)] = &[
         ("portable", forward_layer),
         #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
         ("avx512", avx512::forward_layer),
     ];
 
+    /// Every backward kernel this build compiles, as [`FORWARD_KERNELS`].
+    const BACKWARD_KERNELS: &[(&str, LayerBackward)] = &[
+        ("portable", backward_layer),
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        ("avx512", avx512::backward_layer),
+    ];
+
+    /// Every forward × backward pair, named `forward/backward`.
+    fn kernel_pairs() -> impl Iterator<Item = (String, LayerForward, LayerBackward)> {
+        FORWARD_KERNELS.iter().flat_map(|&(fname, forward)| {
+            BACKWARD_KERNELS
+                .iter()
+                .map(move |&(bname, backward)| (format!("{fname}/{bname}"), forward, backward))
+        })
+    }
+
     /// Asserts that the batched paths over `rows` equal the scalar
-    /// reference bitwise, scores and gradients, under every forward kernel.
+    /// reference bitwise, scores and gradients, under every forward ×
+    /// backward kernel pair.
     fn assert_batched_matches_scalar(mlp: &Mlp, rows: &[Vec<f64>], scratch: &mut MlpScratch) {
         let n = rows.len();
         let mut feats_t = vec![0.0; FEATURE_COUNT * n];
@@ -1161,18 +1386,18 @@ mod tests {
                 (mlp.predict(x), score, grad)
             })
             .collect();
-        for &(kernel, forward) in KERNELS {
-            let packed = PackedMlp { forward, ..mlp.pack() };
+        for (kernels, forward, backward) in kernel_pairs() {
+            let packed = PackedMlp { forward, backward, ..mlp.pack() };
             let scores = packed.predict_batch(rows);
             let (mut gscores, mut grads_t) = (Vec::new(), Vec::new());
             packed.input_gradient_batch_cols(&feats_t, n, scratch, &mut gscores, &mut grads_t);
             assert_eq!((scores.len(), gscores.len(), grads_t.len()), (n, n, FEATURE_COUNT * n));
             for (s, (score, rs, rg)) in reference.iter().enumerate() {
-                assert_eq!(scores[s].to_bits(), score.to_bits(), "{kernel} n={n} row {s} score");
-                assert_eq!(gscores[s].to_bits(), rs.to_bits(), "{kernel} n={n} row {s} grad score");
+                assert_eq!(scores[s].to_bits(), score.to_bits(), "{kernels} n={n} row {s} score");
+                assert_eq!(gscores[s].to_bits(), rs.to_bits(), "{kernels} n={n} row {s} grad score");
                 for (k, b) in rg.iter().enumerate() {
                     let got = grads_t[k * n + s].to_bits();
-                    assert_eq!(got, b.to_bits(), "{kernel} n={n} row {s} grad[{k}]");
+                    assert_eq!(got, b.to_bits(), "{kernels} n={n} row {s} grad[{k}]");
                 }
             }
         }
@@ -1204,32 +1429,17 @@ mod tests {
         // dead-ReLU patterns, and with one scratch reused across shrinking
         // and growing batches (poisoned seeds drop out, warm-start rounds
         // grow): stale high-water-mark data must never leak.
-        let mut rng = StdRng::seed_from_u64(4);
-        let he_init = Mlp::new(&mut rng);
-        let ds = generate_dataset(&felix_sim::DeviceConfig::a5000(), 4, 8, 11);
-        let mut trained = he_init.clone();
-        let cfg = TrainConfig { epochs: 2, batch_size: 64, lr: 1e-3, seed: 2, ..Default::default() };
-        pretrain(&mut trained, &ds.samples, &cfg);
-        fine_tune(&mut trained, &ds.samples[..16], 4, 3e-4);
-        let non_finite = with_neg_inf_hidden_weight(&trained, 3, 5);
-        let synthetic: Vec<Vec<f64>> = (0..64)
-            .map(|s| {
-                (0..FEATURE_COUNT)
-                    .map(|i| ((s * 31 + i) as f64 * 0.17).sin() * 3.0)
-                    .collect()
-            })
-            .collect();
-        let real: Vec<Vec<f64>> = ds.samples.iter().take(64).map(|s| s.logfeats.clone()).collect();
-        assert_eq!(real.len(), 64);
+        let (models, ds) = parity_models();
         let mut scratch = MlpScratch::default();
-        for (mlp, rows) in [(&he_init, &synthetic), (&trained, &real), (&non_finite, &real)] {
-            for n in [5, 3, 64, 33].into_iter().chain(1..=17) {
+        for (mlp, rows) in &models {
+            for n in parity_widths() {
                 assert_batched_matches_scalar(mlp, &rows[..n], &mut scratch);
             }
         }
 
         // Pack freshness: a pack built after training sees the updated
         // weights (guards any future caching of the packed copy).
+        let [_, (mut trained, real), _] = models;
         let before = trained.pack().predict_batch(&real[..4]);
         fine_tune(&mut trained, &ds.samples[16..48], 2, 3e-3);
         let after = trained.pack().predict_batch(&real[..4]);
@@ -1269,7 +1479,7 @@ mod tests {
             let rows = &rows[..n];
             assert_batched_matches_scalar(&mlp, rows, &mut scratch);
             // Every layer's activations, not only the score they reach.
-            for &(kernel, forward) in KERNELS {
+            for &(kernel, forward) in FORWARD_KERNELS {
                 let packed = PackedMlp { forward, ..mlp.pack() };
                 packed.forward_rows(rows.iter().map(Vec::as_slice), &mut scratch, &mut Vec::new());
                 for (s, x) in rows.iter().enumerate() {
@@ -1304,6 +1514,67 @@ mod tests {
         let (mut scratch, mut gw, mut gb) = (MlpScratch::default(), Vec::new(), Vec::new());
         assert_param_grads_match_reference(&mlp, &rows, &[0.5, -0.25, 2.0], &mut scratch, &mut gw, &mut gb);
         assert!(gw.iter().chain(&gb).flatten().all(|g| g.is_finite()), "parameter gradients stay finite");
+    }
+
+    #[test]
+    fn mixed_liveness_blocks_match_scalar() {
+        // One 8-sample block (and its 4- and 2-sample prefixes) holding a
+        // row live for some samples and dead for others while it carries a
+        // non-finite weight, a sample whose every gate is shut, and exact
+        // -0.0 upstream gradients. A block kernel that multiplies a row
+        // into a sample's chain where it is dead, gates on `act >= 0`, or
+        // drops a row only some of its samples keep, fails here.
+        //
+        // A fresh model has zero biases and unit normalization. Feature
+        // `i`'s sign alternates across the block, so with `w[0][o][i]`
+        // non-finite, unit `o`'s pre-activation is `+inf` (open) where the
+        // feature is negative and `-inf` (shut) where it is positive when
+        // the weight is `-inf`, and NaN (shut everywhere) when it is NaN.
+        // Unit `o` feeds one unit of the next layer with a positive weight
+        // and the rest with negative ones, so an infinity stays on one path
+        // instead of cancelling into NaN, and a gradient reaches it. Sample
+        // `shut` has a NaN feature: every layer-0 unit reads NaN and gates
+        // shut, and zero biases shut every later gate too.
+        let mut base = Mlp::new(&mut StdRng::seed_from_u64(47));
+        let (o, i, shut) = (3, 0, 5);
+        for (m, row) in base.w[1].chunks_exact_mut(LAYER_SIZES[1]).enumerate() {
+            row[o] = if m == 0 { row[o].abs() } else { -row[o].abs() };
+        }
+        let mut rows: Vec<Vec<f64>> = (0..8)
+            .map(|s| (0..FEATURE_COUNT).map(|k| ((s * 13 + k) as f64 * 0.37).sin()).collect())
+            .collect();
+        for (s, x) in rows.iter_mut().enumerate() {
+            x[i] = if s % 3 == 0 { -1.0 } else { 0.5 };
+        }
+        rows[shut][40] = f64::NAN;
+        let mut scratch = MlpScratch::default();
+        for v in [f32::NEG_INFINITY, f32::NAN] {
+            let mlp = with_patched_param(&base, 0, false, o * FEATURE_COUNT + i, v);
+            for (s, x) in rows.iter().enumerate() {
+                let (_, grad) = mlp.input_gradient(x);
+                let live = v.is_infinite() && x[i] < 0.0;
+                // Only a live `-inf` row makes a gradient non-finite.
+                assert_eq!(grad.iter().all(|g| g.is_finite()), !live, "{v} row {o}, sample {s}");
+                if s == shut {
+                    assert!(grad.iter().all(|g| g.to_bits() == 0), "sample {s}'s gradient is +0.0");
+                }
+            }
+            for n in [8, 4, 2] {
+                assert_batched_matches_scalar(&mlp, &rows[..n], &mut scratch);
+            }
+            // Training: the output row carries the non-finite weight too,
+            // at a unit open in sample 1; -0.0 and 0.0 seeds make that row
+            // dead for their samples and the others live, subnormal seeds
+            // among them, whose products round toward zero further down.
+            let (acts, _) = mlp.forward_cached(&mlp.normalize(&rows[1]));
+            let j = acts[3].iter().position(|&a| a > 0.0).expect("an open unit in sample 1");
+            let mlp = with_patched_param(&mlp, 3, false, j, v);
+            let seeds = [1.0, -0.0, 0.5, 0.0, -1e-44, -0.0, 2.0, 1e-40];
+            let (mut gw, mut gb) = (Vec::new(), Vec::new());
+            for n in [8, 4, 2] {
+                assert_param_grads_match_reference(&mlp, &rows[..n], &seeds[..n], &mut scratch, &mut gw, &mut gb);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! all from buffers that live for the whole call. The Adam moments are
 //! among them only when the call takes more than one step.
 
-use crate::{generate_dataset, AdamState, Mlp, MlpScratch, Sample};
+use crate::{generate_dataset, AdamState, Mlp, MlpScratch, Sample, NATIVE_BACKWARD};
 use felix_sim::DeviceConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,7 +200,8 @@ impl TrainStep {
             LossKind::Mse => mse_seeds(scores, targets, seeds),
             LossKind::PairwiseRank => rank_seeds(scores, targets, &mut self.seed_acc, seeds),
         };
-        mlp.param_grads(&self.seeds, &mut self.scratch, &mut self.wbuf, &mut self.gb);
+        let (seeds, scratch, gw, gb) = (&self.seeds, &mut self.scratch, &mut self.wbuf, &mut self.gb);
+        mlp.param_grads(NATIVE_BACKWARD, seeds, scratch, gw, gb);
         mlp.apply_adam(&self.wbuf, &self.gb, adam, cfg.lr);
         loss
     }

@@ -6,8 +6,11 @@
 //! weights, then the weight gradients in the same allocation. A multi-step
 //! call keeps both moment buffers beside it. Both budgets are stated in
 //! units of the model's weight bytes.
+//!
+//! The descent's input-gradient batch, called once per seed-step, reuses
+//! its caller's buffers: once warm it allocates nothing at all.
 
-use felix_cost::{fine_tune, Mlp, Sample, LAYER_SIZES};
+use felix_cost::{fine_tune, Mlp, MlpScratch, Sample, LAYER_SIZES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -17,6 +20,8 @@ use std::sync::Mutex;
 /// Live heap bytes, and the most seen since the last [`peak_growth`] began.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Bytes of every allocation and reallocation requested, never decreased.
+static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 
 /// Serialises the tests: the counters are process-wide. It guards no data,
 /// so a guard poisoned by the other test's failure is still good.
@@ -34,6 +39,7 @@ fn grow(bytes: usize) {
 // counters besides; the caller's guarantees pass straight through.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size(), Relaxed);
         let p = System.alloc(layout);
         if !p.is_null() {
             grow(layout.size());
@@ -42,6 +48,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size(), Relaxed);
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
             grow(layout.size());
@@ -55,6 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.fetch_add(new_size, Relaxed);
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
             if new_size > layout.size() {
@@ -76,6 +84,13 @@ fn peak_growth(f: impl FnOnce()) -> usize {
     PEAK.store(base, Relaxed);
     f();
     PEAK.load(Relaxed) - base
+}
+
+/// Bytes requested from the allocator while `f` ran.
+fn requested_during(f: impl FnOnce()) -> usize {
+    let before = REQUESTED.load(Relaxed);
+    f();
+    REQUESTED.load(Relaxed) - before
 }
 
 /// A seeded model and `n` random samples with distinct scores.
@@ -128,4 +143,27 @@ fn multi_step_training_stays_inside_moments_pack_and_activations() {
         growth <= budget,
         "2-epoch fine-tune on 192 samples grew the heap by {growth} bytes (budget {budget})"
     );
+}
+
+#[test]
+fn warm_input_gradient_batch_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (mlp, samples) = model_and_samples(8);
+    let packed = mlp.pack();
+    // A whole 8-sample block, and a 2-sample block plus a lone sample.
+    for n in [8, 3] {
+        let mut feats_t = vec![0.0; LAYER_SIZES[0] * n];
+        for (s, sample) in samples[..n].iter().enumerate() {
+            for (k, &x) in sample.logfeats.iter().enumerate() {
+                feats_t[k * n + s] = x;
+            }
+        }
+        let mut scratch = MlpScratch::default();
+        let (mut scores, mut grads_t) = (Vec::new(), Vec::new());
+        let (scores, grads_t) = (&mut scores, &mut grads_t);
+        let mut call = || packed.input_gradient_batch_cols(&feats_t, n, &mut scratch, scores, grads_t);
+        call();
+        let bytes = requested_during(call);
+        assert_eq!(bytes, 0, "a warm input-gradient batch of {n} requested {bytes} heap bytes");
+    }
 }

@@ -3,8 +3,9 @@
 # tier-1 line — `cargo test -q` at the root, which runs every crate's suite
 # (the root manifest's `default-members` lists them all) — one crate at a
 # time under a time budget, so each suite runs once. Then felix-cost's
-# suite once more built without AVX-512 (x86-64 hosts), so its portable
-# forward kernel is the one under test; the serve lifecycle suite again at
+# suite, the pinned golden run and the pinned objectives once more built
+# without AVX-512 (x86-64 hosts), so the cost model's portable kernels are
+# the ones under test; the serve lifecycle suite again at
 # one test thread, so a test that passes only while its siblings slow the
 # daemon fails; the pinned golden run, the pinned objectives, the pinned
 # serve results and the wire-protocol suite under the release profile, the
@@ -55,27 +56,37 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
     fi
 done
 
-# The cost model's portable forward kernel, built as the only one: where
-# AVX-512F is on at compile time (the root `.cargo/config.toml` builds for
-# the host CPU) the product runs a 512-bit kernel, so felix-cost's parity
-# tests run once more for x86-64-v3 (AVX2 and FMA, no AVX-512), in their own
-# target directory so the native artifacts stay fresh. Timed against the
-# same per-crate budget, execution only.
+# The cost model's portable kernels, built as the only ones: where AVX-512F
+# is on at compile time (the root `.cargo/config.toml` builds for the host
+# CPU) the product runs 512-bit forward and backward kernels, so
+# felix-cost's parity tests, the pinned golden run and the pinned
+# objectives run once more for x86-64-v3 (AVX2 and FMA, no AVX-512), in
+# their own target directory so the native artifacts stay fresh: the pinned
+# bytes must hold end to end on the portable kernels too. Timed together
+# against the same per-crate budget, execution only.
 if [ "$(uname -m)" = x86_64 ]; then
-    portable_target="${CARGO_TARGET_DIR:-target}/x86-64-v3"
-    RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR="$portable_target" \
-        cargo test -q -p felix-cost --no-run
+    portable_suites=("-p felix-cost" "-p felix-repro --test golden_run" "-p felix --test pinned_objectives")
+    portable_test() {
+        RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/x86-64-v3" \
+            cargo test -q "$@"
+    }
+    for suite in "${portable_suites[@]}"; do
+        # shellcheck disable=SC2086 # each entry is several arguments
+        portable_test $suite --no-run
+    done
     start=$SECONDS
-    if ! out=$(RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR="$portable_target" \
-        cargo test -q -p felix-cost); then
-        printf '%s\n' "$out"
-        echo "FAIL: felix-cost test suite failed for x86-64-v3" >&2
-        exit 1
-    fi
+    for suite in "${portable_suites[@]}"; do
+        # shellcheck disable=SC2086
+        if ! out=$(portable_test $suite); then
+            printf '%s\n' "$out"
+            echo "FAIL: cargo test $suite failed for x86-64-v3" >&2
+            exit 1
+        fi
+    done
     elapsed=$((SECONDS - start))
-    echo "test-time felix-cost (x86-64-v3): ${elapsed}s"
+    echo "test-time portable kernels (x86-64-v3): ${elapsed}s"
     if [ "$elapsed" -gt "$BUDGET_S" ]; then
-        echo "FAIL: felix-cost suite for x86-64-v3 took ${elapsed}s (budget ${BUDGET_S}s)" >&2
+        echo "FAIL: the x86-64-v3 suites took ${elapsed}s (budget ${BUDGET_S}s)" >&2
         exit 1
     fi
 fi
