@@ -115,7 +115,7 @@ pub struct HealthReport {
     /// Gradient-norm clips applied.
     pub grad_clips: usize,
     /// Sketches poisoned by a caught panic (one each, however many of
-    /// their work items panicked; the process lives on).
+    /// their descent segments panicked; the process lives on).
     pub panics_caught: usize,
     /// Every sketch's mode for the next round, as the supervisor decided
     /// it — exactly what a health record persists. Empty when nothing

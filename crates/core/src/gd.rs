@@ -11,7 +11,7 @@
 //! The seeds visit `nSeeds × nSteps` points, but far fewer distinct integer
 //! schedules (on ResNet-50, ≈ 140 of 3 200). Each point is rounded exactly
 //! once, through its sketch's [`felix_tir::sketch::RoundingPlan`] (built
-//! once per task), by the work item that visited it, right after the Adam
+//! once per task), by the segment that visited it, right after the Adam
 //! step that reached it. One serial pass then keys every rounded point, in
 //! step-major seed order, by its [`felix_ansor::ScheduleKey`]: the
 //! constraint and already-measured checks run on a key's first occurrence
@@ -31,27 +31,30 @@
 //!
 //! # Parallel, batched execution
 //!
-//! One work item is a run of one sketch's seeds: the round's seeds are
-//! grouped by sketch in ascending global index, and each group is cut into
-//! runs of at most `⌈nSeeds / workers⌉` lanes. Both halves of each Adam
-//! step are batched over an item's lanes. The expression side runs on the
-//! sketch's compiled gradient tape ([`felix_expr::CompiledGradTape`], built
-//! once per objective): the item's seeds sweep the tape's fused forward and
-//! reverse passes in one structure-of-arrays pass over all lanes, with the
-//! item's scratch buffers reused across steps so the steady-state loop
-//! allocates only the rounded points. The cost model is evaluated in
-//! matrix-shaped batches: each Adam step makes one
-//! [`PackedMlp::input_gradient_batch_cols`] call over the item's lanes
-//! instead of one scalar call per seed, and candidate ranking batches its
-//! predictions the same way, all against one packed view of the weights
-//! built per `propose`. Items (and independent sketch objectives) run on a
-//! scoped-thread pool ([`crate::parallel`]) whose workers self-schedule from
-//! a shared queue. Every batched MLP row is bit-identical to the scalar
-//! path, restart substreams are keyed by global seed index, item results
-//! are read back in step-major seed order, and all randomness is drawn from
-//! the master RNG in a fixed serial order (per-seed work uses derived
-//! `StdRng` streams), so the search result is **bit-identical at every
-//! thread count** — `threads: 1` is the proof path, `threads: 0` (one
+//! One work item is a group: one worker's share of the round's seeds. The
+//! seeds are taken in sketch order (each sketch's by ascending global
+//! index) and cut into shares of `⌈nSeeds / workers⌉` lanes, so a group may
+//! span sketches; its runs of one sketch's seeds are its segments. Both
+//! halves of each Adam step are batched. The expression side runs per
+//! segment on the sketch's compiled gradient tape
+//! ([`felix_expr::CompiledGradTape`], built once per objective): the
+//! segment's seeds sweep the tape's fused forward and reverse passes in one
+//! structure-of-arrays pass over its lanes, with its scratch buffers reused
+//! across steps so the steady-state loop allocates only the rounded points.
+//! The cost model runs per group: each Adam step makes ONE
+//! [`PackedMlp::input_gradient_batch_cols`] call over all the group's lanes,
+//! every segment reading and writing its own columns of one feature-major
+//! matrix, so each worker's MLP batch is as wide as its share whatever the
+//! sketches; candidate ranking batches its predictions the same way, all
+//! against one packed view of the weights built per `propose`. Groups (and
+//! independent sketch objectives) run on a scoped-thread pool
+//! ([`crate::parallel`]) whose workers self-schedule from a shared queue.
+//! Every batched MLP row is bit-identical to the scalar path whatever else
+//! shares its batch, restart substreams are keyed by global seed index,
+//! group results are read back in step-major seed order, and all randomness
+//! is drawn from the master RNG in a fixed serial order (per-seed work uses
+//! derived `StdRng` streams), so the search result is **bit-identical at
+//! every thread count** — `threads: 1` is the proof path, `threads: 0` (one
 //! worker per core) the fast path.
 
 use crate::health::{restart_salt, restart_stream, round_report, SeedHealth, SketchHealth};
@@ -73,6 +76,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Random draws per non-warm seed slot; the best-predicted draw becomes the
@@ -152,21 +156,52 @@ impl Seed {
     }
 }
 
-/// One work item of a round's descent: a run of one sketch's seeds, by
-/// ascending global seed index.
-struct Item {
+/// One sketch's run of seeds inside a [`Group`]: the group's columns
+/// `cols`, whose seeds are that sketch's, by ascending global index.
+#[derive(Clone)]
+struct Segment {
     sketch: usize,
-    seeds: Vec<usize>,
+    cols: Range<usize>,
 }
 
-/// What a work item returns: per-step scores and rounded points
-/// (step-major, one per lane per step), its supervision counters and its
-/// lanes' health.
-struct ItemOut {
+/// One work item of a round's descent: one worker's share of the round's
+/// seeds, taken in sketch order (each sketch's seeds by ascending global
+/// index), and cut at sketch boundaries into [`Segment`]s. Lane (column)
+/// `l` of the group is global seed `seeds[l]`; all its segments share one
+/// cost-model call per step.
+#[derive(Clone)]
+struct Group {
+    seeds: Vec<usize>,
+    segments: Vec<Segment>,
+}
+
+/// Cuts a round's seeds, where seed `g` descends sketch `sketch_of[g]`, into
+/// groups of `width` lanes (the last may be narrower), in sketch order.
+fn cut_groups(sketch_of: &[usize], width: usize) -> Vec<Group> {
+    let mut order: Vec<usize> = (0..sketch_of.len()).collect();
+    order.sort_by_key(|&g| sketch_of[g]);
+    let group = |share: &[usize]| {
+        let mut first = 0;
+        let runs = share.chunk_by(|&a, &b| sketch_of[a] == sketch_of[b]);
+        let segments = runs
+            .map(|run| {
+                first += run.len();
+                Segment { sketch: sketch_of[run[0]], cols: first - run.len()..first }
+            })
+            .collect();
+        Group { seeds: share.to_vec(), segments }
+    };
+    order.chunks(width).map(group).collect()
+}
+
+/// What a group returns: per-step scores and rounded points (step-major,
+/// one per lane per step), its supervision counters, and the health of each
+/// segment's lanes, in segment order.
+struct GroupOut {
     scores: Vec<f64>,
     rounded: Vec<Vec<f64>>,
     counters: HealthReport,
-    health: SketchHealth,
+    health: Vec<SketchHealth>,
 }
 
 /// An empty type. The process memo of search spaces and their compiled
@@ -194,6 +229,9 @@ pub struct GradientProposer {
     trace: Vec<f64>,
     stats: Vec<TunerStats>,
     health: HealthReport,
+    /// The last round's groups: which seeds shared each worker's MLP
+    /// calls (read by the tests of the cut).
+    groups: Vec<Group>,
 }
 
 impl GradientProposer {
@@ -205,6 +243,7 @@ impl GradientProposer {
             trace: Vec::new(),
             stats: Vec::new(),
             health: HealthReport::default(),
+            groups: Vec::new(),
         }
     }
 
@@ -264,58 +303,206 @@ fn restart_seed(
     seed.opt = AdamOpt::new(seed.y.len(), lr);
 }
 
-/// Runs the full Adam descent of one work item, whose seeds start at
-/// `starts[g].1` for each global index `g` in `item.seeds`, under the
-/// gradient clip of its sketch's mode in `task`. Per step the
-/// item runs ONE batched forward tape sweep over its lanes, ONE
-/// matrix-shaped MLP call, ONE batched reverse sweep, then the per-seed
-/// Adam updates, and rounds every lane's new point through the sketch's
-/// `RoundingPlan`. All scratch buffers live outside the step loop. Lane
-/// layout never changes accumulation order, so scores and points are
-/// bit-identical to a serial seed-at-a-time descent.
+/// One segment's descent state inside [`descend_group`]: its sketch's
+/// objective, its seeds and the tape scratch its lanes sweep.
+struct SegmentRun<'a> {
+    sketch: usize,
+    obj: &'a SketchObjective,
+    st: &'a SketchState,
+    clip: f64,
+    /// The segment's columns of the group's matrices, one per lane.
+    cols: Vec<usize>,
+    /// Global seed index of each lane.
+    globals: &'a [usize],
+    seeds: Vec<Seed>,
+    scratch: EvalScratch,
+    pen: Vec<f64>,
+    // Tape-level finiteness verdicts, derived for free inside
+    // `write_feats_cols`/`seed_penalties_all` (which already read every
+    // root) — a standalone root scan per lane per step costs a
+    // cache-hostile pass over the tape values.
+    feat_ok: Vec<bool>,
+    pen_ok: Vec<bool>,
+    health: SketchHealth,
+}
+
+impl<'a> SegmentRun<'a> {
+    /// The segment `seg` of `group`, its seeds at their `starts`, under
+    /// the gradient clip of its sketch's mode in `task`.
+    fn new(
+        objectives: &'a [SketchObjective],
+        task: &'a SearchTask,
+        starts: &[(usize, Vec<f64>)],
+        group: &'a Group,
+        seg: &Segment,
+    ) -> Self {
+        let sketch = seg.sketch;
+        let clip = if task.sketch_modes()[sketch] == SketchMode::ClippedGradient {
+            CLIPPED_GRAD_CLIP
+        } else {
+            GRAD_CLIP
+        };
+        let globals = &group.seeds[seg.cols.clone()];
+        let lanes = globals.len();
+        SegmentRun {
+            sketch,
+            obj: &objectives[sketch],
+            st: &task.sketches[sketch],
+            clip,
+            cols: seg.cols.clone().collect(),
+            globals,
+            seeds: globals.iter().map(|&g| Seed::new(starts[g].1.clone())).collect(),
+            scratch: EvalScratch::default(),
+            pen: vec![0.0; lanes],
+            feat_ok: vec![true; lanes],
+            pen_ok: vec![true; lanes],
+            health: SketchHealth { lanes, ..SketchHealth::default() },
+        }
+    }
+
+    /// The first half of step `step`: one batched forward tape sweep over
+    /// the segment's lanes, writing their features into its columns of the
+    /// feature-major matrix `feats_t` (`n_total` columns). A poisoned
+    /// segment's columns are zero rows instead.
+    fn forward(&mut self, step: usize, opts: &FelixOptions, n_total: usize, feats_t: &mut [f64]) {
+        if !self.health.poisoned {
+            let SegmentRun { sketch, obj, cols, seeds, scratch, feat_ok, .. } = self;
+            self.health.poisoned = !run_guarded(|| {
+                if step == 0 && opts.inject_panic_sketch == Some(*sketch) {
+                    panic!("injected descent panic (sketch {sketch})");
+                }
+                obj.begin_batch(scratch, seeds.len());
+                for (lane, seed) in seeds.iter().enumerate() {
+                    obj.set_lane(scratch, lane, &seed.y);
+                }
+                obj.forward_batch(scratch);
+                // Feature extraction transposed over all lanes (roots
+                // outer, lanes inner) — per lane the values the batch-of-one
+                // `SketchObjective::cost_and_grad` reads.
+                obj.write_feats_cols(scratch, cols, n_total, feats_t, |lane, ok| {
+                    feat_ok[lane] = ok;
+                });
+            });
+        }
+        if self.health.poisoned {
+            let span = self.cols[0]..self.cols[0] + self.cols.len();
+            for row in feats_t.chunks_exact_mut(n_total) {
+                row[span.clone()].fill(0.0);
+            }
+        }
+    }
+
+    /// The second half: from the cost model's scores and feature-major
+    /// input gradients over all `n_total` columns, one batched reverse
+    /// sweep over the segment's lanes, then each lane's supervision checks
+    /// and Adam update. `grad` is scratch for one lane's gradient.
+    fn backward(
+        &mut self,
+        n_total: usize,
+        (mlp_scores, mlp_grads): (&[f64], &[f64]),
+        salt: u64,
+        grad: &mut Vec<f64>,
+        counters: &mut HealthReport,
+    ) {
+        if self.health.poisoned {
+            return;
+        }
+        let SegmentRun {
+            obj, st, clip, cols, globals, seeds, scratch, pen, feat_ok, pen_ok, health, ..
+        } = self;
+        let ok = run_guarded(|| {
+            // Feature seeding straight from the feature-major MLP gradient
+            // buffer, then penalty seeding batched the same way — per lane
+            // the seeds `SketchObjective::cost_and_grad` sets, in its root
+            // order.
+            obj.seed_feats_cols(scratch, cols, n_total, mlp_grads);
+            obj.seed_penalties_all(scratch, LAMBDA, |lane, p, ok| {
+                pen[lane] = p;
+                pen_ok[lane] = ok;
+            });
+            obj.backward_batch(scratch);
+            for (lane, seed) in seeds.iter_mut().enumerate() {
+                if seed.health.exhausted {
+                    continue;
+                }
+                obj.grad_lane(scratch, lane, grad);
+                // Minimized objective: O = -score + λ·penalty. The squared
+                // gradient norm doubles as the finiteness probe (a NaN/Inf
+                // component poisons the sum) and as the clip test below —
+                // one pass over the gradient covers both.
+                let obj_val = -mlp_scores[cols[lane]] + pen[lane];
+                let norm_sq = grad.iter().map(|g| g * g).sum::<f64>();
+                let finite =
+                    obj_val.is_finite() && norm_sq.is_finite() && feat_ok[lane] && pen_ok[lane];
+                let global = globals[lane];
+                if !finite {
+                    counters.nonfinite_events += 1;
+                    health.events += 1;
+                    restart_seed(seed, st, obj, salt, global, counters);
+                    continue;
+                }
+                if seed.health.note_objective(obj_val) {
+                    counters.divergence_events += 1;
+                    health.events += 1;
+                    restart_seed(seed, st, obj, salt, global, counters);
+                    continue;
+                }
+                if norm_sq > *clip * *clip {
+                    let scale = *clip / norm_sq.sqrt();
+                    for g in grad.iter_mut() {
+                        *g *= scale;
+                    }
+                    counters.grad_clips += 1;
+                    health.events += 1;
+                }
+                seed.opt.step(&mut seed.y, grad);
+            }
+        });
+        health.poisoned = !ok;
+    }
+}
+
+/// Runs the full Adam descent of one group, whose seeds start at
+/// `starts[g].1` for each global index `g` in `group.seeds`. Per step each
+/// segment runs ONE batched forward tape sweep over its lanes, writing its
+/// columns of one feature-major matrix; the group makes ONE matrix-shaped
+/// MLP call over all its lanes; then each segment runs ONE batched reverse
+/// sweep and its per-seed Adam updates, and rounds every lane's new point
+/// through its sketch's `RoundingPlan`. All scratch buffers live outside
+/// the step loop. Every MLP row is bit-identical to a scalar call whatever
+/// shares its batch, and lane layout never changes accumulation order, so
+/// scores and points are bit-identical to a serial seed-at-a-time descent.
 ///
 /// Every step of every lane is health-checked (non-finite
 /// objective/gradient/tape roots, monotone divergence, gradient-norm clip),
-/// and the tape work runs inside a panic-isolation boundary: a panic
-/// poisons the item — its lanes freeze and score a zero feature row, so
-/// the trace keeps its shape — while every other item descends untouched.
-/// Restart substreams are keyed by global seed index, so they do not
-/// depend on how the seeds were cut into items.
-fn descend_item(
+/// and each segment's tape work runs inside its own panic-isolation
+/// boundary: a panic poisons the segment — its lanes freeze and score a
+/// zero feature row, so the trace keeps its shape — while every other
+/// segment, in this group or another, descends untouched. Restart
+/// substreams are keyed by global seed index, so they do not depend on how
+/// the seeds were cut into groups.
+fn descend_group(
     objectives: &[SketchObjective],
     task: &SearchTask,
     model: &PackedMlp,
     opts: &FelixOptions,
     salt: u64,
     starts: &[(usize, Vec<f64>)],
-    item: &Item,
-) -> ItemOut {
-    let sketch = item.sketch;
-    let (obj, st) = (&objectives[sketch], &task.sketches[sketch]);
-    let clip = if task.sketch_modes()[sketch] == SketchMode::ClippedGradient {
-        CLIPPED_GRAD_CLIP
-    } else {
-        GRAD_CLIP
-    };
-    let lanes = item.seeds.len();
-    let cols: Vec<usize> = (0..lanes).collect();
-    let mut seeds: Vec<Seed> = item.seeds.iter().map(|&g| Seed::new(starts[g].1.clone())).collect();
+    group: &Group,
+) -> GroupOut {
+    let lanes = group.seeds.len();
+    let mut segments: Vec<SegmentRun> = group
+        .segments
+        .iter()
+        .map(|seg| SegmentRun::new(objectives, task, starts, group, seg))
+        .collect();
     let mut counters = HealthReport::default();
-    let mut health = SketchHealth { lanes, ..SketchHealth::default() };
-    let mut scratch = EvalScratch::default();
     // Feature matrix, feature-major (`feats_t[k * lanes + l]` is lane `l`'s
     // feature `k`): the transposed extraction pass writes contiguous root
     // rows into it, and the batched MLP call reads it as is (its layer-0
     // normalize is the only pass that turns it sample-major).
     let mut feats_t: Vec<f64> = vec![0.0; FEATURE_COUNT * lanes];
     let mut grad: Vec<f64> = Vec::new();
-    let mut pen: Vec<f64> = vec![0.0; lanes];
-    // Tape-level finiteness verdicts, derived for free inside
-    // `write_feats_cols`/`seed_penalties_all` (which already read every
-    // root) — a standalone root scan per lane per step costs a
-    // cache-hostile pass over the tape values.
-    let mut feat_ok: Vec<bool> = vec![true; lanes];
-    let mut pen_ok: Vec<bool> = vec![true; lanes];
     // MLP arena: the batched kernels reuse these across all steps, so
     // the per-step cost-model call allocates nothing in steady state.
     let mut mlp_scratch = MlpScratch::default();
@@ -324,26 +511,8 @@ fn descend_item(
     let mut scores = Vec::with_capacity(opts.n_steps * lanes);
     let mut rounded = Vec::with_capacity(opts.n_steps * lanes);
     for step in 0..opts.n_steps {
-        if !health.poisoned {
-            health.poisoned = !run_guarded(|| {
-                if step == 0 && opts.inject_panic_sketch == Some(sketch) {
-                    panic!("injected descent panic (sketch {sketch})");
-                }
-                obj.begin_batch(&mut scratch, lanes);
-                for (lane, seed) in seeds.iter().enumerate() {
-                    obj.set_lane(&mut scratch, lane, &seed.y);
-                }
-                obj.forward_batch(&mut scratch);
-                // Feature extraction transposed over all lanes (roots
-                // outer, lanes inner) — per lane the values the batch-of-one
-                // `SketchObjective::cost_and_grad` reads.
-                obj.write_feats_cols(&mut scratch, &cols, lanes, &mut feats_t, |lane, ok| {
-                    feat_ok[lane] = ok;
-                });
-            });
-        }
-        if health.poisoned {
-            feats_t.fill(0.0);
+        for seg in &mut segments {
+            seg.forward(step, opts, lanes, &mut feats_t);
         }
         model.input_gradient_batch_cols(
             &feats_t,
@@ -353,65 +522,25 @@ fn descend_item(
             &mut mlp_grads,
         );
         scores.extend_from_slice(&mlp_scores[..lanes]);
-        if !health.poisoned {
-            let ok = run_guarded(|| {
-                // Feature seeding straight from the feature-major MLP
-                // gradient buffer, then penalty seeding batched the same
-                // way — per lane the seeds `SketchObjective::cost_and_grad`
-                // sets, in its root order.
-                obj.seed_feats_cols(&mut scratch, &cols, lanes, &mlp_grads);
-                obj.seed_penalties_all(&mut scratch, LAMBDA, |lane, p, ok| {
-                    pen[lane] = p;
-                    pen_ok[lane] = ok;
-                });
-                obj.backward_batch(&mut scratch);
-                for (lane, seed) in seeds.iter_mut().enumerate() {
-                    if seed.health.exhausted {
-                        continue;
-                    }
-                    obj.grad_lane(&scratch, lane, &mut grad);
-                    // Minimized objective: O = -score + λ·penalty. The
-                    // squared gradient norm doubles as the finiteness probe
-                    // (a NaN/Inf component poisons the sum) and as the clip
-                    // test below — one pass over the gradient covers both.
-                    let obj_val = -mlp_scores[lane] + pen[lane];
-                    let norm_sq = grad.iter().map(|g| g * g).sum::<f64>();
-                    let finite =
-                        obj_val.is_finite() && norm_sq.is_finite() && feat_ok[lane] && pen_ok[lane];
-                    let global = item.seeds[lane];
-                    if !finite {
-                        counters.nonfinite_events += 1;
-                        health.events += 1;
-                        restart_seed(seed, st, obj, salt, global, &mut counters);
-                        continue;
-                    }
-                    if seed.health.note_objective(obj_val) {
-                        counters.divergence_events += 1;
-                        health.events += 1;
-                        restart_seed(seed, st, obj, salt, global, &mut counters);
-                        continue;
-                    }
-                    if norm_sq > clip * clip {
-                        let scale = clip / norm_sq.sqrt();
-                        for g in &mut grad {
-                            *g *= scale;
-                        }
-                        counters.grad_clips += 1;
-                        health.events += 1;
-                    }
-                    seed.opt.step(&mut seed.y, &grad);
-                }
-            });
-            health.poisoned = !ok;
+        for seg in &mut segments {
+            seg.backward(lanes, (&mlp_scores, &mlp_grads), salt, &mut grad, &mut counters);
         }
-        for seed in &seeds {
-            let mut x = obj.to_x_space(&seed.y, st.program.vars.len());
-            st.rounding.round_in_place(&mut x);
-            rounded.push(x);
+        for seg in &segments {
+            for seed in &seg.seeds {
+                let mut x = seg.obj.to_x_space(&seed.y, seg.st.program.vars.len());
+                seg.st.rounding.round_in_place(&mut x);
+                rounded.push(x);
+            }
         }
     }
-    health.exhausted_lanes = seeds.iter().filter(|s| s.health.exhausted).count();
-    ItemOut { scores, rounded, counters, health }
+    let health = segments
+        .iter()
+        .map(|seg| SketchHealth {
+            exhausted_lanes: seg.seeds.iter().filter(|s| s.health.exhausted).count(),
+            ..seg.health
+        })
+        .collect();
+    GroupOut { scores, rounded, counters, health }
 }
 
 impl Default for GradientProposer {
@@ -540,38 +669,38 @@ impl Proposer for GradientProposer {
         }
 
         // --- Adam descent and rounding (line 15-20) ------------------------
-        // Work items are runs of one sketch's seeds, at most one worker's
-        // share of the seeds wide, so every worker gets about the same
-        // number of MLP rows and a sketch's seeds share one tape sweep
-        // wherever that share allows.
+        // One group per worker: the seeds in sketch order, cut into shares
+        // of equal width, so every worker makes one cost-model call of
+        // about the same number of rows per step, and a sketch's seeds
+        // share one tape sweep wherever its segment allows.
         let n_live = starts.len();
         for _ in 0..opts.n_steps {
             clock.charge_gradient_step(n_live);
         }
         let salt = restart_salt(&task.name, task.rounds);
         let width = n_live.div_ceil(threads.min(n_live).max(1)).max(1);
-        let mut items: Vec<Item> = Vec::new();
-        for sketch in 0..objectives.len() {
-            let group: Vec<usize> = (0..n_live).filter(|&g| starts[g].0 == sketch).collect();
-            items.extend(group.chunks(width).map(|run| Item { sketch, seeds: run.to_vec() }));
-        }
+        let sketch_of: Vec<usize> = starts.iter().map(|s| s.0).collect();
+        let groups = cut_groups(&sketch_of, width);
+        self.groups.clone_from(&groups);
         let descent_start = std::time::Instant::now();
-        let mut outs = parallel_map(items.len(), threads, |i| {
-            descend_item(objectives, task, &packed, &opts, salt, &starts, &items[i])
+        let mut outs = parallel_map(groups.len(), threads, |i| {
+            descend_group(objectives, task, &packed, &opts, salt, &starts, &groups[i])
         });
         let descent_s = descent_start.elapsed().as_secs_f64();
         stats.grad_steps = n_live * opts.n_steps;
         stats.steps_per_sec = stats.grad_steps as f64 / descent_s.max(1e-12);
 
         // --- Health accounting ---------------------------------------------
-        // Item counters add up and lane health merges per sketch, so a
-        // sketch cut into several items still counts one panic; the merged
-        // lanes decide every sketch's mode for the next round.
+        // Group counters add up and segment health merges per sketch, so a
+        // sketch cut into several segments still counts one panic; the
+        // merged lanes decide every sketch's mode for the next round.
         let mut counters = HealthReport::default();
         let mut sketch_health = vec![SketchHealth::default(); objectives.len()];
-        for (item, out) in items.iter().zip(&outs) {
+        for (group, out) in groups.iter().zip(&outs) {
             counters.merge(&out.counters);
-            sketch_health[item.sketch].merge(&out.health);
+            for (seg, health) in group.segments.iter().zip(&out.health) {
+                sketch_health[seg.sketch].merge(health);
+            }
         }
         let health = round_report(counters, &sketch_health, modes, &pathological);
         stats.seed_restarts = health.seed_restarts;
@@ -588,8 +717,8 @@ impl Proposer for GradientProposer {
         // (feasible or not), so violations and duplicates are still counted
         // per point.
         let mut lane_of = vec![(0, 0); n_live];
-        for (i, item) in items.iter().enumerate() {
-            for (lane, &g) in item.seeds.iter().enumerate() {
+        for (i, group) in groups.iter().enumerate() {
+            for (lane, &g) in group.seeds.iter().enumerate() {
                 lane_of[g] = (i, lane);
             }
         }
@@ -599,8 +728,8 @@ impl Proposer for GradientProposer {
         let mut feasible: HashMap<ScheduleKey, bool> = HashMap::new();
         let mut cands: Vec<(usize, Vec<f64>)> = Vec::new();
         for step in 0..opts.n_steps {
-            for &(i, lane) in &lane_of {
-                let (sk, k) = (items[i].sketch, step * items[i].seeds.len() + lane);
+            for (&sk, &(i, lane)) in sketch_of.iter().zip(&lane_of) {
+                let k = step * groups[i].seeds.len() + lane;
                 self.trace.push(outs[i].scores[k]);
                 let x = std::mem::take(&mut outs[i].rounded[k]);
                 match feasible.entry(schedule_key(sk, &x)) {
@@ -961,12 +1090,10 @@ mod tests {
         assert_thread_counts_agree(&task, quick_opts());
     }
 
-    #[test]
-    fn sketch_cut_into_several_items_is_bit_identical_to_serial() {
-        // Eight measured elites on sketch 1 take all eight warm slots and
-        // the exploration slots alternate sketches, so 4 seeds descend
-        // sketch 0 and 12 descend sketch 1: above one thread, sketch 1 is
-        // cut into 2 to 12 work items.
+    /// A task whose round descends 4 seeds on sketch 0 and 12 on sketch 1:
+    /// eight measured elites on sketch 1 take all eight warm slots and the
+    /// exploration slots alternate sketches. With its options.
+    fn split_task() -> (SearchTask, FelixOptions) {
         let (mut task, _model, sim) = setup();
         assert_eq!(task.sketches.len(), 2);
         let mut rng = StdRng::seed_from_u64(9);
@@ -976,8 +1103,72 @@ mod tests {
             let latency = sim.latency_ms(&st.program, &st.features, &x);
             task.record(1, x, latency);
         }
-        let opts = FelixOptions { n_seeds: 16, n_steps: 30, ..Default::default() };
+        (task, FelixOptions { n_seeds: 16, n_steps: 30, ..Default::default() })
+    }
+
+    #[test]
+    fn sketch_cut_into_several_items_is_bit_identical_to_serial() {
+        // Above one thread, sketch 1's 12 seeds are cut into 2 to 12
+        // segments, and at 2 and 3 threads a group spans both sketches.
+        let (task, opts) = split_task();
         assert_thread_counts_agree(&task, opts);
+    }
+
+    /// A round's prediction-trace bits, the sketch of each global seed, and
+    /// each group's segments as `(sketch, lanes)`.
+    type TracedRound = (Vec<u64>, Vec<usize>, Vec<Vec<(usize, usize)>>);
+
+    /// One `propose` on `task` at `opts`, traced.
+    fn traced_round(task: &SearchTask, opts: FelixOptions) -> TracedRound {
+        let mut prop = GradientProposer::new(opts);
+        let mut rng = StdRng::seed_from_u64(5);
+        prop.propose(task, shared_model(), 8, &mut TuningClock::new(), &ClockCosts, &mut rng);
+        let trace = prop.take_prediction_trace().iter().map(|v| v.to_bits()).collect();
+        let mut sketch_of = vec![usize::MAX; opts.n_seeds];
+        let mut layout = Vec::new();
+        for group in &prop.groups {
+            for seg in &group.segments {
+                for &g in &group.seeds[seg.cols.clone()] {
+                    sketch_of[g] = seg.sketch;
+                }
+            }
+            layout.push(group.segments.iter().map(|seg| (seg.sketch, seg.cols.len())).collect());
+        }
+        (trace, sketch_of, layout)
+    }
+
+    #[test]
+    fn two_workers_share_the_seeds_as_two_eight_lane_groups() {
+        let (task, opts) = split_task();
+        let (_, sketch_of, layout) = traced_round(&task, FelixOptions { threads: 2, ..opts });
+        assert_eq!(sketch_of.iter().filter(|&&s| s == 0).count(), 4);
+        assert_eq!(sketch_of.iter().filter(|&&s| s == 1).count(), 12);
+        assert_eq!(layout, [vec![(0, 4), (1, 4)], vec![(1, 8)]]);
+    }
+
+    #[test]
+    fn a_panic_freezes_only_its_own_segments_lanes() {
+        // At 2 threads the first group holds both sketches' segments in
+        // one MLP call; a panic in either leaves the other's lanes exactly
+        // as a panic-free run descends them, at every thread count.
+        let (task, opts) = split_task();
+        let clean = traced_round(&task, FelixOptions { threads: 2, ..opts });
+        for sketch in [0, 1] {
+            let opts = FelixOptions { inject_panic_sketch: Some(sketch), ..opts };
+            assert_thread_counts_agree(&task, opts);
+            let (trace, sketch_of, layout) = traced_round(&task, FelixOptions { threads: 2, ..opts });
+            assert_eq!((&sketch_of, &layout), (&clean.1, &clean.2));
+            let n = sketch_of.len();
+            for (k, (&bits, &clean_bits)) in trace.iter().zip(&clean.0).enumerate() {
+                let (step, g) = (k / n, k % n);
+                if sketch_of[g] == sketch {
+                    // Frozen at step 0: a zero feature row's score.
+                    assert_eq!(bits, trace[g], "sketch {sketch}: seed {g} moved at step {step}");
+                } else {
+                    assert_eq!(bits, clean_bits, "sketch {sketch} panicked: seed {g}, step {step}");
+                }
+            }
+        }
     }
 
     /// What one `propose` returns and records, bit for bit: candidates,

@@ -27,9 +27,10 @@
 //!   evolutionary).
 //!
 //! The thresholds are constants chosen so a healthy run never trips any of
-//! them: supervision is then observation-only. Each work item of the
-//! descent (a run of one sketch's seeds) returns its failure counters and
-//! one [`SketchHealth`]; the proposer adds the counters up, merges the lane
+//! them: supervision is then observation-only. Each group of the descent
+//! (one worker's share of the seeds, cut at sketch boundaries into
+//! segments) returns its failure counters and one [`SketchHealth`] per
+//! segment; the proposer adds the counters up, merges the lane
 //! health per sketch index, and [`round_report`] turns them into the
 //! round's [`HealthReport`] — counters plus every sketch's mode for the
 //! next round, decided by [`next_mode`], the one place the ladder policy
@@ -127,8 +128,8 @@ pub fn restart_stream(salt: u64, seed_index: usize, restart: usize) -> u64 {
     fnv1a(h, &(restart as u64).to_le_bytes())
 }
 
-/// Health of one sketch's lanes this round: one work item's, or every
-/// item's of the sketch after [`SketchHealth::merge`].
+/// Health of one sketch's lanes this round: one descent segment's, or
+/// every segment's of the sketch after [`SketchHealth::merge`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SketchHealth {
     /// Seeds descending this sketch.
@@ -143,7 +144,7 @@ pub struct SketchHealth {
 }
 
 impl SketchHealth {
-    /// Folds another item of the same sketch into `self`: lane and event
+    /// Folds another segment of the same sketch into `self`: lane and event
     /// counts add, `poisoned` ORs.
     pub fn merge(&mut self, other: &SketchHealth) {
         self.lanes += other.lanes;
@@ -173,7 +174,7 @@ pub fn next_mode(mode: SketchMode, seen: Option<&SketchHealth>, pathological: bo
     }
 }
 
-/// The round's report: the summed item `counters` plus one caught panic per
+/// The round's report: the summed group `counters` plus one caught panic per
 /// poisoned sketch, and, per sketch, the [`next_mode`] after `modes` (this
 /// round's), from `sketches` (indexed like `modes`; a sketch no seed
 /// descended has no lanes) and the `pathological` flag of each.

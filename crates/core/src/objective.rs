@@ -90,7 +90,7 @@ pub struct SketchObjective {
 }
 
 /// Reusable buffers for tape-based objective evaluation. One scratch per
-/// descent work item makes the steady-state descent loop allocation-free:
+/// descent segment (one sketch's run of seeds) makes the steady-state descent loop allocation-free:
 /// every buffer grows once and is then rewritten in place.
 #[derive(Clone, Debug, Default)]
 pub struct EvalScratch {

@@ -148,7 +148,7 @@ fn counters(opt: &Optimizer) -> Vec<TunerStats> {
 
 /// Runs `options` with a record log at 1, 2, 3 and 4 threads and asserts
 /// the history, task state, record-log bytes and stats counters repeat.
-/// With 4 seeds a sketch's seeds are cut into several work items at the
+/// With 4 seeds a sketch's seeds are cut into several segments at the
 /// higher thread counts.
 fn assert_degraded_run_thread_parity(tag: &str, model: &Mlp, options: FelixOptions) {
     let device = DeviceConfig::a5000();

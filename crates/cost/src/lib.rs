@@ -19,21 +19,27 @@
 //! speed does (without FMA enabled at compile time every MAC is a libm
 //! `fmaf` call). [`COST_MATH_VERSION`] names this arithmetic in checkpoints.
 //!
-//! The batched forward behind [`PackedMlp`] and the reverse sweep shared by
-//! the descent's input gradient and training each have two kernels, chosen
-//! at build time. Where AVX-512F is enabled (`cfg(all(target_arch =
-//! "x86_64", target_feature = "avx512f"))`, which the workspace's
-//! `target-cpu=native` turns on for such a host) the forward keeps a block
-//! of 8 samples' accumulators for a 32-neuron panel (two 512-bit vectors) in
-//! registers, and the backward loads each weight row live for any sample of
-//! a block of 8 once for all of them; elsewhere portable kernels run blocks
-//! of 4 forward and one sample at a time backward. A backward row adds into
-//! a sample's chain only where it is live for that sample (gated gradient
-//! nonzero: the 512-bit kernel's fused multiply-add is masked off
-//! elsewhere), so a dead row's weights, non-finite ones included, never
-//! reach it. Every kernel computes the scalar path's chains, so all give
-//! the same bits, and the portable ones are compiled on every host so the
-//! parity tests hold them to the scalar path there too.
+//! Three kernels do the batched work, each in two forms chosen at build
+//! time: the forward behind [`PackedMlp`], the reverse sweep shared by the
+//! descent's input gradient and training, and training's weight and bias
+//! gradients. Where AVX-512F is enabled (`cfg(all(target_arch = "x86_64",
+//! target_feature = "avx512f"))`, which the workspace's `target-cpu=native`
+//! turns on for such a host) the forward keeps a block of 8 samples'
+//! accumulators for a 32-neuron panel (two 512-bit vectors) in registers;
+//! the backward loads each weight row live for any sample of a block of 8
+//! once for all of them; and the weight gradient holds a tile of 4 output
+//! rows × 4 input vectors (16 accumulators) in registers while the
+//! minibatch's samples sweep through it in ascending order, summing the
+//! bias gradients in the same pass. Elsewhere portable kernels run blocks
+//! of 4 forward, one sample at a time backward, and one output row at a
+//! time over its compacted live samples for the weight gradient. A row adds
+//! into a chain only where it is live for that sample (gated gradient
+//! nonzero: the 512-bit kernels' fused multiply-adds are masked off
+//! elsewhere), so a dead row's weights or a dead sample's inputs,
+//! non-finite ones included, never reach it. Every kernel computes the
+//! scalar path's chains, so all give the same bits, and the portable ones
+//! are compiled on every host so the parity tests hold them to the scalar
+//! path there too.
 
 pub mod dataset;
 pub mod sampling;
@@ -356,59 +362,53 @@ impl Mlp {
     }
 
     /// The minibatch backward: per-sample output seeds (`∂loss/∂score`)
-    /// into the weight and bias gradients `gw`/`gb`, zeroed here in place,
-    /// from the activations a batched forward ([`PackedMlp::forward_rows`])
-    /// left in `scratch`, which it consumes. Byte-identical to
-    /// backpropagating one sample at a time in ascending order:
-    ///
-    /// - each output row `o` of a layer stays hot while its live samples
-    ///   (gate open and gradient nonzero, so a zero seed of either sign
-    ///   drops its sample) are added in ascending order, so every
-    ///   `gw[o][i]` and `gb[o]` is the per-sample path's chain;
-    /// - the gradient passes down a layer through the descent's reverse
-    ///   sweep ([`Mlp::input_gradient_sweep`], kernel `backward`); layer
-    ///   0's input gradient, which nothing reads, is never formed.
+    /// into the weight and bias gradients `gw`/`gb`, overwritten here in
+    /// place, from the activations a batched forward
+    /// ([`PackedMlp::forward_rows`]) left in `scratch`, which it consumes.
+    /// Byte-identical to backpropagating one sample at a time in ascending
+    /// order: per layer, from the top, the kernel `weight_grad` forms the
+    /// layer's gradients ([`Mlp::layer_param_grads`]), then the gradient
+    /// passes down through the descent's reverse sweep
+    /// ([`Mlp::input_gradient_sweep`], kernel `backward`); layer 0's input
+    /// gradient, which nothing reads, is never formed.
     fn param_grads(
         &self,
         backward: LayerBackward,
+        weight_grad: LayerWeightGrad,
         seeds: &[f32],
         scratch: &mut MlpScratch,
         gw: &mut Vec<Vec<f32>>,
         gb: &mut Vec<Vec<f32>>,
     ) {
-        let n = seeds.len();
         let n_layers = self.w.len();
         scratch.acts[n_layers].copy_from_slice(seeds);
         gw.resize_with(n_layers, Vec::new);
         gb.resize_with(n_layers, Vec::new);
         for li in (0..n_layers).rev() {
-            let out_dim = self.b[li].len();
-            let in_dim = self.w[li].len() / out_dim;
-            let MlpScratch { acts, sweep: SweepBuffers { live, .. } } = scratch;
-            // The layer's inputs, and the gated gradients at its outputs.
-            let (inp, grad) = (&acts[li], &acts[li + 1]);
-            let (gw, gb) = (&mut gw[li], &mut gb[li]);
-            gw.clear();
-            gw.resize(out_dim * in_dim, 0.0);
-            gb.clear();
-            gb.resize(out_dim, 0.0);
-            live.resize(live.len().max(n), (0, 0.0));
-            for (o, (row, bias)) in gw.chunks_exact_mut(in_dim).zip(gb.iter_mut()).enumerate() {
-                let mut n_live = 0;
-                for s in 0..n {
-                    let gv = grad[s * out_dim + o];
-                    live[n_live] = (s as u32, gv);
-                    n_live += usize::from(gv != 0.0);
-                }
-                for &(_, g) in &live[..n_live] {
-                    *bias += g;
-                }
-                add_scaled_rows(row, &live[..n_live], inp);
-            }
+            self.layer_param_grads(weight_grad, li, scratch, &mut gw[li], &mut gb[li]);
             if li > 0 {
                 self.input_gradient_sweep(backward, li, scratch);
             }
         }
+    }
+
+    /// Layer `li`'s weight and bias gradients, through the kernel
+    /// `weight_grad`, from its inputs `acts[li]` and the gated gradients at
+    /// its outputs `acts[li + 1]`. `gw` and `gb` are sized here and every
+    /// element is overwritten, so whatever they held (the packed panels,
+    /// in a training step) never reaches a gradient.
+    fn layer_param_grads(
+        &self,
+        weight_grad: LayerWeightGrad,
+        li: usize,
+        scratch: &mut MlpScratch,
+        gw: &mut Vec<f32>,
+        gb: &mut Vec<f32>,
+    ) {
+        let MlpScratch { acts, sweep } = scratch;
+        gw.resize(self.w[li].len(), 0.0);
+        gb.resize(self.b[li].len(), 0.0);
+        weight_grad(&acts[li + 1], &acts[li], gw, gb, sweep);
     }
 
     /// One layer's reverse sweep, shared by the descent's input gradient
@@ -427,6 +427,14 @@ impl Mlp {
     /// moment buffers (a one-step call) starts each moment from a literal
     /// zero in registers, through the same expressions as the stored ones,
     /// so the weights it leaves are bit-identical to a zeroed buffer's.
+    ///
+    /// The pass is bound by the divider: each parameter takes three
+    /// divides (`m / bc1`, `v / bc2`, the step) and one square root, which
+    /// the compiler keeps as `vdivps`/`vsqrtps` in its vectorized loops. A
+    /// 153 k-element pass of this update takes ≈ 0.12–0.14 ms on an
+    /// AVX-512 Xeon, against ≈ 0.07 ms with the divides and the square root
+    /// removed. No rewrite removes them bit for bit: a reciprocal multiply
+    /// rounds twice where a divide rounds once.
     fn apply_adam(&mut self, gw: &[Vec<f32>], gb: &[Vec<f32>], adam: &mut AdamState, lr: f32) {
         adam.t += 1;
         let t = adam.t as f32;
@@ -501,6 +509,28 @@ type LayerBackward = fn(&[f32], usize, bool, &[f32], &mut [f32], &mut SweepBuffe
 const NATIVE_BACKWARD: LayerBackward = avx512::backward_layer;
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 const NATIVE_BACKWARD: LayerBackward = backward_layer;
+
+/// One layer's parameter gradients: `weight_grad(grad, inp, gw, gb, bufs)`
+/// maps the samples' gated gradients at the layer's outputs `grad` (`n *
+/// out_dim`, sample-major) and their inputs `inp` (`n * in_dim`) to the
+/// weight gradients `gw` (`out_dim * in_dim`, row-major) and the bias
+/// gradients `gb` (`out_dim`), overwriting every element of both.
+///
+/// A sample is live for output row `o` when its gated gradient there is
+/// nonzero, as in [`LayerBackward`]. Every kernel computes each `gw[o][i]`
+/// as one chain — `+0.0`, then one fused multiply-add `g · inp[i]` per live
+/// sample in ascending order — and each `gb[o]` as `+0.0` plus one add of
+/// `g` per live sample in the same order: the per-sample path's chains, so
+/// every kernel is bit-identical to it, and a dead sample's input, a NaN or
+/// an infinity included, never reaches a chain.
+type LayerWeightGrad = fn(&[f32], &[f32], &mut [f32], &mut [f32], &mut SweepBuffers);
+
+/// The weight-gradient kernel of this build, chosen as [`NATIVE_FORWARD`]
+/// is.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+const NATIVE_WEIGHT_GRAD: LayerWeightGrad = avx512::weight_grad_layer;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+const NATIVE_WEIGHT_GRAD: LayerWeightGrad = weight_grad_layer;
 
 /// `(first sample, width)` of each register block over `n` samples: blocks
 /// of `widest` (a power of two) while they fit, then the remainder in
@@ -637,15 +667,50 @@ fn backward_sample(w: &[f32], gate: bool, g: &[f32], x: &mut [f32], bufs: &mut S
     }
 }
 
+/// The portable [`LayerWeightGrad`]: one output row at a time, its live
+/// samples compacted first (branch-free, as in [`backward_sample`]), then
+/// their bias gradients summed and their input rows added into the weight
+/// row ([`add_scaled_rows`]). Compiled on every host, as [`forward_layer`]
+/// is.
+#[cfg_attr(all(target_arch = "x86_64", target_feature = "avx512f"), allow(dead_code))]
+fn weight_grad_layer(
+    grad: &[f32],
+    inp: &[f32],
+    gw: &mut [f32],
+    gb: &mut [f32],
+    bufs: &mut SweepBuffers,
+) {
+    let out_dim = gb.len();
+    let (n, in_dim) = (grad.len() / out_dim, gw.len() / out_dim);
+    let live = &mut bufs.live;
+    live.resize(live.len().max(n), (0, 0.0));
+    gw.fill(0.0);
+    for (o, (row, bias)) in gw.chunks_exact_mut(in_dim).zip(gb.iter_mut()).enumerate() {
+        let mut n_live = 0;
+        for s in 0..n {
+            let gv = grad[s * out_dim + o];
+            live[n_live] = (s as u32, gv);
+            n_live += usize::from(gv != 0.0);
+        }
+        *bias = 0.0;
+        for &(_, g) in &live[..n_live] {
+            *bias += g;
+        }
+        add_scaled_rows(row, &live[..n_live], inp);
+    }
+}
+
 /// The 512-bit kernels, compiled only where AVX-512F is enabled at build
-/// time: [`avx512::forward_layer`] and [`avx512::backward_layer`].
+/// time: [`avx512::forward_layer`], [`avx512::backward_layer`] and
+/// [`avx512::weight_grad_layer`].
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 mod avx512 {
     use super::{backward_sample, forward_tail, sample_blocks, SweepBuffers, PANEL};
     use std::arch::x86_64::{
-        __m512, __mmask16, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps,
-        _mm512_mask3_fmadd_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_maskz_mov_ps,
-        _mm512_max_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _CMP_GT_OQ, _CMP_NEQ_UQ,
+        __m512, __mmask16, _mm512_cmp_ps_mask, _mm512_cvtss_f32, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_mask3_fmadd_ps, _mm512_mask_add_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_maskz_mov_ps, _mm512_max_ps, _mm512_set1_ps,
+        _mm512_setzero_ps, _mm512_storeu_ps, _CMP_GT_OQ, _CMP_NEQ_UQ,
     };
 
     /// Lanes of one vector.
@@ -830,16 +895,7 @@ mod avx512 {
         }
         let live = &block[..n_live];
         for first in (0..in_dim.div_ceil(LANES)).step_by(C) {
-            // Each vector's offset and lane mask: the last vector of a row
-            // may be partial, and one past the row's end reads and writes
-            // nothing, at offset 0.
-            let lanes: [(usize, __mmask16); C] = std::array::from_fn(|v| {
-                let i = (first + v) * LANES;
-                match in_dim.saturating_sub(i) {
-                    0 => (0, 0),
-                    left => (i, (1u32 << left.min(LANES)).wrapping_sub(1) as __mmask16),
-                }
-            });
+            let lanes = vector_lanes::<C>(first, in_dim);
             let acc = tile::<S, C>(w, &grads, live, &lanes);
             for (x, a) in inp.chunks_exact_mut(in_dim).zip(acc) {
                 for (&(i, m), v) in lanes.iter().zip(a) {
@@ -890,6 +946,129 @@ mod avx512 {
             }
         }
         acc
+    }
+
+    /// Offset and lane mask of each of the `C` vectors from vector `first`
+    /// of a row of `len` floats: the last vector of a row may be partial,
+    /// and one past the row's end reads and writes nothing, at offset 0.
+    fn vector_lanes<const C: usize>(first: usize, len: usize) -> [(usize, __mmask16); C] {
+        std::array::from_fn(|v| {
+            let i = (first + v) * LANES;
+            match len.saturating_sub(i) {
+                0 => (0, 0),
+                left => (i, (1u32 << left.min(LANES)).wrapping_sub(1) as __mmask16),
+            }
+        })
+    }
+
+    /// The operands of [`weight_grad_layer`]'s tiles: the minibatch's gated
+    /// output gradients and its inputs, both sample-major.
+    struct Minibatch<'a> {
+        /// `n * out_dim` gated gradients at the layer's outputs.
+        grad: &'a [f32],
+        /// `n * in_dim` inputs of the layer.
+        inp: &'a [f32],
+        out_dim: usize,
+        in_dim: usize,
+    }
+
+    /// The 512-bit [`LayerWeightGrad`](super::LayerWeightGrad): output rows
+    /// in groups of 4 (the rows past the last whole group one at a time),
+    /// each group swept by tiles of 4 input vectors, so a tile holds 16
+    /// accumulators in registers; a row's last tile narrows to 2 or 1
+    /// vectors, the last of them lane-masked (layer 0's 82 inputs end 2
+    /// lanes into their sixth vector). Inside a tile the minibatch's samples
+    /// run in ascending order: each loads its `C` input vectors once for all
+    /// the tile's rows and adds them into row `r`'s chains through `vfmadd`
+    /// masked by `k_r`, all ones exactly when the sample is live for the row
+    /// (`g != 0`, `_CMP_NEQ_UQ` on the broadcast gradient, so NaN is live):
+    /// a masked-off lane keeps its accumulator, so a dead sample's input
+    /// never enters a chain. A group's first tile also adds each live
+    /// gradient into its row's bias, through an add masked the same way, in
+    /// the same pass over the samples.
+    pub(super) fn weight_grad_layer(
+        grad: &[f32],
+        inp: &[f32],
+        gw: &mut [f32],
+        gb: &mut [f32],
+        _bufs: &mut SweepBuffers,
+    ) {
+        let out_dim = gb.len();
+        let in_dim = gw.len() / out_dim;
+        let batch = Minibatch { grad, inp, out_dim, in_dim };
+        let (rows, bias) = (gw.chunks_exact_mut(4 * in_dim), gb.as_chunks_mut::<4>().0);
+        for (g, (gw, gb)) in rows.zip(bias).enumerate() {
+            // SAFETY: as in `forward_layer`.
+            unsafe { row_group::<4>(&batch, 4 * g, gw, gb) };
+        }
+        for o in out_dim / 4 * 4..out_dim {
+            let gb = gb[o..].first_chunk_mut::<1>().expect("row o's bias");
+            // SAFETY: as in `forward_layer`.
+            unsafe { row_group::<1>(&batch, o, &mut gw[o * in_dim..][..in_dim], gb) };
+        }
+    }
+
+    /// The `R` output rows from row `o`: their weight gradients `gw` (`R *
+    /// in_dim`) tile by tile, and their bias gradients `gb` in the first.
+    #[target_feature(enable = "avx512f")]
+    fn row_group<const R: usize>(batch: &Minibatch, o: usize, gw: &mut [f32], gb: &mut [f32; R]) {
+        let vectors = batch.in_dim.div_ceil(LANES);
+        let mut first = 0;
+        while first < vectors {
+            let bias = (first == 0).then_some(&mut *gb);
+            first += match vectors - first {
+                1 => grad_tile::<R, 1>(batch, o, first, gw, bias),
+                2 | 3 => grad_tile::<R, 2>(batch, o, first, gw, bias),
+                _ => grad_tile::<R, 4>(batch, o, first, gw, bias),
+            };
+        }
+    }
+
+    /// One tile: rows `o..o + R`, input vectors `first..first + C`, every
+    /// sample of the minibatch in ascending order; stores the tile into
+    /// `gw` (the rows' weight gradients) and, given `bias`, the rows' bias
+    /// gradients into it. Returns `C`.
+    #[target_feature(enable = "avx512f")]
+    fn grad_tile<const R: usize, const C: usize>(
+        batch: &Minibatch,
+        o: usize,
+        first: usize,
+        gw: &mut [f32],
+        bias: Option<&mut [f32; R]>,
+    ) -> usize {
+        let Minibatch { grad, inp, out_dim, in_dim } = *batch;
+        let lanes = vector_lanes::<C>(first, in_dim);
+        let with_bias = bias.is_some();
+        let mut acc = [[_mm512_setzero_ps(); C]; R];
+        let mut sums = [_mm512_setzero_ps(); R];
+        for (x, g) in inp.chunks_exact(in_dim).zip(grad.chunks_exact(out_dim)) {
+            // SAFETY: as for the stores in `backward_block`, over `x`.
+            let xv = lanes.map(|(i, m)| unsafe { _mm512_maskz_loadu_ps(m, x.as_ptr().add(i)) });
+            let g: &[f32; R] = g[o..].first_chunk().expect("the tile's rows");
+            for ((a, sum), &g) in acc.iter_mut().zip(&mut sums).zip(g) {
+                let g = _mm512_set1_ps(g);
+                // Live: `g != 0.0`, true for NaN.
+                let k = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(g, _mm512_setzero_ps());
+                for (av, &xv) in a.iter_mut().zip(&xv) {
+                    *av = _mm512_mask3_fmadd_ps(g, xv, *av, k);
+                }
+                if with_bias {
+                    *sum = _mm512_mask_add_ps(*sum, k, *sum, g);
+                }
+            }
+        }
+        for (row, a) in gw.chunks_exact_mut(in_dim).zip(acc) {
+            for (&(i, m), v) in lanes.iter().zip(a) {
+                // SAFETY: as for the stores in `backward_block`, over `row`.
+                unsafe { _mm512_mask_storeu_ps(row.as_mut_ptr().add(i), m, v) };
+            }
+        }
+        if let Some(bias) = bias {
+            for (b, sum) in bias.iter_mut().zip(sums) {
+                *b = _mm512_cvtss_f32(sum);
+            }
+        }
+        C
     }
 }
 
@@ -1258,8 +1437,8 @@ mod tests {
 
     /// Asserts that the batched training backward over `rows` with `seeds`
     /// gives the scalar reference's gradients bit for bit under every
-    /// forward × backward kernel pair, reusing the caller's buffers the way
-    /// a training call does.
+    /// forward × backward × weight-gradient kernel triple, reusing the
+    /// caller's buffers the way a training call does.
     fn assert_param_grads_match_reference(
         mlp: &Mlp,
         rows: &[Vec<f64>],
@@ -1268,19 +1447,43 @@ mod tests {
         gw: &mut Vec<Vec<f32>>,
         gb: &mut Vec<Vec<f32>>,
     ) {
+        assert_planted_param_grads_match_reference(mlp, rows, seeds, &[], scratch, (gw, gb));
+    }
+
+    /// [`assert_param_grads_match_reference`] with the activation
+    /// `acts[li][s * dim + i]` set to NaN after the forward, for each `(li,
+    /// s, i)` of `nan_acts`, on both paths: a NaN no forward can leave
+    /// under a live row (a NaN input shuts every gate above it), which the
+    /// weight gradients must still multiply into exactly the live rows'
+    /// chains.
+    fn assert_planted_param_grads_match_reference(
+        mlp: &Mlp,
+        rows: &[Vec<f64>],
+        seeds: &[f32],
+        nan_acts: &[(usize, usize, usize)],
+        scratch: &mut MlpScratch,
+        (gw, gb): (&mut Vec<Vec<f32>>, &mut Vec<Vec<f32>>),
+    ) {
+        let plant = |acts: &mut [Vec<f32>]| {
+            for &(li, s, i) in nan_acts {
+                acts[li][s * LAYER_SIZES[li] + i] = f32::NAN;
+            }
+        };
         let slices: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let acts = scalar_backprop::scalar_acts(mlp, &slices);
+        let mut acts = scalar_backprop::scalar_acts(mlp, &slices);
+        plant(&mut acts);
         let (rw, rb) = scalar_backprop::backprop_with_seeds(mlp, &acts, seeds);
         let bits = |v: &[Vec<f32>]| -> Vec<Vec<u32>> {
             v.iter().map(|l| l.iter().map(|x| x.to_bits()).collect()).collect()
         };
         let n = rows.len();
-        for (kernels, forward, backward) in kernel_pairs() {
+        for (kernels, forward, backward, weight_grad) in kernel_triples() {
             let packed = PackedMlp { forward, ..mlp.pack_into(std::mem::take(gw)) };
             let mut scores = Vec::new();
             packed.forward_rows(rows.iter().map(Vec::as_slice), scratch, &mut scores);
             *gw = packed.into_panels();
-            mlp.param_grads(backward, seeds, scratch, gw, gb);
+            plant(&mut scratch.acts);
+            mlp.param_grads(backward, weight_grad, seeds, scratch, gw, gb);
             assert!(bits(gw) == bits(&rw), "{kernels} n={n}: weight gradients differ");
             assert!(bits(gb) == bits(&rb), "{kernels} n={n}: bias gradients differ");
         }
@@ -1342,6 +1545,20 @@ mod tests {
         let zeros = [0.0, -0.0, 0.0, -0.0];
         assert_param_grads_match_reference(trained, &rows[..4], &zeros, &mut scratch, &mut gw, &mut gb);
         assert!(gw.iter().chain(&gb).flatten().all(|g| g.to_bits() == 0), "zero seeds, zero gradients");
+        // A NaN activation under live rows: a hidden one, and the last
+        // input feature, in the lane-masked tail of layer 0's rows. Sample
+        // 3's seed is live and sample 1's is -0.0, so the NaN sits under
+        // every live row of sample 3 and under no row of sample 1.
+        let nan_acts = [(1, 3, 17), (0, 3, FEATURE_COUNT - 1), (1, 1, 9), (0, 1, FEATURE_COUNT - 1)];
+        for n in [4, 8, 9, 16] {
+            let seeds = &seeds[..n];
+            assert!(seeds[3] != 0.0 && seeds[1].to_bits() == (-0.0f32).to_bits());
+            let grads = (&mut gw, &mut gb);
+            assert_planted_param_grads_match_reference(trained, &rows[..n], seeds, &nan_acts, &mut scratch, grads);
+            let nan_cols = gw[0].chunks_exact(FEATURE_COUNT).filter(|r| r[FEATURE_COUNT - 1].is_nan());
+            assert!(nan_cols.count() > 0, "n={n}: the NaN reached no live row's chain");
+            assert!(gw[1].iter().any(|g| g.is_nan()), "n={n}: the hidden NaN reached no chain");
+        }
     }
 
     /// Every forward kernel this build compiles, by name: the portable one
@@ -1359,12 +1576,30 @@ mod tests {
         ("avx512", avx512::backward_layer),
     ];
 
+    /// Every weight-gradient kernel this build compiles, as
+    /// [`FORWARD_KERNELS`].
+    const WEIGHT_GRAD_KERNELS: &[(&str, LayerWeightGrad)] = &[
+        ("portable", weight_grad_layer),
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        ("avx512", avx512::weight_grad_layer),
+    ];
+
     /// Every forward × backward pair, named `forward/backward`.
     fn kernel_pairs() -> impl Iterator<Item = (String, LayerForward, LayerBackward)> {
         FORWARD_KERNELS.iter().flat_map(|&(fname, forward)| {
             BACKWARD_KERNELS
                 .iter()
                 .map(move |&(bname, backward)| (format!("{fname}/{bname}"), forward, backward))
+        })
+    }
+
+    /// Every forward × backward × weight-gradient triple, named
+    /// `forward/backward/weight-gradient`.
+    fn kernel_triples() -> impl Iterator<Item = (String, LayerForward, LayerBackward, LayerWeightGrad)> {
+        kernel_pairs().flat_map(|(pair, forward, backward)| {
+            WEIGHT_GRAD_KERNELS.iter().map(move |&(wname, weight_grad)| {
+                (format!("{pair}/{wname}"), forward, backward, weight_grad)
+            })
         })
     }
 

@@ -6,7 +6,9 @@
 //! all from buffers that live for the whole call. The Adam moments are
 //! among them only when the call takes more than one step.
 
-use crate::{generate_dataset, AdamState, Mlp, MlpScratch, Sample, NATIVE_BACKWARD};
+use crate::{
+    generate_dataset, AdamState, Mlp, MlpScratch, Sample, NATIVE_BACKWARD, NATIVE_WEIGHT_GRAD,
+};
 use felix_sim::DeviceConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -201,7 +203,7 @@ impl TrainStep {
             LossKind::PairwiseRank => rank_seeds(scores, targets, &mut self.seed_acc, seeds),
         };
         let (seeds, scratch, gw, gb) = (&self.seeds, &mut self.scratch, &mut self.wbuf, &mut self.gb);
-        mlp.param_grads(NATIVE_BACKWARD, seeds, scratch, gw, gb);
+        mlp.param_grads(NATIVE_BACKWARD, NATIVE_WEIGHT_GRAD, seeds, scratch, gw, gb);
         mlp.apply_adam(&self.wbuf, &self.gb, adam, cfg.lr);
         loss
     }
@@ -297,7 +299,7 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scalar_backprop, zeroed_adam::ZeroedAdam, Dataset};
+    use crate::{scalar_backprop, zeroed_adam::ZeroedAdam, Dataset, LAYER_SIZES};
     use std::sync::OnceLock;
 
     /// One small corpus shared by every trainer test in this binary:
@@ -604,6 +606,75 @@ mod tests {
             .expect("fresh thread");
             assert_eq!(loss.to_bits(), ref_loss.to_bits(), "window {n}: loss");
             assert!(save(&m) == reference, "window {n}: weights differ from a fresh call");
+        }
+    }
+
+    #[test]
+    #[ignore = "a timing report, not a check: run with --release -- --ignored --nocapture"]
+    fn training_step_split() {
+        // Best-of-N wall times, on the ledger's pretrained model: one
+        // 64-sample rank-loss step through a warm pack buffer, split into
+        // its phases, then the round driver's fine-tune call on a 192-sample
+        // window at 2 epochs and at 5.
+        use std::time::{Duration, Instant};
+        const REPS: usize = 50;
+        let base = pretrain_for_device(&DeviceConfig::a5000(), 6, 12, 10).0;
+        let ds = generate_dataset(&DeviceConfig::a5000(), 6, 12, 0xFE11C5);
+        let pool: Vec<Sample> = ds.samples.iter().chain(&shared_dataset().samples).cloned().collect();
+        let rows: Vec<&[f64]> = pool[..64].iter().map(|s| s.logfeats.as_slice()).collect();
+        let targets: Vec<f64> = pool[..64].iter().map(|s| s.score).collect();
+        let phases = ["pack", "forward", "loss seeds", "reverse sweeps", "weight gradients", "Adam"];
+        let mut best = [Duration::MAX; 6];
+        let (mut scratch, mut wbuf, mut gb) = (MlpScratch::default(), Vec::new(), Vec::new());
+        let (mut scores, mut seeds, mut acc) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..REPS {
+            let mut mlp = base.clone();
+            let mut adam = AdamState::for_steps(&mlp, 2);
+            let mut split = [Duration::ZERO; 6];
+            let mut lap = Instant::now();
+            let mut time = |phase: usize| {
+                split[phase] += lap.elapsed();
+                lap = Instant::now();
+            };
+            let packed = mlp.pack_into(std::mem::take(&mut wbuf));
+            time(0);
+            packed.forward_rows(rows.iter().copied(), &mut scratch, &mut scores);
+            wbuf = packed.into_panels();
+            time(1);
+            rank_seeds(&scores, &targets, &mut acc, &mut seeds);
+            let n_layers = LAYER_SIZES.len() - 1;
+            scratch.acts[n_layers].copy_from_slice(&seeds);
+            wbuf.resize_with(n_layers, Vec::new);
+            gb.resize_with(n_layers, Vec::new);
+            time(2);
+            for li in (0..n_layers).rev() {
+                mlp.layer_param_grads(NATIVE_WEIGHT_GRAD, li, &mut scratch, &mut wbuf[li], &mut gb[li]);
+                time(4);
+                if li > 0 {
+                    mlp.input_gradient_sweep(NATIVE_BACKWARD, li, &mut scratch);
+                    time(3);
+                }
+            }
+            mlp.apply_adam(&wbuf, &gb, &mut adam, 4e-4);
+            time(5);
+            for (b, s) in best.iter_mut().zip(split) {
+                *b = (*b).min(s);
+            }
+        }
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        println!("one 64-sample training step, best of {REPS}:");
+        for (phase, b) in phases.iter().zip(best) {
+            println!("  {phase:<17} {:.3} ms", ms(b));
+        }
+        for epochs in [2, 5] {
+            let mut best = Duration::MAX;
+            for _ in 0..REPS / 5 {
+                let mut mlp = base.clone();
+                let start = Instant::now();
+                fine_tune(&mut mlp, &pool[..192], epochs, 4e-4);
+                best = best.min(start.elapsed());
+            }
+            println!("fine_tune, 192 samples, {epochs} epochs, best of {}: {:.3} ms", REPS / 5, ms(best));
         }
     }
 

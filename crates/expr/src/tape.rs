@@ -63,7 +63,7 @@ impl fmt::Display for GradError {
 impl std::error::Error for GradError {}
 
 /// Lane count of one batched sweep, for a kernel instantiated at `W`. The
-/// widths the descent loop hands the tape most often (a work item of 2, 4,
+/// widths the descent loop hands the tape most often (a segment of 2, 4,
 /// 8 or 16 seeds of one sketch) are compile-time constants, so the kernels'
 /// per-row lane loops unroll into packed vector code; `W = 0` reads the
 /// count from `batch` at run time and serves every other width, 1 included,

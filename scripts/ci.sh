@@ -3,9 +3,9 @@
 # tier-1 line — `cargo test -q` at the root, which runs every crate's suite
 # (the root manifest's `default-members` lists them all) — one crate at a
 # time under a time budget, so each suite runs once. Then felix-cost's
-# suite, the pinned golden run and the pinned objectives once more built
-# without AVX-512 (x86-64 hosts), so the cost model's portable kernels are
-# the ones under test; the serve lifecycle suite again at
+# suite, the descent's unit tests, the pinned golden run and the pinned
+# objectives once more built without AVX-512 (x86-64 hosts), so the cost
+# model's portable kernels are the ones under test; the serve lifecycle suite again at
 # one test thread, so a test that passes only while its siblings slow the
 # daemon fails; the pinned golden run, the pinned objectives, the pinned
 # serve results and the wire-protocol suite under the release profile, the
@@ -58,14 +58,17 @@ done
 
 # The cost model's portable kernels, built as the only ones: where AVX-512F
 # is on at compile time (the root `.cargo/config.toml` builds for the host
-# CPU) the product runs 512-bit forward and backward kernels, so
-# felix-cost's parity tests, the pinned golden run and the pinned
-# objectives run once more for x86-64-v3 (AVX2 and FMA, no AVX-512), in
-# their own target directory so the native artifacts stay fresh: the pinned
-# bytes must hold end to end on the portable kernels too. Timed together
-# against the same per-crate budget, execution only.
+# CPU) the product runs 512-bit forward, backward and weight-gradient
+# kernels, so felix-cost's parity tests, the `felix` library's unit tests
+# (the descent's thread-parity tests, whose groups of every width then
+# run the portable 4/2/1 sample blocks), the pinned golden run and the
+# pinned objectives run once more for x86-64-v3 (AVX2 and FMA, no
+# AVX-512), in their own target directory so the native artifacts stay
+# fresh: the pinned bytes must hold end to end on the portable kernels
+# too. Timed together against the same per-crate budget, execution only.
 if [ "$(uname -m)" = x86_64 ]; then
-    portable_suites=("-p felix-cost" "-p felix-repro --test golden_run" "-p felix --test pinned_objectives")
+    portable_suites=("-p felix-cost" "-p felix --lib" "-p felix-repro --test golden_run"
+        "-p felix --test pinned_objectives")
     portable_test() {
         RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}/x86-64-v3" \
             cargo test -q "$@"
